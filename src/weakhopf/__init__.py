@@ -1,10 +1,9 @@
 """Exact-arithmetic engine for weak Hopf algebras and their Ore extensions."""
 
-from .bialgebra import (Algebra, Coalgebra, TensorElement, Tensor3Element,
-                        WeakBialgebra, WeakHopfAlgebra, base_subalgebras,
-                        check_antipode, check_weak_bialgebra, convolution,
-                        counital_maps, map_convolution, make_algebra,
-                        make_coalgebra, tensor_product, weak_counit_identities)
+from .bialgebra import (Algebra, Coalgebra, TensorElement, WeakBialgebra, WeakHopfAlgebra,
+                        base_subalgebras, check_antipode, check_weak_bialgebra, convolution,
+                        counital_maps, map_convolution, make_algebra, tensor_product,
+                        weak_counit_identities)
 from .coderivations import (CoderivationWitness, SkewDerivation,
                             coderivation_constraint_matrix, coderivation_witness,
                             coderivation_space, eps_delta_report,

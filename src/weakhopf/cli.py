@@ -140,8 +140,9 @@ def cmd_ore(args):
         for line in exc.verdict.lines():
             print(line)
         return 1
+    report = verify_extension(H, args.verify_degree)
     print(f"BUILT {H!r}")
-    return _print_report(verify_extension(H, args.verify_degree))
+    return _print_report(report)
 
 
 def _parse_group(text) -> GroupPresentation:
@@ -153,6 +154,13 @@ def _parse_group(text) -> GroupPresentation:
     if text.upper().startswith("S") and text[1:].isdigit():
         return GroupPresentation.symmetric(int(text[1:]))
     raise ValidationError(f"unknown group {text!r} (use trivial, Z<m> or S<n>)")
+
+
+def _int_param(text, what):
+    try:
+        return int(text)
+    except ValueError:
+        raise ValidationError(f"{what} must be an integer, got {text!r}") from None
 
 
 def _scalar_list(field, text):
@@ -182,13 +190,13 @@ def cmd_example(args):
     if args.kind == "sweedler":
         bundle = _sweedler_bundle()
     elif args.kind == "matrix":
-        n = int(args.params[0]) if args.params else 2
+        n = _int_param(args.params[0], "matrix size") if args.params else 2
         bundle = _matrix_bundle(n)
     elif args.kind == "groupoid":
         if len(args.params) != 2:
             raise ValidationError("usage: example groupoid <group> <n>")
         group = _parse_group(args.params[0])
-        n = int(args.params[1])
+        n = _int_param(args.params[1], "groupoid size")
         ga = build_groupoid_algebra(group, n)
         bundle = SpecBundle(field=ga.field, wb=ga, name=f"m{n}k{group.name}")
     elif args.kind == "section5":

@@ -193,7 +193,7 @@ class Field:
         if kind == "rationals":
             return cls.rationals()
         if kind == "prime":
-            if "p" not in d or not _is_prime(d["p"]):
+            if type(d.get("p")) is not int or not _is_prime(d["p"]):
                 raise ParseError(f"bad field descriptor {d!r}")
             return cls.prime(d["p"])
         raise ParseError(f"unknown field kind {kind!r}")

@@ -50,10 +50,6 @@ class GroupPresentation:
     def inv(self, i):
         return self.inverse[i]
 
-    def is_abelian(self):
-        return all(self.table[i][j] == self.table[j][i]
-                   for i in range(self.order) for j in range(self.order))
-
     def center(self):
         return [i for i in range(self.order)
                 if all(self.table[i][j] == self.table[j][i] for j in range(self.order))]

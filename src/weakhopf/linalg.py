@@ -374,22 +374,3 @@ def in_span(vectors, v: Vector) -> bool:
     m = Matrix.from_columns(v.field, v.dim, list(vectors))
     return solve(m, v) is not None
 
-
-def inverse(m: Matrix):
-    """Two-sided inverse of a square matrix, or None if singular."""
-    if m.rows != m.cols:
-        return None
-    n = m.rows
-    rows = m.row_dicts()
-    one = m.field.one()
-    for i in range(n):
-        rows[i][n + i] = one
-    pivots, reduced, _ = _rref(rows, 2 * n, m.field, augmented_from=n)
-    if len(pivots) < n:
-        return None
-    data = {}
-    for r, col in pivots:
-        for c, v in reduced[r].items():
-            if c >= n:
-                data[(col, c - n)] = v
-    return Matrix(m.field, n, n, data)

@@ -9,14 +9,19 @@ leg by leg through the same rewriting, so all tensor arithmetic is exact.
 Once the extension conditions hold, the coproduct is
 Delta(a x^n) = Delta(a) * (g (x) x + x (x) 1)^n, the counit reads the
 degree-0 coefficient, and the antipode is the anti-homomorphism with
-S(x) = -S(g) x.
+S(x) = -S(g) x.  :class:`MonomialView` presents H over the monomials
+b x^n, so that :func:`verify_extension` runs the same weak-bialgebra axiom
+sweeps on H as bialgebra.py runs on R.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bialgebra import TensorElement, Tensor3Element, WeakBialgebra, WeakHopfAlgebra, base_subalgebras
+from .bialgebra import (BasisView, TensorElement, WeakBialgebra, WeakHopfAlgebra, base_subalgebras,
+                        sweep_antipode, sweep_coassociative, sweep_coproduct_multiplicative,
+                        sweep_counit_neutral, sweep_counit_weak_multiplicative,
+                        sweep_unit_compatibility)
 from .coderivations import skew_derivation
 from .errors import ConditionsFailed, DimensionMismatch, ValidationError
 from .linalg import Matrix, Vector, column_space_basis, in_span
@@ -50,6 +55,10 @@ class OrePoly:
 
     def __bool__(self):
         return bool(self.coeffs)
+
+    def terms(self):
+        """The coefficients as a dict (b, n) -> c, for the monomials b x^n."""
+        return {(b, n): c for n, v in enumerate(self.coeffs) for b, c in v.data.items()}
 
     def __add__(self, other):
         other = self.ore.coerce(other)
@@ -128,28 +137,6 @@ class OreTensor:
         fmt = self.ore.R.format_tensor
         parts = [f"({fmt(t)})*x^{i}(x)x^{j}" for (i, j), t in self.items()]
         return " + ".join(parts) if parts else "0"
-
-
-class OreTensor3:
-    """Element of H (x) H (x) H: map (i, j, k) -> coefficient in R^(x)3."""
-
-    __slots__ = ("ore", "data")
-
-    def __init__(self, ore, data=None):
-        self.ore = ore
-        self.data = {ijk: t for ijk, t in (data or {}).items() if t}
-
-    def __add__(self, other):
-        data = dict(self.data)
-        for ijk, t in other.data.items():
-            data[ijk] = data[ijk] + t if ijk in data else t
-        return OreTensor3(self.ore, data)
-
-    def __eq__(self, other):
-        return isinstance(other, OreTensor3) and self.data == other.data
-
-    def items(self):
-        return sorted(self.data.items())
 
 
 @dataclass(frozen=True)
@@ -271,6 +258,13 @@ class OreAlgebra:
             self._mono_cache[key] = hit
         return hit
 
+    def from_terms(self, d) -> OrePoly:
+        """The polynomial sum c b x^n of a dict (b, n) -> c."""
+        coeffs = [{} for _ in range(1 + max((n for _, n in d), default=-1))]
+        for (b, n), c in d.items():
+            coeffs[n][b] = c
+        return OrePoly(self, [Vector(self.field, self.R.dim, v) for v in coeffs])
+
     def format_poly(self, p: OrePoly) -> str:
         if p.is_zero():
             return "0"
@@ -322,35 +316,6 @@ class OreAlgebra:
                                 out[key] = out[key] + term if key in out else term
         return OreTensor(self, out)
 
-    def tensor3_mul(self, s: OreTensor3, t: OreTensor3) -> OreTensor3:
-        out = {}
-        for (i1, j1, k1), t1 in s.data.items():
-            for (i2, j2, k2), t2 in t.data.items():
-                for (a, b, c_), c in t1.data.items():
-                    for (u, v, w), e in t2.data.items():
-                        first = self.mono_mul(a, i1, u, i2)
-                        second = self.mono_mul(b, j1, v, j2)
-                        third = self.mono_mul(c_, k1, w, k2)
-                        ce = c * e
-                        for m1, v1 in enumerate(first.coeffs):
-                            if not v1:
-                                continue
-                            for m2, v2 in enumerate(second.coeffs):
-                                if not v2:
-                                    continue
-                                for m3, v3 in enumerate(third.coeffs):
-                                    if not v3:
-                                        continue
-                                    key = (m1, m2, m3)
-                                    data = {}
-                                    for p1, x1 in v1.data.items():
-                                        for p2, x2 in v2.data.items():
-                                            for p3, x3 in v3.data.items():
-                                                data[(p1, p2, p3)] = ce * x1 * x2 * x3
-                                    term = Tensor3Element(self.field, self.R.dim, data)
-                                    out[key] = out[key] + term if key in out else term
-        return OreTensor3(self, out)
-
     # -- extended coalgebra ----------------------------------------------
 
     def _require_coproduct(self):
@@ -391,28 +356,6 @@ class OreAlgebra:
                 out = out + self.coproduct_monomial(b, n).scale(c)
         return out
 
-    def coproduct3_left(self, p) -> OreTensor3:
-        """(Delta (x) id) Delta(p)."""
-        return self._coproduct3(p, left=True)
-
-    def coproduct3_right(self, p) -> OreTensor3:
-        """(id (x) Delta) Delta(p)."""
-        return self._coproduct3(p, left=False)
-
-    def _coproduct3(self, p, left: bool) -> OreTensor3:
-        out = {}
-        for (i, j), t in self.coproduct(p).data.items():
-            for (r, s), c in t.data.items():
-                inner = self.coproduct_monomial(r if left else s, i if left else j)
-                for (u, v), t2 in inner.data.items():
-                    key = (u, v, j) if left else (i, u, v)
-                    for (w, z), e in t2.data.items():
-                        tkey = (w, z, s) if left else (r, w, z)
-                        data = {tkey: c * e}
-                        term = Tensor3Element(self.field, self.R.dim, data)
-                        out[key] = out[key] + term if key in out else term
-        return OreTensor3(self, out)
-
     def eps(self, p) -> object:
         """Counit of H: reads the degree-0 coefficient."""
         self._require_coproduct()
@@ -420,24 +363,14 @@ class OreAlgebra:
         return self.R.counit_value(p.coefficient(0))
 
     def eps_t(self, p) -> OrePoly:
-        self._require_coproduct()
-        p = self.coerce(p)
-        out = Vector.zero(self.field, self.R.dim)
-        for (i, j), c in self.R.delta_one().data.items():
-            e = self.eps(self.multiply(self.embed(self.R.basis_vector(i)), p))
-            if e:
-                out = out + Vector(self.field, self.R.dim, {j: c * e})
-        return self.embed(out)
+        return self._counital(p, 0, False)
 
     def eps_s(self, p) -> OrePoly:
+        return self._counital(p, 1, True)
+
+    def _counital(self, p, leg, r_first) -> OrePoly:
         self._require_coproduct()
-        p = self.coerce(p)
-        out = Vector.zero(self.field, self.R.dim)
-        for (i, j), c in self.R.delta_one().data.items():
-            e = self.eps(self.multiply(p, self.embed(self.R.basis_vector(j))))
-            if e:
-                out = out + Vector(self.field, self.R.dim, {i: c * e})
-        return self.embed(out)
+        return self.from_terms(MonomialView(self).counital(self.coerce(p).terms(), leg, r_first))
 
     # -- extended antipode ----------------------------------------------
 
@@ -575,140 +508,94 @@ def extend_antipode(H: OreAlgebra) -> OreAlgebra:
     return out
 
 
-def _monomials(H: OreAlgebra, max_degree: int):
-    return [(b, n) for n in range(max_degree + 1) for b in range(H.R.dim)]
+class MonomialView(BasisView):
+    """H = R[x; sigma, delta] seen over the monomial keys (b, n), meaning b_b x^n.
+
+    The sweep keys are the monomials of degree <= degree_bound, degree-major.
+    Products, coproducts and antipodes of any monomial are flattened from
+    mono_mul, coproduct_monomial and antipode on first use and cached in the
+    view, so they live as long as the view does.
+    """
+
+    def __init__(self, H: OreAlgebra, degree_bound: int = 0):
+        R = H.R
+        keys = [(b, n) for n in range(degree_bound + 1) for b in range(R.dim)]
+        super().__init__(H.field, keys, {(u, 0): c for u, c in R.unit.data.items()})
+        self.H = H
+        self._products, self._coproducts, self._antipodes = {}, {}, {}
+
+    def product(self, a, b):
+        hit = self._products.get((a, b))
+        if hit is None:
+            hit = self._products[(a, b)] = self.H.mono_mul(*a, *b).terms()
+        return hit
+
+    def coproduct(self, k):
+        hit = self._coproducts.get(k)
+        if hit is None:
+            hit = self._coproducts[k] = {
+                ((r, i), (s, j)): c
+                for (i, j), t in self.H.coproduct_monomial(*k).data.items()
+                for (r, s), c in t.data.items()}
+        return hit
+
+    def counit(self, k):
+        b, n = k
+        return self.H.R.counit.data.get(b, self.zero) if n == 0 else self.zero
+
+    def antipode(self, k):
+        hit = self._antipodes.get(k)
+        if hit is None:
+            b, n = k
+            mono = self.H.monomial(self.H.R.basis_vector(b), n)
+            hit = self._antipodes[k] = self.H.antipode(mono).terms()
+        return hit
+
+    def label(self, k):
+        b, n = k
+        return self.H.R.labels[b] if n == 0 else f"{self.H.R.labels[b]}*x^{n}"
+
+    def witness(self, keys):
+        return tuple(i for k in keys for i in k)
 
 
 def verify_extension(H: OreAlgebra, degree_bound: int = 3) -> AxiomReport:
     """Exhaustive axiom sweep on H over monomials of degree <= degree_bound.
 
-    Covers coproduct multiplicativity, coassociativity, both counit axioms,
-    weak multiplicativity of the counit, the unit-coproduct compatibility,
+    The weak-bialgebra axioms come from the shared sweeps in bialgebra.py,
+    run on a MonomialView of H just as coalgebra_report,
+    check_weak_bialgebra and check_antipode run them on R: coproduct
+    multiplicativity, coassociativity, both counit axioms, weak
+    multiplicativity of the counit, the unit-coproduct compatibility and
+    (when extended) the three antipode axioms.  The clauses specific to the
+    extension are checked here: skew primitivity of the generator,
     commutation of Delta(x) with Delta(1) and with Delta(a), vanishing of
-    the counit on x-sandwiches, centrality of R_s against x, skew
-    primitivity of the generator and (when extended) the antipode axioms.
+    the counit on x-sandwiches and centrality of R_s against x.  A negative
+    degree bound would sweep nothing and raises ValidationError.
     Serialize with ``report.lines()``: one `AXIOM name PASS|FAIL` line each.
     """
+    if degree_bound < 0:
+        raise ValidationError(f"degree bound must be nonnegative, got {degree_bound}")
     H._require_coproduct()
     report = AxiomReport()
     R = H.R
-    monos = _monomials(H, degree_bound)
+    view = MonomialView(H, degree_bound)
 
-    def mono(b, n):
-        return H.monomial(R.basis_vector(b), n)
+    sweep_coproduct_multiplicative(view, report)
+    sweep_coassociative(view, report, "coproduct_coassociative")
+    sweep_counit_neutral(view, report, "right")
+    sweep_counit_neutral(view, report, "left")
+    sweep_counit_weak_multiplicative(view, report)
+    sweep_unit_compatibility(view, report)
 
-    # counit table: eps(mono_a * mono_b), filled on demand
-    eps_cache = {}
-
-    def eps_pair(b1, n1, b2, n2):
-        key = (b1, n1, b2, n2)
-        hit = eps_cache.get(key)
-        if hit is None:
-            hit = R.counit_value(H.mono_mul(b1, n1, b2, n2).coefficient(0))
-            eps_cache[key] = hit
-        return hit
-
-    prod_pair = {}
-    for (b1, n1) in monos:
-        for (b2, n2) in monos:
-            prod_pair[(b1, n1, b2, n2)] = H.mono_mul(b1, n1, b2, n2)
-
-    # flattened coproduct supports: Delta(b x^n) as monomial (x) monomial terms
-    dsup = {}
-    for (b, n) in monos:
-        terms = []
-        for (i, j), t in H.coproduct_monomial(b, n).data.items():
-            for (r, s), c in t.data.items():
-                terms.append((r, i, s, j, c))
-        dsup[(b, n)] = terms
-
-    fmt = H.format_poly
-    zero = H.field.zero()
-
-    for (b1, n1) in monos:
-        dp = H.coproduct_monomial(b1, n1)
-        for (b2, n2) in monos:
-            lhs = H.coproduct(prod_pair[(b1, n1, b2, n2)])
-            rhs = H.tensor_mul(dp, H.coproduct_monomial(b2, n2))
-            report.check("coproduct_multiplicative", lhs, rhs,
-                         witness=(b1, n1, b2, n2), fmt=repr)
-
-    for (b, n) in monos:
-        p = mono(b, n)
-        report.check("coproduct_coassociative", H.coproduct3_left(p), H.coproduct3_right(p),
-                     witness=(b, n), fmt=repr)
-        right_n = H.zero()
-        left_n = H.zero()
-        for (r, i, s, j, c) in dsup[(b, n)]:
-            if j == 0:
-                e = R.counit_value(R.basis_vector(s))
-                if e:
-                    right_n = right_n + mono(r, i).scale(c * e)
-            if i == 0:
-                e = R.counit_value(R.basis_vector(r))
-                if e:
-                    left_n = left_n + mono(s, j).scale(c * e)
-        report.check("counit_right_neutral", right_n, p, witness=(b, n), fmt=fmt)
-        report.check("counit_left_neutral", left_n, p, witness=(b, n), fmt=fmt)
-
-    for (b1, n1) in monos:
-        for (bm, nm) in monos:
-            mid = dsup[(bm, nm)]
-            for (b2, n2) in monos:
-                lhs = zero
-                fg = prod_pair[(b1, n1, bm, nm)]
-                for deg, vec in enumerate(fg.coeffs):
-                    for b, c in vec.data.items():
-                        e = eps_pair(b, deg, b2, n2)
-                        if e:
-                            lhs = lhs + c * e
-                rhs1 = zero
-                rhs2 = zero
-                for (r, i, s, j, c) in mid:
-                    e1 = eps_pair(b1, n1, r, i)
-                    e2 = eps_pair(s, j, b2, n2)
-                    if e1 and e2:
-                        rhs1 = rhs1 + c * e1 * e2
-                    e1 = eps_pair(b1, n1, s, j)
-                    e2 = eps_pair(r, i, b2, n2)
-                    if e1 and e2:
-                        rhs2 = rhs2 + c * e1 * e2
-                report.check("counit_weak_multiplicative", lhs, rhs1, witness=(b1, n1, bm, nm, b2, n2))
-                report.check("counit_weak_multiplicative", lhs, rhs2, witness=(b1, n1, bm, nm, b2, n2))
-
-    one_h = H.one
-    d1 = H.coproduct(one_h)
-    lhs3 = H.coproduct3_left(one_h)
-
-    def embed3(t: OreTensor, legs):
-        out = {}
-        for (i, j), te in t.data.items():
-            for (r, s), c in te.data.items():
-                for u, cu in R.unit.data.items():
-                    if legs == (0, 1):
-                        key, tkey = (i, j, 0), (r, s, u)
-                    else:
-                        key, tkey = (0, i, j), (u, r, s)
-                    term = Tensor3Element(H.field, R.dim, {tkey: c * cu})
-                    out[key] = out[key] + term if key in out else term
-        return OreTensor3(H, out)
-
-    d1_left = embed3(d1, (0, 1))
-    d1_right = embed3(d1, (1, 2))
-    report.check("coproduct_unit_compatibility", lhs3, H.tensor3_mul(d1_left, d1_right),
-                 witness=("left",))
-    report.check("coproduct_unit_compatibility", lhs3, H.tensor3_mul(d1_right, d1_left),
-                 witness=("right",))
-
-    skew = OreTensor(H, {(0, 1): TensorElement.pure(H.g, R.unit),
-                         (1, 0): TensorElement.pure(R.unit, R.unit)})
+    d1 = H.coproduct(H.one)
+    skew = H.tensor_pure(H.embed(H.g), H.x()) + H.tensor_pure(H.x(), H.one)
     report.check("generator_coproduct_delta_one_commute",
                  H.tensor_mul(skew, d1), H.tensor_mul(d1, skew), fmt=repr)
 
     dx = H.coproduct(H.x())
-    gx_x1 = H.tensor_pure(H.embed(H.g), H.x()) + H.tensor_pure(H.x(), one_h)
-    report.check("generator_skew_primitive", dx, H.tensor_mul(d1, gx_x1), witness=("left",), fmt=repr)
-    report.check("generator_skew_primitive", dx, H.tensor_mul(gx_x1, d1), witness=("right",), fmt=repr)
+    for side, rhs in (("left", H.tensor_mul(d1, skew)), ("right", H.tensor_mul(skew, d1))):
+        report.check("generator_skew_primitive", dx, rhs, witness=(side,), fmt=repr)
 
     for k in range(R.dim):
         a = R.basis_vector(k)
@@ -717,39 +604,19 @@ def verify_extension(H: OreAlgebra, degree_bound: int = 3) -> AxiomReport:
             + H.coproduct(H.embed(H.delta.apply(a)))
         report.check("coproduct_commutation_rule", lhs, rhs, witness=(R.labels[k],), fmt=repr)
 
-    for (b1, n1) in monos:
-        p = mono(b1, n1)
-        px = H.multiply(p, H.x())
-        for (b2, n2) in monos:
-            val = zero
-            for deg, vec in enumerate(px.coeffs):
-                for b, c in vec.data.items():
-                    e = eps_pair(b, deg, b2, n2)
-                    if e:
-                        val = val + c * e
+    zero = H.field.zero()
+    for (b1, n1) in view.keys:
+        px = H.multiply(H.monomial(R.basis_vector(b1), n1), H.x()).terms()
+        for (b2, n2) in view.keys:
+            val = sum((c * view.eps_pair(k, (b2, n2)) for k, c in px.items()), zero)
             report.check("counit_kills_x_sandwich", val, zero, witness=(b1, n1, b2, n2))
 
     _, basis_s = base_subalgebras(R)
     for idx, a in enumerate(basis_s):
         report.check("source_base_commutes_with_x",
                      H.multiply(H.x(), H.embed(a)), H.multiply(H.embed(a), H.x()),
-                     witness=(idx,), fmt=fmt)
+                     witness=(idx,), fmt=H.format_poly)
 
     if H.antipode_extended:
-        for (b, n) in monos:
-            p = mono(b, n)
-            left = H.zero()
-            right = H.zero()
-            for (r, i, s, j, c) in dsup[(b, n)]:
-                left = left + H.multiply(mono(r, i), H.antipode(mono(s, j))).scale(c)
-                right = right + H.multiply(H.antipode(mono(r, i)), mono(s, j)).scale(c)
-            report.check("antipode_vs_target_counital", left, H.eps_t(p), witness=(b, n), fmt=fmt)
-            report.check("antipode_vs_source_counital", right, H.eps_s(p), witness=(b, n), fmt=fmt)
-            sandwich = H.zero()
-            for (u, v, j3), t in H.coproduct3_left(p).data.items():
-                for (w, z, s3), c in t.data.items():
-                    term = H.multiply(H.antipode(mono(w, u)), mono(z, v))
-                    term = H.multiply(term, H.antipode(mono(s3, j3)))
-                    sandwich = sandwich + term.scale(c)
-            report.check("antipode_composition", sandwich, H.antipode(p), witness=(b, n), fmt=fmt)
+        sweep_antipode(view, report)
     return report

@@ -65,10 +65,6 @@ class AxiomReport:
             out.extend(self.failures(name))
         return out
 
-    def first_failure(self, axiom):
-        fails = self.failures(axiom)
-        return fails[0] if fails else None
-
     def merge(self, other):
         for name in other._order:
             if name not in self._pass_counts:

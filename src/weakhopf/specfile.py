@@ -63,7 +63,7 @@ def _parse_triples(field, rows, dim, where):
             raise ParseError("expected [i, j, k, scalar]", f"{where}[{pos}]")
         i, j, k, c = row
         for idx in (i, j, k):
-            if not isinstance(idx, int) or not 0 <= idx < dim:
+            if type(idx) is not int or not 0 <= idx < dim:
                 raise ParseError(f"index {idx} out of range", f"{where}[{pos}]")
         out.append((i, j, k, _parse_scalar(field, c, f"{where}[{pos}]")))
     return out
@@ -99,7 +99,7 @@ def parse_spec(source, validate=True) -> SpecBundle:
             raise ParseError(f"missing required key {key!r}")
     field = Field.from_json(doc["field"])
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise ParseError("dim must be a positive integer", "dim")
     basis = doc["basis"]
     if not (isinstance(basis, list) and len(basis) == dim

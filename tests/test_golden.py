@@ -1,0 +1,68 @@
+"""Golden-output tests: exact stdout and exit codes of the report commands.
+
+The expected texts in ``tests/golden/`` were recorded before the axiom sweeps
+for R and for R[x; sigma, delta] were merged into one implementation, so any
+change of verdict, witness, axiom name or line order shows up here.
+
+``tests/data/m2qz2-bad-*.json`` carry real denominators.  Both are M_2(QZ_2)
+transported through the basis change b_0 -> b_0 + (3/5) b_5 (E11 -> E11 +
+3/5 tE12): mult becomes P^-1 m(P., P.), comult (P^-1 (x) P^-1) Delta P, unit
+P^-1 1, counit eps P and antipode P^-1 S P.  Then one entry is perturbed:
+``bad-antipode`` adds 1/2 to the b_0 coefficient of S(b_6), and
+``bad-comult`` adds 2/7 to the b_5 (x) b_5 coefficient of Delta(b_0).
+"""
+
+import contextlib
+import io
+from importlib import resources
+from pathlib import Path
+
+import pytest
+
+from weakhopf.cli import main
+from weakhopf.ore import OreAlgebra, verify_extension
+
+HERE = Path(__file__).parent
+GOLDEN = HERE / "golden"
+
+
+def _bundled(name):
+    return str(resources.files("weakhopf") / "data" / name)
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(argv)
+    return rc, out.getvalue()
+
+
+def _expected(name):
+    return (GOLDEN / f"{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("name, argv, code", [
+    ("check-m2q", ["check", _bundled("m2q.json")], 0),
+    ("check-sweedler", ["check", _bundled("sweedler-data.json")], 0),
+    ("check-bad-antipode", ["check", str(HERE / "data" / "m2qz2-bad-antipode.json")], 1),
+    ("check-bad-comult", ["check", str(HERE / "data" / "m2qz2-bad-comult.json")], 1),
+    ("ore-sweedler", ["ore", "build", _bundled("sweedler-data.json"), "--verify-degree", "3"], 0),
+])
+def test_cli_golden(name, argv, code):
+    assert _run(argv) == (code, _expected(name))
+
+
+def test_ore_build_section5_golden(tmp_path):
+    spec = tmp_path / "s5.json"
+    argv = ["example", "section5", "--group", "Z2", "--n", "2", "--q", "1,1", "-o", str(spec)]
+    assert _run(argv)[0] == 0
+    assert _run(["ore", "build", str(spec), "--verify-degree", "3"]) == \
+        (0, _expected("ore-section5-z2-n2"))
+
+
+def test_sign_flipped_antipode_of_x_golden(sweedler):
+    bad = OreAlgebra(sweedler.R, sweedler.sigma, sweedler.delta, sweedler.g,
+                     _coalgebra_extended=True, _antipode_extended=True)
+    bad._s_x = bad.multiply(bad.embed(sweedler.R.antipode.apply(sweedler.g)), bad.x())
+    text = "\n".join(verify_extension(bad, 2).lines()) + "\n"
+    assert text == _expected("ore-sweedler-bad-antipode-of-x")

@@ -5,8 +5,8 @@ import pytest
 
 from weakhopf.errors import DimensionMismatch
 from weakhopf.fields import GF, Field, QQ
-from weakhopf.linalg import (Matrix, Vector, column_space_basis, in_span, inverse,
-                             kernel_basis, kron, rank, solve)
+from weakhopf.linalg import (Matrix, Vector, column_space_basis, in_span, kernel_basis, kron,
+                             rank, solve)
 
 from oracles import dense_matmul, dense_nullspace, dense_rank, to_dense
 
@@ -149,11 +149,7 @@ def test_solve_and_inverse():
     b = Vector.from_list(QQ, [Fraction(3), Fraction(2)])
     x = solve(m, b)
     assert m.apply(x) == b
-    inv = inverse(m)
-    assert inv * m == Matrix.identity(QQ, 2)
-    assert m * inv == Matrix.identity(QQ, 2)
     singular = Matrix.from_rows_dense(QQ, [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]])
-    assert inverse(singular) is None
     assert solve(singular, Vector.from_list(QQ, [Fraction(0), Fraction(1)])) is None
 
 

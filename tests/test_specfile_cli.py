@@ -265,3 +265,48 @@ def test_cli_example_section5_emits_extension_data(capsys):
     bundle = parse_spec(doc)
     assert bundle.maps["delta"].apply(bundle.wb.basis_vector(1)) == \
         bundle.wb.basis_vector(1) - bundle.wb.unit
+
+
+def _spec_file(tmp_path, **keys):
+    doc = _sweedler_doc()
+    doc.update(keys)
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+def _bool_index_mult(doc):
+    return [[bool(i), bool(j), k, c] for i, j, k, c in doc["mult"]]
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp: ["example", "matrix", "abc"],
+    lambda tmp: ["example", "groupoid", "Z2", "two"],
+    lambda tmp: ["check", _spec_file(tmp, field={"kind": "prime", "p": "5"})],
+    lambda tmp: ["check", _spec_file(tmp, field={"kind": "prime", "p": 2.0})],
+    # dim 1 and indices 0/1 would be valid as ints; bools must not pass for them
+    lambda tmp: ["check", _spec_file(tmp, dim=True, basis=["1"], mult=[[0, 0, 0, "1"]],
+                                     unit=["1"], comult=[[0, 0, 0, "1"]], counit=["1"],
+                                     antipode=[["1"]], elements={}, functionals={}, maps={})],
+    lambda tmp: ["check", _spec_file(tmp, mult=_bool_index_mult(_sweedler_doc()))],
+    lambda tmp: ["ore", "build", str(_data_path("sweedler-data.json")), "--verify-degree", "-1"],
+], ids=["matrix-size-text", "groupoid-size-text", "prime-as-string", "prime-as-float",
+        "dim-as-bool", "index-as-bool", "negative-degree-bound"])
+def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
+    code = main(argv(tmp_path))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_verify_extension_refuses_negative_degree_bound():
+    from weakhopf.errors import ValidationError
+    from weakhopf.ore import extend_antipode, make_ore, verify_extension
+    data = sweedler_data()
+    H = extend_antipode(make_ore(data.R, data.sigma, data.delta, data.g))
+    with pytest.raises(ValidationError):
+        verify_extension(H, -1)
+    assert verify_extension(H, 0).passed
