@@ -14,7 +14,7 @@ import sys
 from .bialgebra import (algebra_report, check_antipode, check_weak_bialgebra,
                         coalgebra_report)
 from .errors import ConditionsFailed, TooLarge, ValidationError, WeakHopfError
-from .fields import Field
+from .fields import Field, is_prime
 from .fixtures import twisted_derivation_data, sweedler_data
 from .groupoid import GroupPresentation, build_groupoid_algebra, matrix_algebra
 from .grouplike import (brute_force_weak_grouplikes, convolution_inverse,
@@ -49,7 +49,9 @@ def cmd_check(args):
 
 def cmd_grouplikes(args):
     if args.matrix is not None:
-        field = Field.prime(args.prime) if args.prime else Field.rationals()
+        if args.prime is not None and not is_prime(args.prime):
+            raise ValidationError(f"--prime must be a prime number, got {args.prime}")
+        field = Field.rationals() if args.prime is None else Field.prime(args.prime)
         enum = enumerate_weak_grouplikes_matrix(args.matrix, field)
         alg = enum.algebra
         for g in enum.grouplikes:

@@ -79,7 +79,7 @@ class PrimeElement:
         return str(self.v)
 
 
-def _is_prime(p):
+def is_prime(p):
     if p < 2:
         return False
     d = 2
@@ -93,7 +93,7 @@ def _is_prime(p):
 @functools.cache
 def GF(p: int):
     """Return the element class for the prime field with p elements."""
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     cls = type(f"GF({p})", (PrimeElement,), {"__slots__": ()})
     cls.p = p
@@ -133,12 +133,12 @@ class Field:
         return self.from_int(n)
 
     def parse(self, value):
-        """Parse a serialized scalar: int, or a string like "3" or "-3/4"."""
+        """Parse a serialized scalar: int (not bool), or a string like "3" or "-3/4"."""
         if self._elem is not None:
-            if isinstance(value, int) or (isinstance(value, str) and value.lstrip("-").isdigit()):
+            if type(value) is int or (isinstance(value, str) and value.lstrip("-").isdecimal()):
                 return self._elem(int(value))
             raise ParseError(f"bad GF({self.p}) scalar {value!r}")
-        if isinstance(value, int):
+        if type(value) is int:
             return Fraction(value)
         if isinstance(value, str):
             try:
@@ -193,7 +193,7 @@ class Field:
         if kind == "rationals":
             return cls.rationals()
         if kind == "prime":
-            if type(d.get("p")) is not int or not _is_prime(d["p"]):
+            if type(d.get("p")) is not int or not is_prime(d["p"]):
                 raise ParseError(f"bad field descriptor {d!r}")
             return cls.prime(d["p"])
         raise ParseError(f"unknown field kind {kind!r}")

@@ -165,7 +165,7 @@ class OreAlgebra:
         self.g = g
         self._coalgebra_extended = _coalgebra_extended
         self._antipode_extended = _antipode_extended
-        self._x_shift_cache = {}
+        self._x_table = {}
         self._mono_cache = {}
         self._expansion_cache = {}
         self._delta_mono_cache = {}
@@ -211,50 +211,50 @@ class OreAlgebra:
     def monomial(self, a: Vector, n: int) -> OrePoly:
         return OrePoly(self, [Vector.zero(self.field, self.R.dim)] * n + [a])
 
-    def x_times_basis(self, b: int):
-        """x * b_i = sigma(b_i) x + delta(b_i), as (degree-0, degree-1) coefficients."""
-        hit = self._x_shift_cache.get(b)
+    def x_power_times(self, i: int, u: int) -> OrePoly:
+        """x^i b_u, from a table kept for the algebra's lifetime.
+
+        Row 0 is b_u and row 1 is sigma(b_u) x + delta(b_u); row i > 1 is
+        x_times(row i-1), so x_times runs once per entry (i, u).
+        """
+        hit = self._x_table.get((i, u))
         if hit is None:
-            bi = self.R.basis_vector(b)
-            hit = (self.delta.apply(bi), self.sigma.apply(bi))
-            self._x_shift_cache[b] = hit
+            if i > 1:
+                hit = self.x_times(self.x_power_times(i - 1, u))
+            else:
+                bu = self.R.basis_vector(u)
+                hit = OrePoly(self, [self.delta.apply(bu), self.sigma.apply(bu)] if i else [bu])
+            self._x_table[(i, u)] = hit
         return hit
 
     def x_times(self, p: OrePoly) -> OrePoly:
-        """Left multiplication by x in normal form."""
+        """Left multiplication by x in normal form, term by term from row 1 of the table."""
         out = [Vector.zero(self.field, self.R.dim) for _ in range(len(p.coeffs) + 1)]
         for n, a in enumerate(p.coeffs):
             for b, c in a.data.items():
-                d0, d1 = self.x_times_basis(b)
-                out[n] = out[n] + d0.scale(c)
-                out[n + 1] = out[n + 1] + d1.scale(c)
+                xb = self.x_power_times(1, b)
+                out[n] = out[n] + xb.coefficient(0).scale(c)
+                out[n + 1] = out[n + 1] + xb.coefficient(1).scale(c)
         return OrePoly(self, out)
 
-    def left_coeff_times(self, a: Vector, p: OrePoly) -> OrePoly:
-        return OrePoly(self, [self.R.multiply(a, c) for c in p.coeffs])
-
     def multiply(self, p: OrePoly, q: OrePoly) -> OrePoly:
-        q = self.coerce(q)
-        p = self.coerce(p)
-        acc = self.zero()
-        cur = q
-        for n in range(len(p.coeffs)):
-            if p.coeffs[n]:
-                acc = acc + self.left_coeff_times(p.coeffs[n], cur)
-            cur = self.x_times(cur)
-        return acc
+        """The bilinear sum of mono_mul over the terms of p and q."""
+        p, q = self.coerce(p), self.coerce(q)
+        zero, out, q_terms = self.field.zero(), {}, q.terms()
+        for (r, i), c in p.terms().items():
+            for (u, j), e in q_terms.items():
+                ce = c * e
+                for k, x in self.mono_mul(r, i, u, j).terms().items():
+                    out[k] = out.get(k, zero) + ce * x
+        return self.from_terms(out)
 
     def mono_mul(self, r: int, i: int, u: int, j: int) -> OrePoly:
-        """(b_r x^i)(b_u x^j), cached."""
+        """(b_r x^i)(b_u x^j) = b_r (x^i b_u) x^j, cached."""
         key = (r, i, u, j)
         hit = self._mono_cache.get(key)
         if hit is None:
-            cur = self.embed(self.R.basis_vector(u))
-            for _ in range(i):
-                cur = self.x_times(cur)
-            prod = self.left_coeff_times(self.R.basis_vector(r), cur)
-            pad = [Vector.zero(self.field, self.R.dim)] * j
-            hit = OrePoly(self, pad + list(prod.coeffs))
+            br, pad = self.R.basis_vector(r), [Vector.zero(self.field, self.R.dim)] * j
+            hit = OrePoly(self, pad + [self.R.multiply(br, c) for c in self.x_power_times(i, u).coeffs])
             self._mono_cache[key] = hit
         return hit
 

@@ -91,6 +91,8 @@ def parse_spec(source, validate=True) -> SpecBundle:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", f"offset {exc.pos}") from exc
+        except RecursionError:
+            raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("spec document must be a JSON object")
 

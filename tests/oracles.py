@@ -69,3 +69,49 @@ def to_dense(matrix):
     for (i, j), c in matrix.data.items():
         out[i][j] = c
     return out
+
+
+def ore_reference_product(R, sigma, delta, p, q):
+    """Product in R[x; sigma, delta] of p and q, given as dicts (b, n) -> c for sum c b_b x^n.
+
+    Cache-free textbook rewriting, straight from the structure constants of R
+    and the dense sigma and delta matrices: x^n a is expanded as
+    (x^(n-1) sigma(a)) x + x^(n-1) delta(a), recursively, which is
+    x a = sigma(a) x + delta(a) applied from the inside out.  Returns a dict
+    without zero entries.
+    """
+    dim, zero = R.dim, R.field.zero()
+    S, D = to_dense(sigma), to_dense(delta)
+    mult = {ij: v.data for ij, v in R.algebra.mult.items()}
+
+    def apply(m, a):
+        return [sum((m[r][c] * a[c] for c in range(dim) if a[c]), zero) for r in range(dim)]
+
+    def add(a, b):
+        return [x + y for x, y in zip(a, b)]
+
+    def times(a, b):
+        out = [zero] * dim
+        for (i, j), v in mult.items():
+            if a[i] and b[j]:
+                for k, c in v.items():
+                    out[k] = out[k] + a[i] * b[j] * c
+        return out
+
+    def x_power_times(n, a):
+        if n == 0:
+            return [a]
+        shifted = [[zero] * dim] + x_power_times(n - 1, apply(S, a))
+        rest = x_power_times(n - 1, apply(D, a)) + [[zero] * dim]
+        return [add(u, v) for u, v in zip(shifted, rest)]
+
+    def basis(b):
+        return [R.field.one() if k == b else zero for k in range(dim)]
+
+    out = {}
+    for (r, i), c in p.items():
+        for (u, j), e in q.items():
+            for n, coeff in enumerate(x_power_times(i, basis(u))):
+                for b, y in enumerate(times(basis(r), coeff)):
+                    out[(b, n + j)] = out.get((b, n + j), zero) + c * e * y
+    return {k: c for k, c in out.items() if c}

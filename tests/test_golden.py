@@ -10,6 +10,11 @@ transported through the basis change b_0 -> b_0 + (3/5) b_5 (E11 -> E11 +
 P^-1 1, counit eps P and antipode P^-1 S P.  Then one entry is perturbed:
 ``bad-antipode`` adds 1/2 to the b_0 coefficient of S(b_6), and
 ``bad-comult`` adds 2/7 to the b_5 (x) b_5 coefficient of Delta(b_0).
+
+The ``ore-section5-*-q`` texts were recorded before products in
+R[x; sigma, delta] were routed through the cached x^i b_u table.  With
+n = 2 the scales q = 3/5, -7/2 put -35/6 and -6/35 into sigma; with
+n = 1 the scale 5/3 cancels, and delta is nonzero.
 """
 
 import contextlib
@@ -58,6 +63,16 @@ def test_ore_build_section5_golden(tmp_path):
     assert _run(argv)[0] == 0
     assert _run(["ore", "build", str(spec), "--verify-degree", "3"]) == \
         (0, _expected("ore-section5-z2-n2"))
+
+
+@pytest.mark.parametrize("name, example", [
+    ("ore-section5-z2-n2-q", ["--group", "Z2", "--n", "2", "--q", "3/5,-7/2"]),
+    ("ore-section5-z4-n1-q", ["--group", "Z4", "--n", "1", "--rho=1,-1,1,-1", "--q=5/3"]),
+])
+def test_ore_build_section5_denominators_golden(tmp_path, name, example):
+    spec = tmp_path / "s5.json"
+    assert _run(["example", "section5", *example, "-o", str(spec)])[0] == 0
+    assert _run(["ore", "build", str(spec), "--verify-degree", "4"]) == (0, _expected(name))
 
 
 def test_sign_flipped_antipode_of_x_golden(sweedler):

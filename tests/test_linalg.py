@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from weakhopf.errors import DimensionMismatch
+from weakhopf.errors import DimensionMismatch, ParseError
 from weakhopf.fields import GF, Field, QQ
 from weakhopf.linalg import (Matrix, Vector, column_space_basis, in_span, kernel_basis, kron,
                              rank, solve)
@@ -50,6 +50,13 @@ def test_field_parse_format_roundtrip():
     assert f3.parse(5) == f3(2)
     assert f3.format(f3(2)) == 2
     assert list(f3.elements()) == [f3(0), f3(1), f3(2)]
+
+
+def test_field_parse_rejects_bools():
+    for field in (Field.rationals(), Field.prime(3)):
+        for value in (True, False):
+            with pytest.raises(ParseError):
+                field.parse(value)
 
 
 def test_rationals_always_reduced():

@@ -7,10 +7,14 @@ import pytest
 from weakhopf.bialgebra import TensorElement, base_subalgebras
 from weakhopf.errors import ConditionsFailed, NotAutomorphism, NotDerivation
 from weakhopf.fields import QQ
+from weakhopf.fixtures import twisted_derivation_data
+from weakhopf.groupoid import GroupPresentation
 from weakhopf.linalg import Matrix, Vector, in_span
 from weakhopf.ore import (OreAlgebra, OreTensor, expand_skew_power, extend_antipode,
                           extend_coalgebra, make_ore, ore_multiply, verify_extension)
 from weakhopf.panov import ad_map
+
+from oracles import ore_reference_product
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +72,58 @@ def _all_monomials(H, max_degree):
     for n in range(max_degree + 1):
         for b in range(H.R.dim):
             yield H.monomial(H.R.basis_vector(b), n)
+
+
+@pytest.fixture(scope="module")
+def s5_m2qz2_q():
+    """Section-5 M_2(QZ_2) with q = 3/5, -7/2: -35/6 and -6/35 in sigma, delta zero."""
+    return twisted_derivation_data(GroupPresentation.cyclic(2), 2,
+                                   rho=[Fraction(1), Fraction(-1)],
+                                   q=[Fraction(3, 5), Fraction(-7, 2)])
+
+
+@pytest.mark.parametrize("name, delta_scale", [
+    ("sweedler", 1), ("s5_qz2", 1), ("s5_qz2", Fraction(-5, 3)), ("s5_m2qz2_q", 1)],
+    ids=["sweedler", "qz2", "qz2-delta-times-minus-5-3", "m2qz2-q"])
+def test_products_match_reference_oracle(request, name, delta_scale):
+    """Any multiple of a sigma-derivation is one: -5/3 puts denominators into delta."""
+    data = request.getfixturevalue(name)
+    H = make_ore(data.R, data.sigma, data.delta.scale(delta_scale), data.g)
+    one = H.field.one()
+    keys = [(b, n) for n in range(4) for b in range(H.R.dim)]
+    for (r, i), (u, j) in itertools.product(keys, repeat=2):
+        expected = ore_reference_product(H.R, H.sigma, H.delta, {(r, i): one}, {(u, j): one})
+        assert H.mono_mul(r, i, u, j).terms() == expected
+        assert H.multiply(H.from_terms({(r, i): one}), H.from_terms({(u, j): one})).terms() \
+            == expected
+    rng = random.Random(7)
+    scalars = [Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 5), Fraction(-7, 4)]
+    for _ in range(10):
+        p, q = ({k: c for k in rng.sample(keys, 4) if (c := rng.choice(scalars))}
+                for _ in range(2))
+        expected = ore_reference_product(H.R, H.sigma, H.delta, p, q)
+        assert H.multiply(H.from_terms(p), H.from_terms(q)).terms() == expected
+
+
+@pytest.mark.parametrize("name, degree", [("sweedler", 1), ("sweedler", 3), ("s5_m2qz2_q", 2)])
+def test_verify_extension_builds_each_x_power_once(monkeypatch, request, name, degree):
+    """x_times runs once per table entry x^i b_u with 2 <= i <= 2D, and never again.
+
+    The sweeps reach x^i b_u for i up to 2D: weak multiplicativity of the
+    counit evaluates eps(k h) for the terms k of f m, of degree up to 2D.
+    Row 1 comes from sigma and delta without x_times.
+    """
+    data = request.getfixturevalue(name)
+    calls = []
+    x_times = OreAlgebra.x_times
+    monkeypatch.setattr(OreAlgebra, "x_times", lambda self, p: calls.append(p) or x_times(self, p))
+    H = extend_antipode(make_ore(data.R, data.sigma, data.delta, data.g))
+    assert verify_extension(H, degree).passed
+    assert 0 < len(calls) <= H.R.dim * (2 * degree - 1)
+    assert len(set(calls)) == len(calls)
+    before = len(calls)
+    assert verify_extension(H, degree).passed
+    assert len(calls) == before
 
 
 def test_multiplication_associative(sweedler_H, s5_H, s5_m2qz2):

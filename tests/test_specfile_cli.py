@@ -279,6 +279,17 @@ def _bool_index_mult(doc):
     return [[bool(i), bool(j), k, c] for i, j, k, c in doc["mult"]]
 
 
+def _nested_field_spec_file(tmp_path, depth):
+    """The Sweedler spec with its field descriptor nested ``depth`` arrays deep."""
+    text = json.dumps(_sweedler_doc() | {"field": None})
+    p = tmp_path / "spec.json"
+    p.write_text(text.replace('"field": null', '"field": ' + "[" * depth + "]" * depth, 1))
+    return str(p)
+
+
+GF3 = {"kind": "prime", "p": 3}
+
+
 @pytest.mark.parametrize("argv", [
     lambda tmp: ["example", "matrix", "abc"],
     lambda tmp: ["example", "groupoid", "Z2", "two"],
@@ -290,8 +301,17 @@ def _bool_index_mult(doc):
                                      antipode=[["1"]], elements={}, functionals={}, maps={})],
     lambda tmp: ["check", _spec_file(tmp, mult=_bool_index_mult(_sweedler_doc()))],
     lambda tmp: ["ore", "build", str(_data_path("sweedler-data.json")), "--verify-degree", "-1"],
+    lambda tmp: ["grouplikes", "--matrix", "2", "--prime", "4"],
+    lambda tmp: ["grouplikes", "--matrix", "2", "--prime", "0"],
+    lambda tmp: ["check", _nested_field_spec_file(tmp, 50_000)],
+    # the Sweedler spec passes check over QQ and over GF(3) with unit ["1", "0"]
+    lambda tmp: ["check", _spec_file(tmp, unit=[True, False])],
+    lambda tmp: ["check", _spec_file(tmp, field=GF3, unit=[True, False])],
+    lambda tmp: ["check", _spec_file(tmp, field=GF3, unit=["1", "\u00b2"])],
 ], ids=["matrix-size-text", "groupoid-size-text", "prime-as-string", "prime-as-float",
-        "dim-as-bool", "index-as-bool", "negative-degree-bound"])
+        "dim-as-bool", "index-as-bool", "negative-degree-bound", "grouplikes-prime-not-prime",
+        "grouplikes-prime-zero", "deeply-nested-json", "scalar-as-bool", "gf-scalar-as-bool",
+        "gf-scalar-superscript-digit"])
 def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     code = main(argv(tmp_path))
     captured = capsys.readouterr()
