@@ -9,9 +9,15 @@ elements are instances of a per-prime class created by :func:`GF`, so that
 from __future__ import annotations
 
 import functools
+import re
 from fractions import Fraction
 
 from .errors import FieldMismatch, ParseError
+
+
+# The scalar strings :meth:`Field.format` emits: -?digits, and -?digits/digits over QQ.
+_INTEGER = re.compile(r"-?[0-9]+")
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 class PrimeElement:
@@ -134,18 +140,15 @@ class Field:
 
     def parse(self, value):
         """Parse a serialized scalar: int (not bool), or a string like "3" or "-3/4"."""
-        if self._elem is not None:
-            if type(value) is int or (isinstance(value, str) and value.lstrip("-").isdecimal()):
-                return self._elem(int(value))
-            raise ParseError(f"bad GF({self.p}) scalar {value!r}")
         if type(value) is int:
-            return Fraction(value)
-        if isinstance(value, str):
+            return self.from_int(value)
+        pattern = _RATIONAL if self._elem is None else _INTEGER
+        if isinstance(value, str) and pattern.fullmatch(value):
             try:
-                return Fraction(value)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"bad rational scalar {value!r}") from exc
-        raise ParseError(f"bad rational scalar {value!r}")
+                return Fraction(value) if self._elem is None else self._elem(int(value))
+            except (ValueError, ZeroDivisionError):  # too many digits for int(), or n/0
+                pass
+        raise ParseError(f"bad {'rational' if self._elem is None else self} scalar {value!r}")
 
     def format(self, x):
         """Serialize a scalar (inverse of :meth:`parse`)."""
@@ -160,11 +163,6 @@ class Field:
     @property
     def order(self):
         return None if self._elem is None else self.p
-
-    def contains(self, x):
-        if self._elem is None:
-            return isinstance(x, Fraction)
-        return type(x) is self._elem
 
     def check_same(self, other):
         if self != other:

@@ -179,10 +179,6 @@ class OreAlgebra:
         return self.R.field
 
     @property
-    def coalgebra_extended(self):
-        return self._coalgebra_extended
-
-    @property
     def antipode_extended(self):
         return self._antipode_extended
 

@@ -107,6 +107,8 @@ def parse_spec(source, validate=True) -> SpecBundle:
     if not (isinstance(basis, list) and len(basis) == dim
             and all(isinstance(b, str) for b in basis)):
         raise ParseError(f"basis must list {dim} labels", "basis")
+    if len(set(basis)) != dim:
+        raise ParseError("basis labels must be distinct", "basis")
 
     mult = {}
     for (i, j, k, c) in _parse_triples(field, doc["mult"], dim, "mult"):

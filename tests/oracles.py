@@ -71,6 +71,31 @@ def to_dense(matrix):
     return out
 
 
+def dense_associativity_failures(alg):
+    """Sorted list of every basis triple (a, b, c) with (b_a b_b) b_c != b_a (b_b b_c).
+
+    Textbook evaluation on dense coefficient lists from the multiplication
+    table of ``alg``; every triple is computed, none is skipped.
+    """
+    dim, zero, one = alg.dim, alg.field.zero(), alg.field.one()
+    table = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+    for (a, b), v in alg.mult.items():
+        for k, c in v.data.items():
+            table[a][b][k] = c
+    basis = [[one if k == i else zero for k in range(dim)] for i in range(dim)]
+
+    def times(u, v):
+        out = [zero] * dim
+        for i in range(dim):
+            for j in range(dim):
+                if u[i] and v[j]:
+                    out = [o + u[i] * v[j] * t for o, t in zip(out, table[i][j])]
+        return out
+
+    return sorted((a, b, c) for a in range(dim) for b in range(dim) for c in range(dim)
+                  if times(table[a][b], basis[c]) != times(basis[a], table[b][c]))
+
+
 def ore_reference_product(R, sigma, delta, p, q):
     """Product in R[x; sigma, delta] of p and q, given as dicts (b, n) -> c for sum c b_b x^n.
 

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from oracles import dense_associativity_failures
 from weakhopf.bialgebra import (Algebra, Coalgebra, TensorElement, WeakBialgebra,
-                                WeakHopfAlgebra, base_subalgebras, check_antipode,
+                                WeakHopfAlgebra, algebra_report, base_subalgebras, check_antipode,
                                 check_weak_bialgebra, convolution, counital_maps,
                                 make_algebra, tensor_product, weak_counit_identities)
 from weakhopf.errors import (AxiomFailure, CounitFails, FieldMismatch, NotAssociative,
@@ -14,6 +16,9 @@ from weakhopf.grouplike import is_weak_grouplike
 from weakhopf.linalg import Matrix, Vector
 from weakhopf.panov import groupoid_character
 from weakhopf.report import AxiomReport
+from weakhopf.specfile import parse_spec
+
+DATA = Path(__file__).parent / "data"
 
 
 def _vec(field, values):
@@ -71,6 +76,19 @@ def test_fixtures_pass_weak_bialgebra_checks(M2, QZ2, M2Z2):
     for wb in (M2, QZ2, M2Z2):
         assert check_weak_bialgebra(wb).passed
         assert check_antipode(wb).passed
+
+
+@pytest.mark.parametrize("source", ["M2Z2", "m2qz2-bad-mult.json"])
+def test_associative_witnesses_match_dense_oracle(request, source):
+    if source.endswith(".json"):
+        alg = parse_spec(str(DATA / source), validate=False).wb.algebra
+    else:
+        alg = request.getfixturevalue(source).algebra
+    expected = dense_associativity_failures(alg)
+    assert bool(expected) == source.endswith(".json")  # a bad oracle would pass vacuously
+    report = algebra_report(alg)
+    assert report.axiom_passed("unital")
+    assert [f.witness for f in report.failures("associative")] == expected
 
 
 def test_corrupted_counit_fails_weak_multiplicativity(M2):

@@ -8,8 +8,14 @@ change of verdict, witness, axiom name or line order shows up here.
 transported through the basis change b_0 -> b_0 + (3/5) b_5 (E11 -> E11 +
 3/5 tE12): mult becomes P^-1 m(P., P.), comult (P^-1 (x) P^-1) Delta P, unit
 P^-1 1, counit eps P and antipode P^-1 S P.  Then one entry is perturbed:
-``bad-antipode`` adds 1/2 to the b_0 coefficient of S(b_6), and
-``bad-comult`` adds 2/7 to the b_5 (x) b_5 coefficient of Delta(b_0).
+``bad-antipode`` adds 1/2 to the b_0 coefficient of S(b_6),
+``bad-comult`` adds 2/7 to the b_5 (x) b_5 coefficient of Delta(b_0), and
+``bad-mult`` adds 2/7 to the b_5 coefficient of b_1 b_2.  Neither b_1 nor b_2
+is in the support of the unit, so ``unital`` passes and ``associative`` fails.
+
+``check-bad-mult`` and ``ore-bad-mult-error`` were recorded before the unit
+and associativity sweeps of R moved onto the basis view; the error line
+carries the labelled, fractional sides of ``NotAssociative``.
 
 The ``ore-section5-*-q`` texts were recorded before products in
 R[x; sigma, delta] were routed through the cached x^i b_u table.  With
@@ -52,9 +58,17 @@ def _expected(name):
     ("check-bad-antipode", ["check", str(HERE / "data" / "m2qz2-bad-antipode.json")], 1),
     ("check-bad-comult", ["check", str(HERE / "data" / "m2qz2-bad-comult.json")], 1),
     ("ore-sweedler", ["ore", "build", _bundled("sweedler-data.json"), "--verify-degree", "3"], 0),
+    ("check-bad-mult", ["check", str(HERE / "data" / "m2qz2-bad-mult.json")], 1),
 ])
 def test_cli_golden(name, argv, code):
     assert _run(argv) == (code, _expected(name))
+
+
+def test_ore_build_bad_mult_error_golden():
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc, out = _run(["ore", "build", str(HERE / "data" / "m2qz2-bad-mult.json")])
+    assert (rc, out, err.getvalue()) == (2, "", _expected("ore-bad-mult-error"))
 
 
 def test_ore_build_section5_golden(tmp_path):

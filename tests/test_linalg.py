@@ -59,6 +59,17 @@ def test_field_parse_rejects_bools():
                 field.parse(value)
 
 
+def test_field_parse_accepts_only_the_emitted_forms():
+    q, f7 = Field.rationals(), Field.prime(7)
+    assert [q.parse(t) for t in ("-3", "2/4", "-0/5")] == [-3, Fraction(1, 2), 0]
+    assert f7.parse("-12") == f7(2)
+    for field, texts in ((q, ("1e5", "1.5", "+3", " 3", "--1", "3/-4", "1/0", "9" * 5000)),
+                         (f7, ("3/4", "1e5", "+3", "--1", "\u0663", "9" * 5000))):
+        for text in texts:
+            with pytest.raises(ParseError):
+                field.parse(text)
+
+
 def test_rationals_always_reduced():
     q = Field.rationals()
     x = q.parse("2/4")

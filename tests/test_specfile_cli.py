@@ -308,10 +308,16 @@ GF3 = {"kind": "prime", "p": 3}
     lambda tmp: ["check", _spec_file(tmp, unit=[True, False])],
     lambda tmp: ["check", _spec_file(tmp, field=GF3, unit=[True, False])],
     lambda tmp: ["check", _spec_file(tmp, field=GF3, unit=["1", "\u00b2"])],
+    lambda tmp: ["check", _spec_file(tmp, field=GF3, unit=["--1", "0"])],
+    # Fraction() reads both; "1e99999999" would become a 10^8-digit integer
+    lambda tmp: ["check", _spec_file(tmp, unit=["1e99999999", "0"])],
+    lambda tmp: ["check", _spec_file(tmp, unit=["1.5", "0"])],
+    lambda tmp: ["check", _spec_file(tmp, basis=["a", "a"])],
 ], ids=["matrix-size-text", "groupoid-size-text", "prime-as-string", "prime-as-float",
         "dim-as-bool", "index-as-bool", "negative-degree-bound", "grouplikes-prime-not-prime",
         "grouplikes-prime-zero", "deeply-nested-json", "scalar-as-bool", "gf-scalar-as-bool",
-        "gf-scalar-superscript-digit"])
+        "gf-scalar-superscript-digit", "gf-scalar-double-minus", "scalar-exponent",
+        "scalar-decimal", "repeated-basis-labels"])
 def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     code = main(argv(tmp_path))
     captured = capsys.readouterr()
