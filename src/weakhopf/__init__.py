@@ -19,11 +19,10 @@ from .grouplike import (Character, WeakGrouplike, brute_force_weak_grouplikes,
                         grouplike_identity_report, is_grouplike, is_weak_character,
                         is_weak_grouplike, winding)
 from .linalg import Matrix, Vector, column_space_basis, in_span, kernel_basis, kron, rank, solve
-from .ore import (ExpansionCoefficients, OreAlgebra, OrePoly, OreTensor,
-                  expand_skew_power, extend_antipode, extend_coalgebra, make_ore,
-                  ore_multiply, verify_extension)
+from .ore import (OreAlgebra, OrePoly, expand_skew_power, extend_antipode, extend_coalgebra,
+                  make_ore, ore_multiply, verify_extension)
 from .panov import (AlphaSolution, PanovVerdict, ad_map, build_twisted_derivation,
-                    centrality_report, groupoid_character, hopf_conditions,
+                    centrality_report, extension_verdicts, groupoid_character, hopf_conditions,
                     panov_necessary, panov_sufficient, solve_alpha)
 from .report import AxiomReport, CheckResult
 from .specfile import SpecBundle, emit_spec, parse_spec, spec_text, write_spec

@@ -96,13 +96,6 @@ class TensorElement:
         out.data = {k: v for k, v in data.items() if v}
         return out
 
-    def right_slices(self):
-        """Decompose as { right-index j : vector of left coefficients }."""
-        slices = {}
-        for (i, j), c in self.data.items():
-            slices.setdefault(j, {})[i] = c
-        return {j: Vector(self.field, self.dim_left, d) for j, d in slices.items()}
-
     def is_zero(self):
         return not self.data
 
@@ -207,9 +200,6 @@ class Algebra:
     def format_element(self, v: Vector) -> str:
         return _format_terms(self.labels.__getitem__, v.items())
 
-    def format_tensor(self, t) -> str:
-        return _format_terms(self.labels.__getitem__, t.items(), tensor=True)
-
 
 def algebra_report(alg: Algebra) -> AxiomReport:
     """Exhaustive unit and associativity checks."""
@@ -311,7 +301,8 @@ class BasisView:
     1 as a dict key -> scalar.  Subclasses supply ``product(a, b)``,
     ``coproduct(k)`` (keyed by key pairs) and ``antipode(k)``, each a plain
     dict without zero entries that callers must not modify, plus the scalar
-    ``counit(k)``, ``label(k)`` and ``witness(keys)``.  The methods here
+    ``counit(k)``, ``label(k)``, ``witness(keys)`` and ``element(v)``, which
+    turns an element of the structure into its dict.  The methods here
     derive from those; elements are dicts key -> scalar, tensors dicts keyed
     by key tuples.
     """
@@ -331,6 +322,18 @@ class BasisView:
         for a, c in u.items():
             for b, e in v.items():
                 _axpy(out, c * e, self.product(a, b), self.zero)
+        return _nonzero(out)
+
+    def add(self, u, v):
+        """u + v for two elements, or two tensors with as many legs."""
+        out = dict(u)
+        _axpy(out, self.one, v, self.zero)
+        return _nonzero(out)
+
+    def pure(self, *legs):
+        """legs[0] (x) legs[1] (x) ... for element dicts."""
+        out = {}
+        _add_pure(out, self.one, legs, self.zero)
         return _nonzero(out)
 
     def comultiply(self, u):
@@ -444,6 +447,9 @@ class ConstantsView(BasisView):
 
     def witness(self, keys):
         return keys
+
+    def element(self, v):
+        return v.data
 
 
 def _check(report, axiom, lhs, rhs, view, keys, fmt=str):
@@ -668,17 +674,11 @@ class WeakBialgebra:
     def format_element(self, v):
         return self.algebra.format_element(v)
 
-    def format_tensor(self, t):
-        return self.algebra.format_tensor(t)
-
     def tensor_pure(self, a, b):
         return TensorElement.pure(a, b)
 
     def tensor_mul(self, s, t):
         return self.algebra.tensor2_mul(s, t)
-
-    def has_antipode(self):
-        return isinstance(self, WeakHopfAlgebra)
 
     # -- counital maps -------------------------------------------------
 

@@ -20,7 +20,7 @@ from .groupoid import GroupPresentation, build_groupoid_algebra, matrix_algebra
 from .grouplike import (brute_force_weak_grouplikes, convolution_inverse,
                         enumerate_weak_grouplikes_matrix, is_weak_character)
 from .ore import extend_antipode, extend_coalgebra, make_ore, verify_extension
-from .panov import groupoid_character, hopf_conditions, panov_necessary, panov_sufficient
+from .panov import extension_verdicts, groupoid_character, panov_necessary
 from .specfile import SpecBundle, parse_spec, spec_text, write_spec
 
 
@@ -111,7 +111,8 @@ def cmd_panov(args):
     _print_chi(wb, verdict.chi)
     ok = ok and verdict.passed
     print("# sufficient conditions")
-    verdict = panov_sufficient(wb, sigma, delta, g)
+    verdicts = extension_verdicts(wb, sigma, delta, g)
+    verdict = next(verdicts)
     for line in verdict.lines():
         print(line)
     ok = ok and verdict.passed
@@ -120,7 +121,7 @@ def cmd_panov(args):
             print("spec file has no antipode; --hopf needs a weak Hopf algebra", file=sys.stderr)
             return 2
         print("# antipode conditions")
-        verdict = hopf_conditions(wb, sigma, delta, g)
+        verdict = next(verdicts)
         for line in verdict.lines():
             print(line)
         ok = ok and verdict.passed

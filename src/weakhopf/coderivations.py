@@ -5,8 +5,9 @@ Delta delta = (lambda_g (x) delta + delta (x) lambda_h) Delta, where
 lambda_a is left multiplication.  The space of all such delta for fixed
 (g, h) is the kernel of an explicit linear operator on dim^2 unknowns and
 is computed exactly.  Skew-primitivity is checked both inside weak
-bialgebras and inside extended Ore algebras through a shared context
-interface (coproduct / tensor_pure / tensor_mul / eps_t / eps_s / multiply).
+bialgebras and inside extended Ore algebras through the context's basis
+view ``ctx.view`` (element / comultiply / delta_one / pure / tensor_mul),
+and the counital identities through its eps_t / eps_s / multiply.
 """
 
 from __future__ import annotations
@@ -57,13 +58,9 @@ def validate_automorphism(wb: WeakBialgebra, sigma: Matrix):
         raise NotAutomorphism("sigma is not bijective")
 
 
-def is_sigma_derivation(wb: WeakBialgebra, sigma: Matrix, delta: Matrix) -> bool:
-    """Leibniz rule delta(ab) = delta(a) b + sigma(a) delta(b) on all basis pairs.
-
-    Also checks delta(1) = 0, which the rule forces.
-    """
-    if delta.apply(wb.unit):
-        return False
+def _leibniz_failure(wb: WeakBialgebra, sigma: Matrix, delta: Matrix):
+    """The first basis pair (i, j, lhs, rhs) where delta(b_i b_j) = lhs differs
+    from delta(b_i) b_j + sigma(b_i) delta(b_j) = rhs, or None."""
     for i in range(wb.dim):
         bi = wb.basis_vector(i)
         dbi = delta.apply(bi)
@@ -73,21 +70,25 @@ def is_sigma_derivation(wb: WeakBialgebra, sigma: Matrix, delta: Matrix) -> bool
             lhs = delta.apply(wb.algebra.product_of_basis(i, j))
             rhs = wb.multiply(dbi, bj) + wb.multiply(sbi, delta.apply(bj))
             if lhs != rhs:
-                return False
-    return True
+                return i, j, lhs, rhs
+    return None
+
+
+def is_sigma_derivation(wb: WeakBialgebra, sigma: Matrix, delta: Matrix) -> bool:
+    """Leibniz rule delta(ab) = delta(a) b + sigma(a) delta(b) on all basis pairs.
+
+    Also checks delta(1) = 0, which the rule forces.
+    """
+    return not delta.apply(wb.unit) and _leibniz_failure(wb, sigma, delta) is None
 
 
 def skew_derivation(wb: WeakBialgebra, sigma: Matrix, delta: Matrix) -> SkewDerivation:
     """Validate and package Ore data; raises NotAutomorphism / NotDerivation."""
     validate_automorphism(wb, sigma)
-    for i in range(wb.dim):
-        bi = wb.basis_vector(i)
-        for j in range(wb.dim):
-            bj = wb.basis_vector(j)
-            lhs = delta.apply(wb.algebra.product_of_basis(i, j))
-            rhs = wb.multiply(delta.apply(bi), bj) + wb.multiply(sigma.apply(bi), delta.apply(bj))
-            if lhs != rhs:
-                raise NotDerivation(i, j, wb.format_element(lhs), wb.format_element(rhs))
+    failure = _leibniz_failure(wb, sigma, delta)
+    if failure is not None:
+        i, j, lhs, rhs = failure
+        raise NotDerivation(i, j, wb.format_element(lhs), wb.format_element(rhs))
     return SkewDerivation(sigma, delta)
 
 
@@ -202,12 +203,14 @@ def is_skew_primitive(ctx, x, g, h) -> bool:
     """Delta(x) = Delta(1)(g (x) x + x (x) h) = (g (x) x + x (x) h)Delta(1), exactly.
 
     ctx is a weak bialgebra or an extended Ore algebra; elements and the
-    two weak group-likes must live where the context expects them.
+    two weak group-likes must live where the context expects them.  Both
+    sides are computed on ``ctx.view``.
     """
-    dx = ctx.coproduct(x)
-    mixed = ctx.tensor_pure(g, x) + ctx.tensor_pure(x, h)
-    d1 = ctx.coproduct(ctx.one)
-    return dx == ctx.tensor_mul(d1, mixed) and dx == ctx.tensor_mul(mixed, d1)
+    view = ctx.view
+    x, g, h = (view.element(v) for v in (x, g, h))
+    dx, d1 = view.comultiply(x), view.delta_one()
+    mixed = view.add(view.pure(g, x), view.pure(x, h))
+    return dx == view.tensor_mul(d1, mixed) and dx == view.tensor_mul(mixed, d1)
 
 
 def skew_primitive_identity_report(ctx, x, g, h) -> AxiomReport:

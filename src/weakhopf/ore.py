@@ -1,31 +1,30 @@
 """Ore extensions H = R[x; sigma, delta] as computational objects.
 
 Normal form: left coefficients, p = sum a_i x^i, with the rewrite
-x a -> sigma(a) x + delta(a) applied recursively.  Elements of H (x) H are
-stored as finitely supported maps (i, j) -> element of R (x) R, read as
-sum (r (x) r') (x^i (x) x^j) with all x-powers on the right; products act
-leg by leg through the same rewriting, so all tensor arithmetic is exact.
+x a -> sigma(a) x + delta(a) applied recursively.  :class:`MonomialView`
+presents H over the monomials b x^n, keyed (b, n): an element of H is a dict
+(b, n) -> scalar and an element of H (x) H a dict ((r, i), (s, j)) -> scalar,
+read as sum c (b_r x^i) (x) (b_s x^j).  Every product in H (x) H is the
+view's legwise ``tensor_mul`` over the cached monomial products, so all
+tensor arithmetic is exact.
 
 Once the extension conditions hold, the coproduct is
 Delta(a x^n) = Delta(a) * (g (x) x + x (x) 1)^n, the counit reads the
 degree-0 coefficient, and the antipode is the anti-homomorphism with
-S(x) = -S(g) x.  :class:`MonomialView` presents H over the monomials
-b x^n, so that :func:`verify_extension` runs the same weak-bialgebra axiom
-sweeps on H as bialgebra.py runs on R.
+S(x) = -S(g) x.  :func:`verify_extension` runs the same weak-bialgebra axiom
+sweeps on the monomial view of H as bialgebra.py runs on R.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .bialgebra import (BasisView, TensorElement, WeakBialgebra, WeakHopfAlgebra, base_subalgebras,
+from .bialgebra import (BasisView, WeakBialgebra, WeakHopfAlgebra, base_subalgebras,
                         sweep_antipode, sweep_coassociative, sweep_coproduct_multiplicative,
                         sweep_counit_neutral, sweep_counit_weak_multiplicative,
                         sweep_unit_compatibility)
 from .coderivations import skew_derivation
 from .errors import ConditionsFailed, DimensionMismatch, ValidationError
 from .linalg import Matrix, Vector, column_space_basis, in_span
-from .panov import hopf_conditions, panov_sufficient
+from .panov import extension_verdicts, panov_sufficient
 from .report import AxiomReport
 
 
@@ -90,66 +89,6 @@ class OrePoly:
         return self.ore.format_poly(self)
 
 
-class OreTensor:
-    """Element of H (x) H: map (i, j) -> coefficient in R (x) R."""
-
-    __slots__ = ("ore", "data")
-
-    def __init__(self, ore, data=None):
-        self.ore = ore
-        self.data = {ij: t for ij, t in (data or {}).items() if t}
-
-    def items(self):
-        return sorted(self.data.items())
-
-    def slot(self, i, j) -> TensorElement:
-        t = self.data.get((i, j))
-        return t if t is not None else TensorElement.zero(self.ore.field, self.ore.R.dim, self.ore.R.dim)
-
-    def __add__(self, other):
-        data = dict(self.data)
-        for ij, t in other.data.items():
-            data[ij] = data[ij] + t if ij in data else t
-        return OreTensor(self.ore, data)
-
-    def __sub__(self, other):
-        data = dict(self.data)
-        for ij, t in other.data.items():
-            data[ij] = data[ij] - t if ij in data else -t
-        return OreTensor(self.ore, data)
-
-    def __neg__(self):
-        return OreTensor(self.ore, {ij: -t for ij, t in self.data.items()})
-
-    def scale(self, c):
-        return OreTensor(self.ore, {ij: t.scale(c) for ij, t in self.data.items()})
-
-    def __mul__(self, other):
-        return self.ore.tensor_mul(self, other)
-
-    def __eq__(self, other):
-        return isinstance(other, OreTensor) and self.ore is other.ore and self.data == other.data
-
-    def is_zero(self):
-        return not self.data
-
-    def __repr__(self):
-        fmt = self.ore.R.format_tensor
-        parts = [f"({fmt(t)})*x^{i}(x)x^{j}" for (i, j), t in self.items()]
-        return " + ".join(parts) if parts else "0"
-
-
-@dataclass(frozen=True)
-class ExpansionCoefficients:
-    """Table of (g (x) x + x (x) 1)^n = sum C[i][j] (x^i (x) x^j) over R (x) R."""
-
-    n: int
-    table: dict
-
-    def coefficient(self, i, j) -> TensorElement:
-        return self.table.get((i, j))
-
-
 class OreAlgebra:
     """R[x; sigma, delta], optionally carrying the extended coproduct/antipode.
 
@@ -169,6 +108,8 @@ class OreAlgebra:
         self._mono_cache = {}
         self._expansion_cache = {}
         self._delta_mono_cache = {}
+        self._product_terms, self._antipode_terms = {}, {}
+        self._view = None
         self._s_x = _antipode_of_x
         self._s_x_powers = None
 
@@ -181,6 +122,13 @@ class OreAlgebra:
     @property
     def antipode_extended(self):
         return self._antipode_extended
+
+    @property
+    def view(self) -> MonomialView:
+        """The monomial view of H: its products, coproducts and tensor products."""
+        if self._view is None:
+            self._view = MonomialView(self)
+        return self._view
 
     def zero(self) -> OrePoly:
         return OrePoly(self, [])
@@ -276,81 +224,41 @@ class OreAlgebra:
                 parts.append(xs if coeff == "1" else f"({coeff})*{xs}")
         return " + ".join(parts)
 
-    # -- tensor arithmetic ----------------------------------------------
-
-    def tensor_pure(self, a, b) -> OreTensor:
-        """a (x) b for polynomials (or coefficient vectors) a, b."""
-        a = self.coerce(a)
-        b = self.coerce(b)
-        data = {}
-        for i, ai in enumerate(a.coeffs):
-            if not ai:
-                continue
-            for j, bj in enumerate(b.coeffs):
-                if not bj:
-                    continue
-                data[(i, j)] = TensorElement.pure(ai, bj)
-        return OreTensor(self, data)
-
-    def tensor_mul(self, s: OreTensor, t: OreTensor) -> OreTensor:
-        out = {}
-        for (i1, j1), t1 in s.data.items():
-            for (i2, j2), t2 in t.data.items():
-                for (r, w), c in t1.data.items():
-                    for (u, z), e in t2.data.items():
-                        left = self.mono_mul(r, i1, u, i2)
-                        right = self.mono_mul(w, j1, z, j2)
-                        ce = c * e
-                        for m, lv in enumerate(left.coeffs):
-                            if not lv:
-                                continue
-                            for n, rv in enumerate(right.coeffs):
-                                if not rv:
-                                    continue
-                                key = (m, n)
-                                term = TensorElement.pure(lv, rv).scale(ce)
-                                out[key] = out[key] + term if key in out else term
-        return OreTensor(self, out)
-
     # -- extended coalgebra ----------------------------------------------
 
     def _require_coproduct(self):
         if not self._coalgebra_extended:
             raise ValidationError("coalgebra structure not extended; call extend_coalgebra first")
 
-    def skew_power_tensor(self, n: int) -> OreTensor:
-        """(g (x) x + x (x) 1)^n."""
+    def skew_power_tensor(self, n: int) -> dict:
+        """(g (x) x + x (x) 1)^n in H (x) H; n = 1 is the skew element itself."""
         if self.g is None:
             raise ValidationError("no weak group-like g attached to this Ore algebra")
         hit = self._expansion_cache.get(n)
         if hit is None:
+            view = self.view
             if n == 0:
-                hit = OreTensor(self, {(0, 0): TensorElement.pure(self.R.unit, self.R.unit)})
+                hit = view.pure(view.unit, view.unit)
+            elif n == 1:
+                g, x = self.embed(self.g).terms(), self.x().terms()
+                hit = view.add(view.pure(g, x), view.pure(x, view.unit))
             else:
-                base = OreTensor(self, {
-                    (0, 1): TensorElement.pure(self.g, self.R.unit),
-                    (1, 0): TensorElement.pure(self.R.unit, self.R.unit)})
-                hit = self.tensor_mul(self.skew_power_tensor(n - 1), base)
+                hit = view.tensor_mul(self.skew_power_tensor(n - 1), self.skew_power_tensor(1))
             self._expansion_cache[n] = hit
         return hit
 
-    def coproduct_monomial(self, b: int, n: int) -> OreTensor:
+    def coproduct_monomial(self, b: int, n: int) -> dict:
+        """Delta(b_b x^n) = Delta(b_b) (g (x) x + x (x) 1)^n in H (x) H, cached."""
         self._require_coproduct()
         key = (b, n)
         hit = self._delta_mono_cache.get(key)
         if hit is None:
-            d = self.R.coalgebra.coproduct_of_basis(b)
-            hit = self.tensor_mul(OreTensor(self, {(0, 0): d}), self.skew_power_tensor(n))
-            self._delta_mono_cache[key] = hit
+            d = _degree_zero(self.R.view.coproduct(b))
+            hit = self._delta_mono_cache[key] = self.view.tensor_mul(d, self.skew_power_tensor(n))
         return hit
 
-    def coproduct(self, p) -> OreTensor:
-        p = self.coerce(p)
-        out = OreTensor(self)
-        for n, a in enumerate(p.coeffs):
-            for b, c in a.data.items():
-                out = out + self.coproduct_monomial(b, n).scale(c)
-        return out
+    def coproduct(self, p) -> dict:
+        return self.view.comultiply(self.coerce(p).terms())
 
     def eps(self, p) -> object:
         """Counit of H: reads the degree-0 coefficient."""
@@ -366,7 +274,7 @@ class OreAlgebra:
 
     def _counital(self, p, leg, r_first) -> OrePoly:
         self._require_coproduct()
-        return self.from_terms(MonomialView(self).counital(self.coerce(p).terms(), leg, r_first))
+        return self.from_terms(self.view.counital(self.coerce(p).terms(), leg, r_first))
 
     # -- extended antipode ----------------------------------------------
 
@@ -420,55 +328,52 @@ def ore_multiply(H: OreAlgebra, p: OrePoly, q: OrePoly) -> OrePoly:
     return H.multiply(p, q)
 
 
-def expand_skew_power(H: OreAlgebra, n: int) -> ExpansionCoefficients:
-    """Exact coefficients of (g (x) x + x (x) 1)^n, with invariants asserted.
+def _degree_zero(t: dict) -> dict:
+    """A tensor of R (x) R, keyed (r, s), as one of H (x) H in degree (0, 0)."""
+    return {((r, 0), (s, 0)): c for (r, s), c in t.items()}
+
+
+def _slot(t: dict, i: int, j: int) -> dict:
+    """The coefficient of x^i (x) x^j in t, as a dict (r, s) -> scalar over R (x) R."""
+    return {(r, s): c for ((r, a), (s, b)), c in t.items() if (a, b) == (i, j)}
+
+
+def expand_skew_power(H: OreAlgebra, n: int) -> dict:
+    """Exact (g (x) x + x (x) 1)^n = sum C[i][j] (x^i (x) x^j), with invariants asserted.
 
     Asserts C[n][0] = 1 (x) 1, C[i][0] = 0 for i < n, C[0][n] = g^n on the
     left leg, and that for j < n the left legs of C[0][j] lie in
-    span{a delta(b)}.
+    span{a delta(b)}.  Returns the tensor as a dict over the monomial view.
     """
     if n < 0:
         raise ValidationError("power must be nonnegative")
     tensor = H.skew_power_tensor(n)
     R = H.R
-    one_one = TensorElement.pure(R.unit, R.unit)
-    table = {ij: t for ij, t in tensor.data.items()}
-    coeffs = ExpansionCoefficients(n, table)
-
-    top = coeffs.coefficient(n, 0)
-    if (top if top is not None else TensorElement.zero(R.field, R.dim, R.dim)) != one_one:
+    one = R.view.unit
+    if _slot(tensor, n, 0) != R.view.pure(one, one):
         raise ValidationError(f"C[{n},0] is not 1 (x) 1")
     for i in range(n):
-        if coeffs.coefficient(i, 0) is not None:
+        if _slot(tensor, i, 0):
             raise ValidationError(f"C[{i},0] is nonzero")
     gn = R.unit
     for _ in range(n):
         gn = R.multiply(gn, H.g)
-    expected = TensorElement.pure(gn, R.unit)
-    got = coeffs.coefficient(0, n)
-    if (got if got is not None else TensorElement.zero(R.field, R.dim, R.dim)) != expected:
+    if _slot(tensor, 0, n) != R.view.pure(gn.data, one):
         raise ValidationError(f"C[0,{n}] is not g^{n} on the left leg")
 
-    span_cols = []
-    for a in range(R.dim):
-        for b in range(R.dim):
-            v = R.multiply(R.basis_vector(a), H.delta.apply(R.basis_vector(b)))
-            if v:
-                span_cols.append(v)
-    if span_cols:
-        m = Matrix.from_columns(R.field, R.dim, span_cols)
-        span = column_space_basis(m)
-    else:
-        span = []
+    cols = [v for a in range(R.dim) for b in range(R.dim)
+            if (v := R.multiply(R.basis_vector(a), H.delta.apply(R.basis_vector(b))))]
+    span = column_space_basis(Matrix.from_columns(R.field, R.dim, cols)) if cols else []
     for j in range(1, n):
-        c0j = coeffs.coefficient(0, j)
-        if c0j is None:
-            continue
-        for _, left_vec in sorted(c0j.right_slices().items()):
+        left_legs = {}
+        for (r, s), c in _slot(tensor, 0, j).items():
+            left_legs.setdefault(s, {})[r] = c
+        for _, left in sorted(left_legs.items()):
+            left_vec = Vector(R.field, R.dim, left)
             if not in_span(span, left_vec):
                 raise ValidationError(
                     f"left leg of C[0,{j}] is not in span{{a delta(b)}}: {R.format_element(left_vec)}")
-    return coeffs
+    return tensor
 
 
 def extend_coalgebra(H: OreAlgebra) -> OreAlgebra:
@@ -480,7 +385,7 @@ def extend_coalgebra(H: OreAlgebra) -> OreAlgebra:
         raise ConditionsFailed(verdict)
     out = OreAlgebra(H.R, H.sigma, H.delta, H.g, _coalgebra_extended=True)
     for k in range(H.R.dim):
-        if out.coproduct_monomial(k, 0) != OreTensor(out, {(0, 0): H.R.coalgebra.coproduct_of_basis(k)}):
+        if out.coproduct_monomial(k, 0) != _degree_zero(H.R.view.coproduct(k)):
             raise ValidationError("extended coproduct does not restrict to R in degree 0")
     return out
 
@@ -491,12 +396,9 @@ def extend_antipode(H: OreAlgebra) -> OreAlgebra:
         raise ValidationError("antipode extension needs an antipode on R")
     if H.g is None:
         raise ValidationError("extend_antipode needs the group-like g")
-    verdict = panov_sufficient(H.R, H.sigma, H.delta, H.g)
-    if not verdict.passed:
-        raise ConditionsFailed(verdict)
-    verdict = hopf_conditions(H.R, H.sigma, H.delta, H.g)
-    if not verdict.passed:
-        raise ConditionsFailed(verdict)
+    for verdict in extension_verdicts(H.R, H.sigma, H.delta, H.g):
+        if not verdict.passed:
+            raise ConditionsFailed(verdict)
     out = OreAlgebra(H.R, H.sigma, H.delta, H.g,
                      _coalgebra_extended=True, _antipode_extended=True)
     s_g = H.R.antipode.apply(H.g)
@@ -508,9 +410,9 @@ class MonomialView(BasisView):
     """H = R[x; sigma, delta] seen over the monomial keys (b, n), meaning b_b x^n.
 
     The sweep keys are the monomials of degree <= degree_bound, degree-major.
-    Products, coproducts and antipodes of any monomial are flattened from
-    mono_mul, coproduct_monomial and antipode on first use and cached in the
-    view, so they live as long as the view does.
+    Products and antipodes of any monomial are flattened from mono_mul and
+    antipode on first use and cached on H, so every view of H shares them,
+    as it shares the coproducts cached by coproduct_monomial.
     """
 
     def __init__(self, H: OreAlgebra, degree_bound: int = 0):
@@ -518,7 +420,10 @@ class MonomialView(BasisView):
         keys = [(b, n) for n in range(degree_bound + 1) for b in range(R.dim)]
         super().__init__(H.field, keys, {(u, 0): c for u, c in R.unit.data.items()})
         self.H = H
-        self._products, self._coproducts, self._antipodes = {}, {}, {}
+        self._products, self._antipodes = H._product_terms, H._antipode_terms
+
+    def element(self, p):
+        return self.H.coerce(p).terms()
 
     def product(self, a, b):
         hit = self._products.get((a, b))
@@ -527,13 +432,7 @@ class MonomialView(BasisView):
         return hit
 
     def coproduct(self, k):
-        hit = self._coproducts.get(k)
-        if hit is None:
-            hit = self._coproducts[k] = {
-                ((r, i), (s, j)): c
-                for (i, j), t in self.H.coproduct_monomial(*k).data.items()
-                for (r, s), c in t.data.items()}
-        return hit
+        return self.H.coproduct_monomial(*k)
 
     def counit(self, k):
         b, n = k
@@ -584,21 +483,19 @@ def verify_extension(H: OreAlgebra, degree_bound: int = 3) -> AxiomReport:
     sweep_counit_weak_multiplicative(view, report)
     sweep_unit_compatibility(view, report)
 
-    d1 = H.coproduct(H.one)
-    skew = H.tensor_pure(H.embed(H.g), H.x()) + H.tensor_pure(H.x(), H.one)
-    report.check("generator_coproduct_delta_one_commute",
-                 H.tensor_mul(skew, d1), H.tensor_mul(d1, skew), fmt=repr)
+    tmul, fmt = view.tensor_mul, view.formatter(2)
+    d1, skew = view.delta_one(), H.skew_power_tensor(1)
+    report.check("generator_coproduct_delta_one_commute", tmul(skew, d1), tmul(d1, skew), fmt=fmt)
 
     dx = H.coproduct(H.x())
-    for side, rhs in (("left", H.tensor_mul(d1, skew)), ("right", H.tensor_mul(skew, d1))):
-        report.check("generator_skew_primitive", dx, rhs, witness=(side,), fmt=repr)
+    for side, rhs in (("left", tmul(d1, skew)), ("right", tmul(skew, d1))):
+        report.check("generator_skew_primitive", dx, rhs, witness=(side,), fmt=fmt)
 
     for k in range(R.dim):
         a = R.basis_vector(k)
-        lhs = H.tensor_mul(dx, H.coproduct_monomial(k, 0))
-        rhs = H.tensor_mul(H.coproduct(H.embed(H.sigma.apply(a))), dx) \
-            + H.coproduct(H.embed(H.delta.apply(a)))
-        report.check("coproduct_commutation_rule", lhs, rhs, witness=(R.labels[k],), fmt=repr)
+        lhs = tmul(dx, H.coproduct_monomial(k, 0))
+        rhs = view.add(tmul(H.coproduct(H.sigma.apply(a)), dx), H.coproduct(H.delta.apply(a)))
+        report.check("coproduct_commutation_rule", lhs, rhs, witness=(R.labels[k],), fmt=fmt)
 
     zero = H.field.zero()
     for (b1, n1) in view.keys:

@@ -77,19 +77,15 @@ def ad_map(wb: WeakBialgebra, g: Vector) -> Matrix:
     return left * wb.algebra.right_mult_matrix(g_inv)
 
 
-def _extract_chi(wb: WeakBialgebra, sigma: Matrix) -> Vector:
-    return sigma.apply_functional(wb.counit)
+def _column_witness(wb, lhs, rhs):
+    """(label,) of the first basis element on which the maps lhs and rhs differ, or None."""
+    return next(((wb.labels[k],) for k in range(wb.dim) if lhs.column(k) != rhs.column(k)), None)
 
 
 def _sigma_vs_left_winding(wb, sigma, chi, verdict):
-    ok = winding(wb, chi, "left") == sigma
-    bad = None
-    if not ok:
-        for k in range(wb.dim):
-            if winding(wb, chi, "left").column(k) != sigma.column(k):
-                bad = (wb.labels[k],)
-                break
-    verdict.record("sigma_is_left_winding", ok, bad)
+    left = winding(wb, chi, "left")
+    ok = left == sigma
+    verdict.record("sigma_is_left_winding", ok, None if ok else _column_witness(wb, left, sigma))
     return ok
 
 
@@ -111,7 +107,7 @@ def panov_necessary(wb: WeakBialgebra, sigma: Matrix, delta: Matrix, g: Vector) 
     verdict.record("eps_t_g_is_unit", wb.eps_t(g) == wb.unit, (fmt(wb.eps_t(g)),))
     verdict.record("delta_is_skew_coderivation", is_coderivation(wb, delta, g, wb.unit))
 
-    chi = _extract_chi(wb, sigma)
+    chi = sigma.apply_functional(wb.counit)  # eps o sigma
     if _sigma_vs_left_winding(wb, sigma, chi, verdict):
         verdict.chi = chi
     verdict.record("chi_weak_left_character", is_weak_character(wb, chi, "left"))
@@ -164,6 +160,64 @@ def eps_a_delta_b_zero(wb: WeakBialgebra, delta: Matrix):
     return None
 
 
+_SUFFICIENT = ("g_grouplike_invertible", "counit_delta_orthogonal", "chi_is_character",
+               "sigma_is_left_winding", "sigma_is_adjoint_right_winding",
+               "delta_is_skew_coderivation")
+_HOPF = ("delta_kills_source_base", "chi_is_character", "sigma_is_left_winding",
+         "g_grouplike_invertible", "sigma_is_adjoint_right_winding", "delta_is_skew_coderivation",
+         "antipode_conjugation_compat", "antipode_delta_compat")
+
+
+def _shared_clauses(wb, sigma, delta, g):
+    """The five clauses panov_sufficient and hopf_conditions share, evaluated once.
+
+    Returns their verdict, which carries chi when sigma is its left winding,
+    and Ad_g, or None unless g is an invertible group-like.
+    """
+    verdict = PanovVerdict()
+    g_inv = is_grouplike(wb, g)
+    verdict.record("g_grouplike_invertible", g_inv is not None, (wb.format_element(g),))
+    chi = sigma.apply_functional(wb.counit)  # eps o sigma
+    char_ok = (is_weak_character(wb, chi, "left") and is_weak_character(wb, chi, "right")
+               and convolution_inverse(wb, chi).two_sided is not None)
+    verdict.record("chi_is_character", char_ok)
+    if _sigma_vs_left_winding(wb, sigma, chi, verdict):
+        verdict.chi = chi
+    adg = ad_map(wb, g) if g_inv is not None else None
+    if adg is not None:
+        verdict.record("sigma_is_adjoint_right_winding", adg * winding(wb, chi, "right") == sigma)
+    else:
+        verdict.record("sigma_is_adjoint_right_winding", False, ("g not invertible",))
+    verdict.record("delta_is_skew_coderivation", is_coderivation(wb, delta, g, wb.unit))
+    return verdict, adg
+
+
+def _in_order(order, shared, own) -> PanovVerdict:
+    clauses = {c.clause: c for c in shared.clauses + own.clauses}
+    return PanovVerdict([clauses[name] for name in order], shared.chi)
+
+
+def _sufficient(wb, delta, shared) -> PanovVerdict:
+    own = PanovVerdict()
+    witness = eps_a_delta_b_zero(wb, delta)
+    own.record("counit_delta_orthogonal", witness is None, witness)
+    return _in_order(_SUFFICIENT, shared, own)
+
+
+def _hopf(wha, sigma, delta, g, shared, adg) -> PanovVerdict:
+    own = PanovVerdict()
+    _, basis_s = base_subalgebras(wha)
+    bad = next((a for a in basis_s if delta.apply(a)), None)
+    own.record("delta_kills_source_base", bad is None,
+               None if bad is None else (wha.format_element(bad),))
+    S = wha.antipode
+    bad = ("g not invertible",) if adg is None else _column_witness(wha, adg * S, sigma * S * sigma)
+    own.record("antipode_conjugation_compat", bad is None, bad)
+    bad = _column_witness(wha, delta * S * sigma, wha.algebra.left_mult_matrix(g) * S * delta)
+    own.record("antipode_delta_compat", bad is None, bad)
+    return _in_order(_HOPF, shared, own)
+
+
 def panov_sufficient(wb: WeakBialgebra, sigma: Matrix, delta: Matrix, g: Vector) -> PanovVerdict:
     """Conditions under which the coalgebra extends to R[x; sigma, delta].
 
@@ -172,28 +226,7 @@ def panov_sufficient(wb: WeakBialgebra, sigma: Matrix, delta: Matrix, g: Vector)
     sides with a two-sided convolution inverse); sigma = tau_chi^l;
     sigma = Ad_g tau_chi^r; delta is a (g,1)-coderivation.
     """
-    verdict = PanovVerdict()
-    fmt = wb.format_element
-    g_inv = is_grouplike(wb, g)
-    verdict.record("g_grouplike_invertible", g_inv is not None, (fmt(g),))
-
-    orth_witness = eps_a_delta_b_zero(wb, delta)
-    verdict.record("counit_delta_orthogonal", orth_witness is None, orth_witness)
-
-    chi = _extract_chi(wb, sigma)
-    char_ok = (is_weak_character(wb, chi, "left") and is_weak_character(wb, chi, "right")
-               and convolution_inverse(wb, chi).two_sided is not None)
-    verdict.record("chi_is_character", char_ok)
-    if _sigma_vs_left_winding(wb, sigma, chi, verdict):
-        verdict.chi = chi
-
-    if g_inv is not None:
-        adg = ad_map(wb, g)
-        verdict.record("sigma_is_adjoint_right_winding", adg * winding(wb, chi, "right") == sigma)
-    else:
-        verdict.record("sigma_is_adjoint_right_winding", False, ("g not invertible",))
-    verdict.record("delta_is_skew_coderivation", is_coderivation(wb, delta, g, wb.unit))
-    return verdict
+    return _sufficient(wb, delta, _shared_clauses(wb, sigma, delta, g)[0])
 
 
 def hopf_conditions(wha: WeakHopfAlgebra, sigma: Matrix, delta: Matrix, g: Vector) -> PanovVerdict:
@@ -206,45 +239,19 @@ def hopf_conditions(wha: WeakHopfAlgebra, sigma: Matrix, delta: Matrix, g: Vecto
     """
     if not isinstance(wha, WeakHopfAlgebra):
         raise ValidationError("hopf conditions require an antipode on the coefficients")
-    verdict = PanovVerdict()
-    fmt = wha.format_element
+    return _hopf(wha, sigma, delta, g, *_shared_clauses(wha, sigma, delta, g))
 
-    _, basis_s = base_subalgebras(wha)
-    bad = next((a for a in basis_s if delta.apply(a)), None)
-    verdict.record("delta_kills_source_base", bad is None,
-                   None if bad is None else (fmt(bad),))
 
-    chi = _extract_chi(wha, sigma)
-    char_ok = (is_weak_character(wha, chi, "left") and is_weak_character(wha, chi, "right")
-               and convolution_inverse(wha, chi).two_sided is not None)
-    verdict.record("chi_is_character", char_ok)
-    if _sigma_vs_left_winding(wha, sigma, chi, verdict):
-        verdict.chi = chi
-    g_inv = is_grouplike(wha, g)
-    verdict.record("g_grouplike_invertible", g_inv is not None, (fmt(g),))
-    if g_inv is not None:
-        verdict.record("sigma_is_adjoint_right_winding",
-                       ad_map(wha, g) * winding(wha, chi, "right") == sigma)
-    else:
-        verdict.record("sigma_is_adjoint_right_winding", False, ("g not invertible",))
+def extension_verdicts(wha: WeakHopfAlgebra, sigma: Matrix, delta: Matrix, g: Vector):
+    """Yield panov_sufficient's verdict, then hopf_conditions', each clause evaluated once.
 
-    verdict.record("delta_is_skew_coderivation", is_coderivation(wha, delta, g, wha.unit))
-
-    S = wha.antipode
-    if g_inv is not None:
-        lhs = ad_map(wha, g) * S
-        rhs = sigma * S * sigma
-        bad = next((wha.labels[k] for k in range(wha.dim) if lhs.column(k) != rhs.column(k)), None)
-        verdict.record("antipode_conjugation_compat", bad is None,
-                       None if bad is None else (bad,))
-    else:
-        verdict.record("antipode_conjugation_compat", False, ("g not invertible",))
-
-    lhs = delta * S * sigma
-    rhs = wha.algebra.left_mult_matrix(g) * S * delta
-    bad = next((wha.labels[k] for k in range(wha.dim) if lhs.column(k) != rhs.column(k)), None)
-    verdict.record("antipode_delta_compat", bad is None, None if bad is None else (bad,))
-    return verdict
+    The second verdict is computed only when the caller asks for it.
+    """
+    shared, adg = _shared_clauses(wha, sigma, delta, g)
+    yield _sufficient(wha, delta, shared)
+    if not isinstance(wha, WeakHopfAlgebra):
+        raise ValidationError("hopf conditions require an antipode on the coefficients")
+    yield _hopf(wha, sigma, delta, g, shared, adg)
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,8 @@ def parse_spec(source, validate=True) -> SpecBundle:
             raise ParseError(f"invalid JSON: {exc.msg}", f"offset {exc.pos}") from exc
         except RecursionError:
             raise ParseError("invalid JSON: nested too deeply") from None
+        except ValueError:  # an integer past the int-to-string digit limit
+            raise ParseError("invalid JSON: a number has too many digits") from None
     if not isinstance(doc, dict):
         raise ParseError("spec document must be a JSON object")
 

@@ -140,3 +140,14 @@ def ore_reference_product(R, sigma, delta, p, q):
                 for b, y in enumerate(times(basis(r), coeff)):
                     out[(b, n + j)] = out.get((b, n + j), zero) + c * e * y
     return {k: c for k, c in out.items() if c}
+
+
+def ore_tensor(slots):
+    """An element of H (x) H given as {(i, j): R (x) R tensor}, flattened onto the
+    monomial keys ((r, i), (s, j)) of ``sum (r (x) s)(x^i (x) x^j)``."""
+    return {((r, i), (s, j)): c for (i, j), t in slots.items() for (r, s), c in t.data.items()}
+
+
+def ore_slot(t, i, j):
+    """The R (x) R coefficient of x^i (x) x^j in a flat H (x) H tensor, keyed (r, s)."""
+    return {(r, s): c for ((r, a), (s, b)), c in t.items() if (a, b) == (i, j)}

@@ -21,6 +21,14 @@ The ``ore-section5-*-q`` texts were recorded before products in
 R[x; sigma, delta] were routed through the cached x^i b_u table.  With
 n = 2 the scales q = 3/5, -7/2 put -35/6 and -6/35 into sigma; with
 n = 1 the scale 5/3 cancels, and delta is nonzero.
+
+The ``panov-section5-*`` texts and ``ore-qz2-unit-as-g`` were recorded before
+elements of H (x) H moved from maps (i, j) -> R (x) R onto the flat dicts of
+the monomial view.  ``panov-section5-z2-n2-q`` passes every clause with real
+denominators in chi; swapping sigma and delta fails all three sections with
+witnesses.  ``ore-qz2-unit-as-g`` forces the coalgebra extension of the
+section-5 QZ_2 data with g := 1, so the tensors that fail are exactly the
+Ore-layer products of H (x) H.
 """
 
 import contextlib
@@ -31,7 +39,9 @@ from pathlib import Path
 import pytest
 
 from weakhopf.cli import main
+from weakhopf.fixtures import twisted_derivation_qz2
 from weakhopf.ore import OreAlgebra, verify_extension
+from weakhopf.report import _fmt_witness
 
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden"
@@ -95,3 +105,23 @@ def test_sign_flipped_antipode_of_x_golden(sweedler):
     bad._s_x = bad.multiply(bad.embed(sweedler.R.antipode.apply(sweedler.g)), bad.x())
     text = "\n".join(verify_extension(bad, 2).lines()) + "\n"
     assert text == _expected("ore-sweedler-bad-antipode-of-x")
+
+
+@pytest.mark.parametrize("name, names, code", [
+    ("panov-section5-z2-n2-q", [], 0),
+    ("panov-section5-z2-n2-q-swapped", ["--sigma", "delta", "--delta", "sigma"], 1),
+])
+def test_panov_hopf_section5_denominators_golden(tmp_path, name, names, code):
+    spec = tmp_path / "s5.json"
+    argv = ["example", "section5", "--group", "Z2", "--n", "2", "--rho=1,-1", "--q=3/5,-7/2",
+            "-o", str(spec)]
+    assert _run(argv)[0] == 0
+    assert _run(["panov", str(spec), "--hopf", *names]) == (code, _expected(name))
+
+
+def test_forced_coalgebra_with_unit_as_g_golden():
+    data = twisted_derivation_qz2()
+    bad = OreAlgebra(data.R, data.sigma, data.delta, data.R.unit, _coalgebra_extended=True)
+    report = verify_extension(bad, 2)
+    failures = [f"FAILURE {f.axiom} {_fmt_witness(f.witness)}" for f in report.failures()]
+    assert "\n".join(report.lines() + failures) + "\n" == _expected("ore-qz2-unit-as-g")

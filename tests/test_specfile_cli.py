@@ -279,11 +279,11 @@ def _bool_index_mult(doc):
     return [[bool(i), bool(j), k, c] for i, j, k, c in doc["mult"]]
 
 
-def _nested_field_spec_file(tmp_path, depth):
-    """The Sweedler spec with its field descriptor nested ``depth`` arrays deep."""
-    text = json.dumps(_sweedler_doc() | {"field": None})
+def _raw_spec_file(tmp_path, key, raw):
+    """The Sweedler spec with the value of ``key`` replaced by the JSON text ``raw``."""
+    text = json.dumps(_sweedler_doc() | {key: None})
     p = tmp_path / "spec.json"
-    p.write_text(text.replace('"field": null', '"field": ' + "[" * depth + "]" * depth, 1))
+    p.write_text(text.replace(f'"{key}": null', f'"{key}": {raw}', 1))
     return str(p)
 
 
@@ -303,7 +303,7 @@ GF3 = {"kind": "prime", "p": 3}
     lambda tmp: ["ore", "build", str(_data_path("sweedler-data.json")), "--verify-degree", "-1"],
     lambda tmp: ["grouplikes", "--matrix", "2", "--prime", "4"],
     lambda tmp: ["grouplikes", "--matrix", "2", "--prime", "0"],
-    lambda tmp: ["check", _nested_field_spec_file(tmp, 50_000)],
+    lambda tmp: ["check", _raw_spec_file(tmp, "field", "[" * 50_000 + "]" * 50_000)],
     # the Sweedler spec passes check over QQ and over GF(3) with unit ["1", "0"]
     lambda tmp: ["check", _spec_file(tmp, unit=[True, False])],
     lambda tmp: ["check", _spec_file(tmp, field=GF3, unit=[True, False])],
@@ -313,11 +313,13 @@ GF3 = {"kind": "prime", "p": 3}
     lambda tmp: ["check", _spec_file(tmp, unit=["1e99999999", "0"])],
     lambda tmp: ["check", _spec_file(tmp, unit=["1.5", "0"])],
     lambda tmp: ["check", _spec_file(tmp, basis=["a", "a"])],
+    # past the 4,300-digit limit of int(), json.loads raises a plain ValueError
+    lambda tmp: ["check", _raw_spec_file(tmp, "dim", "9" * 4_400)],
 ], ids=["matrix-size-text", "groupoid-size-text", "prime-as-string", "prime-as-float",
         "dim-as-bool", "index-as-bool", "negative-degree-bound", "grouplikes-prime-not-prime",
         "grouplikes-prime-zero", "deeply-nested-json", "scalar-as-bool", "gf-scalar-as-bool",
         "gf-scalar-superscript-digit", "gf-scalar-double-minus", "scalar-exponent",
-        "scalar-decimal", "repeated-basis-labels"])
+        "scalar-decimal", "repeated-basis-labels", "oversized-json-integer"])
 def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     code = main(argv(tmp_path))
     captured = capsys.readouterr()
