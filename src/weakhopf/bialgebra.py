@@ -336,11 +336,15 @@ class BasisView:
         _add_pure(out, self.one, legs, self.zero)
         return _nonzero(out)
 
-    def comultiply(self, u):
+    def apply(self, image, u):
+        """The image of u under the linear map sending basis key k to image(k)."""
         out = {}
         for k, c in u.items():
-            _axpy(out, c, self.coproduct(k), self.zero)
+            _axpy(out, c, image(k), self.zero)
         return _nonzero(out)
+
+    def comultiply(self, u):
+        return self.apply(self.coproduct, u)
 
     def tensor_mul(self, s, t):
         """Legwise product (a (x) b)(c (x) d) = ac (x) bd, for any number of legs."""
@@ -439,7 +443,7 @@ class ConstantsView(BasisView):
 
     def antipode(self, k):
         if self._antipode_cols is None:
-            self._antipode_cols = [col.data for col in self._antipode.columns()]
+            self._antipode_cols = self._antipode.column_dicts()
         return self._antipode_cols[k]
 
     def label(self, k):

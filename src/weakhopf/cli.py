@@ -13,6 +13,7 @@ import sys
 
 from .bialgebra import (algebra_report, check_antipode, check_weak_bialgebra,
                         coalgebra_report)
+from .coderivations import skew_derivation
 from .errors import ConditionsFailed, TooLarge, ValidationError, WeakHopfError
 from .fields import Field, is_prime
 from .fixtures import twisted_derivation_data, sweedler_data
@@ -103,6 +104,7 @@ def cmd_panov(args):
     bundle = parse_spec(args.spec)
     sigma, delta, g = _named_ore_data(bundle, args)
     wb = bundle.wb
+    skew_derivation(wb, sigma, delta)  # the Ore data `ore build` accepts, or exit 2
     ok = True
     print("# necessary conditions")
     verdict = panov_necessary(wb, sigma, delta, g)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bialgebra import WeakBialgebra
+from .bialgebra import WeakBialgebra, _add_pure, _nonzero
 from .errors import NotAutomorphism, NotDerivation, ValidationError
 from .grouplike import is_unital_algebra_endo, winding
 from .linalg import Matrix, Vector, kernel_basis
@@ -61,16 +61,14 @@ def validate_automorphism(wb: WeakBialgebra, sigma: Matrix):
 def _leibniz_failure(wb: WeakBialgebra, sigma: Matrix, delta: Matrix):
     """The first basis pair (i, j, lhs, rhs) where delta(b_i b_j) = lhs differs
     from delta(b_i) b_j + sigma(b_i) delta(b_j) = rhs, or None."""
-    for i in range(wb.dim):
-        bi = wb.basis_vector(i)
-        dbi = delta.apply(bi)
-        sbi = sigma.apply(bi)
-        for j in range(wb.dim):
-            bj = wb.basis_vector(j)
-            lhs = delta.apply(wb.algebra.product_of_basis(i, j))
-            rhs = wb.multiply(dbi, bj) + wb.multiply(sbi, delta.apply(bj))
+    view, one = wb.view, wb.field.one()
+    dcols, scols = delta.column_dicts(), sigma.column_dicts()
+    for i in view.keys:
+        for j in view.keys:
+            lhs = view.apply(dcols.__getitem__, view.product(i, j))
+            rhs = view.add(view.multiply(dcols[i], {j: one}), view.multiply(scols[i], dcols[j]))
             if lhs != rhs:
-                return i, j, lhs, rhs
+                return i, j, Vector(wb.field, wb.dim, lhs), Vector(wb.field, wb.dim, rhs)
     return None
 
 
@@ -92,25 +90,24 @@ def skew_derivation(wb: WeakBialgebra, sigma: Matrix, delta: Matrix) -> SkewDeri
     return SkewDerivation(sigma, delta)
 
 
-def _coderivation_rhs(wb: WeakBialgebra, delta: Matrix, lam_g: Matrix, lam_h: Matrix, k):
-    """(lambda_g (x) delta + delta (x) lambda_h) Delta(b_k)."""
-    out = None
-    for (i, j), c in wb.coalgebra.coproduct_of_basis(k).data.items():
-        bi, bj = wb.basis_vector(i), wb.basis_vector(j)
-        term = wb.tensor_pure(lam_g.apply(bi), delta.apply(bj)) \
-            + wb.tensor_pure(delta.apply(bi), lam_h.apply(bj))
-        term = term.scale(c)
-        out = term if out is None else out + term
-    from .bialgebra import TensorElement
-    return out if out is not None else TensorElement.zero(wb.field, wb.dim, wb.dim)
-
-
 def is_coderivation(wb: WeakBialgebra, delta: Matrix, g: Vector, h: Vector) -> bool:
-    lam_g = wb.algebra.left_mult_matrix(g)
-    lam_h = wb.algebra.left_mult_matrix(h)
-    return all(wb.coproduct(delta.apply(wb.basis_vector(k)))
-               == _coderivation_rhs(wb, delta, lam_g, lam_h, k)
-               for k in range(wb.dim))
+    """Delta(delta(b_k)) = (lambda_g (x) delta + delta (x) lambda_h) Delta(b_k) for every k.
+
+    Both sides are summed from the structure constants on ``wb.view``,
+    reading each column of delta once.
+    """
+    view, zero, one = wb.view, wb.field.zero(), wb.field.one()
+    dcols = delta.column_dicts()
+    gcols = [view.multiply(g.data, {k: one}) for k in view.keys]
+    hcols = [view.multiply(h.data, {k: one}) for k in view.keys]
+    for k in view.keys:
+        rhs = {}
+        for (i, j), c in view.coproduct(k).items():
+            _add_pure(rhs, c, (gcols[i], dcols[j]), zero)
+            _add_pure(rhs, c, (dcols[i], hcols[j]), zero)
+        if view.comultiply(dcols[k]) != _nonzero(rhs):
+            return False
+    return True
 
 
 def coderivation_constraint_matrix(wb: WeakBialgebra, g: Vector, h: Vector) -> Matrix:
@@ -129,8 +126,8 @@ def coderivation_constraint_matrix(wb: WeakBialgebra, g: Vector, h: Vector) -> M
     field = wb.field
     lam_g = wb.algebra.left_mult_matrix(g)
     lam_h = wb.algebra.left_mult_matrix(h)
-    lg_cols = lam_g.columns()
-    lh_cols = lam_h.columns()
+    lg_cols = lam_g.column_dicts()
+    lh_cols = lam_h.column_dicts()
     zero = field.zero()
 
     def unknown(r, k):
@@ -146,13 +143,13 @@ def coderivation_constraint_matrix(wb: WeakBialgebra, g: Vector, h: Vector) -> M
                 col = unknown(r, k)
                 lhs_rows[key][col] = lhs_rows[key].get(col, zero) + c
         for (i, j), c in wb.coalgebra.coproduct_of_basis(k).data.items():
-            for u, lg in lg_cols[i].data.items():
+            for u, lg in lg_cols[i].items():
                 for v in range(dim):
                     col = unknown(v, j)
                     key = (u, v)
                     lhs_rows.setdefault(key, {})
                     lhs_rows[key][col] = lhs_rows[key].get(col, zero) - c * lg
-            for v, lh in lh_cols[j].data.items():
+            for v, lh in lh_cols[j].items():
                 for u in range(dim):
                     col = unknown(u, i)
                     key = (u, v)

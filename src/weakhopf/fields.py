@@ -12,7 +12,7 @@ import functools
 import re
 from fractions import Fraction
 
-from .errors import FieldMismatch, ParseError
+from .errors import FieldMismatch, ParseError, ValidationError
 
 
 # The scalar strings :meth:`Field.format` emits: -?digits, and -?digits/digits over QQ.
@@ -137,6 +137,19 @@ class Field:
 
     def __call__(self, n):
         return self.from_int(n)
+
+    def coerce(self, x):
+        """A scalar passed through the Python API, as an element of this field.
+
+        A Python int becomes a field element and the field's own elements
+        pass unchanged; float, bool, str and the elements of another field
+        raise ValidationError.
+        """
+        if type(x) is int:
+            return self.from_int(x)
+        if type(x) is (Fraction if self._elem is None else self._elem):
+            return x
+        raise ValidationError(f"{x!r} is not a {self} scalar")
 
     def parse(self, value):
         """Parse a serialized scalar: int (not bool), or a string like "3" or "-3/4"."""

@@ -2,12 +2,23 @@
 
 Vectors and matrices store only nonzero entries, keyed by index.  All
 values are immutable after construction and all operations are pure, so
-instances can be shared freely.  Elimination uses deterministic pivoting
-(first usable row per column, columns in order), which makes kernel bases
-and solutions reproducible for a fixed input.
+instances can be shared freely.
+
+Elimination (:func:`_rref`, behind rank, kernel_basis, solve and
+column_space_basis) is exact Gauss-Jordan on plain Python ints: a row over
+QQ enters scaled by the lcm of its denominators, a row over GF(p) as its
+residues, and each row is kept divided by the gcd of its entries (QQ) or
+reduced mod p.  Results become field elements once, at the end.  Pivoting
+is deterministic: columns in order, and for each column the lowest-index
+row that has not taken a pivot and is nonzero there.  The reduced row
+echelon form is unique, so kernel bases and solutions are exactly those of
+elimination in field arithmetic, and reproducible for a fixed input.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 from .errors import DimensionMismatch
 
@@ -150,10 +161,13 @@ class Matrix:
                       {i: c for (i, jj), c in self.data.items() if jj == j})
 
     def columns(self):
+        return [Vector(self.field, self.rows, d) for d in self.column_dicts()]
+
+    def column_dicts(self):
         cols = [{} for _ in range(self.cols)]
         for (i, j), c in self.data.items():
             cols[j][i] = c
-        return [Vector(self.field, self.rows, d) for d in cols]
+        return cols
 
     def row_dicts(self):
         rows = [{} for _ in range(self.rows)]
@@ -260,57 +274,82 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.field, a.rows * b.rows, a.cols * b.cols, data)
 
 
-def _rref(rows, ncols, field, augmented_from=None):
-    """Reduce a list of sparse rows (dicts col->scalar) to reduced row echelon form.
+def _integer_row(row, field):
+    """A sparse row of field elements as plain ints on the same support.
 
-    Returns (pivots, reduced) where pivots is a list of (row_index, col) pairs
-    into `reduced`.  If `augmented_from` is given, columns >= augmented_from
-    are never chosen as pivots (augmented-system solving).
+    Over QQ the row is scaled by the lcm of its denominators; over GF(p)
+    each entry becomes its residue (a Python int entry is first coerced).
     """
-    work = [dict(r) for r in rows]
-    placed = []
+    if field.p is None:
+        scale = math.lcm(*(v.denominator for v in row.values()))
+        return {c: v.numerator * (scale // v.denominator) for c, v in row.items() if v}
+    return {c: r for c, v in row.items() if (r := field.coerce(v).v)}
+
+
+def _rref(rows, ncols, field, augmented_from=None):
+    """Reduce a list of sparse rows (dicts col -> scalar) to reduced row echelon form.
+
+    Returns the triple (pivots, reduced, leftover).  ``pivots`` lists
+    (n, col) pairs, in increasing col, where ``reduced[n]`` is the reduced
+    row with a 1 in column col.  ``leftover`` holds the nonzero rows that
+    took no pivot, as int rows that are nonzero multiples of what field
+    arithmetic would leave there, so read it only for its support.  If
+    ``augmented_from`` is given, columns >= augmented_from are never chosen
+    as pivots (augmented-system solving).  The input rows are not modified.
+
+    The elimination runs on plain ints (see the module docstring): each
+    update is row := a*row - f*pivot_row with a the pivot entry and f the
+    row's entry in the pivot column, followed by dividing the row by the
+    gcd of its entries over QQ, or reducing it mod p over GF(p).  Every
+    working row stays a nonzero multiple of the row that field arithmetic
+    with a normalised pivot would hold, so pivots and supports agree with
+    it step by step, and the reduced rows are converted back once.
+    """
+    prime = field.p
+    work = [_integer_row(r, field) for r in rows]
+    holders = [set() for _ in range(ncols)]  # col -> indices of the rows nonzero there
+    for ri, row in enumerate(work):
+        for c in row:
+            holders[c].add(ri)
+    used = set()
     pivots = []
-    remaining = list(range(len(work)))
-    pivot_limit = ncols if augmented_from is None else augmented_from
-    for col in range(pivot_limit):
-        hit = None
-        for pos, ri in enumerate(remaining):
-            if work[ri].get(col):
-                hit = pos
-                break
-        if hit is None:
+    for col in range(ncols if augmented_from is None else augmented_from):
+        hold = holders[col]
+        pr = min((ri for ri in hold if ri not in used), default=None)
+        if pr is None:
             continue
-        ri = remaining.pop(hit)
-        row = work[ri]
-        inv = field.one() / row[col]
-        row = {c: inv * v for c, v in row.items() if v}
-        for other in placed:
-            orow = work[other]
-            f = orow.get(col)
-            if f:
-                for c, v in row.items():
-                    nv = orow.get(c, field.zero()) - f * v
-                    if nv:
-                        orow[c] = nv
-                    else:
-                        orow.pop(c, None)
-        for pos in remaining:
-            orow = work[pos]
-            f = orow.get(col)
-            if f:
-                for c, v in row.items():
-                    nv = orow.get(c, field.zero()) - f * v
-                    if nv:
-                        orow[c] = nv
-                    else:
-                        orow.pop(c, None)
-        work[ri] = row
-        placed.append(ri)
-        pivots.append((ri, col))
-    reduced = [work[ri] for ri, _ in pivots]
-    leftover = [work[ri] for ri in remaining if work[ri]]
-    pivot_list = [(n, col) for n, (_, col) in enumerate(pivots)]
-    return pivot_list, reduced, leftover
+        prow = work[pr]
+        a = prow[col]
+        for ri in [ri for ri in hold if ri != pr]:
+            row = work[ri]
+            f = row[col]
+            new = dict(row) if a == 1 else {c: a * v for c, v in row.items()}
+            for c, v in prow.items():
+                new[c] = new.get(c, 0) - f * v
+            if prime is None:
+                new = {c: v for c, v in new.items() if v}
+                g = math.gcd(*new.values())
+                if g > 1:
+                    new = {c: v // g for c, v in new.items()}
+            else:
+                new = {c: r for c, v in new.items() if (r := v % prime)}
+            for c in row.keys() - new.keys():
+                holders[c].discard(ri)
+            for c in new.keys() - row.keys():
+                holders[c].add(ri)
+            work[ri] = new
+        used.add(pr)
+        pivots.append((pr, col))
+    if prime is None:
+        reduced = [{c: Fraction(v, work[ri][col]) for c, v in work[ri].items()}
+                   for ri, col in pivots]
+    else:
+        reduced = []
+        for ri, col in pivots:
+            inv = pow(work[ri][col], -1, prime)
+            reduced.append({c: field.from_int(v * inv) for c, v in work[ri].items()})
+    leftover = [row for ri, row in enumerate(work) if row and ri not in used]
+    return [(n, col) for n, (_, col) in enumerate(pivots)], reduced, leftover
 
 
 def rank(m: Matrix) -> int:

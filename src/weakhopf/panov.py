@@ -263,14 +263,17 @@ def groupoid_character(ga: GroupoidAlgebra, rho, q) -> Vector:
     """The character chi(g E_ij) = q_i^-1 q_j rho(g) of M_n(kG).
 
     rho is a list of |G| nonzero scalars forming a group character, q a list
-    of n nonzero scalars (only the ratios q_i^-1 q_j matter).  The result is
-    verified to be a two-sided weak character whose convolution inverse is
-    chi o S; a failure raises, since the family is closed-form.
+    of n nonzero scalars (only the ratios q_i^-1 q_j matter); Python ints
+    are taken as field elements, other foreign scalars refused by
+    :meth:`Field.coerce`.  The result is verified to be a two-sided weak
+    character whose convolution inverse is chi o S; a failure raises, since
+    the family is closed-form.
     """
     group, n = ga.group, ga.n
+    rho = [ga.field.coerce(x) for x in rho]
+    q = [ga.field.coerce(x) for x in q]
     if len(rho) != group.order:
         raise InvalidGroupCharacter(f"rho must list {group.order} values")
-    rho = list(rho)
     if rho[0] != ga.field.one():
         raise InvalidGroupCharacter("rho(identity) must be 1")
     for g in range(group.order):

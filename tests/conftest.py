@@ -1,3 +1,4 @@
+import numbers
 import sys
 from pathlib import Path
 
@@ -11,6 +12,14 @@ from weakhopf.fields import Field
 from weakhopf.fixtures import (m2q, m2qz2, qz, twisted_derivation_data, twisted_derivation_qz2,
                                sweedler_data)
 from weakhopf.groupoid import GroupPresentation, matrix_algebra
+
+
+@pytest.fixture(autouse=True)
+def no_float(monkeypatch):
+    """Exactness gate: any Fraction -> float conversion, mixed arithmetic included, fails the test."""
+    def refuse(self):
+        raise AssertionError(f"float conversion of the exact scalar {self!r}")
+    monkeypatch.setattr(numbers.Rational, "__float__", refuse)
 
 
 @pytest.fixture(scope="session")

@@ -44,6 +44,21 @@ def dense_nullspace(rows, ncols, field):
     return basis
 
 
+def dense_solve(rows, b, ncols, field):
+    """One solution of rows * x = b with free variables zero (dense list), or None.
+
+    Reduces the augmented matrix [rows | b]; the system is inconsistent
+    exactly when the last column takes a pivot.
+    """
+    m, pivot_cols = dense_rref([list(r) + [bi] for r, bi in zip(rows, b)], ncols + 1, field)
+    if ncols in pivot_cols:
+        return None
+    x = [field.zero()] * ncols
+    for rr, pc in enumerate(pivot_cols):
+        x[pc] = m[rr][ncols]
+    return x
+
+
 def dense_rank(rows, ncols, field):
     return len(dense_rref(rows, ncols, field)[1])
 

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,11 +11,12 @@ from weakhopf.coderivations import (coderivation_constraint_matrix, coderivation
                                     skew_primitive_identity_report)
 from weakhopf.errors import NotAutomorphism, NotDerivation
 from weakhopf.fields import Field, QQ
-from weakhopf.fixtures import function_algebra, truncated_primitive_hopf
+from weakhopf.fixtures import function_algebra, truncated_primitive_hopf, twisted_derivation_data
 from weakhopf.groupoid import GroupPresentation, matrix_algebra
+from weakhopf.grouplike import is_unital_algebra_endo
 from weakhopf.linalg import Matrix, Vector, in_span
 
-from oracles import dense_nullspace, to_dense
+from oracles import dense_matmul, dense_nullspace, to_dense
 
 
 def _sign_sigma(QZ2):
@@ -108,6 +110,68 @@ def test_constraint_kernel_against_dense_oracle(M2, M3, QZ2):
         constraint = coderivation_constraint_matrix(wb, g, h)
         oracle = dense_nullspace(to_dense(constraint), constraint.cols, wb.field)
         assert len(oracle) == len(coderivation_space(wb, g, h))
+
+
+def _dihedral(n):
+    """The dihedral group of order 2n; element a + n*b is r^a s^b."""
+    def mul(x, y):
+        a, b, c, d = x % n, x // n, y % n, y // n
+        return (a + (-c if b else c)) % n + n * ((b + d) % 2)
+    return GroupPresentation([[mul(x, y) for y in range(2 * n)] for x in range(2 * n)],
+                             name=f"D{n}")
+
+
+def test_shifted_coderivation_space_maps_fail_on_function_algebra_d6():
+    kg = function_algebra(_dihedral(6))
+    dim, unit = kg.dim, kg.unit
+    constraint = to_dense(coderivation_constraint_matrix(kg, unit, unit))
+    basis = coderivation_space(kg, unit, unit)
+    assert len(basis) == 12 - 6  # |G| - #conjugacy classes
+    for m in basis:
+        assert is_coderivation(kg, m, unit, unit)
+        # shift the first entry (m's support first) whose constraint column is
+        # nonzero: by linearity the dense oracle then puts m + E/3 outside the space
+        entries = sorted(m.data) + [(r, k) for r in range(dim) for k in range(dim)]
+        r, k = next((r, k) for r, k in entries if any(row[r * dim + k] for row in constraint))
+        shifted = Matrix(QQ, dim, dim, m.data | {(r, k): m.get(r, k) + Fraction(1, 3)})
+        flat = [[shifted.get(i // dim, i % dim)] for i in range(dim * dim)]
+        assert any(row[0] for row in dense_matmul(constraint, flat, QQ))
+        assert not is_coderivation(kg, shifted, unit, unit)
+
+
+@pytest.mark.parametrize("entry, witness", [
+    ((0, 0), ("unit",)), ((1, 2), (0, 2)), ((3, 5), (0, 5)), ((7, 7), (1, 7)),
+    ((2, 6), (1, 6)), ((5, 1), (1, 2)),
+])
+def test_perturbed_sigma_endo_witness_pinned(entry, witness):
+    data = twisted_derivation_data(GroupPresentation.cyclic(2), 2,
+                                   rho=[Fraction(1), Fraction(-1)],
+                                   q=[Fraction(3, 5), Fraction(-7, 2)])
+    sigma = data.sigma
+    bumped = Matrix(QQ, sigma.rows, sigma.cols,
+                    sigma.data | {entry: sigma.get(*entry) + Fraction(1, 3)})
+    assert is_unital_algebra_endo(data.R, sigma) is None
+    assert is_unital_algebra_endo(data.R, bumped) == witness
+    with pytest.raises(NotAutomorphism, match=re.escape(f"(witness {witness})")):
+        skew_derivation(data.R, bumped, data.delta)
+
+
+@pytest.mark.parametrize("entry, message", [
+    ((0, 1), "basis pair (1,0): delta(bi*bj) = 0 but delta(bi)*bj + sigma(bi)*delta(bj) "
+             "= 1/3*E11"),
+    ((3, 5), "basis pair (0,5): delta(bi*bj) = 1/3*E22 but delta(bi)*bj + sigma(bi)*delta(bj) "
+             "= 0"),
+    ((6, 7), "basis pair (1,7): delta(bi*bj) = 0 but delta(bi)*bj + sigma(bi)*delta(bj) "
+             "= -35/18*tE11"),
+])
+def test_perturbed_delta_leibniz_message_pinned(entry, message):
+    data = twisted_derivation_data(GroupPresentation.cyclic(2), 2,
+                                   rho=[Fraction(1), Fraction(-1)],
+                                   q=[Fraction(3, 5), Fraction(-7, 2)])
+    delta = Matrix(QQ, data.R.dim, data.R.dim, {entry: Fraction(1, 3)})  # data.delta is 0
+    with pytest.raises(NotDerivation) as info:
+        skew_derivation(data.R, data.sigma, delta)
+    assert str(info.value) == f"Leibniz rule fails at {message}"
 
 
 # -- inner coderivations -----------------------------------------------------------

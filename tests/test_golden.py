@@ -109,7 +109,6 @@ def test_sign_flipped_antipode_of_x_golden(sweedler):
 
 @pytest.mark.parametrize("name, names, code", [
     ("panov-section5-z2-n2-q", [], 0),
-    ("panov-section5-z2-n2-q-swapped", ["--sigma", "delta", "--delta", "sigma"], 1),
 ])
 def test_panov_hopf_section5_denominators_golden(tmp_path, name, names, code):
     spec = tmp_path / "s5.json"

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from weakhopf.errors import DimensionMismatch, ParseError
+from weakhopf.errors import DimensionMismatch, ParseError, ValidationError
 from weakhopf.fields import GF, Field, QQ
 from weakhopf.linalg import (Matrix, Vector, column_space_basis, in_span, kernel_basis, kron,
                              rank, solve)
 
-from oracles import dense_matmul, dense_nullspace, dense_rank, to_dense
+from oracles import (dense_matmul, dense_nullspace, dense_rank, dense_rref, dense_solve,
+                     to_dense)
 
 
 def _random_matrix(rng, field, rows, cols, density=0.6, span=3):
@@ -68,6 +69,17 @@ def test_field_parse_accepts_only_the_emitted_forms():
         for text in texts:
             with pytest.raises(ParseError):
                 field.parse(text)
+
+
+def test_field_coerce_takes_ints_and_own_elements_only():
+    q, f7, f5 = Field.rationals(), Field.prime(7), Field.prime(5)
+    assert q.coerce(-3) == Fraction(-3) and type(q.coerce(-3)) is Fraction
+    assert q.coerce(Fraction(3, 5)) == Fraction(3, 5)
+    assert f7.coerce(9) == f7(2) and f7.coerce(f7(3)) == f7(3)
+    for field, value in ((q, 1.0), (q, True), (q, "1"), (q, f7(1)), (f7, Fraction(1)),
+                         (f7, f5(1)), (f7, False), (f7, 2.0), (f7, "2")):
+        with pytest.raises(ValidationError):
+            field.coerce(value)
 
 
 def test_rationals_always_reduced():
@@ -134,17 +146,79 @@ def test_kernel_vectors_are_annihilated_and_independent():
         assert rank(m) + len(basis) == m.cols
 
 
+# Scalars with real denominators and numerators past 10^30, so that the
+# elimination's integer rows must be scaled and reduced by their content.
+_HARD_RATIONALS = (Fraction(3, 5), Fraction(-7, 2), Fraction(35, 6), Fraction(10 ** 31 + 7, 3),
+                   Fraction(-(10 ** 30 + 1), 11), Fraction(1), Fraction(-1), Fraction(2))
+_ORACLE_FIELDS = [QQ, Field.prime(2), Field.prime(3), Field.prime(7)]
+
+
+def _hard_matrix(rng, field, rows, cols, density):
+    """A random matrix, sometimes with a zero, a duplicated or a proportional row."""
+    def scalar():
+        if field.order is None:
+            return rng.choice(_HARD_RATIONALS)
+        return field.from_int(rng.randrange(1, field.order))
+    dense = [[scalar() if rng.random() < density else field.zero() for _ in range(cols)]
+             for _ in range(rows)]
+    if rows > 1:
+        kind, src, dst = rng.randrange(4), rng.randrange(rows), rng.randrange(rows)
+        if kind == 1:
+            dense[dst] = [field.zero()] * cols
+        elif kind == 2:
+            dense[dst] = list(dense[src])
+        elif kind == 3:
+            c = scalar()
+            dense[dst] = [c * x for x in dense[src]]
+    return Matrix.from_rows_dense(field, dense)
+
+
+def _edge_matrices(field):
+    z, one = field.zero(), field.one()
+    c = -one if field.order else Fraction(-7, 2)
+    return [Matrix.zero(field, 3, 4), Matrix.zero(field, 0, 3),
+            Matrix.from_rows_dense(field, [[one, c, z], [z, z, z], [one, c, z]]),
+            Matrix.from_rows_dense(field, [[z, one, c], [z, c, c * c], [one, z, one]]),
+            Matrix.identity(field, 3)]
+
+
+def _oracle_cases(field, seed):
+    rng = random.Random(seed)
+    cases = _edge_matrices(field)
+    for _ in range(30):
+        cases.append(_hard_matrix(rng, field, rng.randint(1, 7), rng.randint(1, 7),
+                                  rng.choice((0.3, 0.5, 0.8))))
+    return cases
+
+
 def test_kernel_against_dense_oracle():
-    rng = random.Random(13)
-    for trial in range(25):
-        m = _random_matrix(rng, QQ, rng.randint(1, 7), rng.randint(1, 7), density=0.5)
-        ours = kernel_basis(m)
-        oracle = [Vector.from_list(QQ, v) for v in dense_nullspace(to_dense(m), m.cols, QQ)]
-        assert len(ours) == len(oracle)
-        for v in oracle:
-            assert in_span(ours, v)
-        for v in ours:
-            assert in_span(oracle, v)
+    for field in _ORACLE_FIELDS:
+        for m in _oracle_cases(field, 13):
+            ours = [v.to_list() for v in kernel_basis(m)]
+            assert ours == dense_nullspace(to_dense(m), m.cols, field)
+
+
+def test_rank_and_column_space_against_dense_rref():
+    for field in _ORACLE_FIELDS:
+        for m in _oracle_cases(field, 37):
+            _, pivot_cols = dense_rref(to_dense(m), m.cols, field)
+            assert rank(m) == len(pivot_cols)
+            assert column_space_basis(m) == [m.column(c) for c in pivot_cols]
+
+
+def test_solve_against_dense_augmented_rref():
+    rng = random.Random(41)
+    for field in _ORACLE_FIELDS:
+        seen = set()
+        for m in _oracle_cases(field, 43):
+            x = Vector.from_list(field, [field.from_int(rng.randint(-2, 2)) for _ in range(m.cols)])
+            rhs = [m.apply(x), Vector.unit(field, m.rows, rng.randrange(m.rows))] if m.rows else []
+            for b in rhs:
+                expected = dense_solve(to_dense(m), b.to_list(), m.cols, field)
+                ours = solve(m, b)
+                assert (None if ours is None else ours.to_list()) == expected
+                seen.add(expected is None)
+        assert seen == {True, False}  # both consistent and inconsistent systems were met
 
 
 def test_kernel_deterministic():
@@ -152,6 +226,15 @@ def test_kernel_deterministic():
     m = _random_matrix(rng, QQ, 5, 5, density=0.4)
     again = Matrix(QQ, 5, 5, dict(m.data))
     assert kernel_basis(m) == kernel_basis(again)
+
+
+def test_elimination_takes_python_int_entries():
+    for field in _ORACLE_FIELDS:
+        m = Matrix(field, 2, 3, {(0, 0): 2, (0, 1): field.one(), (1, 2): -3})
+        same = Matrix(field, 2, 3, {rc: field.from_int(v) if type(v) is int else v
+                                    for rc, v in m.data.items()})
+        assert rank(m) == rank(same)
+        assert kernel_basis(m) == kernel_basis(same)
 
 
 def test_rank_against_dense_oracle_over_gf():

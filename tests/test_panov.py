@@ -210,6 +210,37 @@ def test_groupoid_character_validation(M2Z2, M2):
         groupoid_character(M2, [Fraction(1)], [Fraction(1), Fraction(0)])
 
 
+def test_groupoid_character_takes_python_ints_exactly():
+    from weakhopf.groupoid import matrix_algebra
+    M3 = matrix_algebra(3)
+    chi = groupoid_character(M3, [1], [1, 3, 7])
+    assert chi == groupoid_character(M3, [Fraction(1)], [Fraction(1), Fraction(3), Fraction(7)])
+    assert chi.get(M3.basis_index(0, 2, 1)) == Fraction(3, 7)
+    assert all(type(c) is Fraction for c in chi.data.values())
+
+
+def test_groupoid_character_refuses_foreign_scalars(M2):
+    from weakhopf.errors import ValidationError
+    from weakhopf.fields import Field
+    for q in ([1, 2.0], [True, 1], ["1", 2], [1, Field.prime(5)(2)]):
+        with pytest.raises(ValidationError):
+            groupoid_character(M2, [1], q)
+    with pytest.raises(ValidationError):
+        groupoid_character(M2, [1.0], [1, 2])
+
+
+def test_twisted_derivation_data_with_int_scalars_is_exact():
+    data = twisted_derivation_data(GroupPresentation.cyclic(2), 2, [1, -1], [1, 3])
+    assert data.chi.data and all(type(c) is Fraction for c in data.chi.data.values())
+    assert data.chi.get(data.R.basis_index(1, 1, 0)) == Fraction(-1, 3)
+
+
+def test_verify_extension_with_int_q_passes():
+    data = twisted_derivation_data(GroupPresentation.cyclic(2), 2, [1, -1], [1, 1])
+    H = extend_antipode(make_ore(data.R, data.sigma, data.delta, data.g))
+    assert verify_extension(H, 3).passed
+
+
 def test_groupoid_character_passes_antipode_report(M2Z2):
     from weakhopf.grouplike import char_antipode_report
     chi = groupoid_character(M2Z2, [Fraction(1), Fraction(-1)], [Fraction(1), Fraction(2)])

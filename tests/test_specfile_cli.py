@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 from importlib import resources
 from pathlib import Path
@@ -205,8 +207,9 @@ def test_cli_panov_hopf(capsys):
 
 def test_cli_panov_failing(tmp_path, capsys):
     doc = _sweedler_doc()
-    doc["maps"]["sigma"] = [["1", "0"], ["0", "1"]]  # identity: wrong winding for delta != 0
-    doc["maps"]["delta"] = [["0", "-1"], ["0", "1"]]
+    # the inner sigma-derivation r -> r - sigma(r), so t -> 2t: valid Ore data whose
+    # delta is not a (t,1)-coderivation
+    doc["maps"]["delta"] = [["0", "0"], ["0", "2"]]
     p = tmp_path / "bad-ore.json"
     p.write_text(json.dumps(doc))
     code = main(["panov", str(p), "--hopf"])
@@ -287,6 +290,15 @@ def _raw_spec_file(tmp_path, key, raw):
     return str(p)
 
 
+def _section5_spec_file(tmp_path):
+    """`weakhopf example section5` on M_2(QZ_2), rho = (1,-1), q = (3/5,-7/2), without its stdout."""
+    p = tmp_path / "s5.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["example", "section5", "--group", "Z2", "--n", "2", "--rho=1,-1",
+                     "--q=3/5,-7/2", "-o", str(p)]) == 0
+    return str(p)
+
+
 GF3 = {"kind": "prime", "p": 3}
 
 
@@ -315,11 +327,14 @@ GF3 = {"kind": "prime", "p": 3}
     lambda tmp: ["check", _spec_file(tmp, basis=["a", "a"])],
     # past the 4,300-digit limit of int(), json.loads raises a plain ValueError
     lambda tmp: ["check", _raw_spec_file(tmp, "dim", "9" * 4_400)],
+    # swapped, sigma is the zero map: `panov` refuses it as `ore build` does
+    lambda tmp: ["panov", _section5_spec_file(tmp), "--hopf", "--sigma", "delta", "--delta", "sigma"],
 ], ids=["matrix-size-text", "groupoid-size-text", "prime-as-string", "prime-as-float",
         "dim-as-bool", "index-as-bool", "negative-degree-bound", "grouplikes-prime-not-prime",
         "grouplikes-prime-zero", "deeply-nested-json", "scalar-as-bool", "gf-scalar-as-bool",
         "gf-scalar-superscript-digit", "gf-scalar-double-minus", "scalar-exponent",
-        "scalar-decimal", "repeated-basis-labels", "oversized-json-integer"])
+        "scalar-decimal", "repeated-basis-labels", "oversized-json-integer",
+        "panov-sigma-not-automorphism"])
 def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     code = main(argv(tmp_path))
     captured = capsys.readouterr()
