@@ -166,3 +166,45 @@ def ore_tensor(slots):
 def ore_slot(t, i, j):
     """The R (x) R coefficient of x^i (x) x^j in a flat H (x) H tensor, keyed (r, s)."""
     return {(r, s): c for ((r, a), (s, b)), c in t.items() if (a, b) == (i, j)}
+
+
+def dense_tensor_mul(alg, s, t):
+    """(a (x) b)(c (x) d) = ac (x) bd for 2-tensors s, t given as dicts (i, j) -> c.
+
+    Textbook evaluation on dense coefficient arrays: the multiplication
+    table of ``alg`` as a dim x dim x dim array and both tensors as dim x dim
+    arrays; every index quadruple is summed.  Returns a dict without zero
+    entries.
+    """
+    dim, zero = alg.dim, alg.field.zero()
+    table = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+    for (a, b), v in alg.mult.items():
+        for k, c in v.data.items():
+            table[a][b][k] = c
+
+    def dense(d):
+        out = [[zero] * dim for _ in range(dim)]
+        for (i, j), c in d.items():
+            out[i][j] = c
+        return out
+
+    S, T = dense(s), dense(t)
+    out = [[zero] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                for l in range(dim):
+                    c = S[i][j] * T[k][l]
+                    if not c:
+                        continue
+                    for r in range(dim):
+                        x = c * table[i][k][r]
+                        if x:
+                            for w in range(dim):
+                                out[r][w] = out[r][w] + x * table[j][l][w]
+    return {(r, w): out[r][w] for r in range(dim) for w in range(dim) if out[r][w]}
+
+
+def pure_tensor(u, v):
+    """u (x) v for two Vectors, as a dict (i, j) -> scalar."""
+    return {(i, j): a * b for i, a in u.data.items() for j, b in v.data.items()}

@@ -4,14 +4,16 @@ from pathlib import Path
 
 import pytest
 
-from oracles import dense_associativity_failures
+from oracles import dense_associativity_failures, dense_tensor_mul
 from weakhopf.bialgebra import (Algebra, Coalgebra, TensorElement, WeakBialgebra,
                                 WeakHopfAlgebra, algebra_report, base_subalgebras, check_antipode,
                                 check_weak_bialgebra, convolution, counital_maps,
                                 make_algebra, tensor_product, weak_counit_identities)
 from weakhopf.errors import (AxiomFailure, CounitFails, FieldMismatch, NotAssociative,
                              UnitFails)
-from weakhopf.fields import QQ
+from weakhopf.fields import Field, QQ
+from weakhopf.fixtures import function_algebra
+from weakhopf.groupoid import GroupPresentation
 from weakhopf.grouplike import is_weak_grouplike
 from weakhopf.linalg import Matrix, Vector
 from weakhopf.panov import groupoid_character
@@ -253,6 +255,36 @@ def test_tensor_of_weak_grouplikes_is_weak_grouplike(M2, QZ2):
         for j, cj in gp.data.items():
             tensor_elt = tensor_elt + Vector(QQ, 8, {i * 2 + j: ci * cj})
     assert is_weak_grouplike(prod, tensor_elt)
+
+
+# -- the R (x) R product ----------------------------------------------------------------
+
+
+def _random_tensor(field, dim, rng, terms=12):
+    """A 2-tensor of ``terms`` random entries num/den with den in {2, 3, 5}, read in ``field``."""
+    out = {}
+    for _ in range(terms):
+        c = field(rng.randint(-9, 9)) / field(rng.choice((2, 3, 5)))
+        out[(rng.randrange(dim), rng.randrange(dim))] = c
+    return {k: c for k, c in out.items() if c}
+
+
+@pytest.mark.parametrize("name", ["M2Z2", "S3/QQ", "S3/GF(7)"])
+def test_tensor_mul_matches_dense_oracle(request, name):
+    if name == "M2Z2":
+        wb = request.getfixturevalue("M2Z2")
+    else:
+        field = QQ if name.endswith("QQ") else Field.prime(7)
+        wb = function_algebra(GroupPresentation.symmetric(3), field)
+    rng = random.Random(7)
+    nonzero = 0
+    for _ in range(6):
+        s = _random_tensor(wb.field, wb.dim, rng)
+        t = _random_tensor(wb.field, wb.dim, rng)
+        expected = dense_tensor_mul(wb.algebra, s, t)
+        assert wb.view.tensor_mul(s, t) == expected
+        nonzero += bool(expected)
+    assert nonzero >= 3  # a product that is always zero would pass vacuously
 
 
 # -- report container -------------------------------------------------------------

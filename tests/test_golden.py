@@ -29,19 +29,34 @@ denominators in chi; swapping sigma and delta fails all three sections with
 witnesses.  ``ore-qz2-unit-as-g`` forces the coalgebra extension of the
 section-5 QZ_2 data with g := 1, so the tensors that fail are exactly the
 Ore-layer products of H (x) H.
+
+``panov-necessary-perturbed`` was recorded while Delta(b_k) was still a
+``TensorElement`` with products of its own, before every R (x) R product
+moved onto the basis view.  It adds 3/5 to one entry of sigma or of delta
+in the Sweedler data and in the section-5 M_2(QZ_2) data with
+q = 3/5, -7/2, so that each coproduct clause of ``panov_necessary`` fails
+on some input, and it records the first witness of ``eps_a_delta_b_zero``.
+``tests/data/sweedler-cancelling-comult.json`` is the bundled Sweedler spec
+with two more comult rows for Delta(b_0) at (0, 1), 3/5 and -3/5, which sum
+to zero: the parsed coalgebra must hold no zero coefficient.
 """
 
 import contextlib
 import io
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from weakhopf.cli import main
-from weakhopf.fixtures import twisted_derivation_qz2
+from weakhopf.fixtures import sweedler_data, twisted_derivation_data, twisted_derivation_qz2
+from weakhopf.groupoid import GroupPresentation
+from weakhopf.linalg import Matrix
 from weakhopf.ore import OreAlgebra, verify_extension
+from weakhopf.panov import eps_a_delta_b_zero, panov_necessary
 from weakhopf.report import _fmt_witness
+from weakhopf.specfile import emit_spec, parse_spec
 
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden"
@@ -124,3 +139,52 @@ def test_forced_coalgebra_with_unit_as_g_golden():
     report = verify_extension(bad, 2)
     failures = [f"FAILURE {f.axiom} {_fmt_witness(f.witness)}" for f in report.failures()]
     assert "\n".join(report.lines() + failures) + "\n" == _expected("ore-qz2-unit-as-g")
+
+
+def test_cancelling_comult_rows_golden():
+    spec = str(HERE / "data" / "sweedler-cancelling-comult.json")
+    assert _run(["check", spec]) == (0, _expected("check-sweedler"))
+    assert emit_spec(parse_spec(spec)) == emit_spec(parse_spec(_bundled("sweedler-data.json")))
+
+
+def _bumped(m, entry):
+    """m with 3/5 added to its entry (row, col)."""
+    data = dict(m.data)
+    data[entry] = data.get(entry, m.field.zero()) + Fraction(3, 5)
+    return Matrix(m.field, m.rows, m.cols, data)
+
+
+_PERTURBED = (
+    ("sweedler", None, None), ("sweedler", "sigma", (0, 1)), ("sweedler", "delta", (1, 0)),
+    ("sweedler", "delta", (1, 1)),
+    ("m2qz2", None, None), ("m2qz2", "sigma", (0, 0)), ("m2qz2", "sigma", (0, 1)),
+    ("m2qz2", "sigma", (6, 3)), ("m2qz2", "delta", (0, 0)), ("m2qz2", "delta", (2, 5)),
+    ("m2qz2", "delta", (7, 6)),
+)
+
+
+def test_panov_necessary_perturbed_golden():
+    instances = {
+        "sweedler": sweedler_data(),
+        "m2qz2": twisted_derivation_data(GroupPresentation.cyclic(2), 2, rho=[1, -1],
+                                         q=[Fraction(3, 5), Fraction(-7, 2)]),
+    }
+    lines = []
+    for name, which, entry in _PERTURBED:
+        data = instances[name]
+        R, sigma, delta = data.R, data.sigma, data.delta
+        if which == "sigma":
+            sigma = _bumped(sigma, entry)
+        elif which == "delta":
+            delta = _bumped(delta, entry)
+        lines.append(f"# {name}" + (f" {which}{_fmt_witness(entry)} += 3/5" if which else ""))
+        verdict = panov_necessary(R, sigma, delta, data.g)
+        lines += verdict.lines()
+        chi = verdict.chi
+        lines.append("CHI none" if chi is None else
+                     "CHI " + " ".join(f"{R.labels[i]}={R.field.format(chi.get(i))}"
+                                       for i in range(R.dim)))
+        witness = eps_a_delta_b_zero(R, delta)
+        lines.append("EPS_A_DELTA_B " + ("PASS" if witness is None else
+                                         f"FAIL witness={_fmt_witness(witness)}"))
+    assert "\n".join(lines) + "\n" == _expected("panov-necessary-perturbed")
