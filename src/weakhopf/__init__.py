@@ -1,6 +1,6 @@
 """Exact-arithmetic engine for weak Hopf algebras and their Ore extensions."""
 
-from .bialgebra import (Algebra, Coalgebra, TensorElement, WeakBialgebra, WeakHopfAlgebra,
+from .bialgebra import (Algebra, Coalgebra, WeakBialgebra, WeakHopfAlgebra,
                         base_subalgebras, check_antipode, check_weak_bialgebra, convolution,
                         counital_maps, map_convolution, make_algebra, tensor_product,
                         weak_counit_identities)

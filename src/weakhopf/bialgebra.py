@@ -3,7 +3,7 @@
 Everything is basis-indexed structure constants over an exact field:
 
 * multiplication:   mult[(i,j)] is the vector of b_i * b_j in the basis,
-* comultiplication: comult[k] is Delta(b_k) as a sparse element of R (x) R,
+* comultiplication: comult[k] is Delta(b_k) as a dict (i, j) -> scalar,
 * counit:           a row functional on the basis.
 
 Axiom sweeps are exhaustive over basis tuples, never sampled, and results
@@ -17,98 +17,6 @@ from .errors import (AxiomFailure, CounitFails, DimensionMismatch, FieldMismatch
                      NotAssociative, NotCoassociative, UnitFails, ValidationError)
 from .linalg import Matrix, Vector, column_space_basis, kron
 from .report import AxiomReport
-
-
-class TensorElement:
-    """Sparse element of V (x) W: coefficients keyed by basis-index pairs."""
-
-    __slots__ = ("field", "dim_left", "dim_right", "data")
-
-    def __init__(self, field, dim_left, dim_right, data=None):
-        self.field = field
-        self.dim_left = dim_left
-        self.dim_right = dim_right
-        self.data = {ij: c for ij, c in (data or {}).items() if c}
-
-    @classmethod
-    def pure(cls, u: Vector, v: Vector):
-        u.field.check_same(v.field)
-        data = {}
-        for i, a in u.data.items():
-            for j, b in v.data.items():
-                data[(i, j)] = a * b
-        return cls(u.field, u.dim, v.dim, data)
-
-    @classmethod
-    def zero(cls, field, dim_left, dim_right):
-        return cls(field, dim_left, dim_right)
-
-    def items(self):
-        return sorted(self.data.items())
-
-    def _check(self, other):
-        if (self.field, self.dim_left, self.dim_right) != (other.field, other.dim_left, other.dim_right):
-            raise DimensionMismatch("tensor shape/field mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        data = dict(self.data)
-        for ij, c in other.data.items():
-            data[ij] = data.get(ij, self.field.zero()) + c
-        return TensorElement(self.field, self.dim_left, self.dim_right, data)
-
-    def __sub__(self, other):
-        self._check(other)
-        data = dict(self.data)
-        for ij, c in other.data.items():
-            data[ij] = data.get(ij, self.field.zero()) - c
-        return TensorElement(self.field, self.dim_left, self.dim_right, data)
-
-    def __neg__(self):
-        return TensorElement(self.field, self.dim_left, self.dim_right,
-                             {ij: -c for ij, c in self.data.items()})
-
-    def scale(self, c):
-        if not c:
-            return TensorElement(self.field, self.dim_left, self.dim_right)
-        return TensorElement(self.field, self.dim_left, self.dim_right,
-                             {ij: c * v for ij, v in self.data.items()})
-
-    def flip(self):
-        return TensorElement(self.field, self.dim_right, self.dim_left,
-                             {(j, i): c for (i, j), c in self.data.items()})
-
-    def map_legs(self, m_left: Matrix | None, m_right: Matrix | None):
-        """Apply (m_left (x) m_right), identity where None."""
-        out = TensorElement(self.field, m_left.rows if m_left else self.dim_left,
-                            m_right.rows if m_right else self.dim_right)
-        data = {}
-        zero = self.field.zero()
-        for (i, j), c in self.data.items():
-            lv = m_left.apply(Vector(self.field, self.dim_left, {i: self.field.one()})) if m_left \
-                else Vector(self.field, self.dim_left, {i: self.field.one()})
-            rv = m_right.apply(Vector(self.field, self.dim_right, {j: self.field.one()})) if m_right \
-                else Vector(self.field, self.dim_right, {j: self.field.one()})
-            for a, x in lv.data.items():
-                for b, y in rv.data.items():
-                    key = (a, b)
-                    data[key] = data.get(key, zero) + c * x * y
-        out.data = {k: v for k, v in data.items() if v}
-        return out
-
-    def is_zero(self):
-        return not self.data
-
-    def __bool__(self):
-        return bool(self.data)
-
-    def __eq__(self, other):
-        return (isinstance(other, TensorElement) and self.field == other.field
-                and (self.dim_left, self.dim_right) == (other.dim_left, other.dim_right)
-                and self.data == other.data)
-
-    def __repr__(self):
-        return f"TensorElement({self.dim_left}x{self.dim_right}, {dict(self.items())})"
 
 
 def _format_terms(label, items, tensor=False):
@@ -179,24 +87,6 @@ class Algebra:
         cols = [self.multiply(self.basis_vector(k), a) for k in range(self.dim)]
         return Matrix.from_columns(self.field, self.dim, cols)
 
-    def tensor2_mul(self, s: TensorElement, t: TensorElement) -> TensorElement:
-        """Product in R (x) R: (a (x) b)(c (x) d) = ac (x) bd."""
-        zero = self.field.zero()
-        data = {}
-        for (i, j), c in s.data.items():
-            for (k, l), e in t.data.items():
-                left = self.mult.get((i, k))
-                right = self.mult.get((j, l))
-                if left is None or right is None:
-                    continue
-                ce = c * e
-                for r, x in left.data.items():
-                    cex = ce * x
-                    for w, y in right.data.items():
-                        key = (r, w)
-                        data[key] = data.get(key, zero) + cex * y
-        return TensorElement(self.field, self.dim, self.dim, data)
-
     def format_element(self, v: Vector) -> str:
         return _format_terms(self.labels.__getitem__, v.items())
 
@@ -218,16 +108,15 @@ def make_algebra(field, dim, mult, unit, labels=None) -> Algebra:
 class Coalgebra:
     """Coassociative counital coalgebra given by structure constants."""
 
-    __slots__ = ("field", "dim", "comult", "counit", "_cocommutative")
+    __slots__ = ("field", "dim", "comult", "counit")
 
     def __init__(self, field, dim, comult, counit, validate=True):
         if dim < 1:
             raise ValidationError("coalgebra dimension must be at least 1")
         self.field = field
         self.dim = dim
-        self.comult = {k: t for k, t in comult.items() if t}
+        self.comult = {k: d for k, t in comult.items() if (d := _nonzero(t))}
         self.counit = counit
-        self._cocommutative = None
         if validate:
             report = coalgebra_report(self)
             if not report.passed:
@@ -236,14 +125,9 @@ class Coalgebra:
                     raise NotCoassociative(fail.witness[0])
                 raise CounitFails(fail.witness[0], fail.axiom)
 
-    def coproduct_of_basis(self, k) -> TensorElement:
-        return self.comult.get(k) or TensorElement.zero(self.field, self.dim, self.dim)
-
-    def coproduct(self, v: Vector) -> TensorElement:
-        out = TensorElement.zero(self.field, self.dim, self.dim)
-        for k, c in v.data.items():
-            out = out + self.coproduct_of_basis(k).scale(c)
-        return out
+    def coproduct_of_basis(self, k) -> dict:
+        """Delta(b_k) as a dict (i, j) -> scalar; callers must not modify it."""
+        return self.comult.get(k, _EMPTY)
 
     def counit_value(self, v: Vector):
         acc = self.field.zero()
@@ -254,10 +138,7 @@ class Coalgebra:
         return acc
 
     def is_cocommutative(self):
-        if self._cocommutative is None:
-            self._cocommutative = all(self.coproduct_of_basis(k) == self.coproduct_of_basis(k).flip()
-                                      for k in range(self.dim))
-        return self._cocommutative
+        return all(t == {(j, i): c for (i, j), c in t.items()} for t in self.comult.values())
 
 
 def coalgebra_report(coalg: Coalgebra) -> AxiomReport:
@@ -303,8 +184,9 @@ class BasisView:
     dict without zero entries that callers must not modify, plus the scalar
     ``counit(k)``, ``label(k)``, ``witness(keys)`` and ``element(v)``, which
     turns an element of the structure into its dict.  The methods here
-    derive from those; elements are dicts key -> scalar, tensors dicts keyed
-    by key tuples.
+    derive from those; elements are dicts key -> scalar, 2-tensors dicts
+    (key, key) -> scalar, and the coassociativity sides dicts keyed by key
+    triples.
     """
 
     def __init__(self, field, keys, unit):
@@ -330,11 +212,9 @@ class BasisView:
         _axpy(out, self.one, v, self.zero)
         return _nonzero(out)
 
-    def pure(self, *legs):
-        """legs[0] (x) legs[1] (x) ... for element dicts."""
-        out = {}
-        _add_pure(out, self.one, legs, self.zero)
-        return _nonzero(out)
+    def pure(self, u, v):
+        """u (x) v for element dicts."""
+        return {(a, b): x * y for a, x in u.items() for b, y in v.items()}
 
     def apply(self, image, u):
         """The image of u under the linear map sending basis key k to image(k)."""
@@ -343,22 +223,37 @@ class BasisView:
             _axpy(out, c, image(k), self.zero)
         return _nonzero(out)
 
+    def map_legs(self, t, left=None, right=None):
+        """(left (x) right)(t) for a 2-tensor t, each leg map given as key -> dict
+        like the image of :meth:`apply`; None is the identity."""
+        zero, one, out = self.zero, self.one, {}
+        for (a, b), c in t.items():
+            for r, x in (left(a) if left else {a: one}).items():
+                cx = c * x
+                for w, y in (right(b) if right else {b: one}).items():
+                    out[(r, w)] = out.get((r, w), zero) + cx * y
+        return _nonzero(out)
+
     def comultiply(self, u):
         return self.apply(self.coproduct, u)
 
     def tensor_mul(self, s, t):
-        """Legwise product (a (x) b)(c (x) d) = ac (x) bd, for any number of legs."""
+        """Legwise product (a (x) b)(c (x) d) = ac (x) bd of two 2-tensors."""
         zero, product, out = self.zero, self.product, {}
-        for ks, c in s.items():
-            for kt, e in t.items():
-                legs = []
-                for a, b in zip(ks, kt):
-                    p = product(a, b)
-                    if not p:
-                        break
-                    legs.append(p)
-                else:
-                    _add_pure(out, c * e, legs, zero)
+        for (a, b), c in s.items():
+            for (x, y), e in t.items():
+                left = product(a, x)
+                if not left:
+                    continue
+                right = product(b, y)
+                if not right:
+                    continue
+                ce = c * e
+                for r, u in left.items():
+                    cu = ce * u
+                    for w, v in right.items():
+                        key = (r, w)
+                        out[key] = out.get(key, zero) + cu * v
         return _nonzero(out)
 
     def comultiply_leg(self, d, leg):
@@ -435,8 +330,7 @@ class ConstantsView(BasisView):
         return _EMPTY if v is None else v.data
 
     def coproduct(self, k):
-        t = self._comult.get(k)
-        return _EMPTY if t is None else t.data
+        return self._comult.get(k, _EMPTY)
 
     def counit(self, k):
         return self._counit.get(k, self.zero)
@@ -612,7 +506,6 @@ class WeakBialgebra:
             raise DimensionMismatch("algebra and coalgebra dimensions differ")
         self.algebra = algebra
         self.coalgebra = coalgebra
-        self._delta_one = None
         self._counital_matrices = None
         self._view = None
         if validate:
@@ -652,20 +545,12 @@ class WeakBialgebra:
     def multiply(self, u, v):
         return self.algebra.multiply(u, v)
 
-    def coproduct(self, v):
-        return self.coalgebra.coproduct(v)
-
     def counit_value(self, v):
         return self.coalgebra.counit_value(v)
 
     @property
     def counit(self):
         return self.coalgebra.counit
-
-    def delta_one(self) -> TensorElement:
-        if self._delta_one is None:
-            self._delta_one = self.coalgebra.coproduct(self.unit)
-        return self._delta_one
 
     @property
     def view(self) -> ConstantsView:
@@ -677,12 +562,6 @@ class WeakBialgebra:
 
     def format_element(self, v):
         return self.algebra.format_element(v)
-
-    def tensor_pure(self, a, b):
-        return TensorElement.pure(a, b)
-
-    def tensor_mul(self, s, t):
-        return self.algebra.tensor2_mul(s, t)
 
     # -- counital maps -------------------------------------------------
 
@@ -766,20 +645,13 @@ def base_subalgebras(wb: WeakBialgebra):
     m_t, m_s = wb.counital_matrices()[:2]
     basis_t = column_space_basis(m_t)
     basis_s = column_space_basis(m_s)
-    d1 = wb.delta_one()
+    view = wb.view
+    d1, one = view.delta_one(), view.unit
     for a in basis_t:
-        expect = TensorElement.zero(wb.field, wb.dim, wb.dim)
-        for (i, j), c in d1.data.items():
-            expect = expect + TensorElement.pure(
-                wb.multiply(wb.basis_vector(i), a), wb.basis_vector(j)).scale(c)
-        if wb.coproduct(a) != expect:
+        if view.comultiply(a.data) != view.tensor_mul(d1, view.pure(a.data, one)):
             raise ValidationError(f"R_t member fails coproduct characterization: {wb.format_element(a)}")
     for a in basis_s:
-        expect = TensorElement.zero(wb.field, wb.dim, wb.dim)
-        for (i, j), c in d1.data.items():
-            expect = expect + TensorElement.pure(
-                wb.basis_vector(i), wb.multiply(a, wb.basis_vector(j))).scale(c)
-        if wb.coproduct(a) != expect:
+        if view.comultiply(a.data) != view.tensor_mul(view.pure(one, a.data), d1):
             raise ValidationError(f"R_s member fails coproduct characterization: {wb.format_element(a)}")
     return basis_t, basis_s
 
@@ -790,7 +662,7 @@ def convolution(f: Vector, g: Vector, wb: WeakBialgebra) -> Vector:
     out = {}
     for k in range(wb.dim):
         acc = zero
-        for (i, j), c in wb.coalgebra.coproduct_of_basis(k).data.items():
+        for (i, j), c in wb.coalgebra.coproduct_of_basis(k).items():
             fi = f.data.get(i)
             gj = g.data.get(j)
             if fi and gj:
@@ -802,14 +674,13 @@ def convolution(f: Vector, g: Vector, wb: WeakBialgebra) -> Vector:
 
 def map_convolution(F: Matrix, G: Matrix, wb: WeakBialgebra) -> Matrix:
     """Convolution of linear endomorphisms: (F*G)(b) = F(b_1) G(b_2)."""
-    cols = []
-    for k in range(wb.dim):
-        acc = Vector.zero(wb.field, wb.dim)
-        for (i, j), c in wb.coalgebra.coproduct_of_basis(k).data.items():
-            acc = acc + wb.multiply(F.apply(wb.basis_vector(i)),
-                                    G.apply(wb.basis_vector(j))).scale(c)
-        cols.append(acc)
-    return Matrix.from_columns(wb.field, wb.dim, cols)
+    view, fcols, gcols = wb.view, F.column_dicts(), G.column_dicts()
+    data = {}
+    for k in view.keys:
+        for (i, j), c in view.coproduct(k).items():
+            for r, x in view.multiply(fcols[i], gcols[j]).items():
+                data[(r, k)] = data.get((r, k), view.zero) + c * x
+    return Matrix(wb.field, wb.dim, wb.dim, data)
 
 
 def weak_counit_identities(wb: WeakBialgebra, a: Vector, b: Vector) -> AxiomReport:
@@ -860,11 +731,9 @@ def tensor_product(a: WeakBialgebra, b: WeakBialgebra):
         da = a.coalgebra.coproduct_of_basis(k1)
         for k2 in range(b.dim):
             db = b.coalgebra.coproduct_of_basis(k2)
-            data = {}
-            for (i1, j1), c1 in da.data.items():
-                for (i2, j2), c2 in db.data.items():
-                    data[(idx(i1, i2), idx(j1, j2))] = c1 * c2
-            comult[idx(k1, k2)] = TensorElement(field, dim, dim, data)
+            comult[idx(k1, k2)] = {(idx(i1, i2), idx(j1, j2)): c1 * c2
+                                   for (i1, j1), c1 in da.items()
+                                   for (i2, j2), c2 in db.items()}
     counit = Vector(field, dim, {idx(i, j): ca * cb
                                  for i, ca in a.counit.data.items()
                                  for j, cb in b.counit.data.items()})

@@ -4,10 +4,12 @@ A (g,h)-coderivation is a linear map delta with
 Delta delta = (lambda_g (x) delta + delta (x) lambda_h) Delta, where
 lambda_a is left multiplication.  The space of all such delta for fixed
 (g, h) is the kernel of an explicit linear operator on dim^2 unknowns and
-is computed exactly.  Skew-primitivity is checked both inside weak
-bialgebras and inside extended Ore algebras through the context's basis
-view ``ctx.view`` (element / comultiply / delta_one / pure / tensor_mul),
-and the counital identities through its eps_t / eps_s / multiply.
+is computed exactly.  Every identity in R (x) R, and in H (x) H for an
+extended Ore algebra H, is checked on the basis view ``ctx.view``, where
+2-tensors are dicts (key, key) -> scalar: the coderivation identity sums
+both sides there, and skew-primitivity uses its element / comultiply /
+delta_one / pure / tensor_mul.  The counital identities go through the
+context's eps_t / eps_s / multiply.
 """
 
 from __future__ import annotations
@@ -137,12 +139,12 @@ def coderivation_constraint_matrix(wb: WeakBialgebra, g: Vector, h: Vector) -> M
     for k in range(dim):
         lhs_rows = {}
         for r in range(dim):
-            for (u, v), c in wb.coalgebra.coproduct_of_basis(r).data.items():
+            for (u, v), c in wb.coalgebra.coproduct_of_basis(r).items():
                 key = (u, v)
                 lhs_rows.setdefault(key, {})
                 col = unknown(r, k)
                 lhs_rows[key][col] = lhs_rows[key].get(col, zero) + c
-        for (i, j), c in wb.coalgebra.coproduct_of_basis(k).data.items():
+        for (i, j), c in wb.coalgebra.coproduct_of_basis(k).items():
             for u, lg in lg_cols[i].items():
                 for v in range(dim):
                     col = unknown(v, j)

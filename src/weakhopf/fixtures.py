@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bialgebra import Algebra, Coalgebra, TensorElement, WeakHopfAlgebra
+from .bialgebra import Algebra, Coalgebra, WeakHopfAlgebra
 from .errors import ValidationError
 from .fields import Field
 from .groupoid import (GroupPresentation, GroupoidAlgebra, build_groupoid_algebra,
@@ -127,7 +127,7 @@ def function_algebra(group: GroupPresentation, field: Field | None = None) -> We
             for k in range(m):
                 if group.mul(h, k) == g:
                     data[(h, k)] = one
-        comult[g] = TensorElement(field, m, m, data)
+        comult[g] = data
     counit = Vector(field, m, {0: one})
     coalgebra = Coalgebra(field, m, comult, counit, validate=True)
     antipode = Matrix(field, m, m, {(group.inv(g), g): one for g in range(m)})
@@ -157,7 +157,7 @@ def truncated_primitive_hopf(p: int) -> WeakHopfAlgebra:
             c = field(math.comb(k, i))
             if c:
                 data[(i, k - i)] = c
-        comult[k] = TensorElement(field, p, p, data)
+        comult[k] = data
     counit = Vector(field, p, {0: one})
     coalgebra = Coalgebra(field, p, comult, counit, validate=True)
     antipode = Matrix(field, p, p, {(k, k): field((-1) ** k) for k in range(p)})

@@ -34,10 +34,9 @@ class Character:
 
 
 def is_weak_grouplike(wb: WeakBialgebra, g: Vector) -> bool:
-    dg = wb.coproduct(g)
-    gg = wb.tensor_pure(g, g)
-    d1 = wb.delta_one()
-    return dg == wb.tensor_mul(d1, gg) and dg == wb.tensor_mul(gg, d1)
+    view, g = wb.view, g.data
+    dg, gg, d1 = view.comultiply(g), view.pure(g, g), view.delta_one()
+    return dg == view.tensor_mul(d1, gg) and dg == view.tensor_mul(gg, d1)
 
 
 def is_grouplike(wb: WeakBialgebra, g: Vector) -> Vector | None:
@@ -114,20 +113,15 @@ def winding(wb: WeakBialgebra, chi: Vector, side: str) -> Matrix:
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    cols = []
-    for k in range(wb.dim):
-        acc = Vector.zero(wb.field, wb.dim)
-        for (i, j), c in wb.coalgebra.coproduct_of_basis(k).data.items():
-            if side == "left":
-                x = chi.data.get(i)
-                if x:
-                    acc = acc + Vector(wb.field, wb.dim, {j: c * x})
-            else:
-                x = chi.data.get(j)
-                if x:
-                    acc = acc + Vector(wb.field, wb.dim, {i: c * x})
-        cols.append(acc)
-    return Matrix.from_columns(wb.field, wb.dim, cols)
+    read = 0 if side == "left" else 1
+    view, data = wb.view, {}
+    for k in view.keys:
+        for pair, c in view.coproduct(k).items():
+            x = chi.data.get(pair[read])
+            if x:
+                key = (pair[1 - read], k)
+                data[key] = data.get(key, view.zero) + c * x
+    return Matrix(wb.field, wb.dim, wb.dim, data)
 
 
 def is_unital_algebra_endo(wb: WeakBialgebra, m: Matrix):
@@ -161,12 +155,14 @@ def character_from_endo(wb: WeakBialgebra, sigma: Matrix) -> Vector | None:
     witness = is_unital_algebra_endo(wb, sigma)
     if witness is not None:
         raise NotAlgebraMap(f"sigma is not a unital algebra endomorphism (witness {witness})")
-    right = all(wb.coproduct(sigma.apply(wb.basis_vector(k)))
-                == wb.coalgebra.coproduct_of_basis(k).map_legs(None, sigma)
-                for k in range(wb.dim))
-    left = all(wb.coproduct(sigma.apply(wb.basis_vector(k)))
-               == wb.coalgebra.coproduct_of_basis(k).map_legs(sigma, None)
-               for k in range(wb.dim))
+    view, cols = wb.view, sigma.column_dicts()
+
+    def intertwines(left, right):  # Delta sigma = (left (x) right) Delta
+        return all(view.comultiply(cols[k]) == view.map_legs(view.coproduct(k), left, right)
+                   for k in view.keys)
+
+    right = intertwines(None, cols.__getitem__)
+    left = intertwines(cols.__getitem__, None)
     if not (left or right):
         return None
     chi = sigma.apply_functional(wb.counit)
@@ -196,7 +192,7 @@ def convolution_inverse(wb: WeakBialgebra, chi: Vector) -> ConvolutionInverse:
     left_rows = {}
     right_rows = {}
     for k in range(wb.dim):
-        for (i, j), c in wb.coalgebra.coproduct_of_basis(k).data.items():
+        for (i, j), c in wb.coalgebra.coproduct_of_basis(k).items():
             x = chi.data.get(j)
             if x:
                 left_rows[(k, i)] = left_rows.get((k, i), zero) + c * x

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .bialgebra import Algebra, Coalgebra, TensorElement, WeakHopfAlgebra, tensor_product
+from .bialgebra import Algebra, Coalgebra, WeakHopfAlgebra, tensor_product
 from .errors import ValidationError
 from .fields import Field
 from .linalg import Matrix, Vector
@@ -175,8 +175,7 @@ def build_groupoid_algebra(group: GroupPresentation, n: int,
     unit = Vector(field, dim, {idx(0, i, i): one for i in range(n)})
     algebra = Algebra(field, dim, mult, unit, labels, validate=True)
 
-    comult = {idx(g, i, j): TensorElement(field, dim, dim, {(idx(g, i, j), idx(g, i, j)): one})
-              for g in range(m) for i in range(n) for j in range(n)}
+    comult = {k: {(k, k): one} for k in range(dim)}
     counit = Vector(field, dim, {k: one for k in range(dim)})
     coalgebra = Coalgebra(field, dim, comult, counit, validate=True)
 
@@ -206,9 +205,8 @@ def _verify_tensor_factorization(ga: GroupoidAlgebra, field):
         if factor.algebra.product_of_basis(relabel(i), relabel(j)) != relabel_vec(vec):
             raise ValidationError("groupoid algebra does not match its tensor factorization (product)")
     for k in range(ga.dim):
-        img = TensorElement(field, ga.dim, ga.dim,
-                            {(relabel(a), relabel(b)): c
-                             for (a, b), c in ga.coalgebra.coproduct_of_basis(k).data.items()})
+        img = {(relabel(a), relabel(b)): c
+               for (a, b), c in ga.coalgebra.coproduct_of_basis(k).items()}
         if factor.coalgebra.coproduct_of_basis(relabel(k)) != img:
             raise ValidationError("groupoid algebra does not match its tensor factorization (coproduct)")
         if factor.counit.data.get(relabel(k)) != ga.counit.data.get(k):

@@ -5,8 +5,9 @@ x a -> sigma(a) x + delta(a) applied recursively.  :class:`MonomialView`
 presents H over the monomials b x^n, keyed (b, n): an element of H is a dict
 (b, n) -> scalar and an element of H (x) H a dict ((r, i), (s, j)) -> scalar,
 read as sum c (b_r x^i) (x) (b_s x^j).  Every product in H (x) H is the
-view's legwise ``tensor_mul`` over the cached monomial products, so all
-tensor arithmetic is exact.
+view's two-leg ``tensor_mul`` over the cached monomial products, the same
+method that multiplies in R (x) R on the constants view of R, so all tensor
+arithmetic is exact.
 
 Once the extension conditions hold, the coproduct is
 Delta(a x^n) = Delta(a) * (g (x) x + x (x) 1)^n, the counit reads the

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 
-from .bialgebra import Algebra, Coalgebra, TensorElement, WeakBialgebra, WeakHopfAlgebra
+from .bialgebra import Algebra, Coalgebra, WeakBialgebra, WeakHopfAlgebra
 from .errors import ParseError
 from .fields import Field
 from .linalg import Matrix, Vector
@@ -124,7 +124,6 @@ def parse_spec(source, validate=True) -> SpecBundle:
     for (i, j, k, c) in _parse_triples(field, doc["comult"], dim, "comult"):
         slot = comult.setdefault(k, {})
         slot[(i, j)] = slot.get((i, j), field.zero()) + c
-    comult = {k: TensorElement(field, dim, dim, data) for k, data in comult.items()}
     counit = _parse_vector(field, doc["counit"], dim, "counit")
     coalgebra = Coalgebra(field, dim, comult, counit, validate=validate)
 
@@ -168,7 +167,7 @@ def emit_spec(bundle: SpecBundle) -> dict:
             mult_rows.append([i, j, k, field.format(c)])
     comult_rows = []
     for k in range(wb.dim):
-        for (i, j), c in wb.coalgebra.coproduct_of_basis(k).items():
+        for (i, j), c in sorted(wb.coalgebra.coproduct_of_basis(k).items()):
             comult_rows.append([i, j, k, field.format(c)])
     doc = {
         "name": bundle.name,

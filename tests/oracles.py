@@ -158,9 +158,9 @@ def ore_reference_product(R, sigma, delta, p, q):
 
 
 def ore_tensor(slots):
-    """An element of H (x) H given as {(i, j): R (x) R tensor}, flattened onto the
-    monomial keys ((r, i), (s, j)) of ``sum (r (x) s)(x^i (x) x^j)``."""
-    return {((r, i), (s, j)): c for (i, j), t in slots.items() for (r, s), c in t.data.items()}
+    """An element of H (x) H given as {(i, j): R (x) R tensor as a dict (r, s) -> c},
+    flattened onto the monomial keys ((r, i), (s, j)) of ``sum (r (x) s)(x^i (x) x^j)``."""
+    return {((r, i), (s, j)): c for (i, j), t in slots.items() for (r, s), c in t.items()}
 
 
 def ore_slot(t, i, j):

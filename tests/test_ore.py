@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from weakhopf.bialgebra import TensorElement, base_subalgebras
+from weakhopf.bialgebra import base_subalgebras
 from weakhopf.errors import ConditionsFailed, NotAutomorphism, NotDerivation
 from weakhopf.fields import QQ
 from weakhopf.fixtures import twisted_derivation_data
@@ -14,7 +14,7 @@ from weakhopf.ore import (OreAlgebra, expand_skew_power, extend_antipode, extend
                           make_ore, ore_multiply, verify_extension)
 from weakhopf.panov import ad_map
 
-from oracles import ore_reference_product, ore_slot, ore_tensor
+from oracles import ore_reference_product, ore_slot, ore_tensor, pure_tensor
 
 
 @pytest.fixture(scope="module")
@@ -171,16 +171,16 @@ def _sigma_power(H, n):
 def test_expansion_degree_one(sweedler_H, sweedler):
     coeffs = expand_skew_power(sweedler_H, 1)
     R = sweedler.R
-    assert ore_slot(coeffs, 1, 0) == TensorElement.pure(R.unit, R.unit).data
-    assert ore_slot(coeffs, 0, 1) == TensorElement.pure(sweedler.g, R.unit).data
+    assert ore_slot(coeffs, 1, 0) == pure_tensor(R.unit, R.unit)
+    assert ore_slot(coeffs, 0, 1) == pure_tensor(sweedler.g, R.unit)
 
 
 def test_expansion_sweedler_degree_two(sweedler_H, sweedler):
     coeffs = expand_skew_power(sweedler_H, 2)
     R = sweedler.R
-    assert ore_slot(coeffs, 2, 0) == TensorElement.pure(R.unit, R.unit).data
+    assert ore_slot(coeffs, 2, 0) == pure_tensor(R.unit, R.unit)
     assert ore_slot(coeffs, 1, 1) == {}  # tx (x) x + xt (x) x = 0
-    assert ore_slot(coeffs, 0, 2) == TensorElement.pure(R.unit, R.unit).data  # t^2 = 1
+    assert ore_slot(coeffs, 0, 2) == pure_tensor(R.unit, R.unit)  # t^2 = 1
 
 
 def test_expansion_zero_derivation_kills_lower_terms(sweedler_H):
@@ -193,7 +193,7 @@ def test_expansion_zero_derivation_kills_lower_terms(sweedler_H):
 def test_expansion_invariants_with_nonzero_delta(s5_H):
     for n in range(5):
         coeffs = expand_skew_power(s5_H, n)  # invariants asserted internally
-        assert ore_slot(coeffs, n, 0) == TensorElement.pure(s5_H.R.unit, s5_H.R.unit).data
+        assert ore_slot(coeffs, n, 0) == pure_tensor(s5_H.R.unit, s5_H.R.unit)
 
 
 # -- coalgebra extension ----------------------------------------------------------
@@ -213,8 +213,8 @@ def test_coproduct_of_x_sweedler(sweedler_H, sweedler):
     R = sweedler.R
     dx = sweedler_H.coproduct(sweedler_H.x())
     expected = ore_tensor({
-        (0, 1): TensorElement.pure(sweedler.g, R.unit),
-        (1, 0): TensorElement.pure(R.unit, R.unit)})
+        (0, 1): pure_tensor(sweedler.g, R.unit),
+        (1, 0): pure_tensor(R.unit, R.unit)})
     assert dx == expected
 
 
@@ -223,8 +223,8 @@ def test_coproduct_of_x_squared_sweedler(sweedler_H, sweedler):
     x2 = sweedler_H.x(2)
     dx2 = sweedler_H.coproduct(x2)
     expected = ore_tensor({
-        (0, 2): TensorElement.pure(R.unit, R.unit),
-        (2, 0): TensorElement.pure(R.unit, R.unit)})
+        (0, 2): pure_tensor(R.unit, R.unit),
+        (2, 0): pure_tensor(R.unit, R.unit)})
     assert dx2 == expected
 
 

@@ -16,7 +16,7 @@ from weakhopf.panov import (ad_map, alpha_constraint_matrix, build_twisted_deriv
                             centrality_report, groupoid_character, hopf_conditions,
                             panov_necessary, panov_sufficient, solve_alpha)
 
-from oracles import dense_nullspace, to_dense
+from oracles import dense_nullspace, pure_tensor, to_dense
 
 
 def _failing(verdict):
@@ -145,9 +145,9 @@ def test_necessary_direction_recovers_chi(sweedler, s5_qz2, s5_m2qz2):
 def test_build_groupoid_algebra_z2_2(M2Z2):
     assert M2Z2.dim == 8
     t_e12 = M2Z2.element(1, 0, 1)
-    d = M2Z2.coalgebra.coproduct(t_e12)
+    d = M2Z2.view.comultiply(t_e12.data)
     idx = M2Z2.basis_index(1, 0, 1)
-    assert dict(d.data) == {(idx, idx): Fraction(1)}
+    assert d == {(idx, idx): Fraction(1)}
     expected = M2Z2.element(1, 1, 0)  # S(t E12) = t^-1 E21 = t E21
     assert M2Z2.antipode.apply(t_e12) == expected
     assert check_weak_bialgebra(M2Z2).passed
@@ -162,7 +162,7 @@ def test_trivial_group_groupoid_is_matrix_algebra(M3):
 
 def test_groupoid_z2_1_is_group_algebra(QZ2):
     assert QZ2.dim == 2
-    assert QZ2.delta_one() == QZ2.tensor_pure(QZ2.unit, QZ2.unit)
+    assert QZ2.view.delta_one() == pure_tensor(QZ2.unit, QZ2.unit)
 
 
 def test_groupoid_matches_tensor_product_structure(M2, QZ2, M2Z2):
@@ -178,8 +178,8 @@ def test_groupoid_matches_tensor_product_structure(M2, QZ2, M2Z2):
         assert factor.algebra.product_of_basis(relabel(i), relabel(j)) == expected
     for k in range(8):
         img = {(relabel(a), relabel(b)): c
-               for (a, b), c in M2Z2.coalgebra.coproduct_of_basis(k).data.items()}
-        assert dict(factor.coalgebra.coproduct_of_basis(relabel(k)).data) == img
+               for (a, b), c in M2Z2.coalgebra.coproduct_of_basis(k).items()}
+        assert factor.coalgebra.coproduct_of_basis(relabel(k)) == img
 
 
 # -- groupoid characters ------------------------------------------------------------------
