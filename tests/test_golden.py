@@ -39,6 +39,19 @@ on some input, and it records the first witness of ``eps_a_delta_b_zero``.
 ``tests/data/sweedler-cancelling-comult.json`` is the bundled Sweedler spec
 with two more comult rows for Delta(b_0) at (0, 1), 3/5 and -3/5, which sum
 to zero: the parsed coalgebra must hold no zero coefficient.
+
+The ``grouplikes-*`` and ``characters-*`` texts pin the CLI outputs that
+print elements of R, recorded while elements were still ``Vector`` objects:
+``grouplikes-matrix2`` and ``grouplikes-matrix2-gf3`` are
+``grouplikes --matrix 2`` over QQ and with ``--prime 3``;
+``grouplikes-brute-m2f2`` is ``grouplikes --brute`` on M_2(GF(2)) written by
+``write_spec``, whose scan prints the zero element as ``0``;
+``characters-m2q-chi`` is ``characters --verify chi`` on the bundled
+``m2q.json``, with 1/2 and 2 in the inverse and in chi; and
+``characters-section5-z2-n1-alpha`` is ``characters --verify alpha`` on the
+spec of ``example section5 --group Z2 --n 1 --rho 1,-1 --q 1``, where alpha
+is no character (exit 1) and its ``CHI`` line reads the missing
+coefficient of ``1`` as 0.
 """
 
 import contextlib
@@ -50,13 +63,14 @@ from pathlib import Path
 import pytest
 
 from weakhopf.cli import main
+from weakhopf.fields import Field
 from weakhopf.fixtures import sweedler_data, twisted_derivation_data, twisted_derivation_qz2
-from weakhopf.groupoid import GroupPresentation
+from weakhopf.groupoid import GroupPresentation, matrix_algebra
 from weakhopf.linalg import Matrix
 from weakhopf.ore import OreAlgebra, verify_extension
 from weakhopf.panov import eps_a_delta_b_zero, panov_necessary
 from weakhopf.report import _fmt_witness
-from weakhopf.specfile import emit_spec, parse_spec
+from weakhopf.specfile import SpecBundle, emit_spec, parse_spec, write_spec
 
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden"
@@ -87,6 +101,32 @@ def _expected(name):
 ])
 def test_cli_golden(name, argv, code):
     assert _run(argv) == (code, _expected(name))
+
+
+def _m2f2_spec(path):
+    wb = matrix_algebra(2, Field.prime(2))
+    write_spec(SpecBundle(field=wb.field, wb=wb), path)
+    return str(path)
+
+
+def _section5_z2_n1_spec(path):
+    argv = ["example", "section5", "--group", "Z2", "--n", "1", "--rho", "1,-1", "--q", "1",
+            "-o", str(path)]
+    assert _run(argv)[0] == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("name, argv, code", [
+    ("grouplikes-matrix2", lambda tmp: ["grouplikes", "--matrix", "2"], 0),
+    ("grouplikes-matrix2-gf3", lambda tmp: ["grouplikes", "--matrix", "2", "--prime", "3"], 0),
+    ("grouplikes-brute-m2f2",
+     lambda tmp: ["grouplikes", "--brute", _m2f2_spec(tmp / "m2f2.json")], 0),
+    ("characters-m2q-chi", lambda tmp: ["characters", _bundled("m2q.json"), "--verify", "chi"], 0),
+    ("characters-section5-z2-n1-alpha",
+     lambda tmp: ["characters", _section5_z2_n1_spec(tmp / "s5.json"), "--verify", "alpha"], 1),
+])
+def test_cli_element_output_golden(tmp_path, name, argv, code):
+    assert _run(argv(tmp_path)) == (code, _expected(name))
 
 
 def test_ore_build_bad_mult_error_golden():
