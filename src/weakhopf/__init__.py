@@ -18,8 +18,8 @@ from .grouplike import (Character, WeakGrouplike, brute_force_weak_grouplikes,
                         convolution_inverse, enumerate_weak_grouplikes_matrix,
                         grouplike_identity_report, is_grouplike, is_weak_character,
                         is_weak_grouplike, winding)
-from .linalg import Matrix, Vector, column_space_basis, in_span, kernel_basis, kron, rank, solve
-from .ore import (OreAlgebra, OrePoly, expand_skew_power, extend_antipode, extend_coalgebra,
+from .linalg import Matrix, column_space_basis, in_span, kernel_basis, kron, rank, solve
+from .ore import (OreAlgebra, expand_skew_power, extend_antipode, extend_coalgebra,
                   make_ore, ore_multiply, verify_extension)
 from .panov import (AlphaSolution, PanovVerdict, ad_map, build_twisted_derivation,
                     centrality_report, extension_verdicts, groupoid_character, hopf_conditions,

@@ -1,10 +1,15 @@
 """Finite-dimensional algebras, coalgebras, weak bialgebras and weak Hopf algebras.
 
-Everything is basis-indexed structure constants over an exact field:
+Everything is basis-indexed structure constants over an exact field.  An
+element of R, or a functional on R, is a dict index -> nonzero scalar:
 
-* multiplication:   mult[(i,j)] is the vector of b_i * b_j in the basis,
+* multiplication:   mult[(i,j)] is b_i * b_j as such a dict,
 * comultiplication: comult[k] is Delta(b_k) as a dict (i, j) -> scalar,
-* counit:           a row functional on the basis.
+* unit and counit:  dicts index -> scalar.
+
+The constructors drop zero coefficients, check every index against the
+dimension and pass every scalar through :meth:`Field.coerce`, so elements
+can be compared with ``==``.
 
 Axiom sweeps are exhaustive over basis tuples, never sampled, and results
 are collected in an :class:`~weakhopf.report.AxiomReport`.  All instances
@@ -15,7 +20,7 @@ from __future__ import annotations
 
 from .errors import (AxiomFailure, CounitFails, DimensionMismatch, FieldMismatch,
                      NotAssociative, NotCoassociative, UnitFails, ValidationError)
-from .linalg import Matrix, Vector, column_space_basis, kron
+from .linalg import Matrix, column_space_basis, kron
 from .report import AxiomReport
 
 
@@ -47,11 +52,9 @@ class Algebra:
         self.labels = tuple(labels) if labels else tuple(f"b{i}" for i in range(dim))
         if len(self.labels) != dim:
             raise ValidationError("label count does not match dimension")
-        self.mult = {}
-        for (i, j), vec in mult.items():
-            if vec:
-                self.mult[(i, j)] = vec
-        self.unit = unit
+        self.mult = {ij: d for ij, vec in mult.items()
+                     if (d := _element(field, dim, vec, ij, "mult"))}
+        self.unit = _element(field, dim, unit, (), "unit")
         if validate:
             report = algebra_report(self)
             if not report.passed:
@@ -61,34 +64,26 @@ class Algebra:
                 raise UnitFails(fail.witness[0], fail.witness[1], fail.lhs)
 
     def basis_vector(self, i):
-        return Vector.unit(self.field, self.dim, i)
+        return {i: self.field.one()}
 
-    def multiply(self, u: Vector, v: Vector) -> Vector:
-        zero = self.field.zero()
-        out = {}
-        for i, a in u.data.items():
-            for j, b in v.data.items():
-                vec = self.mult.get((i, j))
-                if vec is None:
-                    continue
-                ab = a * b
-                for k, c in vec.data.items():
-                    out[k] = out.get(k, zero) + ab * c
-        return Vector(self.field, self.dim, out)
+    def left_mult_matrix(self, a) -> Matrix:
+        """The matrix of r -> a r."""
+        return self._mult_matrix(a, lambda i, k: (i, k))
 
-    def product_of_basis(self, i, j) -> Vector:
-        return self.mult.get((i, j)) or Vector.zero(self.field, self.dim)
+    def right_mult_matrix(self, a) -> Matrix:
+        """The matrix of r -> r a."""
+        return self._mult_matrix(a, lambda i, k: (k, i))
 
-    def left_mult_matrix(self, a: Vector) -> Matrix:
-        cols = [self.multiply(a, self.basis_vector(k)) for k in range(self.dim)]
-        return Matrix.from_columns(self.field, self.dim, cols)
+    def _mult_matrix(self, a, pair):
+        zero, data = self.field.zero(), {}
+        for i, c in a.items():
+            for k in range(self.dim):
+                for r, x in self.mult.get(pair(i, k), _EMPTY).items():
+                    data[(r, k)] = data.get((r, k), zero) + c * x
+        return Matrix(self.field, self.dim, self.dim, data)
 
-    def right_mult_matrix(self, a: Vector) -> Matrix:
-        cols = [self.multiply(self.basis_vector(k), a) for k in range(self.dim)]
-        return Matrix.from_columns(self.field, self.dim, cols)
-
-    def format_element(self, v: Vector) -> str:
-        return _format_terms(self.labels.__getitem__, v.items())
+    def format_element(self, v) -> str:
+        return _format_terms(self.labels.__getitem__, sorted(v.items()))
 
 
 def algebra_report(alg: Algebra) -> AxiomReport:
@@ -115,8 +110,9 @@ class Coalgebra:
             raise ValidationError("coalgebra dimension must be at least 1")
         self.field = field
         self.dim = dim
-        self.comult = {k: d for k, t in comult.items() if (d := _nonzero(t))}
-        self.counit = counit
+        self.comult = {k: d for k, t in comult.items()
+                       if (d := _element(field, dim, t, (k,), "comult", pairs=True))}
+        self.counit = _element(field, dim, counit, (), "counit")
         if validate:
             report = coalgebra_report(self)
             if not report.passed:
@@ -129,10 +125,10 @@ class Coalgebra:
         """Delta(b_k) as a dict (i, j) -> scalar; callers must not modify it."""
         return self.comult.get(k, _EMPTY)
 
-    def counit_value(self, v: Vector):
+    def counit_value(self, v):
         acc = self.field.zero()
-        for i, c in v.data.items():
-            e = self.counit.data.get(i)
+        for i, c in v.items():
+            e = self.counit.get(i)
             if e:
                 acc = acc + c * e
         return acc
@@ -154,6 +150,23 @@ def coalgebra_report(coalg: Coalgebra) -> AxiomReport:
 
 
 _EMPTY = {}
+
+
+def _element(field, dim, d, keys, what, pairs=False):
+    """A caller's element dict (or 2-tensor dict if pairs), checked and without zeros.
+
+    ``keys`` are indices that name the entry (a mult pair, a comult key) and
+    are range-checked with it; every scalar goes through Field.coerce.
+    """
+    out = {}
+    for key, c in d.items():
+        for i in (*keys, *(key if pairs else (key,))):
+            if type(i) is not int or not 0 <= i < dim:
+                raise DimensionMismatch(f"{what} index {i!r} out of range for dim {dim}")
+        c = field.coerce(c)
+        if c:
+            out[key] = c
+    return out
 
 
 def _nonzero(d):
@@ -182,8 +195,7 @@ class BasisView:
     1 as a dict key -> scalar.  Subclasses supply ``product(a, b)``,
     ``coproduct(k)`` (keyed by key pairs) and ``antipode(k)``, each a plain
     dict without zero entries that callers must not modify, plus the scalar
-    ``counit(k)``, ``label(k)``, ``witness(keys)`` and ``element(v)``, which
-    turns an element of the structure into its dict.  The methods here
+    ``counit(k)``, ``label(k)`` and ``witness(keys)``.  The methods here
     derive from those; elements are dicts key -> scalar, 2-tensors dicts
     (key, key) -> scalar, and the coassociativity sides dicts keyed by key
     triples.
@@ -317,17 +329,16 @@ class ConstantsView(BasisView):
 
     def __init__(self, algebra=None, coalgebra=None, antipode=None):
         part = algebra or coalgebra
-        super().__init__(part.field, range(part.dim), algebra.unit.data if algebra else None)
+        super().__init__(part.field, range(part.dim), algebra.unit if algebra else None)
         self.labels = algebra.labels if algebra else tuple(f"b{i}" for i in range(part.dim))
         self._mult = algebra.mult if algebra else None
         self._comult = coalgebra.comult if coalgebra else None
-        self._counit = coalgebra.counit.data if coalgebra else None
+        self._counit = coalgebra.counit if coalgebra else None
         self._antipode = antipode
         self._antipode_cols = None
 
     def product(self, a, b):
-        v = self._mult.get((a, b))
-        return _EMPTY if v is None else v.data
+        return self._mult.get((a, b), _EMPTY)
 
     def coproduct(self, k):
         return self._comult.get(k, _EMPTY)
@@ -345,9 +356,6 @@ class ConstantsView(BasisView):
 
     def witness(self, keys):
         return keys
-
-    def element(self, v):
-        return v.data
 
 
 def _check(report, axiom, lhs, rhs, view, keys, fmt=str):
@@ -535,15 +543,11 @@ class WeakBialgebra:
     def unit(self):
         return self.algebra.unit
 
-    @property
-    def one(self):
-        return self.algebra.unit
-
     def basis_vector(self, i):
         return self.algebra.basis_vector(i)
 
     def multiply(self, u, v):
-        return self.algebra.multiply(u, v)
+        return self.view.multiply(u, v)
 
     def counit_value(self, v):
         return self.coalgebra.counit_value(v)
@@ -565,21 +569,21 @@ class WeakBialgebra:
 
     # -- counital maps -------------------------------------------------
 
-    def eps_t(self, r: Vector) -> Vector:
+    def eps_t(self, r):
         """eps_t(r) = eps(1_1 r) 1_2."""
-        return Vector(self.field, self.dim, self.view.counital(r.data, 0, False))
+        return self.view.counital(r, 0, False)
 
-    def eps_s(self, r: Vector) -> Vector:
+    def eps_s(self, r):
         """eps_s(r) = eps(r 1_2) 1_1."""
-        return Vector(self.field, self.dim, self.view.counital(r.data, 1, True))
+        return self.view.counital(r, 1, True)
 
-    def eps_t_prime(self, r: Vector) -> Vector:
+    def eps_t_prime(self, r):
         """eps_t'(r) = eps(r 1_1) 1_2."""
-        return Vector(self.field, self.dim, self.view.counital(r.data, 0, True))
+        return self.view.counital(r, 0, True)
 
-    def eps_s_prime(self, r: Vector) -> Vector:
+    def eps_s_prime(self, r):
         """eps_s'(r) = eps(1_2 r) 1_1."""
-        return Vector(self.field, self.dim, self.view.counital(r.data, 1, False))
+        return self.view.counital(r, 1, False)
 
     def counital_matrices(self):
         """Matrices of (eps_t, eps_s, eps_t', eps_s') on the basis."""
@@ -605,11 +609,8 @@ class WeakHopfAlgebra(WeakBialgebra):
             if not report.passed:
                 raise AxiomFailure("antipode", report)
 
-    def antipode_apply(self, v: Vector) -> Vector:
-        return self.antipode.apply(v)
 
-
-def counital_maps(wb: WeakBialgebra, r: Vector):
+def counital_maps(wb: WeakBialgebra, r):
     """The four projections (eps_t, eps_s, eps_t', eps_s') evaluated at r."""
     return wb.eps_t(r), wb.eps_s(r), wb.eps_t_prime(r), wb.eps_s_prime(r)
 
@@ -648,28 +649,28 @@ def base_subalgebras(wb: WeakBialgebra):
     view = wb.view
     d1, one = view.delta_one(), view.unit
     for a in basis_t:
-        if view.comultiply(a.data) != view.tensor_mul(d1, view.pure(a.data, one)):
+        if view.comultiply(a) != view.tensor_mul(d1, view.pure(a, one)):
             raise ValidationError(f"R_t member fails coproduct characterization: {wb.format_element(a)}")
     for a in basis_s:
-        if view.comultiply(a.data) != view.tensor_mul(view.pure(one, a.data), d1):
+        if view.comultiply(a) != view.tensor_mul(view.pure(one, a), d1):
             raise ValidationError(f"R_s member fails coproduct characterization: {wb.format_element(a)}")
     return basis_t, basis_s
 
 
-def convolution(f: Vector, g: Vector, wb: WeakBialgebra) -> Vector:
+def convolution(f, g, wb: WeakBialgebra):
     """Convolution product of functionals: (f*g)(b) = f(b_1) g(b_2)."""
     zero = wb.field.zero()
     out = {}
     for k in range(wb.dim):
         acc = zero
         for (i, j), c in wb.coalgebra.coproduct_of_basis(k).items():
-            fi = f.data.get(i)
-            gj = g.data.get(j)
+            fi = f.get(i)
+            gj = g.get(j)
             if fi and gj:
                 acc = acc + c * fi * gj
         if acc:
             out[k] = acc
-    return Vector(wb.field, wb.dim, out)
+    return out
 
 
 def map_convolution(F: Matrix, G: Matrix, wb: WeakBialgebra) -> Matrix:
@@ -683,7 +684,7 @@ def map_convolution(F: Matrix, G: Matrix, wb: WeakBialgebra) -> Matrix:
     return Matrix(wb.field, wb.dim, wb.dim, data)
 
 
-def weak_counit_identities(wb: WeakBialgebra, a: Vector, b: Vector) -> AxiomReport:
+def weak_counit_identities(wb: WeakBialgebra, a, b) -> AxiomReport:
     """Check eps(ab) = eps(a eps_t(b)) = eps(a eps_s'(b)) = eps(eps_t'(a) b) = eps(eps_s(a) b)."""
     report = AxiomReport()
     base = wb.counit_value(wb.multiply(a, b))
@@ -712,19 +713,14 @@ def tensor_product(a: WeakBialgebra, b: WeakBialgebra):
     def idx(i, j):
         return i * b.dim + j
 
+    def pure(u, v):
+        return {idx(i, j): x * y for i, x in u.items() for j, y in v.items()}
+
     labels = [f"{la}(x){lb}" for la in a.labels for lb in b.labels]
-    mult = {}
-    for (i1, i2), va in a.algebra.mult.items():
-        for (j1, j2), vb in b.algebra.mult.items():
-            out = {}
-            for k1, c1 in va.data.items():
-                for k2, c2 in vb.data.items():
-                    out[idx(k1, k2)] = c1 * c2
-            mult[(idx(i1, j1), idx(i2, j2))] = Vector(field, dim, out)
-    unit = Vector(field, dim, {idx(i, j): ca * cb
-                               for i, ca in a.unit.data.items()
-                               for j, cb in b.unit.data.items()})
-    algebra = Algebra(field, dim, mult, unit, labels, validate=True)
+    mult = {(idx(i1, j1), idx(i2, j2)): pure(va, vb)
+            for (i1, i2), va in a.algebra.mult.items()
+            for (j1, j2), vb in b.algebra.mult.items()}
+    algebra = Algebra(field, dim, mult, pure(a.unit, b.unit), labels, validate=True)
 
     comult = {}
     for k1 in range(a.dim):
@@ -734,10 +730,7 @@ def tensor_product(a: WeakBialgebra, b: WeakBialgebra):
             comult[idx(k1, k2)] = {(idx(i1, i2), idx(j1, j2)): c1 * c2
                                    for (i1, j1), c1 in da.items()
                                    for (i2, j2), c2 in db.items()}
-    counit = Vector(field, dim, {idx(i, j): ca * cb
-                                 for i, ca in a.counit.data.items()
-                                 for j, cb in b.counit.data.items()})
-    coalgebra = Coalgebra(field, dim, comult, counit, validate=True)
+    coalgebra = Coalgebra(field, dim, comult, pure(a.counit, b.counit), validate=True)
 
     if isinstance(a, WeakHopfAlgebra) and isinstance(b, WeakHopfAlgebra):
         return WeakHopfAlgebra(algebra, coalgebra, kron(a.antipode, b.antipode), validate=True)

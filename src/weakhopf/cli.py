@@ -34,7 +34,8 @@ def _print_report(report):
 def _print_chi(wb, chi):
     if chi is None:
         return
-    parts = [f"{wb.labels[i]}={wb.field.format(chi.get(i))}" for i in range(wb.dim)]
+    zero = wb.field.zero()
+    parts = [f"{wb.labels[i]}={wb.field.format(chi.get(i, zero))}" for i in range(wb.dim)]
     print("CHI " + " ".join(parts))
 
 
@@ -64,7 +65,7 @@ def cmd_grouplikes(args):
     bundle = parse_spec(args.brute)
     found = brute_force_weak_grouplikes(bundle.wb)
     for g in found:
-        print(f"WEAK-GROUPLIKE {bundle.wb.format_element(g) if g else '0'}")
+        print(f"WEAK-GROUPLIKE {bundle.wb.format_element(g)}")
     print(f"COUNT {len(found)} (including zero if present)")
     return 0
 
@@ -82,8 +83,9 @@ def cmd_characters(args):
     print(f"CHARACTER right {'PASS' if right else 'FAIL'}")
     inv = convolution_inverse(wb, chi)
     if inv.two_sided is not None:
+        zero = wb.field.zero()
         print("INVERSE two-sided " + " ".join(
-            wb.field.format(inv.two_sided.get(i)) for i in range(wb.dim)))
+            wb.field.format(inv.two_sided.get(i, zero)) for i in range(wb.dim)))
     else:
         print(f"INVERSE left={'yes' if inv.left is not None else 'no'} "
               f"right={'yes' if inv.right is not None else 'no'}")

@@ -4,12 +4,13 @@ A (g,h)-coderivation is a linear map delta with
 Delta delta = (lambda_g (x) delta + delta (x) lambda_h) Delta, where
 lambda_a is left multiplication.  The space of all such delta for fixed
 (g, h) is the kernel of an explicit linear operator on dim^2 unknowns and
-is computed exactly.  Every identity in R (x) R, and in H (x) H for an
-extended Ore algebra H, is checked on the basis view ``ctx.view``, where
-2-tensors are dicts (key, key) -> scalar: the coderivation identity sums
-both sides there, and skew-primitivity uses its element / comultiply /
-delta_one / pure / tensor_mul.  The counital identities go through the
-context's eps_t / eps_s / multiply.
+is computed exactly.  Elements are the dicts of the basis views: index ->
+scalar in R, (b, n) -> scalar in an Ore extension H.  Every identity in
+R (x) R, and in H (x) H for an extended Ore algebra H, is checked on the
+basis view ``ctx.view``, where 2-tensors are dicts (key, key) -> scalar:
+the coderivation identity sums both sides there, and skew-primitivity uses
+its comultiply / delta_one / pure / tensor_mul.  The counital identities go
+through the context's eps_t / eps_s and the view's multiply / add.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from .bialgebra import WeakBialgebra, _add_pure, _nonzero
 from .errors import NotAutomorphism, NotDerivation, ValidationError
 from .grouplike import is_unital_algebra_endo, winding
-from .linalg import Matrix, Vector, kernel_basis
+from .linalg import Matrix, kernel_basis
 from .report import AxiomReport
 
 
@@ -36,11 +37,11 @@ class CoderivationWitness:
     """A map delta together with the weak group-likes (g, h) it is a coderivation for."""
 
     delta: Matrix
-    g: Vector
-    h: Vector
+    g: dict
+    h: dict
 
 
-def coderivation_witness(wb: WeakBialgebra, delta: Matrix, g: Vector, h: Vector) -> CoderivationWitness:
+def coderivation_witness(wb: WeakBialgebra, delta: Matrix, g, h) -> CoderivationWitness:
     """Validate and package a (g,h)-coderivation; raises on failure."""
     from .grouplike import is_weak_grouplike
     if not (is_weak_grouplike(wb, g) and is_weak_grouplike(wb, h)):
@@ -70,7 +71,7 @@ def _leibniz_failure(wb: WeakBialgebra, sigma: Matrix, delta: Matrix):
             lhs = view.apply(dcols.__getitem__, view.product(i, j))
             rhs = view.add(view.multiply(dcols[i], {j: one}), view.multiply(scols[i], dcols[j]))
             if lhs != rhs:
-                return i, j, Vector(wb.field, wb.dim, lhs), Vector(wb.field, wb.dim, rhs)
+                return i, j, lhs, rhs
     return None
 
 
@@ -92,7 +93,7 @@ def skew_derivation(wb: WeakBialgebra, sigma: Matrix, delta: Matrix) -> SkewDeri
     return SkewDerivation(sigma, delta)
 
 
-def is_coderivation(wb: WeakBialgebra, delta: Matrix, g: Vector, h: Vector) -> bool:
+def is_coderivation(wb: WeakBialgebra, delta: Matrix, g, h) -> bool:
     """Delta(delta(b_k)) = (lambda_g (x) delta + delta (x) lambda_h) Delta(b_k) for every k.
 
     Both sides are summed from the structure constants on ``wb.view``,
@@ -100,8 +101,8 @@ def is_coderivation(wb: WeakBialgebra, delta: Matrix, g: Vector, h: Vector) -> b
     """
     view, zero, one = wb.view, wb.field.zero(), wb.field.one()
     dcols = delta.column_dicts()
-    gcols = [view.multiply(g.data, {k: one}) for k in view.keys]
-    hcols = [view.multiply(h.data, {k: one}) for k in view.keys]
+    gcols = [view.multiply(g, {k: one}) for k in view.keys]
+    hcols = [view.multiply(h, {k: one}) for k in view.keys]
     for k in view.keys:
         rhs = {}
         for (i, j), c in view.coproduct(k).items():
@@ -112,7 +113,7 @@ def is_coderivation(wb: WeakBialgebra, delta: Matrix, g: Vector, h: Vector) -> b
     return True
 
 
-def coderivation_constraint_matrix(wb: WeakBialgebra, g: Vector, h: Vector) -> Matrix:
+def coderivation_constraint_matrix(wb: WeakBialgebra, g, h) -> Matrix:
     """The linear system whose kernel is the space of (g,h)-coderivations.
 
     With unknowns X[r][k] (coefficient of b_r in delta(b_k), flattened as
@@ -170,7 +171,7 @@ def coderivation_constraint_matrix(wb: WeakBialgebra, g: Vector, h: Vector) -> M
     return Matrix(field, len(rows), dim * dim, entries)
 
 
-def coderivation_space(wb: WeakBialgebra, g: Vector, h: Vector):
+def coderivation_space(wb: WeakBialgebra, g, h):
     """Basis of all (g,h)-coderivations, as matrices.
 
     Exact kernel of :func:`coderivation_constraint_matrix`; every returned
@@ -183,14 +184,14 @@ def coderivation_space(wb: WeakBialgebra, g: Vector, h: Vector):
     for vec in kernel_basis(constraint):
         m = Matrix(field, dim, dim,
                    {(r, k): c for (r, k), c in
-                    (((i // dim, i % dim), c) for i, c in vec.data.items())})
+                    (((i // dim, i % dim), c) for i, c in vec.items())})
         if not is_coderivation(wb, m, g, h):
             raise ValidationError("kernel vector fails the coderivation identity")
         basis.append(m)
     return basis
 
 
-def inner_coderivation(wb: WeakBialgebra, chi: Vector) -> Matrix:
+def inner_coderivation(wb: WeakBialgebra, chi) -> Matrix:
     """The (1,1)-coderivation a -> a_1 chi(a_2) - chi(a_1) a_2."""
     delta = winding(wb, chi, "right") - winding(wb, chi, "left")
     if not is_coderivation(wb, delta, wb.unit, wb.unit):
@@ -206,7 +207,6 @@ def is_skew_primitive(ctx, x, g, h) -> bool:
     sides are computed on ``ctx.view``.
     """
     view = ctx.view
-    x, g, h = (view.element(v) for v in (x, g, h))
     dx, d1 = view.comultiply(x), view.delta_one()
     mixed = view.add(view.pure(g, x), view.pure(x, h))
     return dx == view.tensor_mul(d1, mixed) and dx == view.tensor_mul(mixed, d1)
@@ -215,15 +215,16 @@ def is_skew_primitive(ctx, x, g, h) -> bool:
 def skew_primitive_identity_report(ctx, x, g, h) -> AxiomReport:
     """Check x = eps_t(g) x + eps_t(x) h  and  x = g eps_s(x) + x eps_s(h)."""
     report = AxiomReport()
+    view = ctx.view
     report.record("is_skew_primitive", is_skew_primitive(ctx, x, g, h))
-    lhs_t = ctx.multiply(ctx.eps_t(g), x) + ctx.multiply(ctx.eps_t(x), h)
+    lhs_t = view.add(view.multiply(ctx.eps_t(g), x), view.multiply(ctx.eps_t(x), h))
     report.check("skew_primitive_eps_t_identity", lhs_t, x)
-    lhs_s = ctx.multiply(g, ctx.eps_s(x)) + ctx.multiply(x, ctx.eps_s(h))
+    lhs_s = view.add(view.multiply(g, ctx.eps_s(x)), view.multiply(x, ctx.eps_s(h)))
     report.check("skew_primitive_eps_s_identity", lhs_s, x)
     return report
 
 
-def eps_delta_report(wb: WeakBialgebra, delta: Matrix, g: Vector, h: Vector,
+def eps_delta_report(wb: WeakBialgebra, delta: Matrix, g, h,
                      sigma: Matrix | None = None) -> AxiomReport:
     """Counit annihilation results for a (g,h)-coderivation, with hypothesis flags.
 
@@ -248,7 +249,7 @@ def eps_delta_report(wb: WeakBialgebra, delta: Matrix, g: Vector, h: Vector,
     if sigma is not None:
         from .bialgebra import base_subalgebras
         _, basis_s = base_subalgebras(wb)
-        hyp_rs = all(delta.apply(a).is_zero() for a in basis_s)
+        hyp_rs = not any(delta.apply(a) for a in basis_s)
         report.record("hypothesis_delta_kills_R_s", hyp_rs)
         chi = sigma.apply_functional(wb.counit)
         hyp_sigma = winding(wb, chi, "left") == sigma

@@ -18,7 +18,7 @@ from .fields import Field
 from .groupoid import (GroupPresentation, GroupoidAlgebra, build_groupoid_algebra,
                        group_algebra, matrix_algebra)
 from .grouplike import winding
-from .linalg import Matrix, Vector
+from .linalg import Matrix
 from .panov import build_twisted_derivation, groupoid_character, solve_alpha
 
 
@@ -44,8 +44,8 @@ class OreData:
     R: WeakHopfAlgebra
     sigma: Matrix
     delta: Matrix
-    g: Vector
-    chi: Vector
+    g: dict
+    chi: dict
 
 
 def sweedler_data(field: Field | None = None) -> OreData:
@@ -55,7 +55,7 @@ def sweedler_data(field: Field | None = None) -> OreData:
     (t,1)-primitive, S(x) = -tx.
     """
     R = qz(2, field)
-    chi = Vector.from_list(R.field, [R.field.one(), -R.field.one()])
+    chi = {0: R.field.one(), 1: -R.field.one()}
     sigma = winding(R, chi, "left")
     delta = Matrix.zero(R.field, 2, 2)
     g = R.basis_vector(1)
@@ -69,7 +69,7 @@ class TwistedDerivationData(OreData):
     rho: list
     q: list
     alpha_basis: list
-    alpha: Vector | None
+    alpha: dict | None
 
 
 def twisted_derivation_data(group: GroupPresentation, n: int, rho, q, g_index: int = 1,
@@ -117,8 +117,8 @@ def function_algebra(group: GroupPresentation, field: Field | None = None) -> We
     m = group.order
     one = field.one()
     labels = [f"e[{lab}]" for lab in group.labels]
-    mult = {(i, i): Vector(field, m, {i: one}) for i in range(m)}
-    unit = Vector(field, m, {i: one for i in range(m)})
+    mult = {(i, i): {i: one} for i in range(m)}
+    unit = {i: one for i in range(m)}
     algebra = Algebra(field, m, mult, unit, labels, validate=True)
     comult = {}
     for g in range(m):
@@ -128,8 +128,7 @@ def function_algebra(group: GroupPresentation, field: Field | None = None) -> We
                 if group.mul(h, k) == g:
                     data[(h, k)] = one
         comult[g] = data
-    counit = Vector(field, m, {0: one})
-    coalgebra = Coalgebra(field, m, comult, counit, validate=True)
+    coalgebra = Coalgebra(field, m, comult, {0: one}, validate=True)
     antipode = Matrix(field, m, m, {(group.inv(g), g): one for g in range(m)})
     return WeakHopfAlgebra(algebra, coalgebra, antipode, validate=True)
 
@@ -147,9 +146,8 @@ def truncated_primitive_hopf(p: int) -> WeakHopfAlgebra:
     for i in range(p):
         for j in range(p):
             if i + j < p:
-                mult[(i, j)] = Vector(field, p, {i + j: one})
-    unit = Vector(field, p, {0: one})
-    algebra = Algebra(field, p, mult, unit, labels, validate=True)
+                mult[(i, j)] = {i + j: one}
+    algebra = Algebra(field, p, mult, {0: one}, labels, validate=True)
     comult = {}
     for k in range(p):
         data = {}
@@ -158,7 +156,6 @@ def truncated_primitive_hopf(p: int) -> WeakHopfAlgebra:
             if c:
                 data[(i, k - i)] = c
         comult[k] = data
-    counit = Vector(field, p, {0: one})
-    coalgebra = Coalgebra(field, p, comult, counit, validate=True)
+    coalgebra = Coalgebra(field, p, comult, {0: one}, validate=True)
     antipode = Matrix(field, p, p, {(k, k): field((-1) ** k) for k in range(p)})
     return WeakHopfAlgebra(algebra, coalgebra, antipode, validate=True)

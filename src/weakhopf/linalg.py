@@ -1,8 +1,10 @@
 """Sparse exact linear algebra over a fixed field.
 
-Vectors and matrices store only nonzero entries, keyed by index.  All
-values are immutable after construction and all operations are pure, so
-instances can be shared freely.
+A vector is a plain dict index -> nonzero scalar, the form the basis views
+of bialgebra.py use for elements of R; a missing index reads as zero.
+:class:`Matrix` stores only nonzero entries, keyed by (row, col), and is
+immutable after construction.  All operations are pure and every vector
+they return is a new dict without zero entries, so callers may keep it.
 
 Elimination (:func:`_rref`, behind rank, kernel_basis, solve and
 column_space_basis) is exact Gauss-Jordan on plain Python ints: a row over
@@ -21,93 +23,6 @@ import math
 from fractions import Fraction
 
 from .errors import DimensionMismatch
-
-
-class Vector:
-    """Sparse column vector; no zero entries are stored."""
-
-    __slots__ = ("field", "dim", "data")
-
-    def __init__(self, field, dim, data=None):
-        self.field = field
-        self.dim = dim
-        self.data = {i: c for i, c in (data or {}).items() if c}
-        for i in self.data:
-            if not 0 <= i < dim:
-                raise DimensionMismatch(f"index {i} out of range for dim {dim}")
-
-    @classmethod
-    def zero(cls, field, dim):
-        return cls(field, dim)
-
-    @classmethod
-    def unit(cls, field, dim, i):
-        return cls(field, dim, {i: field.one()})
-
-    @classmethod
-    def from_list(cls, field, values):
-        return cls(field, len(values), dict(enumerate(values)))
-
-    def to_list(self):
-        zero = self.field.zero()
-        return [self.data.get(i, zero) for i in range(self.dim)]
-
-    def get(self, i):
-        return self.data.get(i, self.field.zero())
-
-    def items(self):
-        return sorted(self.data.items())
-
-    def _check(self, other):
-        if self.field != other.field or self.dim != other.dim:
-            raise DimensionMismatch("vector shape/field mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        data = dict(self.data)
-        for i, c in other.data.items():
-            data[i] = data.get(i, self.field.zero()) + c
-        return Vector(self.field, self.dim, data)
-
-    def __sub__(self, other):
-        self._check(other)
-        data = dict(self.data)
-        for i, c in other.data.items():
-            data[i] = data.get(i, self.field.zero()) - c
-        return Vector(self.field, self.dim, data)
-
-    def __neg__(self):
-        return Vector(self.field, self.dim, {i: -c for i, c in self.data.items()})
-
-    def scale(self, c):
-        if not c:
-            return Vector(self.field, self.dim)
-        return Vector(self.field, self.dim, {i: c * v for i, v in self.data.items()})
-
-    def dot(self, other):
-        self._check(other)
-        small, big = (self.data, other.data) if len(self.data) <= len(other.data) else (other.data, self.data)
-        acc = self.field.zero()
-        for i, c in small.items():
-            if i in big:
-                acc = acc + c * big[i]
-        return acc
-
-    def is_zero(self):
-        return not self.data
-
-    def __bool__(self):
-        return bool(self.data)
-
-    def __eq__(self, other):
-        return (isinstance(other, Vector) and self.field == other.field
-                and self.dim == other.dim and self.data == other.data)
-
-    def __hash__(self):
-        return hash((self.dim, tuple(self.items())))
-
-    def __repr__(self):
-        return f"Vector({self.dim}, {dict(self.items())})"
 
 
 class Matrix:
@@ -135,11 +50,9 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, field, rows, columns):
-        data = {}
-        for j, col in enumerate(columns):
-            for i, c in col.data.items():
-                data[(i, j)] = c
-        return cls(field, rows, len(columns), data)
+        """The rows x len(columns) matrix whose column j is the vector columns[j]."""
+        return cls(field, rows, len(columns),
+                   {(i, j): c for j, col in enumerate(columns) for i, c in col.items()})
 
     @classmethod
     def from_rows_dense(cls, field, rows):
@@ -155,13 +68,6 @@ class Matrix:
 
     def get(self, i, j):
         return self.data.get((i, j), self.field.zero())
-
-    def column(self, j):
-        return Vector(self.field, self.rows,
-                      {i: c for (i, jj), c in self.data.items() if jj == j})
-
-    def columns(self):
-        return [Vector(self.field, self.rows, d) for d in self.column_dicts()]
 
     def column_dicts(self):
         cols = [{} for _ in range(self.cols)]
@@ -220,30 +126,26 @@ class Matrix:
                 data[key] = data.get(key, zero) + a * b
         return Matrix(self.field, self.rows, other.cols, data)
 
-    def apply(self, v: Vector) -> Vector:
+    def apply(self, v):
         """Matrix-vector product self * v."""
-        if v.dim != self.cols or v.field != self.field:
-            raise DimensionMismatch("matrix apply shape/field mismatch")
         zero = self.field.zero()
         out = {}
         by_col = {}
         for (i, j), c in self.data.items():
             by_col.setdefault(j, []).append((i, c))
-        for j, cv in v.data.items():
+        for j, cv in v.items():
             for i, c in by_col.get(j, ()):
                 out[i] = out.get(i, zero) + c * cv
-        return Vector(self.field, self.rows, out)
+        return {i: c for i, c in out.items() if c}
 
-    def apply_functional(self, f: Vector) -> Vector:
+    def apply_functional(self, f):
         """Row-functional composition f o self, i.e. f^T * self."""
-        if f.dim != self.rows or f.field != self.field:
-            raise DimensionMismatch("functional apply shape/field mismatch")
         zero = self.field.zero()
         out = {}
         for (i, j), c in self.data.items():
-            if i in f.data:
-                out[j] = out.get(j, zero) + f.data[i] * c
-        return Vector(self.field, self.cols, out)
+            if i in f:
+                out[j] = out.get(j, zero) + f[i] * c
+        return {j: c for j, c in out.items() if c}
 
     def is_zero(self):
         return not self.data
@@ -375,16 +277,14 @@ def kernel_basis(m: Matrix):
             c = reduced[r].get(free)
             if c:
                 data[col] = -c
-        basis.append(Vector(m.field, m.cols, data))
+        basis.append(data)
     return basis
 
 
-def solve(m: Matrix, b: Vector):
+def solve(m: Matrix, b):
     """One solution of m*x = b with all free variables set to zero, or None."""
-    if b.dim != m.rows:
-        raise DimensionMismatch("solve shape mismatch")
     rows = m.row_dicts()
-    for i, c in b.data.items():
+    for i, c in b.items():
         rows[i][m.cols] = c
     pivots, reduced, leftover = _rref(rows, m.cols + 1, m.field, augmented_from=m.cols)
     for row in leftover:
@@ -395,21 +295,17 @@ def solve(m: Matrix, b: Vector):
         c = reduced[r].get(m.cols)
         if c:
             data[col] = c
-    return Vector(m.field, m.cols, data)
+    return data
 
 
 def column_space_basis(m: Matrix):
     """The pivot columns of m, as vectors (deterministic image basis)."""
     pivots, _, _ = _rref(m.row_dicts(), m.cols, m.field)
-    return [m.column(col) for _, col in pivots]
+    cols = m.column_dicts()
+    return [cols[col] for _, col in pivots]
 
 
-def in_span(vectors, v: Vector) -> bool:
-    """True iff v lies in the span of `vectors`."""
-    if v.is_zero():
-        return True
-    if not vectors:
-        return False
-    m = Matrix.from_columns(v.field, v.dim, list(vectors))
+def in_span(m: Matrix, v) -> bool:
+    """True iff the vector v lies in the span of the columns of m."""
     return solve(m, v) is not None
 

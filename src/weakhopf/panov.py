@@ -21,9 +21,9 @@ from .coderivations import is_coderivation, is_sigma_derivation
 from .errors import (InvalidGroupCharacter, NotCentral, NotGrouplike, NotInvertible,
                      ValidationError, ZeroScale)
 from .groupoid import GroupoidAlgebra
-from .grouplike import (convolution_inverse, is_grouplike, is_weak_character,
-                        is_weak_grouplike, winding)
-from .linalg import Matrix, Vector, kernel_basis
+from .grouplike import (convolution_inverse, is_grouplike, is_unital_algebra_endo,
+                        is_weak_character, is_weak_grouplike, winding)
+from .linalg import Matrix, kernel_basis, solve
 from .report import AxiomReport, _fmt_witness
 
 
@@ -39,7 +39,7 @@ class PanovVerdict:
     """Outcome of a condition check: per-clause results plus the extracted character."""
 
     clauses: list = dc_field(default_factory=list)
-    chi: Vector | None = None
+    chi: dict | None = None
 
     @property
     def passed(self):
@@ -67,9 +67,8 @@ class PanovVerdict:
         return "\n".join(self.lines())
 
 
-def ad_map(wb: WeakBialgebra, g: Vector) -> Matrix:
+def ad_map(wb: WeakBialgebra, g) -> Matrix:
     """Matrix of conjugation a -> g a g^-1; raises NotInvertible."""
-    from .linalg import solve
     left = wb.algebra.left_mult_matrix(g)
     g_inv = solve(left, wb.unit)
     if g_inv is None or wb.multiply(g_inv, g) != wb.unit:
@@ -79,17 +78,22 @@ def ad_map(wb: WeakBialgebra, g: Vector) -> Matrix:
 
 def _column_witness(wb, lhs, rhs):
     """(label,) of the first basis element on which the maps lhs and rhs differ, or None."""
-    return next(((wb.labels[k],) for k in range(wb.dim) if lhs.column(k) != rhs.column(k)), None)
+    pairs = zip(wb.labels, lhs.column_dicts(), rhs.column_dicts())
+    return next(((label,) for label, a, b in pairs if a != b), None)
 
 
 def _sigma_vs_left_winding(wb, sigma, chi, verdict):
+    """Record sigma_is_left_winding; returns the left winding of chi, and chi
+    on the verdict when sigma is that winding."""
     left = winding(wb, chi, "left")
     ok = left == sigma
     verdict.record("sigma_is_left_winding", ok, None if ok else _column_witness(wb, left, sigma))
-    return ok
+    if ok:
+        verdict.chi = chi
+    return left
 
 
-def panov_necessary(wb: WeakBialgebra, sigma: Matrix, delta: Matrix, g: Vector) -> PanovVerdict:
+def panov_necessary(wb: WeakBialgebra, sigma: Matrix, delta: Matrix, g) -> PanovVerdict:
     """Conditions forced on (sigma, delta, g) by an extension with (g,1)-primitive x.
 
     Clauses: eps_t(g) = 1; delta is a (g,1)-coderivation; sigma is the left
@@ -108,16 +112,15 @@ def panov_necessary(wb: WeakBialgebra, sigma: Matrix, delta: Matrix, g: Vector) 
     verdict.record("delta_is_skew_coderivation", is_coderivation(wb, delta, g, wb.unit))
 
     chi = sigma.apply_functional(wb.counit)  # eps o sigma
-    if _sigma_vs_left_winding(wb, sigma, chi, verdict):
-        verdict.chi = chi
-    verdict.record("chi_weak_left_character", is_weak_character(wb, chi, "left"))
+    left = _sigma_vs_left_winding(wb, sigma, chi, verdict)
+    verdict.record("chi_weak_left_character", is_unital_algebra_endo(wb, left) is None)
     verdict.record("chi_has_right_inverse", convolution_inverse(wb, chi).right is not None)
 
     view, one = wb.view, wb.field.one()
     scols, dcols = sigma.column_dicts(), delta.column_dicts()
-    gcols = [view.multiply(g.data, {k: one}) for k in view.keys]
+    gcols = [view.multiply(g, {k: one}) for k in view.keys]
     sig, dlt, g_left = scols.__getitem__, dcols.__getitem__, gcols.__getitem__
-    g1 = view.pure(g.data, view.unit)
+    g1 = view.pure(g, view.unit)
     twist_ok = True
     twist_witness = None
     shift_ok = True
@@ -176,6 +179,7 @@ _HOPF = ("delta_kills_source_base", "chi_is_character", "sigma_is_left_winding",
 def _shared_clauses(wb, sigma, delta, g):
     """The five clauses panov_sufficient and hopf_conditions share, evaluated once.
 
+    Each winding of chi is built once and serves every clause that reads it.
     Returns their verdict, which carries chi when sigma is its left winding,
     and Ad_g, or None unless g is an invertible group-like.
     """
@@ -183,14 +187,15 @@ def _shared_clauses(wb, sigma, delta, g):
     g_inv = is_grouplike(wb, g)
     verdict.record("g_grouplike_invertible", g_inv is not None, (wb.format_element(g),))
     chi = sigma.apply_functional(wb.counit)  # eps o sigma
-    char_ok = (is_weak_character(wb, chi, "left") and is_weak_character(wb, chi, "right")
+    left = _sigma_vs_left_winding(wb, sigma, chi, verdict)
+    right = winding(wb, chi, "right")
+    char_ok = (is_unital_algebra_endo(wb, left) is None
+               and is_unital_algebra_endo(wb, right) is None
                and convolution_inverse(wb, chi).two_sided is not None)
     verdict.record("chi_is_character", char_ok)
-    if _sigma_vs_left_winding(wb, sigma, chi, verdict):
-        verdict.chi = chi
     adg = ad_map(wb, g) if g_inv is not None else None
     if adg is not None:
-        verdict.record("sigma_is_adjoint_right_winding", adg * winding(wb, chi, "right") == sigma)
+        verdict.record("sigma_is_adjoint_right_winding", adg * right == sigma)
     else:
         verdict.record("sigma_is_adjoint_right_winding", False, ("g not invertible",))
     verdict.record("delta_is_skew_coderivation", is_coderivation(wb, delta, g, wb.unit))
@@ -223,7 +228,7 @@ def _hopf(wha, sigma, delta, g, shared, adg) -> PanovVerdict:
     return _in_order(_HOPF, shared, own)
 
 
-def panov_sufficient(wb: WeakBialgebra, sigma: Matrix, delta: Matrix, g: Vector) -> PanovVerdict:
+def panov_sufficient(wb: WeakBialgebra, sigma: Matrix, delta: Matrix, g) -> PanovVerdict:
     """Conditions under which the coalgebra extends to R[x; sigma, delta].
 
     Clauses: g is an invertible weak group-like; eps(a delta(b)) = 0 on all
@@ -234,7 +239,7 @@ def panov_sufficient(wb: WeakBialgebra, sigma: Matrix, delta: Matrix, g: Vector)
     return _sufficient(wb, delta, _shared_clauses(wb, sigma, delta, g)[0])
 
 
-def hopf_conditions(wha: WeakHopfAlgebra, sigma: Matrix, delta: Matrix, g: Vector) -> PanovVerdict:
+def hopf_conditions(wha: WeakHopfAlgebra, sigma: Matrix, delta: Matrix, g) -> PanovVerdict:
     """Conditions under which the antipode also extends, with S(x) = -S(g) x.
 
     The hypothesis delta(R_s) = 0 is checked first, then: (i) sigma is the
@@ -247,7 +252,7 @@ def hopf_conditions(wha: WeakHopfAlgebra, sigma: Matrix, delta: Matrix, g: Vecto
     return _hopf(wha, sigma, delta, g, *_shared_clauses(wha, sigma, delta, g))
 
 
-def extension_verdicts(wha: WeakHopfAlgebra, sigma: Matrix, delta: Matrix, g: Vector):
+def extension_verdicts(wha: WeakHopfAlgebra, sigma: Matrix, delta: Matrix, g):
     """Yield panov_sufficient's verdict, then hopf_conditions', each clause evaluated once.
 
     The second verdict is computed only when the caller asks for it.
@@ -264,7 +269,7 @@ def extension_verdicts(wha: WeakHopfAlgebra, sigma: Matrix, delta: Matrix, g: Ve
 # ---------------------------------------------------------------------------
 
 
-def groupoid_character(ga: GroupoidAlgebra, rho, q) -> Vector:
+def groupoid_character(ga: GroupoidAlgebra, rho, q) -> dict:
     """The character chi(g E_ij) = q_i^-1 q_j rho(g) of M_n(kG).
 
     rho is a list of |G| nonzero scalars forming a group character, q a list
@@ -294,17 +299,13 @@ def groupoid_character(ga: GroupoidAlgebra, rho, q) -> Vector:
         if not qi:
             raise ZeroScale("q entries must be nonzero")
 
-    data = {}
-    for g in range(group.order):
-        for i in range(n):
-            for j in range(n):
-                data[ga.basis_index(g, i, j)] = q[j] / q[i] * rho[g]
-    chi = Vector(ga.field, ga.dim, data)
+    chi = {ga.basis_index(g, i, j): c for g in range(group.order)
+           for i in range(n) for j in range(n) if (c := q[j] / q[i] * rho[g])}
 
     if not (is_weak_character(ga, chi, "left") and is_weak_character(ga, chi, "right")):
         raise ValidationError("groupoid character failed the winding check")
     chi_s = ga.antipode.apply_functional(chi)
-    eps = Vector(ga.field, ga.dim, dict(ga.counit.data))
+    eps = ga.counit
     if convolution(chi_s, chi, ga) != eps or convolution(chi, chi_s, ga) != eps:
         raise ValidationError("chi o S is not the convolution inverse of chi")
     return chi
@@ -321,7 +322,7 @@ class AlphaSolution:
         return len(self.basis)
 
 
-def alpha_constraint_matrix(ga: GroupoidAlgebra, chi: Vector) -> Matrix:
+def alpha_constraint_matrix(ga: GroupoidAlgebra, chi) -> Matrix:
     """Rows of the linear system cutting out the twisted functionals alpha."""
     dim = ga.dim
     zero = ga.field.zero()
@@ -329,12 +330,12 @@ def alpha_constraint_matrix(ga: GroupoidAlgebra, chi: Vector) -> Matrix:
     for i in range(dim):
         for j in range(dim):
             row = {}
-            for k, c in ga.algebra.product_of_basis(i, j).data.items():
+            for k, c in ga.view.product(i, j).items():
                 row[k] = row.get(k, zero) + c
-            e = ga.counit.data.get(j, zero)
+            e = ga.counit.get(j, zero)
             if e:
                 row[i] = row.get(i, zero) - e
-            x = chi.data.get(i, zero)
+            x = chi.get(i, zero)
             if x:
                 row[j] = row.get(j, zero) - x
             if any(row.values()):
@@ -349,29 +350,29 @@ def alpha_constraint_matrix(ga: GroupoidAlgebra, chi: Vector) -> Matrix:
     return Matrix(ga.field, len(rows), dim, entries)
 
 
-def solve_alpha(ga: GroupoidAlgebra, chi: Vector) -> AlphaSolution:
+def solve_alpha(ga: GroupoidAlgebra, chi) -> AlphaSolution:
     """Exact kernel of the alpha constraint system, each solution re-verified."""
     basis = kernel_basis(alpha_constraint_matrix(ga, chi))
+    zero = ga.field.zero()
     for alpha in basis:
         for i in range(ga.dim):
-            ai = alpha.data.get(i, ga.field.zero())
+            ai = alpha.get(i, zero)
             for j in range(ga.dim):
-                lhs = ga.field.zero()
-                for k, c in ga.algebra.product_of_basis(i, j).data.items():
-                    a = alpha.data.get(k)
+                lhs = zero
+                for k, c in ga.view.product(i, j).items():
+                    a = alpha.get(k)
                     if a:
                         lhs = lhs + c * a
-                rhs = ai * ga.counit.data.get(j, ga.field.zero()) \
-                    + chi.data.get(i, ga.field.zero()) * alpha.data.get(j, ga.field.zero())
+                rhs = ai * ga.counit.get(j, zero) + chi.get(i, zero) * alpha.get(j, zero)
                 if lhs != rhs:
                     raise ValidationError(f"alpha solution fails its defining relation at ({i},{j})")
         for idx in ga.diagonal_unit_indices():
-            if alpha.data.get(idx):
+            if alpha.get(idx):
                 raise ValidationError("alpha solution does not vanish on a diagonal unit")
     return AlphaSolution(basis)
 
 
-def build_twisted_derivation(wb: WeakBialgebra, g: Vector, chi: Vector, alpha: Vector) -> Matrix:
+def build_twisted_derivation(wb: WeakBialgebra, g, chi, alpha) -> Matrix:
     """The derivation delta = (1 - g) tau_alpha^l for a central group-like g.
 
     The output is verified to be a tau_chi^l-derivation, a (g,1)-coderivation
@@ -383,7 +384,7 @@ def build_twisted_derivation(wb: WeakBialgebra, g: Vector, chi: Vector, alpha: V
         bk = wb.basis_vector(k)
         if wb.multiply(g, bk) != wb.multiply(bk, g):
             raise NotCentral(f"g does not commute with {wb.labels[k]}")
-    one_minus_g = wb.unit - g
+    one_minus_g = wb.view.add(wb.unit, {k: -c for k, c in g.items()})
     delta = wb.algebra.left_mult_matrix(one_minus_g) * winding(wb, alpha, "left")
     sigma = winding(wb, chi, "left")
     if not is_sigma_derivation(wb, sigma, delta):
@@ -396,8 +397,7 @@ def build_twisted_derivation(wb: WeakBialgebra, g: Vector, chi: Vector, alpha: V
     return delta
 
 
-def centrality_report(wb: WeakBialgebra, sigma: Matrix, delta: Matrix,
-                      g: Vector, chi: Vector) -> AxiomReport:
+def centrality_report(wb: WeakBialgebra, sigma: Matrix, delta: Matrix, g, chi) -> AxiomReport:
     """Under the extension hypotheses, g must be central; a failure is a finding.
 
     Hypotheses recorded: R cocommutative, chi o S is the convolution inverse
@@ -408,7 +408,7 @@ def centrality_report(wb: WeakBialgebra, sigma: Matrix, delta: Matrix,
     report.record("hypothesis_cocommutative", wb.coalgebra.is_cocommutative())
     if isinstance(wb, WeakHopfAlgebra):
         chi_s = wb.antipode.apply_functional(chi)
-        eps = Vector(wb.field, wb.dim, dict(wb.counit.data))
+        eps = wb.counit
         report.record("hypothesis_chi_S_inverse",
                       convolution(chi_s, chi, wb) == eps and convolution(chi, chi_s, wb) == eps)
         report.record("hypothesis_hopf_conditions", hopf_conditions(wb, sigma, delta, g).passed)

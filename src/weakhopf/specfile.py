@@ -1,8 +1,9 @@
 """Bit-exact JSON interchange for algebra instances and named extension data.
 
 Scalars are strings "num/den" over the rationals and plain integers over a
-prime field; matrices are column-major dense lists; 3-index structure
-constants are sparse [i, j, k, scalar] rows.  Emission is deterministic
+prime field; elements and functionals are dense lists, read into dicts
+index -> nonzero scalar; matrices are column-major dense lists; 3-index
+structure constants are sparse [i, j, k, scalar] rows.  Emission is deterministic
 (sorted rows), so emit(parse(f)) re-parses to structurally equal objects.
 """
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 from .bialgebra import Algebra, Coalgebra, WeakBialgebra, WeakHopfAlgebra
 from .errors import ParseError
 from .fields import Field
-from .linalg import Matrix, Vector
+from .linalg import Matrix
 
 
 @dataclass
@@ -43,8 +44,8 @@ def _parse_scalar(field, value, where):
 def _parse_vector(field, values, dim, where):
     if not isinstance(values, list) or len(values) != dim:
         raise ParseError(f"expected a dense list of {dim} scalars", where)
-    return Vector.from_list(field, [_parse_scalar(field, v, f"{where}[{i}]")
-                                    for i, v in enumerate(values)])
+    scalars = [_parse_scalar(field, v, f"{where}[{i}]") for i, v in enumerate(values)]
+    return {i: c for i, c in enumerate(scalars) if c}
 
 
 def _parse_matrix(field, columns, dim, where):
@@ -116,7 +117,6 @@ def parse_spec(source, validate=True) -> SpecBundle:
     for (i, j, k, c) in _parse_triples(field, doc["mult"], dim, "mult"):
         vec = mult.setdefault((i, j), {})
         vec[k] = vec.get(k, field.zero()) + c
-    mult = {ij: Vector(field, dim, data) for ij, data in mult.items()}
     unit = _parse_vector(field, doc["unit"], dim, "unit")
     algebra = Algebra(field, dim, mult, unit, basis, validate=validate)
 
@@ -149,12 +149,13 @@ def parse_spec(source, validate=True) -> SpecBundle:
                       name=doc.get("name"))
 
 
-def _emit_vector(field, v: Vector):
-    return [field.format(c) for c in v.to_list()]
+def _emit_vector(field, v, dim):
+    zero = field.zero()
+    return [field.format(v.get(i, zero)) for i in range(dim)]
 
 
 def _emit_matrix(field, m: Matrix):
-    return [_emit_vector(field, col) for col in m.columns()]
+    return [_emit_vector(field, col, m.rows) for col in m.column_dicts()]
 
 
 def emit_spec(bundle: SpecBundle) -> dict:
@@ -163,7 +164,7 @@ def emit_spec(bundle: SpecBundle) -> dict:
     wb = bundle.wb
     mult_rows = []
     for (i, j), vec in sorted(wb.algebra.mult.items()):
-        for k, c in vec.items():
+        for k, c in sorted(vec.items()):
             mult_rows.append([i, j, k, field.format(c)])
     comult_rows = []
     for k in range(wb.dim):
@@ -175,16 +176,18 @@ def emit_spec(bundle: SpecBundle) -> dict:
         "dim": wb.dim,
         "basis": list(wb.labels),
         "mult": mult_rows,
-        "unit": _emit_vector(field, wb.unit),
+        "unit": _emit_vector(field, wb.unit, wb.dim),
         "comult": comult_rows,
-        "counit": _emit_vector(field, wb.counit),
+        "counit": _emit_vector(field, wb.counit, wb.dim),
     }
     if isinstance(wb, WeakHopfAlgebra):
         doc["antipode"] = _emit_matrix(field, wb.antipode)
     if bundle.elements:
-        doc["elements"] = {k: _emit_vector(field, v) for k, v in sorted(bundle.elements.items())}
+        doc["elements"] = {k: _emit_vector(field, v, wb.dim)
+                           for k, v in sorted(bundle.elements.items())}
     if bundle.functionals:
-        doc["functionals"] = {k: _emit_vector(field, v) for k, v in sorted(bundle.functionals.items())}
+        doc["functionals"] = {k: _emit_vector(field, v, wb.dim)
+                              for k, v in sorted(bundle.functionals.items())}
     if bundle.maps:
         doc["maps"] = {k: _emit_matrix(field, m) for k, m in sorted(bundle.maps.items())}
     if doc["name"] is None:

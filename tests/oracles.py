@@ -95,7 +95,7 @@ def dense_associativity_failures(alg):
     dim, zero, one = alg.dim, alg.field.zero(), alg.field.one()
     table = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
     for (a, b), v in alg.mult.items():
-        for k, c in v.data.items():
+        for k, c in v.items():
             table[a][b][k] = c
     basis = [[one if k == i else zero for k in range(dim)] for i in range(dim)]
 
@@ -122,7 +122,7 @@ def ore_reference_product(R, sigma, delta, p, q):
     """
     dim, zero = R.dim, R.field.zero()
     S, D = to_dense(sigma), to_dense(delta)
-    mult = {ij: v.data for ij, v in R.algebra.mult.items()}
+    mult = R.algebra.mult
 
     def apply(m, a):
         return [sum((m[r][c] * a[c] for c in range(dim) if a[c]), zero) for r in range(dim)]
@@ -179,7 +179,7 @@ def dense_tensor_mul(alg, s, t):
     dim, zero = alg.dim, alg.field.zero()
     table = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
     for (a, b), v in alg.mult.items():
-        for k, c in v.data.items():
+        for k, c in v.items():
             table[a][b][k] = c
 
     def dense(d):
@@ -206,5 +206,10 @@ def dense_tensor_mul(alg, s, t):
 
 
 def pure_tensor(u, v):
-    """u (x) v for two Vectors, as a dict (i, j) -> scalar."""
-    return {(i, j): a * b for i, a in u.data.items() for j, b in v.data.items()}
+    """u (x) v for two elements given as dicts i -> scalar, as a dict (i, j) -> scalar."""
+    return {(i, j): a * b for i, a in u.items() for j, b in v.items()}
+
+
+def dense_vector(v, dim, field):
+    """An element given as a dict i -> scalar, as a dense list of dim scalars."""
+    return [v.get(i, field.zero()) for i in range(dim)]

@@ -20,7 +20,7 @@ from weakhopf.groupoid import GroupPresentation, build_groupoid_algebra, matrix_
 from weakhopf.grouplike import (brute_force_weak_grouplikes, char_antipode_report,
                                 convolution_inverse, enumerate_weak_grouplikes_matrix,
                                 grouplike_identity_report, is_weak_character)
-from weakhopf.linalg import Matrix, Vector
+from weakhopf.linalg import Matrix
 from weakhopf.ore import (OreAlgebra, expand_skew_power, extend_antipode, make_ore,
                           verify_extension)
 from weakhopf.panov import (alpha_constraint_matrix, groupoid_character, hopf_conditions,
@@ -53,17 +53,17 @@ def test_criterion_2_grouplike_enumeration():
         ok = ok and len(enum.grouplikes) == expected[n]
         perms = set()
         for perm in itertools.permutations(range(n)):
-            g = Vector.zero(QQ, enum.algebra.dim)
+            g = {}
             for i, s in enumerate(perm):
-                g = g + enum.algebra.element(0, i, s)
-            perms.add(tuple(g.items()))
-        ok = ok and {tuple(g.element.items()) for g in enum.invertible} == perms
+                g = enum.algebra.view.add(g, enum.algebra.element(0, i, s))
+            perms.add(tuple(sorted(g.items())))
+        ok = ok and {tuple(sorted(g.element.items())) for g in enum.invertible} == perms
     for n in (1, 2):
         field = Field.prime(2)
         enum = enumerate_weak_grouplikes_matrix(n, field)
-        scanned = {tuple(v.items()) for v in brute_force_weak_grouplikes(enum.algebra)}
-        listed = {tuple(g.element.items()) for g in enum.grouplikes}
-        listed.add(tuple(enum.zero.element.items()))
+        scanned = {tuple(sorted(v.items())) for v in brute_force_weak_grouplikes(enum.algebra)}
+        listed = {tuple(sorted(g.element.items())) for g in enum.grouplikes}
+        listed.add(tuple(sorted(enum.zero.element.items())))
         ok = ok and scanned == listed
     _criterion(2, "weak group-like counts 1/6/33 and permutation matrices", ok)
 
@@ -76,8 +76,8 @@ def test_criterion_3_character_example():
     ok = ok and inv.two_sided is not None
     e11, e22 = R.element(0, 0, 0), R.element(0, 1, 1)
     prod = R.multiply(e11, e22)
-    chi_of = lambda v: sum((chi.get(i) * c for i, c in v.items()), QQ.zero())
-    ok = ok and prod.is_zero() and chi_of(prod) == 0
+    chi_of = lambda v: sum((chi.get(i, QQ.zero()) * c for i, c in v.items()), QQ.zero())
+    ok = ok and prod == {} and chi_of(prod) == 0
     ok = ok and chi_of(e11) * chi_of(e22) == 1
     _criterion(3, "chi_q on M_2(Q): two-sided character, non-multiplicative", ok)
 
@@ -102,7 +102,7 @@ def test_criterion_5_sweedler_roundtrip():
     ok = ok and report.passed
     ok = ok and report.axiom_passed("counit_kills_x_sandwich")
     t = data.R.basis_vector(1)
-    ok = ok and H.antipode_of_x() == H.monomial(-t, 1)
+    ok = ok and H.antipode_of_x() == H.monomial({1: Fraction(-1)}, 1)
     expected_dx = ore_tensor({(0, 1): pure_tensor(t, data.R.unit),
                               (1, 0): pure_tensor(data.R.unit, data.R.unit)})
     ok = ok and H.coproduct(H.x()) == expected_dx
@@ -116,11 +116,11 @@ def test_criterion_6_section5_construction():
     R = data.R
     t = R.basis_vector(1)
     ok = len(data.alpha_basis) == 1
-    ok = ok and data.delta.apply(t) == t - R.unit
+    ok = ok and data.delta.apply(t) == {0: Fraction(-1), 1: Fraction(1)}  # t - 1
     ok = ok and is_sigma_derivation(R, data.sigma, data.delta)
     ok = ok and is_coderivation(R, data.delta, data.g, R.unit)
     _, basis_s = base_subalgebras(R)
-    ok = ok and all(data.delta.apply(a).is_zero() for a in basis_s)
+    ok = ok and not any(data.delta.apply(a) for a in basis_s)
     H = extend_antipode(make_ore(R, data.sigma, data.delta, data.g))
     ok = ok and verify_extension(H, 3).passed
     m2 = twisted_derivation_data(GroupPresentation.cyclic(2), 2,
@@ -163,12 +163,13 @@ def test_criterion_8_groupoid_tensor_coherence():
         g, i, j = ga.basis_triple(idx)
         return (i * n + j) * m + g
 
-    ok = factor.unit == Vector(QQ, 8, {relabel(k): c for k, c in ga.unit.data.items()})
+    def relabel_vec(v):
+        return {relabel(k): c for k, c in v.items()}
+
+    ok = factor.unit == relabel_vec(ga.unit)
     for (i, j) in itertools.product(range(8), repeat=2):
-        lhs = factor.algebra.product_of_basis(relabel(i), relabel(j))
-        rhs = Vector(QQ, 8, {relabel(k): c
-                             for k, c in ga.algebra.product_of_basis(i, j).data.items()})
-        ok = ok and lhs == rhs
+        lhs = factor.view.product(relabel(i), relabel(j))
+        ok = ok and lhs == relabel_vec(ga.view.product(i, j))
     for k in range(8):
         lhs = factor.coalgebra.coproduct_of_basis(relabel(k))
         rhs = {(relabel(a), relabel(b)): c
@@ -176,9 +177,7 @@ def test_criterion_8_groupoid_tensor_coherence():
         ok = ok and lhs == rhs
         ok = ok and factor.counit.get(relabel(k)) == ga.counit.get(k)
         lhs_s = factor.antipode.apply(factor.basis_vector(relabel(k)))
-        rhs_s = Vector(QQ, 8, {relabel(r): c
-                               for r, c in ga.antipode.apply(ga.basis_vector(k)).data.items()})
-        ok = ok and lhs_s == rhs_s
+        ok = ok and lhs_s == relabel_vec(ga.antipode.apply(ga.basis_vector(k)))
     _criterion(8, "M_2(QZ_2) matches M_2(Q) tensor QZ_2", ok)
 
 
@@ -204,7 +203,7 @@ def test_criterion_9_identity_lemma_suite():
 
     chi = groupoid_character(M2, [Fraction(1)], [Fraction(1), Fraction(2)])
     ok = ok and char_antipode_report(M2, chi).passed
-    chi2 = Vector.from_list(QQ, [Fraction(1), Fraction(-1)])
+    chi2 = {0: Fraction(1), 1: Fraction(-1)}
     ok = ok and char_antipode_report(Z2, chi2).passed
 
     data = sweedler_data()
@@ -214,12 +213,11 @@ def test_criterion_9_identity_lemma_suite():
     Hp = truncated_primitive_hopf(2)
     M2F2 = matrix_algebra(2, Field.prime(2))
     prod = tensor_product(M2F2, Hp)
-    x = Vector.unit(prod.field, prod.dim, M2F2.basis_index(0, 0, 1) * 2 + 1)
-    g = Vector.unit(prod.field, prod.dim, M2F2.basis_index(0, 0, 1) * 2)
+    x = prod.basis_vector(M2F2.basis_index(0, 0, 1) * 2 + 1)
+    g = prod.basis_vector(M2F2.basis_index(0, 0, 1) * 2)
     ok = ok and is_skew_primitive(prod, x, g, g)
     ok = ok and skew_primitive_identity_report(prod, x, g, g).passed
-    zero = Vector.zero(QQ, 4)
-    ok = ok and skew_primitive_identity_report(M2, zero, M2.unit, M2.unit).passed
+    ok = ok and skew_primitive_identity_report(M2, {}, M2.unit, M2.unit).passed
     _criterion(9, "identity-lemma suite with pinned hypothesis flags", ok)
 
 
@@ -227,7 +225,7 @@ def test_criterion_10_negative_controls():
     ok = True
     # (a) wrong counit on M_2: exactly weak multiplicativity breaks
     M2 = m2q()
-    bad_counit = Vector.from_list(QQ, [Fraction(1), Fraction(0), Fraction(0), Fraction(1)])
+    bad_counit = {0: Fraction(1), 3: Fraction(1)}
     coalg = Coalgebra(QQ, 4, dict(M2.coalgebra.comult), bad_counit, validate=False)
     wb = WeakBialgebra(M2.algebra, coalg, validate=False)
     report = check_weak_bialgebra(wb)

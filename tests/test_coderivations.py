@@ -14,7 +14,7 @@ from weakhopf.fields import Field, QQ
 from weakhopf.fixtures import function_algebra, truncated_primitive_hopf, twisted_derivation_data
 from weakhopf.groupoid import GroupPresentation, matrix_algebra
 from weakhopf.grouplike import is_unital_algebra_endo
-from weakhopf.linalg import Matrix, Vector, in_span
+from weakhopf.linalg import Matrix, in_span
 
 from oracles import dense_matmul, dense_nullspace, to_dense
 
@@ -58,7 +58,7 @@ def test_transpose_is_not_automorphism(M2):
 
 
 def test_derivation_kills_unit(QZ2):
-    assert _s5_delta(QZ2).apply(QZ2.unit).is_zero()
+    assert _s5_delta(QZ2).apply(QZ2.unit) == {}
 
 
 # -- coderivations --------------------------------------------------------------
@@ -89,18 +89,19 @@ def test_coderivation_space_qz2(QZ2):
     space = coderivation_space(QZ2, t, QZ2.unit)
     assert len(space) == 2
     # spanned by delta(1) = 1 - t, delta(t) = 0 and delta(1) = 0, delta(t) = 1 - t
-    one_minus_t = QZ2.unit - t
+    one_minus_t = {0: Fraction(1), 1: Fraction(-1)}
 
     def flat(m):
-        return Vector(QQ, 4, {r * 2 + k: c for (r, k), c in m.data.items()})
+        return {r * 2 + k: c for (r, k), c in m.data.items()}
 
-    span = [flat(m) for m in space]
-    gen1 = Matrix.from_columns(QQ, 2, [one_minus_t, Vector.zero(QQ, 2)])
-    gen2 = Matrix.from_columns(QQ, 2, [Vector.zero(QQ, 2), one_minus_t])
+    span = Matrix.from_columns(QQ, 4, [flat(m) for m in space])
+    gen1 = Matrix.from_columns(QQ, 2, [one_minus_t, {}])
+    gen2 = Matrix.from_columns(QQ, 2, [{}, one_minus_t])
     assert in_span(span, flat(gen1))
     assert in_span(span, flat(gen2))
+    gens = Matrix.from_columns(QQ, 4, [flat(gen1), flat(gen2)])
     for m in space:
-        assert in_span([flat(gen1), flat(gen2)], flat(m))
+        assert in_span(gens, flat(m))
 
 
 def test_constraint_kernel_against_dense_oracle(M2, M3, QZ2):
@@ -178,16 +179,14 @@ def test_perturbed_delta_leibniz_message_pinned(entry, message):
 
 
 def test_inner_coderivation_of_counit_is_zero(M2):
-    eps = Vector(QQ, 4, dict(M2.counit.data))
-    assert inner_coderivation(M2, eps).is_zero()
+    assert inner_coderivation(M2, M2.counit).is_zero()
 
 
 def test_inner_coderivation_vanishes_on_cocommutative(M2, QZ3):
     rng = random.Random(21)
     for wb in (M2, QZ3):
         for _ in range(5):
-            chi = Vector(wb.field, wb.dim,
-                         {i: Fraction(rng.randint(-3, 3)) for i in range(wb.dim)})
+            chi = {i: c for i in range(wb.dim) if (c := Fraction(rng.randint(-3, 3)))}
             assert inner_coderivation(wb, chi).is_zero()
 
 
@@ -195,7 +194,7 @@ def test_inner_coderivation_nonzero_on_function_algebra():
     fa = function_algebra(GroupPresentation.symmetric(3))
     assert not fa.coalgebra.is_cocommutative()
     # evaluation at a transposition is a character of the function algebra
-    chi = Vector.unit(fa.field, fa.dim, 1)
+    chi = fa.basis_vector(1)
     delta = inner_coderivation(fa, chi)
     assert not delta.is_zero()
     assert is_coderivation(fa, delta, fa.unit, fa.unit)
@@ -205,10 +204,11 @@ def test_inner_coderivation_is_linear_in_chi():
     fa = function_algebra(GroupPresentation.symmetric(3))
     rng = random.Random(33)
     for _ in range(5):
-        chi1 = Vector(fa.field, fa.dim, {i: Fraction(rng.randint(-2, 2)) for i in range(fa.dim)})
-        chi2 = Vector(fa.field, fa.dim, {i: Fraction(rng.randint(-2, 2)) for i in range(fa.dim)})
+        chi1 = {i: c for i in range(fa.dim) if (c := Fraction(rng.randint(-2, 2)))}
+        chi2 = {i: c for i in range(fa.dim) if (c := Fraction(rng.randint(-2, 2)))}
         a, b = Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))
-        combo = chi1.scale(a) + chi2.scale(b)
+        combo = fa.view.add({i: a * c for i, c in chi1.items() if a},
+                            {i: b * c for i, c in chi2.items() if b})
         lhs = inner_coderivation(fa, combo)
         rhs = inner_coderivation(fa, chi1).scale(a) + inner_coderivation(fa, chi2).scale(b)
         assert lhs == rhs
@@ -218,9 +218,8 @@ def test_inner_coderivation_is_linear_in_chi():
 
 
 def test_zero_is_skew_primitive(M2):
-    zero = Vector.zero(QQ, 4)
     g = M2.element(0, 0, 1)
-    assert is_skew_primitive(M2, zero, g, g)
+    assert is_skew_primitive(M2, {}, g, g)
 
 
 def test_primitive_times_matrix_unit_is_skew_primitive():
@@ -230,7 +229,7 @@ def test_primitive_times_matrix_unit_is_skew_primitive():
     prod = tensor_product(M2F2, H)
 
     def elt(i, j, k):
-        return Vector.unit(prod.field, prod.dim, M2F2.basis_index(0, i, j) * 2 + k)
+        return prod.basis_vector(M2F2.basis_index(0, i, j) * 2 + k)
 
     x = elt(0, 1, 1)  # E12 (x) z
     g = elt(0, 1, 0)  # E12 (x) 1
@@ -239,7 +238,7 @@ def test_primitive_times_matrix_unit_is_skew_primitive():
     assert report.passed
     # hypothesis flags: eps_t(E12 (x) 1) = E11 (x) 1, not the unit
     assert prod.eps_t(g) == elt(0, 0, 0)
-    assert prod.eps_t(x).is_zero()
+    assert prod.eps_t(x) == {}
 
 
 def test_skew_primitive_fails_for_wrong_grouplike(M2):

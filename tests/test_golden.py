@@ -39,6 +39,9 @@ on some input, and it records the first witness of ``eps_a_delta_b_zero``.
 ``tests/data/sweedler-cancelling-comult.json`` is the bundled Sweedler spec
 with two more comult rows for Delta(b_0) at (0, 1), 3/5 and -3/5, which sum
 to zero: the parsed coalgebra must hold no zero coefficient.
+``tests/data/sweedler-cancelling-mult.json`` is the same spec with two more
+mult rows for b_1 b_1 at index 1, 3/5 and -3/5: the parsed algebra must hold
+no zero coefficient either, or ``emit_spec`` would write a "0" mult row.
 
 The ``grouplikes-*`` and ``characters-*`` texts pin the CLI outputs that
 print elements of R, recorded while elements were still ``Vector`` objects:
@@ -181,10 +184,17 @@ def test_forced_coalgebra_with_unit_as_g_golden():
     assert "\n".join(report.lines() + failures) + "\n" == _expected("ore-qz2-unit-as-g")
 
 
-def test_cancelling_comult_rows_golden():
-    spec = str(HERE / "data" / "sweedler-cancelling-comult.json")
+def _assert_reads_as_bundled_sweedler(spec):
     assert _run(["check", spec]) == (0, _expected("check-sweedler"))
     assert emit_spec(parse_spec(spec)) == emit_spec(parse_spec(_bundled("sweedler-data.json")))
+
+
+def test_cancelling_comult_rows_golden():
+    _assert_reads_as_bundled_sweedler(str(HERE / "data" / "sweedler-cancelling-comult.json"))
+
+
+def test_cancelling_mult_rows_golden():
+    _assert_reads_as_bundled_sweedler(str(HERE / "data" / "sweedler-cancelling-mult.json"))
 
 
 def _bumped(m, entry):

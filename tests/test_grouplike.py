@@ -15,7 +15,7 @@ from weakhopf.grouplike import (brute_force_weak_grouplikes, char_antipode_repor
                                 grouplike_identity_report, grouplike_monoid_closed,
                                 invertible_matrix, is_grouplike, is_weak_character,
                                 is_weak_grouplike, winding)
-from weakhopf.linalg import Matrix, Vector
+from weakhopf.linalg import Matrix
 from weakhopf.panov import ad_map, groupoid_character
 
 
@@ -32,12 +32,12 @@ def test_matrix_units_are_weak_grouplike(M2):
 
 
 def test_column_sum_is_not_weak_grouplike(M2):
-    g = M2.element(0, 0, 0) + M2.element(0, 1, 0)  # E11 + E21
+    g = M2.element(0, 0, 0) | M2.element(0, 1, 0)  # E11 + E21
     assert not is_weak_grouplike(M2, g)
 
 
 def test_is_grouplike_permutation(M2):
-    swap = M2.element(0, 0, 1) + M2.element(0, 1, 0)
+    swap = M2.element(0, 0, 1) | M2.element(0, 1, 0)
     inv = is_grouplike(M2, swap)
     assert inv == swap
     assert is_grouplike(M2, M2.element(0, 0, 1)) is None
@@ -56,7 +56,7 @@ def test_enumeration_counts(n, expected):
     enum = enumerate_weak_grouplikes_matrix(n)
     assert len(enum.grouplikes) == expected
     assert expected == _partial_injection_count(n)
-    assert enum.zero.element.is_zero()
+    assert enum.zero.element == {}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -76,11 +76,11 @@ def test_invertibles_are_the_permutation_matrices(n):
     alg = enum.algebra
     perm_matrices = set()
     for perm in itertools.permutations(range(n)):
-        g = Vector.zero(alg.field, alg.dim)
+        g = {}
         for i, s in enumerate(perm):
-            g = g + alg.element(0, i, s)
-        perm_matrices.add(tuple(g.items()))
-    assert {tuple(g.element.items()) for g in enum.invertible} == perm_matrices
+            g = alg.view.add(g, alg.element(0, i, s))
+        perm_matrices.add(tuple(sorted(g.items())))
+    assert {tuple(sorted(g.element.items())) for g in enum.invertible} == perm_matrices
     assert len(enum.invertible) == math.factorial(n)
 
 
@@ -89,23 +89,21 @@ def test_brute_force_agrees_with_enumeration_over_f2():
         field = Field.prime(2)
         enum = enumerate_weak_grouplikes_matrix(n, field)
         scanned = brute_force_weak_grouplikes(enum.algebra)
-        enumerated = {tuple(g.element.items()) for g in enum.grouplikes}
-        enumerated.add(tuple(enum.zero.element.items()))
-        assert {tuple(v.items()) for v in scanned} == enumerated
+        enumerated = {tuple(sorted(g.element.items())) for g in enum.grouplikes}
+        enumerated.add(tuple(sorted(enum.zero.element.items())))
+        assert {tuple(sorted(v.items())) for v in scanned} == enumerated
 
 
 def test_brute_force_group_algebra(F2Z2):
     found = brute_force_weak_grouplikes(F2Z2)
-    expected = {tuple(Vector.zero(F2Z2.field, 2).items()),
-                tuple(F2Z2.unit.items()),
-                tuple(F2Z2.basis_vector(1).items())}
-    assert {tuple(v.items()) for v in found} == expected
+    expected = {(), tuple(sorted(F2Z2.unit.items())), tuple(sorted(F2Z2.basis_vector(1).items()))}
+    assert {tuple(sorted(v.items())) for v in found} == expected
 
 
 def test_brute_force_one_dimensional_f3():
     m1 = matrix_algebra(1, Field.prime(3))
     found = brute_force_weak_grouplikes(m1)
-    values = sorted(v.get(0).v for v in found)
+    values = sorted(v.get(0, m1.field.zero()).v for v in found)
     assert values == [0, 1]
 
 
@@ -131,9 +129,9 @@ def test_grouplikes_form_group_with_left_to_right_composition():
     alg = enum.algebra
 
     def g_of(perm):
-        out = Vector.zero(alg.field, alg.dim)
+        out = {}
         for i, s in enumerate(perm):
-            out = out + alg.element(0, i, s)
+            out = alg.view.add(out, alg.element(0, i, s))
         return out
 
     for sigma in itertools.permutations(range(n)):
@@ -147,7 +145,7 @@ def test_grouplikes_form_group_with_left_to_right_composition():
 
 def test_winding_of_counit_is_identity(M2, M2Z2):
     for wb in (M2, M2Z2):
-        eps = Vector(wb.field, wb.dim, dict(wb.counit.data))
+        eps = wb.counit
         assert winding(wb, eps, "right") == Matrix.identity(wb.field, wb.dim)
         assert winding(wb, eps, "left") == Matrix.identity(wb.field, wb.dim)
 
@@ -156,7 +154,7 @@ def test_winding_scales_matrix_units(M2):
     chi = groupoid_character(M2, [Fraction(1)], [Fraction(1), Fraction(2)])
     tau = winding(M2, chi, "left")
     e12 = M2.element(0, 0, 1)
-    assert tau.apply(e12) == e12.scale(Fraction(2))
+    assert tau.apply(e12) == {k: 2 * c for k, c in e12.items()}
 
 
 def test_left_winding_fixes_source_base(M2, M2Z2):
@@ -174,9 +172,9 @@ def test_is_weak_character(M2):
     chi = groupoid_character(M2, [Fraction(1)], [Fraction(1), Fraction(3)])
     assert is_weak_character(M2, chi, "left")
     assert is_weak_character(M2, chi, "right")
-    delta_diag = Vector(QQ, 4, {0: Fraction(1), 3: Fraction(1)})  # chi(E_ij) = [i == j]
+    delta_diag = {0: Fraction(1), 3: Fraction(1)}  # chi(E_ij) = [i == j]
     assert not is_weak_character(M2, delta_diag, "left")
-    eps = Vector(QQ, 4, dict(M2.counit.data))
+    eps = M2.counit
     assert is_weak_character(M2, eps, "left") and is_weak_character(M2, eps, "right")
 
 
@@ -184,15 +182,15 @@ def test_character_nonmultiplicativity_witness(M2):
     chi = groupoid_character(M2, [Fraction(1)], [Fraction(1), Fraction(2)])
     e11, e22 = M2.element(0, 0, 0), M2.element(0, 1, 1)
     prod = M2.multiply(e11, e22)
-    assert prod.is_zero()
-    chi_of = lambda v: sum((chi.get(i) * c for i, c in v.items()), QQ.zero())
+    assert prod == {}
+    chi_of = lambda v: sum((chi.get(i, QQ.zero()) * c for i, c in v.items()), QQ.zero())
     assert chi_of(prod) == 0
     assert chi_of(e11) * chi_of(e22) == 1
 
 
 def test_character_from_endo_identity(M2):
     chi = character_from_endo(M2, Matrix.identity(QQ, 4))
-    assert chi == Vector(QQ, 4, dict(M2.counit.data))
+    assert chi == M2.counit
 
 
 def test_character_from_endo_roundtrip(M2):
@@ -202,7 +200,7 @@ def test_character_from_endo_roundtrip(M2):
 
 
 def test_character_from_endo_rejects_conjugation(M2):
-    swap = M2.element(0, 0, 1) + M2.element(0, 1, 0)
+    swap = M2.element(0, 0, 1) | M2.element(0, 1, 0)
     sigma = ad_map(M2, swap)
     assert character_from_endo(M2, sigma) is None
 
@@ -219,7 +217,7 @@ def test_convolution_inverse_two_sided(M2):
     assert inv.two_sided is not None
     chi_s = M2.antipode.apply_functional(chi)
     assert inv.two_sided == chi_s
-    eps = Vector(QQ, 4, dict(M2.counit.data))
+    eps = M2.counit
     assert convolution(inv.two_sided, chi, M2) == eps
     assert convolution(chi, inv.two_sided, M2) == eps
 
@@ -228,7 +226,7 @@ def test_invertible_character_has_invertible_windings(M2, QZ4):
     chi = groupoid_character(M2, [Fraction(1)], [Fraction(1), Fraction(5)])
     assert invertible_matrix(winding(M2, chi, "left"))
     assert invertible_matrix(winding(M2, chi, "right"))
-    chi4 = Vector.from_list(QQ, [Fraction(1), Fraction(-1), Fraction(1), Fraction(-1)])
+    chi4 = {0: Fraction(1), 1: Fraction(-1), 2: Fraction(1), 3: Fraction(-1)}
     assert is_weak_character(QZ4, chi4, "left")
     assert invertible_matrix(winding(QZ4, chi4, "left"))
 
@@ -253,7 +251,7 @@ def test_classify_character(M2):
     c = classify_character(M2, chi)
     assert c.side == "both"
     assert c.inverse is not None
-    assert classify_character(M2, Vector(QQ, 4, {0: Fraction(1), 3: Fraction(1)})) is None
+    assert classify_character(M2, {0: Fraction(1), 3: Fraction(1)}) is None
 
 
 # -- identity reports ----------------------------------------------------------------
@@ -273,7 +271,7 @@ def test_grouplike_identity_report_matrix_unit(M2):
 
 
 def test_grouplike_identity_report_permutation(M2):
-    swap = M2.element(0, 0, 1) + M2.element(0, 1, 0)
+    swap = M2.element(0, 0, 1) | M2.element(0, 1, 0)
     report = grouplike_identity_report(M2, swap)
     assert report.passed
     assert M2.eps_t(swap) == M2.unit
@@ -298,12 +296,11 @@ def test_char_antipode_report_matrix(M2):
 
 
 def test_char_antipode_report_counit(M2):
-    eps = Vector(QQ, 4, dict(M2.counit.data))
-    assert char_antipode_report(M2, eps).passed
+    assert char_antipode_report(M2, M2.counit).passed
 
 
 def test_char_antipode_report_sign_character(QZ2):
-    chi = Vector.from_list(QQ, [Fraction(1), Fraction(-1)])
+    chi = {0: Fraction(1), 1: Fraction(-1)}
     assert char_antipode_report(QZ2, chi).passed
 
 
@@ -313,7 +310,7 @@ def test_noncocommutative_windings_differ_but_recover():
     from weakhopf.fixtures import function_algebra
     from weakhopf.groupoid import GroupPresentation
     fa = function_algebra(GroupPresentation.symmetric(3))
-    chi = Vector.unit(fa.field, fa.dim, 1)
+    chi = fa.basis_vector(1)
     tl = winding(fa, chi, "left")
     tr = winding(fa, chi, "right")
     assert tl != tr
@@ -324,5 +321,5 @@ def test_noncocommutative_windings_differ_but_recover():
 
 
 def test_convolution_inverse_absent_for_zero_functional(M2):
-    inv = convolution_inverse(M2, Vector.zero(QQ, 4))
+    inv = convolution_inverse(M2, {})
     assert inv.left is None and inv.right is None and inv.two_sided is None

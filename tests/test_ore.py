@@ -9,7 +9,7 @@ from weakhopf.errors import ConditionsFailed, NotAutomorphism, NotDerivation
 from weakhopf.fields import QQ
 from weakhopf.fixtures import twisted_derivation_data
 from weakhopf.groupoid import GroupPresentation
-from weakhopf.linalg import Matrix, Vector, in_span
+from weakhopf.linalg import Matrix, in_span
 from weakhopf.ore import (OreAlgebra, expand_skew_power, extend_antipode, extend_coalgebra,
                           make_ore, ore_multiply, verify_extension)
 from weakhopf.panov import ad_map
@@ -54,7 +54,7 @@ def test_make_ore_rejects_bad_derivation(QZ2):
 def test_rewrite_sweedler(sweedler_H, sweedler):
     t = sweedler.R.basis_vector(1)
     x_t = ore_multiply(sweedler_H, sweedler_H.x(), sweedler_H.embed(t))
-    assert x_t == sweedler_H.monomial(-t, 1)
+    assert x_t == sweedler_H.monomial({1: Fraction(-1)}, 1)
 
 
 def test_x_times_one(sweedler_H):
@@ -64,7 +64,7 @@ def test_x_times_one(sweedler_H):
 def test_rewrite_with_derivation(s5_H, s5_qz2):
     t = s5_qz2.R.basis_vector(1)
     x_t = ore_multiply(s5_H, s5_H.x(), s5_H.embed(t))
-    expected = s5_H.monomial(-t, 1) + s5_H.embed(t - s5_qz2.R.unit)
+    expected = {(1, 1): Fraction(-1), (1, 0): Fraction(1), (0, 0): Fraction(-1)}  # -tx + t - 1
     assert x_t == expected
 
 
@@ -93,16 +93,15 @@ def test_products_match_reference_oracle(request, name, delta_scale):
     keys = [(b, n) for n in range(4) for b in range(H.R.dim)]
     for (r, i), (u, j) in itertools.product(keys, repeat=2):
         expected = ore_reference_product(H.R, H.sigma, H.delta, {(r, i): one}, {(u, j): one})
-        assert H.mono_mul(r, i, u, j).terms() == expected
-        assert H.multiply(H.from_terms({(r, i): one}), H.from_terms({(u, j): one})).terms() \
-            == expected
+        assert H.mono_mul(r, i, u, j) == expected
+        assert H.multiply({(r, i): one}, {(u, j): one}) == expected
     rng = random.Random(7)
     scalars = [Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 5), Fraction(-7, 4)]
     for _ in range(10):
         p, q = ({k: c for k in rng.sample(keys, 4) if (c := rng.choice(scalars))}
                 for _ in range(2))
         expected = ore_reference_product(H.R, H.sigma, H.delta, p, q)
-        assert H.multiply(H.from_terms(p), H.from_terms(q)).terms() == expected
+        assert H.multiply(p, q) == expected
 
 
 @pytest.mark.parametrize("name, degree", [("sweedler", 1), ("sweedler", 3), ("s5_m2qz2_q", 2)])
@@ -120,7 +119,7 @@ def test_verify_extension_builds_each_x_power_once(monkeypatch, request, name, d
     H = extend_antipode(make_ore(data.R, data.sigma, data.delta, data.g))
     assert verify_extension(H, degree).passed
     assert 0 < len(calls) <= H.R.dim * (2 * degree - 1)
-    assert len(set(calls)) == len(calls)
+    assert len({tuple(sorted(p.items())) for p in calls}) == len(calls)
     before = len(calls)
     assert verify_extension(H, degree).passed
     assert len(calls) == before
@@ -131,31 +130,39 @@ def test_multiplication_associative(sweedler_H, s5_H, s5_m2qz2):
     for H in (sweedler_H, s5_H, big):
         monos = list(_all_monomials(H, 2))
         for p, q, r in itertools.product(monos, repeat=3):
-            assert (p * q) * r == p * (q * r)
+            assert H.multiply(H.multiply(p, q), r) == H.multiply(p, H.multiply(q, r))
+
+
+def _degree(p):
+    return max((n for _, n in p), default=-1)
+
+
+def _coefficient(p, n):
+    """The coefficient of x^n in p, as an element of R."""
+    return {b: c for (b, m), c in p.items() if m == n}
 
 
 def test_degree_bound_and_leading_terms(s5_H):
-    from weakhopf.ore import OrePoly
     rng = random.Random(41)
     R = s5_H.R
 
     def rand_poly():
-        coeffs = [Vector(QQ, 2, {i: Fraction(rng.randint(-2, 2)) for i in range(2)})
-                  for _ in range(rng.randint(1, 3))]
-        return OrePoly(s5_H, coeffs)
+        return {(i, n): c for n in range(rng.randint(1, 3)) for i in range(2)
+                if (c := Fraction(rng.randint(-2, 2)))}
 
     for _ in range(30):
         p, q = rand_poly(), rand_poly()
-        prod = p * q
-        if p.is_zero() or q.is_zero():
-            assert prod.is_zero()
+        prod = s5_H.multiply(p, q)
+        if not p or not q:
+            assert prod == {}
             continue
-        assert prod.degree <= p.degree + q.degree
-        expected_lead = R.multiply(p.coefficient(p.degree),
-                                   _sigma_power(s5_H, p.degree).apply(q.coefficient(q.degree)))
+        dp, dq, dprod = _degree(p), _degree(q), _degree(prod)
+        assert dprod <= dp + dq
+        expected_lead = R.multiply(_coefficient(p, dp),
+                                   _sigma_power(s5_H, dp).apply(_coefficient(q, dq)))
         if expected_lead:
-            assert prod.degree == p.degree + q.degree
-            assert prod.coefficient(prod.degree) == expected_lead
+            assert dprod == dp + dq
+            assert _coefficient(prod, dprod) == expected_lead
 
 
 def _sigma_power(H, n):
@@ -200,7 +207,7 @@ def test_expansion_invariants_with_nonzero_delta(s5_H):
 
 
 def test_extension_requires_conditions(M2):
-    swap = M2.element(0, 0, 1) + M2.element(0, 1, 0)
+    swap = M2.element(0, 0, 1) | M2.element(0, 1, 0)
     sigma = ad_map(M2, swap)
     H = make_ore(M2, sigma, Matrix.zero(QQ, 4, 4), swap)
     with pytest.raises(ConditionsFailed) as exc:
@@ -230,8 +237,7 @@ def test_coproduct_of_x_squared_sweedler(sweedler_H, sweedler):
 
 def test_counit_reads_degree_zero(sweedler_H, sweedler):
     R = sweedler.R
-    p = sweedler_H.embed(R.basis_vector(1)) + sweedler_H.x().scale(Fraction(3)) \
-        + sweedler_H.x(2)
+    p = sweedler_H.embed(R.basis_vector(1)) | {(0, 1): Fraction(3)} | sweedler_H.x(2)
     assert sweedler_H.eps(p) == Fraction(1)
 
 
@@ -255,7 +261,7 @@ def test_coproduct_degree_support(s5_H):
 
 def test_antipode_of_x(sweedler_H, sweedler):
     s_x = sweedler_H.antipode_of_x()
-    assert s_x == sweedler_H.monomial(-sweedler.R.basis_vector(1), 1)
+    assert s_x == sweedler_H.monomial({1: Fraction(-1)}, 1)
 
 
 def test_antipode_fixes_unit(sweedler_H):
@@ -276,7 +282,7 @@ def test_generator_is_skew_primitive_in_H(sweedler_H, sweedler):
     report = skew_primitive_identity_report(sweedler_H, sweedler_H.x(),
                                             sweedler_H.embed(sweedler.g), sweedler_H.one)
     assert report.passed
-    assert sweedler_H.eps_t(sweedler_H.x()).is_zero()
+    assert sweedler_H.eps_t(sweedler_H.x()) == {}
 
 
 # -- full verification ----------------------------------------------------------------
@@ -297,8 +303,8 @@ def test_eps_t_and_eps_s_kill_x_monomials(sweedler_H, s5_H):
         for n in range(3):
             for b in range(H.R.dim):
                 hx = H.multiply(H.monomial(H.R.basis_vector(b), n), H.x())
-                assert H.eps_t(hx).is_zero()
-                assert H.eps_s(hx).is_zero()
+                assert H.eps_t(hx) == {}
+                assert H.eps_s(hx) == {}
 
 
 def test_H_source_base_equals_R_source_base(sweedler_H, s5_H):
@@ -308,13 +314,15 @@ def test_H_source_base_equals_R_source_base(sweedler_H, s5_H):
         for n in range(4):
             for b in range(H.R.dim):
                 img = H.eps_s(H.monomial(H.R.basis_vector(b), n))
-                assert img.degree <= 0
-                if not img.is_zero():
-                    images.append(img.coefficient(0))
+                assert _degree(img) <= 0
+                if img:
+                    images.append(_coefficient(img, 0))
+        span_s = Matrix.from_columns(H.field, H.R.dim, basis_s)
         for img in images:
-            assert in_span(basis_s, img)
+            assert in_span(span_s, img)
+        span_images = Matrix.from_columns(H.field, H.R.dim, images)
         for a in basis_s:
-            assert in_span(images, a)
+            assert in_span(span_images, a)
 
 
 def test_corrupted_antipode_sign_fails_antipode_axioms(sweedler):
