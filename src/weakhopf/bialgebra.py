@@ -66,11 +66,11 @@ class Algebra:
     def basis_vector(self, i):
         return {i: self.field.one()}
 
-    def left_mult_matrix(self, a) -> Matrix:
+    def left_mult_matrix(self, a: dict) -> Matrix:
         """The matrix of r -> a r."""
         return self._mult_matrix(a, lambda i, k: (i, k))
 
-    def right_mult_matrix(self, a) -> Matrix:
+    def right_mult_matrix(self, a: dict) -> Matrix:
         """The matrix of r -> r a."""
         return self._mult_matrix(a, lambda i, k: (k, i))
 
@@ -82,7 +82,7 @@ class Algebra:
                     data[(r, k)] = data.get((r, k), zero) + c * x
         return Matrix(self.field, self.dim, self.dim, data)
 
-    def format_element(self, v) -> str:
+    def format_element(self, v: dict) -> str:
         return _format_terms(self.labels.__getitem__, sorted(v.items()))
 
 
@@ -125,7 +125,7 @@ class Coalgebra:
         """Delta(b_k) as a dict (i, j) -> scalar; callers must not modify it."""
         return self.comult.get(k, _EMPTY)
 
-    def counit_value(self, v):
+    def counit_value(self, v: dict):
         acc = self.field.zero()
         for i, c in v.items():
             e = self.counit.get(i)
@@ -549,7 +549,7 @@ class WeakBialgebra:
     def multiply(self, u, v):
         return self.view.multiply(u, v)
 
-    def counit_value(self, v):
+    def counit_value(self, v: dict):
         return self.coalgebra.counit_value(v)
 
     @property
@@ -569,19 +569,19 @@ class WeakBialgebra:
 
     # -- counital maps -------------------------------------------------
 
-    def eps_t(self, r):
+    def eps_t(self, r: dict) -> dict:
         """eps_t(r) = eps(1_1 r) 1_2."""
         return self.view.counital(r, 0, False)
 
-    def eps_s(self, r):
+    def eps_s(self, r: dict) -> dict:
         """eps_s(r) = eps(r 1_2) 1_1."""
         return self.view.counital(r, 1, True)
 
-    def eps_t_prime(self, r):
+    def eps_t_prime(self, r: dict) -> dict:
         """eps_t'(r) = eps(r 1_1) 1_2."""
         return self.view.counital(r, 0, True)
 
-    def eps_s_prime(self, r):
+    def eps_s_prime(self, r: dict) -> dict:
         """eps_s'(r) = eps(1_2 r) 1_1."""
         return self.view.counital(r, 1, False)
 
@@ -610,7 +610,7 @@ class WeakHopfAlgebra(WeakBialgebra):
                 raise AxiomFailure("antipode", report)
 
 
-def counital_maps(wb: WeakBialgebra, r):
+def counital_maps(wb: WeakBialgebra, r: dict):
     """The four projections (eps_t, eps_s, eps_t', eps_s') evaluated at r."""
     return wb.eps_t(r), wb.eps_s(r), wb.eps_t_prime(r), wb.eps_s_prime(r)
 
@@ -657,7 +657,7 @@ def base_subalgebras(wb: WeakBialgebra):
     return basis_t, basis_s
 
 
-def convolution(f, g, wb: WeakBialgebra):
+def convolution(f: dict, g: dict, wb: WeakBialgebra) -> dict:
     """Convolution product of functionals: (f*g)(b) = f(b_1) g(b_2)."""
     zero = wb.field.zero()
     out = {}
@@ -684,7 +684,7 @@ def map_convolution(F: Matrix, G: Matrix, wb: WeakBialgebra) -> Matrix:
     return Matrix(wb.field, wb.dim, wb.dim, data)
 
 
-def weak_counit_identities(wb: WeakBialgebra, a, b) -> AxiomReport:
+def weak_counit_identities(wb: WeakBialgebra, a: dict, b: dict) -> AxiomReport:
     """Check eps(ab) = eps(a eps_t(b)) = eps(a eps_s'(b)) = eps(eps_t'(a) b) = eps(eps_s(a) b)."""
     report = AxiomReport()
     base = wb.counit_value(wb.multiply(a, b))

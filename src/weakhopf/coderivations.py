@@ -41,7 +41,8 @@ class CoderivationWitness:
     h: dict
 
 
-def coderivation_witness(wb: WeakBialgebra, delta: Matrix, g, h) -> CoderivationWitness:
+def coderivation_witness(wb: WeakBialgebra, delta: Matrix, g: dict,
+                         h: dict) -> CoderivationWitness:
     """Validate and package a (g,h)-coderivation; raises on failure."""
     from .grouplike import is_weak_grouplike
     if not (is_weak_grouplike(wb, g) and is_weak_grouplike(wb, h)):
@@ -93,7 +94,7 @@ def skew_derivation(wb: WeakBialgebra, sigma: Matrix, delta: Matrix) -> SkewDeri
     return SkewDerivation(sigma, delta)
 
 
-def is_coderivation(wb: WeakBialgebra, delta: Matrix, g, h) -> bool:
+def is_coderivation(wb: WeakBialgebra, delta: Matrix, g: dict, h: dict) -> bool:
     """Delta(delta(b_k)) = (lambda_g (x) delta + delta (x) lambda_h) Delta(b_k) for every k.
 
     Both sides are summed from the structure constants on ``wb.view``,
@@ -113,7 +114,7 @@ def is_coderivation(wb: WeakBialgebra, delta: Matrix, g, h) -> bool:
     return True
 
 
-def coderivation_constraint_matrix(wb: WeakBialgebra, g, h) -> Matrix:
+def coderivation_constraint_matrix(wb: WeakBialgebra, g: dict, h: dict) -> Matrix:
     """The linear system whose kernel is the space of (g,h)-coderivations.
 
     With unknowns X[r][k] (coefficient of b_r in delta(b_k), flattened as
@@ -171,7 +172,7 @@ def coderivation_constraint_matrix(wb: WeakBialgebra, g, h) -> Matrix:
     return Matrix(field, len(rows), dim * dim, entries)
 
 
-def coderivation_space(wb: WeakBialgebra, g, h):
+def coderivation_space(wb: WeakBialgebra, g: dict, h: dict):
     """Basis of all (g,h)-coderivations, as matrices.
 
     Exact kernel of :func:`coderivation_constraint_matrix`; every returned
@@ -191,7 +192,7 @@ def coderivation_space(wb: WeakBialgebra, g, h):
     return basis
 
 
-def inner_coderivation(wb: WeakBialgebra, chi) -> Matrix:
+def inner_coderivation(wb: WeakBialgebra, chi: dict) -> Matrix:
     """The (1,1)-coderivation a -> a_1 chi(a_2) - chi(a_1) a_2."""
     delta = winding(wb, chi, "right") - winding(wb, chi, "left")
     if not is_coderivation(wb, delta, wb.unit, wb.unit):
@@ -224,7 +225,7 @@ def skew_primitive_identity_report(ctx, x, g, h) -> AxiomReport:
     return report
 
 
-def eps_delta_report(wb: WeakBialgebra, delta: Matrix, g, h,
+def eps_delta_report(wb: WeakBialgebra, delta: Matrix, g: dict, h: dict,
                      sigma: Matrix | None = None) -> AxiomReport:
     """Counit annihilation results for a (g,h)-coderivation, with hypothesis flags.
 

@@ -33,13 +33,13 @@ class Character:
     inverse: dict | None = None  # two-sided convolution inverse, when known
 
 
-def is_weak_grouplike(wb: WeakBialgebra, g) -> bool:
+def is_weak_grouplike(wb: WeakBialgebra, g: dict) -> bool:
     view = wb.view
     dg, gg, d1 = view.comultiply(g), view.pure(g, g), view.delta_one()
     return dg == view.tensor_mul(d1, gg) and dg == view.tensor_mul(gg, d1)
 
 
-def is_grouplike(wb: WeakBialgebra, g) -> dict | None:
+def is_grouplike(wb: WeakBialgebra, g: dict) -> dict | None:
     """The two-sided inverse of g if g is an invertible weak group-like, else None."""
     if not is_weak_grouplike(wb, g):
         return None
@@ -104,7 +104,7 @@ def brute_force_weak_grouplikes(wb: WeakBialgebra, limit=10 ** 6):
     return found
 
 
-def winding(wb: WeakBialgebra, chi, side: str) -> Matrix:
+def winding(wb: WeakBialgebra, chi: dict, side: str) -> Matrix:
     """Matrix of the winding map tau_chi on the basis.
 
     side="left":  a -> chi(a_1) a_2;  side="right": a -> a_1 chi(a_2).
@@ -138,7 +138,7 @@ def is_unital_algebra_endo(wb: WeakBialgebra, m: Matrix):
     return None
 
 
-def is_weak_character(wb: WeakBialgebra, chi, side: str) -> bool:
+def is_weak_character(wb: WeakBialgebra, chi: dict, side: str) -> bool:
     return is_unital_algebra_endo(wb, winding(wb, chi, side)) is None
 
 
@@ -184,7 +184,7 @@ class ConvolutionInverse:
         return None
 
 
-def convolution_inverse(wb: WeakBialgebra, chi) -> ConvolutionInverse:
+def convolution_inverse(wb: WeakBialgebra, chi: dict) -> ConvolutionInverse:
     """Solve chi' * chi = eps (left) and chi * chi' = eps (right) as linear systems."""
     zero = wb.field.zero()
     left_rows = {}
@@ -209,7 +209,7 @@ def convolution_inverse(wb: WeakBialgebra, chi) -> ConvolutionInverse:
     return ConvolutionInverse(left_sol, right_sol)
 
 
-def classify_character(wb: WeakBialgebra, chi) -> Character | None:
+def classify_character(wb: WeakBialgebra, chi: dict) -> Character | None:
     """Package a functional as a Character with its strongest verified side."""
     left = is_weak_character(wb, chi, "left")
     right = is_weak_character(wb, chi, "right")
@@ -220,7 +220,7 @@ def classify_character(wb: WeakBialgebra, chi) -> Character | None:
     return Character(chi, side, inv)
 
 
-def grouplike_identity_report(wb: WeakBialgebra, g, power_bound=4) -> AxiomReport:
+def grouplike_identity_report(wb: WeakBialgebra, g: dict, power_bound=4) -> AxiomReport:
     """Identities a weak group-like must satisfy, with counit power tests.
 
     Checks g = eps_t(g) g = g eps_s(g); when an antipode exists, that
@@ -265,7 +265,7 @@ def grouplike_identity_report(wb: WeakBialgebra, g, power_bound=4) -> AxiomRepor
     return report
 
 
-def char_antipode_report(wha: WeakHopfAlgebra, chi) -> AxiomReport:
+def char_antipode_report(wha: WeakHopfAlgebra, chi: dict) -> AxiomReport:
     """Antipode identities for a weak character chi (both-sided).
 
     (i)  S * tau_chi^r = eps_s o tau_chi^r  and  tau_chi^l * S = eps_t o tau_chi^l

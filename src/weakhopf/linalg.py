@@ -126,7 +126,7 @@ class Matrix:
                 data[key] = data.get(key, zero) + a * b
         return Matrix(self.field, self.rows, other.cols, data)
 
-    def apply(self, v):
+    def apply(self, v: dict) -> dict:
         """Matrix-vector product self * v."""
         zero = self.field.zero()
         out = {}
@@ -138,7 +138,7 @@ class Matrix:
                 out[i] = out.get(i, zero) + c * cv
         return {i: c for i, c in out.items() if c}
 
-    def apply_functional(self, f):
+    def apply_functional(self, f: dict) -> dict:
         """Row-functional composition f o self, i.e. f^T * self."""
         zero = self.field.zero()
         out = {}
@@ -281,7 +281,7 @@ def kernel_basis(m: Matrix):
     return basis
 
 
-def solve(m: Matrix, b):
+def solve(m: Matrix, b: dict) -> dict | None:
     """One solution of m*x = b with all free variables set to zero, or None."""
     rows = m.row_dicts()
     for i, c in b.items():
@@ -305,7 +305,7 @@ def column_space_basis(m: Matrix):
     return [cols[col] for _, col in pivots]
 
 
-def in_span(m: Matrix, v) -> bool:
+def in_span(m: Matrix, v: dict) -> bool:
     """True iff the vector v lies in the span of the columns of m."""
     return solve(m, v) is not None
 

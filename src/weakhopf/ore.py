@@ -4,9 +4,10 @@ Normal form: left coefficients, p = sum a_n x^n, with the rewrite
 x a -> sigma(a) x + delta(a) applied recursively.  An element of H is the
 dict (b, n) -> nonzero scalar of its coefficients on the monomials b_b x^n,
 the keys of :class:`MonomialView`, and an element of H (x) H a dict
-((r, i), (s, j)) -> scalar, read as sum c (b_r x^i) (x) (b_s x^j).  Every product in H (x) H is the
-view's two-leg ``tensor_mul`` over the cached monomial products, the same
-method that multiplies in R (x) R on the constants view of R, so all tensor
+((r, i), (s, j)) -> scalar, read as sum c (b_r x^i) (x) (b_s x^j).  Every
+product in H is the view's ``multiply`` and every product in H (x) H its
+two-leg ``tensor_mul``, both over the cached monomial products; the same
+methods multiply in R and R (x) R on the constants view of R, so all
 arithmetic is exact.
 
 Once the extension conditions hold, the coproduct is
@@ -73,14 +74,14 @@ class OreAlgebra:
     def one(self) -> dict:
         return self.embed(self.R.unit)
 
-    def embed(self, r) -> dict:
+    def embed(self, r: dict) -> dict:
         """An element of R as one of H, in degree 0."""
         return self.monomial(r, 0)
 
     def x(self, n=1) -> dict:
         return self.monomial(self.R.unit, n)
 
-    def monomial(self, a, n: int) -> dict:
+    def monomial(self, a: dict, n: int) -> dict:
         """a x^n for an element a of R."""
         return {(b, n): c for b, c in a.items()}
 
@@ -156,18 +157,18 @@ class OreAlgebra:
             hit = self._delta_mono_cache[key] = self.view.tensor_mul(d, self.skew_power_tensor(n))
         return hit
 
-    def coproduct(self, p) -> dict:
+    def coproduct(self, p: dict) -> dict:
         return self.view.comultiply(p)
 
-    def eps(self, p):
+    def eps(self, p: dict):
         """Counit of H: reads the degree-0 coefficient."""
         self._require_coproduct()
         return self.R.counit_value(_coefficients(p).get(0, {}))
 
-    def eps_t(self, p) -> dict:
+    def eps_t(self, p: dict) -> dict:
         return self._counital(p, 0, False)
 
-    def eps_s(self, p) -> dict:
+    def eps_s(self, p: dict) -> dict:
         return self._counital(p, 1, True)
 
     def _counital(self, p, leg, r_first) -> dict:
@@ -193,7 +194,7 @@ class OreAlgebra:
             self._s_x_powers[m + 1] = self.multiply(self._s_x_powers[m], self._s_x)
         return self._s_x_powers[n]
 
-    def antipode(self, p) -> dict:
+    def antipode(self, p: dict) -> dict:
         """S(sum a_n x^n) = sum S(x)^n S(a_n); the unital anti-homomorphism."""
         self._require_antipode()
         acc = {}

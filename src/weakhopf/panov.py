@@ -67,7 +67,7 @@ class PanovVerdict:
         return "\n".join(self.lines())
 
 
-def ad_map(wb: WeakBialgebra, g) -> Matrix:
+def ad_map(wb: WeakBialgebra, g: dict) -> Matrix:
     """Matrix of conjugation a -> g a g^-1; raises NotInvertible."""
     left = wb.algebra.left_mult_matrix(g)
     g_inv = solve(left, wb.unit)
@@ -93,7 +93,7 @@ def _sigma_vs_left_winding(wb, sigma, chi, verdict):
     return left
 
 
-def panov_necessary(wb: WeakBialgebra, sigma: Matrix, delta: Matrix, g) -> PanovVerdict:
+def panov_necessary(wb: WeakBialgebra, sigma: Matrix, delta: Matrix, g: dict) -> PanovVerdict:
     """Conditions forced on (sigma, delta, g) by an extension with (g,1)-primitive x.
 
     Clauses: eps_t(g) = 1; delta is a (g,1)-coderivation; sigma is the left
@@ -228,7 +228,7 @@ def _hopf(wha, sigma, delta, g, shared, adg) -> PanovVerdict:
     return _in_order(_HOPF, shared, own)
 
 
-def panov_sufficient(wb: WeakBialgebra, sigma: Matrix, delta: Matrix, g) -> PanovVerdict:
+def panov_sufficient(wb: WeakBialgebra, sigma: Matrix, delta: Matrix, g: dict) -> PanovVerdict:
     """Conditions under which the coalgebra extends to R[x; sigma, delta].
 
     Clauses: g is an invertible weak group-like; eps(a delta(b)) = 0 on all
@@ -239,7 +239,7 @@ def panov_sufficient(wb: WeakBialgebra, sigma: Matrix, delta: Matrix, g) -> Pano
     return _sufficient(wb, delta, _shared_clauses(wb, sigma, delta, g)[0])
 
 
-def hopf_conditions(wha: WeakHopfAlgebra, sigma: Matrix, delta: Matrix, g) -> PanovVerdict:
+def hopf_conditions(wha: WeakHopfAlgebra, sigma: Matrix, delta: Matrix, g: dict) -> PanovVerdict:
     """Conditions under which the antipode also extends, with S(x) = -S(g) x.
 
     The hypothesis delta(R_s) = 0 is checked first, then: (i) sigma is the
@@ -252,7 +252,7 @@ def hopf_conditions(wha: WeakHopfAlgebra, sigma: Matrix, delta: Matrix, g) -> Pa
     return _hopf(wha, sigma, delta, g, *_shared_clauses(wha, sigma, delta, g))
 
 
-def extension_verdicts(wha: WeakHopfAlgebra, sigma: Matrix, delta: Matrix, g):
+def extension_verdicts(wha: WeakHopfAlgebra, sigma: Matrix, delta: Matrix, g: dict):
     """Yield panov_sufficient's verdict, then hopf_conditions', each clause evaluated once.
 
     The second verdict is computed only when the caller asks for it.
@@ -322,7 +322,7 @@ class AlphaSolution:
         return len(self.basis)
 
 
-def alpha_constraint_matrix(ga: GroupoidAlgebra, chi) -> Matrix:
+def alpha_constraint_matrix(ga: GroupoidAlgebra, chi: dict) -> Matrix:
     """Rows of the linear system cutting out the twisted functionals alpha."""
     dim = ga.dim
     zero = ga.field.zero()
@@ -350,7 +350,7 @@ def alpha_constraint_matrix(ga: GroupoidAlgebra, chi) -> Matrix:
     return Matrix(ga.field, len(rows), dim, entries)
 
 
-def solve_alpha(ga: GroupoidAlgebra, chi) -> AlphaSolution:
+def solve_alpha(ga: GroupoidAlgebra, chi: dict) -> AlphaSolution:
     """Exact kernel of the alpha constraint system, each solution re-verified."""
     basis = kernel_basis(alpha_constraint_matrix(ga, chi))
     zero = ga.field.zero()
@@ -372,7 +372,7 @@ def solve_alpha(ga: GroupoidAlgebra, chi) -> AlphaSolution:
     return AlphaSolution(basis)
 
 
-def build_twisted_derivation(wb: WeakBialgebra, g, chi, alpha) -> Matrix:
+def build_twisted_derivation(wb: WeakBialgebra, g: dict, chi: dict, alpha: dict) -> Matrix:
     """The derivation delta = (1 - g) tau_alpha^l for a central group-like g.
 
     The output is verified to be a tau_chi^l-derivation, a (g,1)-coderivation
@@ -397,7 +397,8 @@ def build_twisted_derivation(wb: WeakBialgebra, g, chi, alpha) -> Matrix:
     return delta
 
 
-def centrality_report(wb: WeakBialgebra, sigma: Matrix, delta: Matrix, g, chi) -> AxiomReport:
+def centrality_report(wb: WeakBialgebra, sigma: Matrix, delta: Matrix,
+                      g: dict, chi: dict) -> AxiomReport:
     """Under the extension hypotheses, g must be central; a failure is a finding.
 
     Hypotheses recorded: R cocommutative, chi o S is the convolution inverse
