@@ -2,11 +2,9 @@
 
 from .bialgebra import (Algebra, Coalgebra, WeakBialgebra, WeakHopfAlgebra,
                         base_subalgebras, check_antipode, check_weak_bialgebra, convolution,
-                        counital_maps, map_convolution, make_algebra, tensor_product,
-                        weak_counit_identities)
-from .coderivations import (CoderivationWitness, SkewDerivation,
-                            coderivation_constraint_matrix, coderivation_witness,
-                            coderivation_space, eps_delta_report,
+                        map_convolution, tensor_product, weak_counit_identities)
+from .coderivations import (CoderivationWitness, coderivation_constraint_matrix,
+                            coderivation_witness, coderivation_space, eps_delta_report,
                             inner_coderivation, is_coderivation, is_sigma_derivation,
                             is_skew_primitive, skew_derivation,
                             skew_primitive_identity_report)
@@ -20,10 +18,10 @@ from .grouplike import (Character, WeakGrouplike, brute_force_weak_grouplikes,
                         is_weak_grouplike, winding)
 from .linalg import Matrix, column_space_basis, in_span, kernel_basis, kron, rank, solve
 from .ore import (OreAlgebra, expand_skew_power, extend_antipode, extend_coalgebra,
-                  make_ore, ore_multiply, verify_extension)
-from .panov import (AlphaSolution, PanovVerdict, ad_map, build_twisted_derivation,
-                    centrality_report, extension_verdicts, groupoid_character, hopf_conditions,
-                    panov_necessary, panov_sufficient, solve_alpha)
+                  make_ore, verify_extension)
+from .panov import (AlphaSolution, PanovClauses, PanovVerdict, ad_map, build_twisted_derivation,
+                    centrality_report, groupoid_character, hopf_conditions, panov_necessary,
+                    panov_sufficient, solve_alpha)
 from .report import AxiomReport, CheckResult
 from .specfile import SpecBundle, emit_spec, parse_spec, spec_text, write_spec
 

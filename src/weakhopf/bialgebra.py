@@ -95,11 +95,6 @@ def algebra_report(alg: Algebra) -> AxiomReport:
     return report
 
 
-def make_algebra(field, dim, mult, unit, labels=None) -> Algebra:
-    """Build and validate an algebra; raises NotAssociative / UnitFails."""
-    return Algebra(field, dim, mult, unit, labels, validate=True)
-
-
 class Coalgebra:
     """Coassociative counital coalgebra given by structure constants."""
 
@@ -608,11 +603,6 @@ class WeakHopfAlgebra(WeakBialgebra):
             report = check_antipode(self)
             if not report.passed:
                 raise AxiomFailure("antipode", report)
-
-
-def counital_maps(wb: WeakBialgebra, r: dict):
-    """The four projections (eps_t, eps_s, eps_t', eps_s') evaluated at r."""
-    return wb.eps_t(r), wb.eps_s(r), wb.eps_t_prime(r), wb.eps_s_prime(r)
 
 
 def check_weak_bialgebra(wb: WeakBialgebra) -> AxiomReport:

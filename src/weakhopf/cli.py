@@ -21,7 +21,7 @@ from .groupoid import GroupPresentation, build_groupoid_algebra, matrix_algebra
 from .grouplike import (brute_force_weak_grouplikes, convolution_inverse,
                         enumerate_weak_grouplikes_matrix, is_weak_character)
 from .ore import extend_antipode, extend_coalgebra, make_ore, verify_extension
-from .panov import extension_verdicts, groupoid_character, panov_necessary
+from .panov import HOPF, NECESSARY, SUFFICIENT, PanovClauses, groupoid_character
 from .specfile import SpecBundle, parse_spec, spec_text, write_spec
 
 
@@ -73,8 +73,7 @@ def cmd_grouplikes(args):
 def cmd_characters(args):
     bundle = parse_spec(args.spec)
     if args.verify not in bundle.functionals:
-        print(f"no functional named {args.verify!r} in the spec file", file=sys.stderr)
-        return 2
+        raise ValidationError(f"no functional named {args.verify!r} in the spec file")
     chi = bundle.functionals[args.verify]
     wb = bundle.wb
     left = is_weak_character(wb, chi, "left")
@@ -105,29 +104,22 @@ def _named_ore_data(bundle: SpecBundle, args):
 def cmd_panov(args):
     bundle = parse_spec(args.spec)
     sigma, delta, g = _named_ore_data(bundle, args)
+    if args.hopf and not bundle.has_antipode:
+        raise ValidationError("spec file has no antipode; --hopf needs a weak Hopf algebra")
     wb = bundle.wb
     skew_derivation(wb, sigma, delta)  # the Ore data `ore build` accepts, or exit 2
-    ok = True
-    print("# necessary conditions")
-    verdict = panov_necessary(wb, sigma, delta, g)
-    for line in verdict.lines():
-        print(line)
-    _print_chi(wb, verdict.chi)
-    ok = ok and verdict.passed
-    print("# sufficient conditions")
-    verdicts = extension_verdicts(wb, sigma, delta, g)
-    verdict = next(verdicts)
-    for line in verdict.lines():
-        print(line)
-    ok = ok and verdict.passed
+    clauses = PanovClauses(wb, sigma, delta, g)
+    sections = [("necessary", NECESSARY), ("sufficient", SUFFICIENT)]
     if args.hopf:
-        if not bundle.has_antipode:
-            print("spec file has no antipode; --hopf needs a weak Hopf algebra", file=sys.stderr)
-            return 2
-        print("# antipode conditions")
-        verdict = next(verdicts)
+        sections.append(("antipode", HOPF))
+    ok = True
+    for title, names in sections:
+        print(f"# {title} conditions")
+        verdict = clauses.verdict(names)
         for line in verdict.lines():
             print(line)
+        if names is NECESSARY:
+            _print_chi(wb, verdict.chi)
         ok = ok and verdict.passed
     return 0 if ok else 1
 

@@ -25,14 +25,6 @@ from .report import AxiomReport
 
 
 @dataclass(frozen=True)
-class SkewDerivation:
-    """Validated Ore data: a unital algebra automorphism and a sigma-derivation."""
-
-    sigma: Matrix
-    delta: Matrix
-
-
-@dataclass(frozen=True)
 class CoderivationWitness:
     """A map delta together with the weak group-likes (g, h) it is a coderivation for."""
 
@@ -84,14 +76,13 @@ def is_sigma_derivation(wb: WeakBialgebra, sigma: Matrix, delta: Matrix) -> bool
     return not delta.apply(wb.unit) and _leibniz_failure(wb, sigma, delta) is None
 
 
-def skew_derivation(wb: WeakBialgebra, sigma: Matrix, delta: Matrix) -> SkewDerivation:
-    """Validate and package Ore data; raises NotAutomorphism / NotDerivation."""
+def skew_derivation(wb: WeakBialgebra, sigma: Matrix, delta: Matrix):
+    """Validate Ore data; raises NotAutomorphism / NotDerivation."""
     validate_automorphism(wb, sigma)
     failure = _leibniz_failure(wb, sigma, delta)
     if failure is not None:
         i, j, lhs, rhs = failure
         raise NotDerivation(i, j, wb.format_element(lhs), wb.format_element(rhs))
-    return SkewDerivation(sigma, delta)
 
 
 def is_coderivation(wb: WeakBialgebra, delta: Matrix, g: dict, h: dict) -> bool:
@@ -248,12 +239,11 @@ def eps_delta_report(wb: WeakBialgebra, delta: Matrix, g: dict, h: dict,
             report.check("counit_kills_delta", val, wb.field.zero(), witness=(k,))
 
     if sigma is not None:
-        from .bialgebra import base_subalgebras
-        _, basis_s = base_subalgebras(wb)
-        hyp_rs = not any(delta.apply(a) for a in basis_s)
+        from .panov import PanovClauses
+        clauses = PanovClauses(wb, sigma, delta, g)
+        hyp_rs = clauses.result("delta_kills_source_base").passed
         report.record("hypothesis_delta_kills_R_s", hyp_rs)
-        chi = sigma.apply_functional(wb.counit)
-        hyp_sigma = winding(wb, chi, "left") == sigma
+        hyp_sigma = clauses.result("sigma_is_left_winding").passed
         report.record("hypothesis_sigma_is_left_winding", hyp_sigma)
         if hyp_rs and hyp_sigma:
             for i in range(wb.dim):

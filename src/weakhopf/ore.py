@@ -26,7 +26,7 @@ from .bialgebra import (BasisView, WeakBialgebra, WeakHopfAlgebra, _nonzero, bas
 from .coderivations import skew_derivation
 from .errors import ConditionsFailed, ValidationError
 from .linalg import Matrix, in_span
-from .panov import extension_verdicts, panov_sufficient
+from .panov import HOPF, SUFFICIENT, PanovClauses, panov_sufficient
 from .report import AxiomReport
 
 
@@ -38,7 +38,7 @@ class OreAlgebra:
     """
 
     def __init__(self, R: WeakBialgebra, sigma: Matrix, delta: Matrix, g: dict | None = None,
-                 _coalgebra_extended=False, _antipode_extended=False, _antipode_of_x=None):
+                 _coalgebra_extended=False, _antipode_extended=False):
         self.R = R
         self.sigma = sigma
         self.delta = delta
@@ -50,7 +50,7 @@ class OreAlgebra:
         self._delta_mono_cache = {}
         self._product_terms, self._antipode_terms = {}, {}
         self._view = None
-        self._s_x = _antipode_of_x
+        self._s_x = None
         self._s_x_powers = None
 
     # -- basic structure ------------------------------------------------
@@ -222,10 +222,6 @@ def make_ore(R: WeakBialgebra, sigma: Matrix, delta: Matrix, g: dict | None = No
     return OreAlgebra(R, sigma, delta, g)
 
 
-def ore_multiply(H: OreAlgebra, p: dict, q: dict) -> dict:
-    return H.multiply(p, q)
-
-
 def _coefficients(p: dict) -> dict:
     """The coefficients a_n of p = sum a_n x^n, as a dict n -> element of R."""
     out = {}
@@ -301,7 +297,9 @@ def extend_antipode(H: OreAlgebra) -> OreAlgebra:
         raise ValidationError("antipode extension needs an antipode on R")
     if H.g is None:
         raise ValidationError("extend_antipode needs the group-like g")
-    for verdict in extension_verdicts(H.R, H.sigma, H.delta, H.g):
+    clauses = PanovClauses(H.R, H.sigma, H.delta, H.g)
+    for names in (SUFFICIENT, HOPF):
+        verdict = clauses.verdict(names)
         if not verdict.passed:
             raise ConditionsFailed(verdict)
     out = OreAlgebra(H.R, H.sigma, H.delta, H.g,

@@ -4,7 +4,8 @@ Given a weak bialgebra R with automorphism sigma, sigma-derivation delta
 and weak group-like g, these procedures decide whether the coalgebra (and,
 for weak Hopf algebras, the antipode) extends to R[x; sigma, delta] with x
 a (g,1)-primitive generator: the Panov-style conditions.  Every clause is
-evaluated exhaustively and reported individually.
+evaluated exhaustively and reported individually, at most once per datum
+(:class:`PanovClauses`); each procedure is an ordered tuple of clause names.
 
 The second half constructs the worked family over connected groupoid
 algebras M_n(kG): their characters chi(g E_ij) = q_i^-1 q_j rho(g), the
@@ -15,8 +16,9 @@ and the derivation delta = (1 - g) tau_alpha^l built from them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
-from .bialgebra import (WeakBialgebra, WeakHopfAlgebra, base_subalgebras, convolution)
+from .bialgebra import WeakBialgebra, WeakHopfAlgebra, base_subalgebras, convolution
 from .coderivations import is_coderivation, is_sigma_derivation
 from .errors import (InvalidGroupCharacter, NotCentral, NotGrouplike, NotInvertible,
                      ValidationError, ZeroScale)
@@ -51,10 +53,6 @@ class PanovVerdict:
                 return c
         return None
 
-    def record(self, name, passed, witness=None):
-        self.clauses.append(ClauseResult(name, passed, witness))
-        return passed
-
     def lines(self):
         out = []
         for c in self.clauses:
@@ -62,9 +60,6 @@ class PanovVerdict:
             out.append(f"CLAUSE {c.clause} {'PASS' if c.passed else 'FAIL'}{suffix}")
         out.append(f"VERDICT {'PASS' if self.passed else 'FAIL'}")
         return out
-
-    def __str__(self):
-        return "\n".join(self.lines())
 
 
 def ad_map(wb: WeakBialgebra, g: dict) -> Matrix:
@@ -76,79 +71,12 @@ def ad_map(wb: WeakBialgebra, g: dict) -> Matrix:
     return left * wb.algebra.right_mult_matrix(g_inv)
 
 
-def _column_witness(wb, lhs, rhs):
-    """(label,) of the first basis element on which the maps lhs and rhs differ, or None."""
+def _columns_agree(wb, lhs, rhs):
+    """(passed, witness) for lhs = rhs: the witness is (label,) of the first
+    basis element on which the maps differ, or None."""
     pairs = zip(wb.labels, lhs.column_dicts(), rhs.column_dicts())
-    return next(((label,) for label, a, b in pairs if a != b), None)
-
-
-def _sigma_vs_left_winding(wb, sigma, chi, verdict):
-    """Record sigma_is_left_winding; returns the left winding of chi, and chi
-    on the verdict when sigma is that winding."""
-    left = winding(wb, chi, "left")
-    ok = left == sigma
-    verdict.record("sigma_is_left_winding", ok, None if ok else _column_witness(wb, left, sigma))
-    if ok:
-        verdict.chi = chi
-    return left
-
-
-def panov_necessary(wb: WeakBialgebra, sigma: Matrix, delta: Matrix, g: dict) -> PanovVerdict:
-    """Conditions forced on (sigma, delta, g) by an extension with (g,1)-primitive x.
-
-    Clauses: eps_t(g) = 1; delta is a (g,1)-coderivation; sigma is the left
-    winding of chi = eps o sigma, with chi a weak left character admitting a
-    right convolution inverse; and the twisted compatibility
-    Delta(sigma(a)) (g (x) 1) = (g (x) 1)(id (x) sigma) Delta(a).  The two
-    coefficient identities Delta(sigma(a)) = sigma(a_1) (x) a_2 and
-    Delta(delta(a)) = g a_1 (x) delta(a_2) + delta(a_1) (x) a_2 are recorded
-    as separate clauses (the first compatibility identity coincides with the
-    twisted one above once expanded).
-    """
-    verdict = PanovVerdict()
-    fmt = wb.format_element
-    verdict.record("g_weak_grouplike", is_weak_grouplike(wb, g), (fmt(g),))
-    verdict.record("eps_t_g_is_unit", wb.eps_t(g) == wb.unit, (fmt(wb.eps_t(g)),))
-    verdict.record("delta_is_skew_coderivation", is_coderivation(wb, delta, g, wb.unit))
-
-    chi = sigma.apply_functional(wb.counit)  # eps o sigma
-    left = _sigma_vs_left_winding(wb, sigma, chi, verdict)
-    verdict.record("chi_weak_left_character", is_unital_algebra_endo(wb, left) is None)
-    verdict.record("chi_has_right_inverse", convolution_inverse(wb, chi).right is not None)
-
-    view, one = wb.view, wb.field.one()
-    scols, dcols = sigma.column_dicts(), delta.column_dicts()
-    gcols = [view.multiply(g, {k: one}) for k in view.keys]
-    sig, dlt, g_left = scols.__getitem__, dcols.__getitem__, gcols.__getitem__
-    g1 = view.pure(g, view.unit)
-    twist_ok = True
-    twist_witness = None
-    shift_ok = True
-    shift_witness = None
-    for k in view.keys:
-        dk = view.coproduct(k)
-        lhs = view.tensor_mul(view.comultiply(scols[k]), g1)
-        rhs = view.tensor_mul(g1, view.map_legs(dk, None, sig))
-        if twist_ok and lhs != rhs:
-            twist_ok, twist_witness = False, (wb.labels[k],)
-        if shift_ok and lhs != view.map_legs(dk, g_left, sig):
-            shift_ok, shift_witness = False, (wb.labels[k],)
-    verdict.record("coproduct_sigma_g_twist", twist_ok, twist_witness)
-    verdict.record("coproduct_sigma_g_twist_expanded", shift_ok, shift_witness)
-
-    left_factor_ok = all(view.comultiply(scols[k]) == view.map_legs(view.coproduct(k), sig)
-                         for k in view.keys)
-    verdict.record("coproduct_sigma_left_factor", left_factor_ok)
-
-    leibniz_witness = None
-    for k in view.keys:
-        dk = view.coproduct(k)
-        if view.comultiply(dcols[k]) != view.add(view.map_legs(dk, g_left, dlt),
-                                                 view.map_legs(dk, dlt)):
-            leibniz_witness = (wb.labels[k],)
-            break
-    verdict.record("coproduct_delta_twisted_leibniz", leibniz_witness is None, leibniz_witness)
-    return verdict
+    witness = next(((label,) for label, a, b in pairs if a != b), None)
+    return witness is None, witness
 
 
 def eps_a_delta_b_zero(wb: WeakBialgebra, delta: Matrix):
@@ -168,64 +96,178 @@ def eps_a_delta_b_zero(wb: WeakBialgebra, delta: Matrix):
     return None
 
 
-_SUFFICIENT = ("g_grouplike_invertible", "counit_delta_orthogonal", "chi_is_character",
-               "sigma_is_left_winding", "sigma_is_adjoint_right_winding",
-               "delta_is_skew_coderivation")
-_HOPF = ("delta_kills_source_base", "chi_is_character", "sigma_is_left_winding",
-         "g_grouplike_invertible", "sigma_is_adjoint_right_winding", "delta_is_skew_coderivation",
-         "antipode_conjugation_compat", "antipode_delta_compat")
+NECESSARY = ("g_weak_grouplike", "eps_t_g_is_unit", "delta_is_skew_coderivation",
+             "sigma_is_left_winding", "chi_weak_left_character", "chi_has_right_inverse",
+             "coproduct_sigma_g_twist", "coproduct_sigma_g_twist_expanded",
+             "coproduct_sigma_left_factor", "coproduct_delta_twisted_leibniz")
+SUFFICIENT = ("g_grouplike_invertible", "counit_delta_orthogonal", "chi_is_character",
+              "sigma_is_left_winding", "sigma_is_adjoint_right_winding",
+              "delta_is_skew_coderivation")
+HOPF = ("delta_kills_source_base", "chi_is_character", "sigma_is_left_winding",
+        "g_grouplike_invertible", "sigma_is_adjoint_right_winding", "delta_is_skew_coderivation",
+        "antipode_conjugation_compat", "antipode_delta_compat")
 
 
-def _shared_clauses(wb, sigma, delta, g):
-    """The five clauses panov_sufficient and hopf_conditions share, evaluated once.
+class PanovClauses:
+    """The Panov clauses of one Ore datum (sigma, delta, g) over wb.
 
-    Each winding of chi is built once and serves every clause that reads it.
-    Returns their verdict, which carries chi when sigma is its left winding,
-    and Ad_g, or None unless g is an invertible group-like.
+    Clause ``name`` is evaluated by the method ``_name``, which returns
+    (passed, witness), at most once per object and only when asked for; a
+    clause may read another's result.  What several clauses read is computed
+    once, on first use: chi = eps o sigma, its windings, its convolution
+    inverse, Ad_g, and the columns of sigma and lambda_g.
     """
-    verdict = PanovVerdict()
-    g_inv = is_grouplike(wb, g)
-    verdict.record("g_grouplike_invertible", g_inv is not None, (wb.format_element(g),))
-    chi = sigma.apply_functional(wb.counit)  # eps o sigma
-    left = _sigma_vs_left_winding(wb, sigma, chi, verdict)
-    right = winding(wb, chi, "right")
-    char_ok = (is_unital_algebra_endo(wb, left) is None
-               and is_unital_algebra_endo(wb, right) is None
-               and convolution_inverse(wb, chi).two_sided is not None)
-    verdict.record("chi_is_character", char_ok)
-    adg = ad_map(wb, g) if g_inv is not None else None
-    if adg is not None:
-        verdict.record("sigma_is_adjoint_right_winding", adg * right == sigma)
-    else:
-        verdict.record("sigma_is_adjoint_right_winding", False, ("g not invertible",))
-    verdict.record("delta_is_skew_coderivation", is_coderivation(wb, delta, g, wb.unit))
-    return verdict, adg
+
+    def __init__(self, wb: WeakBialgebra, sigma: Matrix, delta: Matrix, g: dict):
+        self.wb, self.sigma, self.delta, self.g = wb, sigma, delta, g
+        self.chi = sigma.apply_functional(wb.counit)  # eps o sigma
+        self._sigma_cols = sigma.column_dicts()
+        self._results = {}
+
+    def result(self, name) -> ClauseResult:
+        hit = self._results.get(name)
+        if hit is None:
+            hit = self._results[name] = ClauseResult(name, *getattr(self, "_" + name)())
+        return hit
+
+    def verdict(self, names) -> PanovVerdict:
+        """The clauses ``names`` in order, with chi when sigma is its left winding."""
+        verdict = PanovVerdict([self.result(name) for name in names])
+        if "sigma_is_left_winding" in names and self.result("sigma_is_left_winding").passed:
+            verdict.chi = self.chi
+        return verdict
+
+    # -- shared quantities --------------------------------------------------
+
+    @cached_property
+    def _left(self) -> Matrix:
+        return winding(self.wb, self.chi, "left")
+
+    @cached_property
+    def _right(self) -> Matrix:
+        return winding(self.wb, self.chi, "right")
+
+    @cached_property
+    def _inverse(self):
+        return convolution_inverse(self.wb, self.chi)
+
+    @cached_property
+    def _lambda_g_cols(self) -> list:
+        return self.wb.algebra.left_mult_matrix(self.g).column_dicts()
+
+    @cached_property
+    def _adg(self) -> Matrix | None:  # None unless g is an invertible group-like
+        return ad_map(self.wb, self.g) if self.result("g_grouplike_invertible").passed else None
+
+    @cached_property
+    def _sigma_coproducts(self) -> list:  # Delta(sigma(b_k)) for every k
+        return [self.wb.view.comultiply(col) for col in self._sigma_cols]
+
+    @cached_property
+    def _twists(self) -> tuple:
+        """(passed, witness) of the twisted compatibility and of its expanded form, in one pass."""
+        view = self.wb.view
+        sig, g_left = self._sigma_cols.__getitem__, self._lambda_g_cols.__getitem__
+        g1 = view.pure(self.g, view.unit)
+        twist_witness = shift_witness = None
+        for k in view.keys:
+            dk = view.coproduct(k)
+            lhs = view.tensor_mul(self._sigma_coproducts[k], g1)
+            if twist_witness is None and lhs != view.tensor_mul(g1, view.map_legs(dk, None, sig)):
+                twist_witness = (self.wb.labels[k],)
+            if shift_witness is None and lhs != view.map_legs(dk, g_left, sig):
+                shift_witness = (self.wb.labels[k],)
+        return (twist_witness is None, twist_witness), (shift_witness is None, shift_witness)
+
+    # -- the clauses: each returns (passed, witness) ------------------------
+
+    def _g_weak_grouplike(self):
+        return is_weak_grouplike(self.wb, self.g), (self.wb.format_element(self.g),)
+
+    def _g_grouplike_invertible(self):
+        return is_grouplike(self.wb, self.g) is not None, (self.wb.format_element(self.g),)
+
+    def _eps_t_g_is_unit(self):
+        eps_t_g = self.wb.eps_t(self.g)
+        return eps_t_g == self.wb.unit, (self.wb.format_element(eps_t_g),)
+
+    def _delta_is_skew_coderivation(self):
+        return is_coderivation(self.wb, self.delta, self.g, self.wb.unit), None
+
+    def _sigma_is_left_winding(self):
+        return _columns_agree(self.wb, self._left, self.sigma)
+
+    def _chi_weak_left_character(self):
+        return is_unital_algebra_endo(self.wb, self._left) is None, None
+
+    def _chi_has_right_inverse(self):
+        return self._inverse.right is not None, None
+
+    def _chi_is_character(self):
+        return (self.result("chi_weak_left_character").passed
+                and is_unital_algebra_endo(self.wb, self._right) is None
+                and self._inverse.two_sided is not None), None
+
+    def _sigma_is_adjoint_right_winding(self):
+        if self._adg is None:
+            return False, ("g not invertible",)
+        return self._adg * self._right == self.sigma, None
+
+    def _counit_delta_orthogonal(self):
+        witness = eps_a_delta_b_zero(self.wb, self.delta)
+        return witness is None, witness
+
+    def _coproduct_sigma_g_twist(self):
+        return self._twists[0]
+
+    def _coproduct_sigma_g_twist_expanded(self):
+        return self._twists[1]
+
+    def _coproduct_sigma_left_factor(self):
+        view, sig = self.wb.view, self._sigma_cols.__getitem__
+        return all(self._sigma_coproducts[k] == view.map_legs(view.coproduct(k), sig)
+                   for k in view.keys), None
+
+    def _coproduct_delta_twisted_leibniz(self):
+        view, dcols = self.wb.view, self.delta.column_dicts()
+        dlt, g_left = dcols.__getitem__, self._lambda_g_cols.__getitem__
+        for k in view.keys:
+            dk = view.coproduct(k)
+            if view.comultiply(dcols[k]) != view.add(view.map_legs(dk, g_left, dlt),
+                                                     view.map_legs(dk, dlt)):
+                return False, (self.wb.labels[k],)
+        return True, None
+
+    def _delta_kills_source_base(self):
+        _, basis_s = base_subalgebras(self.wb)
+        bad = next((a for a in basis_s if self.delta.apply(a)), None)
+        return bad is None, None if bad is None else (self.wb.format_element(bad),)
+
+    def _antipode_conjugation_compat(self):
+        if self._adg is None:
+            return False, ("g not invertible",)
+        S = self.wb.antipode
+        return _columns_agree(self.wb, self._adg * S, self.sigma * S * self.sigma)
+
+    def _antipode_delta_compat(self):
+        S = self.wb.antipode
+        return _columns_agree(self.wb, self.delta * S * self.sigma,
+                              self.wb.algebra.left_mult_matrix(self.g) * S * self.delta)
 
 
-def _in_order(order, shared, own) -> PanovVerdict:
-    clauses = {c.clause: c for c in shared.clauses + own.clauses}
-    return PanovVerdict([clauses[name] for name in order], shared.chi)
+def panov_necessary(wb: WeakBialgebra, sigma: Matrix, delta: Matrix, g: dict) -> PanovVerdict:
+    """Conditions forced on (sigma, delta, g) by an extension with (g,1)-primitive x.
 
-
-def _sufficient(wb, delta, shared) -> PanovVerdict:
-    own = PanovVerdict()
-    witness = eps_a_delta_b_zero(wb, delta)
-    own.record("counit_delta_orthogonal", witness is None, witness)
-    return _in_order(_SUFFICIENT, shared, own)
-
-
-def _hopf(wha, sigma, delta, g, shared, adg) -> PanovVerdict:
-    own = PanovVerdict()
-    _, basis_s = base_subalgebras(wha)
-    bad = next((a for a in basis_s if delta.apply(a)), None)
-    own.record("delta_kills_source_base", bad is None,
-               None if bad is None else (wha.format_element(bad),))
-    S = wha.antipode
-    bad = ("g not invertible",) if adg is None else _column_witness(wha, adg * S, sigma * S * sigma)
-    own.record("antipode_conjugation_compat", bad is None, bad)
-    bad = _column_witness(wha, delta * S * sigma, wha.algebra.left_mult_matrix(g) * S * delta)
-    own.record("antipode_delta_compat", bad is None, bad)
-    return _in_order(_HOPF, shared, own)
+    Clauses: eps_t(g) = 1; delta is a (g,1)-coderivation; sigma is the left
+    winding of chi = eps o sigma, with chi a weak left character admitting a
+    right convolution inverse; and the twisted compatibility
+    Delta(sigma(a)) (g (x) 1) = (g (x) 1)(id (x) sigma) Delta(a).  The two
+    coefficient identities Delta(sigma(a)) = sigma(a_1) (x) a_2 and
+    Delta(delta(a)) = g a_1 (x) delta(a_2) + delta(a_1) (x) a_2 are recorded
+    as separate clauses (the first compatibility identity coincides with the
+    twisted one above once expanded).
+    """
+    return PanovClauses(wb, sigma, delta, g).verdict(NECESSARY)
 
 
 def panov_sufficient(wb: WeakBialgebra, sigma: Matrix, delta: Matrix, g: dict) -> PanovVerdict:
@@ -236,7 +278,7 @@ def panov_sufficient(wb: WeakBialgebra, sigma: Matrix, delta: Matrix, g: dict) -
     sides with a two-sided convolution inverse); sigma = tau_chi^l;
     sigma = Ad_g tau_chi^r; delta is a (g,1)-coderivation.
     """
-    return _sufficient(wb, delta, _shared_clauses(wb, sigma, delta, g)[0])
+    return PanovClauses(wb, sigma, delta, g).verdict(SUFFICIENT)
 
 
 def hopf_conditions(wha: WeakHopfAlgebra, sigma: Matrix, delta: Matrix, g: dict) -> PanovVerdict:
@@ -249,19 +291,7 @@ def hopf_conditions(wha: WeakHopfAlgebra, sigma: Matrix, delta: Matrix, g: dict)
     """
     if not isinstance(wha, WeakHopfAlgebra):
         raise ValidationError("hopf conditions require an antipode on the coefficients")
-    return _hopf(wha, sigma, delta, g, *_shared_clauses(wha, sigma, delta, g))
-
-
-def extension_verdicts(wha: WeakHopfAlgebra, sigma: Matrix, delta: Matrix, g: dict):
-    """Yield panov_sufficient's verdict, then hopf_conditions', each clause evaluated once.
-
-    The second verdict is computed only when the caller asks for it.
-    """
-    shared, adg = _shared_clauses(wha, sigma, delta, g)
-    yield _sufficient(wha, delta, shared)
-    if not isinstance(wha, WeakHopfAlgebra):
-        raise ValidationError("hopf conditions require an antipode on the coefficients")
-    yield _hopf(wha, sigma, delta, g, shared, adg)
+    return PanovClauses(wha, sigma, delta, g).verdict(HOPF)
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +419,10 @@ def build_twisted_derivation(wb: WeakBialgebra, g: dict, chi: dict, alpha: dict)
     sigma = winding(wb, chi, "left")
     if not is_sigma_derivation(wb, sigma, delta):
         raise ValidationError("constructed delta is not a sigma-derivation")
-    if not is_coderivation(wb, delta, g, wb.unit):
+    clauses = PanovClauses(wb, sigma, delta, g)
+    if not clauses.result("delta_is_skew_coderivation").passed:
         raise ValidationError("constructed delta is not a (g,1)-coderivation")
-    _, basis_s = base_subalgebras(wb)
-    if any(delta.apply(a) for a in basis_s):
+    if not clauses.result("delta_kills_source_base").passed:
         raise ValidationError("constructed delta does not kill R_s")
     return delta
 

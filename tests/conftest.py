@@ -1,3 +1,4 @@
+import collections
 import numbers
 import sys
 from pathlib import Path
@@ -20,6 +21,29 @@ def no_float(monkeypatch):
     def refuse(self):
         raise AssertionError(f"float conversion of the exact scalar {self!r}")
     monkeypatch.setattr(numbers.Rational, "__float__", refuse)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(*names) wraps the weakhopf functions of those names in every
+    weakhopf module that binds them; the returned Counter of calls per name
+    fills as they run."""
+    counts = collections.Counter()
+
+    def counted(fn, name):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def install(*names):
+        modules = [m for key, m in sys.modules.items() if key.partition(".")[0] == "weakhopf"]
+        for module in modules:
+            for name in names:
+                if callable(vars(module).get(name)):
+                    monkeypatch.setattr(module, name, counted(vars(module)[name], name))
+        return counts
+    return install
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from weakhopf.bialgebra import check_antipode, check_weak_bialgebra, tensor_product
+from weakhopf.cli import main
 from weakhopf.coderivations import is_coderivation, is_sigma_derivation
 from weakhopf.errors import (InvalidGroupCharacter, NotCentral, NotGrouplike,
                              NotInvertible, ZeroScale)
@@ -103,19 +104,32 @@ def test_sufficient_roundtrip_guarantees_extension(sweedler, s5_qz2):
 @pytest.mark.parametrize("proc, bound", [
     ("panov_necessary", 1), ("panov_sufficient", 2), ("hopf_conditions", 2)])
 @pytest.mark.parametrize("name", ["sweedler", "s5_qz2", "s5_m2qz2"])
-def test_each_procedure_builds_each_winding_once(monkeypatch, request, name, proc, bound):
+def test_each_procedure_builds_each_winding_once(count_calls, request, name, proc, bound):
     """panov_necessary reads one left winding of chi; the shared clauses of the
     other two read one left and one right winding."""
-    import weakhopf.grouplike
     import weakhopf.panov
     data = request.getfixturevalue(name)
-    calls, winding_fn = [], weakhopf.grouplike.winding
-    counted = lambda wb, chi, side: calls.append(side) or winding_fn(wb, chi, side)
-    for module in (weakhopf.grouplike, weakhopf.panov):
-        monkeypatch.setattr(module, "winding", counted)
+    calls = count_calls("winding")
     verdict = getattr(weakhopf.panov, proc)(data.R, data.sigma, data.delta, data.g)
     assert verdict.passed and verdict.chi == data.chi
-    assert 0 < len(calls) <= bound
+    assert 0 < calls["winding"] <= bound
+
+
+def test_panov_hopf_evaluates_each_clause_once(count_calls, tmp_path):
+    """One `panov --hopf` run decides the three procedures on one clause table:
+    chi's two windings, its convolution inverse and the coderivation identity
+    are each computed once; the endomorphism checks are skew_derivation's on
+    sigma and one per winding."""
+    spec = str(tmp_path / "s5.json")
+    assert main(["example", "section5", "--group", "Z2", "--n", "3", "--q", "1,2,3",
+                 "-o", spec]) == 0
+    calls = count_calls("winding", "is_unital_algebra_endo", "is_coderivation",
+                        "convolution_inverse")
+    assert main(["panov", spec, "--hopf"]) == 0
+    assert 0 < calls["winding"] <= 2
+    assert calls["is_coderivation"] == 1
+    assert calls["convolution_inverse"] == 1
+    assert 0 < calls["is_unital_algebra_endo"] <= 3
 
 
 # -- antipode conditions --------------------------------------------------------------

@@ -279,6 +279,15 @@ def _spec_file(tmp_path, **keys):
     return str(p)
 
 
+def _spec_file_without(tmp_path, key):
+    """The bundled Sweedler spec with ``key`` removed."""
+    doc = json.loads(_data_path("sweedler-data.json").read_text())
+    del doc[key]
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
 def _bool_index_mult(doc):
     return [[bool(i), bool(j), k, c] for i, j, k, c in doc["mult"]]
 
@@ -330,12 +339,15 @@ GF3 = {"kind": "prime", "p": 3}
     lambda tmp: ["check", _raw_spec_file(tmp, "dim", "9" * 4_400)],
     # swapped, sigma is the zero map: `panov` refuses it as `ore build` does
     lambda tmp: ["panov", _section5_spec_file(tmp), "--hopf", "--sigma", "delta", "--delta", "sigma"],
+    lambda tmp: ["panov", _spec_file_without(tmp, "antipode"), "--hopf"],
+    lambda tmp: ["characters", str(_data_path("sweedler-data.json")), "--verify", "nope"],
 ], ids=["matrix-size-text", "groupoid-size-text", "prime-as-string", "prime-as-float",
         "dim-as-bool", "index-as-bool", "negative-degree-bound", "grouplikes-prime-not-prime",
         "grouplikes-prime-zero", "deeply-nested-json", "scalar-as-bool", "gf-scalar-as-bool",
         "gf-scalar-superscript-digit", "gf-scalar-double-minus", "scalar-exponent",
         "scalar-decimal", "repeated-basis-labels", "oversized-json-integer",
-        "panov-sigma-not-automorphism"])
+        "panov-sigma-not-automorphism", "panov-hopf-without-antipode",
+        "characters-unknown-functional"])
 def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     code = main(argv(tmp_path))
     captured = capsys.readouterr()
