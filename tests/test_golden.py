@@ -49,6 +49,10 @@ print elements of R, recorded while elements were still ``Vector`` objects:
 ``grouplikes --matrix 2`` over QQ and with ``--prime 3``;
 ``grouplikes-brute-m2f2`` is ``grouplikes --brute`` on M_2(GF(2)) written by
 ``write_spec``, whose scan prints the zero element as ``0``;
+``grouplikes-brute-kz3-f7`` is ``grouplikes --brute`` on the function algebra
+k^Z3 over GF(7) written by ``write_spec``: 343 candidates, ``COUNT 4``, the
+zero element and the three characters Z3 -> GF(7)*, whose values 2 and 4 are
+the cube roots of unity mod 7;
 ``characters-m2q-chi`` is ``characters --verify chi`` on the bundled
 ``m2q.json``, with 1/2 and 2 in the inverse and in chi; and
 ``characters-section5-z2-n1-alpha`` is ``characters --verify alpha`` on the
@@ -67,7 +71,8 @@ import pytest
 
 from weakhopf.cli import main
 from weakhopf.fields import Field
-from weakhopf.fixtures import sweedler_data, twisted_derivation_data, twisted_derivation_qz2
+from weakhopf.fixtures import (function_algebra, sweedler_data, twisted_derivation_data,
+                               twisted_derivation_qz2)
 from weakhopf.groupoid import GroupPresentation, matrix_algebra
 from weakhopf.linalg import Matrix
 from weakhopf.ore import OreAlgebra, verify_extension
@@ -106,8 +111,7 @@ def test_cli_golden(name, argv, code):
     assert _run(argv) == (code, _expected(name))
 
 
-def _m2f2_spec(path):
-    wb = matrix_algebra(2, Field.prime(2))
+def _written_spec(wb, path):
     write_spec(SpecBundle(field=wb.field, wb=wb), path)
     return str(path)
 
@@ -123,7 +127,12 @@ def _section5_z2_n1_spec(path):
     ("grouplikes-matrix2", lambda tmp: ["grouplikes", "--matrix", "2"], 0),
     ("grouplikes-matrix2-gf3", lambda tmp: ["grouplikes", "--matrix", "2", "--prime", "3"], 0),
     ("grouplikes-brute-m2f2",
-     lambda tmp: ["grouplikes", "--brute", _m2f2_spec(tmp / "m2f2.json")], 0),
+     lambda tmp: ["grouplikes", "--brute",
+                  _written_spec(matrix_algebra(2, Field.prime(2)), tmp / "m2f2.json")], 0),
+    ("grouplikes-brute-kz3-f7",
+     lambda tmp: ["grouplikes", "--brute",
+                  _written_spec(function_algebra(GroupPresentation.cyclic(3), Field.prime(7)),
+                                tmp / "kz3f7.json")], 0),
     ("characters-m2q-chi", lambda tmp: ["characters", _bundled("m2q.json"), "--verify", "chi"], 0),
     ("characters-section5-z2-n1-alpha",
      lambda tmp: ["characters", _section5_z2_n1_spec(tmp / "s5.json"), "--verify", "alpha"], 1),
