@@ -289,6 +289,13 @@ class BasisView:
             self._eps[(a, b)] = hit
         return hit
 
+    def eps_mul(self, a, v):
+        """eps(b_a v) for a basis key a and an element v, from the cached eps_pair."""
+        e = self.zero
+        for k, c in v.items():
+            e = e + c * self.eps_pair(a, k)
+        return e
+
     def eps_row(self, a):
         """{h: eps(a h)} over the sweep keys h, zeros dropped (cached)."""
         hit = self._eps_rows.get(a)

@@ -10,6 +10,7 @@ cross-checkable by exhaustive scan over a small prime field.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .bialgebra import WeakBialgebra, WeakHopfAlgebra, convolution, map_convolution
@@ -17,6 +18,10 @@ from .errors import NotAlgebraMap, TooLarge
 from .groupoid import GroupoidAlgebra, matrix_algebra
 from .linalg import Matrix, rank, solve
 from .report import AxiomReport
+
+
+# The most elements an exhaustive scan or an enumeration may visit.
+SCAN_LIMIT = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -71,8 +76,15 @@ def enumerate_weak_grouplikes_matrix(n: int, field=None) -> GrouplikeEnumeration
     Ranges over subsets I of {1..n} and injections sigma: I -> {1..n}; the
     empty subset gives the zero element, which is reported separately and
     not counted among the group-like monoid elements.  Exactly the full
-    bijections are flagged invertible (the permutation matrices).
+    bijections are flagged invertible (the permutation matrices).  Raises
+    TooLarge, before M_n(k) is built, when the count sum_k C(n,k) P(n,k)
+    exceeds SCAN_LIMIT (from n = 8 on).
     """
+    count = 0
+    for size in range(1, n + 1):
+        count += math.comb(n, size) * math.perm(n, size)
+        if count > SCAN_LIMIT:
+            raise TooLarge(f"M_{n} has more than {SCAN_LIMIT} weak group-likes to enumerate")
     alg = matrix_algebra(n, field)
     one = alg.field.one()
     out = []
@@ -89,18 +101,56 @@ def enumerate_weak_grouplikes_matrix(n: int, field=None) -> GrouplikeEnumeration
     return GrouplikeEnumeration(alg, out, zero)
 
 
-def brute_force_weak_grouplikes(wb: WeakBialgebra, limit=10 ** 6):
-    """Exhaustive scan for weak group-likes over a prime field (includes 0)."""
-    if wb.field.order is None:
+def brute_force_weak_grouplikes(wb: WeakBialgebra, limit=SCAN_LIMIT):
+    """Exhaustive scan for weak group-likes over a prime field GF(p) (includes 0).
+
+    Visits all p^dim coefficient vectors in ``itertools.product`` order.
+    Before the loop it takes, as integer residues mod p over the slots
+    a*dim + b of R (x) R, every Delta(b_k) and, for every basis pair (i, j),
+    Delta(1)(b_i (x) b_j) and (b_i (x) b_j)Delta(1), all from ``wb.view``.
+    A candidate g = sum_i g_i b_i is then a tuple of ints: Delta(g) is
+    sum_k g_k Delta(b_k) and each quadratic side sum_{i,j} g_i g_j times the
+    pair's entry, summed as dense int lists and compared mod p, the second
+    side only when the first agrees.  Every hit is rebuilt as a dict of
+    field elements and returned only if :func:`is_weak_grouplike` holds.
+    """
+    p = wb.field.order
+    if p is None:
         raise TooLarge("brute force requires a finite prime field")
-    if wb.field.order ** wb.dim > limit:
-        raise TooLarge(f"{wb.field.order}^{wb.dim} coefficient vectors exceed the scan limit")
-    scalars = [wb.field(v) for v in range(wb.field.order)]
+    if p ** wb.dim > limit:
+        raise TooLarge(f"{p}^{wb.dim} coefficient vectors exceed the scan limit")
+    view, dim = wb.view, wb.dim
+    one, d1 = view.one, view.delta_one()
+
+    def residues(t):  # a 2-tensor as ((slot, residue), ...)
+        return tuple((a * dim + b, c.v) for (a, b), c in t.items())
+
+    coproducts = [residues(view.coproduct(k)) for k in view.keys]
+    left = [[residues(view.tensor_mul(d1, {(i, j): one})) for j in view.keys] for i in view.keys]
+    right = [[residues(view.tensor_mul({(i, j): one}, d1)) for j in view.keys] for i in view.keys]
+
+    def agrees(dg, coeffs, support, table):
+        side = [0] * (dim * dim)
+        for i in support:
+            row, gi = table[i], coeffs[i]
+            for j in support:
+                c = gi * coeffs[j]
+                for slot, r in row[j]:
+                    side[slot] += c * r
+        return all((x - y) % p == 0 for x, y in zip(dg, side))
+
     found = []
-    for coeffs in itertools.product(scalars, repeat=wb.dim):
-        g = {i: c for i, c in enumerate(coeffs) if c}
-        if is_weak_grouplike(wb, g):
-            found.append(g)
+    for coeffs in itertools.product(range(p), repeat=dim):
+        support = [i for i, c in enumerate(coeffs) if c]
+        dg = [0] * (dim * dim)
+        for k in support:
+            c = coeffs[k]
+            for slot, r in coproducts[k]:
+                dg[slot] += c * r
+        if agrees(dg, coeffs, support, left) and agrees(dg, coeffs, support, right):
+            g = {i: wb.field(coeffs[i]) for i in support}
+            if is_weak_grouplike(wb, g):
+                found.append(g)
     return found
 
 
@@ -308,7 +358,7 @@ def invertible_matrix(m: Matrix) -> bool:
 
 
 __all__ = [
-    "WeakGrouplike", "Character", "GrouplikeEnumeration", "ConvolutionInverse",
+    "SCAN_LIMIT", "WeakGrouplike", "Character", "GrouplikeEnumeration", "ConvolutionInverse",
     "is_weak_grouplike", "is_grouplike", "enumerate_weak_grouplikes_matrix",
     "brute_force_weak_grouplikes", "winding", "is_weak_character",
     "is_unital_algebra_endo", "character_from_endo", "convolution_inverse",

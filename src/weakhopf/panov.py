@@ -88,10 +88,7 @@ def eps_a_delta_b_zero(wb: WeakBialgebra, delta: Matrix):
     view, dcols = wb.view, delta.column_dicts()
     for i in view.keys:
         for j in view.keys:
-            e = view.zero
-            for k, c in dcols[j].items():
-                e = e + c * view.eps_pair(i, k)
-            if e:
+            if view.eps_mul(i, dcols[j]):
                 return (i, j)
     return None
 
@@ -115,7 +112,7 @@ class PanovClauses:
     (passed, witness), at most once per object and only when asked for; a
     clause may read another's result.  What several clauses read is computed
     once, on first use: chi = eps o sigma, its windings, its convolution
-    inverse, Ad_g, and the columns of sigma and lambda_g.
+    inverse, g^-1 and Ad_g, and the columns of sigma, delta and lambda_g.
     """
 
     def __init__(self, wb: WeakBialgebra, sigma: Matrix, delta: Matrix, g: dict):
@@ -152,12 +149,25 @@ class PanovClauses:
         return convolution_inverse(self.wb, self.chi)
 
     @cached_property
-    def _lambda_g_cols(self) -> list:
-        return self.wb.algebra.left_mult_matrix(self.g).column_dicts()
+    def _delta_cols(self) -> list:
+        return self.delta.column_dicts()
 
     @cached_property
-    def _adg(self) -> Matrix | None:  # None unless g is an invertible group-like
-        return ad_map(self.wb, self.g) if self.result("g_grouplike_invertible").passed else None
+    def _lambda_g(self) -> Matrix:
+        return self.wb.algebra.left_mult_matrix(self.g)
+
+    @cached_property
+    def _lambda_g_cols(self) -> list:
+        return self._lambda_g.column_dicts()
+
+    @cached_property
+    def _g_inverse(self) -> dict | None:  # None unless g is an invertible group-like
+        return is_grouplike(self.wb, self.g)
+
+    @cached_property
+    def _adg(self) -> Matrix | None:  # a -> g a g^-1, on the g^-1 that is_grouplike solved for
+        g_inv = self._g_inverse
+        return None if g_inv is None else self._lambda_g * self.wb.algebra.right_mult_matrix(g_inv)
 
     @cached_property
     def _sigma_coproducts(self) -> list:  # Delta(sigma(b_k)) for every k
@@ -185,7 +195,7 @@ class PanovClauses:
         return is_weak_grouplike(self.wb, self.g), (self.wb.format_element(self.g),)
 
     def _g_grouplike_invertible(self):
-        return is_grouplike(self.wb, self.g) is not None, (self.wb.format_element(self.g),)
+        return self._g_inverse is not None, (self.wb.format_element(self.g),)
 
     def _eps_t_g_is_unit(self):
         eps_t_g = self.wb.eps_t(self.g)
@@ -229,7 +239,7 @@ class PanovClauses:
                    for k in view.keys), None
 
     def _coproduct_delta_twisted_leibniz(self):
-        view, dcols = self.wb.view, self.delta.column_dicts()
+        view, dcols = self.wb.view, self._delta_cols
         dlt, g_left = dcols.__getitem__, self._lambda_g_cols.__getitem__
         for k in view.keys:
             dk = view.coproduct(k)
@@ -240,7 +250,8 @@ class PanovClauses:
 
     def _delta_kills_source_base(self):
         _, basis_s = base_subalgebras(self.wb)
-        bad = next((a for a in basis_s if self.delta.apply(a)), None)
+        view, dlt = self.wb.view, self._delta_cols.__getitem__
+        bad = next((a for a in basis_s if view.apply(dlt, a)), None)
         return bad is None, None if bad is None else (self.wb.format_element(bad),)
 
     def _antipode_conjugation_compat(self):
@@ -252,7 +263,7 @@ class PanovClauses:
     def _antipode_delta_compat(self):
         S = self.wb.antipode
         return _columns_agree(self.wb, self.delta * S * self.sigma,
-                              self.wb.algebra.left_mult_matrix(self.g) * S * self.delta)
+                              self._lambda_g * S * self.delta)
 
 
 def panov_necessary(wb: WeakBialgebra, sigma: Matrix, delta: Matrix, g: dict) -> PanovVerdict:

@@ -2,6 +2,8 @@
 the package's sparse linear algebra.  Deliberately share no code with
 weakhopf.linalg."""
 
+import itertools
+
 
 def dense_rref(rows, ncols, field):
     """In-place reduced row echelon form on dense rows; returns pivot columns."""
@@ -213,3 +215,16 @@ def pure_tensor(u, v):
 def dense_vector(v, dim, field):
     """An element given as a dict i -> scalar, as a dense list of dim scalars."""
     return [v.get(i, field.zero()) for i in range(dim)]
+
+
+def definition_weak_grouplikes(wb):
+    """Every coefficient vector over GF(p), in ``itertools.product`` order, that
+    satisfies the definition Delta(g) = Delta(1)(g (x) g) = (g (x) g)Delta(1),
+    decided by ``is_weak_grouplike`` on each candidate in turn."""
+    from weakhopf.grouplike import is_weak_grouplike
+    found = []
+    for coeffs in itertools.product(wb.field.elements(), repeat=wb.dim):
+        g = {i: c for i, c in enumerate(coeffs) if c}
+        if is_weak_grouplike(wb, g):
+            found.append(g)
+    return found

@@ -273,6 +273,43 @@ def test_eps_delta_report_hypothesis_flag(M2):
     assert M2.eps_s(g) == M2.element(0, 1, 1)
 
 
+def test_eps_delta_report_reads_delta_columns(s5_m2qz2, monkeypatch):
+    """The report makes no Matrix.apply call and records, in order, one entry
+    per basis element and per basis pair, with the verdicts of the formulas
+    eps(delta(b_k)) = 0 and eps(b_i delta(b_j)) = 0 evaluated through
+    Matrix.apply.  delta(b_5) gets 3/5 b_1; b_5 is outside R_s, so both loops
+    run and both have failures."""
+    from weakhopf.bialgebra import base_subalgebras
+    from weakhopf.report import AxiomReport
+    R, sigma, g = s5_m2qz2.R, s5_m2qz2.sigma, s5_m2qz2.g
+    delta = s5_m2qz2.delta + Matrix(QQ, R.dim, R.dim, {(1, 5): Fraction(3, 5)})
+    assert all(not delta.apply(a) for a in base_subalgebras(R)[1])
+    keys = range(R.dim)
+    basis = [R.basis_vector(k) for k in keys]
+    kills_delta = [((k,), R.counit_value(delta.apply(basis[k])) == 0) for k in keys]
+    kills_a_delta_b = [((i, j), R.counit_value(R.multiply(basis[i], delta.apply(basis[j]))) == 0)
+                       for i in keys for j in keys]
+    assert not all(ok for _, ok in kills_delta) and not all(ok for _, ok in kills_a_delta_b)
+
+    records, applies = [], []
+    record, apply = AxiomReport.record, Matrix.apply
+    monkeypatch.setattr(AxiomReport, "record", lambda self, axiom, passed, witness=None, *rest:
+                        records.append((axiom, witness, passed))
+                        or record(self, axiom, passed, witness, *rest))
+    monkeypatch.setattr(Matrix, "apply", lambda self, v: applies.append(v) or apply(self, v))
+    eps_delta_report(R, delta, g, R.unit, sigma=sigma)
+    assert applies == []
+    axioms = [axiom for axiom, _, _ in records]
+    assert axioms == ["delta_is_coderivation", "hypothesis_eps_s_g_is_unit",
+                      "hypothesis_eps_s_h_is_unit", *["counit_kills_delta"] * R.dim,
+                      "hypothesis_delta_kills_R_s", "hypothesis_sigma_is_left_winding",
+                      *["counit_kills_a_delta_b"] * R.dim ** 2]
+    assert all(passed for axiom, _, passed in records if axiom.startswith("hypothesis_"))
+    by_axiom = lambda name: [(w, ok) for axiom, w, ok in records if axiom == name]
+    assert by_axiom("counit_kills_delta") == kills_delta
+    assert by_axiom("counit_kills_a_delta_b") == kills_a_delta_b
+
+
 def test_coderivation_witness_validates(QZ2):
     from weakhopf.coderivations import CoderivationWitness, coderivation_witness
     from weakhopf.errors import ValidationError

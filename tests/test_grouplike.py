@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from weakhopf.bialgebra import convolution
+import weakhopf.grouplike
+from weakhopf.bialgebra import Algebra, Coalgebra, WeakBialgebra, convolution
 from weakhopf.errors import NotAlgebraMap, TooLarge
 from weakhopf.fields import Field, QQ
-from weakhopf.groupoid import matrix_algebra
-from weakhopf.grouplike import (brute_force_weak_grouplikes, char_antipode_report,
+from weakhopf.fixtures import function_algebra, qz
+from weakhopf.groupoid import GroupPresentation, matrix_algebra
+from weakhopf.grouplike import (SCAN_LIMIT, brute_force_weak_grouplikes, char_antipode_report,
                                 character_from_endo, classify_character,
                                 convolution_inverse, enumerate_weak_grouplikes_matrix,
                                 grouplike_identity_report, grouplike_monoid_closed,
@@ -17,6 +19,8 @@ from weakhopf.grouplike import (brute_force_weak_grouplikes, char_antipode_repor
                                 is_weak_grouplike, winding)
 from weakhopf.linalg import Matrix
 from weakhopf.panov import ad_map, groupoid_character
+
+from oracles import definition_weak_grouplikes
 
 
 def _partial_injection_count(n):
@@ -113,6 +117,64 @@ def test_brute_force_too_large(M2Z2):
     big = matrix_algebra(2, Field.prime(41))
     with pytest.raises(TooLarge):
         brute_force_weak_grouplikes(big)
+
+
+def _rescaled(wb, scales):
+    """wb written in the basis b'_i = scales[i] b_i, for nonzero scalars scales[i]."""
+    s, field = scales, wb.field
+    mult = {(a, b): {r: s[a] * s[b] * c / s[r] for r, c in v.items()}
+            for (a, b), v in wb.algebra.mult.items()}
+    unit = {r: c / s[r] for r, c in wb.unit.items()}
+    comult = {k: {(i, j): s[k] * c / (s[i] * s[j]) for (i, j), c in t.items()}
+              for k, t in wb.coalgebra.comult.items()}
+    counit = {k: s[k] * c for k, c in wb.counit.items()}
+    return WeakBialgebra(Algebra(field, wb.dim, mult, unit, wb.labels),
+                         Coalgebra(field, wb.dim, comult, counit))
+
+
+def _m2_gf3_rescaled():
+    gf3 = Field.prime(3)
+    return _rescaled(matrix_algebra(2, gf3), [gf3(2), gf3(1), gf3(1), gf3(1)])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: qz(2, Field.prime(2)),
+    lambda: matrix_algebra(2, Field.prime(2)),
+    lambda: function_algebra(GroupPresentation.cyclic(3), Field.prime(5)),  # dense Delta(1)
+    lambda: qz(4, Field.prime(3)),
+    _m2_gf3_rescaled,
+], ids=["F2Z2", "M2-GF2", "kZ3-dual-GF5", "M1-kZ4-GF3", "M2-GF3-rescaled"])
+def test_brute_force_matches_definition(build):
+    wb = build()
+    assert brute_force_weak_grouplikes(wb) == definition_weak_grouplikes(wb)
+
+
+def test_rescaled_scan_reduces_products_of_residues():
+    """b_0 -> 2 b_0 puts the residue 2 into Delta(b_0) and b_0 b_0, and into
+    the weak group-likes, so products such as 2 * 2 must be reduced mod 3."""
+    wb = _m2_gf3_rescaled()
+    assert wb.coalgebra.comult[0][(0, 0)] == 2 and wb.algebra.mult[(0, 0)][0] == 2
+    found = brute_force_weak_grouplikes(wb)
+    assert len(found) == _partial_injection_count(2) + 1
+    assert any(c == 2 for g in found for c in g.values())
+
+
+def test_enumeration_guard_refuses_before_building(count_calls):
+    calls = count_calls("matrix_algebra")
+    for n in (8, 10, 10 ** 9):
+        with pytest.raises(TooLarge):
+            enumerate_weak_grouplikes_matrix(n)
+    assert calls["matrix_algebra"] == 0
+    assert _partial_injection_count(7) <= SCAN_LIMIT < _partial_injection_count(8)
+
+
+def test_enumeration_guard_is_strict(monkeypatch):
+    """The limit bounds the closed-form count sum_k C(n,k) P(n,k); M_2 has 6."""
+    monkeypatch.setattr(weakhopf.grouplike, "SCAN_LIMIT", 6)
+    assert len(enumerate_weak_grouplikes_matrix(2).grouplikes) == 6
+    monkeypatch.setattr(weakhopf.grouplike, "SCAN_LIMIT", 5)
+    with pytest.raises(TooLarge):
+        enumerate_weak_grouplikes_matrix(2)
 
 
 def test_weak_grouplikes_closed_under_multiplication():

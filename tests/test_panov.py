@@ -135,6 +135,15 @@ def test_panov_hopf_evaluates_each_clause_once(count_calls, tmp_path):
 # -- antipode conditions --------------------------------------------------------------
 
 
+def test_hopf_conditions_solves_for_g_inverse_once(count_calls, s5_m2qz2):
+    """Ad_g is built from the inverse the clause g_grouplike_invertible solved
+    for: one solve for g^-1 and two for chi's convolution inverse."""
+    data = s5_m2qz2
+    calls = count_calls("solve")
+    assert hopf_conditions(data.R, data.sigma, data.delta, data.g).passed
+    assert calls["solve"] == 3
+
+
 def test_hopf_conditions_sweedler(sweedler):
     verdict = hopf_conditions(sweedler.R, sweedler.sigma, sweedler.delta, sweedler.g)
     assert verdict.passed

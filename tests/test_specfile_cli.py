@@ -325,6 +325,9 @@ GF3 = {"kind": "prime", "p": 3}
     lambda tmp: ["ore", "build", str(_data_path("sweedler-data.json")), "--verify-degree", "-1"],
     lambda tmp: ["grouplikes", "--matrix", "2", "--prime", "4"],
     lambda tmp: ["grouplikes", "--matrix", "2", "--prime", "0"],
+    # refused by the count guard before M_n(k) is built; never enumerated here
+    lambda tmp: ["grouplikes", "--matrix", "8"],
+    lambda tmp: ["grouplikes", "--matrix", "10"],
     lambda tmp: ["check", _raw_spec_file(tmp, "field", "[" * 50_000 + "]" * 50_000)],
     # the Sweedler spec passes check over QQ and over GF(3) with unit ["1", "0"]
     lambda tmp: ["check", _spec_file(tmp, unit=[True, False])],
@@ -343,7 +346,8 @@ GF3 = {"kind": "prime", "p": 3}
     lambda tmp: ["characters", str(_data_path("sweedler-data.json")), "--verify", "nope"],
 ], ids=["matrix-size-text", "groupoid-size-text", "prime-as-string", "prime-as-float",
         "dim-as-bool", "index-as-bool", "negative-degree-bound", "grouplikes-prime-not-prime",
-        "grouplikes-prime-zero", "deeply-nested-json", "scalar-as-bool", "gf-scalar-as-bool",
+        "grouplikes-prime-zero", "grouplikes-matrix-8", "grouplikes-matrix-10",
+        "deeply-nested-json", "scalar-as-bool", "gf-scalar-as-bool",
         "gf-scalar-superscript-digit", "gf-scalar-double-minus", "scalar-exponent",
         "scalar-decimal", "repeated-basis-labels", "oversized-json-integer",
         "panov-sigma-not-automorphism", "panov-hopf-without-antipode",
