@@ -59,6 +59,20 @@ the cube roots of unity mod 7;
 spec of ``example section5 --group Z2 --n 1 --rho 1,-1 --q 1``, where alpha
 is no character (exit 1) and its ``CHI`` line reads the missing
 coefficient of ``1`` as 0.
+
+``tests/data/m3qz2-transported.json`` is M_3(QZ_2) in the basis
+b_10 -> b_10 + (5/6) b_0 (g1E12 -> g1E12 + 5/6 g0E11), transported as above:
+its structure constants have denominators 6 and 36.
+``tests/data/m3qz2-bad-counit.json`` is the same spec with 1/6 added to
+eps(b_4), so both counit axioms, the weak multiplicativity of the counit and
+the two counital antipode axioms fail; ``failures-m3qz2-bad-counit`` records
+the first failure of each, with its sides and the number of failing tuples.
+``tests/data/m2z2-gf5-transported.json`` is M_2(GF(5)Z_2) in the basis
+b_5 -> b_5 + 3 b_0 (g1E12 -> g1E12 + 3 g0E11), the integer transport
+reduced mod 5; ``errors-m2z2-gf5-transported`` holds the full
+``NotAssociative`` and ``UnitFails`` messages after one mult entry is
+perturbed.  These checks were recorded while the sweeps of R still ran on
+field scalars.
 """
 
 import contextlib
@@ -69,7 +83,9 @@ from pathlib import Path
 
 import pytest
 
+from weakhopf.bialgebra import Algebra, check_antipode, check_weak_bialgebra, coalgebra_report
 from weakhopf.cli import main
+from weakhopf.errors import NotAssociative, UnitFails
 from weakhopf.fields import Field
 from weakhopf.fixtures import (function_algebra, sweedler_data, twisted_derivation_data,
                                twisted_derivation_qz2)
@@ -106,9 +122,39 @@ def _expected(name):
     ("check-bad-comult", ["check", str(HERE / "data" / "m2qz2-bad-comult.json")], 1),
     ("ore-sweedler", ["ore", "build", _bundled("sweedler-data.json"), "--verify-degree", "3"], 0),
     ("check-bad-mult", ["check", str(HERE / "data" / "m2qz2-bad-mult.json")], 1),
+    ("check-m3qz2-transported", ["check", str(HERE / "data" / "m3qz2-transported.json")], 0),
+    ("check-m3qz2-bad-counit", ["check", str(HERE / "data" / "m3qz2-bad-counit.json")], 1),
 ])
 def test_cli_golden(name, argv, code):
     assert _run(argv) == (code, _expected(name))
+
+
+def test_bad_counit_failure_sides_golden():
+    wb = parse_spec(str(HERE / "data" / "m3qz2-bad-counit.json"), validate=False).wb
+    lines = []
+    for report in (coalgebra_report(wb.coalgebra), check_weak_bialgebra(wb), check_antipode(wb)):
+        for name in report.axiom_names():
+            fails = report.failures(name)
+            if fails:
+                f = fails[0]
+                lines.append(f"FAILURE {name} {_fmt_witness(f.witness)} count={len(fails)} "
+                             f"lhs={f.lhs} rhs={f.rhs}")
+    assert "\n".join(lines) + "\n" == _expected("failures-m3qz2-bad-counit")
+
+
+def test_transported_gfp_algebra_errors_golden():
+    """b_i b_j += c b_k in the GF(5) transport: neither b_1 nor b_2 is in the
+    support of the unit, so associativity fails; b_0 is, so the unit fails."""
+    alg = parse_spec(str(HERE / "data" / "m2z2-gf5-transported.json"), validate=False).wb.algebra
+    lines = []
+    for i, j, k, c in ((1, 2, 5, 2), (0, 1, 6, 3)):
+        mult = {ij: dict(v) for ij, v in alg.mult.items()}
+        vec = mult.setdefault((i, j), {})
+        vec[k] = vec.get(k, alg.field.zero()) + c
+        with pytest.raises((NotAssociative, UnitFails)) as exc:
+            Algebra(alg.field, alg.dim, mult, alg.unit, alg.labels)
+        lines.append(f"{type(exc.value).__name__}: {exc.value}")
+    assert "\n".join(lines) + "\n" == _expected("errors-m2z2-gf5-transported")
 
 
 def _written_spec(wb, path):
