@@ -32,14 +32,17 @@ class AxiomReport:
         self._failures = {}
 
     def record(self, axiom, passed, witness=None, lhs=None, rhs=None):
+        self.record_passes(axiom, 1 if passed else 0)
+        if not passed:
+            self._failures[axiom].append(CheckResult(axiom, False, witness, lhs, rhs))
+
+    def record_passes(self, axiom, n):
+        """Record n passing checks of one axiom at once."""
         if axiom not in self._pass_counts:
             self._order.append(axiom)
             self._pass_counts[axiom] = 0
             self._failures[axiom] = []
-        if passed:
-            self._pass_counts[axiom] += 1
-        else:
-            self._failures[axiom].append(CheckResult(axiom, False, witness, lhs, rhs))
+        self._pass_counts[axiom] += n
 
     def check(self, axiom, lhs, rhs, witness=None, fmt=str):
         """Record equality of two evaluated sides."""

@@ -119,6 +119,17 @@ def test_brute_force_too_large(M2Z2):
         brute_force_weak_grouplikes(big)
 
 
+def test_brute_force_work_guard_refuses_before_scanning(count_calls):
+    """kZ19 over GF(2) has 2^19 <= SCAN_LIMIT candidates, but 2^19 times its
+    361 + 741 table terms is about 5.8 * 10^8 > SCAN_WORK_LIMIT."""
+    kz19 = qz(19, Field.prime(2))
+    assert 2 ** 19 <= SCAN_LIMIT
+    calls = count_calls("is_weak_grouplike")
+    with pytest.raises(TooLarge, match="scan work limit"):
+        brute_force_weak_grouplikes(kz19)
+    assert calls["is_weak_grouplike"] == 0  # the zero candidate alone would call it
+
+
 def _rescaled(wb, scales):
     """wb written in the basis b'_i = scales[i] b_i, for nonzero scalars scales[i]."""
     s, field = scales, wb.field

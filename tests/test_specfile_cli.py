@@ -9,7 +9,8 @@ import pytest
 
 from weakhopf.cli import main
 from weakhopf.errors import NotAssociative, ParseError
-from weakhopf.fixtures import m2qz2, sweedler_data
+from weakhopf.fields import Field
+from weakhopf.fixtures import m2qz2, qz, sweedler_data
 from weakhopf.specfile import SpecBundle, emit_spec, parse_spec, write_spec
 
 
@@ -309,6 +310,13 @@ def _section5_spec_file(tmp_path):
     return str(p)
 
 
+def _kz19_gf2_spec_file(tmp_path):
+    wb = qz(19, Field.prime(2))
+    p = tmp_path / "kz19.json"
+    write_spec(SpecBundle(field=wb.field, wb=wb), p)
+    return str(p)
+
+
 GF3 = {"kind": "prime", "p": 3}
 
 
@@ -328,6 +336,8 @@ GF3 = {"kind": "prime", "p": 3}
     # refused by the count guard before M_n(k) is built; never enumerated here
     lambda tmp: ["grouplikes", "--matrix", "8"],
     lambda tmp: ["grouplikes", "--matrix", "10"],
+    # 2^19 candidates are admitted; the work they take is refused before the scan
+    lambda tmp: ["grouplikes", "--brute", _kz19_gf2_spec_file(tmp)],
     lambda tmp: ["check", _raw_spec_file(tmp, "field", "[" * 50_000 + "]" * 50_000)],
     # the Sweedler spec passes check over QQ and over GF(3) with unit ["1", "0"]
     lambda tmp: ["check", _spec_file(tmp, unit=[True, False])],
@@ -347,6 +357,7 @@ GF3 = {"kind": "prime", "p": 3}
 ], ids=["matrix-size-text", "groupoid-size-text", "prime-as-string", "prime-as-float",
         "dim-as-bool", "index-as-bool", "negative-degree-bound", "grouplikes-prime-not-prime",
         "grouplikes-prime-zero", "grouplikes-matrix-8", "grouplikes-matrix-10",
+        "grouplikes-brute-kz19-gf2",
         "deeply-nested-json", "scalar-as-bool", "gf-scalar-as-bool",
         "gf-scalar-superscript-digit", "gf-scalar-double-minus", "scalar-exponent",
         "scalar-decimal", "repeated-basis-labels", "oversized-json-integer",
