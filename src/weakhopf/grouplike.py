@@ -23,7 +23,8 @@ from .report import AxiomReport
 # The most elements an exhaustive scan or an enumeration may visit.
 SCAN_LIMIT = 10 ** 6
 # The most work a brute-force scan may do: p^dim candidates times dim^2 plus
-# the number of residues in its tables (about 1.4 s for kZ16 over GF(2), 5*10^7).
+# the number of residues in its tables.  kZ16 over GF(2) (5.1*10^7) is
+# admitted; kZ19 over GF(2) (5.8*10^8) is refused.
 SCAN_WORK_LIMIT = 10 ** 8
 
 
@@ -369,7 +370,8 @@ def invertible_matrix(m: Matrix) -> bool:
 
 
 __all__ = [
-    "SCAN_LIMIT", "SCAN_WORK_LIMIT", "WeakGrouplike", "Character", "GrouplikeEnumeration", "ConvolutionInverse",
+    "SCAN_LIMIT", "SCAN_WORK_LIMIT", "WeakGrouplike", "Character", "GrouplikeEnumeration",
+    "ConvolutionInverse",
     "is_weak_grouplike", "is_grouplike", "enumerate_weak_grouplikes_matrix",
     "brute_force_weak_grouplikes", "winding", "is_weak_character",
     "is_unital_algebra_endo", "character_from_endo", "convolution_inverse",
