@@ -73,6 +73,13 @@ reduced mod 5; ``errors-m2z2-gf5-transported`` holds the full
 ``NotAssociative`` and ``UnitFails`` messages after one mult entry is
 perturbed.  These checks were recorded while the sweeps of R still ran on
 field scalars.
+
+``ore-failure-sides`` lists every failure of ``verify_extension``, with
+witness and sides, on the forced extensions of ``forced_ore.py``: the
+sign-flipped S(x) on Sweedler's algebra at degree 2, and the section-5
+M_2(QZ_2) data with q = 3/5, -7/2 and a perturbed delta or g at degree 1,
+whose shared sweeps fail with fractional sides.  It was recorded while the
+sweeps of H still ran on field scalars.
 """
 
 import contextlib
@@ -95,6 +102,8 @@ from weakhopf.ore import OreAlgebra, verify_extension
 from weakhopf.panov import eps_a_delta_b_zero, panov_necessary
 from weakhopf.report import _fmt_witness
 from weakhopf.specfile import SpecBundle, emit_spec, parse_spec, write_spec
+
+from forced_ore import FORCED_SECTION5, forced_section5, sign_flipped_sweedler
 
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden"
@@ -212,12 +221,31 @@ def test_ore_build_section5_denominators_golden(tmp_path, name, example):
     assert _run(["ore", "build", str(spec), "--verify-degree", "4"]) == (0, _expected(name))
 
 
-def test_sign_flipped_antipode_of_x_golden(sweedler):
-    bad = OreAlgebra(sweedler.R, sweedler.sigma, sweedler.delta, sweedler.g,
-                     _coalgebra_extended=True, _antipode_extended=True)
-    bad._s_x = bad.multiply(bad.embed(sweedler.R.antipode.apply(sweedler.g)), bad.x())
-    text = "\n".join(verify_extension(bad, 2).lines()) + "\n"
+def test_sign_flipped_antipode_of_x_golden():
+    text = "\n".join(verify_extension(sign_flipped_sweedler(), 2).lines()) + "\n"
     assert text == _expected("ore-sweedler-bad-antipode-of-x")
+
+
+SHARED_SWEEPS = ("coproduct_multiplicative", "coproduct_coassociative", "counit_right_neutral",
+                 "counit_left_neutral", "counit_weak_multiplicative",
+                 "coproduct_unit_compatibility")
+
+
+def test_forced_extension_failure_sides_golden():
+    """Every failure of verify_extension, with its sides, on three forced extensions;
+    on the section-5 data some shared sweep fails with denominators in a side."""
+    cases = [("sweedler, S(x) = +S(g) x", sign_flipped_sweedler(), 2)]
+    cases += [(f"section5 M_2(QZ_2) q=3/5,-7/2, {which} perturbed", forced_section5(which), 1)
+              for which in FORCED_SECTION5]
+    lines = []
+    for title, H, degree in cases:
+        failures = verify_extension(H, degree).failures()
+        if title.startswith("section5"):
+            assert any("/" in f.lhs + f.rhs for f in failures if f.axiom in SHARED_SWEEPS)
+        lines.append(f"# {title}, degree {degree}")
+        lines += [f"FAILURE {f.axiom} {'-' if f.witness is None else _fmt_witness(f.witness)} "
+                  f"lhs={f.lhs} rhs={f.rhs}" for f in failures]
+    assert "\n".join(lines) + "\n" == _expected("ore-failure-sides")
 
 
 @pytest.mark.parametrize("name, names, code", [
