@@ -15,22 +15,30 @@ Axiom sweeps are exhaustive over basis tuples, never sampled, and results
 are collected in an :class:`~weakhopf.report.AxiomReport`.  All instances
 are immutable after construction.
 
+The sweeps run on an :class:`IntegerView`: the tables of a field-valued
+basis view read once, on the keys the sweeps reach, and held as ints.  Over
+QQ every table (products, unit, coproducts, counit, antipode) is multiplied
+by one integer D, the lcm of all their denominators, and over GF(p) the
+tables hold the residues, D = 1, compared mod p.  A value a sweep sums is
+then D^w times its field value, where the weight w is the number of table
+entries in each of its terms, and the side of lower weight is lifted by
+D^(difference) before two sides are compared.  The weights (lhs/rhs) are:
+associative and coassociative 2/2; unital and counit_*_neutral 2/0;
+coproduct_multiplicative 2/4; counit_weak_multiplicative 3/5;
+coproduct_unit_compatibility 3/9; antipode_vs_*_counital 3/4;
+antipode_composition 6/1.  Only a failing side is converted back (to
+Fraction(v, D^w), or to the residue's field element) to be formatted, so
+witnesses and sides read as they do on field scalars.
+
 The sweeps of R (:func:`algebra_report`, :func:`coalgebra_report`,
-:func:`check_weak_bialgebra`, :func:`check_antipode`) run on an
-:class:`IntegerView`, built once per structure: over QQ every table (mult,
-unit, comult, counit, antipode) is multiplied by one integer D, the lcm of
-all their denominators, and over GF(p) the tables hold the residues, D = 1,
-compared mod p.  A value a sweep sums is then D^w times its field value,
-where the weight w is the number of table entries in each of its terms, and
-the side of lower weight is lifted by D^(difference) before two sides are
-compared.  The weights (lhs/rhs) are: associative and coassociative 2/2;
-unital and counit_*_neutral 2/0; coproduct_multiplicative 2/4;
-counit_weak_multiplicative 3/5; coproduct_unit_compatibility 3/9;
-antipode_vs_*_counital 3/4; antipode_composition 6/1.  Only a failing side
-is converted back (to Fraction(v, D^w), or to the residue's field element)
-to be formatted, so witnesses and sides read as they do on field scalars.
-``wb.view`` keeps field scalars for every other caller, and the Ore layer's
-``MonomialView`` runs the same sweeps with D = 1 and no modulus.
+:func:`check_weak_bialgebra`, :func:`check_antipode`) read R's structure
+constants on every basis key and key pair.  The Ore layer's
+``verify_extension`` reads H = R[x; sigma, delta] at a degree bound B over
+the monomials: products on (degree <= 2B) x (degree <= B), coproducts on
+degree <= 2B, the counit on degree <= 3B and antipodes on degree <= B, since
+the sweeps reach degree 2B through f m in ``eps_row``, through Delta(ab) and
+through the antipode sandwich S(a) b S(d); a read outside the tables raises.
+``wb.view`` and the monomial view keep field scalars for every other caller.
 """
 
 from __future__ import annotations
@@ -109,7 +117,7 @@ class Algebra:
 def algebra_report(alg: Algebra) -> AxiomReport:
     """Exhaustive unit and associativity checks."""
     report = AxiomReport()
-    view = IntegerView(algebra=alg)
+    view = ConstantsView(algebra=alg).integer_view()
     sweep_unital(view, report)
     sweep_associative(view, report)
     return report
@@ -154,7 +162,7 @@ class Coalgebra:
 
 def coalgebra_report(coalg: Coalgebra) -> AxiomReport:
     report = AxiomReport()
-    view = IntegerView(coalgebra=coalg)
+    view = ConstantsView(coalgebra=coalg).integer_view()
     sweep_coassociative(view, report, "coassociative")
     sweep_counit_neutral(view, report, "left")
     sweep_counit_neutral(view, report, "right")
@@ -432,25 +440,40 @@ class ConstantsView(BasisView):
     def witness(self, keys):
         return keys
 
+    def integer_view(self) -> IntegerView:
+        """This view's tables as ints, on every basis key and key pair of the parts it has."""
+        keys = self.keys
+        pairs = [(a, b) for a in keys for b in keys] if self._mult is not None else ()
+        return IntegerView(self, pairs, keys if self._comult is not None else (),
+                           keys if self._counit is not None else (),
+                           keys if self._antipode is not None else ())
 
-class IntegerView(ConstantsView):
-    """The structure constants of R as Python ints, for the axiom sweeps.
 
-    Over QQ every table (mult, unit, comult, counit, antipode) is multiplied
-    by one integer D, the lcm of all their denominators; over GF(p) the
-    tables hold the residues, D = 1, and sides are compared mod p.  A basis
-    vector {k: 1} is not scaled.  A value a sweep computes is D^w times its
-    field value, w (its weight) being the number of table entries in each of
-    its terms, and :meth:`agree` compares two sides of an axiom through
-    their weights.  Only a failing side goes back to field scalars, to be
-    formatted.
+class IntegerView(BasisView):
+    """The tables of a field-valued basis view as Python ints, for the axiom sweeps.
+
+    The tables are read once from ``source``, on the keys given: products on
+    the key pairs ``products``, coproducts on ``coproducts``, the counit on
+    ``counits`` and antipodes on ``antipodes``; a read outside them raises
+    KeyError.  Over QQ every entry, and the unit, is multiplied by one
+    integer D, the lcm of all their denominators; over GF(p) the tables hold
+    the residues, D = 1, and sides are compared mod p.  A basis vector
+    {k: 1} is not scaled.  A value a sweep computes is D^w times its field
+    value, w (its weight) being the number of table entries in each of its
+    terms, and :meth:`agree` compares two sides of an axiom through their
+    weights.  Only a failing side goes back to field scalars, to be
+    formatted with the source's labels and witnesses.
     """
 
-    def __init__(self, algebra=None, coalgebra=None, antipode=None):
-        super().__init__(algebra, coalgebra, antipode)
-        columns = antipode.column_dicts() if antipode is not None else []
-        tables = [*(self._mult or {}).values(), *(self._comult or {}).values(),
-                  self.unit or {}, self._counit or {}, *columns]
+    def __init__(self, source, products, coproducts, counits, antipodes):
+        super().__init__(source.field, source.keys, None)
+        self._source = source
+        products = {ab: source.product(*ab) for ab in products}
+        coproducts = {k: source.coproduct(k) for k in coproducts}
+        antipodes = {k: source.antipode(k) for k in antipodes}
+        counit = {k: source.counit(k) for k in counits}
+        unit = source.unit or {}
+        tables = [*products.values(), *coproducts.values(), *antipodes.values(), counit, unit]
         self.modulus = self.field.order
         if self.modulus is None:
             self.scale = D = math.lcm(*(c.denominator for t in tables for c in t.values()))
@@ -458,13 +481,29 @@ class IntegerView(ConstantsView):
         else:
             ints = lambda t: {k: c.v for k, c in t.items()}
         self.zero, self.one = 0, 1
-        if algebra is not None:
-            self._mult = {ij: ints(v) for ij, v in self._mult.items()}
-            self.unit = ints(self.unit)
-        if coalgebra is not None:
-            self._comult = {k: ints(t) for k, t in self._comult.items()}
-            self._counit = ints(self._counit)
-        self._antipode_cols = [ints(col) for col in columns]
+        self.unit = None if source.unit is None else ints(unit)
+        self._products = {ab: ints(v) for ab, v in products.items()}
+        self._coproducts = {k: ints(t) for k, t in coproducts.items()}
+        self._antipodes = {k: ints(v) for k, v in antipodes.items()}
+        self._counit = ints(counit)
+
+    def product(self, a, b):
+        return self._products[a, b]
+
+    def coproduct(self, k):
+        return self._coproducts[k]
+
+    def counit(self, k):
+        return self._counit[k]
+
+    def antipode(self, k):
+        return self._antipodes[k]
+
+    def label(self, k):
+        return self._source.label(k)
+
+    def witness(self, keys):
+        return self._source.witness(keys)
 
     def to_field(self, c, w):
         return self.field(c) if self.modulus else Fraction(c, self.scale ** w)
@@ -587,23 +626,37 @@ def sweep_unit_compatibility(view, report):
 
     The products run over pairs of terms of Delta(1), with 1 kept whole as
     an element: exact by bilinearity, and nothing is assumed of the unit.
+    The terms are indexed by each leg, so only the pairs whose middle
+    product (b c on the left, a d on the right) is nonzero are visited.
     """
     zero, one, unit, mul, product = view.zero, view.one, view.unit, view.multiply, view.product
     d1 = view.delta_one()
     lhs = view.comultiply_leg(d1, 0)
     times_unit = {k: mul({k: one}, unit) for pair in d1 for k in pair}
     unit_times = {k: mul(unit, {k: one}) for pair in d1 for k in pair}
+    by_leg = ({}, {})  # by_leg[i][k]: the (other leg, scalar) of the terms with leg i = k
+    for (a, b), x in d1.items():
+        by_leg[0].setdefault(a, []).append((b, x))
+        by_leg[1].setdefault(b, []).append((a, x))
     fmt = view.formatter(3)
     for side in ("left", "right"):
         out = {}
-        for (a, b), x in d1.items():
-            for (c, d), y in d1.items():
-                if side == "left":  # (a (x) b (x) 1)(1 (x) c (x) d)
-                    legs = (times_unit[a], product(b, c), unit_times[d])
-                else:               # (1 (x) a (x) b)(c (x) d (x) 1)
-                    legs = (unit_times[c], product(a, d), times_unit[b])
-                if all(legs):
-                    _add_pure(out, x * y, legs, zero)
+        # left: (a (x) b (x) 1)(1 (x) c (x) d), meeting at b c; right:
+        # (1 (x) a (x) b)(c (x) d (x) 1), meeting at a d
+        first, second = (by_leg[1], by_leg[0]) if side == "left" else (by_leg[0], by_leg[1])
+        for m1, terms1 in first.items():
+            for m2, terms2 in second.items():
+                middle = product(m1, m2)
+                if not middle:
+                    continue
+                for o1, x in terms1:
+                    for o2, y in terms2:
+                        if side == "left":
+                            legs = (times_unit[o1], middle, unit_times[o2])
+                        else:
+                            legs = (unit_times[o2], middle, times_unit[o1])
+                        if legs[0] and legs[2]:
+                            _add_pure(out, x * y, legs, zero)
         ok = view.agree(lhs, out, (3, 9))
         report.record("coproduct_unit_compatibility", ok, (side,),
                       None if ok else fmt(view.field_side(lhs, 3)),
@@ -699,8 +752,7 @@ class WeakBialgebra:
     def integer_view(self) -> IntegerView:
         """The integer view check_weak_bialgebra and check_antipode sweep."""
         if self._integer_view is None:
-            antipode = getattr(self, "antipode", None)
-            self._integer_view = IntegerView(self.algebra, self.coalgebra, antipode)
+            self._integer_view = self.view.integer_view()
         return self._integer_view
 
     def format_element(self, v):

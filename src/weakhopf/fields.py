@@ -16,8 +16,7 @@ from .errors import FieldMismatch, ParseError, ValidationError
 
 
 # The scalar strings :meth:`Field.format` emits: -?digits, and -?digits/digits over QQ.
-_INTEGER = re.compile(r"-?[0-9]+")
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_SCALAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 class PrimeElement:
@@ -152,13 +151,20 @@ class Field:
         raise ValidationError(f"{x!r} is not a {self} scalar")
 
     def parse(self, value):
-        """Parse a serialized scalar: int (not bool), or a string like "3" or "-3/4"."""
+        """Parse a serialized scalar: int (not bool), or a string like "3" or "-3/4".
+
+        The scalar is built from the digits the pattern matched; a quotient
+        is refused over GF(p).
+        """
         if type(value) is int:
             return self.from_int(value)
-        pattern = _RATIONAL if self._elem is None else _INTEGER
-        if isinstance(value, str) and pattern.fullmatch(value):
+        match = _SCALAR.fullmatch(value) if isinstance(value, str) else None
+        if match and (self._elem is None or match[2] is None):
             try:
-                return Fraction(value) if self._elem is None else self._elem(int(value))
+                n = int(match[1])
+                if self._elem is not None:
+                    return self._elem(n)
+                return Fraction(n, int(match[2])) if match[2] else Fraction(n)
             except (ValueError, ZeroDivisionError):  # too many digits for int(), or n/0
                 pass
         raise ParseError(f"bad {'rational' if self._elem is None else self} scalar {value!r}")

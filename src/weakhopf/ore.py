@@ -14,15 +14,19 @@ Once the extension conditions hold, the coproduct is
 Delta(a x^n) = Delta(a) * (g (x) x + x (x) 1)^n, the counit reads the
 degree-0 coefficient, and the antipode is the anti-homomorphism with
 S(x) = -S(g) x.  :func:`verify_extension` runs the same weak-bialgebra axiom
-sweeps on the monomial view of H as bialgebra.py runs on R.
+sweeps on H as bialgebra.py runs on R, on the integer view of the monomial
+view's tables at the degree bound (:meth:`MonomialView.integer_view`); the
+monomial view itself keeps field scalars, its caches on H.
 """
 
 from __future__ import annotations
 
-from .bialgebra import (BasisView, WeakBialgebra, WeakHopfAlgebra, _nonzero, base_subalgebras,
-                        sweep_antipode, sweep_coassociative, sweep_coproduct_multiplicative,
-                        sweep_counit_neutral, sweep_counit_weak_multiplicative,
-                        sweep_unit_compatibility)
+import itertools
+
+from .bialgebra import (BasisView, IntegerView, WeakBialgebra, WeakHopfAlgebra, _nonzero,
+                        base_subalgebras, sweep_antipode, sweep_coassociative,
+                        sweep_coproduct_multiplicative, sweep_counit_neutral,
+                        sweep_counit_weak_multiplicative, sweep_unit_compatibility)
 from .coderivations import skew_derivation
 from .errors import ConditionsFailed, ValidationError
 from .linalg import Matrix, in_span
@@ -319,11 +323,15 @@ class MonomialView(BasisView):
     """
 
     def __init__(self, H: OreAlgebra, degree_bound: int = 0):
-        R = H.R
-        keys = [(b, n) for n in range(degree_bound + 1) for b in range(R.dim)]
-        super().__init__(H.field, keys, H.embed(R.unit))
+        super().__init__(H.field, self.monomials(H, degree_bound), H.embed(H.R.unit))
         self.H = H
+        self.degree_bound = degree_bound
         self._products, self._antipodes = H._product_terms, H._antipode_terms
+
+    @staticmethod
+    def monomials(H, degree):
+        """The monomial keys of degree <= degree, degree-major."""
+        return [(b, n) for n in range(degree + 1) for b in range(H.R.dim)]
 
     def product(self, a, b):
         hit = self._products.get((a, b))
@@ -351,21 +359,37 @@ class MonomialView(BasisView):
     def witness(self, keys):
         return tuple(i for k in keys for i in k)
 
+    def integer_view(self) -> IntegerView:
+        """The tables the shared sweeps read at degree bound B, as ints.
+
+        Products on (degree <= 2B) x (degree <= B), coproducts on degree
+        <= 2B, the counit on degree <= 3B (every monomial those products
+        reach) and antipodes, when extended, on degree <= B: the sweeps reach
+        degree 2B through f m in eps_row, through Delta(ab) and through the
+        antipode sandwich S(a) b S(d).
+        """
+        H, B = self.H, self.degree_bound
+        return IntegerView(self, itertools.product(self.monomials(H, 2 * B), self.keys),
+                           self.monomials(H, 2 * B), self.monomials(H, 3 * B),
+                           self.keys if H.antipode_extended else ())
+
 
 def verify_extension(H: OreAlgebra, degree_bound: int = 3) -> AxiomReport:
     """Exhaustive axiom sweep on H over monomials of degree <= degree_bound.
 
     The weak-bialgebra axioms come from the shared sweeps in bialgebra.py,
-    run on a MonomialView of H just as coalgebra_report,
-    check_weak_bialgebra and check_antipode run them on R: coproduct
-    multiplicativity, coassociativity, both counit axioms, weak
-    multiplicativity of the counit, the unit-coproduct compatibility and
-    (when extended) the three antipode axioms.  The clauses specific to the
-    extension are checked here: skew primitivity of the generator,
-    commutation of Delta(x) with Delta(1) and with Delta(a), vanishing of
-    the counit on x-sandwiches and centrality of R_s against x.  A negative
-    degree bound would sweep nothing and raises ValidationError.
-    Serialize with ``report.lines()``: one `AXIOM name PASS|FAIL` line each.
+    run on the integer view of a MonomialView of H, built once per call,
+    just as coalgebra_report, check_weak_bialgebra and check_antipode run
+    them on the integer view of R: coproduct multiplicativity,
+    coassociativity, both counit axioms, weak multiplicativity of the
+    counit, the unit-coproduct compatibility and (when extended) the three
+    antipode axioms.  The clauses specific to the extension are checked
+    here on the field-valued MonomialView: skew primitivity of the
+    generator, commutation of Delta(x) with Delta(1) and with Delta(a),
+    vanishing of the counit on x-sandwiches and centrality of R_s against
+    x.  A negative degree bound would sweep nothing and raises
+    ValidationError.  Serialize with ``report.lines()``: one
+    `AXIOM name PASS|FAIL` line each.
     """
     if degree_bound < 0:
         raise ValidationError(f"degree bound must be nonnegative, got {degree_bound}")
@@ -373,13 +397,14 @@ def verify_extension(H: OreAlgebra, degree_bound: int = 3) -> AxiomReport:
     report = AxiomReport()
     R = H.R
     view = MonomialView(H, degree_bound)
+    ints = view.integer_view()
 
-    sweep_coproduct_multiplicative(view, report)
-    sweep_coassociative(view, report, "coproduct_coassociative")
-    sweep_counit_neutral(view, report, "right")
-    sweep_counit_neutral(view, report, "left")
-    sweep_counit_weak_multiplicative(view, report)
-    sweep_unit_compatibility(view, report)
+    sweep_coproduct_multiplicative(ints, report)
+    sweep_coassociative(ints, report, "coproduct_coassociative")
+    sweep_counit_neutral(ints, report, "right")
+    sweep_counit_neutral(ints, report, "left")
+    sweep_counit_weak_multiplicative(ints, report)
+    sweep_unit_compatibility(ints, report)
 
     tmul, fmt = view.tensor_mul, view.formatter(2)
     d1, skew = view.delta_one(), H.skew_power_tensor(1)
@@ -410,5 +435,5 @@ def verify_extension(H: OreAlgebra, degree_bound: int = 3) -> AxiomReport:
                      witness=(idx,), fmt=view.formatter(1))
 
     if H.antipode_extended:
-        sweep_antipode(view, report)
+        sweep_antipode(ints, report)
     return report

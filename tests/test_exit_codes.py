@@ -1,15 +1,19 @@
-"""Exit-code fuzz: mutated spec files through ``weakhopf check``.
+"""Exit-code fuzz: mutated spec files through ``weakhopf check`` and ``weakhopf ore build``.
 
 A mutation swaps two indices of a mult or comult row (or an index and the
 scalar, which the parser must refuse), or writes a random scalar into a
 table: over QQ a rational with a large denominator, so the scale D of the
 integer view varies from example to example.  Whatever the spec, ``check``
 exits 0, 1 or 2; exit 1 comes only after an ``AXIOM ... FAIL`` line, exit 2
-prints one error line, and nothing prints a traceback.  The profile is fixed
+prints one error line, and nothing prints a traceback.  ``ore build`` gets
+the section-5 spec (Z2, n = 1) with random rationals written into sigma,
+delta and g, and keeps the same contract, where exit 1 may also follow a
+``CLAUSE ... FAIL`` or ``VERDICT FAIL`` line.  The profile is fixed
 (derandomized, no example database).
 """
 
 import contextlib
+import functools
 import io
 import json
 import re
@@ -54,14 +58,29 @@ def _mutate(doc, mutation):
         doc[section][r % doc["dim"]] = text
 
 
-def _check(doc):
+def _run(doc, argv):
+    """main(argv(path)) on doc written to a spec file; (exit code, stdout, stderr)."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "spec.json"
         path.write_text(json.dumps(doc))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(["check", str(path)])
+            rc = main(argv(str(path)))
     return rc, out.getvalue(), err.getvalue()
+
+
+def _assert_exit_contract(rc, out, err, line):
+    """Exit 2 prints one error line and nothing else; exit 0 or 1 prints only
+    lines matching ``line``, and exit 1 only with an ``AXIOM``, ``CLAUSE`` or
+    ``VERDICT`` line that reads FAIL."""
+    assert "Traceback" not in out + err
+    if rc == 2:
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+        return
+    lines = out.splitlines()
+    assert rc in (0, 1) and err == ""
+    assert lines and all(line.match(text) for text in lines)
+    assert any("FAIL" in text.split()[1:3] for text in lines) == (rc == 1)
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
@@ -70,12 +89,35 @@ def test_mutated_spec_exit_codes(source, mutations):
     doc = json.loads(source.read_text())
     for mutation in mutations:
         _mutate(doc, mutation)
-    rc, out, err = _check(doc)
-    assert "Traceback" not in out + err
-    lines = out.splitlines()
-    if rc == 2:
-        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
-        return
-    assert rc in (0, 1) and err == ""
-    assert lines and all(AXIOM_LINE.match(line) for line in lines)
-    assert any(line.split()[2] == "FAIL" for line in lines) == (rc == 1)
+    rc, out, err = _run(doc, lambda path: ["check", path])
+    _assert_exit_contract(rc, out, err, AXIOM_LINE)
+
+
+# clause witnesses name elements, so they may hold spaces
+ORE_LINE = re.compile(r"BUILT OreAlgebra\(.*\)$|VERDICT (PASS|FAIL)$"
+                      r"|AXIOM \S+ (PASS|FAIL)( witness=\S+)?$"
+                      r"|CLAUSE \S+ (PASS|FAIL)( witness=\(.*\))?$")
+ore_scalar = st.tuples(st.sampled_from(("g", "delta", "sigma")), index, index,
+                       st.fractions(max_denominator=10 ** 12).filter(lambda q: abs(q) < 10 ** 6))
+
+
+@functools.cache
+def _section5_text():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["example", "section5", "--group", "Z2", "--n", "1", "--rho=1,-1"]) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.lists(ore_scalar, max_size=2))
+def test_mutated_ore_data_exit_codes(mutations):
+    doc = json.loads(_section5_text())
+    dim = doc["dim"]
+    for name, i, j, q in mutations:
+        if name == "g":
+            doc["elements"]["g"][i % dim] = str(q)
+        else:
+            doc["maps"][name][i % dim][j % dim] = str(q)
+    rc, out, err = _run(doc, lambda path: ["ore", "build", path, "--verify-degree", "2"])
+    _assert_exit_contract(rc, out, err, ORE_LINE)

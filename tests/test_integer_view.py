@@ -1,9 +1,11 @@
-"""The integer view of R against the field view: the same sweeps, the same report.
+"""The integer views of R and of H against the field views: the same sweeps, the same report.
 
-``IntegerView`` holds the structure constants as ints (scaled by the lcm D
-of their denominators over QQ, residues mod p over GF(p)); ``wb.view`` holds
-field scalars.  Every sweep of R runs on both, and the failures (axiom,
-witness, lhs and rhs text) and the pass counts per axiom must agree.
+``IntegerView`` holds a view's tables as ints (scaled by the lcm D of their
+denominators over QQ, residues mod p over GF(p)); ``wb.view`` and the
+``MonomialView`` of H = R[x; sigma, delta] hold field scalars.  Every sweep
+of R, and every shared sweep of H at degree bounds 0 to 3, runs on both,
+and the failures (axiom, witness, lhs and rhs text) and the pass counts per
+axiom must agree.
 """
 
 import random
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from forced_ore import FORCED_SECTION5, forced_section5, sign_flipped_sweedler
 from oracles import dense_associativity_failures
 from weakhopf.bialgebra import (Algebra, Coalgebra, IntegerView, WeakHopfAlgebra,
                                 algebra_report, check_weak_bialgebra, sweep_antipode,
@@ -21,9 +24,10 @@ from weakhopf.bialgebra import (Algebra, Coalgebra, IntegerView, WeakHopfAlgebra
                                 sweep_counit_weak_multiplicative, sweep_unit_compatibility,
                                 sweep_unital)
 from weakhopf.fields import Field
-from weakhopf.fixtures import function_algebra
+from weakhopf.fixtures import function_algebra, sweedler_data, twisted_derivation_data
 from weakhopf.groupoid import GroupPresentation
 from weakhopf.linalg import Matrix
+from weakhopf.ore import MonomialView, extend_antipode, make_ore
 from weakhopf.report import AxiomReport
 from weakhopf.specfile import parse_spec
 
@@ -105,7 +109,7 @@ def test_integer_view_matches_field_view_on_spec_files(name):
 def test_transported_m3qz2_has_d_36():
     wb = parse_spec(str(DATA / "m3qz2-transported.json"), validate=False).wb
     assert wb.integer_view.scale == 36 and wb.integer_view.modulus is None
-    assert all(type(c) is int for v in wb.integer_view._mult.values() for c in v.values())
+    assert all(type(c) is int for v in wb.integer_view._products.values() for c in v.values())
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -153,3 +157,69 @@ def test_pass_counts_add_up_to_tuples_swept(name):
     counit = "counit_weak_multiplicative"
     assert weak._pass_counts[counit] + len(weak.failures(counit)) == 2 * dim ** 3
     assert bool(weak.failures(counit)) == ("bad" in name)
+
+
+def _extended(data):
+    return extend_antipode(make_ore(data.R, data.sigma, data.delta, data.g))
+
+
+def _section5(group, n, rho, q, field=None):
+    return lambda: _extended(twisted_derivation_data(GroupPresentation.cyclic(group), n,
+                                                     rho=rho, q=q, field=field))
+
+
+F3 = Field.prime(3)
+ORE_CASES = {
+    "sweedler": lambda: _extended(sweedler_data()),
+    "section5-Z2-n1": _section5(2, 1, [1, -1], [Fraction(3, 5)]),
+    "section5-Z2-n2": _section5(2, 2, [1, -1], [Fraction(3, 5), Fraction(-7, 2)]),
+    "section5-Z4-n1": _section5(4, 1, [1, -1, 1, -1], [Fraction(5, 3)]),
+    "section5-Z2-n1-GF3": _section5(2, 1, [F3(1), F3(-1)], [F3(1)], F3),
+    "forced-sweedler-sign-flipped-S(x)": sign_flipped_sweedler,
+    **{f"forced-section5-{which}": (lambda w=which: forced_section5(w))
+       for which in FORCED_SECTION5},
+}
+
+
+def _sweep_shared(H, view):
+    """The sweeps verify_extension shares with R, in its order."""
+    report = AxiomReport()
+    sweep_coproduct_multiplicative(view, report)
+    sweep_coassociative(view, report, "coproduct_coassociative")
+    sweep_counit_neutral(view, report, "right")
+    sweep_counit_neutral(view, report, "left")
+    sweep_counit_weak_multiplicative(view, report)
+    sweep_unit_compatibility(view, report)
+    if H.antipode_extended:
+        sweep_antipode(view, report)
+    return report
+
+
+@pytest.mark.parametrize("degree", range(4))
+@pytest.mark.parametrize("name", ORE_CASES)
+def test_integer_view_of_h_matches_monomial_view(name, degree):
+    H = ORE_CASES[name]()
+    view = MonomialView(H, degree)
+    ints = view.integer_view()
+    assert type(ints) is IntegerView
+    failures, counts = _summary(_sweep_shared(H, ints))
+    assert (failures, counts) == _summary(_sweep_shared(H, view))
+    assert bool(failures) == (name.startswith("forced") and degree > 0)
+    if degree and name in ("section5-Z2-n2", "forced-section5-delta"):
+        assert ints.scale > 1  # sigma's -35/6 and -6/35 enter from degree 1
+
+
+def test_integer_view_of_h_refuses_reads_outside_its_tables():
+    """At degree bound 2: products on (<= 4) x (<= 2), coproducts on <= 4, the
+    counit on <= 6, antipodes on <= 2; nothing outside is computed on demand."""
+    H = ORE_CASES["sweedler"]()
+    ints = MonomialView(H, 2).integer_view()
+    assert ints.product((1, 4), (1, 2)) and ints.coproduct((1, 4)) and ints.antipode((1, 2))
+    assert ints.counit((0, 6)) == 0
+    cached = len(H._product_terms), len(H._antipode_terms), len(H._delta_mono_cache)
+    for read, key in ((ints.product, ((1, 5), (0, 0))), (ints.product, ((0, 0), (1, 3))),
+                      (ints.coproduct, ((1, 5),)), (ints.counit, ((0, 7),)),
+                      (ints.antipode, ((1, 3),))):
+        with pytest.raises(KeyError):
+            read(*key)
+    assert (len(H._product_terms), len(H._antipode_terms), len(H._delta_mono_cache)) == cached

@@ -64,7 +64,8 @@ def test_field_parse_accepts_only_the_emitted_forms():
     q, f7 = Field.rationals(), Field.prime(7)
     assert [q.parse(t) for t in ("-3", "2/4", "-0/5")] == [-3, Fraction(1, 2), 0]
     assert f7.parse("-12") == f7(2)
-    for field, texts in ((q, ("1e5", "1.5", "+3", " 3", "--1", "3/-4", "1/0", "9" * 5000)),
+    for field, texts in ((q, ("1e5", "1.5", "+3", " 3", "--1", "3/-4", "1/0", "-7/0", "9" * 5000,
+                              "1/" + "9" * 5000, "9" * 5000 + "/2", "3\n", "\u0663")),
                          (f7, ("3/4", "1e5", "+3", "--1", "\u0663", "9" * 5000))):
         for text in texts:
             with pytest.raises(ParseError):
