@@ -48,7 +48,7 @@ from fractions import Fraction
 
 from .errors import (AxiomFailure, CounitFails, DimensionMismatch, FieldMismatch,
                      NotAssociative, NotCoassociative, UnitFails, ValidationError)
-from .linalg import Matrix, column_space_basis, kron
+from .linalg import Matrix, column_space_basis
 from .report import AxiomReport
 
 
@@ -143,21 +143,6 @@ class Coalgebra:
                 if fail.axiom == "coassociative":
                     raise NotCoassociative(fail.witness[0])
                 raise CounitFails(fail.witness[0], fail.axiom)
-
-    def coproduct_of_basis(self, k) -> dict:
-        """Delta(b_k) as a dict (i, j) -> scalar; callers must not modify it."""
-        return self.comult.get(k, _EMPTY)
-
-    def counit_value(self, v: dict):
-        acc = self.field.zero()
-        for i, c in v.items():
-            e = self.counit.get(i)
-            if e:
-                acc = acc + c * e
-        return acc
-
-    def is_cocommutative(self):
-        return all(t == {(j, i): c for (i, j), c in t.items()} for t in self.comult.values())
 
 
 def coalgebra_report(coalg: Coalgebra) -> AxiomReport:
@@ -733,9 +718,6 @@ class WeakBialgebra:
     def multiply(self, u, v):
         return self.view.multiply(u, v)
 
-    def counit_value(self, v: dict):
-        return self.coalgebra.counit_value(v)
-
     @property
     def counit(self):
         return self.coalgebra.counit
@@ -849,7 +831,7 @@ def convolution(f: dict, g: dict, wb: WeakBialgebra) -> dict:
     out = {}
     for k in range(wb.dim):
         acc = zero
-        for (i, j), c in wb.coalgebra.coproduct_of_basis(k).items():
+        for (i, j), c in wb.view.coproduct(k).items():
             fi = f.get(i)
             gj = g.get(j)
             if fi and gj:
@@ -857,67 +839,3 @@ def convolution(f: dict, g: dict, wb: WeakBialgebra) -> dict:
         if acc:
             out[k] = acc
     return out
-
-
-def map_convolution(F: Matrix, G: Matrix, wb: WeakBialgebra) -> Matrix:
-    """Convolution of linear endomorphisms: (F*G)(b) = F(b_1) G(b_2)."""
-    view, fcols, gcols = wb.view, F.column_dicts(), G.column_dicts()
-    data = {}
-    for k in view.keys:
-        for (i, j), c in view.coproduct(k).items():
-            for r, x in view.multiply(fcols[i], gcols[j]).items():
-                data[(r, k)] = data.get((r, k), view.zero) + c * x
-    return Matrix(wb.field, wb.dim, wb.dim, data)
-
-
-def weak_counit_identities(wb: WeakBialgebra, a: dict, b: dict) -> AxiomReport:
-    """Check eps(ab) = eps(a eps_t(b)) = eps(a eps_s'(b)) = eps(eps_t'(a) b) = eps(eps_s(a) b)."""
-    report = AxiomReport()
-    base = wb.counit_value(wb.multiply(a, b))
-    pairs = (("counit_via_eps_t", wb.multiply(a, wb.eps_t(b))),
-             ("counit_via_eps_s_prime", wb.multiply(a, wb.eps_s_prime(b))),
-             ("counit_via_eps_t_prime", wb.multiply(wb.eps_t_prime(a), b)),
-             ("counit_via_eps_s", wb.multiply(wb.eps_s(a), b)))
-    for name, elt in pairs:
-        report.check(name, wb.counit_value(elt), base,
-                     witness=(wb.format_element(a), wb.format_element(b)))
-    return report
-
-
-def tensor_product(a: WeakBialgebra, b: WeakBialgebra):
-    """Tensor product of weak bialgebras (weak Hopf algebras when both have antipodes).
-
-    Componentwise product, coproduct (a (x) b) -> (a_1 (x) b_1) (x) (a_2 (x) b_2),
-    counit eps_A eps_B, antipode S_A (x) S_B.  Basis index of (i, j) is
-    i * dim_B + j, matching the Kronecker convention.
-    """
-    if a.field != b.field:
-        raise FieldMismatch("tensor factors over different fields")
-    field = a.field
-    dim = a.dim * b.dim
-
-    def idx(i, j):
-        return i * b.dim + j
-
-    def pure(u, v):
-        return {idx(i, j): x * y for i, x in u.items() for j, y in v.items()}
-
-    labels = [f"{la}(x){lb}" for la in a.labels for lb in b.labels]
-    mult = {(idx(i1, j1), idx(i2, j2)): pure(va, vb)
-            for (i1, i2), va in a.algebra.mult.items()
-            for (j1, j2), vb in b.algebra.mult.items()}
-    algebra = Algebra(field, dim, mult, pure(a.unit, b.unit), labels, validate=True)
-
-    comult = {}
-    for k1 in range(a.dim):
-        da = a.coalgebra.coproduct_of_basis(k1)
-        for k2 in range(b.dim):
-            db = b.coalgebra.coproduct_of_basis(k2)
-            comult[idx(k1, k2)] = {(idx(i1, i2), idx(j1, j2)): c1 * c2
-                                   for (i1, j1), c1 in da.items()
-                                   for (i2, j2), c2 in db.items()}
-    coalgebra = Coalgebra(field, dim, comult, pure(a.counit, b.counit), validate=True)
-
-    if isinstance(a, WeakHopfAlgebra) and isinstance(b, WeakHopfAlgebra):
-        return WeakHopfAlgebra(algebra, coalgebra, kron(a.antipode, b.antipode), validate=True)
-    return WeakBialgebra(algebra, coalgebra, validate=True)

@@ -20,7 +20,8 @@ from .fixtures import twisted_derivation_data, sweedler_data
 from .groupoid import GroupPresentation, build_groupoid_algebra, matrix_algebra
 from .grouplike import (brute_force_weak_grouplikes, convolution_inverse,
                         enumerate_weak_grouplikes_matrix, is_weak_character)
-from .ore import extend_antipode, extend_coalgebra, make_ore, verify_extension
+from .ore import (extend_antipode, extend_coalgebra, make_ore, refuse_large_degree,
+                  verify_extension)
 from .panov import HOPF, NECESSARY, SUFFICIENT, PanovClauses, groupoid_character
 from .specfile import SpecBundle, parse_spec, spec_text, write_spec
 
@@ -84,7 +85,7 @@ def cmd_characters(args):
     if inv.two_sided is not None:
         zero = wb.field.zero()
         print("INVERSE two-sided " + " ".join(
-            wb.field.format(inv.two_sided.get(i, zero)) for i in range(wb.dim)))
+            str(wb.field.format(inv.two_sided.get(i, zero))) for i in range(wb.dim)))
     else:
         print(f"INVERSE left={'yes' if inv.left is not None else 'no'} "
               f"right={'yes' if inv.right is not None else 'no'}")
@@ -128,6 +129,7 @@ def cmd_ore(args):
     if args.ore_command != "build":
         raise ValidationError(f"unknown ore subcommand {args.ore_command!r}")
     bundle = parse_spec(args.spec)
+    refuse_large_degree(bundle.wb, args.verify_degree)
     sigma, delta, g = _named_ore_data(bundle, args)
     H = make_ore(bundle.wb, sigma, delta, g)
     try:

@@ -53,10 +53,6 @@ class DimensionMismatch(WeakHopfError):
     pass
 
 
-class NotAlgebraMap(WeakHopfError):
-    pass
-
-
 class NotAutomorphism(WeakHopfError):
     pass
 
@@ -66,10 +62,6 @@ class NotDerivation(WeakHopfError):
         self.witness = (i, j)
         super().__init__(f"Leibniz rule fails at basis pair ({i},{j}): "
                          f"delta(bi*bj) = {lhs} but delta(bi)*bj + sigma(bi)*delta(bj) = {rhs}")
-
-
-class NotInvertible(WeakHopfError):
-    pass
 
 
 class NotCentral(WeakHopfError):

@@ -12,7 +12,7 @@ import functools
 import re
 from fractions import Fraction
 
-from .errors import FieldMismatch, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 
 
 # The scalar strings :meth:`Field.format` emits: -?digits, and -?digits/digits over QQ.
@@ -106,24 +106,21 @@ def GF(p: int):
 
 
 class Field:
-    """Field descriptor: the rationals, or a prime field GF(p)."""
+    """Field descriptor: the rationals (p is None), or the prime field GF(p)."""
 
-    __slots__ = ("kind", "p", "_elem")
+    __slots__ = ("p", "_elem")
 
-    def __init__(self, kind, p=None):
-        if kind not in ("rationals", "prime"):
-            raise ValueError(f"unknown field kind {kind!r}")
-        self.kind = kind
+    def __init__(self, p=None):
         self.p = p
-        self._elem = GF(p) if kind == "prime" else None
+        self._elem = None if p is None else GF(p)
 
     @classmethod
     def rationals(cls):
-        return cls("rationals")
+        return cls()
 
     @classmethod
     def prime(cls, p):
-        return cls("prime", p)
+        return cls(p)
 
     def zero(self):
         return Fraction(0) if self._elem is None else self._elem(0)
@@ -131,11 +128,9 @@ class Field:
     def one(self):
         return Fraction(1) if self._elem is None else self._elem(1)
 
-    def from_int(self, n):
-        return Fraction(n) if self._elem is None else self._elem(n)
-
     def __call__(self, n):
-        return self.from_int(n)
+        """The field element of the int n."""
+        return Fraction(n) if self._elem is None else self._elem(n)
 
     def coerce(self, x):
         """A scalar passed through the Python API, as an element of this field.
@@ -145,7 +140,7 @@ class Field:
         raise ValidationError.
         """
         if type(x) is int:
-            return self.from_int(x)
+            return self(x)
         if type(x) is (Fraction if self._elem is None else self._elem):
             return x
         raise ValidationError(f"{x!r} is not a {self} scalar")
@@ -157,7 +152,7 @@ class Field:
         is refused over GF(p).
         """
         if type(value) is int:
-            return self.from_int(value)
+            return self(value)
         match = _SCALAR.fullmatch(value) if isinstance(value, str) else None
         if match and (self._elem is None or match[2] is None):
             try:
@@ -173,31 +168,21 @@ class Field:
         """Serialize a scalar (inverse of :meth:`parse`)."""
         return x.v if self._elem is not None else str(x)
 
-    def elements(self):
-        """Iterate all field elements (prime fields only)."""
-        if self._elem is None:
-            raise TypeError("cannot enumerate the elements of an infinite field")
-        return (self._elem(v) for v in range(self.p))
-
     @property
     def order(self):
-        return None if self._elem is None else self.p
-
-    def check_same(self, other):
-        if self != other:
-            raise FieldMismatch(f"{self} vs {other}")
+        return self.p
 
     def __eq__(self, other):
-        return isinstance(other, Field) and self.kind == other.kind and self.p == other.p
+        return isinstance(other, Field) and self.p == other.p
 
     def __hash__(self):
-        return hash((self.kind, self.p))
+        return hash(("rationals", None) if self.p is None else ("prime", self.p))
 
     def __repr__(self):
-        return "QQ" if self.kind == "rationals" else f"GF({self.p})"
+        return "QQ" if self.p is None else f"GF({self.p})"
 
     def to_json(self):
-        if self.kind == "rationals":
+        if self.p is None:
             return {"kind": "rationals"}
         return {"kind": "prime", "p": self.p}
 

@@ -13,11 +13,10 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .bialgebra import WeakBialgebra, WeakHopfAlgebra, convolution, map_convolution
-from .errors import NotAlgebraMap, TooLarge
+from .bialgebra import WeakBialgebra, convolution
+from .errors import TooLarge
 from .groupoid import GroupoidAlgebra, matrix_algebra
-from .linalg import Matrix, rank, solve
-from .report import AxiomReport
+from .linalg import Matrix, solve
 
 
 # The most elements an exhaustive scan or an enumeration may visit.
@@ -32,14 +31,6 @@ SCAN_WORK_LIMIT = 10 ** 8
 class WeakGrouplike:
     element: dict
     is_invertible: bool
-    inverse: dict | None = None
-
-
-@dataclass(frozen=True)
-class Character:
-    functional: dict
-    side: str                    # "left", "right" or "both"
-    inverse: dict | None = None  # two-sided convolution inverse, when known
 
 
 def is_weak_grouplike(wb: WeakBialgebra, g: dict) -> bool:
@@ -96,13 +87,8 @@ def enumerate_weak_grouplikes_matrix(n: int, field=None) -> GrouplikeEnumeration
         for subset in itertools.combinations(range(n), size):
             for targets in itertools.permutations(range(n), size):
                 vec = {alg.basis_index(0, i, s): one for i, s in zip(subset, targets)}
-                invertible = size == n
-                inv = None
-                if invertible:
-                    inv = {alg.basis_index(0, s, i): one for i, s in zip(subset, targets)}
-                out.append(WeakGrouplike(vec, invertible, inv))
-    zero = WeakGrouplike({}, False, None)
-    return GrouplikeEnumeration(alg, out, zero)
+                out.append(WeakGrouplike(vec, size == n))
+    return GrouplikeEnumeration(alg, out, WeakGrouplike({}, False))
 
 
 def brute_force_weak_grouplikes(wb: WeakBialgebra, limit=SCAN_LIMIT):
@@ -204,35 +190,6 @@ def is_weak_character(wb: WeakBialgebra, chi: dict, side: str) -> bool:
     return is_unital_algebra_endo(wb, winding(wb, chi, side)) is None
 
 
-def character_from_endo(wb: WeakBialgebra, sigma: Matrix) -> dict | None:
-    """Recover chi = eps o sigma when sigma is a winding map.
-
-    If Delta sigma = (id (x) sigma)Delta then sigma = tau_chi^r; if
-    Delta sigma = (sigma (x) id)Delta then sigma = tau_chi^l.  Returns chi
-    (verified against the winding) or None when neither identity holds.
-    Raises NotAlgebraMap if sigma is not a unital algebra endomorphism.
-    """
-    witness = is_unital_algebra_endo(wb, sigma)
-    if witness is not None:
-        raise NotAlgebraMap(f"sigma is not a unital algebra endomorphism (witness {witness})")
-    view, cols = wb.view, sigma.column_dicts()
-
-    def intertwines(left, right):  # Delta sigma = (left (x) right) Delta
-        return all(view.comultiply(cols[k]) == view.map_legs(view.coproduct(k), left, right)
-                   for k in view.keys)
-
-    right = intertwines(None, cols.__getitem__)
-    left = intertwines(cols.__getitem__, None)
-    if not (left or right):
-        return None
-    chi = sigma.apply_functional(wb.counit)
-    if right and winding(wb, chi, "right") != sigma:
-        return None
-    if left and not right and winding(wb, chi, "left") != sigma:
-        return None
-    return chi
-
-
 @dataclass
 class ConvolutionInverse:
     left: dict | None
@@ -252,7 +209,7 @@ def convolution_inverse(wb: WeakBialgebra, chi: dict) -> ConvolutionInverse:
     left_rows = {}
     right_rows = {}
     for k in range(wb.dim):
-        for (i, j), c in wb.coalgebra.coproduct_of_basis(k).items():
+        for (i, j), c in wb.view.coproduct(k).items():
             x = chi.get(j)
             if x:
                 left_rows[(k, i)] = left_rows.get((k, i), zero) + c * x
@@ -269,112 +226,3 @@ def convolution_inverse(wb: WeakBialgebra, chi: dict) -> ConvolutionInverse:
     if right_sol is not None and convolution(chi, right_sol, wb) != eps:
         right_sol = None
     return ConvolutionInverse(left_sol, right_sol)
-
-
-def classify_character(wb: WeakBialgebra, chi: dict) -> Character | None:
-    """Package a functional as a Character with its strongest verified side."""
-    left = is_weak_character(wb, chi, "left")
-    right = is_weak_character(wb, chi, "right")
-    if not (left or right):
-        return None
-    side = "both" if (left and right) else ("left" if left else "right")
-    inv = convolution_inverse(wb, chi).two_sided
-    return Character(chi, side, inv)
-
-
-def grouplike_identity_report(wb: WeakBialgebra, g: dict, power_bound=4) -> AxiomReport:
-    """Identities a weak group-like must satisfy, with counit power tests.
-
-    Checks g = eps_t(g) g = g eps_s(g); when an antipode exists, that
-    eps_t(g) = g S(g) and eps_s(g) = S(g) g are idempotent; and the
-    equivalences  eps_t(g) = 1  iff  eps(a g^m) = eps(a) for all basis a and
-    m <= power_bound (likewise eps_s'(g)), and the mirrored statement for
-    eps_s(g) / eps_t'(g) with powers on the left.  Each direction of every
-    equivalence is recorded, so a one-sided discrepancy shows up as a
-    failure rather than being reconciled silently.
-    """
-    report = AxiomReport()
-    fmt = wb.format_element
-    report.record("is_weak_grouplike", is_weak_grouplike(wb, g), witness=(fmt(g),))
-    et, es = wb.eps_t(g), wb.eps_s(g)
-    report.check("grouplike_eps_t_absorption", wb.multiply(et, g), g, witness=(fmt(g),), fmt=fmt)
-    report.check("grouplike_eps_s_absorption", wb.multiply(g, es), g, witness=(fmt(g),), fmt=fmt)
-
-    if isinstance(wb, WeakHopfAlgebra):
-        sg = wb.antipode.apply(g)
-        gsg = wb.multiply(g, sg)
-        sgg = wb.multiply(sg, g)
-        report.check("eps_t_equals_g_Sg", et, gsg, witness=(fmt(g),), fmt=fmt)
-        report.check("eps_s_equals_Sg_g", es, sgg, witness=(fmt(g),), fmt=fmt)
-        report.check("g_Sg_idempotent", wb.multiply(gsg, gsg), gsg, witness=(fmt(g),), fmt=fmt)
-        report.check("Sg_g_idempotent", wb.multiply(sgg, sgg), sgg, witness=(fmt(g),), fmt=fmt)
-
-    powers = [wb.unit]
-    for _ in range(power_bound):
-        powers.append(wb.multiply(powers[-1], g))
-    right_power_test = all(
-        wb.counit_value(wb.multiply(wb.basis_vector(a), powers[m])) == wb.counit_value(wb.basis_vector(a))
-        for a in range(wb.dim) for m in range(1, power_bound + 1))
-    left_power_test = all(
-        wb.counit_value(wb.multiply(powers[m], wb.basis_vector(a))) == wb.counit_value(wb.basis_vector(a))
-        for a in range(wb.dim) for m in range(1, power_bound + 1))
-    report.check("power_counit_iff_eps_t", et == wb.unit, right_power_test, witness=(fmt(g),))
-    report.check("power_counit_iff_eps_s_prime", wb.eps_s_prime(g) == wb.unit, right_power_test,
-                 witness=(fmt(g),))
-    report.check("power_counit_iff_eps_s", es == wb.unit, left_power_test, witness=(fmt(g),))
-    report.check("power_counit_iff_eps_t_prime", wb.eps_t_prime(g) == wb.unit, left_power_test,
-                 witness=(fmt(g),))
-    return report
-
-
-def char_antipode_report(wha: WeakHopfAlgebra, chi: dict) -> AxiomReport:
-    """Antipode identities for a weak character chi (both-sided).
-
-    (i)  S * tau_chi^r = eps_s o tau_chi^r  and  tau_chi^l * S = eps_t o tau_chi^l
-    (ii) when chi o S is verified to be the convolution inverse of chi:
-         S = tau_chi^l S tau_chi^r = tau_chi^r S tau_chi^l.
-    The hypothesis of (ii) is recorded as its own entry.
-    """
-    report = AxiomReport()
-    report.record("chi_weak_character_left", is_weak_character(wha, chi, "left"))
-    report.record("chi_weak_character_right", is_weak_character(wha, chi, "right"))
-    tau_r = winding(wha, chi, "right")
-    tau_l = winding(wha, chi, "left")
-    S = wha.antipode
-    m_t, m_s = wha.counital_matrices()[:2]
-    report.check("antipode_conv_right_winding", map_convolution(S, tau_r, wha), m_s * tau_r)
-    report.check("antipode_conv_left_winding", map_convolution(tau_l, S, wha), m_t * tau_l)
-
-    chi_s = S.apply_functional(chi)
-    eps = wha.counit
-    inverse_hyp = (convolution(chi_s, chi, wha) == eps and convolution(chi, chi_s, wha) == eps)
-    report.record("chi_S_is_convolution_inverse", inverse_hyp)
-    if inverse_hyp:
-        report.check("antipode_winding_conjugation", tau_l * S * tau_r, S)
-        report.check("antipode_winding_conjugation", tau_r * S * tau_l, S)
-    return report
-
-
-def grouplike_monoid_closed(wb: WeakBialgebra, elements) -> bool:
-    """True iff the given weak group-likes are closed under multiplication."""
-    keys = {tuple(sorted(g.items())) for g in elements}
-    for a in elements:
-        for b in elements:
-            if tuple(sorted(wb.multiply(a, b).items())) not in keys:
-                return False
-    return True
-
-
-def invertible_matrix(m: Matrix) -> bool:
-    return m.rows == m.cols and rank(m) == m.rows
-
-
-__all__ = [
-    "SCAN_LIMIT", "SCAN_WORK_LIMIT", "WeakGrouplike", "Character", "GrouplikeEnumeration",
-    "ConvolutionInverse",
-    "is_weak_grouplike", "is_grouplike", "enumerate_weak_grouplikes_matrix",
-    "brute_force_weak_grouplikes", "winding", "is_weak_character",
-    "is_unital_algebra_endo", "character_from_endo", "convolution_inverse",
-    "classify_character", "grouplike_identity_report", "char_antipode_report",
-    "grouplike_monoid_closed", "invertible_matrix",
-]

@@ -11,9 +11,22 @@ from __future__ import annotations
 import itertools
 
 from .bialgebra import Algebra, Coalgebra, WeakHopfAlgebra
-from .errors import ValidationError
+from .errors import TooLarge, ValidationError
 from .fields import Field
 from .linalg import Matrix
+
+# The largest group order a presentation may have: its associativity check
+# is O(order^3), 0.81 s at Z200.  S5 (120) is admitted, S6 (720) refused.
+GROUP_ORDER_LIMIT = 200
+# The largest dimension |G| n^2 of M_n(kG): building it loops over the
+# (|G| n^2)^2 basis pairs and validating it sweeps the basis triples;
+# M_3(kS_3) (dim 54) takes 0.8 s.
+DIM_LIMIT = 128
+
+
+def _refuse_order(order):
+    if order > GROUP_ORDER_LIMIT:
+        raise TooLarge(f"a group of order {order} exceeds the limit {GROUP_ORDER_LIMIT}")
 
 
 class GroupPresentation:
@@ -22,6 +35,7 @@ class GroupPresentation:
     __slots__ = ("order", "table", "inverse", "labels", "name")
 
     def __init__(self, table, labels=None, name="G"):
+        _refuse_order(len(table))
         self.order = len(table)
         self.table = tuple(tuple(row) for row in table)
         self.labels = tuple(labels) if labels else tuple(f"g{i}" for i in range(self.order))
@@ -62,14 +76,18 @@ class GroupPresentation:
     def cyclic(cls, m):
         if m < 1:
             raise ValidationError("cyclic group order must be positive")
+        _refuse_order(m)
         labels = ["1"] + (["t"] if m > 1 else []) + [f"t^{k}" for k in range(2, m)]
         table = [[(i + j) % m for j in range(m)] for i in range(m)]
         return cls(table, labels=labels, name=f"Z{m}")
 
     @classmethod
     def symmetric(cls, n):
+        order = 1
+        for k in range(2, n + 1):  # n!, stopping once past the limit
+            order *= k
+            _refuse_order(order)
         perms = sorted(itertools.permutations(range(n)))
-        index = {p: i for i, p in enumerate(perms)}
 
         def compose(p, q):
             # apply p first, then q
@@ -80,9 +98,6 @@ class GroupPresentation:
         index = {p: i for i, p in enumerate(perms)}
         table = [[index[compose(p, q)] for q in perms] for p in perms]
         return cls(table, labels=[_cycle_label(p) for p in perms], name=f"S{n}")
-
-    def __repr__(self):
-        return f"GroupPresentation({self.name}, order={self.order})"
 
 
 def _cycle_label(perm):
@@ -116,14 +131,6 @@ class GroupoidAlgebra(WeakHopfAlgebra):
         """Index of g E_{i+1,j+1} (g a group index, i, j zero-based)."""
         return (g * self.n + i) * self.n + j
 
-    def basis_triple(self, idx):
-        g, rest = divmod(idx, self.n * self.n)
-        i, j = divmod(rest, self.n)
-        return g, i, j
-
-    def element(self, g, i, j) -> dict:
-        return self.basis_vector(self.basis_index(g, i, j))
-
     def diagonal_unit_indices(self):
         """Indices of the idempotents E_ii (identity group element)."""
         return [self.basis_index(0, i, i) for i in range(self.n)]
@@ -153,6 +160,8 @@ def build_groupoid_algebra(group: GroupPresentation, n: int,
     field = field or Field.rationals()
     m = group.order
     dim = m * n * n
+    if dim > DIM_LIMIT:
+        raise TooLarge(f"M_{n}(k{group.name}) has dimension {dim}, more than {DIM_LIMIT}")
 
     def idx(g, i, j):
         return (g * n + i) * n + j

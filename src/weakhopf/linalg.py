@@ -63,12 +63,6 @@ class Matrix:
                     data[(i, j)] = c
         return cls(field, len(rows), len(rows[0]) if rows else 0, data)
 
-    def entries(self):
-        return sorted(self.data.items())
-
-    def get(self, i, j):
-        return self.data.get((i, j), self.field.zero())
-
     def column_dicts(self):
         cols = [{} for _ in range(self.cols)]
         for (i, j), c in self.data.items():
@@ -80,34 +74,6 @@ class Matrix:
         for (i, j), c in self.data.items():
             rows[i][j] = c
         return rows
-
-    def transpose(self):
-        return Matrix(self.field, self.cols, self.rows,
-                      {(j, i): c for (i, j), c in self.data.items()})
-
-    def __add__(self, other):
-        self._check_shape(other)
-        data = dict(self.data)
-        for rc, c in other.data.items():
-            data[rc] = data.get(rc, self.field.zero()) + c
-        return Matrix(self.field, self.rows, self.cols, data)
-
-    def __sub__(self, other):
-        self._check_shape(other)
-        data = dict(self.data)
-        for rc, c in other.data.items():
-            data[rc] = data.get(rc, self.field.zero()) - c
-        return Matrix(self.field, self.rows, self.cols, data)
-
-    def __neg__(self):
-        return Matrix(self.field, self.rows, self.cols,
-                      {rc: -c for rc, c in self.data.items()})
-
-    def scale(self, c):
-        if not c:
-            return Matrix(self.field, self.rows, self.cols)
-        return Matrix(self.field, self.rows, self.cols,
-                      {rc: c * v for rc, v in self.data.items()})
 
     def __mul__(self, other):
         """Matrix product self * other."""
@@ -147,33 +113,13 @@ class Matrix:
                 out[j] = out.get(j, zero) + f[i] * c
         return {j: c for j, c in out.items() if c}
 
-    def is_zero(self):
-        return not self.data
-
-    def _check_shape(self, other):
-        if (self.rows, self.cols, self.field) != (other.rows, other.cols, other.field):
-            raise DimensionMismatch("matrix shape/field mismatch")
-
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
                 and (self.rows, self.cols) == (other.rows, other.cols)
                 and self.data == other.data)
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(self.entries())))
-
     def __repr__(self):
-        return f"Matrix({self.rows}x{self.cols}, {dict(self.entries())})"
-
-
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product with row-major pair indexing (i*rows_b + k, j*cols_b + l)."""
-    a.field.check_same(b.field)
-    data = {}
-    for (i, j), x in a.data.items():
-        for (k, l), y in b.data.items():
-            data[(i * b.rows + k, j * b.cols + l)] = x * y
-    return Matrix(a.field, a.rows * b.rows, a.cols * b.cols, data)
+        return f"Matrix({self.rows}x{self.cols}, {dict(sorted(self.data.items()))})"
 
 
 def _integer_row(row, field):
@@ -249,7 +195,7 @@ def _rref(rows, ncols, field, augmented_from=None):
         reduced = []
         for ri, col in pivots:
             inv = pow(work[ri][col], -1, prime)
-            reduced.append({c: field.from_int(v * inv) for c, v in work[ri].items()})
+            reduced.append({c: field(v * inv) for c, v in work[ri].items()})
     leftover = [row for ri, row in enumerate(work) if row and ri not in used]
     return [(n, col) for n, (_, col) in enumerate(pivots)], reduced, leftover
 
@@ -303,9 +249,4 @@ def column_space_basis(m: Matrix):
     pivots, _, _ = _rref(m.row_dicts(), m.cols, m.field)
     cols = m.column_dicts()
     return [cols[col] for _, col in pivots]
-
-
-def in_span(m: Matrix, v: dict) -> bool:
-    """True iff the vector v lies in the span of the columns of m."""
-    return solve(m, v) is not None
 

@@ -19,14 +19,13 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 from .bialgebra import WeakBialgebra, WeakHopfAlgebra, base_subalgebras, convolution
-from .coderivations import is_coderivation, is_sigma_derivation
-from .errors import (InvalidGroupCharacter, NotCentral, NotGrouplike, NotInvertible,
-                     ValidationError, ZeroScale)
+from .coderivations import _coderivation_failure, is_sigma_derivation
+from .errors import InvalidGroupCharacter, NotCentral, NotGrouplike, ValidationError, ZeroScale
 from .groupoid import GroupoidAlgebra
 from .grouplike import (convolution_inverse, is_grouplike, is_unital_algebra_endo,
                         is_weak_character, is_weak_grouplike, winding)
-from .linalg import Matrix, kernel_basis, solve
-from .report import AxiomReport, _fmt_witness
+from .linalg import Matrix, kernel_basis
+from .report import _fmt_witness
 
 
 @dataclass(frozen=True)
@@ -47,12 +46,6 @@ class PanovVerdict:
     def passed(self):
         return all(c.passed for c in self.clauses)
 
-    def clause(self, name):
-        for c in self.clauses:
-            if c.clause == name:
-                return c
-        return None
-
     def lines(self):
         out = []
         for c in self.clauses:
@@ -60,15 +53,6 @@ class PanovVerdict:
             out.append(f"CLAUSE {c.clause} {'PASS' if c.passed else 'FAIL'}{suffix}")
         out.append(f"VERDICT {'PASS' if self.passed else 'FAIL'}")
         return out
-
-
-def ad_map(wb: WeakBialgebra, g: dict) -> Matrix:
-    """Matrix of conjugation a -> g a g^-1; raises NotInvertible."""
-    left = wb.algebra.left_mult_matrix(g)
-    g_inv = solve(left, wb.unit)
-    if g_inv is None or wb.multiply(g_inv, g) != wb.unit:
-        raise NotInvertible(f"{wb.format_element(g)} is not invertible")
-    return left * wb.algebra.right_mult_matrix(g_inv)
 
 
 def _columns_agree(wb, lhs, rhs):
@@ -113,6 +97,10 @@ class PanovClauses:
     clause may read another's result.  What several clauses read is computed
     once, on first use: chi = eps o sigma, its windings, its convolution
     inverse, g^-1 and Ad_g, and the columns of sigma, delta and lambda_g.
+    Two pairs of clause names state one identity each and read one result:
+    the sigma twist (coproduct_sigma_g_twist and its expanded form) and the
+    skew-coderivation identity (delta_is_skew_coderivation and
+    coproduct_delta_twisted_leibniz).
     """
 
     def __init__(self, wb: WeakBialgebra, sigma: Matrix, delta: Matrix, g: dict):
@@ -174,20 +162,24 @@ class PanovClauses:
         return [self.wb.view.comultiply(col) for col in self._sigma_cols]
 
     @cached_property
-    def _twists(self) -> tuple:
-        """(passed, witness) of the twisted compatibility and of its expanded form, in one pass."""
+    def _sigma_twist(self):
+        """(passed, witness) of Delta(sigma(b_k))(g (x) 1) = (lambda_g (x) sigma)Delta(b_k),
+        which in a unital R is also (g (x) 1)(id (x) sigma)Delta(b_k): the twisted
+        compatibility and its expanded form are this one identity."""
         view = self.wb.view
         sig, g_left = self._sigma_cols.__getitem__, self._lambda_g_cols.__getitem__
         g1 = view.pure(self.g, view.unit)
-        twist_witness = shift_witness = None
         for k in view.keys:
-            dk = view.coproduct(k)
             lhs = view.tensor_mul(self._sigma_coproducts[k], g1)
-            if twist_witness is None and lhs != view.tensor_mul(g1, view.map_legs(dk, None, sig)):
-                twist_witness = (self.wb.labels[k],)
-            if shift_witness is None and lhs != view.map_legs(dk, g_left, sig):
-                shift_witness = (self.wb.labels[k],)
-        return (twist_witness is None, twist_witness), (shift_witness is None, shift_witness)
+            if lhs != view.map_legs(view.coproduct(k), g_left, sig):
+                return False, (self.wb.labels[k],)
+        return True, None
+
+    @cached_property
+    def _skew_coderivation_failure(self):
+        """The first k where Delta(delta(b_k)) differs from
+        g b_k1 (x) delta(b_k2) + delta(b_k1) (x) b_k2, or None."""
+        return _coderivation_failure(self.wb, self.delta, self.g, self.wb.unit)
 
     # -- the clauses: each returns (passed, witness) ------------------------
 
@@ -202,7 +194,7 @@ class PanovClauses:
         return eps_t_g == self.wb.unit, (self.wb.format_element(eps_t_g),)
 
     def _delta_is_skew_coderivation(self):
-        return is_coderivation(self.wb, self.delta, self.g, self.wb.unit), None
+        return self._skew_coderivation_failure is None, None
 
     def _sigma_is_left_winding(self):
         return _columns_agree(self.wb, self._left, self.sigma)
@@ -228,10 +220,10 @@ class PanovClauses:
         return witness is None, witness
 
     def _coproduct_sigma_g_twist(self):
-        return self._twists[0]
+        return self._sigma_twist
 
     def _coproduct_sigma_g_twist_expanded(self):
-        return self._twists[1]
+        return self._sigma_twist
 
     def _coproduct_sigma_left_factor(self):
         view, sig = self.wb.view, self._sigma_cols.__getitem__
@@ -239,14 +231,8 @@ class PanovClauses:
                    for k in view.keys), None
 
     def _coproduct_delta_twisted_leibniz(self):
-        view, dcols = self.wb.view, self._delta_cols
-        dlt, g_left = dcols.__getitem__, self._lambda_g_cols.__getitem__
-        for k in view.keys:
-            dk = view.coproduct(k)
-            if view.comultiply(dcols[k]) != view.add(view.map_legs(dk, g_left, dlt),
-                                                     view.map_legs(dk, dlt)):
-                return False, (self.wb.labels[k],)
-        return True, None
+        k = self._skew_coderivation_failure
+        return k is None, None if k is None else (self.wb.labels[k],)
 
     def _delta_kills_source_base(self):
         _, basis_s = base_subalgebras(self.wb)
@@ -352,17 +338,6 @@ def groupoid_character(ga: GroupoidAlgebra, rho, q) -> dict:
     return chi
 
 
-@dataclass
-class AlphaSolution:
-    """Solution space of alpha(ab) = alpha(a) eps(b) + chi(a) alpha(b), alpha(E_ii) = 0."""
-
-    basis: list
-
-    @property
-    def dimension(self):
-        return len(self.basis)
-
-
 def alpha_constraint_matrix(ga: GroupoidAlgebra, chi: dict) -> Matrix:
     """Rows of the linear system cutting out the twisted functionals alpha."""
     dim = ga.dim
@@ -391,8 +366,10 @@ def alpha_constraint_matrix(ga: GroupoidAlgebra, chi: dict) -> Matrix:
     return Matrix(ga.field, len(rows), dim, entries)
 
 
-def solve_alpha(ga: GroupoidAlgebra, chi: dict) -> AlphaSolution:
-    """Exact kernel of the alpha constraint system, each solution re-verified."""
+def solve_alpha(ga: GroupoidAlgebra, chi: dict) -> list:
+    """A basis of the alpha with alpha(ab) = alpha(a) eps(b) + chi(a) alpha(b) and
+    alpha(E_ii) = 0: the exact kernel of the alpha constraint system, each
+    solution re-verified."""
     basis = kernel_basis(alpha_constraint_matrix(ga, chi))
     zero = ga.field.zero()
     for alpha in basis:
@@ -410,7 +387,7 @@ def solve_alpha(ga: GroupoidAlgebra, chi: dict) -> AlphaSolution:
         for idx in ga.diagonal_unit_indices():
             if alpha.get(idx):
                 raise ValidationError("alpha solution does not vanish on a diagonal unit")
-    return AlphaSolution(basis)
+    return basis
 
 
 def build_twisted_derivation(wb: WeakBialgebra, g: dict, chi: dict, alpha: dict) -> Matrix:
@@ -437,28 +414,3 @@ def build_twisted_derivation(wb: WeakBialgebra, g: dict, chi: dict, alpha: dict)
         raise ValidationError("constructed delta does not kill R_s")
     return delta
 
-
-def centrality_report(wb: WeakBialgebra, sigma: Matrix, delta: Matrix,
-                      g: dict, chi: dict) -> AxiomReport:
-    """Under the extension hypotheses, g must be central; a failure is a finding.
-
-    Hypotheses recorded: R cocommutative, chi o S is the convolution inverse
-    of chi, and the antipode extension clauses hold.  The conclusion checks
-    Ad_g = id on every basis element.
-    """
-    report = AxiomReport()
-    report.record("hypothesis_cocommutative", wb.coalgebra.is_cocommutative())
-    if isinstance(wb, WeakHopfAlgebra):
-        chi_s = wb.antipode.apply_functional(chi)
-        eps = wb.counit
-        report.record("hypothesis_chi_S_inverse",
-                      convolution(chi_s, chi, wb) == eps and convolution(chi, chi_s, wb) == eps)
-        report.record("hypothesis_hopf_conditions", hopf_conditions(wb, sigma, delta, g).passed)
-    else:
-        report.record("hypothesis_chi_S_inverse", False, witness=("no antipode",))
-        report.record("hypothesis_hopf_conditions", False, witness=("no antipode",))
-    for k in range(wb.dim):
-        bk = wb.basis_vector(k)
-        report.check("g_central", wb.multiply(g, bk), wb.multiply(bk, g),
-                     witness=(wb.labels[k],), fmt=wb.format_element)
-    return report

@@ -89,10 +89,3 @@ class AxiomReport:
                 suffix = f" witness={_fmt_witness(w)}" if w is not None else ""
                 out.append(f"AXIOM {name} FAIL{suffix}")
         return out
-
-    def __str__(self):
-        return "\n".join(self.lines())
-
-    def __repr__(self):
-        status = "PASS" if self.passed else "FAIL"
-        return f"AxiomReport({status}, {len(self._order)} axioms, {len(self.failures())} failures)"

@@ -168,7 +168,7 @@ def emit_spec(bundle: SpecBundle) -> dict:
             mult_rows.append([i, j, k, field.format(c)])
     comult_rows = []
     for k in range(wb.dim):
-        for (i, j), c in sorted(wb.coalgebra.coproduct_of_basis(k).items()):
+        for (i, j), c in sorted(wb.view.coproduct(k).items()):
             comult_rows.append([i, j, k, field.format(c)])
     doc = {
         "name": bundle.name,

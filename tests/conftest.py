@@ -1,18 +1,14 @@
 import collections
 import numbers
 import sys
-from pathlib import Path
+from fractions import Fraction
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))
-
-from fractions import Fraction
-
 from weakhopf.fields import Field
-from weakhopf.fixtures import (m2q, m2qz2, qz, twisted_derivation_data, twisted_derivation_qz2,
-                               sweedler_data)
-from weakhopf.groupoid import GroupPresentation, matrix_algebra
+from weakhopf.fixtures import sweedler_data, twisted_derivation_data
+from weakhopf.groupoid import (GroupPresentation, build_groupoid_algebra, group_algebra,
+                               matrix_algebra)
 
 
 @pytest.fixture(autouse=True)
@@ -25,9 +21,9 @@ def no_float(monkeypatch):
 
 @pytest.fixture
 def count_calls(monkeypatch):
-    """count_calls(*names) wraps the weakhopf functions of those names in every
-    weakhopf module that binds them; the returned Counter of calls per name
-    fills as they run."""
+    """count_calls(*names) wraps the weakhopf functions of those names in every weakhopf
+    module that binds them, or for "Class.method" that method of each weakhopf class of
+    that name; the returned Counter of calls per name fills as they run."""
     counts = collections.Counter()
 
     def counted(fn, name):
@@ -38,8 +34,14 @@ def count_calls(monkeypatch):
 
     def install(*names):
         modules = [m for key, m in sys.modules.items() if key.partition(".")[0] == "weakhopf"]
-        for module in modules:
-            for name in names:
+        for name in names:
+            owner, _, method = name.rpartition(".")
+            if owner:
+                classes = {id(c): c for m in modules if isinstance(c := vars(m).get(owner), type)}
+                for cls in classes.values():
+                    monkeypatch.setattr(cls, method, counted(vars(cls)[method], name))
+                continue
+            for module in modules:
                 if callable(vars(module).get(name)):
                     monkeypatch.setattr(module, name, counted(vars(module)[name], name))
         return counts
@@ -48,7 +50,7 @@ def count_calls(monkeypatch):
 
 @pytest.fixture(scope="session")
 def M2():
-    return m2q()
+    return matrix_algebra(2)
 
 
 @pytest.fixture(scope="session")
@@ -58,22 +60,22 @@ def M3():
 
 @pytest.fixture(scope="session")
 def QZ2():
-    return qz(2)
+    return group_algebra(GroupPresentation.cyclic(2))
 
 
 @pytest.fixture(scope="session")
 def QZ3():
-    return qz(3)
+    return group_algebra(GroupPresentation.cyclic(3))
 
 
 @pytest.fixture(scope="session")
 def QZ4():
-    return qz(4)
+    return group_algebra(GroupPresentation.cyclic(4))
 
 
 @pytest.fixture(scope="session")
 def M2Z2():
-    return m2qz2()
+    return build_groupoid_algebra(GroupPresentation.cyclic(2), 2)
 
 
 @pytest.fixture(scope="session")
@@ -83,7 +85,8 @@ def sweedler():
 
 @pytest.fixture(scope="session")
 def s5_qz2():
-    return twisted_derivation_qz2()
+    return twisted_derivation_data(GroupPresentation.cyclic(2), 1,
+                                   rho=[Fraction(1), Fraction(-1)], q=[Fraction(1)])
 
 
 @pytest.fixture(scope="session")
@@ -100,4 +103,4 @@ def M2F2():
 
 @pytest.fixture(scope="session")
 def F2Z2():
-    return qz(2, Field.prime(2))
+    return group_algebra(GroupPresentation.cyclic(2), Field.prime(2))

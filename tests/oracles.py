@@ -223,7 +223,7 @@ def definition_weak_grouplikes(wb):
     decided by ``is_weak_grouplike`` on each candidate in turn."""
     from weakhopf.grouplike import is_weak_grouplike
     found = []
-    for coeffs in itertools.product(wb.field.elements(), repeat=wb.dim):
+    for coeffs in itertools.product(map(wb.field, range(wb.field.p)), repeat=wb.dim):
         g = {i: c for i, c in enumerate(coeffs) if c}
         if is_weak_grouplike(wb, g):
             found.append(g)

@@ -4,15 +4,15 @@ from pathlib import Path
 
 import pytest
 
+from lemmas import (basis_element, counit_value, function_algebra, tensor_product,
+                    weak_counit_identities)
 from oracles import dense_associativity_failures, dense_tensor_mul
 from weakhopf.bialgebra import (Algebra, Coalgebra, WeakBialgebra,
                                 WeakHopfAlgebra, algebra_report, base_subalgebras, check_antipode,
-                                check_weak_bialgebra, convolution, tensor_product,
-                                weak_counit_identities)
+                                check_weak_bialgebra, convolution)
 from weakhopf.errors import (AxiomFailure, CounitFails, DimensionMismatch, FieldMismatch,
                              NotAssociative, UnitFails, ValidationError)
 from weakhopf.fields import Field, QQ
-from weakhopf.fixtures import function_algebra
 from weakhopf.groupoid import GroupPresentation
 from weakhopf.grouplike import is_weak_grouplike
 from weakhopf.linalg import Matrix
@@ -24,7 +24,7 @@ DATA = Path(__file__).parent / "data"
 
 
 def _vec(field, values):
-    return {i: field.from_int(v) for i, v in enumerate(values) if v}
+    return {i: field(v) for i, v in enumerate(values) if v}
 
 
 # -- construction-time validation --------------------------------------------
@@ -172,12 +172,12 @@ def test_corrupted_counit_fails_weak_multiplicativity(M2):
 
 
 def test_counital_maps_matrix_units(M2):
-    e12 = M2.element(0, 0, 1)
+    e12 = basis_element(M2, 0, 0, 1)
     et, es, etp, esp = M2.eps_t(e12), M2.eps_s(e12), M2.eps_t_prime(e12), M2.eps_s_prime(e12)
-    assert et == M2.element(0, 0, 0)
-    assert es == M2.element(0, 1, 1)
-    assert etp == M2.element(0, 1, 1)
-    assert esp == M2.element(0, 0, 0)
+    assert et == basis_element(M2, 0, 0, 0)
+    assert es == basis_element(M2, 0, 1, 1)
+    assert etp == basis_element(M2, 0, 1, 1)
+    assert esp == basis_element(M2, 0, 0, 0)
 
 
 def test_counital_maps_group_algebra(QZ2):
@@ -188,7 +188,7 @@ def test_counital_maps_group_algebra(QZ2):
 
 
 def test_counital_maps_permutation(M2):
-    g = M2.element(0, 0, 1) | M2.element(0, 1, 0)
+    g = basis_element(M2, 0, 0, 1) | basis_element(M2, 0, 1, 0)
     assert M2.eps_t(g) == M2.unit
     assert M2.eps_s(g) == M2.unit
 
@@ -201,7 +201,7 @@ def test_counital_projections_idempotent(M2, QZ3, M2Z2):
 
 def test_base_subalgebras_matrix(M2):
     basis_t, basis_s = base_subalgebras(M2)
-    diag = {tuple(sorted(M2.element(0, i, i).items())) for i in range(2)}
+    diag = {tuple(sorted(basis_element(M2, 0, i, i).items())) for i in range(2)}
     assert {tuple(sorted(v.items())) for v in basis_t} == diag
     assert {tuple(sorted(v.items())) for v in basis_s} == diag
 
@@ -214,7 +214,7 @@ def test_base_subalgebras_hopf_case(QZ3):
 
 def test_base_subalgebras_groupoid(M2Z2):
     basis_t, basis_s = base_subalgebras(M2Z2)
-    diag = {tuple(sorted(M2Z2.element(0, i, i).items())) for i in range(2)}
+    diag = {tuple(sorted(basis_element(M2Z2, 0, i, i).items())) for i in range(2)}
     assert {tuple(sorted(v.items())) for v in basis_t} == diag
     assert {tuple(sorted(v.items())) for v in basis_s} == diag
 
@@ -223,10 +223,10 @@ def test_base_subalgebras_groupoid(M2Z2):
 
 
 def test_weak_counit_identities_matrix(M2):
-    a, b = M2.element(0, 0, 1), M2.element(0, 1, 0)
+    a, b = basis_element(M2, 0, 0, 1), basis_element(M2, 0, 1, 0)
     report = weak_counit_identities(M2, a, b)
     assert report.passed
-    assert M2.counit_value(M2.multiply(a, b)) == Fraction(1)
+    assert counit_value(M2, M2.multiply(a, b)) == Fraction(1)
 
 
 def test_weak_counit_identities_exhaustive(M2, QZ2, QZ4, M2Z2):
@@ -297,7 +297,7 @@ def test_tensor_with_trivial_factor_is_isomorphic(M2):
         for j in range(M2.dim):
             assert prod.view.product(i, j) == M2.view.product(i, j)
     for k in range(M2.dim):
-        assert prod.coalgebra.coproduct_of_basis(k) == M2.coalgebra.coproduct_of_basis(k)
+        assert prod.view.coproduct(k) == M2.view.coproduct(k)
     assert isinstance(prod, WeakHopfAlgebra)
 
 
@@ -310,7 +310,7 @@ def test_tensor_product_passes_checks_and_has_antipode(M2, QZ2):
 
 def test_tensor_of_weak_grouplikes_is_weak_grouplike(M2, QZ2):
     prod = tensor_product(M2, QZ2)
-    g = M2.element(0, 0, 1)            # E12
+    g = basis_element(M2, 0, 0, 1)            # E12
     gp = QZ2.basis_vector(1)           # t
     tensor_elt = {}
     for i, ci in g.items():

@@ -4,18 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from weakhopf.bialgebra import tensor_product
 from weakhopf.coderivations import (coderivation_constraint_matrix, coderivation_space,
-                                    eps_delta_report, inner_coderivation, is_coderivation,
-                                    is_sigma_derivation, is_skew_primitive, skew_derivation,
-                                    skew_primitive_identity_report)
+                                    is_coderivation, is_sigma_derivation, skew_derivation)
 from weakhopf.errors import NotAutomorphism, NotDerivation
 from weakhopf.fields import Field, QQ
-from weakhopf.fixtures import function_algebra, truncated_primitive_hopf, twisted_derivation_data
+from weakhopf.fixtures import twisted_derivation_data
 from weakhopf.groupoid import GroupPresentation, matrix_algebra
 from weakhopf.grouplike import is_unital_algebra_endo
-from weakhopf.linalg import Matrix, in_span
+from weakhopf.linalg import Matrix, solve
 
+from lemmas import (basis_element, counit_value, dihedral, eps_delta_report, function_algebra,
+                    inner_coderivation, is_skew_primitive, skew_primitive_identity_report,
+                    tensor_product, truncated_primitive_hopf)
 from oracles import dense_matmul, dense_nullspace, to_dense
 
 
@@ -66,7 +66,7 @@ def test_derivation_kills_unit(QZ2):
 
 def test_zero_is_coderivation(M2):
     zero = Matrix.zero(QQ, 4, 4)
-    g = M2.element(0, 0, 1)
+    g = basis_element(M2, 0, 0, 1)
     assert is_coderivation(M2, zero, g, M2.unit)
 
 
@@ -97,11 +97,11 @@ def test_coderivation_space_qz2(QZ2):
     span = Matrix.from_columns(QQ, 4, [flat(m) for m in space])
     gen1 = Matrix.from_columns(QQ, 2, [one_minus_t, {}])
     gen2 = Matrix.from_columns(QQ, 2, [{}, one_minus_t])
-    assert in_span(span, flat(gen1))
-    assert in_span(span, flat(gen2))
+    assert solve(span, flat(gen1)) is not None
+    assert solve(span, flat(gen2)) is not None
     gens = Matrix.from_columns(QQ, 4, [flat(gen1), flat(gen2)])
     for m in space:
-        assert in_span(gens, flat(m))
+        assert solve(gens, flat(m)) is not None
 
 
 def test_constraint_kernel_against_dense_oracle(M2, M3, QZ2):
@@ -113,17 +113,8 @@ def test_constraint_kernel_against_dense_oracle(M2, M3, QZ2):
         assert len(oracle) == len(coderivation_space(wb, g, h))
 
 
-def _dihedral(n):
-    """The dihedral group of order 2n; element a + n*b is r^a s^b."""
-    def mul(x, y):
-        a, b, c, d = x % n, x // n, y % n, y // n
-        return (a + (-c if b else c)) % n + n * ((b + d) % 2)
-    return GroupPresentation([[mul(x, y) for y in range(2 * n)] for x in range(2 * n)],
-                             name=f"D{n}")
-
-
 def test_shifted_coderivation_space_maps_fail_on_function_algebra_d6():
-    kg = function_algebra(_dihedral(6))
+    kg = function_algebra(dihedral(6))
     dim, unit = kg.dim, kg.unit
     constraint = to_dense(coderivation_constraint_matrix(kg, unit, unit))
     basis = coderivation_space(kg, unit, unit)
@@ -134,8 +125,8 @@ def test_shifted_coderivation_space_maps_fail_on_function_algebra_d6():
         # nonzero: by linearity the dense oracle then puts m + E/3 outside the space
         entries = sorted(m.data) + [(r, k) for r in range(dim) for k in range(dim)]
         r, k = next((r, k) for r, k in entries if any(row[r * dim + k] for row in constraint))
-        shifted = Matrix(QQ, dim, dim, m.data | {(r, k): m.get(r, k) + Fraction(1, 3)})
-        flat = [[shifted.get(i // dim, i % dim)] for i in range(dim * dim)]
+        shifted = Matrix(QQ, dim, dim, m.data | {(r, k): m.data.get((r, k), 0) + Fraction(1, 3)})
+        flat = [[shifted.data.get(divmod(i, dim), 0)] for i in range(dim * dim)]
         assert any(row[0] for row in dense_matmul(constraint, flat, QQ))
         assert not is_coderivation(kg, shifted, unit, unit)
 
@@ -150,7 +141,7 @@ def test_perturbed_sigma_endo_witness_pinned(entry, witness):
                                    q=[Fraction(3, 5), Fraction(-7, 2)])
     sigma = data.sigma
     bumped = Matrix(QQ, sigma.rows, sigma.cols,
-                    sigma.data | {entry: sigma.get(*entry) + Fraction(1, 3)})
+                    sigma.data | {entry: sigma.data.get(entry, 0) + Fraction(1, 3)})
     assert is_unital_algebra_endo(data.R, sigma) is None
     assert is_unital_algebra_endo(data.R, bumped) == witness
     with pytest.raises(NotAutomorphism, match=re.escape(f"(witness {witness})")):
@@ -179,7 +170,7 @@ def test_perturbed_delta_leibniz_message_pinned(entry, message):
 
 
 def test_inner_coderivation_of_counit_is_zero(M2):
-    assert inner_coderivation(M2, M2.counit).is_zero()
+    assert not inner_coderivation(M2, M2.counit).data
 
 
 def test_inner_coderivation_vanishes_on_cocommutative(M2, QZ3):
@@ -187,16 +178,16 @@ def test_inner_coderivation_vanishes_on_cocommutative(M2, QZ3):
     for wb in (M2, QZ3):
         for _ in range(5):
             chi = {i: c for i in range(wb.dim) if (c := Fraction(rng.randint(-3, 3)))}
-            assert inner_coderivation(wb, chi).is_zero()
+            assert not inner_coderivation(wb, chi).data
 
 
 def test_inner_coderivation_nonzero_on_function_algebra():
     fa = function_algebra(GroupPresentation.symmetric(3))
-    assert not fa.coalgebra.is_cocommutative()
+    assert any(t != {(j, i): c for (i, j), c in t.items()} for t in fa.coalgebra.comult.values())
     # evaluation at a transposition is a character of the function algebra
     chi = fa.basis_vector(1)
     delta = inner_coderivation(fa, chi)
-    assert not delta.is_zero()
+    assert delta.data
     assert is_coderivation(fa, delta, fa.unit, fa.unit)
 
 
@@ -210,15 +201,16 @@ def test_inner_coderivation_is_linear_in_chi():
         combo = fa.view.add({i: a * c for i, c in chi1.items() if a},
                             {i: b * c for i, c in chi2.items() if b})
         lhs = inner_coderivation(fa, combo)
-        rhs = inner_coderivation(fa, chi1).scale(a) + inner_coderivation(fa, chi2).scale(b)
-        assert lhs == rhs
+        d1, d2 = inner_coderivation(fa, chi1).data, inner_coderivation(fa, chi2).data
+        assert lhs.data == {rc: x for rc in d1.keys() | d2.keys()
+                            if (x := a * d1.get(rc, 0) + b * d2.get(rc, 0))}
 
 
 # -- skew primitives -------------------------------------------------------------
 
 
 def test_zero_is_skew_primitive(M2):
-    g = M2.element(0, 0, 1)
+    g = basis_element(M2, 0, 0, 1)
     assert is_skew_primitive(M2, {}, g, g)
 
 
@@ -242,7 +234,7 @@ def test_primitive_times_matrix_unit_is_skew_primitive():
 
 
 def test_skew_primitive_fails_for_wrong_grouplike(M2):
-    e12 = M2.element(0, 0, 1)
+    e12 = basis_element(M2, 0, 0, 1)
     assert not is_skew_primitive(M2, e12, M2.unit, M2.unit)
 
 
@@ -262,15 +254,15 @@ def test_eps_delta_report_s5_delta(QZ2):
     assert report.axiom_passed("hypothesis_eps_s_g_is_unit")
     assert report.axiom_passed("counit_kills_delta")
     assert report.axiom_passed("counit_kills_a_delta_b")
-    assert QZ2.counit_value(delta.apply(t)) == 0
+    assert counit_value(QZ2, delta.apply(t)) == 0
 
 
 def test_eps_delta_report_hypothesis_flag(M2):
-    g = M2.element(0, 0, 1)  # eps_s(E12) = E22 != 1
+    g = basis_element(M2, 0, 0, 1)  # eps_s(E12) = E22 != 1
     report = eps_delta_report(M2, Matrix.zero(QQ, 4, 4), g, M2.unit)
     assert not report.axiom_passed("hypothesis_eps_s_g_is_unit")
     assert "counit_kills_delta" not in report.axiom_names()
-    assert M2.eps_s(g) == M2.element(0, 1, 1)
+    assert M2.eps_s(g) == basis_element(M2, 0, 1, 1)
 
 
 def test_eps_delta_report_reads_delta_columns(s5_m2qz2, monkeypatch):
@@ -282,12 +274,13 @@ def test_eps_delta_report_reads_delta_columns(s5_m2qz2, monkeypatch):
     from weakhopf.bialgebra import base_subalgebras
     from weakhopf.report import AxiomReport
     R, sigma, g = s5_m2qz2.R, s5_m2qz2.sigma, s5_m2qz2.g
-    delta = s5_m2qz2.delta + Matrix(QQ, R.dim, R.dim, {(1, 5): Fraction(3, 5)})
+    assert not s5_m2qz2.delta.data
+    delta = Matrix(QQ, R.dim, R.dim, {(1, 5): Fraction(3, 5)})
     assert all(not delta.apply(a) for a in base_subalgebras(R)[1])
     keys = range(R.dim)
     basis = [R.basis_vector(k) for k in keys]
-    kills_delta = [((k,), R.counit_value(delta.apply(basis[k])) == 0) for k in keys]
-    kills_a_delta_b = [((i, j), R.counit_value(R.multiply(basis[i], delta.apply(basis[j]))) == 0)
+    kills_delta = [((k,), counit_value(R, delta.apply(basis[k])) == 0) for k in keys]
+    kills_a_delta_b = [((i, j), counit_value(R, R.multiply(basis[i], delta.apply(basis[j]))) == 0)
                        for i in keys for j in keys]
     assert not all(ok for _, ok in kills_delta) and not all(ok for _, ok in kills_a_delta_b)
 
@@ -309,12 +302,3 @@ def test_eps_delta_report_reads_delta_columns(s5_m2qz2, monkeypatch):
     assert by_axiom("counit_kills_delta") == kills_delta
     assert by_axiom("counit_kills_a_delta_b") == kills_a_delta_b
 
-
-def test_coderivation_witness_validates(QZ2):
-    from weakhopf.coderivations import CoderivationWitness, coderivation_witness
-    from weakhopf.errors import ValidationError
-    t = QZ2.basis_vector(1)
-    w = coderivation_witness(QZ2, _s5_delta(QZ2), t, QZ2.unit)
-    assert isinstance(w, CoderivationWitness)
-    with pytest.raises(ValidationError):
-        coderivation_witness(QZ2, _s5_delta(QZ2), t, t)

@@ -1,15 +1,19 @@
-"""Exit-code fuzz: mutated spec files through ``weakhopf check`` and ``weakhopf ore build``.
+"""Exit-code fuzz: mutated spec files through ``check``, ``characters --verify``,
+``panov --hopf`` and ``ore build``.
 
 A mutation swaps two indices of a mult or comult row (or an index and the
 scalar, which the parser must refuse), or writes a random scalar into a
 table: over QQ a rational with a large denominator, so the scale D of the
 integer view varies from example to example.  Whatever the spec, ``check``
 exits 0, 1 or 2; exit 1 comes only after an ``AXIOM ... FAIL`` line, exit 2
-prints one error line, and nothing prints a traceback.  ``ore build`` gets
-the section-5 spec (Z2, n = 1) with random rationals written into sigma,
-delta and g, and keeps the same contract, where exit 1 may also follow a
-``CLAUSE ... FAIL`` or ``VERDICT FAIL`` line.  The profile is fixed
-(derandomized, no example database).
+prints one error line, and nothing prints a traceback.  ``characters
+--verify eps`` gets the same mutated specs with the original counit added
+as the functional ``eps``, and exits 1 only after a ``CHARACTER ... FAIL``
+line.  ``panov --hopf`` and ``ore build`` get the section-5 spec (Z2, n = 1)
+with random rationals written into sigma, delta and g, and keep the same
+contract, where exit 1 follows a ``CLAUSE ... FAIL`` or ``VERDICT FAIL``
+line (or, for ``ore build``, an ``AXIOM ... FAIL`` line).  The profile is
+fixed (derandomized, no example database).
 """
 
 import contextlib
@@ -18,7 +22,6 @@ import io
 import json
 import re
 import tempfile
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -93,10 +96,27 @@ def test_mutated_spec_exit_codes(source, mutations):
     _assert_exit_contract(rc, out, err, AXIOM_LINE)
 
 
+CHARACTER_LINE = re.compile(r"CHARACTER (left|right) (PASS|FAIL)$|CHI( \S+)+$"
+                            r"|INVERSE (two-sided( \S+)+|left=(yes|no) right=(yes|no))$")
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(SOURCES), st.lists(st.one_of(swap, scalar), max_size=2))
+def test_mutated_spec_characters_exit_codes(source, mutations):
+    doc = json.loads(source.read_text())
+    doc["functionals"] = {"eps": list(doc["counit"])}
+    for mutation in mutations:
+        _mutate(doc, mutation)
+    rc, out, err = _run(doc, lambda path: ["characters", path, "--verify", "eps"])
+    _assert_exit_contract(rc, out, err, CHARACTER_LINE)
+
+
 # clause witnesses name elements, so they may hold spaces
-ORE_LINE = re.compile(r"BUILT OreAlgebra\(.*\)$|VERDICT (PASS|FAIL)$"
-                      r"|AXIOM \S+ (PASS|FAIL)( witness=\S+)?$"
-                      r"|CLAUSE \S+ (PASS|FAIL)( witness=\(.*\))?$")
+CLAUSE_LINES = r"VERDICT (PASS|FAIL)$|CLAUSE \S+ (PASS|FAIL)( witness=\(.*\))?$"
+ORE_LINE = re.compile(r"BUILT OreAlgebra\(.*\)$|AXIOM \S+ (PASS|FAIL)( witness=\S+)?$|"
+                      + CLAUSE_LINES)
+PANOV_LINE = re.compile(r"# (necessary|sufficient|antipode) conditions$|CHI( \S+)+$|"
+                        + CLAUSE_LINES)
 ore_scalar = st.tuples(st.sampled_from(("g", "delta", "sigma")), index, index,
                        st.fractions(max_denominator=10 ** 12).filter(lambda q: abs(q) < 10 ** 6))
 
@@ -109,9 +129,7 @@ def _section5_text():
     return out.getvalue()
 
 
-@settings(max_examples=40, derandomize=True, database=None, deadline=None)
-@given(st.lists(ore_scalar, max_size=2))
-def test_mutated_ore_data_exit_codes(mutations):
+def _mutated_section5(mutations):
     doc = json.loads(_section5_text())
     dim = doc["dim"]
     for name, i, j, q in mutations:
@@ -119,5 +137,19 @@ def test_mutated_ore_data_exit_codes(mutations):
             doc["elements"]["g"][i % dim] = str(q)
         else:
             doc["maps"][name][i % dim][j % dim] = str(q)
-    rc, out, err = _run(doc, lambda path: ["ore", "build", path, "--verify-degree", "2"])
+    return doc
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.lists(ore_scalar, max_size=2))
+def test_mutated_ore_data_exit_codes(mutations):
+    rc, out, err = _run(_mutated_section5(mutations),
+                        lambda path: ["ore", "build", path, "--verify-degree", "2"])
     _assert_exit_contract(rc, out, err, ORE_LINE)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.lists(ore_scalar, max_size=2))
+def test_mutated_panov_data_exit_codes(mutations):
+    rc, out, err = _run(_mutated_section5(mutations), lambda path: ["panov", path, "--hopf"])
+    _assert_exit_contract(rc, out, err, PANOV_LINE)

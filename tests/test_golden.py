@@ -58,7 +58,10 @@ the cube roots of unity mod 7;
 ``characters-section5-z2-n1-alpha`` is ``characters --verify alpha`` on the
 spec of ``example section5 --group Z2 --n 1 --rho 1,-1 --q 1``, where alpha
 is no character (exit 1) and its ``CHI`` line reads the missing
-coefficient of ``1`` as 0.
+coefficient of ``1`` as 0; ``characters-m2z2-gf5-eps`` is ``characters
+--verify eps`` on ``tests/data/m2z2-gf5-transported.json`` with its counit
+added as the functional ``eps``, whose two-sided inverse, eps itself, is
+printed as residues mod 5.
 
 ``tests/data/m3qz2-transported.json`` is M_3(QZ_2) in the basis
 b_10 -> b_10 + (5/6) b_0 (g1E12 -> g1E12 + 5/6 g0E11), transported as above:
@@ -84,6 +87,7 @@ sweeps of H still ran on field scalars.
 
 import contextlib
 import io
+import json
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -94,8 +98,7 @@ from weakhopf.bialgebra import Algebra, check_antipode, check_weak_bialgebra, co
 from weakhopf.cli import main
 from weakhopf.errors import NotAssociative, UnitFails
 from weakhopf.fields import Field
-from weakhopf.fixtures import (function_algebra, sweedler_data, twisted_derivation_data,
-                               twisted_derivation_qz2)
+from weakhopf.fixtures import sweedler_data, twisted_derivation_data
 from weakhopf.groupoid import GroupPresentation, matrix_algebra
 from weakhopf.linalg import Matrix
 from weakhopf.ore import OreAlgebra, verify_extension
@@ -104,6 +107,7 @@ from weakhopf.report import _fmt_witness
 from weakhopf.specfile import SpecBundle, emit_spec, parse_spec, write_spec
 
 from forced_ore import FORCED_SECTION5, forced_section5, sign_flipped_sweedler
+from lemmas import function_algebra
 
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden"
@@ -171,6 +175,12 @@ def _written_spec(wb, path):
     return str(path)
 
 
+def _gf5_spec_with_counit_as_eps(path):
+    doc = json.loads((HERE / "data" / "m2z2-gf5-transported.json").read_text())
+    path.write_text(json.dumps(doc | {"functionals": {"eps": doc["counit"]}}))
+    return str(path)
+
+
 def _section5_z2_n1_spec(path):
     argv = ["example", "section5", "--group", "Z2", "--n", "1", "--rho", "1,-1", "--q", "1",
             "-o", str(path)]
@@ -191,6 +201,9 @@ def _section5_z2_n1_spec(path):
     ("characters-m2q-chi", lambda tmp: ["characters", _bundled("m2q.json"), "--verify", "chi"], 0),
     ("characters-section5-z2-n1-alpha",
      lambda tmp: ["characters", _section5_z2_n1_spec(tmp / "s5.json"), "--verify", "alpha"], 1),
+    ("characters-m2z2-gf5-eps",
+     lambda tmp: ["characters", _gf5_spec_with_counit_as_eps(tmp / "gf5.json"), "--verify", "eps"],
+     0),
 ])
 def test_cli_element_output_golden(tmp_path, name, argv, code):
     assert _run(argv(tmp_path)) == (code, _expected(name))
@@ -260,7 +273,7 @@ def test_panov_hopf_section5_denominators_golden(tmp_path, name, names, code):
 
 
 def test_forced_coalgebra_with_unit_as_g_golden():
-    data = twisted_derivation_qz2()
+    data = twisted_derivation_data(GroupPresentation.cyclic(2), 1, rho=[1, -1], q=[1])
     bad = OreAlgebra(data.R, data.sigma, data.delta, data.R.unit, _coalgebra_extended=True)
     report = verify_extension(bad, 2)
     failures = [f"FAILURE {f.axiom} {_fmt_witness(f.witness)}" for f in report.failures()]

@@ -7,19 +7,17 @@ import pytest
 
 import weakhopf.grouplike
 from weakhopf.bialgebra import Algebra, Coalgebra, WeakBialgebra, convolution
-from weakhopf.errors import NotAlgebraMap, TooLarge
+from weakhopf.errors import TooLarge, ValidationError
 from weakhopf.fields import Field, QQ
-from weakhopf.fixtures import function_algebra, qz
-from weakhopf.groupoid import GroupPresentation, matrix_algebra
-from weakhopf.grouplike import (SCAN_LIMIT, brute_force_weak_grouplikes, char_antipode_report,
-                                character_from_endo, classify_character,
-                                convolution_inverse, enumerate_weak_grouplikes_matrix,
-                                grouplike_identity_report, grouplike_monoid_closed,
-                                invertible_matrix, is_grouplike, is_weak_character,
-                                is_weak_grouplike, winding)
-from weakhopf.linalg import Matrix
-from weakhopf.panov import ad_map, groupoid_character
+from weakhopf.groupoid import GroupPresentation, group_algebra, matrix_algebra
+from weakhopf.grouplike import (SCAN_LIMIT, brute_force_weak_grouplikes, convolution_inverse,
+                                enumerate_weak_grouplikes_matrix, is_grouplike,
+                                is_weak_character, is_weak_grouplike, winding)
+from weakhopf.linalg import Matrix, rank
+from weakhopf.panov import groupoid_character
 
+from lemmas import (ad_map, basis_element, char_antipode_report, character_from_endo, counit_value,
+                    function_algebra, grouplike_identity_report, grouplike_monoid_closed)
 from oracles import definition_weak_grouplikes
 
 
@@ -31,20 +29,20 @@ def _partial_injection_count(n):
 
 
 def test_matrix_units_are_weak_grouplike(M2):
-    assert is_weak_grouplike(M2, M2.element(0, 0, 1))
+    assert is_weak_grouplike(M2, basis_element(M2, 0, 0, 1))
     assert is_weak_grouplike(M2, M2.unit)
 
 
 def test_column_sum_is_not_weak_grouplike(M2):
-    g = M2.element(0, 0, 0) | M2.element(0, 1, 0)  # E11 + E21
+    g = basis_element(M2, 0, 0, 0) | basis_element(M2, 0, 1, 0)  # E11 + E21
     assert not is_weak_grouplike(M2, g)
 
 
 def test_is_grouplike_permutation(M2):
-    swap = M2.element(0, 0, 1) | M2.element(0, 1, 0)
+    swap = basis_element(M2, 0, 0, 1) | basis_element(M2, 0, 1, 0)
     inv = is_grouplike(M2, swap)
     assert inv == swap
-    assert is_grouplike(M2, M2.element(0, 0, 1)) is None
+    assert is_grouplike(M2, basis_element(M2, 0, 0, 1)) is None
 
 
 def test_is_grouplike_group_algebra(QZ2):
@@ -70,8 +68,8 @@ def test_enumeration_elements_satisfy_definition(n):
     for g in enum.grouplikes:
         assert is_weak_grouplike(alg, g.element)
         if g.is_invertible:
-            assert alg.multiply(g.element, g.inverse) == alg.unit
-            assert alg.multiply(g.inverse, g.element) == alg.unit
+            inv = is_grouplike(alg, g.element)
+            assert alg.multiply(g.element, inv) == alg.unit == alg.multiply(inv, g.element)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -82,7 +80,7 @@ def test_invertibles_are_the_permutation_matrices(n):
     for perm in itertools.permutations(range(n)):
         g = {}
         for i, s in enumerate(perm):
-            g = alg.view.add(g, alg.element(0, i, s))
+            g = alg.view.add(g, basis_element(alg, 0, i, s))
         perm_matrices.add(tuple(sorted(g.items())))
     assert {tuple(sorted(g.element.items())) for g in enum.invertible} == perm_matrices
     assert len(enum.invertible) == math.factorial(n)
@@ -122,7 +120,7 @@ def test_brute_force_too_large(M2Z2):
 def test_brute_force_work_guard_refuses_before_scanning(count_calls):
     """kZ19 over GF(2) has 2^19 <= SCAN_LIMIT candidates, but 2^19 times its
     361 + 741 table terms is about 5.8 * 10^8 > SCAN_WORK_LIMIT."""
-    kz19 = qz(19, Field.prime(2))
+    kz19 = group_algebra(GroupPresentation.cyclic(19), Field.prime(2))
     assert 2 ** 19 <= SCAN_LIMIT
     calls = count_calls("is_weak_grouplike")
     with pytest.raises(TooLarge, match="scan work limit"):
@@ -149,10 +147,10 @@ def _m2_gf3_rescaled():
 
 
 @pytest.mark.parametrize("build", [
-    lambda: qz(2, Field.prime(2)),
+    lambda: group_algebra(GroupPresentation.cyclic(2), Field.prime(2)),
     lambda: matrix_algebra(2, Field.prime(2)),
     lambda: function_algebra(GroupPresentation.cyclic(3), Field.prime(5)),  # dense Delta(1)
-    lambda: qz(4, Field.prime(3)),
+    lambda: group_algebra(GroupPresentation.cyclic(4), Field.prime(3)),
     _m2_gf3_rescaled,
 ], ids=["F2Z2", "M2-GF2", "kZ3-dual-GF5", "M1-kZ4-GF3", "M2-GF3-rescaled"])
 def test_brute_force_matches_definition(build):
@@ -204,7 +202,7 @@ def test_grouplikes_form_group_with_left_to_right_composition():
     def g_of(perm):
         out = {}
         for i, s in enumerate(perm):
-            out = alg.view.add(out, alg.element(0, i, s))
+            out = alg.view.add(out, basis_element(alg, 0, i, s))
         return out
 
     for sigma in itertools.permutations(range(n)):
@@ -226,7 +224,7 @@ def test_winding_of_counit_is_identity(M2, M2Z2):
 def test_winding_scales_matrix_units(M2):
     chi = groupoid_character(M2, [Fraction(1)], [Fraction(1), Fraction(2)])
     tau = winding(M2, chi, "left")
-    e12 = M2.element(0, 0, 1)
+    e12 = basis_element(M2, 0, 0, 1)
     assert tau.apply(e12) == {k: 2 * c for k, c in e12.items()}
 
 
@@ -253,7 +251,7 @@ def test_is_weak_character(M2):
 
 def test_character_nonmultiplicativity_witness(M2):
     chi = groupoid_character(M2, [Fraction(1)], [Fraction(1), Fraction(2)])
-    e11, e22 = M2.element(0, 0, 0), M2.element(0, 1, 1)
+    e11, e22 = basis_element(M2, 0, 0, 0), basis_element(M2, 0, 1, 1)
     prod = M2.multiply(e11, e22)
     assert prod == {}
     chi_of = lambda v: sum((chi.get(i, QQ.zero()) * c for i, c in v.items()), QQ.zero())
@@ -273,14 +271,14 @@ def test_character_from_endo_roundtrip(M2):
 
 
 def test_character_from_endo_rejects_conjugation(M2):
-    swap = M2.element(0, 0, 1) | M2.element(0, 1, 0)
+    swap = basis_element(M2, 0, 0, 1) | basis_element(M2, 0, 1, 0)
     sigma = ad_map(M2, swap)
     assert character_from_endo(M2, sigma) is None
 
 
 def test_character_from_endo_requires_algebra_map(M2):
     bad = Matrix.zero(QQ, 4, 4)
-    with pytest.raises(NotAlgebraMap):
+    with pytest.raises(ValidationError):
         character_from_endo(M2, bad)
 
 
@@ -297,11 +295,11 @@ def test_convolution_inverse_two_sided(M2):
 
 def test_invertible_character_has_invertible_windings(M2, QZ4):
     chi = groupoid_character(M2, [Fraction(1)], [Fraction(1), Fraction(5)])
-    assert invertible_matrix(winding(M2, chi, "left"))
-    assert invertible_matrix(winding(M2, chi, "right"))
+    assert rank(winding(M2, chi, "left")) == 4
+    assert rank(winding(M2, chi, "right")) == 4
     chi4 = {0: Fraction(1), 1: Fraction(-1), 2: Fraction(1), 3: Fraction(-1)}
     assert is_weak_character(QZ4, chi4, "left")
-    assert invertible_matrix(winding(QZ4, chi4, "left"))
+    assert rank(winding(QZ4, chi4, "left")) == 4
 
 
 def test_windings_compose_under_convolution(M2, M2Z2):
@@ -319,32 +317,24 @@ def test_windings_compose_under_convolution(M2, M2Z2):
             winding(wb, chi1, "right") * winding(wb, chi2, "right")
 
 
-def test_classify_character(M2):
-    chi = groupoid_character(M2, [Fraction(1)], [Fraction(1), Fraction(2)])
-    c = classify_character(M2, chi)
-    assert c.side == "both"
-    assert c.inverse is not None
-    assert classify_character(M2, {0: Fraction(1), 3: Fraction(1)}) is None
-
-
 # -- identity reports ----------------------------------------------------------------
 
 
 def test_grouplike_identity_report_matrix_unit(M2):
-    e12 = M2.element(0, 0, 1)
+    e12 = basis_element(M2, 0, 0, 1)
     report = grouplike_identity_report(M2, e12)
     assert report.passed
     # hypothesis flags: eps_t(E12) = E11 != 1, and the power test indeed fails
-    assert M2.eps_t(e12) == M2.element(0, 0, 0)
+    assert M2.eps_t(e12) == basis_element(M2, 0, 0, 0)
     assert M2.eps_t(e12) != M2.unit
-    e21 = M2.element(0, 1, 0)
+    e21 = basis_element(M2, 0, 1, 0)
     sq = M2.multiply(e12, e12)
-    assert M2.counit_value(M2.multiply(e21, sq)) == 0
-    assert M2.counit_value(e21) == 1
+    assert counit_value(M2, M2.multiply(e21, sq)) == 0
+    assert counit_value(M2, e21) == 1
 
 
 def test_grouplike_identity_report_permutation(M2):
-    swap = M2.element(0, 0, 1) | M2.element(0, 1, 0)
+    swap = basis_element(M2, 0, 0, 1) | basis_element(M2, 0, 1, 0)
     report = grouplike_identity_report(M2, swap)
     assert report.passed
     assert M2.eps_t(swap) == M2.unit
@@ -380,8 +370,6 @@ def test_char_antipode_report_sign_character(QZ2):
 def test_noncocommutative_windings_differ_but_recover():
     # functions on S_3: evaluation at a transposition is a two-sided weak
     # character whose left and right windings are different translations
-    from weakhopf.fixtures import function_algebra
-    from weakhopf.groupoid import GroupPresentation
     fa = function_algebra(GroupPresentation.symmetric(3))
     chi = fa.basis_vector(1)
     tl = winding(fa, chi, "left")

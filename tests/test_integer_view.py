@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from forced_ore import FORCED_SECTION5, forced_section5, sign_flipped_sweedler
+from lemmas import dihedral, function_algebra
 from oracles import dense_associativity_failures
 from weakhopf.bialgebra import (Algebra, Coalgebra, IntegerView, WeakHopfAlgebra,
                                 algebra_report, check_weak_bialgebra, sweep_antipode,
@@ -24,7 +25,7 @@ from weakhopf.bialgebra import (Algebra, Coalgebra, IntegerView, WeakHopfAlgebra
                                 sweep_counit_weak_multiplicative, sweep_unit_compatibility,
                                 sweep_unital)
 from weakhopf.fields import Field
-from weakhopf.fixtures import function_algebra, sweedler_data, twisted_derivation_data
+from weakhopf.fixtures import sweedler_data, twisted_derivation_data
 from weakhopf.groupoid import GroupPresentation
 from weakhopf.linalg import Matrix
 from weakhopf.ore import MonomialView, extend_antipode, make_ore
@@ -67,14 +68,6 @@ def _assert_views_agree(wb):
     ints = _summary(_sweep_all(wb, wb.integer_view))
     assert ints == _summary(_sweep_all(wb, wb.view))
     return ints
-
-
-def _dihedral4():
-    """D_4 as r^i s^j at index i + 4j: r^a s^b r^c s^d = r^(a + (-1)^b c) s^(b + d)."""
-    idx = lambda i, j: i % 4 + 4 * (j % 2)
-    elements = [(i, j) for j in range(2) for i in range(4)]
-    table = [[idx(a + (-1) ** b * c, b + d) for c, d in elements] for a, b in elements]
-    return GroupPresentation(table, name="D4")
 
 
 def _perturbed(wb, rng, count, scalar, tables=("mult", "comult", "counit", "antipode")):
@@ -126,7 +119,7 @@ def test_integer_view_matches_field_view_on_perturbed_qq_transport(seed):
 @pytest.mark.parametrize("p, seed", [(p, seed) for p in (3, 5, 7) for seed in range(4)])
 def test_integer_view_matches_field_view_on_perturbed_gfp_kd4(p, seed):
     field = Field.prime(p)
-    wb = _perturbed(function_algebra(_dihedral4(), field), random.Random(seed), 4,
+    wb = _perturbed(function_algebra(dihedral(4), field), random.Random(seed), 4,
                     lambda r: field(r.randrange(1, p)))
     assert wb.integer_view.scale == 1 and wb.integer_view.modulus == p
     failures, _ = _assert_views_agree(wb)
@@ -134,7 +127,7 @@ def test_integer_view_matches_field_view_on_perturbed_gfp_kd4(p, seed):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: _perturbed(function_algebra(_dihedral4(), Field.prime(5)), random.Random(1), 3,
+    lambda: _perturbed(function_algebra(dihedral(4), Field.prime(5)), random.Random(1), 3,
                        lambda r: Field.prime(5)(r.randrange(1, 5)), ("mult",)),
     lambda: _perturbed(parse_spec(str(DATA / "m3qz2-transported.json"), validate=False).wb,
                        random.Random(2), 2, lambda r: Fraction(r.randrange(1, 9), 7), ("mult",)),

@@ -5,9 +5,9 @@ import pytest
 
 from weakhopf.errors import ParseError, ValidationError
 from weakhopf.fields import GF, Field, QQ
-from weakhopf.linalg import (Matrix, column_space_basis, in_span, kernel_basis, kron, rank,
-                             solve)
+from weakhopf.linalg import Matrix, column_space_basis, kernel_basis, rank, solve
 
+from lemmas import kron
 from oracles import (dense_matmul, dense_nullspace, dense_rank, dense_rref, dense_solve,
                      dense_vector, to_dense)
 
@@ -19,7 +19,7 @@ def _random_matrix(rng, field, rows, cols, density=0.6, span=3):
             if rng.random() < density:
                 v = rng.randint(-span, span)
                 if v:
-                    data[(i, j)] = field.from_int(v)
+                    data[(i, j)] = field(v)
     return Matrix(field, rows, cols, data)
 
 
@@ -50,7 +50,6 @@ def test_field_parse_format_roundtrip():
     f3 = Field.prime(3)
     assert f3.parse(5) == f3(2)
     assert f3.format(f3(2)) == 2
-    assert list(f3.elements()) == [f3(0), f3(1), f3(2)]
 
 
 def test_field_parse_rejects_bools():
@@ -148,7 +147,7 @@ def _hard_matrix(rng, field, rows, cols, density):
     def scalar():
         if field.order is None:
             return rng.choice(_HARD_RATIONALS)
-        return field.from_int(rng.randrange(1, field.order))
+        return field(rng.randrange(1, field.order))
     dense = [[scalar() if rng.random() < density else field.zero() for _ in range(cols)]
              for _ in range(rows)]
     if rows > 1:
@@ -201,7 +200,7 @@ def test_solve_against_dense_augmented_rref():
     for field in _ORACLE_FIELDS:
         seen = set()
         for m in _oracle_cases(field, 43):
-            x = {j: c for j in range(m.cols) if (c := field.from_int(rng.randint(-2, 2)))}
+            x = {j: c for j in range(m.cols) if (c := field(rng.randint(-2, 2)))}
             rhs = [m.apply(x), {rng.randrange(m.rows): field.one()}] if m.rows else []
             for b in rhs:
                 expected = dense_solve(to_dense(m), dense_vector(b, m.rows, field), m.cols, field)
@@ -221,7 +220,7 @@ def test_kernel_deterministic():
 def test_elimination_takes_python_int_entries():
     for field in _ORACLE_FIELDS:
         m = Matrix(field, 2, 3, {(0, 0): 2, (0, 1): field.one(), (1, 2): -3})
-        same = Matrix(field, 2, 3, {rc: field.from_int(v) if type(v) is int else v
+        same = Matrix(field, 2, 3, {rc: field(v) if type(v) is int else v
                                     for rc, v in m.data.items()})
         assert rank(m) == rank(same)
         assert kernel_basis(m) == kernel_basis(same)
@@ -250,7 +249,7 @@ def test_column_space_basis_spans_columns():
     basis = column_space_basis(m)
     span = Matrix.from_columns(QQ, m.rows, basis)
     for col in m.column_dicts():
-        assert in_span(span, col)
+        assert solve(span, col) is not None
     assert len(basis) == rank(m)
 
 

@@ -10,8 +10,11 @@ import pytest
 from weakhopf.cli import main
 from weakhopf.errors import NotAssociative, ParseError
 from weakhopf.fields import Field
-from weakhopf.fixtures import m2qz2, qz, sweedler_data
+from weakhopf.fixtures import sweedler_data
+from weakhopf.groupoid import GroupPresentation, build_groupoid_algebra, group_algebra
 from weakhopf.specfile import SpecBundle, emit_spec, parse_spec, write_spec
+
+from lemmas import ad_map, basis_element
 
 
 def _data_path(name):
@@ -39,7 +42,7 @@ def test_roundtrip_sweedler():
 
 
 def test_roundtrip_groupoid():
-    ga = m2qz2()
+    ga = build_groupoid_algebra(GroupPresentation.cyclic(2), 2)
     bundle = SpecBundle(field=ga.field, wb=ga, name="m2qz2")
     doc = emit_spec(bundle)
     again = emit_spec(parse_spec(doc))
@@ -48,8 +51,7 @@ def test_roundtrip_groupoid():
 
 def test_roundtrip_prime_field():
     from weakhopf.fields import Field
-    from weakhopf.fixtures import qz
-    wb = qz(2, Field.prime(2))
+    wb = group_algebra(GroupPresentation.cyclic(2), Field.prime(2))
     doc = emit_spec(SpecBundle(field=wb.field, wb=wb))
     bundle = parse_spec(doc)
     assert bundle.field.p == 2
@@ -231,11 +233,10 @@ def test_cli_ore_build(capsys):
 def test_cli_ore_build_rejected(tmp_path, capsys):
     # conjugation by the swap matrix is not a winding map: conditions fail
     from weakhopf.fields import QQ
-    from weakhopf.fixtures import m2q
+    from weakhopf.groupoid import matrix_algebra
     from weakhopf.linalg import Matrix
-    from weakhopf.panov import ad_map
-    R = m2q()
-    swap = R.element(0, 0, 1) | R.element(0, 1, 0)
+    R = matrix_algebra(2)
+    swap = basis_element(R, 0, 0, 1) | basis_element(R, 0, 1, 0)
     bundle = SpecBundle(field=QQ, wb=R, elements={"g": swap},
                         maps={"sigma": ad_map(R, swap), "delta": Matrix.zero(QQ, 4, 4)})
     p = tmp_path / "rejected.json"
@@ -311,7 +312,7 @@ def _section5_spec_file(tmp_path):
 
 
 def _kz19_gf2_spec_file(tmp_path):
-    wb = qz(19, Field.prime(2))
+    wb = group_algebra(GroupPresentation.cyclic(19), Field.prime(2))
     p = tmp_path / "kz19.json"
     write_spec(SpecBundle(field=wb.field, wb=wb), p)
     return str(p)
@@ -331,6 +332,8 @@ GF3 = {"kind": "prime", "p": 3}
                                      antipode=[["1"]], elements={}, functionals={}, maps={})],
     lambda tmp: ["check", _spec_file(tmp, mult=_bool_index_mult(_sweedler_doc()))],
     lambda tmp: ["ore", "build", str(_data_path("sweedler-data.json")), "--verify-degree", "-1"],
+    # refused before any monomial table is built; never built here
+    lambda tmp: ["ore", "build", str(_data_path("sweedler-data.json")), "--verify-degree", "50"],
     lambda tmp: ["grouplikes", "--matrix", "2", "--prime", "4"],
     lambda tmp: ["grouplikes", "--matrix", "2", "--prime", "0"],
     # refused by the count guard before M_n(k) is built; never enumerated here
@@ -355,7 +358,8 @@ GF3 = {"kind": "prime", "p": 3}
     lambda tmp: ["panov", _spec_file_without(tmp, "antipode"), "--hopf"],
     lambda tmp: ["characters", str(_data_path("sweedler-data.json")), "--verify", "nope"],
 ], ids=["matrix-size-text", "groupoid-size-text", "prime-as-string", "prime-as-float",
-        "dim-as-bool", "index-as-bool", "negative-degree-bound", "grouplikes-prime-not-prime",
+        "dim-as-bool", "index-as-bool", "negative-degree-bound", "degree-bound-too-large",
+        "grouplikes-prime-not-prime",
         "grouplikes-prime-zero", "grouplikes-matrix-8", "grouplikes-matrix-10",
         "grouplikes-brute-kz19-gf2",
         "deeply-nested-json", "scalar-as-bool", "gf-scalar-as-bool",
@@ -371,6 +375,23 @@ def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+def test_degree_guard_refuses_before_any_monomial_table(count_calls):
+    """Sweedler and M_2(QZ_2) are admitted up to B = 49 and 11, past the 8 and 6 the
+    tests and the benchmark use; past them `ore build` exits 2 before x^i b_u is built."""
+    from weakhopf.errors import TooLarge
+    from weakhopf.ore import refuse_large_degree
+    m2qz2 = build_groupoid_algebra(GroupPresentation.cyclic(2), 2)
+    for R, degree in ((sweedler_data().R, 49), (m2qz2, 11)):
+        refuse_large_degree(R, degree)
+        with pytest.raises(TooLarge):
+            refuse_large_degree(R, degree + 1)
+    calls = count_calls("OreAlgebra.x_power_times")
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(["ore", "build", str(_data_path("sweedler-data.json")), "--verify-degree",
+                     "50"]) == 2
+    assert calls["OreAlgebra.x_power_times"] == 0
 
 
 def test_verify_extension_refuses_negative_degree_bound():
