@@ -51,6 +51,8 @@ from .errors import (AxiomFailure, CounitFails, DimensionMismatch, FieldMismatch
 from .linalg import Matrix, column_space_basis
 from .report import AxiomReport
 
+DIM_LIMIT = 128  # the largest dim of a spec file or M_n(kG): R is validated on dim^3 triples
+
 
 def _format_terms(label, items, tensor=False):
     if not items:
@@ -403,7 +405,6 @@ class ConstantsView(BasisView):
         self._comult = coalgebra.comult if coalgebra else None
         self._counit = coalgebra.counit if coalgebra else None
         self._antipode = antipode
-        self._antipode_cols = None
 
     def product(self, a, b):
         return self._mult.get((a, b), _EMPTY)
@@ -415,9 +416,7 @@ class ConstantsView(BasisView):
         return self._counit.get(k, self.zero)
 
     def antipode(self, k):
-        if self._antipode_cols is None:
-            self._antipode_cols = self._antipode.column_dicts()
-        return self._antipode_cols[k]
+        return self._antipode.column_dicts()[k]
 
     def label(self, k):
         return self.labels[k]
@@ -429,7 +428,7 @@ class ConstantsView(BasisView):
         """This view's tables as ints, on every basis key and key pair of the parts it has."""
         keys = self.keys
         pairs = [(a, b) for a in keys for b in keys] if self._mult is not None else ()
-        return IntegerView(self, pairs, keys if self._comult is not None else (),
+        return IntegerView(self, keys, pairs, keys if self._comult is not None else (),
                            keys if self._counit is not None else (),
                            keys if self._antipode is not None else ())
 
@@ -437,21 +436,21 @@ class ConstantsView(BasisView):
 class IntegerView(BasisView):
     """The tables of a field-valued basis view as Python ints, for the axiom sweeps.
 
-    The tables are read once from ``source``, on the keys given: products on
-    the key pairs ``products``, coproducts on ``coproducts``, the counit on
-    ``counits`` and antipodes on ``antipodes``; a read outside them raises
-    KeyError.  Over QQ every entry, and the unit, is multiplied by one
-    integer D, the lcm of all their denominators; over GF(p) the tables hold
-    the residues, D = 1, and sides are compared mod p.  A basis vector
-    {k: 1} is not scaled.  A value a sweep computes is D^w times its field
-    value, w (its weight) being the number of table entries in each of its
-    terms, and :meth:`agree` compares two sides of an axiom through their
-    weights.  Only a failing side goes back to field scalars, to be
-    formatted with the source's labels and witnesses.
+    The sweeps run over ``keys``.  The tables are read once from ``source``,
+    on the keys given: products on the key pairs ``products``, coproducts on
+    ``coproducts``, the counit on ``counits`` and antipodes on ``antipodes``;
+    a read outside them raises KeyError.  Over QQ every entry, and the unit,
+    is multiplied by one integer D, the lcm of all their denominators; over
+    GF(p) the tables hold the residues, D = 1, and sides are compared mod p.
+    A basis vector {k: 1} is not scaled.  A value a sweep computes is D^w
+    times its field value, w (its weight) being the number of table entries
+    in each of its terms, and :meth:`agree` compares two sides of an axiom
+    through their weights.  Only a failing side goes back to field scalars,
+    to be formatted with the source's labels and witnesses.
     """
 
-    def __init__(self, source, products, coproducts, counits, antipodes):
-        super().__init__(source.field, source.keys, None)
+    def __init__(self, source, keys, products, coproducts, counits, antipodes):
+        super().__init__(source.field, keys, None)
         self._source = source
         products = {ab: source.product(*ab) for ab in products}
         coproducts = {k: source.coproduct(k) for k in coproducts}

@@ -18,8 +18,9 @@ from .errors import ConditionsFailed, TooLarge, ValidationError, WeakHopfError
 from .fields import Field, is_prime
 from .fixtures import twisted_derivation_data, sweedler_data
 from .groupoid import GroupPresentation, build_groupoid_algebra, matrix_algebra
-from .grouplike import (brute_force_weak_grouplikes, convolution_inverse,
-                        enumerate_weak_grouplikes_matrix, is_weak_character)
+from .grouplike import (ConvolutionInverse, brute_force_weak_grouplikes,
+                        enumerate_weak_grouplikes_matrix, is_unital_algebra_endo,
+                        one_sided_inverse, winding)
 from .ore import (extend_antipode, extend_coalgebra, make_ore, refuse_large_degree,
                   verify_extension)
 from .panov import HOPF, NECESSARY, SUFFICIENT, PanovClauses, groupoid_character
@@ -77,11 +78,13 @@ def cmd_characters(args):
         raise ValidationError(f"no functional named {args.verify!r} in the spec file")
     chi = bundle.functionals[args.verify]
     wb = bundle.wb
-    left = is_weak_character(wb, chi, "left")
-    right = is_weak_character(wb, chi, "right")
+    tau_left, tau_right = winding(wb, chi, "left"), winding(wb, chi, "right")
+    left = is_unital_algebra_endo(wb, tau_left) is None
+    right = is_unital_algebra_endo(wb, tau_right) is None
     print(f"CHARACTER left {'PASS' if left else 'FAIL'}")
     print(f"CHARACTER right {'PASS' if right else 'FAIL'}")
-    inv = convolution_inverse(wb, chi)
+    inv = ConvolutionInverse(one_sided_inverse(wb, chi, "left", tau_right),
+                             one_sided_inverse(wb, chi, "right", tau_left))
     if inv.two_sided is not None:
         zero = wb.field.zero()
         print("INVERSE two-sided " + " ".join(

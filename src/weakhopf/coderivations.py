@@ -57,17 +57,16 @@ def skew_derivation(wb: WeakBialgebra, sigma: Matrix, delta: Matrix):
         raise NotDerivation(i, j, wb.format_element(lhs), wb.format_element(rhs))
 
 
-def _coderivation_failure(wb: WeakBialgebra, delta: Matrix, g: dict, h: dict):
+def _coderivation_failure(wb: WeakBialgebra, delta: Matrix, lam_g: Matrix, lam_h: Matrix):
     """The first basis index k where Delta(delta(b_k)) differs from
     (lambda_g (x) delta + delta (x) lambda_h) Delta(b_k), or None.
 
     Both sides are summed from the structure constants on ``wb.view``,
-    reading each column of delta once.
+    reading the columns of delta and of the left multiplications lam_g and
+    lam_h (lambda_g, lambda_h) that the caller built.
     """
-    view, zero, one = wb.view, wb.field.zero(), wb.field.one()
-    dcols = delta.column_dicts()
-    gcols = [view.multiply(g, {k: one}) for k in view.keys]
-    hcols = [view.multiply(h, {k: one}) for k in view.keys]
+    view, zero = wb.view, wb.field.zero()
+    dcols, gcols, hcols = delta.column_dicts(), lam_g.column_dicts(), lam_h.column_dicts()
     for k in view.keys:
         rhs = {}
         for (i, j), c in view.coproduct(k).items():
@@ -80,7 +79,8 @@ def _coderivation_failure(wb: WeakBialgebra, delta: Matrix, g: dict, h: dict):
 
 def is_coderivation(wb: WeakBialgebra, delta: Matrix, g: dict, h: dict) -> bool:
     """Delta(delta(b_k)) = (lambda_g (x) delta + delta (x) lambda_h) Delta(b_k) for every k."""
-    return _coderivation_failure(wb, delta, g, h) is None
+    left_mult = wb.algebra.left_mult_matrix
+    return _coderivation_failure(wb, delta, left_mult(g), left_mult(h)) is None
 
 
 def coderivation_constraint_matrix(wb: WeakBialgebra, g: dict, h: dict) -> Matrix:
@@ -97,10 +97,8 @@ def coderivation_constraint_matrix(wb: WeakBialgebra, g: dict, h: dict) -> Matri
     """
     dim = wb.dim
     field = wb.field
-    lam_g = wb.algebra.left_mult_matrix(g)
-    lam_h = wb.algebra.left_mult_matrix(h)
-    lg_cols = lam_g.column_dicts()
-    lh_cols = lam_h.column_dicts()
+    lg_cols = wb.algebra.left_mult_matrix(g).column_dicts()
+    lh_cols = wb.algebra.left_mult_matrix(h).column_dicts()
     zero = field.zero()
 
     def unknown(r, k):
@@ -145,17 +143,16 @@ def coderivation_space(wb: WeakBialgebra, g: dict, h: dict):
     """Basis of all (g,h)-coderivations, as matrices.
 
     Exact kernel of :func:`coderivation_constraint_matrix`; every returned
-    matrix is re-verified against the defining identity.
+    matrix is re-verified against the defining identity, on lambda_g and
+    lambda_h built once for all of them.
     """
     dim = wb.dim
-    field = wb.field
     constraint = coderivation_constraint_matrix(wb, g, h)
+    lambda_g, lambda_h = wb.algebra.left_mult_matrix(g), wb.algebra.left_mult_matrix(h)
     basis = []
     for vec in kernel_basis(constraint):
-        m = Matrix(field, dim, dim,
-                   {(r, k): c for (r, k), c in
-                    (((i // dim, i % dim), c) for i, c in vec.items())})
-        if not is_coderivation(wb, m, g, h):
+        m = Matrix(wb.field, dim, dim, {divmod(i, dim): c for i, c in vec.items()})
+        if _coderivation_failure(wb, m, lambda_g, lambda_h) is not None:
             raise ValidationError("kernel vector fails the coderivation identity")
         basis.append(m)
     return basis

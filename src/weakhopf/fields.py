@@ -12,8 +12,12 @@ import functools
 import re
 from fractions import Fraction
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, TooLarge, ValidationError
 
+
+# The largest p a prime field may have: the primality test is trial division
+# up to sqrt(p), about 46,000 divisions at 2^31.
+PRIME_LIMIT = 2 ** 31
 
 # The scalar strings :meth:`Field.format` emits: -?digits, and -?digits/digits over QQ.
 _SCALAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -85,6 +89,9 @@ class PrimeElement:
 
 
 def is_prime(p):
+    """Whether p is prime; raises TooLarge, before testing, above PRIME_LIMIT."""
+    if p > PRIME_LIMIT:
+        raise TooLarge(f"p = {p} exceeds the limit {PRIME_LIMIT}")
     if p < 2:
         return False
     d = 2

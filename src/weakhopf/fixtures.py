@@ -28,13 +28,13 @@ class OreData:
     chi: dict
 
 
-def sweedler_data(field: Field | None = None) -> OreData:
-    """kZ_2 with sigma(t) = -t, delta = 0, g = t.
+def sweedler_data() -> OreData:
+    """QZ_2 with sigma(t) = -t, delta = 0, g = t.
 
-    The extension kZ_2[x; sigma] is the classical smallest example: x is
+    The extension QZ_2[x; sigma] is the classical smallest example: x is
     (t,1)-primitive, S(x) = -tx.
     """
-    R = group_algebra(GroupPresentation.cyclic(2), field)
+    R = group_algebra(GroupPresentation.cyclic(2))
     chi = {0: R.field.one(), 1: -R.field.one()}
     sigma = winding(R, chi, "left")
     delta = Matrix.zero(R.field, 2, 2)
@@ -52,26 +52,25 @@ class TwistedDerivationData(OreData):
     alpha: dict | None
 
 
-def twisted_derivation_data(group: GroupPresentation, n: int, rho, q, g_index: int = 1,
-                            field: Field | None = None,
-                            alpha_choice: int = 0) -> TwistedDerivationData:
+def twisted_derivation_data(group: GroupPresentation, n: int, rho, q,
+                            field: Field | None = None) -> TwistedDerivationData:
     """Build (M_n(kG), tau_chi^l, (1-g) tau_alpha^l, g) from character data.
 
-    g_index picks the group element (must be central); alpha is taken from
-    the solver's basis (alpha_choice-th vector) and may be absent, in which
-    case delta = 0.
+    g is the group element of index 1 (it must be central); alpha is the
+    first vector of the solver's basis and may be absent, in which case
+    delta = 0.
     """
     ga = build_groupoid_algebra(group, n, field)
-    if g_index >= group.order:
-        raise ValidationError(f"group has no element of index {g_index}")
-    if g_index not in group.center():
-        raise ValidationError(f"group element {group.labels[g_index]} is not central")
+    if group.order < 2:
+        raise ValidationError("group has no element of index 1")
+    if 1 not in group.center():
+        raise ValidationError(f"group element {group.labels[1]} is not central")
     chi = groupoid_character(ga, rho, q)
     sigma = winding(ga, chi, "left")
-    g = ga.central_grouplike(g_index)
+    g = ga.central_grouplike(1)
     alpha_basis = solve_alpha(ga, chi)
     if alpha_basis:
-        alpha = alpha_basis[alpha_choice]
+        alpha = alpha_basis[0]
         delta = build_twisted_derivation(ga, g, chi, alpha)
     else:
         alpha = None

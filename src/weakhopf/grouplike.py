@@ -43,11 +43,13 @@ def is_grouplike(wb: WeakBialgebra, g: dict) -> dict | None:
     """The two-sided inverse of g if g is an invertible weak group-like, else None."""
     if not is_weak_grouplike(wb, g):
         return None
-    left = wb.algebra.left_mult_matrix(g)
-    y = solve(left, wb.unit)
-    if y is None:
-        return None
-    if wb.multiply(y, g) != wb.unit:
+    return grouplike_inverse(wb, g, wb.algebra.left_mult_matrix(g))
+
+
+def grouplike_inverse(wb: WeakBialgebra, g: dict, lambda_g: Matrix) -> dict | None:
+    """The y with g y = 1, solved on lambda_g (r -> g r), if also y g = 1; else None."""
+    y = solve(lambda_g, wb.unit)
+    if y is None or wb.multiply(y, g) != wb.unit:
         return None
     return y
 
@@ -91,7 +93,7 @@ def enumerate_weak_grouplikes_matrix(n: int, field=None) -> GrouplikeEnumeration
     return GrouplikeEnumeration(alg, out, WeakGrouplike({}, False))
 
 
-def brute_force_weak_grouplikes(wb: WeakBialgebra, limit=SCAN_LIMIT):
+def brute_force_weak_grouplikes(wb: WeakBialgebra):
     """Exhaustive scan for weak group-likes over a prime field GF(p) (includes 0).
 
     Visits all p^dim coefficient vectors in ``itertools.product`` order.
@@ -103,14 +105,14 @@ def brute_force_weak_grouplikes(wb: WeakBialgebra, limit=SCAN_LIMIT):
     pair's entry, summed as dense int lists and compared mod p, the second
     side only when the first agrees.  Every hit is rebuilt as a dict of
     field elements and returned only if :func:`is_weak_grouplike` holds.
-    Raises TooLarge, before the first candidate, when p^dim exceeds ``limit``
-    or p^dim times (dim^2 + the number of residues in the tables) exceeds
-    SCAN_WORK_LIMIT.
+    Raises TooLarge, before the first candidate, when p^dim exceeds
+    SCAN_LIMIT or p^dim times (dim^2 + the number of residues in the
+    tables) exceeds SCAN_WORK_LIMIT.
     """
     p = wb.field.order
     if p is None:
         raise TooLarge("brute force requires a finite prime field")
-    if p ** wb.dim > limit:
+    if p ** wb.dim > SCAN_LIMIT:
         raise TooLarge(f"{p}^{wb.dim} coefficient vectors exceed the scan limit")
     view, dim = wb.view, wb.dim
     one, d1 = view.one, view.delta_one()
@@ -205,24 +207,20 @@ class ConvolutionInverse:
 
 def convolution_inverse(wb: WeakBialgebra, chi: dict) -> ConvolutionInverse:
     """Solve chi' * chi = eps (left) and chi * chi' = eps (right) as linear systems."""
-    zero = wb.field.zero()
-    left_rows = {}
-    right_rows = {}
-    for k in range(wb.dim):
-        for (i, j), c in wb.view.coproduct(k).items():
-            x = chi.get(j)
-            if x:
-                left_rows[(k, i)] = left_rows.get((k, i), zero) + c * x
-            x = chi.get(i)
-            if x:
-                right_rows[(k, j)] = right_rows.get((k, j), zero) + c * x
-    left_m = Matrix(wb.field, wb.dim, wb.dim, left_rows)
-    right_m = Matrix(wb.field, wb.dim, wb.dim, right_rows)
+    return ConvolutionInverse(one_sided_inverse(wb, chi, "left", winding(wb, chi, "right")),
+                              one_sided_inverse(wb, chi, "right", winding(wb, chi, "left")))
+
+
+def one_sided_inverse(wb: WeakBialgebra, chi: dict, side: str, tau: Matrix) -> dict | None:
+    """chi's left (side="left") or right convolution inverse chi', or None.
+
+    chi' * chi = chi' o tau_chi^r and chi * chi' = chi' o tau_chi^l, so chi'
+    solves tau^T chi' = eps, where tau is chi's winding on the other side;
+    the solution is kept only if the convolution with chi gives eps.
+    """
     eps = wb.counit
-    left_sol = solve(left_m, eps)
-    right_sol = solve(right_m, eps)
-    if left_sol is not None and convolution(left_sol, chi, wb) != eps:
-        left_sol = None
-    if right_sol is not None and convolution(chi, right_sol, wb) != eps:
-        right_sol = None
-    return ConvolutionInverse(left_sol, right_sol)
+    sol = solve(tau.transpose(), eps)
+    if sol is None:
+        return None
+    product = convolution(sol, chi, wb) if side == "left" else convolution(chi, sol, wb)
+    return sol if product == eps else None

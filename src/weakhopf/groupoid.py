@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .bialgebra import Algebra, Coalgebra, WeakHopfAlgebra
+from .bialgebra import DIM_LIMIT, Algebra, Coalgebra, WeakHopfAlgebra
 from .errors import TooLarge, ValidationError
 from .fields import Field
 from .linalg import Matrix
@@ -18,10 +18,6 @@ from .linalg import Matrix
 # The largest group order a presentation may have: its associativity check
 # is O(order^3), 0.81 s at Z200.  S5 (120) is admitted, S6 (720) refused.
 GROUP_ORDER_LIMIT = 200
-# The largest dimension |G| n^2 of M_n(kG): building it loops over the
-# (|G| n^2)^2 basis pairs and validating it sweeps the basis triples;
-# M_3(kS_3) (dim 54) takes 0.8 s.
-DIM_LIMIT = 128
 
 
 def _refuse_order(order):

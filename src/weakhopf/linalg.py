@@ -3,8 +3,9 @@
 A vector is a plain dict index -> nonzero scalar, the form the basis views
 of bialgebra.py use for elements of R; a missing index reads as zero.
 :class:`Matrix` stores only nonzero entries, keyed by (row, col), and is
-immutable after construction.  All operations are pure and every vector
-they return is a new dict without zero entries, so callers may keep it.
+immutable after construction; its column dicts are built once, on first
+use, and shared by every reader, which must not modify them.  Every other
+vector an operation returns is a new dict without zeros, for callers to keep.
 
 Elimination (:func:`_rref`, behind rank, kernel_basis, solve and
 column_space_basis) is exact Gauss-Jordan on plain Python ints: a row over
@@ -28,7 +29,7 @@ from .errors import DimensionMismatch
 class Matrix:
     """Sparse matrix; entries keyed by (row, col), no zeros stored."""
 
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "rows", "cols", "data", "_columns")
 
     def __init__(self, field, rows, cols, data=None):
         self.field = field
@@ -38,6 +39,7 @@ class Matrix:
         for r, c in self.data:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise DimensionMismatch(f"entry ({r},{c}) out of range for {rows}x{cols}")
+        self._columns = None
 
     @classmethod
     def identity(cls, field, n):
@@ -64,10 +66,12 @@ class Matrix:
         return cls(field, len(rows), len(rows[0]) if rows else 0, data)
 
     def column_dicts(self):
-        cols = [{} for _ in range(self.cols)]
-        for (i, j), c in self.data.items():
-            cols[j][i] = c
-        return cols
+        """Column j as the dict row -> scalar, for every j; built once, not to be modified."""
+        if self._columns is None:
+            self._columns = [{} for _ in range(self.cols)]
+            for (i, j), c in self.data.items():
+                self._columns[j][i] = c
+        return self._columns
 
     def row_dicts(self):
         rows = [{} for _ in range(self.rows)]
@@ -75,32 +79,27 @@ class Matrix:
             rows[i][j] = c
         return rows
 
+    def transpose(self):
+        data = {(j, i): c for (i, j), c in self.data.items()}
+        return Matrix(self.field, self.cols, self.rows, data)
+
     def __mul__(self, other):
         """Matrix product self * other."""
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows or self.field != other.field:
             raise DimensionMismatch("matrix product shape/field mismatch")
-        by_row = [[] for _ in range(other.rows)]
-        for (j, k), c in other.data.items():
-            by_row[j].append((k, c))
-        data = {}
-        zero = self.field.zero()
-        for (i, j), a in self.data.items():
-            for k, b in by_row[j]:
-                key = (i, k)
-                data[key] = data.get(key, zero) + a * b
+        zero, cols, data = self.field.zero(), self.column_dicts(), {}
+        for (j, k), b in other.data.items():
+            for i, a in cols[j].items():
+                data[i, k] = data.get((i, k), zero) + a * b
         return Matrix(self.field, self.rows, other.cols, data)
 
     def apply(self, v: dict) -> dict:
         """Matrix-vector product self * v."""
-        zero = self.field.zero()
-        out = {}
-        by_col = {}
-        for (i, j), c in self.data.items():
-            by_col.setdefault(j, []).append((i, c))
+        zero, cols, out = self.field.zero(), self.column_dicts(), {}
         for j, cv in v.items():
-            for i, c in by_col.get(j, ()):
+            for i, c in cols[j].items():
                 out[i] = out.get(i, zero) + c * cv
         return {i: c for i, c in out.items() if c}
 
@@ -248,5 +247,5 @@ def column_space_basis(m: Matrix):
     """The pivot columns of m, as vectors (deterministic image basis)."""
     pivots, _, _ = _rref(m.row_dicts(), m.cols, m.field)
     cols = m.column_dicts()
-    return [cols[col] for _, col in pivots]
+    return [dict(cols[col]) for _, col in pivots]
 

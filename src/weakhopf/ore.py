@@ -16,7 +16,8 @@ degree-0 coefficient, and the antipode is the anti-homomorphism with
 S(x) = -S(g) x.  :func:`verify_extension` runs the same weak-bialgebra axiom
 sweeps on H as bialgebra.py runs on R, on the integer view of the monomial
 view's tables at the degree bound (:meth:`MonomialView.integer_view`); the
-monomial view itself keeps field scalars, its caches on H.
+monomial view itself, ``H.view``, keeps field scalars and the product and
+antipode caches of H.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ class OreAlgebra:
         self._x_table = {}
         self._expansion_cache = {}
         self._delta_mono_cache = {}
-        self._product_terms, self._antipode_terms = {}, {}
         self._view = None
         self._s_x = None
         self._s_x_powers = None
@@ -75,7 +75,7 @@ class OreAlgebra:
 
     @property
     def view(self) -> MonomialView:
-        """The monomial view of H: its products, coproducts and tensor products."""
+        """The one monomial view of H: its products, coproducts and tensor products."""
         if self._view is None:
             self._view = MonomialView(self)
         return self._view
@@ -261,17 +261,16 @@ def extend_antipode(H: OreAlgebra) -> OreAlgebra:
 class MonomialView(BasisView):
     """H = R[x; sigma, delta] seen over the monomial keys (b, n), meaning b_b x^n.
 
-    The sweep keys are the monomials of degree <= degree_bound, degree-major.
-    Products and antipodes of any monomial come from mono_mul and antipode
-    on first use and are cached on H, so every view of H shares them, as it
-    shares the coproducts cached by coproduct_monomial.
+    Its own keys are the degree-0 monomials; :meth:`integer_view` takes the
+    degree bound the sweeps run to.  Products and antipodes of any monomial
+    come from mono_mul and antipode on first use and are cached on the view,
+    coproducts from coproduct_monomial, which caches them on H.
     """
 
-    def __init__(self, H: OreAlgebra, degree_bound: int = 0):
-        super().__init__(H.field, self.monomials(H, degree_bound), H.embed(H.R.unit))
+    def __init__(self, H: OreAlgebra):
+        super().__init__(H.field, self.monomials(H, 0), H.embed(H.R.unit))
         self.H = H
-        self.degree_bound = degree_bound
-        self._products, self._antipodes = H._product_terms, H._antipode_terms
+        self._products, self._antipodes = {}, {}
 
     @staticmethod
     def monomials(H, degree):
@@ -304,19 +303,20 @@ class MonomialView(BasisView):
     def witness(self, keys):
         return tuple(i for k in keys for i in k)
 
-    def integer_view(self) -> IntegerView:
+    def integer_view(self, B: int) -> IntegerView:
         """The tables the shared sweeps read at degree bound B, as ints.
 
+        Its sweep keys are the monomials of degree <= B, degree-major.
         Products on (degree <= 2B) x (degree <= B), coproducts on degree
         <= 2B, the counit on degree <= 3B (every monomial those products
         reach) and antipodes, when extended, on degree <= B: the sweeps reach
         degree 2B through f m in eps_row, through Delta(ab) and through the
         antipode sandwich S(a) b S(d).
         """
-        H, B = self.H, self.degree_bound
-        return IntegerView(self, itertools.product(self.monomials(H, 2 * B), self.keys),
+        H, keys = self.H, self.monomials(self.H, B)
+        return IntegerView(self, keys, itertools.product(self.monomials(H, 2 * B), keys),
                            self.monomials(H, 2 * B), self.monomials(H, 3 * B),
-                           self.keys if H.antipode_extended else ())
+                           keys if H.antipode_extended else ())
 
 
 def refuse_large_degree(R: WeakBialgebra, degree_bound: int):
@@ -334,13 +334,13 @@ def verify_extension(H: OreAlgebra, degree_bound: int = 3) -> AxiomReport:
     """Exhaustive axiom sweep on H over monomials of degree <= degree_bound.
 
     The weak-bialgebra axioms come from the shared sweeps in bialgebra.py,
-    run on the integer view of a MonomialView of H, built once per call,
-    just as coalgebra_report, check_weak_bialgebra and check_antipode run
+    run on the integer view of ``H.view`` at the degree bound, built once
+    per call, just as coalgebra_report, check_weak_bialgebra and check_antipode run
     them on the integer view of R: coproduct multiplicativity,
     coassociativity, both counit axioms, weak multiplicativity of the
     counit, the unit-coproduct compatibility and (when extended) the three
     antipode axioms.  The clauses specific to the extension are checked
-    here on the field-valued MonomialView: skew primitivity of the
+    here on the field-valued ``H.view``: skew primitivity of the
     generator, commutation of Delta(x) with Delta(1) and with Delta(a),
     vanishing of the counit on x-sandwiches and centrality of R_s against
     x.  A negative degree bound would sweep nothing and raises
@@ -354,8 +354,8 @@ def verify_extension(H: OreAlgebra, degree_bound: int = 3) -> AxiomReport:
     H._require_coproduct()
     report = AxiomReport()
     R = H.R
-    view = MonomialView(H, degree_bound)
-    ints = view.integer_view()
+    view = H.view
+    ints = view.integer_view(degree_bound)
 
     sweep_coproduct_multiplicative(ints, report)
     sweep_coassociative(ints, report, "coproduct_coassociative")
@@ -381,9 +381,9 @@ def verify_extension(H: OreAlgebra, degree_bound: int = 3) -> AxiomReport:
         report.check("coproduct_commutation_rule", lhs, rhs, witness=(R.labels[k],), fmt=fmt)
 
     zero, one = H.field.zero(), H.field.one()
-    for (b1, n1) in view.keys:
+    for (b1, n1) in ints.keys:
         px = H.multiply({(b1, n1): one}, x)
-        for (b2, n2) in view.keys:
+        for (b2, n2) in ints.keys:
             val = sum((c * view.eps_pair(k, (b2, n2)) for k, c in px.items()), zero)
             report.check("counit_kills_x_sandwich", val, zero, witness=(b1, n1, b2, n2))
 

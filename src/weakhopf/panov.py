@@ -22,8 +22,8 @@ from .bialgebra import WeakBialgebra, WeakHopfAlgebra, base_subalgebras, convolu
 from .coderivations import _coderivation_failure, is_sigma_derivation
 from .errors import InvalidGroupCharacter, NotCentral, NotGrouplike, ValidationError, ZeroScale
 from .groupoid import GroupoidAlgebra
-from .grouplike import (convolution_inverse, is_grouplike, is_unital_algebra_endo,
-                        is_weak_character, is_weak_grouplike, winding)
+from .grouplike import (grouplike_inverse, is_grouplike, is_unital_algebra_endo,
+                        is_weak_character, is_weak_grouplike, one_sided_inverse, winding)
 from .linalg import Matrix, kernel_basis
 from .report import _fmt_witness
 
@@ -95,8 +95,8 @@ class PanovClauses:
     Clause ``name`` is evaluated by the method ``_name``, which returns
     (passed, witness), at most once per object and only when asked for; a
     clause may read another's result.  What several clauses read is computed
-    once, on first use: chi = eps o sigma, its windings, its convolution
-    inverse, g^-1 and Ad_g, and the columns of sigma, delta and lambda_g.
+    once, on first use: chi = eps o sigma, its windings and the convolution
+    inverses solved on them, lambda_g, g^-1 solved on it, and Ad_g.
     Two pairs of clause names state one identity each and read one result:
     the sigma twist (coproduct_sigma_g_twist and its expanded form) and the
     skew-coderivation identity (delta_is_skew_coderivation and
@@ -106,7 +106,6 @@ class PanovClauses:
     def __init__(self, wb: WeakBialgebra, sigma: Matrix, delta: Matrix, g: dict):
         self.wb, self.sigma, self.delta, self.g = wb, sigma, delta, g
         self.chi = sigma.apply_functional(wb.counit)  # eps o sigma
-        self._sigma_cols = sigma.column_dicts()
         self._results = {}
 
     def result(self, name) -> ClauseResult:
@@ -133,41 +132,35 @@ class PanovClauses:
         return winding(self.wb, self.chi, "right")
 
     @cached_property
-    def _inverse(self):
-        return convolution_inverse(self.wb, self.chi)
-
-    @cached_property
-    def _delta_cols(self) -> list:
-        return self.delta.column_dicts()
+    def _right_inverse(self) -> dict | None:  # chi' with chi * chi' = eps
+        return one_sided_inverse(self.wb, self.chi, "right", self._left)
 
     @cached_property
     def _lambda_g(self) -> Matrix:
         return self.wb.algebra.left_mult_matrix(self.g)
 
     @cached_property
-    def _lambda_g_cols(self) -> list:
-        return self._lambda_g.column_dicts()
-
-    @cached_property
     def _g_inverse(self) -> dict | None:  # None unless g is an invertible group-like
-        return is_grouplike(self.wb, self.g)
+        if not self.result("g_weak_grouplike").passed:
+            return None
+        return grouplike_inverse(self.wb, self.g, self._lambda_g)
 
     @cached_property
-    def _adg(self) -> Matrix | None:  # a -> g a g^-1, on the g^-1 that is_grouplike solved for
+    def _adg(self) -> Matrix | None:  # a -> g a g^-1, on the g^-1 of _g_inverse
         g_inv = self._g_inverse
         return None if g_inv is None else self._lambda_g * self.wb.algebra.right_mult_matrix(g_inv)
 
     @cached_property
     def _sigma_coproducts(self) -> list:  # Delta(sigma(b_k)) for every k
-        return [self.wb.view.comultiply(col) for col in self._sigma_cols]
+        return [self.wb.view.comultiply(col) for col in self.sigma.column_dicts()]
 
     @cached_property
     def _sigma_twist(self):
         """(passed, witness) of Delta(sigma(b_k))(g (x) 1) = (lambda_g (x) sigma)Delta(b_k),
         which in a unital R is also (g (x) 1)(id (x) sigma)Delta(b_k): the twisted
         compatibility and its expanded form are this one identity."""
-        view = self.wb.view
-        sig, g_left = self._sigma_cols.__getitem__, self._lambda_g_cols.__getitem__
+        view, g_left = self.wb.view, self._lambda_g.column_dicts().__getitem__
+        sig = self.sigma.column_dicts().__getitem__
         g1 = view.pure(self.g, view.unit)
         for k in view.keys:
             lhs = view.tensor_mul(self._sigma_coproducts[k], g1)
@@ -179,7 +172,8 @@ class PanovClauses:
     def _skew_coderivation_failure(self):
         """The first k where Delta(delta(b_k)) differs from
         g b_k1 (x) delta(b_k2) + delta(b_k1) (x) b_k2, or None."""
-        return _coderivation_failure(self.wb, self.delta, self.g, self.wb.unit)
+        lambda_1 = self.wb.algebra.left_mult_matrix(self.wb.unit)
+        return _coderivation_failure(self.wb, self.delta, self._lambda_g, lambda_1)
 
     # -- the clauses: each returns (passed, witness) ------------------------
 
@@ -203,12 +197,13 @@ class PanovClauses:
         return is_unital_algebra_endo(self.wb, self._left) is None, None
 
     def _chi_has_right_inverse(self):
-        return self._inverse.right is not None, None
+        return self._right_inverse is not None, None
 
     def _chi_is_character(self):
         return (self.result("chi_weak_left_character").passed
                 and is_unital_algebra_endo(self.wb, self._right) is None
-                and self._inverse.two_sided is not None), None
+                and self._right_inverse is not None
+                and one_sided_inverse(self.wb, self.chi, "left", self._right) is not None), None
 
     def _sigma_is_adjoint_right_winding(self):
         if self._adg is None:
@@ -226,7 +221,7 @@ class PanovClauses:
         return self._sigma_twist
 
     def _coproduct_sigma_left_factor(self):
-        view, sig = self.wb.view, self._sigma_cols.__getitem__
+        view, sig = self.wb.view, self.sigma.column_dicts().__getitem__
         return all(self._sigma_coproducts[k] == view.map_legs(view.coproduct(k), sig)
                    for k in view.keys), None
 
@@ -236,7 +231,7 @@ class PanovClauses:
 
     def _delta_kills_source_base(self):
         _, basis_s = base_subalgebras(self.wb)
-        view, dlt = self.wb.view, self._delta_cols.__getitem__
+        view, dlt = self.wb.view, self.delta.column_dicts().__getitem__
         bad = next((a for a in basis_s if view.apply(dlt, a)), None)
         return bad is None, None if bad is None else (self.wb.format_element(bad),)
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 
-from .bialgebra import Algebra, Coalgebra, WeakBialgebra, WeakHopfAlgebra
-from .errors import ParseError
+from .bialgebra import DIM_LIMIT, Algebra, Coalgebra, WeakBialgebra, WeakHopfAlgebra
+from .errors import ParseError, TooLarge
 from .fields import Field
 from .linalg import Matrix
 
@@ -74,7 +74,8 @@ def parse_spec(source, validate=True) -> SpecBundle:
     """Parse a spec file (path, JSON text, or dict) into validated objects.
 
     With validate=False the structures are built without axiom checks, so
-    deliberately broken files can be diagnosed by the report functions.
+    deliberately broken files can be diagnosed by the report functions.  A
+    dim above DIM_LIMIT raises TooLarge before any row is read.
     """
     if isinstance(source, dict):
         doc = source
@@ -106,6 +107,8 @@ def parse_spec(source, validate=True) -> SpecBundle:
     dim = doc["dim"]
     if type(dim) is not int or dim < 1:
         raise ParseError("dim must be a positive integer", "dim")
+    if dim > DIM_LIMIT:
+        raise TooLarge(f"dim {dim} exceeds the limit {DIM_LIMIT}")
     basis = doc["basis"]
     if not (isinstance(basis, list) and len(basis) == dim
             and all(isinstance(b, str) for b in basis)):

@@ -84,6 +84,16 @@ def test_coderivation_space_m3(M3):
     assert coderivation_space(M3, M3.unit, M3.unit) == []
 
 
+def test_coderivation_space_reverifies_on_lambdas_built_once(count_calls, s5_m2qz2):
+    """Each (g,1)-coderivation of section-5 M_2(QZ_2) is re-verified on lambda_g and
+    lambda_1 built once per call, with no product g b_k or 1 b_k taken again."""
+    R, g = s5_m2qz2.R, s5_m2qz2.g
+    calls = count_calls("BasisView.multiply", "_coderivation_failure")
+    space = coderivation_space(R, g, R.unit)
+    assert len(space) == R.dim == calls["_coderivation_failure"]
+    assert calls["BasisView.multiply"] == 0
+
+
 def test_coderivation_space_qz2(QZ2):
     t = QZ2.basis_vector(1)
     space = coderivation_space(QZ2, t, QZ2.unit)

@@ -1,5 +1,5 @@
 """Exit-code fuzz: mutated spec files through ``check``, ``characters --verify``,
-``panov --hopf`` and ``ore build``.
+``grouplikes --brute``, ``panov --hopf`` and ``ore build``.
 
 A mutation swaps two indices of a mult or comult row (or an index and the
 scalar, which the parser must refuse), or writes a random scalar into a
@@ -9,8 +9,10 @@ exits 0, 1 or 2; exit 1 comes only after an ``AXIOM ... FAIL`` line, exit 2
 prints one error line, and nothing prints a traceback.  ``characters
 --verify eps`` gets the same mutated specs with the original counit added
 as the functional ``eps``, and exits 1 only after a ``CHARACTER ... FAIL``
-line.  ``panov --hopf`` and ``ore build`` get the section-5 spec (Z2, n = 1)
-with random rationals written into sigma, delta and g, and keep the same
+line.  ``grouplikes --brute`` gets mutated GF(p) specs of dim at most 4 and
+exits 0 with only ``WEAK-GROUPLIKE`` and ``COUNT`` lines, or 2.  ``panov
+--hopf`` and ``ore build`` get the section-5 spec (Z2, n = 1) with random
+rationals written into sigma, delta and g, and keep the same
 contract, where exit 1 follows a ``CLAUSE ... FAIL`` or ``VERDICT FAIL``
 line (or, for ``ore build``, an ``AXIOM ... FAIL`` line).  The profile is
 fixed (derandomized, no example database).
@@ -28,6 +30,9 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from weakhopf.cli import main
+from weakhopf.fields import Field
+from weakhopf.groupoid import GroupPresentation, group_algebra, matrix_algebra
+from weakhopf.specfile import SpecBundle, emit_spec
 
 SOURCES = (resources.files("weakhopf") / "data" / "m2q.json",
            resources.files("weakhopf") / "data" / "sweedler-data.json",
@@ -109,6 +114,22 @@ def test_mutated_spec_characters_exit_codes(source, mutations):
         _mutate(doc, mutation)
     rc, out, err = _run(doc, lambda path: ["characters", path, "--verify", "eps"])
     _assert_exit_contract(rc, out, err, CHARACTER_LINE)
+
+
+GROUPLIKES_LINE = re.compile(r"WEAK-GROUPLIKE \S.*$|COUNT \d+ \(including zero if present\)$")
+SMALL_GFP = (matrix_algebra(2, Field.prime(3)),
+             group_algebra(GroupPresentation.cyclic(3), Field.prime(5)))
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(SMALL_GFP), st.lists(st.one_of(swap, scalar), min_size=1, max_size=2))
+def test_mutated_gfp_spec_grouplikes_brute_exit_codes(wb, mutations):
+    doc = emit_spec(SpecBundle(field=wb.field, wb=wb))
+    for mutation in mutations:
+        _mutate(doc, mutation)
+    rc, out, err = _run(doc, lambda path: ["grouplikes", "--brute", path])
+    assert rc in (0, 2)
+    _assert_exit_contract(rc, out, err, GROUPLIKES_LINE)
 
 
 # clause witnesses name elements, so they may hold spaces

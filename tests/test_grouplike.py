@@ -1,12 +1,16 @@
+import contextlib
+import io
 import itertools
 import math
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
 import weakhopf.grouplike
 from weakhopf.bialgebra import Algebra, Coalgebra, WeakBialgebra, convolution
+from weakhopf.cli import main
 from weakhopf.errors import TooLarge, ValidationError
 from weakhopf.fields import Field, QQ
 from weakhopf.groupoid import GroupPresentation, group_algebra, matrix_algebra
@@ -15,6 +19,7 @@ from weakhopf.grouplike import (SCAN_LIMIT, brute_force_weak_grouplikes, convolu
                                 is_weak_character, is_weak_grouplike, winding)
 from weakhopf.linalg import Matrix, rank
 from weakhopf.panov import groupoid_character
+from weakhopf.specfile import parse_spec
 
 from lemmas import (ad_map, basis_element, char_antipode_report, character_from_endo, counit_value,
                     function_algebra, grouplike_identity_report, grouplike_monoid_closed)
@@ -280,6 +285,22 @@ def test_character_from_endo_requires_algebra_map(M2):
     bad = Matrix.zero(QQ, 4, 4)
     with pytest.raises(ValidationError):
         character_from_endo(M2, bad)
+
+
+def test_characters_solves_inverses_on_its_two_windings(count_calls):
+    """`characters --verify chi` on the bundled m2q.json builds chi's two windings and
+    solves both convolution inverses on their transposes: past parsing, Delta(b_k) is
+    read once per winding and once per convolution check, and no matrix is summed
+    from it again."""
+    path = str(resources.files("weakhopf") / "data" / "m2q.json")
+    calls = count_calls("winding", "ConstantsView.coproduct")
+    dim = parse_spec(path).wb.dim
+    parse_reads = calls["ConstantsView.coproduct"]
+    calls.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["characters", path, "--verify", "chi"]) == 0
+    assert calls["winding"] == 2
+    assert calls["ConstantsView.coproduct"] == parse_reads + 4 * dim
 
 
 def test_convolution_inverse_two_sided(M2):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from weakhopf.bialgebra import check_antipode, check_weak_bialgebra
+from weakhopf.bialgebra import Algebra, check_antipode, check_weak_bialgebra
 from weakhopf.cli import main
 from weakhopf.coderivations import is_coderivation, is_sigma_derivation
 from weakhopf.errors import InvalidGroupCharacter, NotCentral, NotGrouplike, ZeroScale
@@ -15,6 +15,7 @@ from weakhopf.ore import extend_antipode, extend_coalgebra, make_ore, verify_ext
 from weakhopf.panov import (NECESSARY, SUFFICIENT, PanovClauses, alpha_constraint_matrix,
                             build_twisted_derivation, groupoid_character, hopf_conditions,
                             panov_necessary, panov_sufficient, solve_alpha)
+from weakhopf.specfile import parse_spec
 
 from lemmas import (ad_map, basis_element, centrality_report, char_antipode_report,
                     matches_tensor_factors)
@@ -116,33 +117,52 @@ def test_each_procedure_builds_each_winding_once(count_calls, request, name, pro
 
 def test_panov_hopf_evaluates_each_clause_once(count_calls, tmp_path):
     """One `panov --hopf` run decides the three procedures on one clause table:
-    chi's two windings, its convolution inverse and the coderivation identity
-    are each computed once; the endomorphism checks are skew_derivation's on
-    sigma and one per winding."""
+    chi's two windings, each of its one-sided convolution inverses (solved on
+    those windings, not through convolution_inverse) and the coderivation
+    identity are each computed once; the endomorphism checks are
+    skew_derivation's on sigma and one per winding."""
     spec = str(tmp_path / "s5.json")
     assert main(["example", "section5", "--group", "Z2", "--n", "3", "--q", "1,2,3",
                  "-o", spec]) == 0
     calls = count_calls("winding", "is_unital_algebra_endo", "_coderivation_failure",
-                        "convolution_inverse")
+                        "convolution_inverse", "one_sided_inverse")
     assert main(["panov", spec, "--hopf"]) == 0
     assert 0 < calls["winding"] <= 2
     assert calls["_coderivation_failure"] == 1
-    assert calls["convolution_inverse"] == 1
+    assert calls["one_sided_inverse"] == 2 and calls["convolution_inverse"] == 0
     assert 0 < calls["is_unital_algebra_endo"] <= 3
+
+
+def test_panov_hopf_decides_g_and_builds_lambda_g_once(count_calls, monkeypatch, tmp_path):
+    """On section-5 M_2(QZ_2), `panov --hopf` tests once that g is a weak group-like
+    and builds lambda_g once: g^-1 is solved on the clause table's lambda_g after
+    g_weak_grouplike passed."""
+    spec = str(tmp_path / "s5.json")
+    assert main(["example", "section5", "--group", "Z2", "--n", "2", "--q", "1,1",
+                 "-o", spec]) == 0
+    g = parse_spec(spec).elements["g"]
+    built, left_mult = [], Algebra.left_mult_matrix
+    monkeypatch.setattr(Algebra, "left_mult_matrix",
+                        lambda alg, a: built.append(a) or left_mult(alg, a))
+    calls = count_calls("is_weak_grouplike")
+    assert main(["panov", spec, "--hopf"]) == 0
+    assert calls["is_weak_grouplike"] == 1
+    assert built.count(g) == 1
 
 
 def test_necessary_then_sufficient_compute_each_identity_once(count_calls):
     """On section-5 M_2(QZ_2), NECESSARY then SUFFICIENT on one clause table take
     Delta(delta(b_k)) and Delta(sigma(b_k)) once per k, and one right-hand side per k
     for the sigma twist (map_legs, beside one for the left-factor clause) after its
-    left-hand side (tensor_mul); each group-like clause adds Delta(g) and two products."""
+    left-hand side (tensor_mul); g_weak_grouplike adds Delta(g) and two products, which
+    g_grouplike_invertible reads instead of taking them again."""
     data = twisted_derivation_data(GroupPresentation.cyclic(2), 2, rho=[1, -1], q=[1, 1])
     dim = data.R.dim
     clauses = PanovClauses(data.R, data.sigma, data.delta, data.g)
     calls = count_calls("BasisView.comultiply", "BasisView.tensor_mul", "BasisView.map_legs")
     assert clauses.verdict(NECESSARY).passed and clauses.verdict(SUFFICIENT).passed
-    assert calls["BasisView.comultiply"] == dim + dim + 2
-    assert calls["BasisView.tensor_mul"] == dim + 4
+    assert calls["BasisView.comultiply"] == dim + dim + 1
+    assert calls["BasisView.tensor_mul"] == dim + 2
     assert calls["BasisView.map_legs"] == dim + dim  # sigma twist, left factor
 
 

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 from weakhopf.cli import main
-from weakhopf.errors import NotAssociative, ParseError
-from weakhopf.fields import Field
+from weakhopf.bialgebra import DIM_LIMIT
+from weakhopf.errors import NotAssociative, ParseError, TooLarge
+from weakhopf.fields import PRIME_LIMIT, Field, is_prime
 from weakhopf.fixtures import sweedler_data
 from weakhopf.groupoid import GroupPresentation, build_groupoid_algebra, group_algebra
 from weakhopf.specfile import SpecBundle, emit_spec, parse_spec, write_spec
@@ -357,6 +358,10 @@ GF3 = {"kind": "prime", "p": 3}
     lambda tmp: ["panov", _section5_spec_file(tmp), "--hopf", "--sigma", "delta", "--delta", "sigma"],
     lambda tmp: ["panov", _spec_file_without(tmp, "antipode"), "--hopf"],
     lambda tmp: ["characters", str(_data_path("sweedler-data.json")), "--verify", "nope"],
+    # refused before any row is read, and before trial division up to 2^30.5
+    lambda tmp: ["check", _spec_file(tmp, dim=DIM_LIMIT + 1)],
+    lambda tmp: ["check", _spec_file(tmp, field={"kind": "prime", "p": 2 ** 61 - 1})],
+    lambda tmp: ["grouplikes", "--matrix", "2", "--prime", str(2 ** 61 - 1)],
 ], ids=["matrix-size-text", "groupoid-size-text", "prime-as-string", "prime-as-float",
         "dim-as-bool", "index-as-bool", "negative-degree-bound", "degree-bound-too-large",
         "grouplikes-prime-not-prime",
@@ -366,7 +371,8 @@ GF3 = {"kind": "prime", "p": 3}
         "gf-scalar-superscript-digit", "gf-scalar-double-minus", "scalar-exponent",
         "scalar-decimal", "repeated-basis-labels", "oversized-json-integer",
         "panov-sigma-not-automorphism", "panov-hopf-without-antipode",
-        "characters-unknown-functional"])
+        "characters-unknown-functional", "spec-dim-too-large", "field-prime-too-large",
+        "grouplikes-prime-too-large"])
 def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     code = main(argv(tmp_path))
     captured = capsys.readouterr()
@@ -375,6 +381,27 @@ def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+def test_spec_dim_guard_refuses_before_any_row(count_calls):
+    """A spec's dim above DIM_LIMIT is refused before a row, vector or map is read; at
+    DIM_LIMIT the Sweedler spec passes the guard and fails on its two basis labels."""
+    calls = count_calls("_parse_triples", "_parse_vector")
+    with pytest.raises(TooLarge):
+        parse_spec(_sweedler_doc() | {"dim": DIM_LIMIT + 1})
+    assert not calls
+    with pytest.raises(ParseError, match="basis"):
+        parse_spec(_sweedler_doc() | {"dim": DIM_LIMIT})
+
+
+def test_prime_guard_refuses_before_the_primality_test():
+    """2^31 + 11, the least prime above PRIME_LIMIT, is refused by is_prime and by a
+    field descriptor; 2^31 - 1 is still tested and admitted."""
+    assert PRIME_LIMIT == 2 ** 31 and is_prime(2 ** 31 - 1)
+    assert Field.from_json({"kind": "prime", "p": 2 ** 31 - 1}).order == 2 ** 31 - 1
+    for refuse in (is_prime, lambda p: Field.from_json({"kind": "prime", "p": p})):
+        with pytest.raises(TooLarge):
+            refuse(2 ** 31 + 11)
 
 
 def test_degree_guard_refuses_before_any_monomial_table(count_calls):
