@@ -38,7 +38,7 @@ the monomials: products on (degree <= 2B) x (degree <= B), coproducts on
 degree <= 2B, the counit on degree <= 3B and antipodes on degree <= B, since
 the sweeps reach degree 2B through f m in ``eps_row``, through Delta(ab) and
 through the antipode sandwich S(a) b S(d); a read outside the tables raises.
-``wb.view`` and the monomial view keep field scalars for every other caller.
+``wb.view`` and H itself keep field scalars for every other caller.
 """
 
 from __future__ import annotations
@@ -733,7 +733,8 @@ class WeakBialgebra:
     def integer_view(self) -> IntegerView:
         """The integer view check_weak_bialgebra and check_antipode sweep."""
         if self._integer_view is None:
-            self._integer_view = self.view.integer_view()
+            view = self.view
+            self._integer_view = view.integer_view()
         return self._integer_view
 
     def format_element(self, v):
@@ -772,10 +773,10 @@ class WeakHopfAlgebra(WeakBialgebra):
     """Weak bialgebra with an antipode matrix satisfying the three antipode axioms."""
 
     def __init__(self, algebra, coalgebra, antipode: Matrix, validate=True):
-        self.antipode = antipode  # set first: the basis view reads it
-        super().__init__(algebra, coalgebra, validate=validate)
         if antipode.rows != algebra.dim or antipode.cols != algebra.dim:
             raise DimensionMismatch("antipode matrix has wrong shape")
+        self.antipode = antipode  # set before the basis view reads it
+        super().__init__(algebra, coalgebra, validate=validate)
         if validate:
             report = check_antipode(self)
             if not report.passed:

@@ -83,12 +83,14 @@ def is_coderivation(wb: WeakBialgebra, delta: Matrix, g: dict, h: dict) -> bool:
     return _coderivation_failure(wb, delta, left_mult(g), left_mult(h)) is None
 
 
-def coderivation_constraint_matrix(wb: WeakBialgebra, g: dict, h: dict) -> Matrix:
+def coderivation_constraint_matrix(wb: WeakBialgebra, lambda_g: Matrix,
+                                   lambda_h: Matrix) -> Matrix:
     """The linear system whose kernel is the space of (g,h)-coderivations.
 
-    With unknowns X[r][k] (coefficient of b_r in delta(b_k), flattened as
-    column r*dim + k) the defining identity reads, per basis element k and
-    tensor slot (u, v),
+    lambda_g and lambda_h are the left multiplications by g and h (L_g and
+    L_h below), built by the caller.  With unknowns X[r][k] (coefficient of
+    b_r in delta(b_k), flattened as column r*dim + k) the defining identity
+    reads, per basis element k and tensor slot (u, v),
 
         sum_r d[u][v][r] X[r][k]
           - sum_{(i,j)} d[i][j][k] (L_g[u][i] X[v][j] + L_h[v][j] X[u][i]) = 0.
@@ -97,8 +99,7 @@ def coderivation_constraint_matrix(wb: WeakBialgebra, g: dict, h: dict) -> Matri
     """
     dim = wb.dim
     field = wb.field
-    lg_cols = wb.algebra.left_mult_matrix(g).column_dicts()
-    lh_cols = wb.algebra.left_mult_matrix(h).column_dicts()
+    lg_cols, lh_cols = lambda_g.column_dicts(), lambda_h.column_dicts()
     zero = field.zero()
 
     def unknown(r, k):
@@ -143,12 +144,12 @@ def coderivation_space(wb: WeakBialgebra, g: dict, h: dict):
     """Basis of all (g,h)-coderivations, as matrices.
 
     Exact kernel of :func:`coderivation_constraint_matrix`; every returned
-    matrix is re-verified against the defining identity, on lambda_g and
-    lambda_h built once for all of them.
+    matrix is re-verified against the defining identity.  lambda_g and
+    lambda_h are built once, for the system and every re-verification.
     """
     dim = wb.dim
-    constraint = coderivation_constraint_matrix(wb, g, h)
     lambda_g, lambda_h = wb.algebra.left_mult_matrix(g), wb.algebra.left_mult_matrix(h)
+    constraint = coderivation_constraint_matrix(wb, lambda_g, lambda_h)
     basis = []
     for vec in kernel_basis(constraint):
         m = Matrix(wb.field, dim, dim, {divmod(i, dim): c for i, c in vec.items()})

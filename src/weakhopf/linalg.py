@@ -2,10 +2,11 @@
 
 A vector is a plain dict index -> nonzero scalar, the form the basis views
 of bialgebra.py use for elements of R; a missing index reads as zero.
-:class:`Matrix` stores only nonzero entries, keyed by (row, col), and is
-immutable after construction; its column dicts are built once, on first
-use, and shared by every reader, which must not modify them.  Every other
-vector an operation returns is a new dict without zeros, for callers to keep.
+:class:`Matrix` stores only nonzero entries, keyed by (row, col), each
+passed through :meth:`Field.coerce`, and is immutable after construction;
+its column dicts are built once, on first use, and shared by every reader,
+which must not modify them.  Every other vector an operation returns is a
+new dict without zeros, for callers to keep.
 
 Elimination (:func:`_rref`, behind rank, kernel_basis, solve and
 column_space_basis) is exact Gauss-Jordan on plain Python ints: a row over
@@ -35,7 +36,7 @@ class Matrix:
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.data = {rc: c for rc, c in (data or {}).items() if c}
+        self.data = {rc: v for rc, c in (data or {}).items() if (v := field.coerce(c))}
         for r, c in self.data:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise DimensionMismatch(f"entry ({r},{c}) out of range for {rows}x{cols}")

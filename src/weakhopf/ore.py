@@ -1,23 +1,22 @@
 """Ore extensions H = R[x; sigma, delta] as computational objects.
 
 Normal form: left coefficients, p = sum a_n x^n, with the rewrite
-x a -> sigma(a) x + delta(a) applied recursively.  An element of H is the
-dict (b, n) -> nonzero scalar of its coefficients on the monomials b_b x^n,
-the keys of :class:`MonomialView`, and an element of H (x) H a dict
-((r, i), (s, j)) -> scalar, read as sum c (b_r x^i) (x) (b_s x^j).  Every
-product in H is the view's ``multiply`` and every product in H (x) H its
-two-leg ``tensor_mul``, both over the cached monomial products; the same
-methods multiply in R and R (x) R on the constants view of R, so all
-arithmetic is exact.
+x a -> sigma(a) x + delta(a) applied recursively.  H is its own basis view
+over the monomial keys (b, n), meaning b_b x^n: an element of H is the dict
+(b, n) -> nonzero scalar of its coefficients, and an element of H (x) H a
+dict ((r, i), (s, j)) -> scalar, read as sum c (b_r x^i) (x) (b_s x^j).
+Every product in H is the inherited ``multiply`` and every product in
+H (x) H the two-leg ``tensor_mul``, both over the cached monomial products;
+the same methods multiply in R and R (x) R on the constants view of R, so
+all arithmetic is exact.
 
 Once the extension conditions hold, the coproduct is
 Delta(a x^n) = Delta(a) * (g (x) x + x (x) 1)^n, the counit reads the
 degree-0 coefficient, and the antipode is the anti-homomorphism with
 S(x) = -S(g) x.  :func:`verify_extension` runs the same weak-bialgebra axiom
-sweeps on H as bialgebra.py runs on R, on the integer view of the monomial
-view's tables at the degree bound (:meth:`MonomialView.integer_view`); the
-monomial view itself, ``H.view``, keeps field scalars and the product and
-antipode caches of H.
+sweeps on H as bialgebra.py runs on R, on the integer view of H's tables at
+the degree bound (:meth:`OreAlgebra.integer_view`); H itself keeps field
+scalars and every table and cache of the extension.
 """
 
 from __future__ import annotations
@@ -41,9 +40,13 @@ from .report import AxiomReport
 PRODUCT_TABLE_LIMIT = 20_000
 
 
-class OreAlgebra:
-    """R[x; sigma, delta], optionally carrying the extended coproduct/antipode.
+class OreAlgebra(BasisView):
+    """R[x; sigma, delta] over the monomial keys (b, n), meaning b_b x^n,
+    optionally carrying the extended coproduct/antipode.
 
+    Its own ``keys`` are the degree-0 monomials; :meth:`integer_view` takes
+    the degree bound the sweeps run to.  Products, coproducts and antipodes
+    of monomials are computed on first use and cached on the algebra.
     Instances are immutable; extension steps return new objects.  Use
     :func:`make_ore` to validate the defining data.
     """
@@ -51,38 +54,27 @@ class OreAlgebra:
     def __init__(self, R: WeakBialgebra, sigma: Matrix, delta: Matrix, g: dict | None = None,
                  _coalgebra_extended=False, _antipode_extended=False):
         self.R = R
+        super().__init__(R.field, self.monomials(0), self.embed(R.unit))
         self.sigma = sigma
         self.delta = delta
         self.g = g
         self._coalgebra_extended = _coalgebra_extended
         self._antipode_extended = _antipode_extended
         self._x_table = {}
-        self._expansion_cache = {}
-        self._delta_mono_cache = {}
-        self._view = None
+        self._skew_powers = {}
+        self._products, self._coproducts, self._antipodes = {}, {}, {}
         self._s_x = None
-        self._s_x_powers = None
+        self._s_x_powers = [self.unit]
 
     # -- basic structure ------------------------------------------------
-
-    @property
-    def field(self):
-        return self.R.field
 
     @property
     def antipode_extended(self):
         return self._antipode_extended
 
-    @property
-    def view(self) -> MonomialView:
-        """The one monomial view of H: its products, coproducts and tensor products."""
-        if self._view is None:
-            self._view = MonomialView(self)
-        return self._view
-
-    @property
-    def one(self) -> dict:
-        return self.embed(self.R.unit)
+    def monomials(self, degree):
+        """The monomial keys of degree <= degree, degree-major."""
+        return [(b, n) for n in range(degree + 1) for b in range(self.R.dim)]
 
     def embed(self, r: dict) -> dict:
         """An element of R as one of H, in degree 0."""
@@ -109,25 +101,28 @@ class OreAlgebra:
                 bu = self.R.basis_vector(u)
                 hit = self.embed(self.delta.apply(bu)) | self.monomial(self.sigma.apply(bu), 1)
             else:
-                hit = {(u, 0): self.field.one()}
+                hit = {(u, 0): self.one}
             self._x_table[(i, u)] = hit
         return hit
 
     def x_times(self, p: dict) -> dict:
         """Left multiplication by x in normal form, term by term from row 1 of the table."""
-        zero, out = self.field.zero(), {}
+        zero, out = self.zero, {}
         for (b, n), c in p.items():
             for (r, m), x in self.x_power_times(1, b).items():
                 key = (r, m + n)
                 out[key] = out.get(key, zero) + c * x
         return _nonzero(out)
 
-    def multiply(self, p: dict, q: dict) -> dict:
-        return self.view.multiply(p, q)
+    def product(self, a, b):
+        hit = self._products.get((a, b))
+        if hit is None:
+            hit = self._products[(a, b)] = self.mono_mul(*a, *b)
+        return hit
 
     def mono_mul(self, r: int, i: int, u: int, j: int) -> dict:
-        """(b_r x^i)(b_u x^j) = b_r (x^i b_u) x^j; the monomial view caches it."""
-        zero, product, out = self.field.zero(), self.R.view.product, {}
+        """(b_r x^i)(b_u x^j) = b_r (x^i b_u) x^j; :meth:`product` caches it."""
+        zero, product, out = self.zero, self.R.view.product, {}
         for (b, n), c in self.x_power_times(i, u).items():
             for k, x in product(r, b).items():
                 key = (k, n + j)
@@ -136,63 +131,76 @@ class OreAlgebra:
 
     # -- extended coalgebra ----------------------------------------------
 
-    def _require_coproduct(self):
-        if not self._coalgebra_extended:
-            raise ValidationError("coalgebra structure not extended; call extend_coalgebra first")
-
     def skew_power_tensor(self, n: int) -> dict:
         """(g (x) x + x (x) 1)^n in H (x) H; n = 1 is the skew element itself."""
         if self.g is None:
             raise ValidationError("no weak group-like g attached to this Ore algebra")
-        hit = self._expansion_cache.get(n)
+        hit = self._skew_powers.get(n)
         if hit is None:
-            view = self.view
             if n == 0:
-                hit = view.pure(view.unit, view.unit)
+                hit = self.pure(self.unit, self.unit)
             elif n == 1:
                 g, x = self.embed(self.g), self.x()
-                hit = view.add(view.pure(g, x), view.pure(x, view.unit))
+                hit = self.add(self.pure(g, x), self.pure(x, self.unit))
             else:
-                hit = view.tensor_mul(self.skew_power_tensor(n - 1), self.skew_power_tensor(1))
-            self._expansion_cache[n] = hit
+                hit = self.tensor_mul(self.skew_power_tensor(n - 1), self.skew_power_tensor(1))
+            self._skew_powers[n] = hit
         return hit
 
-    def coproduct_monomial(self, b: int, n: int) -> dict:
+    def coproduct(self, k):
         """Delta(b_b x^n) = Delta(b_b) (g (x) x + x (x) 1)^n in H (x) H, cached."""
-        self._require_coproduct()
-        key = (b, n)
-        hit = self._delta_mono_cache.get(key)
+        hit = self._coproducts.get(k)
         if hit is None:
+            if not self._coalgebra_extended:
+                raise ValidationError("coalgebra structure not extended; "
+                                      "call extend_coalgebra first")
+            b, n = k
             d = _degree_zero(self.R.view.coproduct(b))
-            hit = self._delta_mono_cache[key] = self.view.tensor_mul(d, self.skew_power_tensor(n))
+            hit = self._coproducts[k] = self.tensor_mul(d, self.skew_power_tensor(n))
         return hit
 
-    def coproduct(self, p: dict) -> dict:
-        return self.view.comultiply(p)
+    def counit(self, k):
+        b, n = k
+        return self.R.counit.get(b, self.zero) if n == 0 else self.zero
 
     # -- extended antipode ----------------------------------------------
 
-    def _require_antipode(self):
-        if not self._antipode_extended:
-            raise ValidationError("antipode not extended; call extend_antipode first")
+    def antipode(self, k):
+        """S(b_b x^n) = S(x)^n S(b_b), cached; S is the unital anti-homomorphism."""
+        hit = self._antipodes.get(k)
+        if hit is None:
+            if not self._antipode_extended:
+                raise ValidationError("antipode not extended; call extend_antipode first")
+            b, n = k
+            powers = self._s_x_powers
+            while len(powers) <= n:
+                powers.append(self.multiply(powers[-1], self._s_x))
+            s_b = self.embed(self.R.view.antipode(b))
+            hit = self._antipodes[k] = self.multiply(powers[n], s_b)
+        return hit
 
-    def _s_x_power(self, n: int) -> dict:
-        self._require_antipode()
-        if self._s_x_powers is None:
-            self._s_x_powers = {0: self.one}
-        while n not in self._s_x_powers:
-            m = max(self._s_x_powers)
-            self._s_x_powers[m + 1] = self.multiply(self._s_x_powers[m], self._s_x)
-        return self._s_x_powers[n]
+    # -- labels and the integer view -------------------------------------
 
-    def antipode(self, p: dict) -> dict:
-        """S(sum a_n x^n) = sum S(x)^n S(a_n); the unital anti-homomorphism."""
-        self._require_antipode()
-        acc = {}
-        for n, a in sorted(_coefficients(p).items()):
-            s_a = self.embed(self.R.antipode.apply(a))
-            acc = self.view.add(acc, self.multiply(self._s_x_power(n), s_a))
-        return acc
+    def label(self, k):
+        b, n = k
+        return self.R.labels[b] if n == 0 else f"{self.R.labels[b]}*x^{n}"
+
+    def witness(self, keys):
+        return tuple(i for k in keys for i in k)
+
+    def integer_view(self, B: int) -> IntegerView:
+        """The tables the shared sweeps read at degree bound B, as ints.
+
+        Its sweep keys are the monomials of degree <= B, degree-major.
+        Products on (degree <= 2B) x (degree <= B), coproducts on degree
+        <= 2B, the counit on degree <= 3B (every monomial those products
+        reach) and antipodes, when extended, on degree <= B: the sweeps reach
+        degree 2B through f m in eps_row, through Delta(ab) and through the
+        antipode sandwich S(a) b S(d).
+        """
+        keys, twice = self.monomials(B), self.monomials(2 * B)
+        return IntegerView(self, keys, itertools.product(twice, keys), twice,
+                           self.monomials(3 * B), keys if self.antipode_extended else ())
 
     def __repr__(self):
         tags = []
@@ -213,14 +221,6 @@ def make_ore(R: WeakBialgebra, sigma: Matrix, delta: Matrix, g: dict | None = No
     return OreAlgebra(R, sigma, delta, g)
 
 
-def _coefficients(p: dict) -> dict:
-    """The coefficients a_n of p = sum a_n x^n, as a dict n -> element of R."""
-    out = {}
-    for (b, n), c in p.items():
-        out.setdefault(n, {})[b] = c
-    return out
-
-
 def _degree_zero(t: dict) -> dict:
     """A tensor of R (x) R, keyed (r, s), as one of H (x) H in degree (0, 0)."""
     return {((r, 0), (s, 0)): c for (r, s), c in t.items()}
@@ -235,7 +235,7 @@ def extend_coalgebra(H: OreAlgebra) -> OreAlgebra:
         raise ConditionsFailed(verdict)
     out = OreAlgebra(H.R, H.sigma, H.delta, H.g, _coalgebra_extended=True)
     for k in range(H.R.dim):
-        if out.coproduct_monomial(k, 0) != _degree_zero(H.R.view.coproduct(k)):
+        if out.coproduct((k, 0)) != _degree_zero(H.R.view.coproduct(k)):
             raise ValidationError("extended coproduct does not restrict to R in degree 0")
     return out
 
@@ -258,67 +258,6 @@ def extend_antipode(H: OreAlgebra) -> OreAlgebra:
     return out
 
 
-class MonomialView(BasisView):
-    """H = R[x; sigma, delta] seen over the monomial keys (b, n), meaning b_b x^n.
-
-    Its own keys are the degree-0 monomials; :meth:`integer_view` takes the
-    degree bound the sweeps run to.  Products and antipodes of any monomial
-    come from mono_mul and antipode on first use and are cached on the view,
-    coproducts from coproduct_monomial, which caches them on H.
-    """
-
-    def __init__(self, H: OreAlgebra):
-        super().__init__(H.field, self.monomials(H, 0), H.embed(H.R.unit))
-        self.H = H
-        self._products, self._antipodes = {}, {}
-
-    @staticmethod
-    def monomials(H, degree):
-        """The monomial keys of degree <= degree, degree-major."""
-        return [(b, n) for n in range(degree + 1) for b in range(H.R.dim)]
-
-    def product(self, a, b):
-        hit = self._products.get((a, b))
-        if hit is None:
-            hit = self._products[(a, b)] = self.H.mono_mul(*a, *b)
-        return hit
-
-    def coproduct(self, k):
-        return self.H.coproduct_monomial(*k)
-
-    def counit(self, k):
-        b, n = k
-        return self.H.R.counit.get(b, self.zero) if n == 0 else self.zero
-
-    def antipode(self, k):
-        hit = self._antipodes.get(k)
-        if hit is None:
-            hit = self._antipodes[k] = self.H.antipode({k: self.one})
-        return hit
-
-    def label(self, k):
-        b, n = k
-        return self.H.R.labels[b] if n == 0 else f"{self.H.R.labels[b]}*x^{n}"
-
-    def witness(self, keys):
-        return tuple(i for k in keys for i in k)
-
-    def integer_view(self, B: int) -> IntegerView:
-        """The tables the shared sweeps read at degree bound B, as ints.
-
-        Its sweep keys are the monomials of degree <= B, degree-major.
-        Products on (degree <= 2B) x (degree <= B), coproducts on degree
-        <= 2B, the counit on degree <= 3B (every monomial those products
-        reach) and antipodes, when extended, on degree <= B: the sweeps reach
-        degree 2B through f m in eps_row, through Delta(ab) and through the
-        antipode sandwich S(a) b S(d).
-        """
-        H, keys = self.H, self.monomials(self.H, B)
-        return IntegerView(self, keys, itertools.product(self.monomials(H, 2 * B), keys),
-                           self.monomials(H, 2 * B), self.monomials(H, 3 * B),
-                           keys if H.antipode_extended else ())
-
-
 def refuse_large_degree(R: WeakBialgebra, degree_bound: int):
     """Raise TooLarge when the product table of verify_extension at this
     degree bound over R, (2B + 1)(B + 1) dim^2 monomial products, would hold
@@ -334,28 +273,27 @@ def verify_extension(H: OreAlgebra, degree_bound: int = 3) -> AxiomReport:
     """Exhaustive axiom sweep on H over monomials of degree <= degree_bound.
 
     The weak-bialgebra axioms come from the shared sweeps in bialgebra.py,
-    run on the integer view of ``H.view`` at the degree bound, built once
-    per call, just as coalgebra_report, check_weak_bialgebra and check_antipode run
-    them on the integer view of R: coproduct multiplicativity,
-    coassociativity, both counit axioms, weak multiplicativity of the
-    counit, the unit-coproduct compatibility and (when extended) the three
-    antipode axioms.  The clauses specific to the extension are checked
-    here on the field-valued ``H.view``: skew primitivity of the
-    generator, commutation of Delta(x) with Delta(1) and with Delta(a),
-    vanishing of the counit on x-sandwiches and centrality of R_s against
-    x.  A negative degree bound would sweep nothing and raises
-    ValidationError; one whose tables would be too large raises TooLarge
-    (:func:`refuse_large_degree`).  Serialize with ``report.lines()``: one
+    run on ``H.integer_view`` at the degree bound, built once per call, just
+    as coalgebra_report, check_weak_bialgebra and check_antipode run them on
+    the integer view of R: coproduct multiplicativity, coassociativity, both
+    counit axioms, weak multiplicativity of the counit, the unit-coproduct
+    compatibility and (when extended) the three antipode axioms.  The
+    clauses specific to the extension are checked here on H itself, in
+    field scalars: skew primitivity of the generator, commutation of
+    Delta(x) with Delta(1) and with Delta(a), vanishing of the counit on
+    x-sandwiches and centrality of R_s against x.  A negative degree bound
+    would sweep nothing and raises ValidationError; one whose tables would
+    be too large raises TooLarge (:func:`refuse_large_degree`); an H whose
+    coalgebra is not extended raises ValidationError when the integer view
+    reads its first coproduct.  Serialize with ``report.lines()``: one
     `AXIOM name PASS|FAIL` line each.
     """
     if degree_bound < 0:
         raise ValidationError(f"degree bound must be nonnegative, got {degree_bound}")
     refuse_large_degree(H.R, degree_bound)
-    H._require_coproduct()
     report = AxiomReport()
     R = H.R
-    view = H.view
-    ints = view.integer_view(degree_bound)
+    ints = H.integer_view(degree_bound)
 
     sweep_coproduct_multiplicative(ints, report)
     sweep_coassociative(ints, report, "coproduct_coassociative")
@@ -364,34 +302,34 @@ def verify_extension(H: OreAlgebra, degree_bound: int = 3) -> AxiomReport:
     sweep_counit_weak_multiplicative(ints, report)
     sweep_unit_compatibility(ints, report)
 
-    tmul, fmt = view.tensor_mul, view.formatter(2)
-    d1, skew = view.delta_one(), H.skew_power_tensor(1)
+    tmul, fmt = H.tensor_mul, H.formatter(2)
+    d1, skew = H.delta_one(), H.skew_power_tensor(1)
     left, right = tmul(d1, skew), tmul(skew, d1)
     report.check("generator_coproduct_delta_one_commute", right, left, fmt=fmt)
 
     x = H.x()
-    dx = H.coproduct(x)
+    dx = H.comultiply(x)
     for side, rhs in (("left", left), ("right", right)):
         report.check("generator_skew_primitive", dx, rhs, witness=(side,), fmt=fmt)
 
     scols, dcols = H.sigma.column_dicts(), H.delta.column_dicts()
     for k in range(R.dim):
-        lhs = tmul(dx, H.coproduct_monomial(k, 0))
-        rhs = view.add(tmul(H.coproduct(H.embed(scols[k])), dx), H.coproduct(H.embed(dcols[k])))
+        lhs = tmul(dx, H.coproduct((k, 0)))
+        rhs = H.add(tmul(H.comultiply(H.embed(scols[k])), dx), H.comultiply(H.embed(dcols[k])))
         report.check("coproduct_commutation_rule", lhs, rhs, witness=(R.labels[k],), fmt=fmt)
 
-    zero, one = H.field.zero(), H.field.one()
+    zero, one = H.zero, H.one
     for (b1, n1) in ints.keys:
         px = H.multiply({(b1, n1): one}, x)
         for (b2, n2) in ints.keys:
-            val = sum((c * view.eps_pair(k, (b2, n2)) for k, c in px.items()), zero)
+            val = sum((c * H.eps_pair(k, (b2, n2)) for k, c in px.items()), zero)
             report.check("counit_kills_x_sandwich", val, zero, witness=(b1, n1, b2, n2))
 
     _, basis_s = base_subalgebras(R)
     for idx, a in enumerate(basis_s):
         report.check("source_base_commutes_with_x",
                      H.multiply(x, H.embed(a)), H.multiply(H.embed(a), x),
-                     witness=(idx,), fmt=view.formatter(1))
+                     witness=(idx,), fmt=H.formatter(1))
 
     if H.antipode_extended:
         sweep_antipode(ints, report)

@@ -319,26 +319,24 @@ def inner_coderivation(wb: WeakBialgebra, chi: dict) -> Matrix:
     return delta
 
 
-def is_skew_primitive(ctx, x, g, h) -> bool:
+def is_skew_primitive(view, x, g, h) -> bool:
     """Delta(x) = Delta(1)(g (x) x + x (x) h) = (g (x) x + x (x) h)Delta(1), exactly.
 
-    ctx is a weak bialgebra or an extended Ore algebra; elements and the
-    two weak group-likes must live where the context expects them.  Both
-    sides are computed on ``ctx.view``.
+    view is the basis view both sides are computed on: ``wb.view`` of a weak
+    bialgebra, or an extended Ore algebra H itself; x and the two weak
+    group-likes are elements of that view.
     """
-    view = ctx.view
     dx, d1 = view.comultiply(x), view.delta_one()
     mixed = view.add(view.pure(g, x), view.pure(x, h))
     return dx == view.tensor_mul(d1, mixed) and dx == view.tensor_mul(mixed, d1)
 
 
-def skew_primitive_identity_report(ctx, x, g, h) -> AxiomReport:
-    """Check x = eps_t(g) x + eps_t(x) h  and  x = g eps_s(x) + x eps_s(h) on ``ctx.view``."""
+def skew_primitive_identity_report(view, x, g, h) -> AxiomReport:
+    """Check x = eps_t(g) x + eps_t(x) h  and  x = g eps_s(x) + x eps_s(h) on ``view``."""
     report = AxiomReport()
-    view = ctx.view
     eps_t = lambda r: view.counital(r, 0, False)
     eps_s = lambda r: view.counital(r, 1, True)
-    report.record("is_skew_primitive", is_skew_primitive(ctx, x, g, h))
+    report.record("is_skew_primitive", is_skew_primitive(view, x, g, h))
     lhs_t = view.add(view.multiply(eps_t(g), x), view.multiply(eps_t(x), h))
     report.check("skew_primitive_eps_t_identity", lhs_t, x)
     lhs_s = view.add(view.multiply(g, eps_s(x)), view.multiply(x, eps_s(h)))
@@ -415,7 +413,7 @@ def expand_skew_power(H, n: int) -> dict:
 
     Asserts C[n][0] = 1 (x) 1, C[i][0] = 0 for i < n, C[0][n] = g^n on the
     left leg, and that for j < n the left legs of C[0][j] lie in
-    span{a delta(b)}.  Returns the tensor as a dict over the monomial view.
+    span{a delta(b)}.  Returns the tensor as a dict over H's monomial key pairs.
     """
     if n < 0:
         raise ValidationError("power must be nonnegative")

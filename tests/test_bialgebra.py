@@ -13,9 +13,10 @@ from weakhopf.bialgebra import (Algebra, Coalgebra, WeakBialgebra,
 from weakhopf.errors import (AxiomFailure, CounitFails, DimensionMismatch, FieldMismatch,
                              NotAssociative, UnitFails, ValidationError)
 from weakhopf.fields import Field, QQ
-from weakhopf.groupoid import GroupPresentation
+from weakhopf.groupoid import GroupPresentation, group_algebra
 from weakhopf.grouplike import is_weak_grouplike
 from weakhopf.linalg import Matrix
+from weakhopf.ore import make_ore
 from weakhopf.panov import groupoid_character
 from weakhopf.report import AxiomReport
 from weakhopf.specfile import parse_spec
@@ -122,6 +123,37 @@ def test_constructors_refuse_foreign_scalars(where, bad):
             Algebra(QQ, 2, mult, unit, validate=False)
         else:
             Coalgebra(QQ, 2, comult, counit, validate=False)
+
+
+@pytest.mark.parametrize("bad", [0.5, True, "1", Field.prime(5).one()])
+def test_matrix_refuses_foreign_scalars(sweedler, bad):
+    """Every Matrix entry goes through Field.coerce, so a float sigma is refused
+    before make_ore's algebra-map check reaches the elimination."""
+    with pytest.raises(ValidationError):
+        Matrix(QQ, 2, 2, {(0, 0): 1, (1, 1): bad})
+    with pytest.raises(ValidationError):
+        Matrix(Field.prime(3), 2, 2, {(0, 1): bad})
+    with pytest.raises(ValidationError):
+        make_ore(sweedler.R, Matrix(QQ, 2, 2, {(0, 0): 1.0, (1, 1): -1.0}), sweedler.delta)
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(3)])
+def test_matrix_takes_ints_and_drops_zeros(field):
+    m = Matrix(field, 2, 2, {(0, 0): 1, (0, 1): 3, (1, 1): field(-1)})
+    assert m.data == ({(0, 0): field(1), (0, 1): field(3), (1, 1): field(-1)} if field == QQ
+                      else {(0, 0): field(1), (1, 1): field(2)})
+    assert all(type(c) is type(field.one()) for c in m.data.values())
+
+
+@pytest.mark.parametrize("validate", [True, False])
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3)])
+def test_antipode_shape_is_checked_first(shape, validate):
+    """The shape is compared before the basis view reads the antipode, with or
+    without validation, so a wrong shape on kZ_3 is never an IndexError."""
+    R = group_algebra(GroupPresentation.cyclic(3))
+    S = Matrix(R.field, *shape, {(0, 0): 1, (1, 1): 1})
+    with pytest.raises(DimensionMismatch, match="antipode matrix has wrong shape"):
+        WeakHopfAlgebra(R.algebra, R.coalgebra, S, validate=validate)
 
 
 @pytest.mark.parametrize("field", [QQ, Field.prime(3)])

@@ -83,6 +83,12 @@ sign-flipped S(x) on Sweedler's algebra at degree 2, and the section-5
 M_2(QZ_2) data with q = 3/5, -7/2 and a perturbed delta or g at degree 1,
 whose shared sweeps fail with fractional sides.  It was recorded while the
 sweeps of H still ran on field scalars.
+
+``ore-sweedler-coalgebra`` is ``ore build --verify-degree 3`` on the bundled
+Sweedler spec with its antipode removed, the one CLI path through
+``extend_coalgebra``: the H it builds has no antipode, so its report has no
+antipode lines.  It was recorded while the monomial tables of H were still
+held by a separate view object.
 """
 
 import contextlib
@@ -232,6 +238,15 @@ def test_ore_build_section5_denominators_golden(tmp_path, name, example):
     spec = tmp_path / "s5.json"
     assert _run(["example", "section5", *example, "-o", str(spec)])[0] == 0
     assert _run(["ore", "build", str(spec), "--verify-degree", "4"]) == (0, _expected(name))
+
+
+def test_ore_build_coalgebra_only_golden(tmp_path):
+    doc = json.loads(Path(_bundled("sweedler-data.json")).read_text())
+    del doc["antipode"]
+    spec = tmp_path / "sweedler-no-antipode.json"
+    spec.write_text(json.dumps(doc))
+    assert _run(["ore", "build", str(spec), "--verify-degree", "3"]) == \
+        (0, _expected("ore-sweedler-coalgebra"))
 
 
 def test_sign_flipped_antipode_of_x_golden():

@@ -1,8 +1,8 @@
 """The integer views of R and of H against the field views: the same sweeps, the same report.
 
 ``IntegerView`` holds a view's tables as ints (scaled by the lcm D of their
-denominators over QQ, residues mod p over GF(p)); ``wb.view`` and the
-``MonomialView`` of H = R[x; sigma, delta] hold field scalars.  Every sweep
+denominators over QQ, residues mod p over GF(p)); ``wb.view`` and
+H = R[x; sigma, delta], its own monomial view, hold field scalars.  Every sweep
 of R, and every shared sweep of H at degree bounds 0 to 3, runs on both,
 and the failures (axiom, witness, lhs and rhs text) and the pass counts per
 axiom must agree.
@@ -28,7 +28,7 @@ from weakhopf.fields import Field
 from weakhopf.fixtures import sweedler_data, twisted_derivation_data
 from weakhopf.groupoid import GroupPresentation
 from weakhopf.linalg import Matrix
-from weakhopf.ore import MonomialView, extend_antipode, make_ore
+from weakhopf.ore import extend_antipode, make_ore
 from weakhopf.report import AxiomReport
 from weakhopf.specfile import parse_spec
 
@@ -192,8 +192,8 @@ def _sweep_shared(H, view):
 @pytest.mark.parametrize("name", ORE_CASES)
 def test_integer_view_of_h_matches_monomial_view(name, degree):
     H = ORE_CASES[name]()
-    ints = H.view.integer_view(degree)
-    view = MonomialView(H)  # a field view of its own, swept over the same monomials
+    ints = H.integer_view(degree)
+    view = ORE_CASES[name]()  # a fresh H, no cache shared, swept over the same monomials
     view.keys = ints.keys
     assert type(ints) is IntegerView
     failures, counts = _summary(_sweep_shared(H, ints))
@@ -207,13 +207,13 @@ def test_integer_view_of_h_refuses_reads_outside_its_tables():
     """At degree bound 2: products on (<= 4) x (<= 2), coproducts on <= 4, the
     counit on <= 6, antipodes on <= 2; nothing outside is computed on demand."""
     H = ORE_CASES["sweedler"]()
-    ints = H.view.integer_view(2)
+    ints = H.integer_view(2)
     assert ints.product((1, 4), (1, 2)) and ints.coproduct((1, 4)) and ints.antipode((1, 2))
     assert ints.counit((0, 6)) == 0
-    cached = len(H.view._products), len(H.view._antipodes), len(H._delta_mono_cache)
+    cached = len(H._products), len(H._antipodes), len(H._coproducts)
     for read, key in ((ints.product, ((1, 5), (0, 0))), (ints.product, ((0, 0), (1, 3))),
                       (ints.coproduct, ((1, 5),)), (ints.counit, ((0, 7),)),
                       (ints.antipode, ((1, 3),))):
         with pytest.raises(KeyError):
             read(*key)
-    assert (len(H.view._products), len(H.view._antipodes), len(H._delta_mono_cache)) == cached
+    assert (len(H._products), len(H._antipodes), len(H._coproducts)) == cached

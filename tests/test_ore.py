@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from weakhopf.bialgebra import base_subalgebras
-from weakhopf.errors import ConditionsFailed, NotAutomorphism, NotDerivation
+from weakhopf.errors import ConditionsFailed, NotAutomorphism, NotDerivation, ValidationError
 from weakhopf.fields import QQ
 from weakhopf.fixtures import twisted_derivation_data
 from weakhopf.groupoid import GroupPresentation
@@ -58,7 +58,7 @@ def test_rewrite_sweedler(sweedler_H, sweedler):
 
 
 def test_x_times_one(sweedler_H):
-    assert sweedler_H.multiply(sweedler_H.x(), sweedler_H.one) == sweedler_H.x()
+    assert sweedler_H.multiply(sweedler_H.x(), sweedler_H.unit) == sweedler_H.x()
 
 
 def test_rewrite_with_derivation(s5_H, s5_qz2):
@@ -220,7 +220,7 @@ def test_extension_requires_conditions(M2):
 
 def test_coproduct_of_x_sweedler(sweedler_H, sweedler):
     R = sweedler.R
-    dx = sweedler_H.coproduct(sweedler_H.x())
+    dx = sweedler_H.comultiply(sweedler_H.x())
     expected = ore_tensor({
         (0, 1): pure_tensor(sweedler.g, R.unit),
         (1, 0): pure_tensor(R.unit, R.unit)})
@@ -230,7 +230,7 @@ def test_coproduct_of_x_sweedler(sweedler_H, sweedler):
 def test_coproduct_of_x_squared_sweedler(sweedler_H, sweedler):
     R = sweedler.R
     x2 = sweedler_H.x(2)
-    dx2 = sweedler_H.coproduct(x2)
+    dx2 = sweedler_H.comultiply(x2)
     expected = ore_tensor({
         (0, 2): pure_tensor(R.unit, R.unit),
         (2, 0): pure_tensor(R.unit, R.unit)})
@@ -240,50 +240,67 @@ def test_coproduct_of_x_squared_sweedler(sweedler_H, sweedler):
 def test_counit_reads_degree_zero(sweedler_H, sweedler):
     R = sweedler.R
     p = sweedler_H.embed(R.basis_vector(1)) | {(0, 1): Fraction(3)} | sweedler_H.x(2)
-    assert sum(c * sweedler_H.view.counit(k) for k, c in p.items()) == Fraction(1)
+    assert sum(c * sweedler_H.counit(k) for k, c in p.items()) == Fraction(1)
 
 
 def test_coproduct_restricts_to_R(sweedler_H, sweedler):
     for k in range(sweedler.R.dim):
-        d = sweedler_H.coproduct_monomial(k, 0)
+        d = sweedler_H.coproduct((k, 0))
         assert d == ore_tensor({(0, 0): sweedler.R.view.coproduct(k)})
 
 
 def test_coproduct_degree_support(s5_H):
     for n in range(4):
         for b in range(s5_H.R.dim):
-            d = s5_H.coproduct_monomial(b, n)
+            d = s5_H.coproduct((b, n))
             degrees = {i + j for ((_, i), (_, j)) in d}
             assert all(t <= n for t in degrees)
             assert n in degrees
+
+
+def test_unextended_structure_is_refused(sweedler):
+    """Coproducts, antipodes and skew powers are refused, each with its message,
+    when H lacks the extension or g they need."""
+    H = make_ore(sweedler.R, sweedler.sigma, sweedler.delta, sweedler.g)
+    no_coproduct = "coalgebra structure not extended; call extend_coalgebra first"
+    for refused in (lambda: verify_extension(H, 1), lambda: H.coproduct((0, 0))):
+        with pytest.raises(ValidationError) as exc:
+            refused()
+        assert str(exc.value) == no_coproduct
+    with pytest.raises(ValidationError) as exc:
+        extend_coalgebra(H).antipode((0, 1))
+    assert str(exc.value) == "antipode not extended; call extend_antipode first"
+    with pytest.raises(ValidationError) as exc:
+        make_ore(sweedler.R, sweedler.sigma, sweedler.delta).skew_power_tensor(1)
+    assert str(exc.value) == "no weak group-like g attached to this Ore algebra"
 
 
 # -- antipode extension -------------------------------------------------------------
 
 
 def test_antipode_of_x(sweedler_H, sweedler):
-    s_x = sweedler_H.antipode(sweedler_H.x())
+    s_x = sweedler_H.apply(sweedler_H.antipode, sweedler_H.x())
     assert s_x == sweedler_H.monomial({1: Fraction(-1)}, 1)
 
 
 def test_antipode_fixes_unit(sweedler_H):
-    assert sweedler_H.antipode(sweedler_H.one) == sweedler_H.one
+    assert sweedler_H.apply(sweedler_H.antipode, sweedler_H.unit) == sweedler_H.unit
 
 
 def test_antipode_of_tx(sweedler_H, sweedler):
     tx = sweedler_H.monomial(sweedler.R.basis_vector(1), 1)
-    assert sweedler_H.antipode(tx) == sweedler_H.x()
+    assert sweedler_H.apply(sweedler_H.antipode, tx) == sweedler_H.x()
 
 
 def test_generator_is_skew_primitive_in_H(sweedler_H, sweedler):
     assert is_skew_primitive(sweedler_H, sweedler_H.x(),
-                             sweedler_H.embed(sweedler.g), sweedler_H.one)
+                             sweedler_H.embed(sweedler.g), sweedler_H.unit)
     # g = t, so x is not (1,1)-primitive: Delta(x) = t (x) x + x (x) 1
-    assert is_skew_primitive(sweedler_H, sweedler_H.x(), sweedler_H.one, sweedler_H.one) is False
+    assert is_skew_primitive(sweedler_H, sweedler_H.x(), sweedler_H.unit, sweedler_H.unit) is False
     report = skew_primitive_identity_report(sweedler_H, sweedler_H.x(),
-                                            sweedler_H.embed(sweedler.g), sweedler_H.one)
+                                            sweedler_H.embed(sweedler.g), sweedler_H.unit)
     assert report.passed
-    assert sweedler_H.view.counital(sweedler_H.x(), 0, False) == {}  # eps_t(x)
+    assert sweedler_H.counital(sweedler_H.x(), 0, False) == {}  # eps_t(x)
 
 
 def test_noncentral_g_fails_the_generator_clauses(M2):
@@ -314,8 +331,8 @@ def test_eps_t_and_eps_s_kill_x_monomials(sweedler_H, s5_H):
         for n in range(3):
             for b in range(H.R.dim):
                 hx = H.multiply(H.monomial(H.R.basis_vector(b), n), H.x())
-                assert H.view.counital(hx, 0, False) == {}  # eps_t
-                assert H.view.counital(hx, 1, True) == {}  # eps_s
+                assert H.counital(hx, 0, False) == {}  # eps_t
+                assert H.counital(hx, 1, True) == {}  # eps_s
 
 
 def test_H_source_base_equals_R_source_base(sweedler_H, s5_H):
@@ -324,7 +341,7 @@ def test_H_source_base_equals_R_source_base(sweedler_H, s5_H):
         images = []
         for n in range(4):
             for b in range(H.R.dim):
-                img = H.view.counital(H.monomial(H.R.basis_vector(b), n), 1, True)  # eps_s
+                img = H.counital(H.monomial(H.R.basis_vector(b), n), 1, True)  # eps_s
                 assert _degree(img) <= 0
                 if img:
                     images.append(_coefficient(img, 0))

@@ -303,6 +303,12 @@ def _raw_spec_file(tmp_path, key, raw):
     return str(p)
 
 
+def _raw_file(tmp_path, text):
+    p = tmp_path / "spec.json"
+    p.write_text(text)
+    return str(p)
+
+
 def _section5_spec_file(tmp_path):
     """`weakhopf example section5` on M_2(QZ_2), rho = (1,-1), q = (3/5,-7/2), without its stdout."""
     p = tmp_path / "s5.json"
@@ -362,6 +368,14 @@ GF3 = {"kind": "prime", "p": 3}
     lambda tmp: ["check", _spec_file(tmp, dim=DIM_LIMIT + 1)],
     lambda tmp: ["check", _spec_file(tmp, field={"kind": "prime", "p": 2 ** 61 - 1})],
     lambda tmp: ["grouplikes", "--matrix", "2", "--prime", str(2 ** 61 - 1)],
+    lambda tmp: ["check", _spec_file(tmp, unit=["1"])],
+    lambda tmp: ["check", _spec_file(tmp, antipode=[["1"], ["0"]])],
+    lambda tmp: ["check", _spec_file(tmp, mult={"0": [0, 0, "1"]})],
+    lambda tmp: ["check", _spec_file(tmp, mult=[[0, 0, 0]])],
+    lambda tmp: ["check", _raw_file(tmp, json.dumps([_sweedler_doc()]))],
+    lambda tmp: ["ore", "build", _spec_file(tmp, maps=["sigma", "delta"])],
+    lambda tmp: ["example", "groupoid", "Z2"],
+    lambda tmp: ["example", "groupoid", "Q8", "1"],
 ], ids=["matrix-size-text", "groupoid-size-text", "prime-as-string", "prime-as-float",
         "dim-as-bool", "index-as-bool", "negative-degree-bound", "degree-bound-too-large",
         "grouplikes-prime-not-prime",
@@ -372,7 +386,9 @@ GF3 = {"kind": "prime", "p": 3}
         "scalar-decimal", "repeated-basis-labels", "oversized-json-integer",
         "panov-sigma-not-automorphism", "panov-hopf-without-antipode",
         "characters-unknown-functional", "spec-dim-too-large", "field-prime-too-large",
-        "grouplikes-prime-too-large"])
+        "grouplikes-prime-too-large", "unit-wrong-length", "antipode-wrong-columns",
+        "mult-not-a-list", "mult-row-of-3", "spec-document-is-array", "maps-not-an-object",
+        "groupoid-one-parameter", "groupoid-unknown-group"])
 def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     code = main(argv(tmp_path))
     captured = capsys.readouterr()
@@ -381,6 +397,12 @@ def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("group, n, dim", [("S3", "1", 6), ("trivial", "2", 4)])
+def test_example_groupoid_takes_symmetric_and_trivial_groups(capsys, group, n, dim):
+    assert main(["example", "groupoid", group, n]) == 0
+    assert json.loads(capsys.readouterr().out)["dim"] == dim
 
 
 def test_spec_dim_guard_refuses_before_any_row(count_calls):
