@@ -1,14 +1,16 @@
-"""Finite-dimensional algebras, coalgebras, weak bialgebras and weak Hopf algebras.
+"""Finite-dimensional weak bialgebras and weak Hopf algebras.
 
-Everything is basis-indexed structure constants over an exact field.  An
-element of R, or a functional on R, is a dict index -> nonzero scalar:
+R = (R, m, 1, Delta, eps) is one :class:`WeakBialgebra`: basis-indexed
+structure constants over an exact field, and its own basis view over the
+keys range(dim).  An element of R, or a functional on R, is a dict
+index -> nonzero scalar:
 
 * multiplication:   mult[(i,j)] is b_i * b_j as such a dict,
 * comultiplication: comult[k] is Delta(b_k) as a dict (i, j) -> scalar,
-* unit and counit:  dicts index -> scalar.
+* unit and counit:  unit and counit_vector, dicts index -> scalar.
 
-The constructors drop zero coefficients, check every index against the
-dimension and pass every scalar through :meth:`Field.coerce`, so elements
+The constructor drops zero coefficients, checks every index against the
+dimension and passes every scalar through :meth:`Field.coerce`, so elements
 can be compared with ``==``.
 
 Axiom sweeps are exhaustive over basis tuples, never sampled, and results
@@ -38,7 +40,7 @@ the monomials: products on (degree <= 2B) x (degree <= B), coproducts on
 degree <= 2B, the counit on degree <= 3B and antipodes on degree <= B, since
 the sweeps reach degree 2B through f m in ``eps_row``, through Delta(ab) and
 through the antipode sandwich S(a) b S(d); a read outside the tables raises.
-``wb.view`` and H itself keep field scalars for every other caller.
+R and H themselves keep field scalars for every other caller.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import (AxiomFailure, CounitFails, DimensionMismatch, FieldMismatch,
-                     NotAssociative, NotCoassociative, UnitFails, ValidationError)
+from .errors import (AxiomFailure, CounitFails, DimensionMismatch, NotAssociative,
+                     NotCoassociative, UnitFails, ValidationError)
 from .linalg import Matrix, column_space_basis
 from .report import AxiomReport
 
@@ -67,93 +69,6 @@ def _format_terms(label, items, tensor=False):
         else:
             parts.append(f"{c}*{name}")
     return " + ".join(parts).replace("+ -", "- ")
-
-
-class Algebra:
-    """Associative unital algebra given by structure constants."""
-
-    __slots__ = ("field", "dim", "labels", "mult", "unit")
-
-    def __init__(self, field, dim, mult, unit, labels=None, validate=True):
-        if dim < 1:
-            raise ValidationError("algebra dimension must be at least 1")
-        self.field = field
-        self.dim = dim
-        self.labels = tuple(labels) if labels else tuple(f"b{i}" for i in range(dim))
-        if len(self.labels) != dim:
-            raise ValidationError("label count does not match dimension")
-        self.mult = {ij: d for ij, vec in mult.items()
-                     if (d := _element(field, dim, vec, ij, "mult"))}
-        self.unit = _element(field, dim, unit, (), "unit")
-        if validate:
-            report = algebra_report(self)
-            if not report.passed:
-                fail = report.failures()[0]
-                if fail.axiom == "associative":
-                    raise NotAssociative(*fail.witness, fail.lhs, fail.rhs)
-                raise UnitFails(fail.witness[0], fail.witness[1], fail.lhs)
-
-    def basis_vector(self, i):
-        return {i: self.field.one()}
-
-    def left_mult_matrix(self, a: dict) -> Matrix:
-        """The matrix of r -> a r."""
-        return self._mult_matrix(a, lambda i, k: (i, k))
-
-    def right_mult_matrix(self, a: dict) -> Matrix:
-        """The matrix of r -> r a."""
-        return self._mult_matrix(a, lambda i, k: (k, i))
-
-    def _mult_matrix(self, a, pair):
-        zero, data = self.field.zero(), {}
-        for i, c in a.items():
-            for k in range(self.dim):
-                for r, x in self.mult.get(pair(i, k), _EMPTY).items():
-                    data[(r, k)] = data.get((r, k), zero) + c * x
-        return Matrix(self.field, self.dim, self.dim, data)
-
-    def format_element(self, v: dict) -> str:
-        return _format_terms(self.labels.__getitem__, sorted(v.items()))
-
-
-def algebra_report(alg: Algebra) -> AxiomReport:
-    """Exhaustive unit and associativity checks."""
-    report = AxiomReport()
-    view = ConstantsView(algebra=alg).integer_view()
-    sweep_unital(view, report)
-    sweep_associative(view, report)
-    return report
-
-
-class Coalgebra:
-    """Coassociative counital coalgebra given by structure constants."""
-
-    __slots__ = ("field", "dim", "comult", "counit")
-
-    def __init__(self, field, dim, comult, counit, validate=True):
-        if dim < 1:
-            raise ValidationError("coalgebra dimension must be at least 1")
-        self.field = field
-        self.dim = dim
-        self.comult = {k: d for k, t in comult.items()
-                       if (d := _element(field, dim, t, (k,), "comult", pairs=True))}
-        self.counit = _element(field, dim, counit, (), "counit")
-        if validate:
-            report = coalgebra_report(self)
-            if not report.passed:
-                fail = report.failures()[0]
-                if fail.axiom == "coassociative":
-                    raise NotCoassociative(fail.witness[0])
-                raise CounitFails(fail.witness[0], fail.axiom)
-
-
-def coalgebra_report(coalg: Coalgebra) -> AxiomReport:
-    report = AxiomReport()
-    view = ConstantsView(coalgebra=coalg).integer_view()
-    sweep_coassociative(view, report, "coassociative")
-    sweep_counit_neutral(view, report, "left")
-    sweep_counit_neutral(view, report, "right")
-    return report
 
 
 # -- basis views and the shared axiom sweeps ----------------------------------
@@ -394,45 +309,6 @@ class BasisView:
         return lambda d: _format_terms(self.label, sorted(d.items()), tensor=tensor)
 
 
-class ConstantsView(BasisView):
-    """Integer basis keys over the structure constants of R (any part may be absent)."""
-
-    def __init__(self, algebra=None, coalgebra=None, antipode=None):
-        part = algebra or coalgebra
-        super().__init__(part.field, range(part.dim), algebra.unit if algebra else None)
-        self.labels = algebra.labels if algebra else tuple(f"b{i}" for i in range(part.dim))
-        self._mult = algebra.mult if algebra else None
-        self._comult = coalgebra.comult if coalgebra else None
-        self._counit = coalgebra.counit if coalgebra else None
-        self._antipode = antipode
-
-    def product(self, a, b):
-        return self._mult.get((a, b), _EMPTY)
-
-    def coproduct(self, k):
-        return self._comult.get(k, _EMPTY)
-
-    def counit(self, k):
-        return self._counit.get(k, self.zero)
-
-    def antipode(self, k):
-        return self._antipode.column_dicts()[k]
-
-    def label(self, k):
-        return self.labels[k]
-
-    def witness(self, keys):
-        return keys
-
-    def integer_view(self) -> IntegerView:
-        """This view's tables as ints, on every basis key and key pair of the parts it has."""
-        keys = self.keys
-        pairs = [(a, b) for a in keys for b in keys] if self._mult is not None else ()
-        return IntegerView(self, keys, pairs, keys if self._comult is not None else (),
-                           keys if self._counit is not None else (),
-                           keys if self._antipode is not None else ())
-
-
 class IntegerView(BasisView):
     """The tables of a field-valued basis view as Python ints, for the axiom sweeps.
 
@@ -452,12 +328,13 @@ class IntegerView(BasisView):
     def __init__(self, source, keys, products, coproducts, counits, antipodes):
         super().__init__(source.field, keys, None)
         self._source = source
-        products = {ab: source.product(*ab) for ab in products}
+        # coproducts first: a source without them raises before a product is computed
         coproducts = {k: source.coproduct(k) for k in coproducts}
+        products = {ab: source.product(*ab) for ab in products}
         antipodes = {k: source.antipode(k) for k in antipodes}
         counit = {k: source.counit(k) for k in counits}
-        unit = source.unit or {}
-        tables = [*products.values(), *coproducts.values(), *antipodes.values(), counit, unit]
+        tables = [*products.values(), *coproducts.values(), *antipodes.values(), counit,
+                  source.unit]
         self.modulus = self.field.order
         if self.modulus is None:
             self.scale = D = math.lcm(*(c.denominator for t in tables for c in t.values()))
@@ -465,7 +342,7 @@ class IntegerView(BasisView):
         else:
             ints = lambda t: {k: c.v for k, c in t.items()}
         self.zero, self.one = 0, 1
-        self.unit = None if source.unit is None else ints(unit)
+        self.unit = ints(source.unit)
         self._products = {ab: ints(v) for ab, v in products.items()}
         self._coproducts = {k: ints(t) for k, t in coproducts.items()}
         self._antipodes = {k: ints(v) for k, v in antipodes.items()}
@@ -666,97 +543,129 @@ def sweep_antipode(view, report):
         _check(report, "antipode_composition", sandwich, S(k), view, (k,), (6, 1), fmt)
 
 
-class WeakBialgebra:
-    """Algebra + coalgebra on the same basis satisfying the weak bialgebra axioms.
+class WeakBialgebra(BasisView):
+    """R = (R, m, 1, Delta, eps) on the basis range(dim), as its own basis view.
 
-    Construction validates the axioms exhaustively (and that the four
-    counital maps are idempotent projections); pass ``validate=False`` only
+    ``mult[(i, j)]`` is b_i b_j, ``unit`` is 1, ``comult[k]`` is Delta(b_k)
+    and ``counit_vector`` is eps, as element and 2-tensor dicts; the view's
+    ``counit(k)`` reads eps(b_k).  The constructor range-checks and coerces
+    every table, then validates the algebra, the coalgebra, the weak
+    bialgebra axioms, that the four counital maps are idempotent and the
+    antipode, if any, in that order, raising on the first failure; every
+    sweep runs on one :attr:`integer_view`.  Pass ``validate=False`` only
     to build deliberately broken instances for diagnosis.
     """
 
-    def __init__(self, algebra: Algebra, coalgebra: Coalgebra, validate=True):
-        if algebra.field != coalgebra.field:
-            raise FieldMismatch("algebra and coalgebra over different fields")
-        if algebra.dim != coalgebra.dim:
-            raise DimensionMismatch("algebra and coalgebra dimensions differ")
-        self.algebra = algebra
-        self.coalgebra = coalgebra
+    antipode_matrix = None
+
+    def __init__(self, field, dim, mult, unit, comult, counit, labels=None, validate=True):
+        if dim < 1:
+            raise ValidationError("algebra dimension must be at least 1")
+        self.labels = tuple(labels) if labels else tuple(f"b{i}" for i in range(dim))
+        if len(self.labels) != dim:
+            raise ValidationError("label count does not match dimension")
+        self.dim = dim
+        self.mult = {ij: d for ij, vec in mult.items()
+                     if (d := _element(field, dim, vec, ij, "mult"))}
+        unit = _element(field, dim, unit, (), "unit")
+        self.comult = {k: d for k, t in comult.items()
+                       if (d := _element(field, dim, t, (k,), "comult", pairs=True))}
+        self.counit_vector = _element(field, dim, counit, (), "counit")
+        super().__init__(field, range(dim), unit)
         self._counital_matrices = None
-        self._view = None
         self._integer_view = None
-        if validate:
-            report = check_weak_bialgebra(self)
+        if not validate:
+            return
+        report = algebra_report(self)
+        if not report.passed:
+            fail = report.failures()[0]
+            if fail.axiom == "associative":
+                raise NotAssociative(*fail.witness, fail.lhs, fail.rhs)
+            raise UnitFails(fail.witness[0], fail.witness[1], fail.lhs)
+        report = coalgebra_report(self)
+        if not report.passed:
+            fail = report.failures()[0]
+            if fail.axiom == "coassociative":
+                raise NotCoassociative(fail.witness[0])
+            raise CounitFails(fail.witness[0], fail.axiom)
+        report = check_weak_bialgebra(self)
+        if not report.passed:
+            raise AxiomFailure("weak bialgebra", report)
+        for name, m in zip(("eps_t", "eps_s", "eps_t_prime", "eps_s_prime"),
+                           self.counital_matrices()):
+            if m * m != m:
+                raise ValidationError(f"counital map {name} is not idempotent")
+        if self.antipode_matrix is not None:
+            report = check_antipode(self)
             if not report.passed:
-                raise AxiomFailure("weak bialgebra", report)
-            for name, m in zip(("eps_t", "eps_s", "eps_t_prime", "eps_s_prime"),
-                               self.counital_matrices()):
-                if m * m != m:
-                    raise ValidationError(f"counital map {name} is not idempotent")
+                raise AxiomFailure("antipode", report)
 
-    # -- basic access -------------------------------------------------
+    # -- the basis view ------------------------------------------------
 
-    @property
-    def field(self):
-        return self.algebra.field
+    def product(self, a, b):
+        return self.mult.get((a, b), _EMPTY)
 
-    @property
-    def dim(self):
-        return self.algebra.dim
+    def coproduct(self, k):
+        return self.comult.get(k, _EMPTY)
 
-    @property
-    def labels(self):
-        return self.algebra.labels
+    def counit(self, k):
+        return self.counit_vector.get(k, self.zero)
 
-    @property
-    def unit(self):
-        return self.algebra.unit
+    def label(self, k):
+        return self.labels[k]
 
-    def basis_vector(self, i):
-        return self.algebra.basis_vector(i)
-
-    def multiply(self, u, v):
-        return self.view.multiply(u, v)
-
-    @property
-    def counit(self):
-        return self.coalgebra.counit
-
-    @property
-    def view(self) -> ConstantsView:
-        """The basis view the axiom sweeps and the counital maps work on."""
-        if self._view is None:
-            antipode = getattr(self, "antipode", None)
-            self._view = ConstantsView(self.algebra, self.coalgebra, antipode)
-        return self._view
+    def witness(self, keys):
+        return keys
 
     @property
     def integer_view(self) -> IntegerView:
-        """The integer view check_weak_bialgebra and check_antipode sweep."""
+        """R's tables as ints on every key and key pair, built once for every sweep of R."""
         if self._integer_view is None:
-            view = self.view
-            self._integer_view = view.integer_view()
+            keys = self.keys
+            self._integer_view = IntegerView(
+                self, keys, [(a, b) for a in keys for b in keys], keys, keys,
+                keys if self.antipode_matrix is not None else ())
         return self._integer_view
 
-    def format_element(self, v):
-        return self.algebra.format_element(v)
+    def basis_vector(self, i):
+        return {i: self.one}
+
+    def format_element(self, v: dict) -> str:
+        return _format_terms(self.label, sorted(v.items()))
+
+    def left_mult_matrix(self, a: dict) -> Matrix:
+        """The matrix of r -> a r."""
+        return self._mult_matrix(a, lambda i, k: (i, k))
+
+    def right_mult_matrix(self, a: dict) -> Matrix:
+        """The matrix of r -> r a."""
+        return self._mult_matrix(a, lambda i, k: (k, i))
+
+    def _mult_matrix(self, a, pair):
+        zero, data = self.zero, {}
+        for i, c in a.items():
+            for k in self.keys:
+                for r, x in self.mult.get(pair(i, k), _EMPTY).items():
+                    data[(r, k)] = data.get((r, k), zero) + c * x
+        return Matrix(self.field, self.dim, self.dim, data)
 
     # -- counital maps -------------------------------------------------
 
     def eps_t(self, r: dict) -> dict:
         """eps_t(r) = eps(1_1 r) 1_2."""
-        return self.view.counital(r, 0, False)
+        return self.counital(r, 0, False)
 
     def eps_s(self, r: dict) -> dict:
         """eps_s(r) = eps(r 1_2) 1_1."""
-        return self.view.counital(r, 1, True)
+        return self.counital(r, 1, True)
 
     def eps_t_prime(self, r: dict) -> dict:
         """eps_t'(r) = eps(r 1_1) 1_2."""
-        return self.view.counital(r, 0, True)
+        return self.counital(r, 0, True)
 
     def eps_s_prime(self, r: dict) -> dict:
         """eps_s'(r) = eps(1_2 r) 1_1."""
-        return self.view.counital(r, 1, False)
+        return self.counital(r, 1, False)
 
     def counital_matrices(self):
         """Matrices of (eps_t, eps_s, eps_t', eps_s') on the basis."""
@@ -770,17 +679,38 @@ class WeakBialgebra:
 
 
 class WeakHopfAlgebra(WeakBialgebra):
-    """Weak bialgebra with an antipode matrix satisfying the three antipode axioms."""
+    """A weak bialgebra with an antipode satisfying the three antipode axioms.
 
-    def __init__(self, algebra, coalgebra, antipode: Matrix, validate=True):
-        if antipode.rows != algebra.dim or antipode.cols != algebra.dim:
+    ``antipode_matrix`` is S; the view's ``antipode(k)`` is its column k.
+    Its shape is checked before anything reads it.
+    """
+
+    def __init__(self, field, dim, mult, unit, comult, counit, antipode: Matrix, labels=None,
+                 validate=True):
+        if antipode.rows != dim or antipode.cols != dim:
             raise DimensionMismatch("antipode matrix has wrong shape")
-        self.antipode = antipode  # set before the basis view reads it
-        super().__init__(algebra, coalgebra, validate=validate)
-        if validate:
-            report = check_antipode(self)
-            if not report.passed:
-                raise AxiomFailure("antipode", report)
+        self.antipode_matrix = antipode
+        super().__init__(field, dim, mult, unit, comult, counit, labels, validate)
+
+    def antipode(self, k):
+        return self.antipode_matrix.column_dicts()[k]
+
+
+def algebra_report(wb: WeakBialgebra) -> AxiomReport:
+    """Exhaustive unit and associativity checks of R."""
+    report, view = AxiomReport(), wb.integer_view
+    sweep_unital(view, report)
+    sweep_associative(view, report)
+    return report
+
+
+def coalgebra_report(wb: WeakBialgebra) -> AxiomReport:
+    """Exhaustive coassociativity and counit checks of R."""
+    report, view = AxiomReport(), wb.integer_view
+    sweep_coassociative(view, report, "coassociative")
+    sweep_counit_neutral(view, report, "left")
+    sweep_counit_neutral(view, report, "right")
+    return report
 
 
 def check_weak_bialgebra(wb: WeakBialgebra) -> AxiomReport:
@@ -814,13 +744,12 @@ def base_subalgebras(wb: WeakBialgebra):
     m_t, m_s = wb.counital_matrices()[:2]
     basis_t = column_space_basis(m_t)
     basis_s = column_space_basis(m_s)
-    view = wb.view
-    d1, one = view.delta_one(), view.unit
+    d1, one = wb.delta_one(), wb.unit
     for a in basis_t:
-        if view.comultiply(a) != view.tensor_mul(d1, view.pure(a, one)):
+        if wb.comultiply(a) != wb.tensor_mul(d1, wb.pure(a, one)):
             raise ValidationError(f"R_t member fails coproduct characterization: {wb.format_element(a)}")
     for a in basis_s:
-        if view.comultiply(a) != view.tensor_mul(view.pure(one, a), d1):
+        if wb.comultiply(a) != wb.tensor_mul(wb.pure(one, a), d1):
             raise ValidationError(f"R_s member fails coproduct characterization: {wb.format_element(a)}")
     return basis_t, basis_s
 
@@ -831,7 +760,7 @@ def convolution(f: dict, g: dict, wb: WeakBialgebra) -> dict:
     out = {}
     for k in range(wb.dim):
         acc = zero
-        for (i, j), c in wb.view.coproduct(k).items():
+        for (i, j), c in wb.coproduct(k).items():
             fi = f.get(i)
             gj = g.get(j)
             if fi and gj:

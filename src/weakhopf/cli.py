@@ -43,8 +43,8 @@ def _print_chi(wb, chi):
 
 def cmd_check(args):
     bundle = parse_spec(args.spec, validate=False)
-    report = algebra_report(bundle.wb.algebra)
-    report.merge(coalgebra_report(bundle.wb.coalgebra))
+    report = algebra_report(bundle.wb)
+    report.merge(coalgebra_report(bundle.wb))
     report.merge(check_weak_bialgebra(bundle.wb))
     if bundle.has_antipode:
         report.merge(check_antipode(bundle.wb))

@@ -5,8 +5,8 @@ Delta delta = (lambda_g (x) delta + delta (x) lambda_h) Delta, where
 lambda_a is left multiplication.  The space of all such delta for fixed
 (g, h) is the kernel of an explicit linear operator on dim^2 unknowns and
 is computed exactly.  Elements are dicts index -> scalar, and both sides of
-the Leibniz rule and of the coderivation identity are summed on the basis
-view ``wb.view``, where 2-tensors are dicts (i, j) -> scalar.
+the Leibniz rule and of the coderivation identity are summed on R, its own
+basis view, where 2-tensors are dicts (i, j) -> scalar.
 """
 
 from __future__ import annotations
@@ -29,12 +29,12 @@ def validate_automorphism(wb: WeakBialgebra, sigma: Matrix):
 def _leibniz_failure(wb: WeakBialgebra, sigma: Matrix, delta: Matrix):
     """The first basis pair (i, j, lhs, rhs) where delta(b_i b_j) = lhs differs
     from delta(b_i) b_j + sigma(b_i) delta(b_j) = rhs, or None."""
-    view, one = wb.view, wb.field.one()
+    one = wb.one
     dcols, scols = delta.column_dicts(), sigma.column_dicts()
-    for i in view.keys:
-        for j in view.keys:
-            lhs = view.apply(dcols.__getitem__, view.product(i, j))
-            rhs = view.add(view.multiply(dcols[i], {j: one}), view.multiply(scols[i], dcols[j]))
+    for i in wb.keys:
+        for j in wb.keys:
+            lhs = wb.apply(dcols.__getitem__, wb.product(i, j))
+            rhs = wb.add(wb.multiply(dcols[i], {j: one}), wb.multiply(scols[i], dcols[j]))
             if lhs != rhs:
                 return i, j, lhs, rhs
     return None
@@ -61,25 +61,25 @@ def _coderivation_failure(wb: WeakBialgebra, delta: Matrix, lam_g: Matrix, lam_h
     """The first basis index k where Delta(delta(b_k)) differs from
     (lambda_g (x) delta + delta (x) lambda_h) Delta(b_k), or None.
 
-    Both sides are summed from the structure constants on ``wb.view``,
+    Both sides are summed from the structure constants of R,
     reading the columns of delta and of the left multiplications lam_g and
     lam_h (lambda_g, lambda_h) that the caller built.
     """
-    view, zero = wb.view, wb.field.zero()
+    zero = wb.zero
     dcols, gcols, hcols = delta.column_dicts(), lam_g.column_dicts(), lam_h.column_dicts()
-    for k in view.keys:
+    for k in wb.keys:
         rhs = {}
-        for (i, j), c in view.coproduct(k).items():
+        for (i, j), c in wb.coproduct(k).items():
             _add_pure(rhs, c, (gcols[i], dcols[j]), zero)
             _add_pure(rhs, c, (dcols[i], hcols[j]), zero)
-        if view.comultiply(dcols[k]) != _nonzero(rhs):
+        if wb.comultiply(dcols[k]) != _nonzero(rhs):
             return k
     return None
 
 
 def is_coderivation(wb: WeakBialgebra, delta: Matrix, g: dict, h: dict) -> bool:
     """Delta(delta(b_k)) = (lambda_g (x) delta + delta (x) lambda_h) Delta(b_k) for every k."""
-    left_mult = wb.algebra.left_mult_matrix
+    left_mult = wb.left_mult_matrix
     return _coderivation_failure(wb, delta, left_mult(g), left_mult(h)) is None
 
 
@@ -109,12 +109,12 @@ def coderivation_constraint_matrix(wb: WeakBialgebra, lambda_g: Matrix,
     for k in range(dim):
         lhs_rows = {}
         for r in range(dim):
-            for (u, v), c in wb.view.coproduct(r).items():
+            for (u, v), c in wb.coproduct(r).items():
                 key = (u, v)
                 lhs_rows.setdefault(key, {})
                 col = unknown(r, k)
                 lhs_rows[key][col] = lhs_rows[key].get(col, zero) + c
-        for (i, j), c in wb.view.coproduct(k).items():
+        for (i, j), c in wb.coproduct(k).items():
             for u, lg in lg_cols[i].items():
                 for v in range(dim):
                     col = unknown(v, j)
@@ -148,7 +148,7 @@ def coderivation_space(wb: WeakBialgebra, g: dict, h: dict):
     lambda_h are built once, for the system and every re-verification.
     """
     dim = wb.dim
-    lambda_g, lambda_h = wb.algebra.left_mult_matrix(g), wb.algebra.left_mult_matrix(h)
+    lambda_g, lambda_h = wb.left_mult_matrix(g), wb.left_mult_matrix(h)
     constraint = coderivation_constraint_matrix(wb, lambda_g, lambda_h)
     basis = []
     for vec in kernel_basis(constraint):

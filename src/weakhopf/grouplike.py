@@ -34,16 +34,15 @@ class WeakGrouplike:
 
 
 def is_weak_grouplike(wb: WeakBialgebra, g: dict) -> bool:
-    view = wb.view
-    dg, gg, d1 = view.comultiply(g), view.pure(g, g), view.delta_one()
-    return dg == view.tensor_mul(d1, gg) and dg == view.tensor_mul(gg, d1)
+    dg, gg, d1 = wb.comultiply(g), wb.pure(g, g), wb.delta_one()
+    return dg == wb.tensor_mul(d1, gg) and dg == wb.tensor_mul(gg, d1)
 
 
 def is_grouplike(wb: WeakBialgebra, g: dict) -> dict | None:
     """The two-sided inverse of g if g is an invertible weak group-like, else None."""
     if not is_weak_grouplike(wb, g):
         return None
-    return grouplike_inverse(wb, g, wb.algebra.left_mult_matrix(g))
+    return grouplike_inverse(wb, g, wb.left_mult_matrix(g))
 
 
 def grouplike_inverse(wb: WeakBialgebra, g: dict, lambda_g: Matrix) -> dict | None:
@@ -99,7 +98,7 @@ def brute_force_weak_grouplikes(wb: WeakBialgebra):
     Visits all p^dim coefficient vectors in ``itertools.product`` order.
     Before the loop it takes, as integer residues mod p over the slots
     a*dim + b of R (x) R, every Delta(b_k) and, for every basis pair (i, j),
-    Delta(1)(b_i (x) b_j) and (b_i (x) b_j)Delta(1), all from ``wb.view``.
+    Delta(1)(b_i (x) b_j) and (b_i (x) b_j)Delta(1), all from R's own tables.
     A candidate g = sum_i g_i b_i is then a tuple of ints: Delta(g) is
     sum_k g_k Delta(b_k) and each quadratic side sum_{i,j} g_i g_j times the
     pair's entry, summed as dense int lists and compared mod p, the second
@@ -114,15 +113,15 @@ def brute_force_weak_grouplikes(wb: WeakBialgebra):
         raise TooLarge("brute force requires a finite prime field")
     if p ** wb.dim > SCAN_LIMIT:
         raise TooLarge(f"{p}^{wb.dim} coefficient vectors exceed the scan limit")
-    view, dim = wb.view, wb.dim
-    one, d1 = view.one, view.delta_one()
+    dim = wb.dim
+    one, d1 = wb.one, wb.delta_one()
 
     def residues(t):  # a 2-tensor as ((slot, residue), ...)
         return tuple((a * dim + b, c.v) for (a, b), c in t.items())
 
-    coproducts = [residues(view.coproduct(k)) for k in view.keys]
-    left = [[residues(view.tensor_mul(d1, {(i, j): one})) for j in view.keys] for i in view.keys]
-    right = [[residues(view.tensor_mul({(i, j): one}, d1)) for j in view.keys] for i in view.keys]
+    coproducts = [residues(wb.coproduct(k)) for k in wb.keys]
+    left = [[residues(wb.tensor_mul(d1, {(i, j): one})) for j in wb.keys] for i in wb.keys]
+    right = [[residues(wb.tensor_mul({(i, j): one}, d1)) for j in wb.keys] for i in wb.keys]
     terms = sum(map(len, coproducts)) + sum(len(t) for rows in (left, right)
                                             for row in rows for t in row)
     if p ** dim * (dim * dim + terms) > SCAN_WORK_LIMIT:
@@ -162,28 +161,28 @@ def winding(wb: WeakBialgebra, chi: dict, side: str) -> Matrix:
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     read = 0 if side == "left" else 1
-    view, data = wb.view, {}
-    for k in view.keys:
-        for pair, c in view.coproduct(k).items():
+    data = {}
+    for k in wb.keys:
+        for pair, c in wb.coproduct(k).items():
             x = chi.get(pair[read])
             if x:
                 key = (pair[1 - read], k)
-                data[key] = data.get(key, view.zero) + c * x
+                data[key] = data.get(key, wb.zero) + c * x
     return Matrix(wb.field, wb.dim, wb.dim, data)
 
 
 def is_unital_algebra_endo(wb: WeakBialgebra, m: Matrix):
     """Return a failing witness tuple or None if m is a unital algebra endomorphism.
 
-    Compares m(b_i b_j) with m(b_i) m(b_j) on ``wb.view``, reading each
+    Compares m(b_i b_j) with m(b_i) m(b_j) on R's own tables, reading each
     column of m once.
     """
-    view, cols = wb.view, m.column_dicts()
-    if view.apply(cols.__getitem__, view.unit) != view.unit:
+    cols = m.column_dicts()
+    if wb.apply(cols.__getitem__, wb.unit) != wb.unit:
         return ("unit",)
-    for i in view.keys:
-        for j in view.keys:
-            if view.apply(cols.__getitem__, view.product(i, j)) != view.multiply(cols[i], cols[j]):
+    for i in wb.keys:
+        for j in wb.keys:
+            if wb.apply(cols.__getitem__, wb.product(i, j)) != wb.multiply(cols[i], cols[j]):
                 return (i, j)
     return None
 
@@ -205,12 +204,6 @@ class ConvolutionInverse:
         return None
 
 
-def convolution_inverse(wb: WeakBialgebra, chi: dict) -> ConvolutionInverse:
-    """Solve chi' * chi = eps (left) and chi * chi' = eps (right) as linear systems."""
-    return ConvolutionInverse(one_sided_inverse(wb, chi, "left", winding(wb, chi, "right")),
-                              one_sided_inverse(wb, chi, "right", winding(wb, chi, "left")))
-
-
 def one_sided_inverse(wb: WeakBialgebra, chi: dict, side: str, tau: Matrix) -> dict | None:
     """chi's left (side="left") or right convolution inverse chi', or None.
 
@@ -218,7 +211,7 @@ def one_sided_inverse(wb: WeakBialgebra, chi: dict, side: str, tau: Matrix) -> d
     solves tau^T chi' = eps, where tau is chi's winding on the other side;
     the solution is kept only if the convolution with chi gives eps.
     """
-    eps = wb.counit
+    eps = wb.counit_vector
     sol = solve(tau.transpose(), eps)
     if sol is None:
         return None

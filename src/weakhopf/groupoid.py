@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .bialgebra import DIM_LIMIT, Algebra, Coalgebra, WeakHopfAlgebra
+from .bialgebra import DIM_LIMIT, WeakHopfAlgebra
 from .errors import TooLarge, ValidationError
 from .fields import Field
 from .linalg import Matrix
@@ -118,8 +118,8 @@ def _cycle_label(perm):
 class GroupoidAlgebra(WeakHopfAlgebra):
     """The weak Hopf algebra M_n(kG), with basis bookkeeping for (g, i, j)."""
 
-    def __init__(self, algebra, coalgebra, antipode, group, n, validate=True):
-        super().__init__(algebra, coalgebra, antipode, validate=validate)
+    def __init__(self, field, dim, mult, unit, comult, counit, antipode, labels, group, n):
+        super().__init__(field, dim, mult, unit, comult, counit, antipode, labels)
         self.group = group
         self.n = n
 
@@ -146,7 +146,7 @@ def _groupoid_label(group, g, i, j, n):
 
 def build_groupoid_algebra(group: GroupPresentation, n: int,
                            field: Field | None = None) -> GroupoidAlgebra:
-    """Construct M_n(kG), its algebra, coalgebra and weak Hopf axioms validated once.
+    """Construct M_n(kG), its weak Hopf algebra axioms validated once.
 
     That it is M_n(k) (x) kG under g E_ij -> E_ij (x) g is a property of
     this constructor, checked in the test suite rather than per instance.
@@ -177,17 +177,13 @@ def build_groupoid_algebra(group: GroupPresentation, n: int,
                             if j == s:
                                 mult[key] = {idx(gh, i, t): one}
     unit = {idx(0, i, i): one for i in range(n)}
-    algebra = Algebra(field, dim, mult, unit, labels, validate=True)
-
     comult = {k: {(k, k): one} for k in range(dim)}
     counit = {k: one for k in range(dim)}
-    coalgebra = Coalgebra(field, dim, comult, counit, validate=True)
-
     antipode = Matrix(field, dim, dim,
                       {(idx(group.inv(g), j, i), idx(g, i, j)): one
                        for g in range(m) for i in range(n) for j in range(n)})
 
-    return GroupoidAlgebra(algebra, coalgebra, antipode, group, n, validate=True)
+    return GroupoidAlgebra(field, dim, mult, unit, comult, counit, antipode, labels, group, n)
 
 
 def matrix_algebra(n: int, field: Field | None = None) -> GroupoidAlgebra:

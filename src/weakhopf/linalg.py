@@ -43,11 +43,6 @@ class Matrix:
         self._columns = None
 
     @classmethod
-    def identity(cls, field, n):
-        one = field.one()
-        return cls(field, n, n, {(i, i): one for i in range(n)})
-
-    @classmethod
     def zero(cls, field, rows, cols):
         return cls(field, rows, cols)
 
@@ -56,15 +51,6 @@ class Matrix:
         """The rows x len(columns) matrix whose column j is the vector columns[j]."""
         return cls(field, rows, len(columns),
                    {(i, j): c for j, col in enumerate(columns) for i, c in col.items()})
-
-    @classmethod
-    def from_rows_dense(cls, field, rows):
-        data = {}
-        for i, row in enumerate(rows):
-            for j, c in enumerate(row):
-                if c:
-                    data[(i, j)] = c
-        return cls(field, len(rows), len(rows[0]) if rows else 0, data)
 
     def column_dicts(self):
         """Column j as the dict row -> scalar, for every j; built once, not to be modified."""

@@ -69,10 +69,10 @@ def eps_a_delta_b_zero(wb: WeakBialgebra, delta: Matrix):
     eps(b_i delta(b_j)) is summed from the cached eps(b_i b_k) over the
     column j of delta, each column read once.
     """
-    view, dcols = wb.view, delta.column_dicts()
-    for i in view.keys:
-        for j in view.keys:
-            if view.eps_mul(i, dcols[j]):
+    dcols = delta.column_dicts()
+    for i in wb.keys:
+        for j in wb.keys:
+            if wb.eps_mul(i, dcols[j]):
                 return (i, j)
     return None
 
@@ -105,7 +105,7 @@ class PanovClauses:
 
     def __init__(self, wb: WeakBialgebra, sigma: Matrix, delta: Matrix, g: dict):
         self.wb, self.sigma, self.delta, self.g = wb, sigma, delta, g
-        self.chi = sigma.apply_functional(wb.counit)  # eps o sigma
+        self.chi = sigma.apply_functional(wb.counit_vector)  # eps o sigma
         self._results = {}
 
     def result(self, name) -> ClauseResult:
@@ -137,7 +137,7 @@ class PanovClauses:
 
     @cached_property
     def _lambda_g(self) -> Matrix:
-        return self.wb.algebra.left_mult_matrix(self.g)
+        return self.wb.left_mult_matrix(self.g)
 
     @cached_property
     def _g_inverse(self) -> dict | None:  # None unless g is an invertible group-like
@@ -148,31 +148,31 @@ class PanovClauses:
     @cached_property
     def _adg(self) -> Matrix | None:  # a -> g a g^-1, on the g^-1 of _g_inverse
         g_inv = self._g_inverse
-        return None if g_inv is None else self._lambda_g * self.wb.algebra.right_mult_matrix(g_inv)
+        return None if g_inv is None else self._lambda_g * self.wb.right_mult_matrix(g_inv)
 
     @cached_property
     def _sigma_coproducts(self) -> list:  # Delta(sigma(b_k)) for every k
-        return [self.wb.view.comultiply(col) for col in self.sigma.column_dicts()]
+        return [self.wb.comultiply(col) for col in self.sigma.column_dicts()]
 
     @cached_property
     def _sigma_twist(self):
         """(passed, witness) of Delta(sigma(b_k))(g (x) 1) = (lambda_g (x) sigma)Delta(b_k),
         which in a unital R is also (g (x) 1)(id (x) sigma)Delta(b_k): the twisted
         compatibility and its expanded form are this one identity."""
-        view, g_left = self.wb.view, self._lambda_g.column_dicts().__getitem__
+        wb, g_left = self.wb, self._lambda_g.column_dicts().__getitem__
         sig = self.sigma.column_dicts().__getitem__
-        g1 = view.pure(self.g, view.unit)
-        for k in view.keys:
-            lhs = view.tensor_mul(self._sigma_coproducts[k], g1)
-            if lhs != view.map_legs(view.coproduct(k), g_left, sig):
-                return False, (self.wb.labels[k],)
+        g1 = wb.pure(self.g, wb.unit)
+        for k in wb.keys:
+            lhs = wb.tensor_mul(self._sigma_coproducts[k], g1)
+            if lhs != wb.map_legs(wb.coproduct(k), g_left, sig):
+                return False, (wb.labels[k],)
         return True, None
 
     @cached_property
     def _skew_coderivation_failure(self):
         """The first k where Delta(delta(b_k)) differs from
         g b_k1 (x) delta(b_k2) + delta(b_k1) (x) b_k2, or None."""
-        lambda_1 = self.wb.algebra.left_mult_matrix(self.wb.unit)
+        lambda_1 = self.wb.left_mult_matrix(self.wb.unit)
         return _coderivation_failure(self.wb, self.delta, self._lambda_g, lambda_1)
 
     # -- the clauses: each returns (passed, witness) ------------------------
@@ -221,9 +221,9 @@ class PanovClauses:
         return self._sigma_twist
 
     def _coproduct_sigma_left_factor(self):
-        view, sig = self.wb.view, self.sigma.column_dicts().__getitem__
-        return all(self._sigma_coproducts[k] == view.map_legs(view.coproduct(k), sig)
-                   for k in view.keys), None
+        wb, sig = self.wb, self.sigma.column_dicts().__getitem__
+        return all(self._sigma_coproducts[k] == wb.map_legs(wb.coproduct(k), sig)
+                   for k in wb.keys), None
 
     def _coproduct_delta_twisted_leibniz(self):
         k = self._skew_coderivation_failure
@@ -231,18 +231,18 @@ class PanovClauses:
 
     def _delta_kills_source_base(self):
         _, basis_s = base_subalgebras(self.wb)
-        view, dlt = self.wb.view, self.delta.column_dicts().__getitem__
-        bad = next((a for a in basis_s if view.apply(dlt, a)), None)
+        dlt = self.delta.column_dicts().__getitem__
+        bad = next((a for a in basis_s if self.wb.apply(dlt, a)), None)
         return bad is None, None if bad is None else (self.wb.format_element(bad),)
 
     def _antipode_conjugation_compat(self):
         if self._adg is None:
             return False, ("g not invertible",)
-        S = self.wb.antipode
+        S = self.wb.antipode_matrix
         return _columns_agree(self.wb, self._adg * S, self.sigma * S * self.sigma)
 
     def _antipode_delta_compat(self):
-        S = self.wb.antipode
+        S = self.wb.antipode_matrix
         return _columns_agree(self.wb, self.delta * S * self.sigma,
                               self._lambda_g * S * self.delta)
 
@@ -326,8 +326,8 @@ def groupoid_character(ga: GroupoidAlgebra, rho, q) -> dict:
 
     if not (is_weak_character(ga, chi, "left") and is_weak_character(ga, chi, "right")):
         raise ValidationError("groupoid character failed the winding check")
-    chi_s = ga.antipode.apply_functional(chi)
-    eps = ga.counit
+    chi_s = ga.antipode_matrix.apply_functional(chi)
+    eps = ga.counit_vector
     if convolution(chi_s, chi, ga) != eps or convolution(chi, chi_s, ga) != eps:
         raise ValidationError("chi o S is not the convolution inverse of chi")
     return chi
@@ -341,9 +341,9 @@ def alpha_constraint_matrix(ga: GroupoidAlgebra, chi: dict) -> Matrix:
     for i in range(dim):
         for j in range(dim):
             row = {}
-            for k, c in ga.view.product(i, j).items():
+            for k, c in ga.product(i, j).items():
                 row[k] = row.get(k, zero) + c
-            e = ga.counit.get(j, zero)
+            e = ga.counit(j)
             if e:
                 row[i] = row.get(i, zero) - e
             x = chi.get(i, zero)
@@ -372,11 +372,11 @@ def solve_alpha(ga: GroupoidAlgebra, chi: dict) -> list:
             ai = alpha.get(i, zero)
             for j in range(ga.dim):
                 lhs = zero
-                for k, c in ga.view.product(i, j).items():
+                for k, c in ga.product(i, j).items():
                     a = alpha.get(k)
                     if a:
                         lhs = lhs + c * a
-                rhs = ai * ga.counit.get(j, zero) + chi.get(i, zero) * alpha.get(j, zero)
+                rhs = ai * ga.counit(j) + chi.get(i, zero) * alpha.get(j, zero)
                 if lhs != rhs:
                     raise ValidationError(f"alpha solution fails its defining relation at ({i},{j})")
         for idx in ga.diagonal_unit_indices():
@@ -397,8 +397,8 @@ def build_twisted_derivation(wb: WeakBialgebra, g: dict, chi: dict, alpha: dict)
         bk = wb.basis_vector(k)
         if wb.multiply(g, bk) != wb.multiply(bk, g):
             raise NotCentral(f"g does not commute with {wb.labels[k]}")
-    one_minus_g = wb.view.add(wb.unit, {k: -c for k, c in g.items()})
-    delta = wb.algebra.left_mult_matrix(one_minus_g) * winding(wb, alpha, "left")
+    one_minus_g = wb.add(wb.unit, {k: -c for k, c in g.items()})
+    delta = wb.left_mult_matrix(one_minus_g) * winding(wb, alpha, "left")
     sigma = winding(wb, chi, "left")
     if not is_sigma_derivation(wb, sigma, delta):
         raise ValidationError("constructed delta is not a sigma-derivation")

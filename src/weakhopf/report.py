@@ -54,12 +54,6 @@ class AxiomReport:
     def passed(self):
         return all(not f for f in self._failures.values())
 
-    def axiom_names(self):
-        return list(self._order)
-
-    def axiom_passed(self, axiom):
-        return axiom in self._failures and not self._failures[axiom]
-
     def failures(self, axiom=None):
         if axiom is not None:
             return sorted(self._failures.get(axiom, []), key=lambda r: (r.witness or ()))

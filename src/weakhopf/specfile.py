@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 
-from .bialgebra import DIM_LIMIT, Algebra, Coalgebra, WeakBialgebra, WeakHopfAlgebra
+from .bialgebra import DIM_LIMIT, WeakBialgebra, WeakHopfAlgebra
 from .errors import ParseError, TooLarge
 from .fields import Field
 from .linalg import Matrix
@@ -73,7 +73,9 @@ def _parse_triples(field, rows, dim, where):
 def parse_spec(source, validate=True) -> SpecBundle:
     """Parse a spec file (path, JSON text, or dict) into validated objects.
 
-    With validate=False the structures are built without axiom checks, so
+    Every table and named section is parsed before R is built, so a parse
+    error is reported ahead of any axiom failure, with or without
+    validation.  With validate=False R is built without axiom checks, so
     deliberately broken files can be diagnosed by the report functions.  A
     dim above DIM_LIMIT raises TooLarge before any row is read.
     """
@@ -121,20 +123,14 @@ def parse_spec(source, validate=True) -> SpecBundle:
         vec = mult.setdefault((i, j), {})
         vec[k] = vec.get(k, field.zero()) + c
     unit = _parse_vector(field, doc["unit"], dim, "unit")
-    algebra = Algebra(field, dim, mult, unit, basis, validate=validate)
-
     comult = {}
     for (i, j, k, c) in _parse_triples(field, doc["comult"], dim, "comult"):
         slot = comult.setdefault(k, {})
         slot[(i, j)] = slot.get((i, j), field.zero()) + c
     counit = _parse_vector(field, doc["counit"], dim, "counit")
-    coalgebra = Coalgebra(field, dim, comult, counit, validate=validate)
-
-    if "antipode" in doc and doc["antipode"] is not None:
-        antipode = _parse_matrix(field, doc["antipode"], dim, "antipode")
-        wb = WeakHopfAlgebra(algebra, coalgebra, antipode, validate=validate)
-    else:
-        wb = WeakBialgebra(algebra, coalgebra, validate=validate)
+    antipode = doc.get("antipode")
+    if antipode is not None:
+        antipode = _parse_matrix(field, antipode, dim, "antipode")
 
     def named(section, parser):
         out = {}
@@ -145,11 +141,15 @@ def parse_spec(source, validate=True) -> SpecBundle:
             out[name] = parser(field, value, dim, f"{section}.{name}")
         return out
 
-    return SpecBundle(field=field, wb=wb,
-                      elements=named("elements", _parse_vector),
-                      functionals=named("functionals", _parse_vector),
-                      maps=named("maps", _parse_matrix),
-                      name=doc.get("name"))
+    sections = {"elements": named("elements", _parse_vector),
+                "functionals": named("functionals", _parse_vector),
+                "maps": named("maps", _parse_matrix)}
+    tables = (field, dim, mult, unit, comult, counit)
+    if antipode is not None:
+        wb = WeakHopfAlgebra(*tables, antipode, basis, validate=validate)
+    else:
+        wb = WeakBialgebra(*tables, basis, validate=validate)
+    return SpecBundle(field=field, wb=wb, name=doc.get("name"), **sections)
 
 
 def _emit_vector(field, v, dim):
@@ -166,12 +166,12 @@ def emit_spec(bundle: SpecBundle) -> dict:
     field = bundle.field
     wb = bundle.wb
     mult_rows = []
-    for (i, j), vec in sorted(wb.algebra.mult.items()):
+    for (i, j), vec in sorted(wb.mult.items()):
         for k, c in sorted(vec.items()):
             mult_rows.append([i, j, k, field.format(c)])
     comult_rows = []
     for k in range(wb.dim):
-        for (i, j), c in sorted(wb.view.coproduct(k).items()):
+        for (i, j), c in sorted(wb.coproduct(k).items()):
             comult_rows.append([i, j, k, field.format(c)])
     doc = {
         "name": bundle.name,
@@ -181,10 +181,10 @@ def emit_spec(bundle: SpecBundle) -> dict:
         "mult": mult_rows,
         "unit": _emit_vector(field, wb.unit, wb.dim),
         "comult": comult_rows,
-        "counit": _emit_vector(field, wb.counit, wb.dim),
+        "counit": _emit_vector(field, wb.counit_vector, wb.dim),
     }
     if isinstance(wb, WeakHopfAlgebra):
-        doc["antipode"] = _emit_matrix(field, wb.antipode)
+        doc["antipode"] = _emit_matrix(field, wb.antipode_matrix)
     if bundle.elements:
         doc["elements"] = {k: _emit_vector(field, v, wb.dim)
                            for k, v in sorted(bundle.elements.items())}

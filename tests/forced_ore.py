@@ -22,7 +22,7 @@ def sign_flipped_sweedler():
     data = sweedler_data()
     bad = OreAlgebra(data.R, data.sigma, data.delta, data.g,
                      _coalgebra_extended=True, _antipode_extended=True)
-    bad._s_x = bad.multiply(bad.embed(data.R.antipode.apply(data.g)), bad.x())
+    bad._s_x = bad.multiply(bad.embed(data.R.antipode_matrix.apply(data.g)), bad.x())
     return bad
 
 

@@ -8,17 +8,46 @@ build, all on the package's public objects and basis views.
 
 import math
 
-from weakhopf.bialgebra import Algebra, Coalgebra, WeakBialgebra, WeakHopfAlgebra, convolution
+from weakhopf.bialgebra import WeakBialgebra, WeakHopfAlgebra, convolution
 from weakhopf.coderivations import is_coderivation
 from weakhopf.errors import FieldMismatch, ValidationError
 from weakhopf.fields import Field
 from weakhopf.groupoid import GroupPresentation, group_algebra, matrix_algebra
-from weakhopf.grouplike import is_unital_algebra_endo, is_weak_character, is_weak_grouplike, winding
+from weakhopf.grouplike import (ConvolutionInverse, is_unital_algebra_endo, is_weak_character,
+                                is_weak_grouplike, one_sided_inverse, winding)
 from weakhopf.linalg import Matrix, solve
 from weakhopf.panov import PanovClauses, hopf_conditions
 from weakhopf.report import AxiomReport
 
 from oracles import ore_slot
+
+
+def identity(field, n) -> Matrix:
+    """The n x n identity matrix."""
+    one = field.one()
+    return Matrix(field, n, n, {(i, i): one for i in range(n)})
+
+
+def from_rows_dense(field, rows) -> Matrix:
+    """The matrix of a list of dense rows."""
+    data = {(i, j): c for i, row in enumerate(rows) for j, c in enumerate(row) if c}
+    return Matrix(field, len(rows), len(rows[0]) if rows else 0, data)
+
+
+def axiom_names(report) -> list:
+    """The axioms a report recorded, in order."""
+    return [line.split()[1] for line in report.lines()]
+
+
+def axiom_passed(report, axiom) -> bool:
+    """Whether the report recorded the axiom and no failure of it."""
+    return f"AXIOM {axiom} PASS" in report.lines()
+
+
+def convolution_inverse(wb, chi) -> ConvolutionInverse:
+    """Solve chi' * chi = eps (left) and chi * chi' = eps (right) as linear systems."""
+    return ConvolutionInverse(one_sided_inverse(wb, chi, "left", winding(wb, chi, "right")),
+                              one_sided_inverse(wb, chi, "right", winding(wb, chi, "left")))
 
 
 def basis_element(ga, g, i, j):
@@ -29,12 +58,12 @@ def basis_element(ga, g, i, j):
 def ad_map(wb, g):
     """Ad_g: a -> g a g^-1 from the clause table of (id, 0, g); None unless g is invertible."""
     zero = Matrix.zero(wb.field, wb.dim, wb.dim)
-    return PanovClauses(wb, Matrix.identity(wb.field, wb.dim), zero, g)._adg
+    return PanovClauses(wb, identity(wb.field, wb.dim), zero, g)._adg
 
 
 def counit_value(wb, v):
     """eps(v) for an element v of R."""
-    return sum((c * wb.counit.get(i, wb.field.zero()) for i, c in v.items()), wb.field.zero())
+    return sum((c * wb.counit(i) for i, c in v.items()), wb.zero)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -68,23 +97,21 @@ def tensor_product(a: WeakBialgebra, b: WeakBialgebra):
 
     labels = [f"{la}(x){lb}" for la in a.labels for lb in b.labels]
     mult = {(idx(i1, j1), idx(i2, j2)): pure(va, vb)
-            for (i1, i2), va in a.algebra.mult.items()
-            for (j1, j2), vb in b.algebra.mult.items()}
-    algebra = Algebra(field, dim, mult, pure(a.unit, b.unit), labels, validate=True)
-
+            for (i1, i2), va in a.mult.items()
+            for (j1, j2), vb in b.mult.items()}
     comult = {}
     for k1 in range(a.dim):
-        da = a.view.coproduct(k1)
+        da = a.coproduct(k1)
         for k2 in range(b.dim):
-            db = b.view.coproduct(k2)
+            db = b.coproduct(k2)
             comult[idx(k1, k2)] = {(idx(i1, i2), idx(j1, j2)): c1 * c2
                                    for (i1, j1), c1 in da.items()
                                    for (i2, j2), c2 in db.items()}
-    coalgebra = Coalgebra(field, dim, comult, pure(a.counit, b.counit), validate=True)
-
+    tables = (field, dim, mult, pure(a.unit, b.unit), comult,
+              pure(a.counit_vector, b.counit_vector))
     if isinstance(a, WeakHopfAlgebra) and isinstance(b, WeakHopfAlgebra):
-        return WeakHopfAlgebra(algebra, coalgebra, kron(a.antipode, b.antipode), validate=True)
-    return WeakBialgebra(algebra, coalgebra, validate=True)
+        return WeakHopfAlgebra(*tables, kron(a.antipode_matrix, b.antipode_matrix), labels)
+    return WeakBialgebra(*tables, labels)
 
 
 def dihedral(n):
@@ -110,11 +137,11 @@ def matches_tensor_factors(ga) -> bool:
 
     keys = range(ga.dim)
     return (factor.dim == ga.dim and factor.unit == moved(ga.unit)
-            and all(factor.view.product(image[i], image[j]) == moved(ga.view.product(i, j))
+            and all(factor.product(image[i], image[j]) == moved(ga.product(i, j))
                     for i in keys for j in keys)
-            and all(factor.view.coproduct(image[k]) == moved(ga.view.coproduct(k))
-                    and factor.counit.get(image[k]) == ga.counit.get(k)
-                    and factor.view.antipode(image[k]) == moved(ga.view.antipode(k))
+            and all(factor.coproduct(image[k]) == moved(ga.coproduct(k))
+                    and factor.counit_vector.get(image[k]) == ga.counit_vector.get(k)
+                    and factor.antipode(image[k]) == moved(ga.antipode(k))
                     for k in keys))
 
 
@@ -129,7 +156,6 @@ def function_algebra(group, field: Field | None = None) -> WeakHopfAlgebra:
     labels = [f"e[{lab}]" for lab in group.labels]
     mult = {(i, i): {i: one} for i in range(m)}
     unit = {i: one for i in range(m)}
-    algebra = Algebra(field, m, mult, unit, labels, validate=True)
     comult = {}
     for g in range(m):
         data = {}
@@ -138,9 +164,8 @@ def function_algebra(group, field: Field | None = None) -> WeakHopfAlgebra:
                 if group.mul(h, k) == g:
                     data[(h, k)] = one
         comult[g] = data
-    coalgebra = Coalgebra(field, m, comult, {0: one}, validate=True)
     antipode = Matrix(field, m, m, {(group.inv(g), g): one for g in range(m)})
-    return WeakHopfAlgebra(algebra, coalgebra, antipode, validate=True)
+    return WeakHopfAlgebra(field, m, mult, unit, comult, {0: one}, antipode, labels)
 
 
 def truncated_primitive_hopf(p: int) -> WeakHopfAlgebra:
@@ -157,7 +182,6 @@ def truncated_primitive_hopf(p: int) -> WeakHopfAlgebra:
         for j in range(p):
             if i + j < p:
                 mult[(i, j)] = {i + j: one}
-    algebra = Algebra(field, p, mult, {0: one}, labels, validate=True)
     comult = {}
     for k in range(p):
         data = {}
@@ -166,19 +190,18 @@ def truncated_primitive_hopf(p: int) -> WeakHopfAlgebra:
             if c:
                 data[(i, k - i)] = c
         comult[k] = data
-    coalgebra = Coalgebra(field, p, comult, {0: one}, validate=True)
     antipode = Matrix(field, p, p, {(k, k): field((-1) ** k) for k in range(p)})
-    return WeakHopfAlgebra(algebra, coalgebra, antipode, validate=True)
+    return WeakHopfAlgebra(field, p, mult, {0: one}, comult, {0: one}, antipode, labels)
 
 
 def map_convolution(F: Matrix, G: Matrix, wb: WeakBialgebra) -> Matrix:
     """Convolution of linear endomorphisms: (F*G)(b) = F(b_1) G(b_2)."""
-    view, fcols, gcols = wb.view, F.column_dicts(), G.column_dicts()
+    fcols, gcols = F.column_dicts(), G.column_dicts()
     data = {}
-    for k in view.keys:
-        for (i, j), c in view.coproduct(k).items():
-            for r, x in view.multiply(fcols[i], gcols[j]).items():
-                data[(r, k)] = data.get((r, k), view.zero) + c * x
+    for k in wb.keys:
+        for (i, j), c in wb.coproduct(k).items():
+            for r, x in wb.multiply(fcols[i], gcols[j]).items():
+                data[(r, k)] = data.get((r, k), wb.zero) + c * x
     return Matrix(wb.field, wb.dim, wb.dim, data)
 
 
@@ -215,7 +238,7 @@ def grouplike_identity_report(wb: WeakBialgebra, g: dict, power_bound=4) -> Axio
     report.check("grouplike_eps_s_absorption", wb.multiply(g, es), g, witness=(fmt(g),), fmt=fmt)
 
     if isinstance(wb, WeakHopfAlgebra):
-        sg = wb.antipode.apply(g)
+        sg = wb.antipode_matrix.apply(g)
         gsg = wb.multiply(g, sg)
         sgg = wb.multiply(sg, g)
         report.check("eps_t_equals_g_Sg", et, gsg, witness=(fmt(g),), fmt=fmt)
@@ -263,17 +286,17 @@ def character_from_endo(wb: WeakBialgebra, sigma: Matrix) -> dict | None:
     witness = is_unital_algebra_endo(wb, sigma)
     if witness is not None:
         raise ValidationError(f"sigma is not a unital algebra endomorphism (witness {witness})")
-    view, cols = wb.view, sigma.column_dicts()
+    cols = sigma.column_dicts()
 
     def intertwines(left, right):  # Delta sigma = (left (x) right) Delta
-        return all(view.comultiply(cols[k]) == view.map_legs(view.coproduct(k), left, right)
-                   for k in view.keys)
+        return all(wb.comultiply(cols[k]) == wb.map_legs(wb.coproduct(k), left, right)
+                   for k in wb.keys)
 
     right = intertwines(None, cols.__getitem__)
     left = intertwines(cols.__getitem__, None)
     if not (left or right):
         return None
-    chi = sigma.apply_functional(wb.counit)
+    chi = sigma.apply_functional(wb.counit_vector)
     if right and winding(wb, chi, "right") != sigma:
         return None
     if left and not right and winding(wb, chi, "left") != sigma:
@@ -294,13 +317,13 @@ def char_antipode_report(wha: WeakHopfAlgebra, chi: dict) -> AxiomReport:
     report.record("chi_weak_character_right", is_weak_character(wha, chi, "right"))
     tau_r = winding(wha, chi, "right")
     tau_l = winding(wha, chi, "left")
-    S = wha.antipode
+    S = wha.antipode_matrix
     m_t, m_s = wha.counital_matrices()[:2]
     report.check("antipode_conv_right_winding", map_convolution(S, tau_r, wha), m_s * tau_r)
     report.check("antipode_conv_left_winding", map_convolution(tau_l, S, wha), m_t * tau_l)
 
     chi_s = S.apply_functional(chi)
-    eps = wha.counit
+    eps = wha.counit_vector
     inverse_hyp = (convolution(chi_s, chi, wha) == eps and convolution(chi, chi_s, wha) == eps)
     report.record("chi_S_is_convolution_inverse", inverse_hyp)
     if inverse_hyp:
@@ -322,9 +345,9 @@ def inner_coderivation(wb: WeakBialgebra, chi: dict) -> Matrix:
 def is_skew_primitive(view, x, g, h) -> bool:
     """Delta(x) = Delta(1)(g (x) x + x (x) h) = (g (x) x + x (x) h)Delta(1), exactly.
 
-    view is the basis view both sides are computed on: ``wb.view`` of a weak
-    bialgebra, or an extended Ore algebra H itself; x and the two weak
-    group-likes are elements of that view.
+    view is the basis view both sides are computed on: a weak bialgebra R
+    or an extended Ore algebra H; x and the two weak group-likes are
+    elements of that view.
     """
     dx, d1 = view.comultiply(x), view.delta_one()
     mixed = view.add(view.pure(g, x), view.pure(x, h))
@@ -356,15 +379,15 @@ def eps_delta_report(wb: WeakBialgebra, delta: Matrix, g: dict, h: dict,
     not asserted.
     """
     report = AxiomReport()
-    view, dcols = wb.view, delta.column_dicts()
+    dcols = delta.column_dicts()
     report.record("delta_is_coderivation", is_coderivation(wb, delta, g, h))
     hyp_g = wb.eps_s(g) == wb.unit
     hyp_h = wb.eps_s(h) == wb.unit
     report.record("hypothesis_eps_s_g_is_unit", hyp_g, witness=(wb.format_element(g),))
     report.record("hypothesis_eps_s_h_is_unit", hyp_h, witness=(wb.format_element(h),))
     if hyp_g and hyp_h:
-        for k in view.keys:
-            report.check("counit_kills_delta", counit_value(wb, dcols[k]), view.zero, witness=(k,))
+        for k in wb.keys:
+            report.check("counit_kills_delta", counit_value(wb, dcols[k]), wb.zero, witness=(k,))
 
     if sigma is not None:
         clauses = PanovClauses(wb, sigma, delta, g)
@@ -373,9 +396,9 @@ def eps_delta_report(wb: WeakBialgebra, delta: Matrix, g: dict, h: dict,
         hyp_sigma = clauses.result("sigma_is_left_winding").passed
         report.record("hypothesis_sigma_is_left_winding", hyp_sigma)
         if hyp_rs and hyp_sigma:
-            for i in view.keys:
-                for j in view.keys:
-                    report.check("counit_kills_a_delta_b", view.eps_mul(i, dcols[j]), view.zero,
+            for i in wb.keys:
+                for j in wb.keys:
+                    report.check("counit_kills_a_delta_b", wb.eps_mul(i, dcols[j]), wb.zero,
                                  witness=(i, j))
     return report
 
@@ -390,11 +413,11 @@ def centrality_report(wb: WeakBialgebra, sigma: Matrix, delta: Matrix,
     """
     report = AxiomReport()
     cocommutative = all(t == {(j, i): c for (i, j), c in t.items()}
-                        for t in wb.coalgebra.comult.values())
+                        for t in wb.comult.values())
     report.record("hypothesis_cocommutative", cocommutative)
     if isinstance(wb, WeakHopfAlgebra):
-        chi_s = wb.antipode.apply_functional(chi)
-        eps = wb.counit
+        chi_s = wb.antipode_matrix.apply_functional(chi)
+        eps = wb.counit_vector
         report.record("hypothesis_chi_S_inverse",
                       convolution(chi_s, chi, wb) == eps and convolution(chi, chi_s, wb) == eps)
         report.record("hypothesis_hopf_conditions", hopf_conditions(wb, sigma, delta, g).passed)
@@ -419,8 +442,8 @@ def expand_skew_power(H, n: int) -> dict:
         raise ValidationError("power must be nonnegative")
     tensor = H.skew_power_tensor(n)
     R = H.R
-    one = R.view.unit
-    if ore_slot(tensor, n, 0) != R.view.pure(one, one):
+    one = R.unit
+    if ore_slot(tensor, n, 0) != R.pure(one, one):
         raise ValidationError(f"C[{n},0] is not 1 (x) 1")
     for i in range(n):
         if ore_slot(tensor, i, 0):
@@ -428,7 +451,7 @@ def expand_skew_power(H, n: int) -> dict:
     gn = R.unit
     for _ in range(n):
         gn = R.multiply(gn, H.g)
-    if ore_slot(tensor, 0, n) != R.view.pure(gn, one):
+    if ore_slot(tensor, 0, n) != R.pure(gn, one):
         raise ValidationError(f"C[0,{n}] is not g^{n} on the left leg")
 
     cols = [R.multiply(R.basis_vector(a), col) for a in range(R.dim)

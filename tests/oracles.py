@@ -124,7 +124,7 @@ def ore_reference_product(R, sigma, delta, p, q):
     """
     dim, zero = R.dim, R.field.zero()
     S, D = to_dense(sigma), to_dense(delta)
-    mult = R.algebra.mult
+    mult = R.mult
 
     def apply(m, a):
         return [sum((m[r][c] * a[c] for c in range(dim) if a[c]), zero) for r in range(dim)]

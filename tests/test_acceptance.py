@@ -8,24 +8,24 @@ import itertools
 import math
 from fractions import Fraction
 
-from weakhopf.bialgebra import (Coalgebra, WeakBialgebra, base_subalgebras, check_antipode,
+from weakhopf.bialgebra import (WeakBialgebra, WeakHopfAlgebra, base_subalgebras, check_antipode,
                                 check_weak_bialgebra)
 from weakhopf.coderivations import coderivation_space, is_coderivation, is_sigma_derivation
 from weakhopf.fields import Field, QQ
 from weakhopf.fixtures import twisted_derivation_data, sweedler_data
 from weakhopf.groupoid import (GroupPresentation, build_groupoid_algebra, group_algebra,
                                matrix_algebra)
-from weakhopf.grouplike import (brute_force_weak_grouplikes, convolution_inverse,
-                                enumerate_weak_grouplikes_matrix, is_weak_character)
+from weakhopf.grouplike import (brute_force_weak_grouplikes, enumerate_weak_grouplikes_matrix,
+                                is_weak_character)
 from weakhopf.linalg import Matrix
 from weakhopf.ore import OreAlgebra, extend_antipode, make_ore, verify_extension
 from weakhopf.panov import (alpha_constraint_matrix, groupoid_character, hopf_conditions,
                             panov_necessary, panov_sufficient)
 
-from lemmas import (basis_element, char_antipode_report, expand_skew_power,
-                    grouplike_identity_report, is_skew_primitive, skew_primitive_identity_report,
-                    matches_tensor_factors, tensor_product, truncated_primitive_hopf,
-                    weak_counit_identities)
+from lemmas import (axiom_names, axiom_passed, basis_element, char_antipode_report,
+                    convolution_inverse, expand_skew_power, grouplike_identity_report, identity,
+                    is_skew_primitive, matches_tensor_factors, skew_primitive_identity_report,
+                    tensor_product, truncated_primitive_hopf, weak_counit_identities)
 from oracles import dense_nullspace, ore_slot, ore_tensor, pure_tensor, to_dense
 
 
@@ -55,7 +55,7 @@ def test_criterion_2_grouplike_enumeration():
         for perm in itertools.permutations(range(n)):
             g = {}
             for i, s in enumerate(perm):
-                g = enum.algebra.view.add(g, basis_element(enum.algebra, 0, i, s))
+                g = enum.algebra.add(g, basis_element(enum.algebra, 0, i, s))
             perms.add(tuple(sorted(g.items())))
         ok = ok and {tuple(sorted(g.element.items())) for g in enum.invertible} == perms
     for n in (1, 2):
@@ -100,7 +100,7 @@ def test_criterion_5_sweedler_roundtrip():
     H = extend_antipode(make_ore(data.R, data.sigma, data.delta, data.g))
     report = verify_extension(H, 3)
     ok = ok and report.passed
-    ok = ok and report.axiom_passed("counit_kills_x_sandwich")
+    ok = ok and axiom_passed(report, "counit_kills_x_sandwich")
     t = data.R.basis_vector(1)
     ok = ok and H.apply(H.antipode, H.x()) == H.monomial({1: Fraction(-1)}, 1)
     expected_dx = ore_tensor({(0, 1): pure_tensor(t, data.R.unit),
@@ -196,9 +196,9 @@ def test_criterion_9_identity_lemma_suite():
     prod = tensor_product(M2F2, Hp)
     x = prod.basis_vector(M2F2.basis_index(0, 0, 1) * 2 + 1)
     g = prod.basis_vector(M2F2.basis_index(0, 0, 1) * 2)
-    ok = ok and is_skew_primitive(prod.view, x, g, g)
-    ok = ok and skew_primitive_identity_report(prod.view, x, g, g).passed
-    ok = ok and skew_primitive_identity_report(M2.view, {}, M2.unit, M2.unit).passed
+    ok = ok and is_skew_primitive(prod, x, g, g)
+    ok = ok and skew_primitive_identity_report(prod, x, g, g).passed
+    ok = ok and skew_primitive_identity_report(M2, {}, M2.unit, M2.unit).passed
     _criterion(9, "identity-lemma suite with pinned hypothesis flags", ok)
 
 
@@ -207,24 +207,22 @@ def test_criterion_10_negative_controls():
     # (a) wrong counit on M_2: exactly weak multiplicativity breaks
     M2 = matrix_algebra(2)
     bad_counit = {0: Fraction(1), 3: Fraction(1)}
-    coalg = Coalgebra(QQ, 4, dict(M2.coalgebra.comult), bad_counit, validate=False)
-    wb = WeakBialgebra(M2.algebra, coalg, validate=False)
+    wb = WeakBialgebra(QQ, 4, M2.mult, M2.unit, M2.comult, bad_counit, M2.labels, validate=False)
     report = check_weak_bialgebra(wb)
     print("  control (a):",
           [l for l in report.lines() if "FAIL" in l][0])
-    ok = ok and not report.axiom_passed("counit_weak_multiplicative")
+    ok = ok and not axiom_passed(report, "counit_weak_multiplicative")
     ok = ok and report.failures("counit_weak_multiplicative")[0].witness == (0, 1, 2)
-    ok = ok and report.axiom_passed("coproduct_multiplicative")
-    ok = ok and report.axiom_passed("coproduct_unit_compatibility")
+    ok = ok and axiom_passed(report, "coproduct_multiplicative")
+    ok = ok and axiom_passed(report, "coproduct_unit_compatibility")
 
     # (b) identity antipode on M_2: the antipode axioms break, nothing else
-    from weakhopf.bialgebra import WeakHopfAlgebra
-    bad_hopf = WeakHopfAlgebra(M2.algebra, M2.coalgebra, Matrix.identity(QQ, 4),
-                               validate=False)
+    bad_hopf = WeakHopfAlgebra(QQ, 4, M2.mult, M2.unit, M2.comult, M2.counit_vector,
+                               identity(QQ, 4), M2.labels, validate=False)
     report = check_antipode(bad_hopf)
     print("  control (b):",
           [l for l in report.lines() if "FAIL" in l][0])
-    ok = ok and not report.axiom_passed("antipode_vs_target_counital")
+    ok = ok and not axiom_passed(report, "antipode_vs_target_counital")
     first = report.failures("antipode_vs_target_counital")[0]
     ok = ok and first.witness == (1,)  # E12
     ok = ok and check_weak_bialgebra(bad_hopf).passed
@@ -233,18 +231,18 @@ def test_criterion_10_negative_controls():
     data = sweedler_data()
     bad = OreAlgebra(data.R, data.sigma, data.delta, data.g,
                      _coalgebra_extended=True, _antipode_extended=True)
-    bad._s_x = bad.multiply(bad.embed(data.R.antipode.apply(data.g)), bad.x())
+    bad._s_x = bad.multiply(bad.embed(data.R.antipode_matrix.apply(data.g)), bad.x())
     report = verify_extension(bad, 2)
     print("  control (c):",
           [l for l in report.lines() if "FAIL" in l][0])
-    failing = {name for name in report.axiom_names() if not report.axiom_passed(name)}
+    failing = {name for name in axiom_names(report) if not axiom_passed(report, name)}
     ok = ok and failing == {"antipode_vs_target_counital", "antipode_vs_source_counital",
                             "antipode_composition"}
     ok = ok and report.failures("antipode_vs_target_counital")[0].witness[1] == 1
 
     # (d) sigma = id with the section-5 delta: exactly clause (iv) breaks
     s5 = twisted_derivation_data(GroupPresentation.cyclic(2), 1, rho=[1, -1], q=[1])
-    verdict = hopf_conditions(s5.R, Matrix.identity(QQ, 2), s5.delta, s5.g)
+    verdict = hopf_conditions(s5.R, identity(QQ, 2), s5.delta, s5.g)
     print("  control (d):",
           [l for l in verdict.lines() if "FAIL" in l and "VERDICT" not in l][0])
     failing = [(c.clause, c.witness) for c in verdict.clauses if not c.passed]

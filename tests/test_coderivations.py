@@ -13,9 +13,10 @@ from weakhopf.groupoid import GroupPresentation, matrix_algebra
 from weakhopf.grouplike import is_unital_algebra_endo
 from weakhopf.linalg import Matrix, solve
 
-from lemmas import (basis_element, counit_value, dihedral, eps_delta_report, function_algebra,
-                    inner_coderivation, is_skew_primitive, skew_primitive_identity_report,
-                    tensor_product, truncated_primitive_hopf)
+from lemmas import (axiom_names, axiom_passed, basis_element, counit_value, dihedral,
+                    eps_delta_report, function_algebra, identity, inner_coderivation,
+                    is_skew_primitive, skew_primitive_identity_report, tensor_product,
+                    truncated_primitive_hopf)
 from oracles import dense_matmul, dense_nullspace, to_dense
 
 
@@ -35,7 +36,7 @@ def _s5_delta(QZ2):
 def test_zero_is_sigma_derivation(M2, QZ2):
     for wb in (M2, QZ2):
         zero = Matrix.zero(QQ, wb.dim, wb.dim)
-        assert is_sigma_derivation(wb, Matrix.identity(QQ, wb.dim), zero)
+        assert is_sigma_derivation(wb, identity(QQ, wb.dim), zero)
 
 
 def test_sign_twisted_derivation(QZ2):
@@ -45,9 +46,9 @@ def test_sign_twisted_derivation(QZ2):
 def test_untwisted_delta_fails_leibniz(QZ2):
     # sigma = id, delta(t) = 1: delta(t*t) = 0 but delta(t)t + t delta(t) = 2t
     delta = Matrix(QQ, 2, 2, {(0, 1): Fraction(1)})
-    assert not is_sigma_derivation(QZ2, Matrix.identity(QQ, 2), delta)
+    assert not is_sigma_derivation(QZ2, identity(QQ, 2), delta)
     with pytest.raises(NotDerivation):
-        skew_derivation(QZ2, Matrix.identity(QQ, 2), delta)
+        skew_derivation(QZ2, identity(QQ, 2), delta)
 
 
 def test_transpose_is_not_automorphism(M2):
@@ -98,9 +99,9 @@ def test_coderivation_space_builds_each_lambda_once(count_calls, s5_m2qz2):
     """lambda_g and lambda_1 are built once per call, for the constraint system
     and for every re-verification."""
     R, g = s5_m2qz2.R, s5_m2qz2.g
-    calls = count_calls("Algebra.left_mult_matrix")
+    calls = count_calls("WeakBialgebra.left_mult_matrix")
     assert len(coderivation_space(R, g, R.unit)) == R.dim
-    assert calls["Algebra.left_mult_matrix"] == 2
+    assert calls["WeakBialgebra.left_mult_matrix"] == 2
 
 
 def test_coderivation_space_qz2(QZ2):
@@ -127,7 +128,7 @@ def test_constraint_kernel_against_dense_oracle(M2, M3, QZ2):
     cases = [(M2, M2.unit, M2.unit), (M3, M3.unit, M3.unit),
              (QZ2, QZ2.basis_vector(1), QZ2.unit)]
     for wb, g, h in cases:
-        left_mult = wb.algebra.left_mult_matrix
+        left_mult = wb.left_mult_matrix
         constraint = coderivation_constraint_matrix(wb, left_mult(g), left_mult(h))
         oracle = dense_nullspace(to_dense(constraint), constraint.cols, wb.field)
         assert len(oracle) == len(coderivation_space(wb, g, h))
@@ -136,7 +137,7 @@ def test_constraint_kernel_against_dense_oracle(M2, M3, QZ2):
 def test_shifted_coderivation_space_maps_fail_on_function_algebra_d6():
     kg = function_algebra(dihedral(6))
     dim, unit = kg.dim, kg.unit
-    lambda_1 = kg.algebra.left_mult_matrix(unit)
+    lambda_1 = kg.left_mult_matrix(unit)
     constraint = to_dense(coderivation_constraint_matrix(kg, lambda_1, lambda_1))
     basis = coderivation_space(kg, unit, unit)
     assert len(basis) == 12 - 6  # |G| - #conjugacy classes
@@ -191,7 +192,7 @@ def test_perturbed_delta_leibniz_message_pinned(entry, message):
 
 
 def test_inner_coderivation_of_counit_is_zero(M2):
-    assert not inner_coderivation(M2, M2.counit).data
+    assert not inner_coderivation(M2, M2.counit_vector).data
 
 
 def test_inner_coderivation_vanishes_on_cocommutative(M2, QZ3):
@@ -204,7 +205,7 @@ def test_inner_coderivation_vanishes_on_cocommutative(M2, QZ3):
 
 def test_inner_coderivation_nonzero_on_function_algebra():
     fa = function_algebra(GroupPresentation.symmetric(3))
-    assert any(t != {(j, i): c for (i, j), c in t.items()} for t in fa.coalgebra.comult.values())
+    assert any(t != {(j, i): c for (i, j), c in t.items()} for t in fa.comult.values())
     # evaluation at a transposition is a character of the function algebra
     chi = fa.basis_vector(1)
     delta = inner_coderivation(fa, chi)
@@ -219,7 +220,7 @@ def test_inner_coderivation_is_linear_in_chi():
         chi1 = {i: c for i in range(fa.dim) if (c := Fraction(rng.randint(-2, 2)))}
         chi2 = {i: c for i in range(fa.dim) if (c := Fraction(rng.randint(-2, 2)))}
         a, b = Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))
-        combo = fa.view.add({i: a * c for i, c in chi1.items() if a},
+        combo = fa.add({i: a * c for i, c in chi1.items() if a},
                             {i: b * c for i, c in chi2.items() if b})
         lhs = inner_coderivation(fa, combo)
         d1, d2 = inner_coderivation(fa, chi1).data, inner_coderivation(fa, chi2).data
@@ -232,7 +233,7 @@ def test_inner_coderivation_is_linear_in_chi():
 
 def test_zero_is_skew_primitive(M2):
     g = basis_element(M2, 0, 0, 1)
-    assert is_skew_primitive(M2.view, {}, g, g)
+    assert is_skew_primitive(M2, {}, g, g)
 
 
 def test_primitive_times_matrix_unit_is_skew_primitive():
@@ -246,8 +247,8 @@ def test_primitive_times_matrix_unit_is_skew_primitive():
 
     x = elt(0, 1, 1)  # E12 (x) z
     g = elt(0, 1, 0)  # E12 (x) 1
-    assert is_skew_primitive(prod.view, x, g, g)
-    report = skew_primitive_identity_report(prod.view, x, g, g)
+    assert is_skew_primitive(prod, x, g, g)
+    report = skew_primitive_identity_report(prod, x, g, g)
     assert report.passed
     # hypothesis flags: eps_t(E12 (x) 1) = E11 (x) 1, not the unit
     assert prod.eps_t(g) == elt(0, 0, 0)
@@ -256,7 +257,7 @@ def test_primitive_times_matrix_unit_is_skew_primitive():
 
 def test_skew_primitive_fails_for_wrong_grouplike(M2):
     e12 = basis_element(M2, 0, 0, 1)
-    assert not is_skew_primitive(M2.view, e12, M2.unit, M2.unit)
+    assert not is_skew_primitive(M2, e12, M2.unit, M2.unit)
 
 
 # -- counit annihilation reports ----------------------------------------------------
@@ -272,17 +273,17 @@ def test_eps_delta_report_s5_delta(QZ2):
     delta = _s5_delta(QZ2)
     report = eps_delta_report(QZ2, delta, t, QZ2.unit, sigma=_sign_sigma(QZ2))
     assert report.passed
-    assert report.axiom_passed("hypothesis_eps_s_g_is_unit")
-    assert report.axiom_passed("counit_kills_delta")
-    assert report.axiom_passed("counit_kills_a_delta_b")
+    assert axiom_passed(report, "hypothesis_eps_s_g_is_unit")
+    assert axiom_passed(report, "counit_kills_delta")
+    assert axiom_passed(report, "counit_kills_a_delta_b")
     assert counit_value(QZ2, delta.apply(t)) == 0
 
 
 def test_eps_delta_report_hypothesis_flag(M2):
     g = basis_element(M2, 0, 0, 1)  # eps_s(E12) = E22 != 1
     report = eps_delta_report(M2, Matrix.zero(QQ, 4, 4), g, M2.unit)
-    assert not report.axiom_passed("hypothesis_eps_s_g_is_unit")
-    assert "counit_kills_delta" not in report.axiom_names()
+    assert not axiom_passed(report, "hypothesis_eps_s_g_is_unit")
+    assert "counit_kills_delta" not in axiom_names(report)
     assert M2.eps_s(g) == basis_element(M2, 0, 1, 1)
 
 

@@ -9,20 +9,21 @@ from importlib import resources
 import pytest
 
 import weakhopf.grouplike
-from weakhopf.bialgebra import Algebra, Coalgebra, WeakBialgebra, convolution
+from weakhopf.bialgebra import WeakBialgebra, convolution
 from weakhopf.cli import main
 from weakhopf.errors import TooLarge, ValidationError
 from weakhopf.fields import Field, QQ
 from weakhopf.groupoid import GroupPresentation, group_algebra, matrix_algebra
-from weakhopf.grouplike import (SCAN_LIMIT, brute_force_weak_grouplikes, convolution_inverse,
+from weakhopf.grouplike import (SCAN_LIMIT, brute_force_weak_grouplikes,
                                 enumerate_weak_grouplikes_matrix, is_grouplike,
                                 is_weak_character, is_weak_grouplike, winding)
 from weakhopf.linalg import Matrix, rank
 from weakhopf.panov import groupoid_character
 from weakhopf.specfile import parse_spec
 
-from lemmas import (ad_map, basis_element, char_antipode_report, character_from_endo, counit_value,
-                    function_algebra, grouplike_identity_report, grouplike_monoid_closed)
+from lemmas import (ad_map, axiom_passed, basis_element, char_antipode_report, character_from_endo,
+                    convolution_inverse, counit_value, function_algebra, grouplike_identity_report,
+                    grouplike_monoid_closed, identity)
 from oracles import definition_weak_grouplikes
 
 
@@ -85,7 +86,7 @@ def test_invertibles_are_the_permutation_matrices(n):
     for perm in itertools.permutations(range(n)):
         g = {}
         for i, s in enumerate(perm):
-            g = alg.view.add(g, basis_element(alg, 0, i, s))
+            g = alg.add(g, basis_element(alg, 0, i, s))
         perm_matrices.add(tuple(sorted(g.items())))
     assert {tuple(sorted(g.element.items())) for g in enum.invertible} == perm_matrices
     assert len(enum.invertible) == math.factorial(n)
@@ -137,13 +138,12 @@ def _rescaled(wb, scales):
     """wb written in the basis b'_i = scales[i] b_i, for nonzero scalars scales[i]."""
     s, field = scales, wb.field
     mult = {(a, b): {r: s[a] * s[b] * c / s[r] for r, c in v.items()}
-            for (a, b), v in wb.algebra.mult.items()}
+            for (a, b), v in wb.mult.items()}
     unit = {r: c / s[r] for r, c in wb.unit.items()}
     comult = {k: {(i, j): s[k] * c / (s[i] * s[j]) for (i, j), c in t.items()}
-              for k, t in wb.coalgebra.comult.items()}
-    counit = {k: s[k] * c for k, c in wb.counit.items()}
-    return WeakBialgebra(Algebra(field, wb.dim, mult, unit, wb.labels),
-                         Coalgebra(field, wb.dim, comult, counit))
+              for k, t in wb.comult.items()}
+    counit = {k: s[k] * c for k, c in wb.counit_vector.items()}
+    return WeakBialgebra(field, wb.dim, mult, unit, comult, counit, wb.labels)
 
 
 def _m2_gf3_rescaled():
@@ -167,7 +167,7 @@ def test_rescaled_scan_reduces_products_of_residues():
     """b_0 -> 2 b_0 puts the residue 2 into Delta(b_0) and b_0 b_0, and into
     the weak group-likes, so products such as 2 * 2 must be reduced mod 3."""
     wb = _m2_gf3_rescaled()
-    assert wb.coalgebra.comult[0][(0, 0)] == 2 and wb.algebra.mult[(0, 0)][0] == 2
+    assert wb.comult[0][(0, 0)] == 2 and wb.mult[(0, 0)][0] == 2
     found = brute_force_weak_grouplikes(wb)
     assert len(found) == _partial_injection_count(2) + 1
     assert any(c == 2 for g in found for c in g.values())
@@ -207,7 +207,7 @@ def test_grouplikes_form_group_with_left_to_right_composition():
     def g_of(perm):
         out = {}
         for i, s in enumerate(perm):
-            out = alg.view.add(out, basis_element(alg, 0, i, s))
+            out = alg.add(out, basis_element(alg, 0, i, s))
         return out
 
     for sigma in itertools.permutations(range(n)):
@@ -221,9 +221,9 @@ def test_grouplikes_form_group_with_left_to_right_composition():
 
 def test_winding_of_counit_is_identity(M2, M2Z2):
     for wb in (M2, M2Z2):
-        eps = wb.counit
-        assert winding(wb, eps, "right") == Matrix.identity(wb.field, wb.dim)
-        assert winding(wb, eps, "left") == Matrix.identity(wb.field, wb.dim)
+        eps = wb.counit_vector
+        assert winding(wb, eps, "right") == identity(wb.field, wb.dim)
+        assert winding(wb, eps, "left") == identity(wb.field, wb.dim)
 
 
 def test_winding_scales_matrix_units(M2):
@@ -250,7 +250,7 @@ def test_is_weak_character(M2):
     assert is_weak_character(M2, chi, "right")
     delta_diag = {0: Fraction(1), 3: Fraction(1)}  # chi(E_ij) = [i == j]
     assert not is_weak_character(M2, delta_diag, "left")
-    eps = M2.counit
+    eps = M2.counit_vector
     assert is_weak_character(M2, eps, "left") and is_weak_character(M2, eps, "right")
 
 
@@ -265,8 +265,8 @@ def test_character_nonmultiplicativity_witness(M2):
 
 
 def test_character_from_endo_identity(M2):
-    chi = character_from_endo(M2, Matrix.identity(QQ, 4))
-    assert chi == M2.counit
+    chi = character_from_endo(M2, identity(QQ, 4))
+    assert chi == M2.counit_vector
 
 
 def test_character_from_endo_roundtrip(M2):
@@ -293,23 +293,23 @@ def test_characters_solves_inverses_on_its_two_windings(count_calls):
     read once per winding and once per convolution check, and no matrix is summed
     from it again."""
     path = str(resources.files("weakhopf") / "data" / "m2q.json")
-    calls = count_calls("winding", "ConstantsView.coproduct")
+    calls = count_calls("winding", "WeakBialgebra.coproduct")
     dim = parse_spec(path).wb.dim
-    parse_reads = calls["ConstantsView.coproduct"]
+    parse_reads = calls["WeakBialgebra.coproduct"]
     calls.clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["characters", path, "--verify", "chi"]) == 0
     assert calls["winding"] == 2
-    assert calls["ConstantsView.coproduct"] == parse_reads + 4 * dim
+    assert calls["WeakBialgebra.coproduct"] == parse_reads + 4 * dim
 
 
 def test_convolution_inverse_two_sided(M2):
     chi = groupoid_character(M2, [Fraction(1)], [Fraction(1), Fraction(2)])
     inv = convolution_inverse(M2, chi)
     assert inv.two_sided is not None
-    chi_s = M2.antipode.apply_functional(chi)
+    chi_s = M2.antipode_matrix.apply_functional(chi)
     assert inv.two_sided == chi_s
-    eps = M2.counit
+    eps = M2.counit_vector
     assert convolution(inv.two_sided, chi, M2) == eps
     assert convolution(chi, inv.two_sided, M2) == eps
 
@@ -375,12 +375,12 @@ def test_char_antipode_report_matrix(M2):
     chi = groupoid_character(M2, [Fraction(1)], [Fraction(1), Fraction(2)])
     report = char_antipode_report(M2, chi)
     assert report.passed
-    assert report.axiom_passed("chi_S_is_convolution_inverse")
-    assert report.axiom_passed("antipode_winding_conjugation")
+    assert axiom_passed(report, "chi_S_is_convolution_inverse")
+    assert axiom_passed(report, "antipode_winding_conjugation")
 
 
 def test_char_antipode_report_counit(M2):
-    assert char_antipode_report(M2, M2.counit).passed
+    assert char_antipode_report(M2, M2.counit_vector).passed
 
 
 def test_char_antipode_report_sign_character(QZ2):

@@ -1,8 +1,8 @@
 """The integer views of R and of H against the field views: the same sweeps, the same report.
 
 ``IntegerView`` holds a view's tables as ints (scaled by the lcm D of their
-denominators over QQ, residues mod p over GF(p)); ``wb.view`` and
-H = R[x; sigma, delta], its own monomial view, hold field scalars.  Every sweep
+denominators over QQ, residues mod p over GF(p)); R itself and
+H = R[x; sigma, delta], each its own basis view, hold field scalars.  Every sweep
 of R, and every shared sweep of H at degree bounds 0 to 3, runs on both,
 and the failures (axiom, witness, lhs and rhs text) and the pass counts per
 axiom must agree.
@@ -16,17 +16,18 @@ from pathlib import Path
 import pytest
 
 from forced_ore import FORCED_SECTION5, forced_section5, sign_flipped_sweedler
-from lemmas import dihedral, function_algebra
+from lemmas import axiom_names, dihedral, function_algebra
 from oracles import dense_associativity_failures
-from weakhopf.bialgebra import (Algebra, Coalgebra, IntegerView, WeakHopfAlgebra,
+from weakhopf.bialgebra import (IntegerView, WeakHopfAlgebra,
                                 algebra_report, check_weak_bialgebra, sweep_antipode,
                                 sweep_associative, sweep_coassociative,
                                 sweep_coproduct_multiplicative, sweep_counit_neutral,
                                 sweep_counit_weak_multiplicative, sweep_unit_compatibility,
                                 sweep_unital)
+from weakhopf.cli import main
 from weakhopf.fields import Field
 from weakhopf.fixtures import sweedler_data, twisted_derivation_data
-from weakhopf.groupoid import GroupPresentation
+from weakhopf.groupoid import GroupPresentation, build_groupoid_algebra
 from weakhopf.linalg import Matrix
 from weakhopf.ore import extend_antipode, make_ore
 from weakhopf.report import AxiomReport
@@ -60,13 +61,13 @@ def _sweep_all(wb, view):
 
 def _summary(report):
     failures = [(f.axiom, f.witness, f.lhs, f.rhs) for f in report.failures()]
-    return failures, {name: report._pass_counts[name] for name in report.axiom_names()}
+    return failures, {name: report._pass_counts[name] for name in axiom_names(report)}
 
 
 def _assert_views_agree(wb):
     assert type(wb.integer_view) is IntegerView
     ints = _summary(_sweep_all(wb, wb.integer_view))
-    assert ints == _summary(_sweep_all(wb, wb.view))
+    assert ints == _summary(_sweep_all(wb, wb))
     return ints
 
 
@@ -74,9 +75,9 @@ def _perturbed(wb, rng, count, scalar, tables=("mult", "comult", "counit", "anti
     """wb with ``count`` entries of its ``tables`` moved by scalar(rng), built
     without validation."""
     field, dim = wb.field, wb.dim
-    mult = {ij: dict(v) for ij, v in wb.algebra.mult.items()}
-    comult = {k: dict(t) for k, t in wb.coalgebra.comult.items()}
-    counit, antipode = dict(wb.counit), dict(wb.antipode.data)
+    mult = {ij: dict(v) for ij, v in wb.mult.items()}
+    comult = {k: dict(t) for k, t in wb.comult.items()}
+    counit, antipode = dict(wb.counit_vector), dict(wb.antipode_matrix.data)
     for _ in range(count):
         table = rng.choice(tables)
         i, j, k = (rng.randrange(dim) for _ in range(3))
@@ -85,9 +86,21 @@ def _perturbed(wb, rng, count, scalar, tables=("mult", "comult", "counit", "anti
                      "counit": (counit, k),
                      "antipode": (antipode, (i, j))}[table]
         slot[key] = slot.get(key, field.zero()) + scalar(rng)
-    return WeakHopfAlgebra(Algebra(field, dim, mult, wb.unit, wb.labels, validate=False),
-                           Coalgebra(field, dim, comult, counit, validate=False),
-                           Matrix(field, dim, dim, antipode), validate=False)
+    return WeakHopfAlgebra(field, dim, mult, wb.unit, comult, counit,
+                           Matrix(field, dim, dim, antipode), wb.labels, validate=False)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: parse_spec(_spec_path("m2q.json")),
+    lambda: main(["check", _spec_path("m2q.json")]),
+    lambda: build_groupoid_algebra(GroupPresentation.cyclic(2), 2),
+], ids=["parse_spec", "check", "build_groupoid_algebra"])
+def test_r_is_read_into_one_integer_view(count_calls, capsys, build):
+    """Validating R, or checking a spec file, sweeps every axiom of R on one
+    integer view of all its tables."""
+    calls = count_calls("IntegerView.__init__")
+    build()
+    assert calls["IntegerView.__init__"] == 1
 
 
 @pytest.mark.parametrize("name", SPECS)
@@ -134,9 +147,9 @@ def test_integer_view_matches_field_view_on_perturbed_gfp_kd4(p, seed):
 ], ids=["kD4-GF5", "m3qz2-QQ"])
 def test_integer_associativity_failures_match_dense_oracle(build):
     wb = build()
-    expected = dense_associativity_failures(wb.algebra)
+    expected = dense_associativity_failures(wb)
     assert expected  # a bad oracle would pass vacuously
-    assert [f.witness for f in algebra_report(wb.algebra).failures("associative")] == expected
+    assert [f.witness for f in algebra_report(wb).failures("associative")] == expected
 
 
 @pytest.mark.parametrize("name", ["m3qz2-transported.json", "m3qz2-bad-counit.json"])
@@ -144,7 +157,7 @@ def test_pass_counts_add_up_to_tuples_swept(name):
     """Rows that agree are counted in bulk; each axiom still counts every tuple once."""
     wb = parse_spec(str(DATA / name), validate=False).wb
     dim = wb.dim
-    assoc = algebra_report(wb.algebra)
+    assoc = algebra_report(wb)
     weak = check_weak_bialgebra(wb)
     assert assoc._pass_counts["associative"] == dim ** 3
     counit = "counit_weak_multiplicative"

@@ -7,7 +7,7 @@ from weakhopf.errors import ParseError, ValidationError
 from weakhopf.fields import GF, Field, QQ
 from weakhopf.linalg import Matrix, column_space_basis, kernel_basis, rank, solve
 
-from lemmas import kron
+from lemmas import from_rows_dense, identity, kron
 from oracles import (dense_matmul, dense_nullspace, dense_rank, dense_rref, dense_solve,
                      dense_vector, to_dense)
 
@@ -112,11 +112,11 @@ def test_matrix_apply_matches_product():
 
 
 def test_kernel_identity_trivial():
-    assert kernel_basis(Matrix.identity(QQ, 2)) == []
+    assert kernel_basis(identity(QQ, 2)) == []
 
 
 def test_kernel_rank_one_row():
-    m = Matrix.from_rows_dense(QQ, [[Fraction(1), Fraction(1)]])
+    m = from_rows_dense(QQ, [[Fraction(1), Fraction(1)]])
     basis = kernel_basis(m)
     assert len(basis) == 1
     assert basis[0] == {0: Fraction(-1), 1: Fraction(1)}
@@ -159,16 +159,16 @@ def _hard_matrix(rng, field, rows, cols, density):
         elif kind == 3:
             c = scalar()
             dense[dst] = [c * x for x in dense[src]]
-    return Matrix.from_rows_dense(field, dense)
+    return from_rows_dense(field, dense)
 
 
 def _edge_matrices(field):
     z, one = field.zero(), field.one()
     c = -one if field.order else Fraction(-7, 2)
     return [Matrix.zero(field, 3, 4), Matrix.zero(field, 0, 3),
-            Matrix.from_rows_dense(field, [[one, c, z], [z, z, z], [one, c, z]]),
-            Matrix.from_rows_dense(field, [[z, one, c], [z, c, c * c], [one, z, one]]),
-            Matrix.identity(field, 3)]
+            from_rows_dense(field, [[one, c, z], [z, z, z], [one, c, z]]),
+            from_rows_dense(field, [[z, one, c], [z, c, c * c], [one, z, one]]),
+            identity(field, 3)]
 
 
 def _oracle_cases(field, seed):
@@ -235,11 +235,11 @@ def test_rank_against_dense_oracle_over_gf():
 
 
 def test_solve_and_inverse():
-    m = Matrix.from_rows_dense(QQ, [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]])
+    m = from_rows_dense(QQ, [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]])
     b = {0: Fraction(3), 1: Fraction(2)}
     x = solve(m, b)
     assert m.apply(x) == b
-    singular = Matrix.from_rows_dense(QQ, [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]])
+    singular = from_rows_dense(QQ, [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]])
     assert solve(singular, {1: Fraction(1)}) is None
 
 
@@ -257,12 +257,12 @@ def test_column_space_basis_spans_columns():
 
 
 def test_kron_identity():
-    assert kron(Matrix.identity(QQ, 2), Matrix.identity(QQ, 2)) == Matrix.identity(QQ, 4)
+    assert kron(identity(QQ, 2), identity(QQ, 2)) == identity(QQ, 4)
 
 
 def test_kron_unit_factor():
     n = Matrix(QQ, 2, 2, {(0, 1): Fraction(1)})
-    one = Matrix.identity(QQ, 1)
+    one = identity(QQ, 1)
     assert kron(n, one) == n
     assert kron(one, n) == n
 

@@ -130,7 +130,7 @@ def test_lenient_parse_allows_diagnosis():
     doc["counit"] = ["1", "0"]  # breaks the counit axiom
     bundle = parse_spec(doc, validate=False)
     from weakhopf.bialgebra import coalgebra_report
-    assert not coalgebra_report(bundle.wb.coalgebra).passed
+    assert not coalgebra_report(bundle.wb).passed
 
 
 # -- CLI ---------------------------------------------------------------------------
@@ -318,6 +318,32 @@ def _section5_spec_file(tmp_path):
     return str(p)
 
 
+def _nonassociative_m2q_file(tmp_path, broken):
+    """m2q.json made non-associative (E12 E21 = E12) and malformed in one more place:
+    ``broken`` is one of BROKEN_M2Q."""
+    doc = json.loads(_data_path("m2q.json").read_text())
+    doc["mult"] = [[1, 2, 1, "1"] if row[:2] == [1, 2] else row for row in doc["mult"]]
+    if broken == "comult-index":
+        doc["comult"].append([0, 5, 0, "1"])
+    elif broken == "counit-short":
+        doc["counit"] = doc["counit"][:3]
+    elif broken == "antipode-columns":
+        doc["antipode"] = doc["antipode"][:3]
+    else:
+        doc["maps"] = ["sigma"]
+    p = tmp_path / f"{broken}.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+def _spec_commands(spec):
+    return (["check", spec], ["panov", spec], ["characters", spec, "--verify", "chi"],
+            ["ore", "build", spec])
+
+
+BROKEN_M2Q = ("comult-index", "counit-short", "antipode-columns", "maps-list")
+
+
 def _kz19_gf2_spec_file(tmp_path):
     wb = group_algebra(GroupPresentation.cyclic(19), Field.prime(2))
     p = tmp_path / "kz19.json"
@@ -376,6 +402,8 @@ GF3 = {"kind": "prime", "p": 3}
     lambda tmp: ["ore", "build", _spec_file(tmp, maps=["sigma", "delta"])],
     lambda tmp: ["example", "groupoid", "Z2"],
     lambda tmp: ["example", "groupoid", "Q8", "1"],
+    *(lambda tmp, b=broken, c=command: _spec_commands(_nonassociative_m2q_file(tmp, b))[c]
+      for broken in BROKEN_M2Q for command in range(4)),
 ], ids=["matrix-size-text", "groupoid-size-text", "prime-as-string", "prime-as-float",
         "dim-as-bool", "index-as-bool", "negative-degree-bound", "degree-bound-too-large",
         "grouplikes-prime-not-prime",
@@ -388,7 +416,9 @@ GF3 = {"kind": "prime", "p": 3}
         "characters-unknown-functional", "spec-dim-too-large", "field-prime-too-large",
         "grouplikes-prime-too-large", "unit-wrong-length", "antipode-wrong-columns",
         "mult-not-a-list", "mult-row-of-3", "spec-document-is-array", "maps-not-an-object",
-        "groupoid-one-parameter", "groupoid-unknown-group"])
+        "groupoid-one-parameter", "groupoid-unknown-group",
+        *(f"nonassociative-{broken}-{command}" for broken in BROKEN_M2Q
+          for command in ("check", "panov", "characters", "ore-build"))])
 def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     code = main(argv(tmp_path))
     captured = capsys.readouterr()
@@ -397,6 +427,22 @@ def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("broken, error", [
+    ("comult-index", "index 5 out of range (at comult[4])"),
+    ("counit-short", "expected a dense list of 4 scalars (at counit)"),
+    ("antipode-columns", "expected 4 columns (at antipode)"),
+    ("maps-list", "expected a name -> value object (at maps)"),
+])
+def test_parse_error_precedes_axiom_failure_in_every_command(tmp_path, capsys, broken, error):
+    """Every table and named section is parsed before R is validated, so `check`
+    (which does not validate) and the validating commands name the same fault:
+    the parse error, not the broken associativity."""
+    spec = _nonassociative_m2q_file(tmp_path, broken)
+    for argv in _spec_commands(spec):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
 
 
 @pytest.mark.parametrize("group, n, dim", [("S3", "1", 6), ("trivial", "2", 4)])
