@@ -3,18 +3,19 @@
 A (g,h)-coderivation is a linear map delta with
 Delta delta = (lambda_g (x) delta + delta (x) lambda_h) Delta, where
 lambda_a is left multiplication.  The space of all such delta for fixed
-(g, h) is the kernel of an explicit linear operator on dim^2 unknowns and
-is computed exactly.  Elements are dicts index -> scalar, and both sides of
+(g, h) is the kernel of :func:`coderivation_residual`, a linear map on
+dim^2 unknowns, compiled by :func:`linalg.constraint_matrix` and solved
+exactly.  Elements are dicts index -> scalar, and both sides of
 the Leibniz rule and of the coderivation identity are summed on R, its own
 basis view, where 2-tensors are dicts (i, j) -> scalar.
 """
 
 from __future__ import annotations
 
-from .bialgebra import WeakBialgebra, _add_pure, _nonzero
+from .bialgebra import WeakBialgebra, _nonzero
 from .errors import NotAutomorphism, NotDerivation, ValidationError
 from .grouplike import is_unital_algebra_endo
-from .linalg import Matrix, kernel_basis, rank
+from .linalg import Matrix, constraint_matrix, kernel_basis, rank
 
 
 def validate_automorphism(wb: WeakBialgebra, sigma: Matrix):
@@ -57,24 +58,50 @@ def skew_derivation(wb: WeakBialgebra, sigma: Matrix, delta: Matrix):
         raise NotDerivation(i, j, wb.format_element(lhs), wb.format_element(rhs))
 
 
-def _coderivation_failure(wb: WeakBialgebra, delta: Matrix, lam_g: Matrix, lam_h: Matrix):
-    """The first basis index k where Delta(delta(b_k)) differs from
-    (lambda_g (x) delta + delta (x) lambda_h) Delta(b_k), or None.
+def coderivation_residual(wb: WeakBialgebra, lambda_g: Matrix, lambda_h: Matrix):
+    """The linear map X -> Delta delta - (lambda_g (x) delta + delta (x) lambda_h) Delta.
 
-    Both sides are summed from the structure constants of R,
-    reading the columns of delta and of the left multiplications lam_g and
-    lam_h (lambda_g, lambda_h) that the caller built.
+    X is delta flattened: X[r*dim + k] is the coefficient of b_r in
+    delta(b_k).  The residual is the dict (k, u, v) -> coefficient of
+    b_u (x) b_v in the defect on b_k, without zeros; it vanishes exactly on
+    the (g,h)-coderivations when lambda_g and lambda_h (built by the caller)
+    are the left multiplications by g and h.  It visits only delta's nonzero
+    columns, through the terms of every Delta(b_k) indexed once by leg.
     """
-    zero = wb.zero
-    dcols, gcols, hcols = delta.column_dicts(), lam_g.column_dicts(), lam_h.column_dicts()
+    dim, zero = wb.dim, wb.zero
+    gcols, hcols = lambda_g.column_dicts(), lambda_h.column_dicts()
+    # c b_i (x) b_j in Delta(b_k) subtracts c lambda_g(b_i) (x) delta(b_j) and
+    # c delta(b_i) (x) lambda_h(b_j) from the defect on b_k; None marks delta's leg
+    legs = [[] for _ in wb.keys]
     for k in wb.keys:
-        rhs = {}
         for (i, j), c in wb.coproduct(k).items():
-            _add_pure(rhs, c, (gcols[i], dcols[j]), zero)
-            _add_pure(rhs, c, (dcols[i], hcols[j]), zero)
-        if wb.comultiply(dcols[k]) != _nonzero(rhs):
-            return k
-    return None
+            legs[j].append((k, {u: -c * x for u, x in gcols[i].items()}, None))
+            legs[i].append((k, None, {v: -c * x for v, x in hcols[j].items()}))
+
+    def residual(x: dict) -> dict:
+        columns, out = {}, {}
+        for rk, a in x.items():
+            r, k = divmod(rk, dim)
+            columns.setdefault(k, {})[r] = a
+        for k, col in columns.items():
+            for r, a in col.items():
+                for (u, v), c in wb.coproduct(r).items():
+                    out[k, u, v] = out.get((k, u, v), zero) + c * a
+            for kk, left, right in legs[k]:
+                for u, a in (col if left is None else left).items():
+                    for v, b in (col if right is None else right).items():
+                        out[kk, u, v] = out.get((kk, u, v), zero) + a * b
+        return _nonzero(out)
+    return residual
+
+
+def _coderivation_failure(wb: WeakBialgebra, delta: Matrix, lam_g: Matrix, lam_h: Matrix):
+    """The smallest k with Delta(delta(b_k)) != (lambda_g (x) delta + delta (x) lambda_h)Delta(b_k),
+    read from :func:`coderivation_residual` on the lam_g and lam_h the caller built, or None."""
+    dim = wb.dim
+    defect = coderivation_residual(wb, lam_g, lam_h)(
+        {r * dim + k: c for (r, k), c in delta.data.items()})
+    return min((k for k, _, _ in defect), default=None)
 
 
 def is_coderivation(wb: WeakBialgebra, delta: Matrix, g: dict, h: dict) -> bool:
@@ -85,75 +112,23 @@ def is_coderivation(wb: WeakBialgebra, delta: Matrix, g: dict, h: dict) -> bool:
 
 def coderivation_constraint_matrix(wb: WeakBialgebra, lambda_g: Matrix,
                                    lambda_h: Matrix) -> Matrix:
-    """The linear system whose kernel is the space of (g,h)-coderivations.
-
-    lambda_g and lambda_h are the left multiplications by g and h (L_g and
-    L_h below), built by the caller.  With unknowns X[r][k] (coefficient of
-    b_r in delta(b_k), flattened as column r*dim + k) the defining identity
-    reads, per basis element k and tensor slot (u, v),
-
-        sum_r d[u][v][r] X[r][k]
-          - sum_{(i,j)} d[i][j][k] (L_g[u][i] X[v][j] + L_h[v][j] X[u][i]) = 0.
-
-    The dim^3 rows are deduplicated.
-    """
-    dim = wb.dim
-    field = wb.field
-    lg_cols, lh_cols = lambda_g.column_dicts(), lambda_h.column_dicts()
-    zero = field.zero()
-
-    def unknown(r, k):
-        return r * dim + k
-
-    rows = set()
-    for k in range(dim):
-        lhs_rows = {}
-        for r in range(dim):
-            for (u, v), c in wb.coproduct(r).items():
-                key = (u, v)
-                lhs_rows.setdefault(key, {})
-                col = unknown(r, k)
-                lhs_rows[key][col] = lhs_rows[key].get(col, zero) + c
-        for (i, j), c in wb.coproduct(k).items():
-            for u, lg in lg_cols[i].items():
-                for v in range(dim):
-                    col = unknown(v, j)
-                    key = (u, v)
-                    lhs_rows.setdefault(key, {})
-                    lhs_rows[key][col] = lhs_rows[key].get(col, zero) - c * lg
-            for v, lh in lh_cols[j].items():
-                for u in range(dim):
-                    col = unknown(u, i)
-                    key = (u, v)
-                    lhs_rows.setdefault(key, {})
-                    lhs_rows[key][col] = lhs_rows[key].get(col, zero) - c * lh
-        for row in lhs_rows.values():
-            cleaned = tuple((col, row[col]) for col in sorted(row) if row[col])
-            if cleaned:
-                rows.add(cleaned)
-
-    entries = {}
-    ordered = sorted(rows, key=lambda t: tuple((col, str(v)) for col, v in t))
-    for ridx, cleaned in enumerate(ordered):
-        for col, val in cleaned:
-            entries[(ridx, col)] = val
-    return Matrix(field, len(rows), dim * dim, entries)
+    """The linear system whose kernel is the space of (g,h)-coderivations:
+    :func:`coderivation_residual` compiled, one row per key (k, u, v)."""
+    return constraint_matrix(wb.field, wb.dim ** 2, coderivation_residual(wb, lambda_g, lambda_h))
 
 
 def coderivation_space(wb: WeakBialgebra, g: dict, h: dict):
     """Basis of all (g,h)-coderivations, as matrices.
 
-    Exact kernel of :func:`coderivation_constraint_matrix`; every returned
-    matrix is re-verified against the defining identity.  lambda_g and
+    Exact kernel of :func:`coderivation_constraint_matrix`; every kernel
+    vector is re-verified by the residual it was compiled from.  lambda_g and
     lambda_h are built once, for the system and every re-verification.
     """
     dim = wb.dim
     lambda_g, lambda_h = wb.left_mult_matrix(g), wb.left_mult_matrix(h)
-    constraint = coderivation_constraint_matrix(wb, lambda_g, lambda_h)
-    basis = []
-    for vec in kernel_basis(constraint):
-        m = Matrix(wb.field, dim, dim, {divmod(i, dim): c for i, c in vec.items()})
-        if _coderivation_failure(wb, m, lambda_g, lambda_h) is not None:
-            raise ValidationError("kernel vector fails the coderivation identity")
-        basis.append(m)
-    return basis
+    basis = kernel_basis(coderivation_constraint_matrix(wb, lambda_g, lambda_h))
+    residual = coderivation_residual(wb, lambda_g, lambda_h)
+    if any(residual(vec) for vec in basis):
+        raise ValidationError("kernel vector fails the coderivation identity")
+    return [Matrix(wb.field, dim, dim, {divmod(i, dim): c for i, c in vec.items()})
+            for vec in basis]

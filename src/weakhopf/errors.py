@@ -45,10 +45,6 @@ class AxiomFailure(ValidationError):
         super().__init__(f"{what} fails axioms: {failing}")
 
 
-class FieldMismatch(WeakHopfError):
-    pass
-
-
 class DimensionMismatch(WeakHopfError):
     pass
 

@@ -8,7 +8,8 @@ its column dicts are built once, on first use, and shared by every reader,
 which must not modify them.  Every other vector an operation returns is a
 new dict without zeros, for callers to keep.
 
-Elimination (:func:`_rref`, behind rank, kernel_basis, solve and
+:func:`constraint_matrix` compiles a linear residual into the matrix of
+its equations.  Elimination (:func:`_rref`, behind rank, kernel_basis, solve and
 column_space_basis) is exact Gauss-Jordan on plain Python ints: a row over
 QQ enters scaled by the lcm of its denominators, a row over GF(p) as its
 residues, and each row is kept divided by the gcd of its entries (QQ) or
@@ -184,6 +185,24 @@ def _rref(rows, ncols, field, augmented_from=None):
             reduced.append({c: field(v * inv) for c, v in work[ri].items()})
     leftover = [row for ri, row in enumerate(work) if row and ri not in used]
     return [(n, col) for n, (_, col) in enumerate(pivots)], reduced, leftover
+
+
+def constraint_matrix(field, n: int, residual) -> Matrix:
+    """The equations residual(X) = 0 in n unknowns, as a matrix.
+
+    residual is a linear map from vectors to dicts key -> nonzero scalar, so
+    column c of the system is residual(e_c) for the unit vector e_c, and
+    each key it reaches is a row.  Rows are sorted by their support, the
+    columns in increasing order (ties keep the order their keys first
+    appear in), and rows that repeat are kept: neither changes the kernel.
+    """
+    one, rows = field.one(), {}
+    for c in range(n):
+        for key, v in residual({c: one}).items():
+            rows.setdefault(key, {})[c] = v
+    ordered = sorted(rows.values(), key=list)
+    return Matrix(field, len(ordered), n,
+                  {(r, c): v for r, row in enumerate(ordered) for c, v in row.items()})
 
 
 def rank(m: Matrix) -> int:

@@ -18,13 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
-from .bialgebra import WeakBialgebra, WeakHopfAlgebra, base_subalgebras, convolution
+from .bialgebra import WeakBialgebra, WeakHopfAlgebra, _nonzero, base_subalgebras, convolution
 from .coderivations import _coderivation_failure, is_sigma_derivation
 from .errors import InvalidGroupCharacter, NotCentral, NotGrouplike, ValidationError, ZeroScale
 from .groupoid import GroupoidAlgebra
 from .grouplike import (grouplike_inverse, is_grouplike, is_unital_algebra_endo,
                         is_weak_character, is_weak_grouplike, one_sided_inverse, winding)
-from .linalg import Matrix, kernel_basis
+from .linalg import Matrix, constraint_matrix, kernel_basis
 from .report import _fmt_witness
 
 
@@ -333,55 +333,49 @@ def groupoid_character(ga: GroupoidAlgebra, rho, q) -> dict:
     return chi
 
 
-def alpha_constraint_matrix(ga: GroupoidAlgebra, chi: dict) -> Matrix:
-    """Rows of the linear system cutting out the twisted functionals alpha."""
-    dim = ga.dim
-    zero = ga.field.zero()
-    rows = []
-    for i in range(dim):
-        for j in range(dim):
-            row = {}
+def alpha_residual(ga: GroupoidAlgebra, chi: dict):
+    """The linear map alpha -> alpha(b_i b_j) - alpha(b_i) eps(b_j) - chi(b_i) alpha(b_j)
+    keyed (i, j), and alpha(E_ii) keyed (idx,), as a dict without zeros.  It
+    visits only alpha's support, through the products b_i b_j indexed once
+    by the basis elements they reach."""
+    zero, eps = ga.zero, ga.counit_vector
+    reach = {}
+    for i in ga.keys:
+        for j in ga.keys:
             for k, c in ga.product(i, j).items():
-                row[k] = row.get(k, zero) + c
-            e = ga.counit(j)
-            if e:
-                row[i] = row.get(i, zero) - e
-            x = chi.get(i, zero)
-            if x:
-                row[j] = row.get(j, zero) - x
-            if any(row.values()):
-                rows.append(row)
-    for idx in ga.diagonal_unit_indices():
-        rows.append({idx: ga.field.one()})
-    entries = {}
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            if v:
-                entries[(r, c)] = v
-    return Matrix(ga.field, len(rows), dim, entries)
+                reach.setdefault(k, []).append((i, j, c))
+    diagonal = set(ga.diagonal_unit_indices())
+
+    def residual(alpha: dict) -> dict:
+        out = {}
+        for k, a in alpha.items():
+            for i, j, c in reach.get(k, ()):
+                out[i, j] = out.get((i, j), zero) + c * a
+            for j, e in eps.items():
+                out[k, j] = out.get((k, j), zero) - a * e
+            for i, x in chi.items():
+                out[i, k] = out.get((i, k), zero) - x * a
+            if k in diagonal:
+                out[k,] = a
+        return _nonzero(out)
+    return residual
+
+
+def alpha_constraint_matrix(ga: GroupoidAlgebra, chi: dict) -> Matrix:
+    """The linear system cutting out the twisted functionals alpha:
+    :func:`alpha_residual` compiled, one row per key."""
+    return constraint_matrix(ga.field, ga.dim, alpha_residual(ga, chi))
 
 
 def solve_alpha(ga: GroupoidAlgebra, chi: dict) -> list:
     """A basis of the alpha with alpha(ab) = alpha(a) eps(b) + chi(a) alpha(b) and
     alpha(E_ii) = 0: the exact kernel of the alpha constraint system, each
-    solution re-verified."""
+    solution re-verified by the residual it was compiled from."""
     basis = kernel_basis(alpha_constraint_matrix(ga, chi))
-    zero = ga.field.zero()
+    residual = alpha_residual(ga, chi)
     for alpha in basis:
-        for i in range(ga.dim):
-            ai = alpha.get(i, zero)
-            for j in range(ga.dim):
-                lhs = zero
-                for k, c in ga.product(i, j).items():
-                    a = alpha.get(k)
-                    if a:
-                        lhs = lhs + c * a
-                rhs = ai * ga.counit(j) + chi.get(i, zero) * alpha.get(j, zero)
-                if lhs != rhs:
-                    raise ValidationError(f"alpha solution fails its defining relation at ({i},{j})")
-        for idx in ga.diagonal_unit_indices():
-            if alpha.get(idx):
-                raise ValidationError("alpha solution does not vanish on a diagonal unit")
+        if defect := residual(alpha):
+            raise ValidationError(f"alpha solution fails its defining relation at {min(defect)}")
     return basis
 
 

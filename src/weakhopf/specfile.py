@@ -134,7 +134,7 @@ def parse_spec(source, validate=True) -> SpecBundle:
 
     def named(section, parser):
         out = {}
-        d = doc.get(section) or {}
+        d = doc.get(section, {})
         if not isinstance(d, dict):
             raise ParseError("expected a name -> value object", section)
         for name, value in d.items():

@@ -23,7 +23,8 @@ def no_float(monkeypatch):
 def count_calls(monkeypatch):
     """count_calls(*names) wraps the weakhopf functions of those names in every weakhopf
     module that binds them, or for "Class.method" that method of each weakhopf class of
-    that name; the returned Counter of calls per name fills as they run."""
+    that name; the returned Counter of calls per name fills as they run.  A name that
+    wraps nothing raises, so no count can stay 0 because its name went away."""
     counts = collections.Counter()
 
     def counted(fn, name):
@@ -38,12 +39,13 @@ def count_calls(monkeypatch):
             owner, _, method = name.rpartition(".")
             if owner:
                 classes = {id(c): c for m in modules if isinstance(c := vars(m).get(owner), type)}
-                for cls in classes.values():
-                    monkeypatch.setattr(cls, method, counted(vars(cls)[method], name))
-                continue
-            for module in modules:
-                if callable(vars(module).get(name)):
-                    monkeypatch.setattr(module, name, counted(vars(module)[name], name))
+                targets = [(cls, method) for cls in classes.values() if method in vars(cls)]
+            else:
+                targets = [(m, name) for m in modules if callable(vars(m).get(name))]
+            if not targets:
+                raise LookupError(f"count_calls: {name} names nothing in any weakhopf module")
+            for target, attr in targets:
+                monkeypatch.setattr(target, attr, counted(vars(target)[attr], name))
         return counts
     return install
 

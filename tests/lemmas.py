@@ -10,7 +10,7 @@ import math
 
 from weakhopf.bialgebra import WeakBialgebra, WeakHopfAlgebra, convolution
 from weakhopf.coderivations import is_coderivation
-from weakhopf.errors import FieldMismatch, ValidationError
+from weakhopf.errors import ValidationError, WeakHopfError
 from weakhopf.fields import Field
 from weakhopf.groupoid import GroupPresentation, group_algebra, matrix_algebra
 from weakhopf.grouplike import (ConvolutionInverse, is_unital_algebra_endo, is_weak_character,
@@ -20,6 +20,10 @@ from weakhopf.panov import PanovClauses, hopf_conditions
 from weakhopf.report import AxiomReport
 
 from oracles import ore_slot
+
+
+class FieldMismatch(WeakHopfError):
+    """The factors of a tensor product are over different fields."""
 
 
 def identity(field, n) -> Matrix:

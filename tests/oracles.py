@@ -88,6 +88,80 @@ def to_dense(matrix):
     return out
 
 
+def distinct_rows(matrix):
+    """The set of distinct rows of a weakhopf Matrix, each a tuple of (column, scalar)
+    pairs in column order."""
+    return {tuple(sorted(row.items())) for row in matrix.row_dicts()}
+
+
+def reference_coderivation_rows(wb, lambda_g, lambda_h):
+    """The distinct nonzero rows of the linear system whose kernel is the space of
+    (g,h)-coderivations, each a tuple of (column, scalar) pairs in column order.
+
+    lambda_g and lambda_h are the left multiplications by g and h (L_g and L_h
+    below).  With unknowns X[r][k] (coefficient of b_r in delta(b_k), flattened
+    as column r*dim + k) the defining identity reads, per basis element k and
+    tensor slot (u, v),
+
+        sum_r d[u][v][r] X[r][k]
+          - sum_{(i,j)} d[i][j][k] (L_g[u][i] X[v][j] + L_h[v][j] X[u][i]) = 0.
+
+    Each row is summed straight from the structure constants, slot by slot.
+    """
+    dim = wb.dim
+    lg_cols, lh_cols = lambda_g.column_dicts(), lambda_h.column_dicts()
+    zero = wb.field.zero()
+
+    def unknown(r, k):
+        return r * dim + k
+
+    rows = set()
+    for k in range(dim):
+        lhs_rows = {}
+        for r in range(dim):
+            for (u, v), c in wb.coproduct(r).items():
+                row = lhs_rows.setdefault((u, v), {})
+                row[unknown(r, k)] = row.get(unknown(r, k), zero) + c
+        for (i, j), c in wb.coproduct(k).items():
+            for u, lg in lg_cols[i].items():
+                for v in range(dim):
+                    row = lhs_rows.setdefault((u, v), {})
+                    row[unknown(v, j)] = row.get(unknown(v, j), zero) - c * lg
+            for v, lh in lh_cols[j].items():
+                for u in range(dim):
+                    row = lhs_rows.setdefault((u, v), {})
+                    row[unknown(u, i)] = row.get(unknown(u, i), zero) - c * lh
+        for row in lhs_rows.values():
+            cleaned = tuple((col, row[col]) for col in sorted(row) if row[col])
+            if cleaned:
+                rows.add(cleaned)
+    return rows
+
+
+def reference_alpha_rows(ga, chi):
+    """The distinct nonzero rows of the linear system cutting out the twisted
+    functionals alpha (alpha(ab) = alpha(a) eps(b) + chi(a) alpha(b) on basis
+    pairs, alpha(E_ii) = 0), each a tuple of (column, scalar) pairs in column order."""
+    dim = ga.dim
+    zero = ga.field.zero()
+    rows = []
+    for i in range(dim):
+        for j in range(dim):
+            row = {}
+            for k, c in ga.product(i, j).items():
+                row[k] = row.get(k, zero) + c
+            e = ga.counit(j)
+            if e:
+                row[i] = row.get(i, zero) - e
+            x = chi.get(i, zero)
+            if x:
+                row[j] = row.get(j, zero) - x
+            rows.append(row)
+    for idx in ga.diagonal_unit_indices():
+        rows.append({idx: ga.field.one()})
+    return {cleaned for row in rows if (cleaned := tuple((c, v) for c, v in sorted(row.items()) if v))}
+
+
 def dense_associativity_failures(alg):
     """Sorted list of every basis triple (a, b, c) with (b_a b_b) b_c != b_a (b_b b_c).
 

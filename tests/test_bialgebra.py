@@ -4,13 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from lemmas import (axiom_passed, basis_element, counit_value, function_algebra, identity,
-                    tensor_product, weak_counit_identities)
+from lemmas import (FieldMismatch, axiom_passed, basis_element, counit_value, function_algebra,
+                    identity, tensor_product, weak_counit_identities)
 from oracles import dense_associativity_failures, dense_tensor_mul
 from weakhopf.bialgebra import (WeakBialgebra, WeakHopfAlgebra, algebra_report, base_subalgebras,
                                 check_antipode, check_weak_bialgebra, convolution)
-from weakhopf.errors import (AxiomFailure, CounitFails, DimensionMismatch, FieldMismatch,
-                             NotAssociative, UnitFails, ValidationError)
+from weakhopf.errors import (AxiomFailure, CounitFails, DimensionMismatch, NotAssociative,
+                             UnitFails, ValidationError)
 from weakhopf.fields import Field, QQ
 from weakhopf.groupoid import GroupPresentation, group_algebra
 from weakhopf.grouplike import is_weak_grouplike

@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,12 +13,14 @@ from weakhopf.fixtures import twisted_derivation_data
 from weakhopf.groupoid import GroupPresentation, matrix_algebra
 from weakhopf.grouplike import is_unital_algebra_endo
 from weakhopf.linalg import Matrix, solve
+from weakhopf.specfile import parse_spec
 
 from lemmas import (axiom_names, axiom_passed, basis_element, counit_value, dihedral,
                     eps_delta_report, function_algebra, identity, inner_coderivation,
                     is_skew_primitive, skew_primitive_identity_report, tensor_product,
                     truncated_primitive_hopf)
-from oracles import dense_matmul, dense_nullspace, to_dense
+from oracles import (dense_matmul, dense_nullspace, distinct_rows, reference_coderivation_rows,
+                     to_dense)
 
 
 def _sign_sigma(QZ2):
@@ -85,13 +88,28 @@ def test_coderivation_space_m3(M3):
     assert coderivation_space(M3, M3.unit, M3.unit) == []
 
 
-def test_coderivation_space_reverifies_on_lambdas_built_once(count_calls, s5_m2qz2):
-    """Each (g,1)-coderivation of section-5 M_2(QZ_2) is re-verified on lambda_g and
-    lambda_1 built once per call, with no product g b_k or 1 b_k taken again."""
+def test_coderivation_space_reverifies_on_lambdas_built_once(count_calls, monkeypatch, s5_m2qz2):
+    """Each (g,1)-coderivation of section-5 M_2(QZ_2) is re-verified by one call of
+    the residual the system was compiled from (one call per unknown), on lambda_g
+    and lambda_1 built once per call, with no product g b_k or 1 b_k taken again."""
+    import weakhopf.coderivations
     R, g = s5_m2qz2.R, s5_m2qz2.g
-    calls = count_calls("BasisView.multiply", "_coderivation_failure")
+    build, evaluations = weakhopf.coderivations.coderivation_residual, []
+
+    def counted_residual(*args):
+        residual, n = build(*args), len(evaluations)
+        evaluations.append(0)
+
+        def counted(x):
+            evaluations[n] += 1
+            return residual(x)
+        return counted
+
+    monkeypatch.setattr(weakhopf.coderivations, "coderivation_residual", counted_residual)
+    calls = count_calls("BasisView.multiply")
     space = coderivation_space(R, g, R.unit)
-    assert len(space) == R.dim == calls["_coderivation_failure"]
+    assert len(space) == R.dim
+    assert evaluations == [R.dim ** 2, len(space)]
     assert calls["BasisView.multiply"] == 0
 
 
@@ -132,6 +150,38 @@ def test_constraint_kernel_against_dense_oracle(M2, M3, QZ2):
         constraint = coderivation_constraint_matrix(wb, left_mult(g), left_mult(h))
         oracle = dense_nullspace(to_dense(constraint), constraint.cols, wb.field)
         assert len(oracle) == len(coderivation_space(wb, g, h))
+
+
+def _transported(name):
+    return parse_spec(str(Path(__file__).parent / "data" / f"{name}.json"), validate=False).wb
+
+
+@pytest.mark.parametrize("case", ["s5-m2qz2", "m3qz2-transported", "m3qz2-transported-twisted",
+                                  "m2z2-gf5-transported", "f2z2", "s3-functions-gf3"])
+def test_compiled_coderivation_system_has_the_reference_rows(request, case):
+    """The coderivation residual, compiled, has the same distinct rows as the
+    reference row builder, over QQ (denominators in m3qz2-transported) and GF(p);
+    it keeps repeated rows, so it has at least as many."""
+    if case == "s5-m2qz2":
+        data = request.getfixturevalue("s5_m2qz2")
+        wb, g, h = data.R, data.g, data.R.unit
+    elif case.startswith("m3qz2"):
+        wb = _transported("m3qz2-transported")
+        g, h = (wb.basis_vector(10), wb.unit) if case.endswith("twisted") else (wb.unit, wb.unit)
+    elif case == "m2z2-gf5-transported":
+        wb = _transported(case)
+        g, h = wb.basis_vector(5), wb.basis_vector(1)
+    elif case == "f2z2":
+        wb = request.getfixturevalue("F2Z2")
+        g, h = wb.basis_vector(1), wb.unit
+    else:
+        wb = function_algebra(GroupPresentation.symmetric(3), Field.prime(3))
+        g = h = wb.unit
+    lambda_g, lambda_h = wb.left_mult_matrix(g), wb.left_mult_matrix(h)
+    compiled = coderivation_constraint_matrix(wb, lambda_g, lambda_h)
+    reference = reference_coderivation_rows(wb, lambda_g, lambda_h)
+    assert reference and distinct_rows(compiled) == reference
+    assert compiled.rows >= len(reference)
 
 
 def test_shifted_coderivation_space_maps_fail_on_function_algebra_d6():

@@ -19,7 +19,8 @@ from weakhopf.specfile import parse_spec
 
 from lemmas import (ad_map, axiom_passed, basis_element, centrality_report, char_antipode_report,
                     identity, matches_tensor_factors)
-from oracles import dense_nullspace, pure_tensor, to_dense
+from oracles import (dense_nullspace, distinct_rows, pure_tensor, reference_alpha_rows,
+                     to_dense)
 
 
 def _failing(verdict):
@@ -118,18 +119,17 @@ def test_each_procedure_builds_each_winding_once(count_calls, request, name, pro
 def test_panov_hopf_evaluates_each_clause_once(count_calls, tmp_path):
     """One `panov --hopf` run decides the three procedures on one clause table:
     chi's two windings, each of its one-sided convolution inverses (solved on
-    those windings, not through convolution_inverse) and the coderivation
-    identity are each computed once; the endomorphism checks are
-    skew_derivation's on sigma and one per winding."""
+    those windings) and the coderivation identity are each computed once; the
+    endomorphism checks are skew_derivation's on sigma and one per winding."""
     spec = str(tmp_path / "s5.json")
     assert main(["example", "section5", "--group", "Z2", "--n", "3", "--q", "1,2,3",
                  "-o", spec]) == 0
     calls = count_calls("winding", "is_unital_algebra_endo", "_coderivation_failure",
-                        "convolution_inverse", "one_sided_inverse")
+                        "one_sided_inverse")
     assert main(["panov", spec, "--hopf"]) == 0
     assert 0 < calls["winding"] <= 2
     assert calls["_coderivation_failure"] == 1
-    assert calls["one_sided_inverse"] == 2 and calls["convolution_inverse"] == 0
+    assert calls["one_sided_inverse"] == 2
     assert 0 < calls["is_unital_algebra_endo"] <= 3
 
 
@@ -152,7 +152,8 @@ def test_panov_hopf_decides_g_and_builds_lambda_g_once(count_calls, monkeypatch,
 
 def test_necessary_then_sufficient_compute_each_identity_once(count_calls):
     """On section-5 M_2(QZ_2), NECESSARY then SUFFICIENT on one clause table take
-    Delta(delta(b_k)) and Delta(sigma(b_k)) once per k, and one right-hand side per k
+    Delta(sigma(b_k)) once per k and Delta(delta(b_k)) once per nonzero column of
+    delta (none: delta = 0 there), and one right-hand side per k
     for the sigma twist (map_legs, beside one for the left-factor clause) after its
     left-hand side (tensor_mul); g_weak_grouplike adds Delta(g) and two products, which
     g_grouplike_invertible reads instead of taking them again."""
@@ -161,7 +162,8 @@ def test_necessary_then_sufficient_compute_each_identity_once(count_calls):
     clauses = PanovClauses(data.R, data.sigma, data.delta, data.g)
     calls = count_calls("BasisView.comultiply", "BasisView.tensor_mul", "BasisView.map_legs")
     assert clauses.verdict(NECESSARY).passed and clauses.verdict(SUFFICIENT).passed
-    assert calls["BasisView.comultiply"] == dim + dim + 1
+    assert not data.delta.data
+    assert calls["BasisView.comultiply"] == dim + 1
     assert calls["BasisView.tensor_mul"] == dim + 2
     assert calls["BasisView.map_legs"] == dim + dim  # sigma twist, left factor
 
@@ -358,6 +360,21 @@ def test_solve_alpha_dimension_matches_dense_oracle(s5_m2qz2):
     constraint = alpha_constraint_matrix(ga, chi)
     oracle = dense_nullspace(to_dense(constraint), constraint.cols, ga.field)
     assert len(solve_alpha(ga, chi)) == len(oracle)
+
+
+@pytest.mark.parametrize("m, n, rho, q, p", [
+    (4, 1, [1, -1, 1, -1], [1], None),
+    (2, 2, [1, -1], [Fraction(3, 5), Fraction(-7, 2)], None),
+    (3, 1, [1, 2, 4], [1], 7),
+    (4, 2, [1, 2, 4, 3], [2, 3], 5),
+])
+def test_compiled_alpha_system_has_the_reference_rows(m, n, rho, q, p):
+    """The alpha residual, compiled, has the same distinct rows as the reference
+    row builder, over QQ (chi with denominators when q has them) and GF(p)."""
+    ga = build_groupoid_algebra(GroupPresentation.cyclic(m), n, p and Field.prime(p))
+    chi = groupoid_character(ga, rho, q)
+    reference = reference_alpha_rows(ga, chi)
+    assert reference and distinct_rows(alpha_constraint_matrix(ga, chi)) == reference
 
 
 def test_alpha_solutions_respect_zero_products(QZ4):

@@ -400,6 +400,10 @@ GF3 = {"kind": "prime", "p": 3}
     lambda tmp: ["check", _spec_file(tmp, mult=[[0, 0, 0]])],
     lambda tmp: ["check", _raw_file(tmp, json.dumps([_sweedler_doc()]))],
     lambda tmp: ["ore", "build", _spec_file(tmp, maps=["sigma", "delta"])],
+    # a present section that is not an object is refused, however falsy
+    *(lambda tmp, s=section, v=value: ["check", _spec_file(tmp, **{s: v})]
+      for section, value in (("functionals", False), ("elements", []), ("maps", 0),
+                             ("functionals", ""), ("elements", None))),
     lambda tmp: ["example", "groupoid", "Z2"],
     lambda tmp: ["example", "groupoid", "Q8", "1"],
     *(lambda tmp, b=broken, c=command: _spec_commands(_nonassociative_m2q_file(tmp, b))[c]
@@ -416,6 +420,8 @@ GF3 = {"kind": "prime", "p": 3}
         "characters-unknown-functional", "spec-dim-too-large", "field-prime-too-large",
         "grouplikes-prime-too-large", "unit-wrong-length", "antipode-wrong-columns",
         "mult-not-a-list", "mult-row-of-3", "spec-document-is-array", "maps-not-an-object",
+        "functionals-false", "elements-empty-list", "maps-zero", "functionals-empty-string",
+        "elements-null",
         "groupoid-one-parameter", "groupoid-unknown-group",
         *(f"nonassociative-{broken}-{command}" for broken in BROKEN_M2Q
           for command in ("check", "panov", "characters", "ore-build"))])
