@@ -96,8 +96,9 @@ def coderivation_residual(wb: WeakBialgebra, lambda_g: Matrix, lambda_h: Matrix)
 
 
 def _coderivation_failure(wb: WeakBialgebra, delta: Matrix, lam_g: Matrix, lam_h: Matrix):
-    """The smallest k with Delta(delta(b_k)) != (lambda_g (x) delta + delta (x) lambda_h)Delta(b_k),
-    read from :func:`coderivation_residual` on the lam_g and lam_h the caller built, or None."""
+    """The smallest k where Delta(delta(b_k)) differs from
+    (lambda_g (x) delta + delta (x) lambda_h) Delta(b_k), or None: read from
+    :func:`coderivation_residual` on the lam_g and lam_h the caller built."""
     dim = wb.dim
     defect = coderivation_residual(wb, lam_g, lam_h)(
         {r * dim + k: c for (r, k), c in delta.data.items()})

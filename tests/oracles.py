@@ -159,7 +159,8 @@ def reference_alpha_rows(ga, chi):
             rows.append(row)
     for idx in ga.diagonal_unit_indices():
         rows.append({idx: ga.field.one()})
-    return {cleaned for row in rows if (cleaned := tuple((c, v) for c, v in sorted(row.items()) if v))}
+    cleaned = (tuple((c, v) for c, v in sorted(row.items()) if v) for row in rows)
+    return {row for row in cleaned if row}
 
 
 def dense_associativity_failures(alg):
