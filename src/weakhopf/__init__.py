@@ -8,8 +8,8 @@ from .fields import GF, Field, QQ
 from .groupoid import (GroupPresentation, GroupoidAlgebra, build_groupoid_algebra,
                        group_algebra, matrix_algebra)
 from .grouplike import (WeakGrouplike, brute_force_weak_grouplikes,
-                        enumerate_weak_grouplikes_matrix, is_grouplike, is_weak_character,
-                        is_weak_grouplike, winding)
+                        enumerate_weak_grouplikes_matrix, is_weak_character, is_weak_grouplike,
+                        winding)
 from .linalg import Matrix, column_space_basis, kernel_basis, rank, solve
 from .ore import OreAlgebra, extend_antipode, extend_coalgebra, make_ore, verify_extension
 from .panov import (PanovClauses, PanovVerdict, build_twisted_derivation, groupoid_character,

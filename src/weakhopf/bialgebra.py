@@ -573,6 +573,7 @@ class WeakBialgebra(BasisView):
         self.counit_vector = _element(field, dim, counit, (), "counit")
         super().__init__(field, range(dim), unit)
         self._counital_matrices = None
+        self._base_subalgebras = None
         self._integer_view = None
         if not validate:
             return
@@ -735,23 +736,28 @@ def check_antipode(wha: WeakHopfAlgebra) -> AxiomReport:
 
 
 def base_subalgebras(wb: WeakBialgebra):
-    """Bases of R_t = Im(eps_t) and R_s = Im(eps_s), membership re-verified.
+    """Bases of R_t = Im(eps_t) and R_s = Im(eps_s), membership re-verified;
+    computed once per R and cached on it, like its counital matrices.
 
     Each returned element a additionally satisfies the coproduct
     characterization (Delta(a) = 1_1 a (x) 1_2 for R_t, Delta(a) = 1_1 (x) a 1_2
     for R_s); a violation raises, since it would mean a broken instance.
     """
-    m_t, m_s = wb.counital_matrices()[:2]
-    basis_t = column_space_basis(m_t)
-    basis_s = column_space_basis(m_s)
-    d1, one = wb.delta_one(), wb.unit
-    for a in basis_t:
-        if wb.comultiply(a) != wb.tensor_mul(d1, wb.pure(a, one)):
-            raise ValidationError(f"R_t member fails coproduct characterization: {wb.format_element(a)}")
-    for a in basis_s:
-        if wb.comultiply(a) != wb.tensor_mul(wb.pure(one, a), d1):
-            raise ValidationError(f"R_s member fails coproduct characterization: {wb.format_element(a)}")
-    return basis_t, basis_s
+    if wb._base_subalgebras is None:
+        m_t, m_s = wb.counital_matrices()[:2]
+        basis_t = column_space_basis(m_t)
+        basis_s = column_space_basis(m_s)
+        d1, one = wb.delta_one(), wb.unit
+        for a in basis_t:
+            if wb.comultiply(a) != wb.tensor_mul(d1, wb.pure(a, one)):
+                raise ValidationError(
+                    f"R_t member fails coproduct characterization: {wb.format_element(a)}")
+        for a in basis_s:
+            if wb.comultiply(a) != wb.tensor_mul(wb.pure(one, a), d1):
+                raise ValidationError(
+                    f"R_s member fails coproduct characterization: {wb.format_element(a)}")
+        wb._base_subalgebras = basis_t, basis_s
+    return wb._base_subalgebras
 
 
 def convolution(f: dict, g: dict, wb: WeakBialgebra) -> dict:

@@ -5,17 +5,18 @@ Delta delta = (lambda_g (x) delta + delta (x) lambda_h) Delta, where
 lambda_a is left multiplication.  The space of all such delta for fixed
 (g, h) is the kernel of :func:`coderivation_residual`, a linear map on
 dim^2 unknowns, compiled by :func:`linalg.constraint_matrix` and solved
-exactly.  Elements are dicts index -> scalar, and both sides of
-the Leibniz rule and of the coderivation identity are summed on R, its own
-basis view, where 2-tensors are dicts (i, j) -> scalar.
+exactly by :func:`linalg.residual_kernel`.  Elements are dicts
+index -> scalar, and both sides of the Leibniz rule and of the
+coderivation identity are summed on R, its own basis view, where 2-tensors
+are dicts (i, j) -> scalar.
 """
 
 from __future__ import annotations
 
 from .bialgebra import WeakBialgebra, _nonzero
-from .errors import NotAutomorphism, NotDerivation, ValidationError
+from .errors import NotAutomorphism, NotDerivation
 from .grouplike import is_unital_algebra_endo
-from .linalg import Matrix, constraint_matrix, kernel_basis, rank
+from .linalg import Matrix, constraint_matrix, rank, residual_kernel
 
 
 def validate_automorphism(wb: WeakBialgebra, sigma: Matrix):
@@ -111,25 +112,21 @@ def is_coderivation(wb: WeakBialgebra, delta: Matrix, g: dict, h: dict) -> bool:
     return _coderivation_failure(wb, delta, left_mult(g), left_mult(h)) is None
 
 
-def coderivation_constraint_matrix(wb: WeakBialgebra, lambda_g: Matrix,
-                                   lambda_h: Matrix) -> Matrix:
+def coderivation_constraint_matrix(wb: WeakBialgebra, residual) -> Matrix:
     """The linear system whose kernel is the space of (g,h)-coderivations:
-    :func:`coderivation_residual` compiled, one row per key (k, u, v)."""
-    return constraint_matrix(wb.field, wb.dim ** 2, coderivation_residual(wb, lambda_g, lambda_h))
+    the caller's :func:`coderivation_residual` compiled, one row per key (k, u, v)."""
+    return constraint_matrix(wb.field, wb.dim ** 2, residual)
 
 
 def coderivation_space(wb: WeakBialgebra, g: dict, h: dict):
     """Basis of all (g,h)-coderivations, as matrices.
 
-    Exact kernel of :func:`coderivation_constraint_matrix`; every kernel
-    vector is re-verified by the residual it was compiled from.  lambda_g and
-    lambda_h are built once, for the system and every re-verification.
+    One :func:`coderivation_residual` on lambda_g and lambda_h is built,
+    compiled by :func:`coderivation_constraint_matrix` and solved by
+    :func:`linalg.residual_kernel`, which re-checks every kernel vector with it.
     """
     dim = wb.dim
-    lambda_g, lambda_h = wb.left_mult_matrix(g), wb.left_mult_matrix(h)
-    basis = kernel_basis(coderivation_constraint_matrix(wb, lambda_g, lambda_h))
-    residual = coderivation_residual(wb, lambda_g, lambda_h)
-    if any(residual(vec) for vec in basis):
-        raise ValidationError("kernel vector fails the coderivation identity")
+    residual = coderivation_residual(wb, wb.left_mult_matrix(g), wb.left_mult_matrix(h))
+    basis = residual_kernel(coderivation_constraint_matrix(wb, residual), residual)
     return [Matrix(wb.field, dim, dim, {divmod(i, dim): c for i, c in vec.items()})
             for vec in basis]

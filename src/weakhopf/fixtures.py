@@ -71,7 +71,7 @@ def twisted_derivation_data(group: GroupPresentation, n: int, rho, q,
     alpha_basis = solve_alpha(ga, chi)
     if alpha_basis:
         alpha = alpha_basis[0]
-        delta = build_twisted_derivation(ga, g, chi, alpha)
+        delta = build_twisted_derivation(ga, g, sigma, alpha)
     else:
         alpha = None
         delta = Matrix.zero(ga.field, ga.dim, ga.dim)

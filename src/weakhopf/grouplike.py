@@ -38,13 +38,6 @@ def is_weak_grouplike(wb: WeakBialgebra, g: dict) -> bool:
     return dg == wb.tensor_mul(d1, gg) and dg == wb.tensor_mul(gg, d1)
 
 
-def is_grouplike(wb: WeakBialgebra, g: dict) -> dict | None:
-    """The two-sided inverse of g if g is an invertible weak group-like, else None."""
-    if not is_weak_grouplike(wb, g):
-        return None
-    return grouplike_inverse(wb, g, wb.left_mult_matrix(g))
-
-
 def grouplike_inverse(wb: WeakBialgebra, g: dict, lambda_g: Matrix) -> dict | None:
     """The y with g y = 1, solved on lambda_g (r -> g r), if also y g = 1; else None."""
     y = solve(lambda_g, wb.unit)
@@ -98,7 +91,8 @@ def brute_force_weak_grouplikes(wb: WeakBialgebra):
     Visits all p^dim coefficient vectors in ``itertools.product`` order.
     Before the loop it takes, as integer residues mod p over the slots
     a*dim + b of R (x) R, every Delta(b_k) and, for every basis pair (i, j),
-    Delta(1)(b_i (x) b_j) and (b_i (x) b_j)Delta(1), all from R's own tables.
+    Delta(1)(b_i (x) b_j) and (b_i (x) b_j)Delta(1), all computed on the
+    residue tables of ``wb.integer_view`` and reduced mod p, zeros dropped.
     A candidate g = sum_i g_i b_i is then a tuple of ints: Delta(g) is
     sum_k g_k Delta(b_k) and each quadratic side sum_{i,j} g_i g_j times the
     pair's entry, summed as dense int lists and compared mod p, the second
@@ -113,15 +107,15 @@ def brute_force_weak_grouplikes(wb: WeakBialgebra):
         raise TooLarge("brute force requires a finite prime field")
     if p ** wb.dim > SCAN_LIMIT:
         raise TooLarge(f"{p}^{wb.dim} coefficient vectors exceed the scan limit")
-    dim = wb.dim
-    one, d1 = wb.one, wb.delta_one()
+    dim, ints = wb.dim, wb.integer_view
+    d1 = ints.delta_one()
 
-    def residues(t):  # a 2-tensor as ((slot, residue), ...)
-        return tuple((a * dim + b, c.v) for (a, b), c in t.items())
+    def residues(t):  # an int 2-tensor as ((slot, residue), ...), zeros mod p dropped
+        return tuple((a * dim + b, r) for (a, b), c in t.items() if (r := c % p))
 
-    coproducts = [residues(wb.coproduct(k)) for k in wb.keys]
-    left = [[residues(wb.tensor_mul(d1, {(i, j): one})) for j in wb.keys] for i in wb.keys]
-    right = [[residues(wb.tensor_mul({(i, j): one}, d1)) for j in wb.keys] for i in wb.keys]
+    coproducts = [residues(ints.coproduct(k)) for k in wb.keys]
+    left = [[residues(ints.tensor_mul(d1, {(i, j): 1})) for j in wb.keys] for i in wb.keys]
+    right = [[residues(ints.tensor_mul({(i, j): 1}, d1)) for j in wb.keys] for i in wb.keys]
     terms = sum(map(len, coproducts)) + sum(len(t) for rows in (left, right)
                                             for row in rows for t in row)
     if p ** dim * (dim * dim + terms) > SCAN_WORK_LIMIT:

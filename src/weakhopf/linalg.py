@@ -9,11 +9,12 @@ which must not modify them.  Every other vector an operation returns is a
 new dict without zeros, for callers to keep.
 
 :func:`constraint_matrix` compiles a linear residual into the matrix of
-its equations.  Elimination (:func:`_rref`, behind rank, kernel_basis, solve and
-column_space_basis) is exact Gauss-Jordan on plain Python ints: a row over
-QQ enters scaled by the lcm of its denominators, a row over GF(p) as its
-residues, and each row is kept divided by the gcd of its entries (QQ) or
-reduced mod p.  Results become field elements once, at the end.  Pivoting
+its equations, and :func:`residual_kernel` solves it, re-checking every
+kernel vector with the residual.  Elimination (:func:`_rref`, behind rank,
+kernel_basis, solve and column_space_basis) is exact Gauss-Jordan on plain
+Python ints: a row over QQ enters scaled by the lcm of its denominators, a
+row over GF(p) as its residues, and each row is kept divided by the gcd of
+its entries (QQ) or reduced mod p.  Results become field elements once, at the end.  Pivoting
 is deterministic: columns in order, and for each column the lowest-index
 row that has not taken a pivot and is nonzero there.  The reduced row
 echelon form is unique, so kernel bases and solutions are exactly those of
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, ValidationError
 
 
 class Matrix:
@@ -229,6 +230,17 @@ def kernel_basis(m: Matrix):
             if c:
                 data[col] = -c
         basis.append(data)
+    return basis
+
+
+def residual_kernel(system: Matrix, residual) -> list:
+    """:func:`kernel_basis` of the system compiled from residual, each vector
+    re-checked by residual; a vector with a nonzero residual raises
+    ValidationError naming its smallest key."""
+    basis = kernel_basis(system)
+    for vec in basis:
+        if defect := residual(vec):
+            raise ValidationError(f"kernel vector fails its residual at {min(defect)}")
     return basis
 
 

@@ -46,31 +46,31 @@ class OreAlgebra(BasisView):
 
     Its own ``keys`` are the degree-0 monomials; :meth:`integer_view` takes
     the degree bound the sweeps run to.  Products, coproducts and antipodes
-    of monomials are computed on first use and cached on the algebra.
-    Instances are immutable; extension steps return new objects.  Use
-    :func:`make_ore` to validate the defining data.
+    of monomials are computed on first use and cached on the algebra.  The
+    antipode is extended exactly when S(x), an element of H, is given as
+    ``s_x``.  Instances are immutable; extension steps return new objects.
+    Use :func:`make_ore` to validate the defining data.
     """
 
     def __init__(self, R: WeakBialgebra, sigma: Matrix, delta: Matrix, g: dict | None = None,
-                 _coalgebra_extended=False, _antipode_extended=False):
+                 _coalgebra_extended=False, s_x: dict | None = None):
         self.R = R
         super().__init__(R.field, self.monomials(0), self.embed(R.unit))
         self.sigma = sigma
         self.delta = delta
         self.g = g
         self._coalgebra_extended = _coalgebra_extended
-        self._antipode_extended = _antipode_extended
+        self._s_x = s_x
         self._x_table = {}
         self._skew_powers = {}
         self._products, self._coproducts, self._antipodes = {}, {}, {}
-        self._s_x = None
         self._s_x_powers = [self.unit]
 
     # -- basic structure ------------------------------------------------
 
     @property
     def antipode_extended(self):
-        return self._antipode_extended
+        return self._s_x is not None
 
     def monomials(self, degree):
         """The monomial keys of degree <= degree, degree-major."""
@@ -169,7 +169,7 @@ class OreAlgebra(BasisView):
         """S(b_b x^n) = S(x)^n S(b_b), cached; S is the unital anti-homomorphism."""
         hit = self._antipodes.get(k)
         if hit is None:
-            if not self._antipode_extended:
+            if self._s_x is None:
                 raise ValidationError("antipode not extended; call extend_antipode first")
             b, n = k
             powers = self._s_x_powers
@@ -206,7 +206,7 @@ class OreAlgebra(BasisView):
         tags = []
         if self._coalgebra_extended:
             tags.append("coalgebra")
-        if self._antipode_extended:
+        if self.antipode_extended:
             tags.append("antipode")
         suffix = f" [{', '.join(tags)} extended]" if tags else ""
         return f"OreAlgebra(R dim={self.R.dim}{suffix})"
@@ -251,11 +251,9 @@ def extend_antipode(H: OreAlgebra) -> OreAlgebra:
         verdict = clauses.verdict(names)
         if not verdict.passed:
             raise ConditionsFailed(verdict)
-    out = OreAlgebra(H.R, H.sigma, H.delta, H.g,
-                     _coalgebra_extended=True, _antipode_extended=True)
-    s_g = H.R.antipode_matrix.apply(H.g)
-    out._s_x = out.multiply(out.embed({k: -c for k, c in s_g.items()}), out.x())
-    return out
+    minus_s_g = {k: -c for k, c in H.R.antipode_matrix.apply(H.g).items()}
+    s_x = H.monomial(H.R.multiply(minus_s_g, H.R.unit), 1)  # (-S(g)) x
+    return OreAlgebra(H.R, H.sigma, H.delta, H.g, _coalgebra_extended=True, s_x=s_x)
 
 
 def refuse_large_degree(R: WeakBialgebra, degree_bound: int):

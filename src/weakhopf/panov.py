@@ -22,9 +22,9 @@ from .bialgebra import WeakBialgebra, WeakHopfAlgebra, _nonzero, base_subalgebra
 from .coderivations import _coderivation_failure, is_sigma_derivation
 from .errors import InvalidGroupCharacter, NotCentral, NotGrouplike, ValidationError, ZeroScale
 from .groupoid import GroupoidAlgebra
-from .grouplike import (grouplike_inverse, is_grouplike, is_unital_algebra_endo,
-                        is_weak_character, is_weak_grouplike, one_sided_inverse, winding)
-from .linalg import Matrix, constraint_matrix, kernel_basis
+from .grouplike import (grouplike_inverse, is_unital_algebra_endo, is_weak_character,
+                        is_weak_grouplike, one_sided_inverse, winding)
+from .linalg import Matrix, constraint_matrix, residual_kernel
 from .report import _fmt_witness
 
 
@@ -361,45 +361,35 @@ def alpha_residual(ga: GroupoidAlgebra, chi: dict):
     return residual
 
 
-def alpha_constraint_matrix(ga: GroupoidAlgebra, chi: dict) -> Matrix:
-    """The linear system cutting out the twisted functionals alpha:
-    :func:`alpha_residual` compiled, one row per key."""
-    return constraint_matrix(ga.field, ga.dim, alpha_residual(ga, chi))
-
-
 def solve_alpha(ga: GroupoidAlgebra, chi: dict) -> list:
     """A basis of the alpha with alpha(ab) = alpha(a) eps(b) + chi(a) alpha(b) and
-    alpha(E_ii) = 0: the exact kernel of the alpha constraint system, each
-    solution re-verified by the residual it was compiled from."""
-    basis = kernel_basis(alpha_constraint_matrix(ga, chi))
+    alpha(E_ii) = 0: one :func:`alpha_residual`, compiled and solved by
+    :func:`linalg.residual_kernel`, which re-checks every solution with it."""
     residual = alpha_residual(ga, chi)
-    for alpha in basis:
-        if defect := residual(alpha):
-            raise ValidationError(f"alpha solution fails its defining relation at {min(defect)}")
-    return basis
+    return residual_kernel(constraint_matrix(ga.field, ga.dim, residual), residual)
 
 
-def build_twisted_derivation(wb: WeakBialgebra, g: dict, chi: dict, alpha: dict) -> Matrix:
-    """The derivation delta = (1 - g) tau_alpha^l for a central group-like g.
+def build_twisted_derivation(wb: WeakBialgebra, g: dict, sigma: Matrix, alpha: dict) -> Matrix:
+    """The derivation delta = (1 - g) tau_alpha^l for a central group-like g,
+    sigma being the tau_chi^l the caller built.
 
-    The output is verified to be a tau_chi^l-derivation, a (g,1)-coderivation
-    and to vanish on R_s.
+    The output is verified to be a sigma-derivation, and by the clause
+    table of the datum (sigma, delta, g), which first checks g (clause
+    g_grouplike_invertible), a (g,1)-coderivation vanishing on R_s.
     """
-    if is_grouplike(wb, g) is None:
+    one_minus_g = wb.add(wb.unit, {k: -c for k, c in g.items()})
+    delta = wb.left_mult_matrix(one_minus_g) * winding(wb, alpha, "left")
+    clauses = PanovClauses(wb, sigma, delta, g)
+    if not clauses.result("g_grouplike_invertible").passed:
         raise NotGrouplike(f"{wb.format_element(g)} is not an invertible weak group-like")
     for k in range(wb.dim):
         bk = wb.basis_vector(k)
         if wb.multiply(g, bk) != wb.multiply(bk, g):
             raise NotCentral(f"g does not commute with {wb.labels[k]}")
-    one_minus_g = wb.add(wb.unit, {k: -c for k, c in g.items()})
-    delta = wb.left_mult_matrix(one_minus_g) * winding(wb, alpha, "left")
-    sigma = winding(wb, chi, "left")
     if not is_sigma_derivation(wb, sigma, delta):
         raise ValidationError("constructed delta is not a sigma-derivation")
-    clauses = PanovClauses(wb, sigma, delta, g)
     if not clauses.result("delta_is_skew_coderivation").passed:
         raise ValidationError("constructed delta is not a (g,1)-coderivation")
     if not clauses.result("delta_kills_source_base").passed:
         raise ValidationError("constructed delta does not kill R_s")
     return delta
-

@@ -27,7 +27,6 @@ class AxiomReport:
     """Collects results of axiom sweeps, keyed by axiom name."""
 
     def __init__(self):
-        self._order = []
         self._pass_counts = {}
         self._failures = {}
 
@@ -39,7 +38,6 @@ class AxiomReport:
     def record_passes(self, axiom, n):
         """Record n passing checks of one axiom at once."""
         if axiom not in self._pass_counts:
-            self._order.append(axiom)
             self._pass_counts[axiom] = 0
             self._failures[axiom] = []
         self._pass_counts[axiom] += n
@@ -58,23 +56,19 @@ class AxiomReport:
         if axiom is not None:
             return sorted(self._failures.get(axiom, []), key=lambda r: (r.witness or ()))
         out = []
-        for name in self._order:
+        for name in self._pass_counts:
             out.extend(self.failures(name))
         return out
 
     def merge(self, other):
-        for name in other._order:
-            if name not in self._pass_counts:
-                self._order.append(name)
-                self._pass_counts[name] = 0
-                self._failures[name] = []
-            self._pass_counts[name] += other._pass_counts[name]
-            self._failures[name].extend(other._failures[name])
+        for name, n in other._pass_counts.items():
+            self._pass_counts[name] = self._pass_counts.get(name, 0) + n
+            self._failures.setdefault(name, []).extend(other._failures[name])
         return self
 
     def lines(self):
         out = []
-        for name in self._order:
+        for name in self._pass_counts:
             fails = self.failures(name)
             if not fails:
                 out.append(f"AXIOM {name} PASS")

@@ -20,10 +20,9 @@ FORCED_SECTION5 = ("delta", "g")
 
 def sign_flipped_sweedler():
     data = sweedler_data()
-    bad = OreAlgebra(data.R, data.sigma, data.delta, data.g,
-                     _coalgebra_extended=True, _antipode_extended=True)
-    bad._s_x = bad.multiply(bad.embed(data.R.antipode_matrix.apply(data.g)), bad.x())
-    return bad
+    s_g = data.R.antipode_matrix.apply(data.g)
+    s_x = {(b, 1): c for b, c in data.R.multiply(s_g, data.R.unit).items()}  # +S(g) x
+    return OreAlgebra(data.R, data.sigma, data.delta, data.g, _coalgebra_extended=True, s_x=s_x)
 
 
 def forced_section5(which):

@@ -13,8 +13,8 @@ from weakhopf.coderivations import is_coderivation
 from weakhopf.errors import ValidationError, WeakHopfError
 from weakhopf.fields import Field
 from weakhopf.groupoid import GroupPresentation, group_algebra, matrix_algebra
-from weakhopf.grouplike import (ConvolutionInverse, is_unital_algebra_endo, is_weak_character,
-                                is_weak_grouplike, one_sided_inverse, winding)
+from weakhopf.grouplike import (ConvolutionInverse, grouplike_inverse, is_unital_algebra_endo,
+                                is_weak_character, is_weak_grouplike, one_sided_inverse, winding)
 from weakhopf.linalg import Matrix, solve
 from weakhopf.panov import PanovClauses, hopf_conditions
 from weakhopf.report import AxiomReport
@@ -52,6 +52,13 @@ def convolution_inverse(wb, chi) -> ConvolutionInverse:
     """Solve chi' * chi = eps (left) and chi * chi' = eps (right) as linear systems."""
     return ConvolutionInverse(one_sided_inverse(wb, chi, "left", winding(wb, chi, "right")),
                               one_sided_inverse(wb, chi, "right", winding(wb, chi, "left")))
+
+
+def is_grouplike(wb, g) -> dict | None:
+    """The two-sided inverse of g if g is an invertible weak group-like, else None."""
+    if not is_weak_grouplike(wb, g):
+        return None
+    return grouplike_inverse(wb, g, wb.left_mult_matrix(g))
 
 
 def basis_element(ga, g, i, j):

@@ -17,9 +17,9 @@ from weakhopf.groupoid import (GroupPresentation, build_groupoid_algebra, group_
                                matrix_algebra)
 from weakhopf.grouplike import (brute_force_weak_grouplikes, enumerate_weak_grouplikes_matrix,
                                 is_weak_character)
-from weakhopf.linalg import Matrix
+from weakhopf.linalg import Matrix, constraint_matrix
 from weakhopf.ore import OreAlgebra, extend_antipode, make_ore, verify_extension
-from weakhopf.panov import (alpha_constraint_matrix, groupoid_character, hopf_conditions,
+from weakhopf.panov import (alpha_residual, groupoid_character, hopf_conditions,
                             panov_necessary, panov_sufficient)
 
 from lemmas import (axiom_names, axiom_passed, basis_element, char_antipode_report,
@@ -126,7 +126,7 @@ def test_criterion_6_section5_construction():
     m2 = twisted_derivation_data(GroupPresentation.cyclic(2), 2,
                                  rho=[Fraction(1), Fraction(-1)],
                                  q=[Fraction(1), Fraction(1)])
-    constraint = alpha_constraint_matrix(m2.R, m2.chi)
+    constraint = constraint_matrix(QQ, m2.R.dim, alpha_residual(m2.R, m2.chi))
     oracle_dim = len(dense_nullspace(to_dense(constraint), constraint.cols, QQ))
     ok = ok and len(m2.alpha_basis) == oracle_dim
     _criterion(6, "section-5 construction (alpha solver and extension)", ok)
@@ -229,9 +229,9 @@ def test_criterion_10_negative_controls():
 
     # (c) sign-flipped S(x): antipode axioms fail at degree 1, the rest hold
     data = sweedler_data()
-    bad = OreAlgebra(data.R, data.sigma, data.delta, data.g,
-                     _coalgebra_extended=True, _antipode_extended=True)
-    bad._s_x = bad.multiply(bad.embed(data.R.antipode_matrix.apply(data.g)), bad.x())
+    s_g = data.R.antipode_matrix.apply(data.g)
+    bad = OreAlgebra(data.R, data.sigma, data.delta, data.g, _coalgebra_extended=True,
+                     s_x={(b, 1): c for b, c in data.R.multiply(s_g, data.R.unit).items()})
     report = verify_extension(bad, 2)
     print("  control (c):",
           [l for l in report.lines() if "FAIL" in l][0])

@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from weakhopf.coderivations import (coderivation_constraint_matrix, coderivation_space,
-                                    is_coderivation, is_sigma_derivation, skew_derivation)
+from weakhopf.coderivations import (coderivation_constraint_matrix, coderivation_residual,
+                                    coderivation_space, is_coderivation, is_sigma_derivation,
+                                    skew_derivation)
 from weakhopf.errors import NotAutomorphism, NotDerivation
 from weakhopf.fields import Field, QQ
 from weakhopf.fixtures import twisted_derivation_data
@@ -89,9 +90,9 @@ def test_coderivation_space_m3(M3):
 
 
 def test_coderivation_space_reverifies_on_lambdas_built_once(count_calls, monkeypatch, s5_m2qz2):
-    """Each (g,1)-coderivation of section-5 M_2(QZ_2) is re-verified by one call of
-    the residual the system was compiled from (one call per unknown), on lambda_g
-    and lambda_1 built once per call, with no product g b_k or 1 b_k taken again."""
+    """One residual is built per call: it compiles the system (one call per
+    unknown) and re-verifies each (g,1)-coderivation of section-5 M_2(QZ_2),
+    on lambda_g and lambda_1 built once, with no product g b_k or 1 b_k taken again."""
     import weakhopf.coderivations
     R, g = s5_m2qz2.R, s5_m2qz2.g
     build, evaluations = weakhopf.coderivations.coderivation_residual, []
@@ -109,8 +110,16 @@ def test_coderivation_space_reverifies_on_lambdas_built_once(count_calls, monkey
     calls = count_calls("BasisView.multiply")
     space = coderivation_space(R, g, R.unit)
     assert len(space) == R.dim
-    assert evaluations == [R.dim ** 2, len(space)]
+    assert evaluations == [R.dim ** 2 + len(space)] == [72]
     assert calls["BasisView.multiply"] == 0
+
+
+def test_coderivation_space_builds_one_residual(count_calls, s5_m2qz2):
+    """The residual that compiles the system also re-checks its kernel."""
+    R, g = s5_m2qz2.R, s5_m2qz2.g
+    calls = count_calls("coderivation_residual")
+    assert len(coderivation_space(R, g, R.unit)) == R.dim
+    assert calls["coderivation_residual"] == 1
 
 
 def test_coderivation_space_builds_each_lambda_once(count_calls, s5_m2qz2):
@@ -147,7 +156,8 @@ def test_constraint_kernel_against_dense_oracle(M2, M3, QZ2):
              (QZ2, QZ2.basis_vector(1), QZ2.unit)]
     for wb, g, h in cases:
         left_mult = wb.left_mult_matrix
-        constraint = coderivation_constraint_matrix(wb, left_mult(g), left_mult(h))
+        residual = coderivation_residual(wb, left_mult(g), left_mult(h))
+        constraint = coderivation_constraint_matrix(wb, residual)
         oracle = dense_nullspace(to_dense(constraint), constraint.cols, wb.field)
         assert len(oracle) == len(coderivation_space(wb, g, h))
 
@@ -178,7 +188,7 @@ def test_compiled_coderivation_system_has_the_reference_rows(request, case):
         wb = function_algebra(GroupPresentation.symmetric(3), Field.prime(3))
         g = h = wb.unit
     lambda_g, lambda_h = wb.left_mult_matrix(g), wb.left_mult_matrix(h)
-    compiled = coderivation_constraint_matrix(wb, lambda_g, lambda_h)
+    compiled = coderivation_constraint_matrix(wb, coderivation_residual(wb, lambda_g, lambda_h))
     reference = reference_coderivation_rows(wb, lambda_g, lambda_h)
     assert reference and distinct_rows(compiled) == reference
     assert compiled.rows >= len(reference)
@@ -188,7 +198,8 @@ def test_shifted_coderivation_space_maps_fail_on_function_algebra_d6():
     kg = function_algebra(dihedral(6))
     dim, unit = kg.dim, kg.unit
     lambda_1 = kg.left_mult_matrix(unit)
-    constraint = to_dense(coderivation_constraint_matrix(kg, lambda_1, lambda_1))
+    residual = coderivation_residual(kg, lambda_1, lambda_1)
+    constraint = to_dense(coderivation_constraint_matrix(kg, residual))
     basis = coderivation_space(kg, unit, unit)
     assert len(basis) == 12 - 6  # |G| - #conjugacy classes
     for m in basis:

@@ -15,15 +15,15 @@ from weakhopf.errors import TooLarge, ValidationError
 from weakhopf.fields import Field, QQ
 from weakhopf.groupoid import GroupPresentation, group_algebra, matrix_algebra
 from weakhopf.grouplike import (SCAN_LIMIT, brute_force_weak_grouplikes,
-                                enumerate_weak_grouplikes_matrix, is_grouplike,
-                                is_weak_character, is_weak_grouplike, winding)
+                                enumerate_weak_grouplikes_matrix, is_weak_character,
+                                is_weak_grouplike, winding)
 from weakhopf.linalg import Matrix, rank
 from weakhopf.panov import groupoid_character
 from weakhopf.specfile import parse_spec
 
 from lemmas import (ad_map, axiom_passed, basis_element, char_antipode_report, character_from_endo,
                     convolution_inverse, counit_value, function_algebra, grouplike_identity_report,
-                    grouplike_monoid_closed, identity)
+                    grouplike_monoid_closed, identity, is_grouplike)
 from oracles import definition_weak_grouplikes
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from weakhopf.errors import ParseError, ValidationError
 from weakhopf.fields import GF, Field, QQ
-from weakhopf.linalg import Matrix, column_space_basis, kernel_basis, rank, solve
+from weakhopf.linalg import (Matrix, column_space_basis, constraint_matrix, kernel_basis, rank,
+                             residual_kernel, solve)
 
 from lemmas import from_rows_dense, identity, kron
 from oracles import (dense_matmul, dense_nullspace, dense_rank, dense_rref, dense_solve,
@@ -251,6 +252,22 @@ def test_column_space_basis_spans_columns():
     for col in m.column_dicts():
         assert solve(span, col) is not None
     assert len(basis) == rank(m)
+
+
+def test_residual_kernel_rechecks_every_vector_with_its_residual():
+    """The kernel of the system x0 = x1 passes the residual it was compiled
+    from; a residual that also asks x2 = 0 fails on the free vector e_2."""
+    def equal(x):
+        return {(0,): d} if (d := x.get(0, 0) - x.get(1, 0)) else {}
+
+    def stricter(x):
+        return equal(x) | ({(1,): x[2]} if x.get(2) else {})
+
+    system = constraint_matrix(QQ, 3, equal)
+    assert residual_kernel(system, equal) == kernel_basis(system) == \
+        [{1: Fraction(1), 0: Fraction(1)}, {2: Fraction(1)}]
+    with pytest.raises(ValidationError, match=r"fails its residual at \(1,\)"):
+        residual_kernel(system, stricter)
 
 
 # -- kronecker product --------------------------------------------------------

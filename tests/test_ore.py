@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from weakhopf.bialgebra import base_subalgebras
+from weakhopf.cli import main
 from weakhopf.errors import ConditionsFailed, NotAutomorphism, NotDerivation, ValidationError
 from weakhopf.fields import QQ
 from weakhopf.fixtures import twisted_derivation_data
@@ -367,10 +368,10 @@ def test_H_source_base_equals_R_source_base(sweedler_H, s5_H):
 
 def test_corrupted_antipode_sign_fails_antipode_axioms(sweedler):
     good = extend_antipode(make_ore(sweedler.R, sweedler.sigma, sweedler.delta, sweedler.g))
-    bad = OreAlgebra(sweedler.R, sweedler.sigma, sweedler.delta, sweedler.g,
-                     _coalgebra_extended=True, _antipode_extended=True)
     s_g = sweedler.R.antipode_matrix.apply(sweedler.g)
-    bad._s_x = bad.multiply(bad.embed(s_g), bad.x())  # sign flipped: +S(g)x
+    s_x = {(b, 1): c for b, c in sweedler.R.multiply(s_g, sweedler.R.unit).items()}
+    bad = OreAlgebra(sweedler.R, sweedler.sigma, sweedler.delta, sweedler.g,
+                     _coalgebra_extended=True, s_x=s_x)  # sign flipped: +S(g)x
     report = verify_extension(bad, 2)
     assert not report.passed
     failing = {name for name in axiom_names(report) if not axiom_passed(report, name)}
@@ -381,3 +382,14 @@ def test_corrupted_antipode_sign_fails_antipode_axioms(sweedler):
     assert first.witness[1] == 1  # a degree-1 witness
     assert axiom_passed(report, "coproduct_multiplicative")
     assert axiom_passed(report, "counit_weak_multiplicative")
+
+
+def test_ore_build_reads_the_base_subalgebras_of_r_once(count_calls, tmp_path):
+    """extend_antipode's clause delta_kills_source_base and verify_extension's
+    source_base_commutes_with_x read one R_s, cached on R: one column space
+    each for R_t and R_s."""
+    spec = str(tmp_path / "sweedler.json")
+    assert main(["example", "sweedler", "-o", spec]) == 0
+    calls = count_calls("column_space_basis")
+    assert main(["ore", "build", spec, "--verify-degree", "2"]) == 0
+    assert calls["column_space_basis"] == 2

@@ -10,9 +10,9 @@ from weakhopf.fields import QQ, Field
 from weakhopf.fixtures import twisted_derivation_data
 from weakhopf.groupoid import GroupPresentation, build_groupoid_algebra, matrix_algebra
 from weakhopf.grouplike import winding
-from weakhopf.linalg import Matrix
+from weakhopf.linalg import Matrix, constraint_matrix
 from weakhopf.ore import extend_antipode, extend_coalgebra, make_ore, verify_extension
-from weakhopf.panov import (NECESSARY, SUFFICIENT, PanovClauses, alpha_constraint_matrix,
+from weakhopf.panov import (NECESSARY, SUFFICIENT, PanovClauses, alpha_residual,
                             build_twisted_derivation, groupoid_character, hopf_conditions,
                             panov_necessary, panov_sufficient, solve_alpha)
 from weakhopf.specfile import parse_spec
@@ -357,7 +357,7 @@ def test_solve_alpha_counit_gives_zero(QZ2):
 
 def test_solve_alpha_dimension_matches_dense_oracle(s5_m2qz2):
     ga, chi = s5_m2qz2.R, s5_m2qz2.chi
-    constraint = alpha_constraint_matrix(ga, chi)
+    constraint = constraint_matrix(ga.field, ga.dim, alpha_residual(ga, chi))
     oracle = dense_nullspace(to_dense(constraint), constraint.cols, ga.field)
     assert len(solve_alpha(ga, chi)) == len(oracle)
 
@@ -374,7 +374,15 @@ def test_compiled_alpha_system_has_the_reference_rows(m, n, rho, q, p):
     ga = build_groupoid_algebra(GroupPresentation.cyclic(m), n, p and Field.prime(p))
     chi = groupoid_character(ga, rho, q)
     reference = reference_alpha_rows(ga, chi)
-    assert reference and distinct_rows(alpha_constraint_matrix(ga, chi)) == reference
+    compiled = constraint_matrix(ga.field, ga.dim, alpha_residual(ga, chi))
+    assert reference and distinct_rows(compiled) == reference
+
+
+def test_solve_alpha_builds_one_residual(count_calls, s5_qz2):
+    """The residual that compiles the alpha system also re-checks its kernel."""
+    calls = count_calls("alpha_residual")
+    assert len(solve_alpha(s5_qz2.R, s5_qz2.chi)) == 1
+    assert calls["alpha_residual"] == 1
 
 
 def test_alpha_solutions_respect_zero_products(QZ4):
@@ -401,17 +409,17 @@ def test_build_twisted_derivation_values(s5_qz2):
 
 
 def test_build_twisted_derivation_zero_alpha(QZ2):
-    chi = {0: Fraction(1), 1: Fraction(-1)}
-    delta = build_twisted_derivation(QZ2, QZ2.basis_vector(1), chi, {})
+    sigma = winding(QZ2, {0: Fraction(1), 1: Fraction(-1)}, "left")
+    delta = build_twisted_derivation(QZ2, QZ2.basis_vector(1), sigma, {})
     assert not delta.data
 
 
 def test_build_twisted_derivation_scales_linearly(QZ2):
     chi = {0: Fraction(1), 1: Fraction(-1)}
-    alpha = solve_alpha(QZ2, chi)[0]
-    d1 = build_twisted_derivation(QZ2, QZ2.basis_vector(1), chi, alpha)
+    alpha, sigma = solve_alpha(QZ2, chi)[0], winding(QZ2, chi, "left")
+    d1 = build_twisted_derivation(QZ2, QZ2.basis_vector(1), sigma, alpha)
     alpha3 = {k: 3 * c for k, c in alpha.items()}
-    d3 = build_twisted_derivation(QZ2, QZ2.basis_vector(1), chi, alpha3)
+    d3 = build_twisted_derivation(QZ2, QZ2.basis_vector(1), sigma, alpha3)
     assert d3.data == {rc: 3 * c for rc, c in d1.data.items()}
 
 
@@ -419,14 +427,32 @@ def test_build_twisted_derivation_requires_central(M2):
     swap = basis_element(M2, 0, 0, 1) | basis_element(M2, 0, 1, 0)
     chi = groupoid_character(M2, [Fraction(1)], [Fraction(1), Fraction(2)])
     with pytest.raises(NotCentral):
-        build_twisted_derivation(M2, swap, chi, {})
+        build_twisted_derivation(M2, swap, winding(M2, chi, "left"), {})
 
 
 def test_build_twisted_derivation_requires_grouplike(M2):
     chi = groupoid_character(M2, [Fraction(1)], [Fraction(1), Fraction(2)])
     not_grouplike = basis_element(M2, 0, 0, 0) | basis_element(M2, 0, 0, 1)
     with pytest.raises(NotGrouplike):
-        build_twisted_derivation(M2, not_grouplike, chi, {})
+        build_twisted_derivation(M2, not_grouplike, winding(M2, chi, "left"), {})
+
+
+def test_section5_data_builds_each_winding_and_lambda_g_once(count_calls, monkeypatch):
+    """twisted_derivation_data over QZ_2 with alpha != 0 makes four windings:
+    groupoid_character's left and right check, sigma = tau_chi^l, which
+    build_twisted_derivation takes instead of building it again, and
+    tau_alpha^l; and lambda_g once, for the group-like check and the
+    coderivation clause."""
+    group = GroupPresentation.cyclic(2)
+    g = build_groupoid_algebra(group, 1).central_grouplike(1)
+    built, left_mult = [], WeakBialgebra.left_mult_matrix
+    monkeypatch.setattr(WeakBialgebra, "left_mult_matrix",
+                        lambda wb, a: built.append(a) or left_mult(wb, a))
+    calls = count_calls("winding")
+    data = twisted_derivation_data(group, 1, rho=[1, -1], q=[1])
+    assert data.alpha is not None and data.g == g
+    assert calls["winding"] == 4
+    assert built.count(g) == 1
 
 
 def test_section5_delta_is_valid_ore_input(s5_qz2):
