@@ -14,13 +14,11 @@ import sys
 from .bialgebra import (algebra_report, check_antipode, check_weak_bialgebra,
                         coalgebra_report)
 from .coderivations import skew_derivation
-from .errors import ConditionsFailed, TooLarge, ValidationError, WeakHopfError
+from .errors import ConditionsFailed, ValidationError, WeakHopfError
 from .fields import Field, is_prime
-from .fixtures import twisted_derivation_data, sweedler_data
+from .fixtures import OreData, twisted_derivation_data, sweedler_data
 from .groupoid import GroupPresentation, build_groupoid_algebra, matrix_algebra
-from .grouplike import (ConvolutionInverse, brute_force_weak_grouplikes,
-                        enumerate_weak_grouplikes_matrix, is_unital_algebra_endo,
-                        one_sided_inverse, winding)
+from .grouplike import Character, brute_force_weak_grouplikes, enumerate_weak_grouplikes_matrix
 from .ore import (extend_antipode, extend_coalgebra, make_ore, refuse_large_degree,
                   verify_extension)
 from .panov import HOPF, NECESSARY, SUFFICIENT, PanovClauses, groupoid_character
@@ -76,23 +74,18 @@ def cmd_characters(args):
     bundle = parse_spec(args.spec)
     if args.verify not in bundle.functionals:
         raise ValidationError(f"no functional named {args.verify!r} in the spec file")
-    chi = bundle.functionals[args.verify]
-    wb = bundle.wb
-    tau_left, tau_right = winding(wb, chi, "left"), winding(wb, chi, "right")
-    left = is_unital_algebra_endo(wb, tau_left) is None
-    right = is_unital_algebra_endo(wb, tau_right) is None
+    wb, character = bundle.wb, Character(bundle.wb, bundle.functionals[args.verify])
+    left, right = character.left_failure is None, character.right_failure is None
     print(f"CHARACTER left {'PASS' if left else 'FAIL'}")
     print(f"CHARACTER right {'PASS' if right else 'FAIL'}")
-    inv = ConvolutionInverse(one_sided_inverse(wb, chi, "left", tau_right),
-                             one_sided_inverse(wb, chi, "right", tau_left))
-    if inv.two_sided is not None:
+    if character.inverse is not None:
         zero = wb.field.zero()
         print("INVERSE two-sided " + " ".join(
-            str(wb.field.format(inv.two_sided.get(i, zero))) for i in range(wb.dim)))
+            str(wb.field.format(character.inverse.get(i, zero))) for i in range(wb.dim)))
     else:
-        print(f"INVERSE left={'yes' if inv.left is not None else 'no'} "
-              f"right={'yes' if inv.right is not None else 'no'}")
-    _print_chi(wb, chi)
+        print(f"INVERSE left={'yes' if character.left_inverse is not None else 'no'} "
+              f"right={'yes' if character.right_inverse is not None else 'no'}")
+    _print_chi(wb, character.chi)
     return 0 if (left and right) else 1
 
 
@@ -129,8 +122,6 @@ def cmd_panov(args):
 
 
 def cmd_ore(args):
-    if args.ore_command != "build":
-        raise ValidationError(f"unknown ore subcommand {args.ore_command!r}")
     bundle = parse_spec(args.spec)
     refuse_large_degree(bundle.wb, args.verify_degree)
     sigma, delta, g = _named_ore_data(bundle, args)
@@ -171,13 +162,13 @@ def _scalar_list(field, text):
     return [field.parse(part.strip()) for part in text.split(",") if part.strip()]
 
 
-def _sweedler_bundle() -> SpecBundle:
-    data = sweedler_data()
+def _ore_bundle(data: OreData, name, **functionals) -> SpecBundle:
+    """The spec of Ore data: g, chi and any extra functionals, sigma and delta."""
     return SpecBundle(field=data.R.field, wb=data.R,
                       elements={"g": data.g},
-                      functionals={"chi": data.chi},
+                      functionals={"chi": data.chi, **functionals},
                       maps={"sigma": data.sigma, "delta": data.delta},
-                      name="sweedler-data")
+                      name=name)
 
 
 def _matrix_bundle(n) -> SpecBundle:
@@ -186,13 +177,13 @@ def _matrix_bundle(n) -> SpecBundle:
     q = [field(i + 1) for i in range(n)]
     functionals = {}
     if n > 1:
-        functionals["chi"] = groupoid_character(ga, [field.one()], q)
+        functionals["chi"] = groupoid_character(ga, [field.one()], q).chi
     return SpecBundle(field=field, wb=ga, functionals=functionals, name=f"m{n}q")
 
 
 def cmd_example(args):
     if args.kind == "sweedler":
-        bundle = _sweedler_bundle()
+        bundle = _ore_bundle(sweedler_data(), "sweedler-data")
     elif args.kind == "matrix":
         n = _int_param(args.params[0], "matrix size") if args.params else 2
         bundle = _matrix_bundle(n)
@@ -203,23 +194,14 @@ def cmd_example(args):
         n = _int_param(args.params[1], "groupoid size")
         ga = build_groupoid_algebra(group, n)
         bundle = SpecBundle(field=ga.field, wb=ga, name=f"m{n}k{group.name}")
-    elif args.kind == "section5":
+    else:  # section5; argparse refuses any other kind
         group = _parse_group(args.group)
         field = Field.rationals()
         rho = _scalar_list(field, args.rho)
         q = _scalar_list(field, args.q)
         data = twisted_derivation_data(group, args.n, rho, q)
-        functionals = {"chi": data.chi}
-        if data.alpha is not None:
-            functionals["alpha"] = data.alpha
-        bundle = SpecBundle(
-            field=field, wb=data.R,
-            elements={"g": data.g},
-            functionals=functionals,
-            maps={"sigma": data.sigma, "delta": data.delta},
-            name=f"section5-{group.name}-n{args.n}")
-    else:
-        raise ValidationError(f"unknown example {args.kind!r}")
+        alpha = {} if data.alpha is None else {"alpha": data.alpha}
+        bundle = _ore_bundle(data, f"section5-{group.name}-n{args.n}", **alpha)
     if args.output:
         write_spec(bundle, args.output)
         print(f"WROTE {args.output}")
@@ -290,7 +272,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (TooLarge, WeakHopfError) as exc:
+    except WeakHopfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

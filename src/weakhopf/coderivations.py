@@ -106,12 +106,6 @@ def _coderivation_failure(wb: WeakBialgebra, delta: Matrix, lam_g: Matrix, lam_h
     return min((k for k, _, _ in defect), default=None)
 
 
-def is_coderivation(wb: WeakBialgebra, delta: Matrix, g: dict, h: dict) -> bool:
-    """Delta(delta(b_k)) = (lambda_g (x) delta + delta (x) lambda_h) Delta(b_k) for every k."""
-    left_mult = wb.left_mult_matrix
-    return _coderivation_failure(wb, delta, left_mult(g), left_mult(h)) is None
-
-
 def coderivation_constraint_matrix(wb: WeakBialgebra, residual) -> Matrix:
     """The linear system whose kernel is the space of (g,h)-coderivations:
     the caller's :func:`coderivation_residual` compiled, one row per key (k, u, v)."""

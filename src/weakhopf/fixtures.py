@@ -56,17 +56,17 @@ def twisted_derivation_data(group: GroupPresentation, n: int, rho, q,
                             field: Field | None = None) -> TwistedDerivationData:
     """Build (M_n(kG), tau_chi^l, (1-g) tau_alpha^l, g) from character data.
 
-    g is the group element of index 1 (it must be central); alpha is the
-    first vector of the solver's basis and may be absent, in which case
-    delta = 0.
+    g is the group element of index 1 (it must be central); sigma is the
+    left winding groupoid_character built to check chi; alpha is the first
+    vector of the solver's basis and may be absent, in which case delta = 0.
     """
     ga = build_groupoid_algebra(group, n, field)
     if group.order < 2:
         raise ValidationError("group has no element of index 1")
     if 1 not in group.center():
         raise ValidationError(f"group element {group.labels[1]} is not central")
-    chi = groupoid_character(ga, rho, q)
-    sigma = winding(ga, chi, "left")
+    character = groupoid_character(ga, rho, q)
+    chi, sigma = character.chi, character.left
     g = ga.central_grouplike(1)
     alpha_basis = solve_alpha(ga, chi)
     if alpha_basis:

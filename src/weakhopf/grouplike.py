@@ -2,9 +2,10 @@
 
 A weak group-like g satisfies Delta(g) = Delta(1)(g (x) g) = (g (x) g)Delta(1);
 the invertible ones are the group-likes.  A weak character is a functional
-whose winding map is a unital algebra endomorphism.  For matrix algebras
-the weak group-likes are enumerated in closed form (partial injections) and
-cross-checkable by exhaustive scan over a small prime field.
+whose winding map is a unital algebra endomorphism; :class:`Character`
+decides that, and the convolution inverses, for one functional.  For matrix
+algebras the weak group-likes are enumerated in closed form (partial
+injections) and cross-checkable by exhaustive scan over a small prime field.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .bialgebra import WeakBialgebra, convolution
 from .errors import TooLarge
@@ -181,33 +183,54 @@ def is_unital_algebra_endo(wb: WeakBialgebra, m: Matrix):
     return None
 
 
-def is_weak_character(wb: WeakBialgebra, chi: dict, side: str) -> bool:
-    return is_unital_algebra_endo(wb, winding(wb, chi, side)) is None
+class Character:
+    """A functional chi on wb decided as a weak character, each value computed
+    once, on first use: its windings ``left`` (tau_chi^l) and ``right``
+    (tau_chi^r), the :func:`is_unital_algebra_endo` witness of each
+    (``left_failure``, ``right_failure``, None when the winding is a unital
+    algebra map) and its one-sided convolution inverses.
 
+    chi' * chi = chi' o tau_chi^r and chi * chi' = chi' o tau_chi^l, so the
+    left inverse solves tau^T chi' = eps on the right winding tau and the right
+    inverse on the left winding; a solution is kept only if its convolution
+    with chi gives eps.
+    """
 
-@dataclass
-class ConvolutionInverse:
-    left: dict | None
-    right: dict | None
+    def __init__(self, wb: WeakBialgebra, chi: dict):
+        self.wb, self.chi = wb, chi
+
+    @cached_property
+    def left(self) -> Matrix:
+        return winding(self.wb, self.chi, "left")
+
+    @cached_property
+    def right(self) -> Matrix:
+        return winding(self.wb, self.chi, "right")
+
+    @cached_property
+    def left_failure(self):
+        return is_unital_algebra_endo(self.wb, self.left)
+
+    @cached_property
+    def right_failure(self):
+        return is_unital_algebra_endo(self.wb, self.right)
+
+    @cached_property
+    def left_inverse(self) -> dict | None:  # chi' with chi' * chi = eps
+        return self._inverse(self.right, lambda sol: convolution(sol, self.chi, self.wb))
+
+    @cached_property
+    def right_inverse(self) -> dict | None:  # chi' with chi * chi' = eps
+        return self._inverse(self.left, lambda sol: convolution(self.chi, sol, self.wb))
 
     @property
-    def two_sided(self):
-        # in a monoid a left and a right inverse coincide
-        if self.left is not None and self.right is not None:
-            return self.right
-        return None
+    def inverse(self) -> dict | None:
+        """The two-sided convolution inverse, or None: in a monoid a right and a
+        left inverse coincide."""
+        right = self.right_inverse
+        return right if right is not None and self.left_inverse is not None else None
 
-
-def one_sided_inverse(wb: WeakBialgebra, chi: dict, side: str, tau: Matrix) -> dict | None:
-    """chi's left (side="left") or right convolution inverse chi', or None.
-
-    chi' * chi = chi' o tau_chi^r and chi * chi' = chi' o tau_chi^l, so chi'
-    solves tau^T chi' = eps, where tau is chi's winding on the other side;
-    the solution is kept only if the convolution with chi gives eps.
-    """
-    eps = wb.counit_vector
-    sol = solve(tau.transpose(), eps)
-    if sol is None:
-        return None
-    product = convolution(sol, chi, wb) if side == "left" else convolution(chi, sol, wb)
-    return sol if product == eps else None
+    def _inverse(self, tau: Matrix, convolve) -> dict | None:
+        eps = self.wb.counit_vector
+        sol = solve(tau.transpose(), eps)
+        return sol if sol is not None and convolve(sol) == eps else None

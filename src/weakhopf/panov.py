@@ -22,8 +22,7 @@ from .bialgebra import WeakBialgebra, WeakHopfAlgebra, _nonzero, base_subalgebra
 from .coderivations import _coderivation_failure, is_sigma_derivation
 from .errors import InvalidGroupCharacter, NotCentral, NotGrouplike, ValidationError, ZeroScale
 from .groupoid import GroupoidAlgebra
-from .grouplike import (grouplike_inverse, is_unital_algebra_endo, is_weak_character,
-                        is_weak_grouplike, one_sided_inverse, winding)
+from .grouplike import Character, grouplike_inverse, is_weak_grouplike, winding
 from .linalg import Matrix, constraint_matrix, residual_kernel
 from .report import _fmt_witness
 
@@ -95,8 +94,9 @@ class PanovClauses:
     Clause ``name`` is evaluated by the method ``_name``, which returns
     (passed, witness), at most once per object and only when asked for; a
     clause may read another's result.  What several clauses read is computed
-    once, on first use: chi = eps o sigma, its windings and the convolution
-    inverses solved on them, lambda_g, g^-1 solved on it, and Ad_g.
+    once, on first use: chi = eps o sigma as one :class:`Character` (its
+    windings, their endomorphism checks and its convolution inverses),
+    lambda_g, g^-1 solved on it, and Ad_g.
     Two pairs of clause names state one identity each and read one result:
     the sigma twist (coproduct_sigma_g_twist and its expanded form) and the
     skew-coderivation identity (delta_is_skew_coderivation and
@@ -105,7 +105,7 @@ class PanovClauses:
 
     def __init__(self, wb: WeakBialgebra, sigma: Matrix, delta: Matrix, g: dict):
         self.wb, self.sigma, self.delta, self.g = wb, sigma, delta, g
-        self.chi = sigma.apply_functional(wb.counit_vector)  # eps o sigma
+        self.character = Character(wb, sigma.apply_functional(wb.counit_vector))  # eps o sigma
         self._results = {}
 
     def result(self, name) -> ClauseResult:
@@ -118,22 +118,10 @@ class PanovClauses:
         """The clauses ``names`` in order, with chi when sigma is its left winding."""
         verdict = PanovVerdict([self.result(name) for name in names])
         if "sigma_is_left_winding" in names and self.result("sigma_is_left_winding").passed:
-            verdict.chi = self.chi
+            verdict.chi = self.character.chi
         return verdict
 
     # -- shared quantities --------------------------------------------------
-
-    @cached_property
-    def _left(self) -> Matrix:
-        return winding(self.wb, self.chi, "left")
-
-    @cached_property
-    def _right(self) -> Matrix:
-        return winding(self.wb, self.chi, "right")
-
-    @cached_property
-    def _right_inverse(self) -> dict | None:  # chi' with chi * chi' = eps
-        return one_sided_inverse(self.wb, self.chi, "right", self._left)
 
     @cached_property
     def _lambda_g(self) -> Matrix:
@@ -191,24 +179,23 @@ class PanovClauses:
         return self._skew_coderivation_failure is None, None
 
     def _sigma_is_left_winding(self):
-        return _columns_agree(self.wb, self._left, self.sigma)
+        return _columns_agree(self.wb, self.character.left, self.sigma)
 
     def _chi_weak_left_character(self):
-        return is_unital_algebra_endo(self.wb, self._left) is None, None
+        return self.character.left_failure is None, None
 
     def _chi_has_right_inverse(self):
-        return self._right_inverse is not None, None
+        return self.character.right_inverse is not None, None
 
     def _chi_is_character(self):
-        return (self.result("chi_weak_left_character").passed
-                and is_unital_algebra_endo(self.wb, self._right) is None
-                and self._right_inverse is not None
-                and one_sided_inverse(self.wb, self.chi, "left", self._right) is not None), None
+        c = self.character
+        return (c.left_failure is None and c.right_failure is None
+                and c.inverse is not None), None
 
     def _sigma_is_adjoint_right_winding(self):
         if self._adg is None:
             return False, ("g not invertible",)
-        return self._adg * self._right == self.sigma, None
+        return self._adg * self.character.right == self.sigma, None
 
     def _counit_delta_orthogonal(self):
         witness = eps_a_delta_b_zero(self.wb, self.delta)
@@ -291,15 +278,16 @@ def hopf_conditions(wha: WeakHopfAlgebra, sigma: Matrix, delta: Matrix, g: dict)
 # ---------------------------------------------------------------------------
 
 
-def groupoid_character(ga: GroupoidAlgebra, rho, q) -> dict:
-    """The character chi(g E_ij) = q_i^-1 q_j rho(g) of M_n(kG).
+def groupoid_character(ga: GroupoidAlgebra, rho, q) -> Character:
+    """The character chi(g E_ij) = q_i^-1 q_j rho(g) of M_n(kG), as a
+    :class:`Character` whose ``chi`` is the functional.
 
     rho is a list of |G| nonzero scalars forming a group character, q a list
     of n nonzero scalars (only the ratios q_i^-1 q_j matter); Python ints
     are taken as field elements, other foreign scalars refused by
     :meth:`Field.coerce`.  The result is verified to be a two-sided weak
-    character whose convolution inverse is chi o S; a failure raises, since
-    the family is closed-form.
+    character (both its windings are built, once) whose convolution inverse
+    is chi o S; a failure raises, since the family is closed-form.
     """
     group, n = ga.group, ga.n
     rho = [ga.field.coerce(x) for x in rho]
@@ -324,13 +312,14 @@ def groupoid_character(ga: GroupoidAlgebra, rho, q) -> dict:
     chi = {ga.basis_index(g, i, j): c for g in range(group.order)
            for i in range(n) for j in range(n) if (c := q[j] / q[i] * rho[g])}
 
-    if not (is_weak_character(ga, chi, "left") and is_weak_character(ga, chi, "right")):
+    character = Character(ga, chi)
+    if character.left_failure is not None or character.right_failure is not None:
         raise ValidationError("groupoid character failed the winding check")
     chi_s = ga.antipode_matrix.apply_functional(chi)
     eps = ga.counit_vector
     if convolution(chi_s, chi, ga) != eps or convolution(chi, chi_s, ga) != eps:
         raise ValidationError("chi o S is not the convolution inverse of chi")
-    return chi
+    return character
 
 
 def alpha_residual(ga: GroupoidAlgebra, chi: dict):

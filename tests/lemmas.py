@@ -7,14 +7,15 @@ build, all on the package's public objects and basis views.
 """
 
 import math
+from types import SimpleNamespace
 
 from weakhopf.bialgebra import WeakBialgebra, WeakHopfAlgebra, convolution
-from weakhopf.coderivations import is_coderivation
+from weakhopf.coderivations import _coderivation_failure
 from weakhopf.errors import ValidationError, WeakHopfError
 from weakhopf.fields import Field
 from weakhopf.groupoid import GroupPresentation, group_algebra, matrix_algebra
-from weakhopf.grouplike import (ConvolutionInverse, grouplike_inverse, is_unital_algebra_endo,
-                                is_weak_character, is_weak_grouplike, one_sided_inverse, winding)
+from weakhopf.grouplike import (Character, grouplike_inverse, is_unital_algebra_endo,
+                                is_weak_grouplike, winding)
 from weakhopf.linalg import Matrix, solve
 from weakhopf.panov import PanovClauses, hopf_conditions
 from weakhopf.report import AxiomReport
@@ -48,10 +49,22 @@ def axiom_passed(report, axiom) -> bool:
     return f"AXIOM {axiom} PASS" in report.lines()
 
 
-def convolution_inverse(wb, chi) -> ConvolutionInverse:
-    """Solve chi' * chi = eps (left) and chi * chi' = eps (right) as linear systems."""
-    return ConvolutionInverse(one_sided_inverse(wb, chi, "left", winding(wb, chi, "right")),
-                              one_sided_inverse(wb, chi, "right", winding(wb, chi, "left")))
+def convolution_inverse(wb, chi) -> SimpleNamespace:
+    """chi's convolution inverses from one Character: ``left`` (chi' * chi = eps),
+    ``right`` (chi * chi' = eps) and ``two_sided``, each None when absent."""
+    c = Character(wb, chi)
+    return SimpleNamespace(left=c.left_inverse, right=c.right_inverse, two_sided=c.inverse)
+
+
+def is_weak_character(wb, chi, side) -> bool:
+    """Whether chi's winding on ``side`` ("left" or "right") is a unital algebra map."""
+    return getattr(Character(wb, chi), f"{side}_failure") is None
+
+
+def is_coderivation(wb, delta, g, h) -> bool:
+    """Delta(delta(b_k)) = (lambda_g (x) delta + delta (x) lambda_h) Delta(b_k) for every k."""
+    left_mult = wb.left_mult_matrix
+    return _coderivation_failure(wb, delta, left_mult(g), left_mult(h)) is None
 
 
 def is_grouplike(wb, g) -> dict | None:

@@ -305,9 +305,9 @@ def test_convolution_associative(M2Z2):
 
 def test_character_convolution_is_pointwise_on_matrix_algebra(M2):
     one = Fraction(1)
-    chi_q = groupoid_character(M2, [one], [Fraction(1), Fraction(2)])
-    chi_r = groupoid_character(M2, [one], [Fraction(1), Fraction(3)])
-    expected = groupoid_character(M2, [one], [Fraction(1), Fraction(6)])
+    chi_q = groupoid_character(M2, [one], [Fraction(1), Fraction(2)]).chi
+    chi_r = groupoid_character(M2, [one], [Fraction(1), Fraction(3)]).chi
+    expected = groupoid_character(M2, [one], [Fraction(1), Fraction(6)]).chi
     assert convolution(chi_q, chi_r, M2) == expected
 
 

@@ -6,8 +6,7 @@ from pathlib import Path
 import pytest
 
 from weakhopf.coderivations import (coderivation_constraint_matrix, coderivation_residual,
-                                    coderivation_space, is_coderivation, is_sigma_derivation,
-                                    skew_derivation)
+                                    coderivation_space, is_sigma_derivation, skew_derivation)
 from weakhopf.errors import NotAutomorphism, NotDerivation
 from weakhopf.fields import Field, QQ
 from weakhopf.fixtures import twisted_derivation_data
@@ -18,7 +17,7 @@ from weakhopf.specfile import parse_spec
 
 from lemmas import (axiom_names, axiom_passed, basis_element, counit_value, dihedral,
                     eps_delta_report, function_algebra, identity, inner_coderivation,
-                    is_skew_primitive, skew_primitive_identity_report, tensor_product,
+                    is_coderivation, is_skew_primitive, skew_primitive_identity_report, tensor_product,
                     truncated_primitive_hopf)
 from oracles import (dense_matmul, dense_nullspace, distinct_rows, reference_coderivation_rows,
                      to_dense)

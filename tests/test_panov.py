@@ -4,7 +4,7 @@ import pytest
 
 from weakhopf.bialgebra import WeakBialgebra, check_antipode, check_weak_bialgebra
 from weakhopf.cli import main
-from weakhopf.coderivations import is_coderivation, is_sigma_derivation
+from weakhopf.coderivations import is_sigma_derivation
 from weakhopf.errors import InvalidGroupCharacter, NotCentral, NotGrouplike, ZeroScale
 from weakhopf.fields import QQ, Field
 from weakhopf.fixtures import twisted_derivation_data
@@ -18,7 +18,7 @@ from weakhopf.panov import (NECESSARY, SUFFICIENT, PanovClauses, alpha_residual,
 from weakhopf.specfile import parse_spec
 
 from lemmas import (ad_map, axiom_passed, basis_element, centrality_report, char_antipode_report,
-                    identity, matches_tensor_factors)
+                    identity, is_coderivation, matches_tensor_factors)
 from oracles import (dense_nullspace, distinct_rows, pure_tensor, reference_alpha_rows,
                      to_dense)
 
@@ -118,18 +118,19 @@ def test_each_procedure_builds_each_winding_once(count_calls, request, name, pro
 
 def test_panov_hopf_evaluates_each_clause_once(count_calls, tmp_path):
     """One `panov --hopf` run decides the three procedures on one clause table:
-    chi's two windings, each of its one-sided convolution inverses (solved on
-    those windings) and the coderivation identity are each computed once; the
-    endomorphism checks are skew_derivation's on sigma and one per winding."""
+    chi's two windings, each of its one-sided convolution inverses (solved by
+    its Character on those windings) and the coderivation identity are each
+    computed once; the endomorphism checks are skew_derivation's on sigma and
+    one per winding."""
     spec = str(tmp_path / "s5.json")
     assert main(["example", "section5", "--group", "Z2", "--n", "3", "--q", "1,2,3",
                  "-o", spec]) == 0
     calls = count_calls("winding", "is_unital_algebra_endo", "_coderivation_failure",
-                        "one_sided_inverse")
+                        "Character._inverse")
     assert main(["panov", spec, "--hopf"]) == 0
     assert 0 < calls["winding"] <= 2
     assert calls["_coderivation_failure"] == 1
-    assert calls["one_sided_inverse"] == 2
+    assert calls["Character._inverse"] == 2
     assert 0 < calls["is_unital_algebra_endo"] <= 3
 
 
@@ -280,19 +281,19 @@ def test_group_and_groupoid_guards_refuse_before_building(count_calls, monkeypat
 
 
 def test_groupoid_character_values(M2Z2):
-    chi = groupoid_character(M2Z2, [Fraction(1), Fraction(-1)], [Fraction(1), Fraction(1)])
+    chi = groupoid_character(M2Z2, [Fraction(1), Fraction(-1)], [Fraction(1), Fraction(1)]).chi
     assert chi.get(M2Z2.basis_index(1, 0, 1)) == Fraction(-1)  # chi(t E12)
     assert chi.get(M2Z2.basis_index(0, 0, 1)) == Fraction(1)   # chi(E12)
 
 
 def test_groupoid_character_reduces_to_group_character(QZ3):
     omega = [Fraction(1), Fraction(1), Fraction(1)]
-    chi = groupoid_character(QZ3, omega, [Fraction(1)])
+    chi = groupoid_character(QZ3, omega, [Fraction(1)]).chi
     assert chi == dict(enumerate(omega))
 
 
 def test_groupoid_character_scale_ratios(M2):
-    chi = groupoid_character(M2, [Fraction(1)], [Fraction(1), Fraction(2)])
+    chi = groupoid_character(M2, [Fraction(1)], [Fraction(1), Fraction(2)]).chi
     assert chi.get(M2.basis_index(0, 0, 1)) == Fraction(2)
     assert chi.get(M2.basis_index(0, 1, 0)) == Fraction(1, 2)
 
@@ -306,8 +307,9 @@ def test_groupoid_character_validation(M2Z2, M2):
 
 def test_groupoid_character_takes_python_ints_exactly():
     M3 = matrix_algebra(3)
-    chi = groupoid_character(M3, [1], [1, 3, 7])
-    assert chi == groupoid_character(M3, [Fraction(1)], [Fraction(1), Fraction(3), Fraction(7)])
+    chi = groupoid_character(M3, [1], [1, 3, 7]).chi
+    assert chi == groupoid_character(M3, [Fraction(1)],
+                                     [Fraction(1), Fraction(3), Fraction(7)]).chi
     assert chi.get(M3.basis_index(0, 2, 1)) == Fraction(3, 7)
     assert all(type(c) is Fraction for c in chi.values())
 
@@ -335,7 +337,7 @@ def test_verify_extension_with_int_q_passes():
 
 
 def test_groupoid_character_passes_antipode_report(M2Z2):
-    chi = groupoid_character(M2Z2, [Fraction(1), Fraction(-1)], [Fraction(1), Fraction(2)])
+    chi = groupoid_character(M2Z2, [Fraction(1), Fraction(-1)], [Fraction(1), Fraction(2)]).chi
     assert char_antipode_report(M2Z2, chi).passed
 
 
@@ -372,7 +374,7 @@ def test_compiled_alpha_system_has_the_reference_rows(m, n, rho, q, p):
     """The alpha residual, compiled, has the same distinct rows as the reference
     row builder, over QQ (chi with denominators when q has them) and GF(p)."""
     ga = build_groupoid_algebra(GroupPresentation.cyclic(m), n, p and Field.prime(p))
-    chi = groupoid_character(ga, rho, q)
+    chi = groupoid_character(ga, rho, q).chi
     reference = reference_alpha_rows(ga, chi)
     compiled = constraint_matrix(ga.field, ga.dim, alpha_residual(ga, chi))
     assert reference and distinct_rows(compiled) == reference
@@ -425,24 +427,24 @@ def test_build_twisted_derivation_scales_linearly(QZ2):
 
 def test_build_twisted_derivation_requires_central(M2):
     swap = basis_element(M2, 0, 0, 1) | basis_element(M2, 0, 1, 0)
-    chi = groupoid_character(M2, [Fraction(1)], [Fraction(1), Fraction(2)])
+    chi = groupoid_character(M2, [Fraction(1)], [Fraction(1), Fraction(2)]).chi
     with pytest.raises(NotCentral):
         build_twisted_derivation(M2, swap, winding(M2, chi, "left"), {})
 
 
 def test_build_twisted_derivation_requires_grouplike(M2):
-    chi = groupoid_character(M2, [Fraction(1)], [Fraction(1), Fraction(2)])
+    chi = groupoid_character(M2, [Fraction(1)], [Fraction(1), Fraction(2)]).chi
     not_grouplike = basis_element(M2, 0, 0, 0) | basis_element(M2, 0, 0, 1)
     with pytest.raises(NotGrouplike):
         build_twisted_derivation(M2, not_grouplike, winding(M2, chi, "left"), {})
 
 
 def test_section5_data_builds_each_winding_and_lambda_g_once(count_calls, monkeypatch):
-    """twisted_derivation_data over QZ_2 with alpha != 0 makes four windings:
-    groupoid_character's left and right check, sigma = tau_chi^l, which
-    build_twisted_derivation takes instead of building it again, and
-    tau_alpha^l; and lambda_g once, for the group-like check and the
-    coderivation clause."""
+    """twisted_derivation_data over QZ_2 with alpha != 0 makes three windings:
+    the left and right winding of groupoid_character's Character, whose left
+    one is sigma = tau_chi^l, which build_twisted_derivation takes instead of
+    building it again, and tau_alpha^l; and lambda_g once, for the
+    group-like check and the coderivation clause."""
     group = GroupPresentation.cyclic(2)
     g = build_groupoid_algebra(group, 1).central_grouplike(1)
     built, left_mult = [], WeakBialgebra.left_mult_matrix
@@ -451,7 +453,7 @@ def test_section5_data_builds_each_winding_and_lambda_g_once(count_calls, monkey
     calls = count_calls("winding")
     data = twisted_derivation_data(group, 1, rho=[1, -1], q=[1])
     assert data.alpha is not None and data.g == g
-    assert calls["winding"] == 4
+    assert calls["winding"] == 3
     assert built.count(g) == 1
 
 

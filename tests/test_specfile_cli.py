@@ -167,7 +167,13 @@ def test_cli_check_missing_file(capsys):
 
 
 def test_cli_usage_error(capsys):
-    assert main(["frobnicate"]) == 2
+    """argparse refuses an unknown command, `ore` subcommand or example kind with
+    exit 2 before any command runs."""
+    spec = str(_data_path("sweedler-data.json"))
+    for argv in (["frobnicate"], ["ore", "frob", spec], ["example", "frob"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid choice" in captured.err
 
 
 def test_cli_grouplikes_matrix(capsys):
