@@ -337,10 +337,10 @@ def char_antipode_report(wha: WeakHopfAlgebra, chi: dict) -> AxiomReport:
     The hypothesis of (ii) is recorded as its own entry.
     """
     report = AxiomReport()
-    report.record("chi_weak_character_left", is_weak_character(wha, chi, "left"))
-    report.record("chi_weak_character_right", is_weak_character(wha, chi, "right"))
-    tau_r = winding(wha, chi, "right")
-    tau_l = winding(wha, chi, "left")
+    character = Character(wha, chi)
+    report.record("chi_weak_character_left", character.left_failure is None)
+    report.record("chi_weak_character_right", character.right_failure is None)
+    tau_r, tau_l = character.right, character.left
     S = wha.antipode_matrix
     m_t, m_s = wha.counital_matrices()[:2]
     report.check("antipode_conv_right_winding", map_convolution(S, tau_r, wha), m_s * tau_r)

@@ -17,8 +17,8 @@ from weakhopf.specfile import parse_spec
 
 from lemmas import (axiom_names, axiom_passed, basis_element, counit_value, dihedral,
                     eps_delta_report, function_algebra, identity, inner_coderivation,
-                    is_coderivation, is_skew_primitive, skew_primitive_identity_report, tensor_product,
-                    truncated_primitive_hopf)
+                    is_coderivation, is_skew_primitive, skew_primitive_identity_report,
+                    tensor_product, truncated_primitive_hopf)
 from oracles import (dense_matmul, dense_nullspace, distinct_rows, reference_coderivation_rows,
                      to_dense)
 
