@@ -18,7 +18,7 @@ are collected in an :class:`~weakhopf.report.AxiomReport`.  All instances
 are immutable after construction.
 
 The sweeps run on an :class:`IntegerView`: the tables of a field-valued
-basis view read once, on the keys the sweeps reach, and held as ints.  Over
+basis view on the keys the sweeps reach, held as ints.  Over
 QQ every table (products, unit, coproducts, counit, antipode) is multiplied
 by one integer D, the lcm of all their denominators, and over GF(p) the
 tables hold the residues, D = 1, compared mod p.  A value a sweep sums is
@@ -34,13 +34,16 @@ witnesses and sides read as they do on field scalars.
 
 The sweeps of R (:func:`algebra_report`, :func:`coalgebra_report`,
 :func:`check_weak_bialgebra`, :func:`check_antipode`) read R's structure
-constants on every basis key and key pair.  The Ore layer's
-``verify_extension`` reads H = R[x; sigma, delta] at a degree bound B over
-the monomials: products on (degree <= 2B) x (degree <= B), coproducts on
-degree <= 2B, the counit on degree <= 3B and antipodes on degree <= B, since
-the sweeps reach degree 2B through f m in ``eps_row``, through Delta(ab) and
-through the antipode sandwich S(a) b S(d); a read outside the tables raises.
-R and H themselves keep field scalars for every other caller.
+constants on every basis key and key pair, read once into
+:attr:`WeakBialgebra.integer_view`.  The Ore layer's ``verify_extension``
+reads H = R[x; sigma, delta] at a degree bound B over the monomials:
+products on (degree <= L) x (degree <= B) with L = max(2B, B + 1),
+coproducts on degree <= 2B, the counit on degree <= L + B and antipodes on
+degree <= B, since the sweeps reach degree 2B through f m in ``eps_row``,
+through Delta(ab) and through the antipode sandwich S(a) b S(d), and degree
+B + 1 through the x-sandwich eps((a x) h); a read outside the tables
+raises.  ore.py builds those tables on ints, from R's integer view.  R
+itself keeps field scalars for every other caller.
 """
 
 from __future__ import annotations
@@ -309,44 +312,49 @@ class BasisView:
         return lambda d: _format_terms(self.label, sorted(d.items()), tensor=tensor)
 
 
+def int_scalars(field, D):
+    """The map from a table of field scalars to ints: over QQ each scalar
+    times D, a multiple of its denominator; over GF(p) each residue."""
+    if field.order is None:
+        return lambda t: {k: c.numerator * (D // c.denominator) for k, c in t.items()}
+    return lambda t: {k: c.v for k, c in t.items()}
+
+
 class IntegerView(BasisView):
     """The tables of a field-valued basis view as Python ints, for the axiom sweeps.
 
-    The sweeps run over ``keys``.  The tables are read once from ``source``,
-    on the keys given: products on the key pairs ``products``, coproducts on
-    ``coproducts``, the counit on ``counits`` and antipodes on ``antipodes``;
-    a read outside them raises KeyError.  Over QQ every entry, and the unit,
-    is multiplied by one integer D, the lcm of all their denominators; over
-    GF(p) the tables hold the residues, D = 1, and sides are compared mod p.
-    A basis vector {k: 1} is not scaled.  A value a sweep computes is D^w
-    times its field value, w (its weight) being the number of table entries
-    in each of its terms, and :meth:`agree` compares two sides of an axiom
-    through their weights.  Only a failing side goes back to field scalars,
-    to be formatted with the source's labels and witnesses.
+    The sweeps run over ``keys``, and ``source`` labels keys and witnesses.
+    The tables are given as ints, on the keys the sweeps read: ``products``
+    keyed by key pairs, ``coproducts``, ``counit`` and ``antipodes`` keyed by
+    keys; a read outside them raises KeyError.  Over QQ every entry, and the
+    unit, is ``scale`` (one integer D) times its field value; over GF(p) the
+    tables hold the residues, D = 1, and sides are compared mod p.  A basis
+    vector {k: 1} is not scaled.  A value a sweep computes is D^w times its
+    field value, w (its weight) being the number of table entries in each of
+    its terms, and :meth:`agree` compares two sides of an axiom through their
+    weights.  Only a failing side goes back to field scalars, to be formatted
+    with the source's labels and witnesses.  :attr:`WeakBialgebra.integer_view`
+    and ``OreAlgebra.integer_view`` build the tables.
     """
 
-    def __init__(self, source, keys, products, coproducts, counits, antipodes):
-        super().__init__(source.field, keys, None)
+    def __init__(self, source, keys, scale, unit, products, coproducts, counit, antipodes):
+        super().__init__(source.field, keys, unit)
         self._source = source
-        # coproducts first: a source without them raises before a product is computed
-        coproducts = {k: source.coproduct(k) for k in coproducts}
-        products = {ab: source.product(*ab) for ab in products}
-        antipodes = {k: source.antipode(k) for k in antipodes}
-        counit = {k: source.counit(k) for k in counits}
-        tables = [*products.values(), *coproducts.values(), *antipodes.values(), counit,
-                  source.unit]
-        self.modulus = self.field.order
-        if self.modulus is None:
-            self.scale = D = math.lcm(*(c.denominator for t in tables for c in t.values()))
-            ints = lambda t: {k: c.numerator * (D // c.denominator) for k, c in t.items()}
-        else:
-            ints = lambda t: {k: c.v for k, c in t.items()}
+        self.scale, self.modulus = scale, self.field.order
         self.zero, self.one = 0, 1
-        self.unit = ints(source.unit)
-        self._products = {ab: ints(v) for ab, v in products.items()}
-        self._coproducts = {k: ints(t) for k, t in coproducts.items()}
-        self._antipodes = {k: ints(v) for k, v in antipodes.items()}
-        self._counit = ints(counit)
+        self._products, self._coproducts = products, coproducts
+        self._counit, self._antipodes = counit, antipodes
+
+    def rescaled(self, E):
+        """This view with every table multiplied by E // D, E a multiple of D."""
+        f = E // self.scale
+        if f == 1:
+            return self
+        lift = lambda t: {k: c * f for k, c in t.items()}
+        return IntegerView(self._source, self.keys, E, lift(self.unit),
+                           {ab: lift(v) for ab, v in self._products.items()},
+                           {k: lift(t) for k, t in self._coproducts.items()},
+                           lift(self._counit), {k: lift(v) for k, v in self._antipodes.items()})
 
     def product(self, a, b):
         return self._products[a, b]
@@ -620,12 +628,23 @@ class WeakBialgebra(BasisView):
 
     @property
     def integer_view(self) -> IntegerView:
-        """R's tables as ints on every key and key pair, built once for every sweep of R."""
+        """R's tables as ints on every key and key pair, built once for every sweep of R:
+        over QQ each table times D, the lcm of all their denominators."""
         if self._integer_view is None:
             keys = self.keys
+            products = {(a, b): self.product(a, b) for a in keys for b in keys}
+            coproducts = {k: self.coproduct(k) for k in keys}
+            antipodes = {k: self.antipode(k) for k in keys if self.antipode_matrix is not None}
+            counit = {k: self.counit(k) for k in keys}
+            tables = (*products.values(), *coproducts.values(), *antipodes.values(), counit,
+                      self.unit)
+            D = (math.lcm(*(c.denominator for t in tables for c in t.values()))
+                 if self.field.order is None else 1)
+            ints = int_scalars(self.field, D)
             self._integer_view = IntegerView(
-                self, keys, [(a, b) for a in keys for b in keys], keys, keys,
-                keys if self.antipode_matrix is not None else ())
+                self, keys, D, ints(self.unit), {ab: ints(v) for ab, v in products.items()},
+                {k: ints(t) for k, t in coproducts.items()}, ints(counit),
+                {k: ints(v) for k, v in antipodes.items()})
         return self._integer_view
 
     def basis_vector(self, i):

@@ -15,17 +15,22 @@ Delta(a x^n) = Delta(a) * (g (x) x + x (x) 1)^n, the counit reads the
 degree-0 coefficient, and the antipode is the anti-homomorphism with
 S(x) = -S(g) x.  :func:`verify_extension` runs the same weak-bialgebra axiom
 sweeps on H as bialgebra.py runs on R, on the integer view of H's tables at
-the degree bound (:meth:`OreAlgebra.integer_view`); H itself keeps field
-scalars and every table and cache of the extension.
+the degree bound (:meth:`OreAlgebra.integer_view`).  One recursion builds
+the x-powers, products, skew powers, coproducts and antipodes: on field
+scalars for H itself, which the element API and the degree <= 1 generator
+clauses use, and on ints for the integer view, from R's integer view and
+sigma, delta, g and S(x) scaled by one integer E; no sweep table is
+computed in field scalars.
 """
 
 from __future__ import annotations
 
-import itertools
+import copy
+import math
 
-from .bialgebra import (BasisView, IntegerView, WeakBialgebra, WeakHopfAlgebra, _nonzero,
-                        base_subalgebras, sweep_antipode, sweep_coassociative,
-                        sweep_coproduct_multiplicative, sweep_counit_neutral,
+from .bialgebra import (BasisView, IntegerView, WeakBialgebra, WeakHopfAlgebra, _check,
+                        _nonzero, base_subalgebras, int_scalars, sweep_antipode,
+                        sweep_coassociative, sweep_coproduct_multiplicative, sweep_counit_neutral,
                         sweep_counit_weak_multiplicative, sweep_unit_compatibility)
 from .coderivations import skew_derivation
 from .errors import ConditionsFailed, TooLarge, ValidationError
@@ -34,9 +39,10 @@ from .panov import HOPF, SUFFICIENT, PanovClauses, panov_sufficient
 from .report import AxiomReport
 
 # The most monomial products verify_extension may tabulate at a degree bound
-# B, (2B + 1)(B + 1) dim^2: Sweedler's algebra (dim 2) is admitted up to
-# B = 49, where B = 24 (4,900 products) takes 0.65 s, and section-5
-# M_2(QZ_2) (dim 8) up to B = 11.
+# B, (L + 1)(B + 1) dim^2 with L = max(2B, B + 1): Sweedler's algebra (dim 2)
+# is admitted up to B = 49, where B = 24 (4,900 products) takes 0.62 s (median
+# of 5, Python 3.11.7 on a shared 2-core Intel Xeon), and section-5 M_2(QZ_2)
+# (dim 8) up to B = 11; at B = 0 the table holds 2 dim^2 products.
 PRODUCT_TABLE_LIMIT = 20_000
 
 
@@ -55,16 +61,46 @@ class OreAlgebra(BasisView):
     def __init__(self, R: WeakBialgebra, sigma: Matrix, delta: Matrix, g: dict | None = None,
                  _coalgebra_extended=False, s_x: dict | None = None):
         self.R = R
-        super().__init__(R.field, self.monomials(0), self.embed(R.unit))
         self.sigma = sigma
         self.delta = delta
         self.g = g
         self._coalgebra_extended = _coalgebra_extended
         self._s_x = s_x
+        self._over_ints = None
+        self._tabulate(R, sigma.column_dicts(), delta.column_dicts(), g, s_x)
+
+    def _tabulate(self, r, sigma_cols, delta_cols, g, s_x):
+        """Point the recursion at its scalar tables, with empty caches.
+
+        ``r`` is a basis view of R: R itself, or its integer view at scale
+        E (``r.scale``), each table E times its value, over GF(p) residues
+        with E = 1.  The columns of sigma and delta, g and S(x) hold scalars
+        of the same kind.  Over ints, x^i b_u is E^i times its value, a
+        product whose left factor has degree i is E^(i+1) times its value,
+        and every cached entry is reduced mod ``modulus`` when it is set;
+        :meth:`_weights` gives the power of E in each table.
+        """
+        super().__init__(r.field, self.monomials(0), self.embed(r.unit))
+        self.zero, self.one, self.modulus, self._E = r.zero, r.one, r.modulus, r.scale
+        self._r, self._sigma_cols, self._delta_cols, self._g = r, sigma_cols, delta_cols, g
+        # S(x) with each term lifted to its top degree, so S(x) p has one weight
+        self._s_x_degree = max((n for _, n in s_x or ()), default=0)
+        self._s_x_lifted = s_x and self._lift(s_x, self._s_x_degree)
         self._x_table = {}
         self._skew_powers = {}
         self._products, self._coproducts, self._antipodes = {}, {}, {}
         self._s_x_powers = [self.unit]
+
+    def _lift(self, p, top):
+        """p with its term of degree n multiplied by E^(top - n): an element all of
+        whose products p q have one weight (see :meth:`_tabulate`)."""
+        E = self._E
+        return p if E == 1 else {(b, n): c * E ** (top - n) for (b, n), c in p.items()}
+
+    def _keep(self, d):
+        """d as the caches keep it: reduced mod ``modulus``, zeros dropped, when that is set."""
+        p = self.modulus
+        return {k: v for k, c in d.items() if (v := c % p)} if p else d
 
     # -- basic structure ------------------------------------------------
 
@@ -81,7 +117,7 @@ class OreAlgebra(BasisView):
         return self.monomial(r, 0)
 
     def x(self, n=1) -> dict:
-        return self.monomial(self.R.unit, n)
+        return self.monomial(self._r.unit, n)
 
     def monomial(self, a: dict, n: int) -> dict:
         """a x^n for an element a of R."""
@@ -98,11 +134,10 @@ class OreAlgebra(BasisView):
             if i > 1:
                 hit = self.x_times(self.x_power_times(i - 1, u))
             elif i:
-                bu = self.R.basis_vector(u)
-                hit = self.embed(self.delta.apply(bu)) | self.monomial(self.sigma.apply(bu), 1)
+                hit = self.embed(self._delta_cols[u]) | self.monomial(self._sigma_cols[u], 1)
             else:
                 hit = {(u, 0): self.one}
-            self._x_table[(i, u)] = hit
+            hit = self._x_table[(i, u)] = self._keep(hit)
         return hit
 
     def x_times(self, p: dict) -> dict:
@@ -117,12 +152,12 @@ class OreAlgebra(BasisView):
     def product(self, a, b):
         hit = self._products.get((a, b))
         if hit is None:
-            hit = self._products[(a, b)] = self.mono_mul(*a, *b)
+            hit = self._products[(a, b)] = self._keep(self.mono_mul(*a, *b))
         return hit
 
     def mono_mul(self, r: int, i: int, u: int, j: int) -> dict:
         """(b_r x^i)(b_u x^j) = b_r (x^i b_u) x^j; :meth:`product` caches it."""
-        zero, product, out = self.zero, self.R.product, {}
+        zero, product, out = self.zero, self._r.product, {}
         for (b, n), c in self.x_power_times(i, u).items():
             for k, x in product(r, b).items():
                 key = (k, n + j)
@@ -132,7 +167,11 @@ class OreAlgebra(BasisView):
     # -- extended coalgebra ----------------------------------------------
 
     def skew_power_tensor(self, n: int) -> dict:
-        """(g (x) x + x (x) 1)^n in H (x) H; n = 1 is the skew element itself."""
+        """(g (x) x + x (x) 1)^n in H (x) H; n = 1 is the skew element itself.
+
+        For n > 1 the skew element, of degree 1 in each term, is the left
+        factor, so over ints every term of the product has one weight.
+        """
         if self.g is None:
             raise ValidationError("no weak group-like g attached to this Ore algebra")
         hit = self._skew_powers.get(n)
@@ -140,11 +179,11 @@ class OreAlgebra(BasisView):
             if n == 0:
                 hit = self.pure(self.unit, self.unit)
             elif n == 1:
-                g, x = self.embed(self.g), self.x()
+                g, x = self.embed(self._g), self.x()
                 hit = self.add(self.pure(g, x), self.pure(x, self.unit))
             else:
-                hit = self.tensor_mul(self.skew_power_tensor(n - 1), self.skew_power_tensor(1))
-            self._skew_powers[n] = hit
+                hit = self.tensor_mul(self.skew_power_tensor(1), self.skew_power_tensor(n - 1))
+            hit = self._skew_powers[n] = self._keep(hit)
         return hit
 
     def coproduct(self, k):
@@ -155,18 +194,22 @@ class OreAlgebra(BasisView):
                 raise ValidationError("coalgebra structure not extended; "
                                       "call extend_coalgebra first")
             b, n = k
-            d = _degree_zero(self.R.coproduct(b))
-            hit = self._coproducts[k] = self.tensor_mul(d, self.skew_power_tensor(n))
+            d = _degree_zero(self._r.coproduct(b))
+            hit = self._coproducts[k] = self._keep(self.tensor_mul(d, self.skew_power_tensor(n)))
         return hit
 
     def counit(self, k):
         b, n = k
-        return self.R.counit(b) if n == 0 else self.zero
+        return self._r.counit(b) if n == 0 else self.zero
 
     # -- extended antipode ----------------------------------------------
 
     def antipode(self, k):
-        """S(b_b x^n) = S(x)^n S(b_b), cached; S is the unital anti-homomorphism."""
+        """S(b_b x^n) = S(x)^n S(b_b), cached; S is the unital anti-homomorphism.
+
+        S(x) is the left factor of each power, and S(x)^n is lifted to degree
+        n deg S(x) before S(b_b) multiplies it, so over ints each has one weight.
+        """
         hit = self._antipodes.get(k)
         if hit is None:
             if self._s_x is None:
@@ -174,9 +217,10 @@ class OreAlgebra(BasisView):
             b, n = k
             powers = self._s_x_powers
             while len(powers) <= n:
-                powers.append(self.multiply(powers[-1], self._s_x))
-            s_b = self.embed(self.R.antipode(b))
-            hit = self._antipodes[k] = self.multiply(powers[n], s_b)
+                powers.append(self._keep(self.multiply(self._s_x_lifted, powers[-1])))
+            s_b = self.embed(self._r.antipode(b))
+            lifted = self._lift(powers[n], n * self._s_x_degree)
+            hit = self._antipodes[k] = self._keep(self.multiply(lifted, s_b))
         return hit
 
     # -- labels and the integer view -------------------------------------
@@ -192,15 +236,61 @@ class OreAlgebra(BasisView):
         """The tables the shared sweeps read at degree bound B, as ints.
 
         Its sweep keys are the monomials of degree <= B, degree-major.
-        Products on (degree <= 2B) x (degree <= B), coproducts on degree
-        <= 2B, the counit on degree <= 3B (every monomial those products
-        reach) and antipodes, when extended, on degree <= B: the sweeps reach
-        degree 2B through f m in eps_row, through Delta(ab) and through the
-        antipode sandwich S(a) b S(d).
+        Products on (degree <= L) x (degree <= B), L = max(2B, B + 1),
+        coproducts on degree <= 2B, the counit on degree <= L + B (every
+        monomial those products reach) and antipodes, when extended, on
+        degree <= B: the sweeps reach degree 2B through f m in eps_row,
+        through Delta(ab) and through the antipode sandwich S(a) b S(d), and
+        degree B + 1 through the x-sandwich eps((a x) h) of verify_extension.
+        The tables are built on ints by H's recursion over R's integer view
+        (:meth:`_integers`), each entry E^w times its value, and then
+        converted exactly to one scale D, the lcm of their denominators.
         """
-        keys, twice = self.monomials(B), self.monomials(2 * B)
-        return IntegerView(self, keys, itertools.product(twice, keys), twice,
-                           self.monomials(3 * B), keys if self.antipode_extended else ())
+        Z = self._integers()
+        keys, top = self.monomials(B), _left_degree(B)
+        # coproducts first: an H whose coalgebra is not extended raises before a product
+        coproducts = {k: Z.coproduct(k) for k in self.monomials(2 * B)}
+        products = {(a, b): Z.product(a, b) for a in self.monomials(top) for b in keys}
+        antipodes = {k: Z.antipode(k) for k in keys} if self.antipode_extended else {}
+        counit = {k: Z.counit(k) for k in self.monomials(top + B)}
+        E, D, ends = Z._E, 1, {"unit": Z.unit, "counit": counit}
+        if E > 1:
+            w = Z._weights
+            D = _to_one_scale(E, [(products, lambda ab: ab[0][1] + 1),
+                                  (coproducts, lambda k: w(k[1])[0]),
+                                  (antipodes, lambda k: w(k[1])[1]), (ends, lambda k: 1)])
+        return IntegerView(self, keys, D, ends["unit"], products, coproducts, ends["counit"],
+                           antipodes)
+
+    def _integers(self):
+        """H's recursion on ints, built once and kept: a copy of H whose tables
+        are R's integer view at scale E and sigma, delta, g and S(x) times E,
+        E the lcm of the view's D and of their denominators; over GF(p) the
+        residues, E = 1."""
+        if self._over_ints is None:
+            view, s_x = self.R.integer_view, self._s_x
+            cols = self.sigma.column_dicts(), self.delta.column_dicts()
+            E = view.scale
+            if view.modulus is None:
+                inputs = (*cols[0], *cols[1], self.g or {}, s_x or {})
+                E = math.lcm(E, *(c.denominator for t in inputs for c in t.values()))
+            ints = int_scalars(self.field, E)
+            Z = self._over_ints = copy.copy(self)
+            Z._tabulate(view.rescaled(E), [ints(c) for c in cols[0]], [ints(c) for c in cols[1]],
+                        self.g and ints(self.g), s_x and ints(s_x))
+        return self._over_ints
+
+    def _weights(self, n):
+        """The powers of E in the coproduct and in the antipode of b x^n over ints.
+
+        (g (x) x + x (x) 1)^n has weight 2 up to n = 1, and each further
+        factor adds 2 for the skew element and 3 for its two products;
+        Delta(b) and the two products of its degree-0 legs add 3.  S(x)^n
+        has weight 1 + n (d + 2), d the degree of S(x), and is lifted by
+        E^(n d); S(b) and one product add 2.
+        """
+        skew = 2 if n <= 1 else 5 * n - 3
+        return skew + 3, 3 + n * (2 * self._s_x_degree + 2)
 
     def __repr__(self):
         tags = []
@@ -210,6 +300,19 @@ class OreAlgebra(BasisView):
             tags.append("antipode")
         suffix = f" [{', '.join(tags)} extended]" if tags else ""
         return f"OreAlgebra(R dim={self.R.dim}{suffix})"
+
+
+def _to_one_scale(E, weighted):
+    """Bring tables of ints to one scale D, the lcm of their denominators, in
+    place, and return D.  ``weighted`` lists pairs (table, weight): the entry
+    k of a table, a dict of ints, is E^weight(k) times its value."""
+    D = math.lcm(*((Ew := E ** weight(k)) // math.gcd(Ew, *t.values())
+                   for table, weight in weighted for k, t in table.items()))
+    for table, weight in weighted:
+        for k, t in table.items():
+            Ew = E ** weight(k)
+            table[k] = {key: c * D // Ew for key, c in t.items()}
+    return D
 
 
 def make_ore(R: WeakBialgebra, sigma: Matrix, delta: Matrix, g: dict | None = None) -> OreAlgebra:
@@ -256,12 +359,19 @@ def extend_antipode(H: OreAlgebra) -> OreAlgebra:
     return OreAlgebra(H.R, H.sigma, H.delta, H.g, _coalgebra_extended=True, s_x=s_x)
 
 
+def _left_degree(B):
+    """The highest degree of a left factor in the product table at degree bound B:
+    2B for the terms of f m in eps(f m h), B + 1 for the x-sandwich eps((a x) h)."""
+    return max(2 * B, B + 1)
+
+
 def refuse_large_degree(R: WeakBialgebra, degree_bound: int):
     """Raise TooLarge when the product table of verify_extension at this
-    degree bound over R, (2B + 1)(B + 1) dim^2 monomial products, would hold
-    more than PRODUCT_TABLE_LIMIT; a negative bound counts as 0."""
+    degree bound over R, (L + 1)(B + 1) dim^2 monomial products with
+    L = max(2B, B + 1), would hold more than PRODUCT_TABLE_LIMIT; a negative
+    bound counts as 0."""
     B = max(degree_bound, 0)
-    products = (2 * B + 1) * (B + 1) * R.dim ** 2
+    products = (_left_degree(B) + 1) * (B + 1) * R.dim ** 2
     if products > PRODUCT_TABLE_LIMIT:
         raise TooLarge(f"degree bound {degree_bound} over dim {R.dim} needs {products} "
                        f"monomial products, more than {PRODUCT_TABLE_LIMIT}")
@@ -276,15 +386,17 @@ def verify_extension(H: OreAlgebra, degree_bound: int = 3) -> AxiomReport:
     the integer view of R: coproduct multiplicativity, coassociativity, both
     counit axioms, weak multiplicativity of the counit, the unit-coproduct
     compatibility and (when extended) the three antipode axioms.  The
-    clauses specific to the extension are checked here on H itself, in
-    field scalars: skew primitivity of the generator, commutation of
-    Delta(x) with Delta(1) and with Delta(a), vanishing of the counit on
-    x-sandwiches and centrality of R_s against x.  A negative degree bound
-    would sweep nothing and raises ValidationError; one whose tables would
-    be too large raises TooLarge (:func:`refuse_large_degree`); an H whose
-    coalgebra is not extended raises ValidationError when the integer view
-    reads its first coproduct, before any monomial product.  Serialize with ``report.lines()``: one
-    `AXIOM name PASS|FAIL` line each.
+    vanishing of the counit on x-sandwiches, eps((a x) h) for monomials a
+    and h of degree <= B, is read from the same integer view.  The other
+    clauses specific to the extension involve monomials of degree <= 1 only
+    and are checked on H itself, in field scalars: skew primitivity of the
+    generator, commutation of Delta(x) with Delta(1) and with Delta(a), and
+    centrality of R_s against x.  A negative degree bound would sweep
+    nothing and raises ValidationError; one whose tables would be too large
+    raises TooLarge (:func:`refuse_large_degree`); an H whose coalgebra is
+    not extended raises ValidationError when the integer view reads its
+    first coproduct, before any monomial product.  Serialize with
+    ``report.lines()``: one `AXIOM name PASS|FAIL` line each.
     """
     if degree_bound < 0:
         raise ValidationError(f"degree bound must be nonnegative, got {degree_bound}")
@@ -316,12 +428,11 @@ def verify_extension(H: OreAlgebra, degree_bound: int = 3) -> AxiomReport:
         rhs = H.add(tmul(H.comultiply(H.embed(scols[k])), dx), H.comultiply(H.embed(dcols[k])))
         report.check("coproduct_commutation_rule", lhs, rhs, witness=(R.labels[k],), fmt=fmt)
 
-    zero, one = H.zero, H.one
-    for (b1, n1) in ints.keys:
-        px = H.multiply({(b1, n1): one}, x)
-        for (b2, n2) in ints.keys:
-            val = sum((c * H.eps_pair(k, (b2, n2)) for k, c in px.items()), zero)
-            report.check("counit_kills_x_sandwich", val, zero, witness=(b1, n1, b2, n2))
+    for a in ints.keys:
+        ax = (a[0], a[1] + 1)  # (b x^n) x = b x^(n+1)
+        for h in ints.keys:
+            _check(report, "counit_kills_x_sandwich", ints.eps_pair(ax, h), 0, ints, (a, h),
+                   (2, 0))
 
     _, basis_s = base_subalgebras(R)
     for idx, a in enumerate(basis_s):

@@ -3,6 +3,7 @@ the package's sparse linear algebra.  Deliberately share no code with
 weakhopf.linalg."""
 
 import itertools
+import math
 
 
 def dense_rref(rows, ncols, field):
@@ -303,3 +304,30 @@ def definition_weak_grouplikes(wb):
         if is_weak_grouplike(wb, g):
             found.append(g)
     return found
+
+
+def reference_ore_integer_tables(H, B):
+    """The tables of ``H.integer_view(B)`` computed in field scalars on H itself and
+    converted afterwards: (scale, unit, products, coproducts, antipodes, counit).
+
+    The domain is the view's: products on (degree <= L) x (degree <= B) with
+    L = max(2B, B + 1), coproducts on degree <= 2B, the counit on degree
+    <= L + B and antipodes, when extended, on degree <= B.  Over QQ every
+    table is multiplied by D, the lcm of all their denominators; over GF(p)
+    the tables hold the residues and D = 1.
+    """
+    keys, top = H.monomials(B), max(2 * B, B + 1)
+    products = {(a, b): H.product(a, b) for a in H.monomials(top) for b in keys}
+    coproducts = {k: H.coproduct(k) for k in H.monomials(2 * B)}
+    antipodes = {k: H.antipode(k) for k in keys} if H.antipode_extended else {}
+    counit = {k: H.counit(k) for k in H.monomials(top + B)}
+    tables = [*products.values(), *coproducts.values(), *antipodes.values(), counit, H.unit]
+    if H.field.order is None:
+        D = math.lcm(*(c.denominator for t in tables for c in t.values()))
+        ints = lambda t: {k: c.numerator * (D // c.denominator) for k, c in t.items()}
+    else:
+        D = 1
+        ints = lambda t: {k: c.v for k, c in t.items()}
+    return (D, ints(H.unit), {ab: ints(v) for ab, v in products.items()},
+            {k: ints(t) for k, t in coproducts.items()},
+            {k: ints(v) for k, v in antipodes.items()}, ints(counit))

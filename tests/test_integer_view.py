@@ -5,7 +5,8 @@ denominators over QQ, residues mod p over GF(p)); R itself and
 H = R[x; sigma, delta], each its own basis view, hold field scalars.  Every sweep
 of R, and every shared sweep of H at degree bounds 0 to 3, runs on both,
 and the failures (axiom, witness, lhs and rhs text) and the pass counts per
-axiom must agree.
+axiom must agree.  H's tables, built on ints, must also equal its field
+tables converted to one D (``oracles.reference_ore_integer_tables``).
 """
 
 import random
@@ -17,7 +18,8 @@ import pytest
 
 from forced_ore import FORCED_SECTION5, forced_section5, sign_flipped_sweedler
 from lemmas import axiom_names, dihedral, function_algebra
-from oracles import dense_associativity_failures
+from oracles import dense_associativity_failures, reference_ore_integer_tables
+from weakhopf import ore
 from weakhopf.bialgebra import (IntegerView, WeakHopfAlgebra,
                                 algebra_report, check_weak_bialgebra, sweep_antipode,
                                 sweep_associative, sweep_coassociative,
@@ -25,6 +27,7 @@ from weakhopf.bialgebra import (IntegerView, WeakHopfAlgebra,
                                 sweep_counit_weak_multiplicative, sweep_unit_compatibility,
                                 sweep_unital)
 from weakhopf.cli import main
+from weakhopf.errors import TooLarge
 from weakhopf.fields import Field
 from weakhopf.fixtures import sweedler_data, twisted_derivation_data
 from weakhopf.groupoid import GroupPresentation, build_groupoid_algebra
@@ -216,17 +219,44 @@ def test_integer_view_of_h_matches_monomial_view(name, degree):
         assert ints.scale > 1  # sigma's -35/6 and -6/35 enter from degree 1
 
 
-def test_integer_view_of_h_refuses_reads_outside_its_tables():
-    """At degree bound 2: products on (<= 4) x (<= 2), coproducts on <= 4, the
-    counit on <= 6, antipodes on <= 2; nothing outside is computed on demand."""
-    H = ORE_CASES["sweedler"]()
-    ints = H.integer_view(2)
-    assert ints.product((1, 4), (1, 2)) and ints.coproduct((1, 4)) and ints.antipode((1, 2))
-    assert ints.counit((0, 6)) == 0
-    cached = len(H._products), len(H._antipodes), len(H._coproducts)
-    for read, key in ((ints.product, ((1, 5), (0, 0))), (ints.product, ((0, 0), (1, 3))),
-                      (ints.coproduct, ((1, 5),)), (ints.counit, ((0, 7),)),
-                      (ints.antipode, ((1, 3),))):
-        with pytest.raises(KeyError):
-            read(*key)
-    assert (len(H._products), len(H._antipodes), len(H._coproducts)) == cached
+@pytest.mark.parametrize("degree", range(4))
+@pytest.mark.parametrize("name", ORE_CASES)
+def test_integer_view_of_h_matches_converted_field_tables(name, degree):
+    """The int-built tables of H equal H's field tables converted to one D."""
+    ints = ORE_CASES[name]().integer_view(degree)
+    scale, unit, products, coproducts, antipodes, counit = reference_ore_integer_tables(
+        ORE_CASES[name](), degree)
+    assert ints.scale == scale and ints.unit == unit and ints._counit == counit
+    assert ints._products == products
+    assert ints._coproducts == coproducts
+    assert ints._antipodes == antipodes
+
+
+def test_integer_view_of_h_refuses_reads_outside_its_tables(monkeypatch):
+    """At degree bound B: products on (<= max(2B, B + 1)) x (<= B), coproducts
+    on <= 2B, the counit on <= max(2B, B + 1) + B, antipodes on <= B; nothing
+    outside is computed on demand, H's own caches stay empty, and the degree
+    guard counts exactly the products tabulated."""
+    for degree, reads, outside in [
+            (0, (((1, 1), (1, 0)), (1, 0), 1, (0, 0)),
+             (((1, 2), (0, 0)), ((0, 0), (1, 1)), ((1, 1),), ((0, 2),), ((1, 1),))),
+            (2, (((1, 4), (1, 2)), (1, 4), 6, (1, 2)),
+             (((1, 5), (0, 0)), ((0, 0), (1, 3)), ((1, 5),), ((0, 7),), ((1, 3),)))]:
+        H = ORE_CASES["sweedler"]()
+        ints = H.integer_view(degree)
+        product, coproduct, counit_degree, antipode = reads
+        assert ints.product(*product) and ints.coproduct(coproduct) and ints.antipode(antipode)
+        assert ints.counit((0, counit_degree)) == 0
+        Z = H._integers()
+        cached = len(Z._products), len(Z._antipodes), len(Z._coproducts)
+        for read, key in zip((ints.product, ints.product, ints.coproduct, ints.counit,
+                              ints.antipode), outside):
+            with pytest.raises(KeyError):
+                read(*key)
+        assert (len(Z._products), len(Z._antipodes), len(Z._coproducts)) == cached
+        assert not (H._products or H._antipodes or H._coproducts or H._x_table)
+        monkeypatch.setattr(ore, "PRODUCT_TABLE_LIMIT", len(ints._products))
+        ore.refuse_large_degree(H.R, degree)
+        monkeypatch.setattr(ore, "PRODUCT_TABLE_LIMIT", len(ints._products) - 1)
+        with pytest.raises(TooLarge):
+            ore.refuse_large_degree(H.R, degree)

@@ -109,23 +109,33 @@ def test_products_match_reference_oracle(request, name, delta_scale):
 
 @pytest.mark.parametrize("name, degree", [("sweedler", 1), ("sweedler", 3), ("s5_m2qz2_q", 2)])
 def test_verify_extension_builds_each_x_power_once(monkeypatch, request, name, degree):
-    """x_times runs once per table entry x^i b_u with 2 <= i <= 2D, and never again.
+    """x_times runs once per int row x^i b_u with 2 <= i <= 2D, and never again;
+    H's own field-scalar tables hold nothing above degree 1.
 
     The sweeps reach x^i b_u for i up to 2D: weak multiplicativity of the
     counit evaluates eps(k h) for the terms k of f m, of degree up to 2D.
-    Row 1 comes from sigma and delta without x_times.
+    Row 1 comes from sigma and delta without x_times.  The rows are built on
+    ints for the integer view; only the generator clauses read H itself, on
+    monomials of degree <= 1, so no sweep table is built in field scalars.
     """
     data = request.getfixturevalue(name)
     calls = []
     x_times = OreAlgebra.x_times
-    monkeypatch.setattr(OreAlgebra, "x_times", lambda self, p: calls.append(p) or x_times(self, p))
+    monkeypatch.setattr(OreAlgebra, "x_times",
+                        lambda self, p: calls.append((self, p)) or x_times(self, p))
     H = extend_antipode(make_ore(data.R, data.sigma, data.delta, data.g))
     assert verify_extension(H, degree).passed
-    assert 0 < len(calls) <= H.R.dim * (2 * degree - 1)
-    assert len({tuple(sorted(p.items())) for p in calls}) == len(calls)
+    assert all(owner is H._integers() for owner, _ in calls)
+    rows = [p for _, p in calls]
+    assert all(type(c) is int for p in rows for c in p.values())
+    assert 0 < len(rows) <= H.R.dim * (2 * degree - 1)
+    assert len({tuple(sorted(p.items())) for p in rows}) == len(rows)
     before = len(calls)
     assert verify_extension(H, degree).passed
     assert len(calls) == before
+    assert max(i for i, _ in H._x_table) <= 1
+    assert max(n for (_, i), (_, j) in H._products for n in (i, j)) <= 1
+    assert max(n for _, n in H._coproducts) <= 1
 
 
 def test_multiplication_associative(sweedler_H, s5_H, s5_m2qz2):
