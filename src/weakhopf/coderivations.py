@@ -4,19 +4,22 @@ A (g,h)-coderivation is a linear map delta with
 Delta delta = (lambda_g (x) delta + delta (x) lambda_h) Delta, where
 lambda_a is left multiplication.  The space of all such delta for fixed
 (g, h) is the kernel of :func:`coderivation_residual`, a linear map on
-dim^2 unknowns, compiled by :func:`linalg.constraint_matrix` and solved
-exactly by :func:`linalg.residual_kernel`.  Elements are dicts
-index -> scalar, and both sides of the Leibniz rule and of the
-coderivation identity are summed on R, its own basis view, where 2-tensors
-are dicts (i, j) -> scalar.
+dim^2 unknowns that works on ints: it reads R's integer view and lambda_g
+and lambda_h scaled to ints, so its rows enter
+:func:`linalg.constraint_matrix` as ints at one scale and are solved exactly
+by :func:`linalg.residual_kernel`; only the kernel vectors come back to
+field scalars.  Elsewhere elements are dicts index -> scalar, and both sides
+of the Leibniz rule are summed on R, its own basis view, where 2-tensors are
+dicts (i, j) -> scalar.
 """
 
 from __future__ import annotations
 
-from .bialgebra import WeakBialgebra, _nonzero
+from .bialgebra import WeakBialgebra
 from .errors import NotAutomorphism, NotDerivation
 from .grouplike import is_unital_algebra_endo
-from .linalg import Matrix, constraint_matrix, rank, residual_kernel
+from .linalg import (IntegerSystem, Matrix, constraint_matrix, integer_vector, nonzero_ints, rank,
+                     residual_kernel)
 
 
 def validate_automorphism(wb: WeakBialgebra, sigma: Matrix):
@@ -60,24 +63,33 @@ def skew_derivation(wb: WeakBialgebra, sigma: Matrix, delta: Matrix):
 
 
 def coderivation_residual(wb: WeakBialgebra, lambda_g: Matrix, lambda_h: Matrix):
-    """The linear map X -> Delta delta - (lambda_g (x) delta + delta (x) lambda_h) Delta.
+    """The linear map X -> Delta delta - (lambda_g (x) delta + delta (x) lambda_h) Delta, on ints.
 
-    X is delta flattened: X[r*dim + k] is the coefficient of b_r in
-    delta(b_k).  The residual is the dict (k, u, v) -> coefficient of
-    b_u (x) b_v in the defect on b_k, without zeros; it vanishes exactly on
-    the (g,h)-coderivations when lambda_g and lambda_h (built by the caller)
-    are the left multiplications by g and h.  It visits only delta's nonzero
-    columns, through the terms of every Delta(b_k) indexed once by leg.
+    X is delta flattened and scaled to ints (see :func:`linalg.integer_vector`):
+    X[r*dim + k] is the coefficient of b_r in delta(b_k).  The residual is
+    the dict (k, u, v) -> coefficient of b_u (x) b_v in the defect on b_k,
+    without zeros; it vanishes exactly on the (g,h)-coderivations when
+    lambda_g and lambda_h (built by the caller) are the left multiplications
+    by g and h.  It reads R's integer view (scale D) and the columns of
+    lambda_g and lambda_h scaled to ints by L_g and L_h, and brings every
+    term to one scale S = D L_g L_h: the Delta-terms times L_g L_h, the
+    lambda_g legs times L_h and the lambda_h legs times L_g.  Over QQ the
+    residual is S times its field value; over GF(p) it holds the residues.
+    It visits only delta's nonzero columns, through the terms of every
+    Delta(b_k) indexed once by leg.
     """
-    dim, zero = wb.dim, wb.zero
-    gcols, hcols = lambda_g.column_dicts(), lambda_h.column_dicts()
+    view, dim, p = wb.integer_view, wb.dim, wb.field.p
+    (L_g, gcols), (L_h, hcols) = lambda_g.integer_columns(), lambda_h.integer_columns()
+    coproducts = [{uv: c * L_g * L_h for uv, c in view.coproduct(r).items()} for r in wb.keys]
     # c b_i (x) b_j in Delta(b_k) subtracts c lambda_g(b_i) (x) delta(b_j) and
     # c delta(b_i) (x) lambda_h(b_j) from the defect on b_k; None marks delta's leg
     legs = [[] for _ in wb.keys]
     for k in wb.keys:
-        for (i, j), c in wb.coproduct(k).items():
-            legs[j].append((k, {u: -c * x for u, x in gcols[i].items()}, None))
-            legs[i].append((k, None, {v: -c * x for v, x in hcols[j].items()}))
+        for (i, j), c in view.coproduct(k).items():
+            legs[j].append((k, nonzero_ints({u: -c * x * L_h for u, x in gcols[i].items()}, p),
+                            None))
+            legs[i].append((k, None,
+                            nonzero_ints({v: -c * x * L_g for v, x in hcols[j].items()}, p)))
 
     def residual(x: dict) -> dict:
         columns, out = {}, {}
@@ -86,29 +98,30 @@ def coderivation_residual(wb: WeakBialgebra, lambda_g: Matrix, lambda_h: Matrix)
             columns.setdefault(k, {})[r] = a
         for k, col in columns.items():
             for r, a in col.items():
-                for (u, v), c in wb.coproduct(r).items():
-                    out[k, u, v] = out.get((k, u, v), zero) + c * a
+                for (u, v), c in coproducts[r].items():
+                    out[k, u, v] = out.get((k, u, v), 0) + c * a
             for kk, left, right in legs[k]:
                 for u, a in (col if left is None else left).items():
                     for v, b in (col if right is None else right).items():
-                        out[kk, u, v] = out.get((kk, u, v), zero) + a * b
-        return _nonzero(out)
+                        out[kk, u, v] = out.get((kk, u, v), 0) + a * b
+        return nonzero_ints(out, p)
     return residual
 
 
 def _coderivation_failure(wb: WeakBialgebra, delta: Matrix, lam_g: Matrix, lam_h: Matrix):
     """The smallest k where Delta(delta(b_k)) differs from
     (lambda_g (x) delta + delta (x) lambda_h) Delta(b_k), or None: read from
-    :func:`coderivation_residual` on the lam_g and lam_h the caller built."""
+    :func:`coderivation_residual` on the lam_g and lam_h the caller built,
+    with delta scaled to ints."""
     dim = wb.dim
-    defect = coderivation_residual(wb, lam_g, lam_h)(
-        {r * dim + k: c for (r, k), c in delta.data.items()})
-    return min((k for k, _, _ in defect), default=None)
+    _, x = integer_vector(wb.field, {r * dim + k: c for (r, k), c in delta.data.items()})
+    return min((k for k, _, _ in coderivation_residual(wb, lam_g, lam_h)(x)), default=None)
 
 
-def coderivation_constraint_matrix(wb: WeakBialgebra, residual) -> Matrix:
+def coderivation_constraint_matrix(wb: WeakBialgebra, residual) -> IntegerSystem:
     """The linear system whose kernel is the space of (g,h)-coderivations:
-    the caller's :func:`coderivation_residual` compiled, one row per key (k, u, v)."""
+    the caller's :func:`coderivation_residual` compiled, one int row per
+    distinct row of the keys (k, u, v)."""
     return constraint_matrix(wb.field, wb.dim ** 2, residual)
 
 
@@ -116,8 +129,9 @@ def coderivation_space(wb: WeakBialgebra, g: dict, h: dict):
     """Basis of all (g,h)-coderivations, as matrices.
 
     One :func:`coderivation_residual` on lambda_g and lambda_h is built,
-    compiled by :func:`coderivation_constraint_matrix` and solved by
-    :func:`linalg.residual_kernel`, which re-checks every kernel vector with it.
+    compiled on ints by :func:`coderivation_constraint_matrix` and solved by
+    :func:`linalg.residual_kernel`, which re-checks every kernel vector with
+    it; the entries of the kernel vectors are the only field scalars made.
     """
     dim = wb.dim
     residual = coderivation_residual(wb, wb.left_mult_matrix(g), wb.left_mult_matrix(h))

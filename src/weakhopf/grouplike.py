@@ -170,15 +170,21 @@ def winding(wb: WeakBialgebra, chi: dict, side: str) -> Matrix:
 def is_unital_algebra_endo(wb: WeakBialgebra, m: Matrix):
     """Return a failing witness tuple or None if m is a unital algebra endomorphism.
 
-    Compares m(b_i b_j) with m(b_i) m(b_j) on R's own tables, reading each
-    column of m once.
+    Compares L m(b_i b_j) with m(b_i) m(b_j), and m(1) with L 1, as ints on
+    R's integer view (scale D), m's columns scaled to ints by one L (see
+    :meth:`Matrix.integer_columns`): the sides carry the scale D L^2, and
+    D L for the unit; over GF(p) they are compared mod p.
     """
-    cols = m.column_dicts()
-    if wb.apply(cols.__getitem__, wb.unit) != wb.unit:
+    view = wb.integer_view
+    L, cols = m.integer_columns()
+    image = cols.__getitem__
+    lift = (lambda v: {k: L * c for k, c in v.items()}) if L != 1 else (lambda v: v)
+    if not view.agree(view.apply(image, view.unit), lift(view.unit), (0, 0)):
         return ("unit",)
     for i in wb.keys:
         for j in wb.keys:
-            if wb.apply(cols.__getitem__, wb.product(i, j)) != wb.multiply(cols[i], cols[j]):
+            if not view.agree(lift(view.apply(image, view.product(i, j))),
+                              view.multiply(cols[i], cols[j]), (0, 0)):
                 return (i, j)
     return None
 

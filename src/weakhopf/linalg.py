@@ -8,17 +8,21 @@ its column dicts are built once, on first use, and shared by every reader,
 which must not modify them.  Every other vector an operation returns is a
 new dict without zeros, for callers to keep.
 
-:func:`constraint_matrix` compiles a linear residual into the matrix of
-its equations, and :func:`residual_kernel` solves it, re-checking every
-kernel vector with the residual.  Elimination (:func:`_rref`, behind rank,
-kernel_basis, solve and column_space_basis) is exact Gauss-Jordan on plain
-Python ints: a row over QQ enters scaled by the lcm of its denominators, a
-row over GF(p) as its residues, and each row is kept divided by the gcd of
-its entries (QQ) or reduced mod p.  Results become field elements once, at the end.  Pivoting
-is deterministic: columns in order, and for each column the lowest-index
-row that has not taken a pivot and is nonzero there.  The reduced row
-echelon form is unique, so kernel bases and solutions are exactly those of
-elimination in field arithmetic, and reproducible for a fixed input.
+Elimination (:func:`_rref`) is exact Gauss-Jordan on plain Python ints.
+Its rows are dicts column -> nonzero int: over QQ a nonzero multiple of the
+field row, over GF(p) its residues.  :func:`constraint_matrix` compiles a
+linear residual straight into such rows, every row at the one scale S the
+residual works at (see there), and keeps each distinct row once;
+:func:`residual_kernel` eliminates them and re-checks every kernel vector
+with the residual on ints.  The :class:`Matrix` entry points (rank,
+kernel_basis, solve and column_space_basis) convert each row once, at
+entry, by :func:`integer_vector`.  Only what a caller reads goes back to
+field scalars: the entries of the kernel vectors, or the solution column of
+:func:`solve`.  Pivoting is deterministic: columns in order, and for each
+column the lowest-index row that has not taken a pivot and is nonzero
+there.  The reduced row echelon form is unique, so kernel bases and
+solutions are exactly those of elimination in field arithmetic, and
+reproducible for a fixed input.
 """
 
 from __future__ import annotations
@@ -61,6 +65,16 @@ class Matrix:
             for (i, j), c in self.data.items():
                 self._columns[j][i] = c
         return self._columns
+
+    def integer_columns(self):
+        """(L, columns): column j as a dict of nonzero ints, for every j; over QQ
+        L times the column, L the lcm of all the denominators, over GF(p) its
+        residues, L = 1."""
+        L, ints = integer_vector(self.field, self.data)
+        cols = [{} for _ in range(self.cols)]
+        for (i, j), c in ints.items():
+            cols[j][i] = c
+        return L, cols
 
     def row_dicts(self):
         rows = [{} for _ in range(self.rows)]
@@ -110,39 +124,48 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}, {dict(sorted(self.data.items()))})"
 
 
-def _integer_row(row, field):
-    """A sparse row of field elements as plain ints on the same support.
-
-    Over QQ the row is scaled by the lcm of its denominators; over GF(p)
-    each entry becomes its residue (a Python int entry is first coerced).
-    """
+def integer_vector(field, v: dict):
+    """(L, w) for a dict v of scalars (Python ints allowed): over QQ, w = L v
+    as nonzero ints, L the lcm of v's denominators; over GF(p), L = 1 and w
+    holds the nonzero residues."""
     if field.p is None:
-        scale = math.lcm(*(v.denominator for v in row.values()))
-        return {c: v.numerator * (scale // v.denominator) for c, v in row.items() if v}
-    return {c: r for c, v in row.items() if (r := field.coerce(v).v)}
+        L = math.lcm(*(c.denominator for c in v.values()))
+        return L, {k: c.numerator * (L // c.denominator) for k, c in v.items() if c}
+    return 1, {k: r for k, c in v.items() if (r := field.coerce(c).v)}
+
+
+def nonzero_ints(d: dict, p) -> dict:
+    """The nonzero entries of a dict of ints; reduced to residues mod p when p is set."""
+    if p is None:
+        return {k: c for k, c in d.items() if c}
+    return {k: r for k, c in d.items() if (r := c % p)}
 
 
 def _rref(rows, ncols, field, augmented_from=None):
-    """Reduce a list of sparse rows (dicts col -> scalar) to reduced row echelon form.
+    """Reduce a list of sparse int rows (dicts col -> nonzero int) to reduced row echelon form.
 
-    Returns the triple (pivots, reduced, leftover).  ``pivots`` lists
-    (n, col) pairs, in increasing col, where ``reduced[n]`` is the reduced
-    row with a 1 in column col.  ``leftover`` holds the nonzero rows that
-    took no pivot, as int rows that are nonzero multiples of what field
-    arithmetic would leave there, so read it only for its support.  If
-    ``augmented_from`` is given, columns >= augmented_from are never chosen
-    as pivots (augmented-system solving).  The input rows are not modified.
+    The rows are taken as they are: over QQ each is any nonzero multiple of
+    the field row it stands for (the rows of :func:`constraint_matrix` are
+    all S times theirs), over GF(p) its residues, reduced mod p.  Returns the
+    pair (pivots, leftover).  ``pivots`` lists (row, col) pairs, in
+    increasing col, where ``row`` is the reduced int row, a nonzero multiple
+    of the field row with a 1 in column col; nothing is converted back, and
+    a caller reads a field entry as row[c] / row[col] (:func:`_quotient`).
+    ``leftover`` holds the nonzero rows that took no pivot, likewise only
+    multiples, so read it only for its support.  If ``augmented_from`` is
+    given, columns >= augmented_from are never chosen as pivots
+    (augmented-system solving).  The input rows are not modified, and the
+    returned rows must not be.
 
-    The elimination runs on plain ints (see the module docstring): each
-    update is row := a*row - f*pivot_row with a the pivot entry and f the
-    row's entry in the pivot column, followed by dividing the row by the
+    Each update is row := a*row - f*pivot_row with a the pivot entry and f
+    the row's entry in the pivot column, followed by dividing the row by the
     gcd of its entries over QQ, or reducing it mod p over GF(p).  Every
     working row stays a nonzero multiple of the row that field arithmetic
-    with a normalised pivot would hold, so pivots and supports agree with
-    it step by step, and the reduced rows are converted back once.
+    with a normalised pivot would hold, so pivots and supports agree with it
+    step by step.
     """
     prime = field.p
-    work = [_integer_row(r, field) for r in rows]
+    work = list(rows)
     holders = [set() for _ in range(ncols)]  # col -> indices of the rows nonzero there
     for ri, row in enumerate(work):
         for c in row:
@@ -176,39 +199,78 @@ def _rref(rows, ncols, field, augmented_from=None):
             work[ri] = new
         used.add(pr)
         pivots.append((pr, col))
-    if prime is None:
-        reduced = [{c: Fraction(v, work[ri][col]) for c, v in work[ri].items()}
-                   for ri, col in pivots]
-    else:
-        reduced = []
-        for ri, col in pivots:
-            inv = pow(work[ri][col], -1, prime)
-            reduced.append({c: field(v * inv) for c, v in work[ri].items()})
     leftover = [row for ri, row in enumerate(work) if row and ri not in used]
-    return [(n, col) for n, (_, col) in enumerate(pivots)], reduced, leftover
+    return [(work[ri], col) for ri, col in pivots], leftover
 
 
-def constraint_matrix(field, n: int, residual) -> Matrix:
-    """The equations residual(X) = 0 in n unknowns, as a matrix.
+def _quotient(field, c, a):
+    """The field element c / a of two ints (a nonzero, a unit mod p over GF(p))."""
+    return Fraction(c, a) if field.p is None else field(c * pow(a, -1, field.p))
 
-    residual is a linear map from vectors to dicts key -> nonzero scalar, so
-    column c of the system is residual(e_c) for the unit vector e_c, and
-    each key it reaches is a row.  Rows are sorted by their support, the
-    columns in increasing order (ties keep the order their keys first
-    appear in), and rows that repeat are kept: neither changes the kernel.
+
+def _integer_rows(field, rows):
+    """Rows of field scalars as int rows for :func:`_rref`, each converted once."""
+    return [integer_vector(field, r)[1] for r in rows]
+
+
+def _pivots(m: Matrix):
+    """The pivots of :func:`_rref` on the rows of m."""
+    return _rref(_integer_rows(m.field, m.row_dicts()), m.cols, m.field)[0]
+
+
+class IntegerSystem:
+    """The equations of :func:`constraint_matrix`: ``equations`` lists the
+    distinct rows, each a dict column -> nonzero int, ``rows`` counts them
+    and ``cols`` is the number of unknowns."""
+
+    __slots__ = ("field", "cols", "equations", "rows")
+
+    def __init__(self, field, cols, equations):
+        self.field, self.cols, self.equations = field, cols, equations
+        self.rows = len(equations)
+
+
+def constraint_matrix(field, n: int, residual) -> IntegerSystem:
+    """The equations residual(X) = 0 in n unknowns, as distinct int rows.
+
+    residual is a linear map from int vectors (dicts index -> int) to dicts
+    key -> nonzero int, reduced mod p over GF(p); over QQ it is S times a
+    field-valued linear residual for one integer S.  Column c of the system
+    is residual(e_c) for the unit vector e_c = {c: 1}, and each key it
+    reaches is a row, S times the field row.  Each distinct row is kept
+    once, and the rows are sorted by their support, the columns in
+    increasing order (ties keep the order their keys first appear in):
+    neither changes the kernel.
     """
-    one, rows = field.one(), {}
+    rows = {}
     for c in range(n):
-        for key, v in residual({c: one}).items():
+        for key, v in residual({c: 1}).items():
             rows.setdefault(key, {})[c] = v
-    ordered = sorted(rows.values(), key=list)
-    return Matrix(field, len(ordered), n,
-                  {(r, c): v for r, row in enumerate(ordered) for c, v in row.items()})
+    distinct = {tuple(row.items()): row for row in rows.values()}
+    return IntegerSystem(field, n, sorted(distinct.values(), key=list))
 
 
 def rank(m: Matrix) -> int:
-    pivots, _, _ = _rref(m.row_dicts(), m.cols, m.field)
-    return len(pivots)
+    return len(_pivots(m))
+
+
+def _kernel(pivots, ncols, field):
+    """Basis of the null space from the pivots of :func:`_rref`: free columns
+    in increasing order, each vector with a single unit entry in its free
+    column; only its entries are converted to field scalars."""
+    pivot_cols = {col for _, col in pivots}
+    basis = []
+    one = field.one()
+    for free in range(ncols):
+        if free in pivot_cols:
+            continue
+        data = {free: one}
+        for row, col in pivots:
+            c = row.get(free)
+            if c:
+                data[col] = _quotient(field, -c, row[col])
+        basis.append(data)
+    return basis
 
 
 def kernel_basis(m: Matrix):
@@ -217,29 +279,18 @@ def kernel_basis(m: Matrix):
     Deterministic: free columns in increasing order, each basis vector has a
     single unit entry in its free column.
     """
-    pivots, reduced, _ = _rref(m.row_dicts(), m.cols, m.field)
-    pivot_cols = {col for _, col in pivots}
-    basis = []
-    one = m.field.one()
-    for free in range(m.cols):
-        if free in pivot_cols:
-            continue
-        data = {free: one}
-        for r, col in pivots:
-            c = reduced[r].get(free)
-            if c:
-                data[col] = -c
-        basis.append(data)
-    return basis
+    return _kernel(_pivots(m), m.cols, m.field)
 
 
-def residual_kernel(system: Matrix, residual) -> list:
-    """:func:`kernel_basis` of the system compiled from residual, each vector
-    re-checked by residual; a vector with a nonzero residual raises
-    ValidationError naming its smallest key."""
-    basis = kernel_basis(system)
+def residual_kernel(system: IntegerSystem, residual) -> list:
+    """The null space of the system compiled from residual, in the convention of
+    :func:`kernel_basis`, each vector re-checked by residual: scaled to ints by
+    :func:`integer_vector`, it must give no nonzero entry, and a vector that
+    does raises ValidationError naming its smallest key."""
+    field = system.field
+    basis = _kernel(_rref(system.equations, system.cols, field)[0], system.cols, field)
     for vec in basis:
-        if defect := residual(vec):
+        if defect := residual(integer_vector(field, vec)[1]):
             raise ValidationError(f"kernel vector fails its residual at {min(defect)}")
     return basis
 
@@ -249,21 +300,20 @@ def solve(m: Matrix, b: dict) -> dict | None:
     rows = m.row_dicts()
     for i, c in b.items():
         rows[i][m.cols] = c
-    pivots, reduced, leftover = _rref(rows, m.cols + 1, m.field, augmented_from=m.cols)
+    pivots, leftover = _rref(_integer_rows(m.field, rows), m.cols + 1, m.field,
+                              augmented_from=m.cols)
     for row in leftover:
         if row.get(m.cols):
             return None
     data = {}
-    for r, col in pivots:
-        c = reduced[r].get(m.cols)
+    for row, col in pivots:
+        c = row.get(m.cols)
         if c:
-            data[col] = c
+            data[col] = _quotient(m.field, c, row[col])
     return data
 
 
 def column_space_basis(m: Matrix):
     """The pivot columns of m, as vectors (deterministic image basis)."""
-    pivots, _, _ = _rref(m.row_dicts(), m.cols, m.field)
     cols = m.column_dicts()
-    return [dict(cols[col]) for _, col in pivots]
-
+    return [dict(cols[col]) for _, col in _pivots(m)]

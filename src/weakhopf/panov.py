@@ -18,12 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
-from .bialgebra import WeakBialgebra, WeakHopfAlgebra, _nonzero, base_subalgebras, convolution
+from .bialgebra import WeakBialgebra, WeakHopfAlgebra, base_subalgebras, convolution
 from .coderivations import _coderivation_failure, is_sigma_derivation
 from .errors import InvalidGroupCharacter, NotCentral, NotGrouplike, ValidationError, ZeroScale
 from .groupoid import GroupoidAlgebra
 from .grouplike import Character, grouplike_inverse, is_weak_grouplike, winding
-from .linalg import Matrix, constraint_matrix, residual_kernel
+from .linalg import Matrix, constraint_matrix, integer_vector, nonzero_ints, residual_kernel
 from .report import _fmt_witness
 
 
@@ -324,35 +324,44 @@ def groupoid_character(ga: GroupoidAlgebra, rho, q) -> Character:
 
 def alpha_residual(ga: GroupoidAlgebra, chi: dict):
     """The linear map alpha -> alpha(b_i b_j) - alpha(b_i) eps(b_j) - chi(b_i) alpha(b_j)
-    keyed (i, j), and alpha(E_ii) keyed (idx,), as a dict without zeros.  It
-    visits only alpha's support, through the products b_i b_j indexed once
-    by the basis elements they reach."""
-    zero, eps = ga.zero, ga.counit_vector
+    keyed (i, j), and alpha(E_ii) keyed (idx,), on ints, as a dict without zeros.
+
+    alpha is scaled to ints (see :func:`linalg.integer_vector`).  The
+    products and eps come from R's integer view (scale D) and chi is scaled
+    to ints by its L, so every term is brought to one scale S = D L: the
+    product and eps terms times L, the chi terms times D and alpha(E_ii)
+    times D L.  Over QQ the residual is S times its field value; over GF(p)
+    it holds the residues.  It visits only alpha's support, through the
+    products b_i b_j indexed once by the basis elements they reach."""
+    view, p = ga.integer_view, ga.field.p
+    (L, chi), D = integer_vector(ga.field, chi), view.scale
     reach = {}
     for i in ga.keys:
         for j in ga.keys:
-            for k, c in ga.product(i, j).items():
-                reach.setdefault(k, []).append((i, j, c))
+            for k, c in view.product(i, j).items():
+                reach.setdefault(k, []).append((i, j, c * L))
+    eps = {j: -e * L for j in ga.keys if (e := view.counit(j))}
+    chi = {i: -x * D for i, x in chi.items()}
     diagonal = set(ga.diagonal_unit_indices())
 
     def residual(alpha: dict) -> dict:
         out = {}
         for k, a in alpha.items():
             for i, j, c in reach.get(k, ()):
-                out[i, j] = out.get((i, j), zero) + c * a
+                out[i, j] = out.get((i, j), 0) + c * a
             for j, e in eps.items():
-                out[k, j] = out.get((k, j), zero) - a * e
+                out[k, j] = out.get((k, j), 0) + a * e
             for i, x in chi.items():
-                out[i, k] = out.get((i, k), zero) - x * a
+                out[i, k] = out.get((i, k), 0) + x * a
             if k in diagonal:
-                out[k,] = a
-        return _nonzero(out)
+                out[k,] = a * D * L
+        return nonzero_ints(out, p)
     return residual
 
 
 def solve_alpha(ga: GroupoidAlgebra, chi: dict) -> list:
     """A basis of the alpha with alpha(ab) = alpha(a) eps(b) + chi(a) alpha(b) and
-    alpha(E_ii) = 0: one :func:`alpha_residual`, compiled and solved by
+    alpha(E_ii) = 0: one :func:`alpha_residual`, compiled on ints and solved by
     :func:`linalg.residual_kernel`, which re-checks every solution with it."""
     residual = alpha_residual(ga, chi)
     return residual_kernel(constraint_matrix(ga.field, ga.dim, residual), residual)

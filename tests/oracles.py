@@ -4,6 +4,7 @@ weakhopf.linalg."""
 
 import itertools
 import math
+from fractions import Fraction
 
 
 def dense_rref(rows, ncols, field):
@@ -89,10 +90,31 @@ def to_dense(matrix):
     return out
 
 
-def distinct_rows(matrix):
-    """The set of distinct rows of a weakhopf Matrix, each a tuple of (column, scalar)
-    pairs in column order."""
-    return {tuple(sorted(row.items())) for row in matrix.row_dicts()}
+def field_rows(system, scale):
+    """The distinct rows of a compiled int system (``system.equations``) as field
+    rows, each a tuple of (column, scalar) pairs in column order: over QQ each
+    int divided by ``scale``, over GF(p) each residue as a field element."""
+    field = system.field
+    value = field if field.p is not None else (lambda c: Fraction(c, scale))
+    return {tuple((col, value(c)) for col, c in sorted(row.items())) for row in system.equations}
+
+
+def dense_rows(rows, ncols, field):
+    """Rows given as tuples of (column, scalar) pairs, as dense lists of ncols scalars."""
+    dense = []
+    for row in rows:
+        line = [field.zero()] * ncols
+        for col, c in row:
+            line[col] = c
+        dense.append(line)
+    return dense
+
+
+def dense_unknowns(m):
+    """A dim x dim weakhopf Matrix as the dense list of the dim^2 unknowns
+    X[r*dim + k], the coefficient of b_r in the image of b_k."""
+    zero = m.field.zero()
+    return [m.data.get(divmod(i, m.cols), zero) for i in range(m.rows * m.cols)]
 
 
 def reference_coderivation_rows(wb, lambda_g, lambda_h):
@@ -331,3 +353,18 @@ def reference_ore_integer_tables(H, B):
     return (D, ints(H.unit), {ab: ints(v) for ab, v in products.items()},
             {k: ints(t) for k, t in coproducts.items()},
             {k: ints(v) for k, v in antipodes.items()}, ints(counit))
+
+
+def reference_endo_witness(wb, m):
+    """The first failing witness of "m is a unital algebra endomorphism" in field
+    scalars on wb's own tables: ("unit",) if m(1) != 1, else the first basis
+    pair (i, j), in row-major order, with m(b_i b_j) != m(b_i) m(b_j), else None."""
+    cols = m.column_dicts()
+    image = lambda v: wb.apply(cols.__getitem__, v)
+    if image(wb.unit) != wb.unit:
+        return ("unit",)
+    for i in wb.keys:
+        for j in wb.keys:
+            if image(wb.product(i, j)) != wb.multiply(cols[i], cols[j]):
+                return (i, j)
+    return None

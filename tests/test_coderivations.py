@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction
@@ -7,20 +8,20 @@ import pytest
 
 from weakhopf.coderivations import (coderivation_constraint_matrix, coderivation_residual,
                                     coderivation_space, is_sigma_derivation, skew_derivation)
-from weakhopf.errors import NotAutomorphism, NotDerivation
+from weakhopf.errors import NotAutomorphism, NotDerivation, ValidationError
 from weakhopf.fields import Field, QQ
 from weakhopf.fixtures import twisted_derivation_data
 from weakhopf.groupoid import GroupPresentation, matrix_algebra
 from weakhopf.grouplike import is_unital_algebra_endo
-from weakhopf.linalg import Matrix, solve
+from weakhopf.linalg import Matrix, residual_kernel, solve
 from weakhopf.specfile import parse_spec
 
 from lemmas import (axiom_names, axiom_passed, basis_element, counit_value, dihedral,
                     eps_delta_report, function_algebra, identity, inner_coderivation,
                     is_coderivation, is_skew_primitive, skew_primitive_identity_report,
                     tensor_product, truncated_primitive_hopf)
-from oracles import (dense_matmul, dense_nullspace, distinct_rows, reference_coderivation_rows,
-                     to_dense)
+from oracles import (dense_matmul, dense_nullspace, dense_rows, dense_unknowns, field_rows,
+                     reference_coderivation_rows, reference_endo_witness)
 
 
 def _sign_sigma(QZ2):
@@ -150,55 +151,89 @@ def test_coderivation_space_qz2(QZ2):
         assert solve(gens, flat(m)) is not None
 
 
-def test_constraint_kernel_against_dense_oracle(M2, M3, QZ2):
-    cases = [(M2, M2.unit, M2.unit), (M3, M3.unit, M3.unit),
-             (QZ2, QZ2.basis_vector(1), QZ2.unit)]
-    for wb, g, h in cases:
-        left_mult = wb.left_mult_matrix
-        residual = coderivation_residual(wb, left_mult(g), left_mult(h))
-        constraint = coderivation_constraint_matrix(wb, residual)
-        oracle = dense_nullspace(to_dense(constraint), constraint.cols, wb.field)
-        assert len(oracle) == len(coderivation_space(wb, g, h))
-
-
 def _transported(name):
     return parse_spec(str(Path(__file__).parent / "data" / f"{name}.json"), validate=False).wb
+
+
+def _coderivation_case(request, case):
+    """(wb, g, h) for a named (g,h)-coderivation system."""
+    if case == "s5-m2qz2":
+        data = request.getfixturevalue("s5_m2qz2")
+        return data.R, data.g, data.R.unit
+    if case == "s5-m2qz2-q":  # q = (3/5, -7/2): chi, sigma and lambda_g carry denominators
+        data = twisted_derivation_data(GroupPresentation.cyclic(2), 2, rho=[1, -1],
+                                       q=[Fraction(3, 5), Fraction(-7, 2)])
+        return data.R, data.g, data.R.unit
+    if case == "s5-m2z4-gf5":
+        data = twisted_derivation_data(GroupPresentation.cyclic(4), 2, rho=[1, 2, 4, 3], q=[2, 3],
+                                       field=Field.prime(5))
+        return data.R, data.g, data.R.unit
+    if case.startswith("m3qz2"):
+        wb = _transported("m3qz2-transported")
+        return (wb, wb.basis_vector(10), wb.unit) if case.endswith("twisted") else \
+            (wb, wb.unit, wb.unit)
+    if case == "m2z2-gf5-transported":
+        wb = _transported(case)
+        return wb, wb.basis_vector(5), wb.basis_vector(1)
+    if case in ("f2z2", "qz2"):
+        wb = request.getfixturevalue(case.upper())
+        return wb, wb.basis_vector(1), wb.unit
+    wb = function_algebra(GroupPresentation.symmetric(3), Field.prime(3))
+    return wb, wb.unit, wb.unit
+
+
+def _lcm_of_denominators(m):
+    return math.lcm(*(c.denominator for c in m.data.values())) if m.field.p is None else 1
+
+
+@pytest.mark.parametrize("case", ["qz2", "m3qz2-transported-twisted", "s5-m2qz2-q", "f2z2",
+                                  "s3-functions-gf3", "s5-m2z4-gf5"])
+def test_constraint_kernel_against_dense_oracle(request, case):
+    """coderivation_space equals, basis for basis, the dense elimination of the
+    reference rows in field scalars, over QQ with denominators and over GF(p),
+    p = 2 dividing |G| in F2Z2 and p = 3 dividing |S_3|."""
+    wb, g, h = _coderivation_case(request, case)
+    rows = reference_coderivation_rows(wb, wb.left_mult_matrix(g), wb.left_mult_matrix(h))
+    n = wb.dim ** 2
+    oracle = dense_nullspace(dense_rows(rows, n, wb.field), n, wb.field)
+    space = coderivation_space(wb, g, h)
+    assert space and [dense_unknowns(m) for m in space] == oracle
+
+
+def test_residual_kernel_raises_on_a_planted_wrong_residual(s5_m2qz2):
+    """The kernel of the (g,1)-coderivation system of section-5 M_2(QZ_2)
+    re-checked with the (1,1) residual, which none of it satisfies, raises."""
+    R, g = s5_m2qz2.R, s5_m2qz2.g
+    residual = coderivation_residual(R, R.left_mult_matrix(g), R.left_mult_matrix(R.unit))
+    planted = coderivation_residual(R, R.left_mult_matrix(R.unit), R.left_mult_matrix(R.unit))
+    system = coderivation_constraint_matrix(R, residual)
+    assert len(residual_kernel(system, residual)) == R.dim
+    with pytest.raises(ValidationError, match="kernel vector fails its residual at"):
+        residual_kernel(system, planted)
 
 
 @pytest.mark.parametrize("case", ["s5-m2qz2", "m3qz2-transported", "m3qz2-transported-twisted",
                                   "m2z2-gf5-transported", "f2z2", "s3-functions-gf3"])
 def test_compiled_coderivation_system_has_the_reference_rows(request, case):
-    """The coderivation residual, compiled, has the same distinct rows as the
-    reference row builder, over QQ (denominators in m3qz2-transported) and GF(p);
-    it keeps repeated rows, so it has at least as many."""
-    if case == "s5-m2qz2":
-        data = request.getfixturevalue("s5_m2qz2")
-        wb, g, h = data.R, data.g, data.R.unit
-    elif case.startswith("m3qz2"):
-        wb = _transported("m3qz2-transported")
-        g, h = (wb.basis_vector(10), wb.unit) if case.endswith("twisted") else (wb.unit, wb.unit)
-    elif case == "m2z2-gf5-transported":
-        wb = _transported(case)
-        g, h = wb.basis_vector(5), wb.basis_vector(1)
-    elif case == "f2z2":
-        wb = request.getfixturevalue("F2Z2")
-        g, h = wb.basis_vector(1), wb.unit
-    else:
-        wb = function_algebra(GroupPresentation.symmetric(3), Field.prime(3))
-        g = h = wb.unit
+    """The coderivation residual, compiled, has exactly the distinct rows of the
+    reference row builder, over QQ (denominators in m3qz2-transported) and
+    GF(p): each int row is S = D L_g L_h times its field row over QQ (D the
+    scale of R's integer view, L the lcm of a lambda's denominators), its
+    residues over GF(p), and no row repeats."""
+    wb, g, h = _coderivation_case(request, case)
     lambda_g, lambda_h = wb.left_mult_matrix(g), wb.left_mult_matrix(h)
     compiled = coderivation_constraint_matrix(wb, coderivation_residual(wb, lambda_g, lambda_h))
     reference = reference_coderivation_rows(wb, lambda_g, lambda_h)
-    assert reference and distinct_rows(compiled) == reference
-    assert compiled.rows >= len(reference)
+    S = wb.integer_view.scale * _lcm_of_denominators(lambda_g) * _lcm_of_denominators(lambda_h)
+    assert reference and field_rows(compiled, S) == reference
+    assert compiled.rows == len(reference)
 
 
 def test_shifted_coderivation_space_maps_fail_on_function_algebra_d6():
     kg = function_algebra(dihedral(6))
     dim, unit = kg.dim, kg.unit
     lambda_1 = kg.left_mult_matrix(unit)
-    residual = coderivation_residual(kg, lambda_1, lambda_1)
-    constraint = to_dense(coderivation_constraint_matrix(kg, residual))
+    constraint = dense_rows(reference_coderivation_rows(kg, lambda_1, lambda_1), dim * dim, QQ)
     basis = coderivation_space(kg, unit, unit)
     assert len(basis) == 12 - 6  # |G| - #conjugacy classes
     for m in basis:
@@ -228,6 +263,22 @@ def test_perturbed_sigma_endo_witness_pinned(entry, witness):
     assert is_unital_algebra_endo(data.R, bumped) == witness
     with pytest.raises(NotAutomorphism, match=re.escape(f"(witness {witness})")):
         skew_derivation(data.R, bumped, data.delta)
+
+
+@pytest.mark.parametrize("case", ["m3qz2-transported", "m2z2-gf5-transported"])
+def test_endo_witness_on_ints_matches_field_oracle(case):
+    """On R's integer view with D > 1 (QQ) and over GF(5), the identity passes and
+    each perturbed identity gives the witness field arithmetic gives first."""
+    wb = _transported(case)
+    one, rng = wb.field.one(), random.Random(5)
+    ident = {(k, k): one for k in wb.keys}
+    assert is_unital_algebra_endo(wb, Matrix(wb.field, wb.dim, wb.dim, ident)) is None
+    for _ in range(12):
+        entry = (rng.randrange(wb.dim), rng.randrange(wb.dim))
+        bump = Fraction(1, 3) if wb.field.p is None else wb.field(2)
+        m = Matrix(wb.field, wb.dim, wb.dim, ident | {entry: ident.get(entry, 0) + bump})
+        witness = reference_endo_witness(wb, m)
+        assert witness is not None and is_unital_algebra_endo(wb, m) == witness
 
 
 @pytest.mark.parametrize("entry, message", [

@@ -264,7 +264,9 @@ def test_residual_kernel_rechecks_every_vector_with_its_residual():
         return equal(x) | ({(1,): x[2]} if x.get(2) else {})
 
     system = constraint_matrix(QQ, 3, equal)
-    assert residual_kernel(system, equal) == kernel_basis(system) == \
+    assert (system.rows, system.equations) == (1, [{0: 1, 1: -1}])
+    same = Matrix(QQ, 1, 3, {(0, 0): 1, (0, 1): -1})
+    assert residual_kernel(system, equal) == kernel_basis(same) == \
         [{1: Fraction(1), 0: Fraction(1)}, {2: Fraction(1)}]
     with pytest.raises(ValidationError, match=r"fails its residual at \(1,\)"):
         residual_kernel(system, stricter)

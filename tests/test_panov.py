@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -19,8 +20,7 @@ from weakhopf.specfile import parse_spec
 
 from lemmas import (ad_map, axiom_passed, basis_element, centrality_report, char_antipode_report,
                     identity, is_coderivation, matches_tensor_factors)
-from oracles import (dense_nullspace, distinct_rows, pure_tensor, reference_alpha_rows,
-                     to_dense)
+from oracles import dense_nullspace, dense_rows, field_rows, pure_tensor, reference_alpha_rows
 
 
 def _failing(verdict):
@@ -357,27 +357,40 @@ def test_solve_alpha_counit_gives_zero(QZ2):
     assert solve_alpha(QZ2, QZ2.counit_vector) == []
 
 
-def test_solve_alpha_dimension_matches_dense_oracle(s5_m2qz2):
-    ga, chi = s5_m2qz2.R, s5_m2qz2.chi
-    constraint = constraint_matrix(ga.field, ga.dim, alpha_residual(ga, chi))
-    oracle = dense_nullspace(to_dense(constraint), constraint.cols, ga.field)
-    assert len(solve_alpha(ga, chi)) == len(oracle)
-
-
-@pytest.mark.parametrize("m, n, rho, q, p", [
+ALPHA_CASES = [
     (4, 1, [1, -1, 1, -1], [1], None),
     (2, 2, [1, -1], [Fraction(3, 5), Fraction(-7, 2)], None),
+    (2, 1, [1, 1], [1], 2),
     (3, 1, [1, 2, 4], [1], 7),
     (4, 2, [1, 2, 4, 3], [2, 3], 5),
-])
+]
+
+
+@pytest.mark.parametrize("m, n, rho, q, p", ALPHA_CASES)
+def test_solve_alpha_matches_dense_oracle(m, n, rho, q, p):
+    """solve_alpha equals, basis for basis, the dense elimination of the reference
+    rows in field scalars, over QQ (q with denominators) and GF(p), p = 2
+    dividing |G| in GF(2)Z_2."""
+    ga = build_groupoid_algebra(GroupPresentation.cyclic(m), n, p and Field.prime(p))
+    chi = groupoid_character(ga, rho, q).chi
+    rows = dense_rows(reference_alpha_rows(ga, chi), ga.dim, ga.field)
+    oracle = [{i: c for i, c in enumerate(v) if c} for v in dense_nullspace(rows, ga.dim, ga.field)]
+    assert solve_alpha(ga, chi) == oracle
+
+
+@pytest.mark.parametrize("m, n, rho, q, p", ALPHA_CASES)
 def test_compiled_alpha_system_has_the_reference_rows(m, n, rho, q, p):
-    """The alpha residual, compiled, has the same distinct rows as the reference
-    row builder, over QQ (chi with denominators when q has them) and GF(p)."""
+    """The alpha residual, compiled, has exactly the distinct rows of the
+    reference row builder: each int row is S = D L times its field row over
+    QQ (D the scale of R's integer view, L the lcm of chi's denominators),
+    its residues over GF(p), and no row repeats."""
     ga = build_groupoid_algebra(GroupPresentation.cyclic(m), n, p and Field.prime(p))
     chi = groupoid_character(ga, rho, q).chi
     reference = reference_alpha_rows(ga, chi)
     compiled = constraint_matrix(ga.field, ga.dim, alpha_residual(ga, chi))
-    assert reference and distinct_rows(compiled) == reference
+    L = math.lcm(*(c.denominator for c in chi.values())) if p is None else 1
+    assert reference and field_rows(compiled, ga.integer_view.scale * L) == reference
+    assert compiled.rows == len(reference)
 
 
 def test_solve_alpha_builds_one_residual(count_calls, s5_qz2):
