@@ -18,18 +18,17 @@ are collected in an :class:`~weakhopf.report.AxiomReport`.  All instances
 are immutable after construction.
 
 The sweeps run on an :class:`IntegerView`: the tables of a field-valued
-basis view on the keys the sweeps reach, held as ints.  Over
-QQ every table (products, unit, coproducts, counit, antipode) is multiplied
-by one integer D, the lcm of all their denominators, and over GF(p) the
-tables hold the residues, D = 1, compared mod p.  A value a sweep sums is
+basis view on the keys the sweeps reach (products, unit, coproducts,
+counit, antipode), held as ints at one scale D by :meth:`Field.to_ints`
+and compared mod p over GF(p).  A value a sweep sums is
 then D^w times its field value, where the weight w is the number of table
 entries in each of its terms, and the side of lower weight is lifted by
 D^(difference) before two sides are compared.  The weights (lhs/rhs) are:
 associative and coassociative 2/2; unital and counit_*_neutral 2/0;
 coproduct_multiplicative 2/4; counit_weak_multiplicative 3/5;
 coproduct_unit_compatibility 3/9; antipode_vs_*_counital 3/4;
-antipode_composition 6/1.  Only a failing side is converted back (to
-Fraction(v, D^w), or to the residue's field element) to be formatted, so
+antipode_composition 6/1.  Only a failing side is read back, as the
+field's quotient of v by D^w, to be formatted, so
 witnesses and sides read as they do on field scalars.
 
 The sweeps of R (:func:`algebra_report`, :func:`coalgebra_report`,
@@ -47,9 +46,6 @@ itself keeps field scalars for every other caller.
 """
 
 from __future__ import annotations
-
-import math
-from fractions import Fraction
 
 from .errors import (AxiomFailure, CounitFails, DimensionMismatch, NotAssociative,
                      NotCoassociative, UnitFails, ValidationError)
@@ -312,35 +308,27 @@ class BasisView:
         return lambda d: _format_terms(self.label, sorted(d.items()), tensor=tensor)
 
 
-def int_scalars(field, D):
-    """The map from a table of field scalars to ints: over QQ each scalar
-    times D, a multiple of its denominator; over GF(p) each residue."""
-    if field.order is None:
-        return lambda t: {k: c.numerator * (D // c.denominator) for k, c in t.items()}
-    return lambda t: {k: c.v for k, c in t.items()}
-
-
 class IntegerView(BasisView):
     """The tables of a field-valued basis view as Python ints, for the axiom sweeps.
 
     The sweeps run over ``keys``, and ``source`` labels keys and witnesses.
     The tables are given as ints, on the keys the sweeps read: ``products``
     keyed by key pairs, ``coproducts``, ``counit`` and ``antipodes`` keyed by
-    keys; a read outside them raises KeyError.  Over QQ every entry, and the
-    unit, is ``scale`` (one integer D) times its field value; over GF(p) the
-    tables hold the residues, D = 1, and sides are compared mod p.  A basis
-    vector {k: 1} is not scaled.  A value a sweep computes is D^w times its
-    field value, w (its weight) being the number of table entries in each of
-    its terms, and :meth:`agree` compares two sides of an axiom through their
-    weights.  Only a failing side goes back to field scalars, to be formatted
-    with the source's labels and witnesses.  :attr:`WeakBialgebra.integer_view`
-    and ``OreAlgebra.integer_view`` build the tables.
+    keys; a read outside them raises KeyError.  Every entry, and the unit, is
+    held at one ``scale`` D as :meth:`Field.to_ints` holds it, and over
+    GF(p) sides are compared mod p.  A basis vector {k: 1} is not scaled.
+    A value a sweep computes is D^w times its field value, w (its weight)
+    being the number of table entries in each of its terms, and
+    :meth:`agree` compares two sides of an axiom through their weights.
+    Only a failing side goes back to field scalars, to be formatted with the
+    source's labels and witnesses.  :attr:`WeakBialgebra.integer_view` and
+    ``OreAlgebra.integer_view`` build the tables.
     """
 
     def __init__(self, source, keys, scale, unit, products, coproducts, counit, antipodes):
         super().__init__(source.field, keys, unit)
         self._source = source
-        self.scale, self.modulus = scale, self.field.order
+        self.scale, self.modulus = scale, self.field.p
         self.zero, self.one = 0, 1
         self._products, self._coproducts = products, coproducts
         self._counit, self._antipodes = counit, antipodes
@@ -375,7 +363,8 @@ class IntegerView(BasisView):
         return self._source.witness(keys)
 
     def to_field(self, c, w):
-        return self.field(c) if self.modulus else Fraction(c, self.scale ** w)
+        field, scale = self.field, self.scale ** w
+        return field(c) if scale == 1 else field(c) / field(scale)
 
 
 def _check(report, axiom, lhs, rhs, view, keys, weights, fmt=str):
@@ -628,23 +617,19 @@ class WeakBialgebra(BasisView):
 
     @property
     def integer_view(self) -> IntegerView:
-        """R's tables as ints on every key and key pair, built once for every sweep of R:
-        over QQ each table times D, the lcm of all their denominators."""
+        """R's tables as ints on every key and key pair, built once for every sweep of R,
+        all at one scale D by :meth:`Field.to_ints`."""
         if self._integer_view is None:
             keys = self.keys
-            products = {(a, b): self.product(a, b) for a in keys for b in keys}
-            coproducts = {k: self.coproduct(k) for k in keys}
-            antipodes = {k: self.antipode(k) for k in keys if self.antipode_matrix is not None}
-            counit = {k: self.counit(k) for k in keys}
-            tables = (*products.values(), *coproducts.values(), *antipodes.values(), counit,
-                      self.unit)
-            D = (math.lcm(*(c.denominator for t in tables for c in t.values()))
-                 if self.field.order is None else 1)
-            ints = int_scalars(self.field, D)
+            pairs = [(a, b) for a in keys for b in keys]
+            anti = keys if self.antipode_matrix is not None else ()
+            D, (unit, counit, *tables) = self.field.to_ints(
+                [self.unit, self.counit_vector, *(self.product(a, b) for a, b in pairs),
+                 *map(self.coproduct, keys), *(self.antipode(k) for k in anti)])
+            n, dim = len(pairs), len(keys)
             self._integer_view = IntegerView(
-                self, keys, D, ints(self.unit), {ab: ints(v) for ab, v in products.items()},
-                {k: ints(t) for k, t in coproducts.items()}, ints(counit),
-                {k: ints(v) for k, v in antipodes.items()})
+                self, keys, D, unit, dict(zip(pairs, tables)), dict(zip(keys, tables[n:])),
+                {k: counit.get(k, 0) for k in keys}, dict(zip(anti, tables[n + dim:])))
         return self._integer_view
 
     def basis_vector(self, i):

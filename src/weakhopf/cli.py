@@ -62,6 +62,8 @@ def cmd_grouplikes(args):
         print(f"ZERO-ELEMENT {alg.format_element(enum.zero.element)} (excluded from counts)")
         print(f"COUNT {len(enum.grouplikes)} INVERTIBLE {len(enum.invertible)}")
         return 0
+    if args.prime is not None:
+        raise ValidationError("--prime applies to --matrix only; --brute scans the spec's field")
     bundle = parse_spec(args.brute)
     found = brute_force_weak_grouplikes(bundle.wb)
     for g in found:
@@ -181,15 +183,23 @@ def _matrix_bundle(n) -> SpecBundle:
     return SpecBundle(field=field, wb=ga, functionals=functionals, name=f"m{n}q")
 
 
+# The positional parameters each example kind takes: (fewest, most, usage).
+EXAMPLE_PARAMS = {"sweedler": (0, 0, "example sweedler"),
+                  "matrix": (0, 1, "example matrix [<n>]"),
+                  "groupoid": (2, 2, "example groupoid <group> <n>"),
+                  "section5": (0, 0, "example section5 [--group G] [--n N] [--rho R] [--q Q]")}
+
+
 def cmd_example(args):
+    fewest, most, usage = EXAMPLE_PARAMS[args.kind]
+    if not fewest <= len(args.params) <= most:
+        raise ValidationError(f"usage: {usage}")
     if args.kind == "sweedler":
         bundle = _ore_bundle(sweedler_data(), "sweedler-data")
     elif args.kind == "matrix":
         n = _int_param(args.params[0], "matrix size") if args.params else 2
         bundle = _matrix_bundle(n)
     elif args.kind == "groupoid":
-        if len(args.params) != 2:
-            raise ValidationError("usage: example groupoid <group> <n>")
         group = _parse_group(args.params[0])
         n = _int_param(args.params[1], "groupoid size")
         ga = build_groupoid_algebra(group, n)
@@ -226,7 +236,8 @@ def build_parser():
                       help="closed-form enumeration for the matrix algebra M_N")
     mode.add_argument("--brute", metavar="SPEC",
                       help="exhaustive scan of a spec over a prime field")
-    p.add_argument("--prime", type=int, help="base field for --matrix (default rationals)")
+    p.add_argument("--prime", type=int,
+                   help="base field for --matrix (default rationals); refused with --brute")
     p.set_defaults(func=cmd_grouplikes)
 
     p = sub.add_parser("characters", help="verify a named functional as a weak character")

@@ -5,7 +5,7 @@ Delta delta = (lambda_g (x) delta + delta (x) lambda_h) Delta, where
 lambda_a is left multiplication.  The space of all such delta for fixed
 (g, h) is the kernel of :func:`coderivation_residual`, a linear map on
 dim^2 unknowns that works on ints: it reads R's integer view and lambda_g
-and lambda_h scaled to ints, so its rows enter
+and lambda_h held as ints by :meth:`Field.to_ints`, so its rows enter
 :func:`linalg.constraint_matrix` as ints at one scale and are solved exactly
 by :func:`linalg.residual_kernel`; only the kernel vectors come back to
 field scalars.  Elsewhere elements are dicts index -> scalar, and both sides
@@ -18,8 +18,7 @@ from __future__ import annotations
 from .bialgebra import WeakBialgebra
 from .errors import NotAutomorphism, NotDerivation
 from .grouplike import is_unital_algebra_endo
-from .linalg import (IntegerSystem, Matrix, constraint_matrix, integer_vector, nonzero_ints, rank,
-                     residual_kernel)
+from .linalg import IntegerSystem, Matrix, constraint_matrix, rank, residual_kernel
 
 
 def validate_automorphism(wb: WeakBialgebra, sigma: Matrix):
@@ -65,31 +64,32 @@ def skew_derivation(wb: WeakBialgebra, sigma: Matrix, delta: Matrix):
 def coderivation_residual(wb: WeakBialgebra, lambda_g: Matrix, lambda_h: Matrix):
     """The linear map X -> Delta delta - (lambda_g (x) delta + delta (x) lambda_h) Delta, on ints.
 
-    X is delta flattened and scaled to ints (see :func:`linalg.integer_vector`):
+    X is delta flattened and held as ints by :meth:`Field.to_ints`:
     X[r*dim + k] is the coefficient of b_r in delta(b_k).  The residual is
     the dict (k, u, v) -> coefficient of b_u (x) b_v in the defect on b_k,
     without zeros; it vanishes exactly on the (g,h)-coderivations when
     lambda_g and lambda_h (built by the caller) are the left multiplications
     by g and h.  It reads R's integer view (scale D) and the columns of
-    lambda_g and lambda_h scaled to ints by L_g and L_h, and brings every
-    term to one scale S = D L_g L_h: the Delta-terms times L_g L_h, the
-    lambda_g legs times L_h and the lambda_h legs times L_g.  Over QQ the
-    residual is S times its field value; over GF(p) it holds the residues.
+    lambda_g and lambda_h as ints at their scales L_g and L_h, and brings
+    every term to one scale S = D L_g L_h: the Delta-terms times L_g L_h,
+    the lambda_g legs times L_h and the lambda_h legs times L_g.  Every
+    entry is kept as :meth:`Field.reduce` keeps it.
     It visits only delta's nonzero columns, through the terms of every
     Delta(b_k) indexed once by leg.
     """
-    view, dim, p = wb.integer_view, wb.dim, wb.field.p
-    (L_g, gcols), (L_h, hcols) = lambda_g.integer_columns(), lambda_h.integer_columns()
+    view, dim, field = wb.integer_view, wb.dim, wb.field
+    L_g, gcols = field.to_ints(lambda_g.column_dicts())
+    L_h, hcols = field.to_ints(lambda_h.column_dicts())
     coproducts = [{uv: c * L_g * L_h for uv, c in view.coproduct(r).items()} for r in wb.keys]
     # c b_i (x) b_j in Delta(b_k) subtracts c lambda_g(b_i) (x) delta(b_j) and
     # c delta(b_i) (x) lambda_h(b_j) from the defect on b_k; None marks delta's leg
     legs = [[] for _ in wb.keys]
     for k in wb.keys:
         for (i, j), c in view.coproduct(k).items():
-            legs[j].append((k, nonzero_ints({u: -c * x * L_h for u, x in gcols[i].items()}, p),
+            legs[j].append((k, field.reduce({u: -c * x * L_h for u, x in gcols[i].items()}),
                             None))
             legs[i].append((k, None,
-                            nonzero_ints({v: -c * x * L_g for v, x in hcols[j].items()}, p)))
+                            field.reduce({v: -c * x * L_g for v, x in hcols[j].items()})))
 
     def residual(x: dict) -> dict:
         columns, out = {}, {}
@@ -104,7 +104,7 @@ def coderivation_residual(wb: WeakBialgebra, lambda_g: Matrix, lambda_h: Matrix)
                 for u, a in (col if left is None else left).items():
                     for v, b in (col if right is None else right).items():
                         out[kk, u, v] = out.get((kk, u, v), 0) + a * b
-        return nonzero_ints(out, p)
+        return field.reduce(out)
     return residual
 
 
@@ -112,9 +112,9 @@ def _coderivation_failure(wb: WeakBialgebra, delta: Matrix, lam_g: Matrix, lam_h
     """The smallest k where Delta(delta(b_k)) differs from
     (lambda_g (x) delta + delta (x) lambda_h) Delta(b_k), or None: read from
     :func:`coderivation_residual` on the lam_g and lam_h the caller built,
-    with delta scaled to ints."""
+    with delta held as ints."""
     dim = wb.dim
-    _, x = integer_vector(wb.field, {r * dim + k: c for (r, k), c in delta.data.items()})
+    _, (x,) = wb.field.to_ints([{r * dim + k: c for (r, k), c in delta.data.items()}])
     return min((k for k, _, _ in coderivation_residual(wb, lam_g, lam_h)(x)), default=None)
 
 

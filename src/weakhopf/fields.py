@@ -4,11 +4,19 @@ Every algebra instance fixes one field; all arithmetic in the package is
 exact.  Rationals are plain ``fractions.Fraction`` values.  Prime-field
 elements are instances of a per-prime class created by :func:`GF`, so that
 ``GF(5)(2) + GF(5)(4)`` works with the usual operators and reduces mod 5.
+
+The hot sweeps and eliminations run on plain ints, and :class:`Field` is
+the one place that knows how a scalar is held as one: :meth:`Field.to_ints`
+brings dicts of scalars to ints at one scale D (over QQ the lcm of their
+denominators, over GF(p) the residues and D = 1), :meth:`Field.reduce`
+keeps an int dict's nonzero entries (residues mod p over GF(p)), and an int
+c at scale a reads back as the field's own quotient ``field(c) / field(a)``.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import re
 from fractions import Fraction
 
@@ -175,8 +183,35 @@ class Field:
         """Serialize a scalar (inverse of :meth:`parse`)."""
         return x.v if self._elem is not None else str(x)
 
+    def to_ints(self, tables, base=1):
+        """(D, ints): the dicts of scalars ``tables`` (a list) as dicts of ints at one
+        scale D, in the same order, each without its zero entries.
+
+        Over QQ, D is the lcm of ``base`` and of every denominator, and a
+        scalar c becomes the int D c; over GF(p), D = 1 and c becomes its
+        residue (``base``, a scale that is 1 over GF(p), is not read).
+        Python ints are taken as field elements.  Reading back, the int n
+        stands for ``self(n) / self(D)``.
+        """
+        p = self.p
+        if p is None:
+            D = math.lcm(base, *(c.denominator for t in tables for c in t.values()))
+            return D, [{k: n * (D // c.denominator) for k, c in t.items() if (n := c.numerator)}
+                       for t in tables]
+        return 1, [{k: r for k, c in t.items() if (r := c % p if type(c) is int else c.v)}
+                   for t in tables]
+
+    def reduce(self, d):
+        """The nonzero entries of a dict of ints, as residues mod p over GF(p)."""
+        p = self.p
+        if p is None:
+            return {k: c for k, c in d.items() if c}
+        return {k: r for k, c in d.items() if (r := c % p)}
+
     @property
     def order(self):
+        """p, or None over QQ: the package reads ``p``, and this name stays for
+        code outside it (the benchmark's ``grouplike.brute_candidates`` probe)."""
         return self.p
 
     def __eq__(self, other):

@@ -94,7 +94,8 @@ def brute_force_weak_grouplikes(wb: WeakBialgebra):
     Before the loop it takes, as integer residues mod p over the slots
     a*dim + b of R (x) R, every Delta(b_k) and, for every basis pair (i, j),
     Delta(1)(b_i (x) b_j) and (b_i (x) b_j)Delta(1), all computed on the
-    residue tables of ``wb.integer_view`` and reduced mod p, zeros dropped.
+    residue tables of ``wb.integer_view`` and kept as :meth:`Field.reduce`
+    keeps them.
     A candidate g = sum_i g_i b_i is then a tuple of ints: Delta(g) is
     sum_k g_k Delta(b_k) and each quadratic side sum_{i,j} g_i g_j times the
     pair's entry, summed as dense int lists and compared mod p, the second
@@ -104,7 +105,7 @@ def brute_force_weak_grouplikes(wb: WeakBialgebra):
     SCAN_LIMIT or p^dim times (dim^2 + the number of residues in the
     tables) exceeds SCAN_WORK_LIMIT.
     """
-    p = wb.field.order
+    field, p = wb.field, wb.field.p
     if p is None:
         raise TooLarge("brute force requires a finite prime field")
     if p ** wb.dim > SCAN_LIMIT:
@@ -113,7 +114,7 @@ def brute_force_weak_grouplikes(wb: WeakBialgebra):
     d1 = ints.delta_one()
 
     def residues(t):  # an int 2-tensor as ((slot, residue), ...), zeros mod p dropped
-        return tuple((a * dim + b, r) for (a, b), c in t.items() if (r := c % p))
+        return tuple((a * dim + b, r) for (a, b), r in field.reduce(t).items())
 
     coproducts = [residues(ints.coproduct(k)) for k in wb.keys]
     left = [[residues(ints.tensor_mul(d1, {(i, j): 1})) for j in wb.keys] for i in wb.keys]
@@ -143,7 +144,7 @@ def brute_force_weak_grouplikes(wb: WeakBialgebra):
             for slot, r in coproducts[k]:
                 dg[slot] += c * r
         if agrees(dg, coeffs, support, left) and agrees(dg, coeffs, support, right):
-            g = {i: wb.field(coeffs[i]) for i in support}
+            g = {i: field(coeffs[i]) for i in support}
             if is_weak_grouplike(wb, g):
                 found.append(g)
     return found
@@ -171,12 +172,12 @@ def is_unital_algebra_endo(wb: WeakBialgebra, m: Matrix):
     """Return a failing witness tuple or None if m is a unital algebra endomorphism.
 
     Compares L m(b_i b_j) with m(b_i) m(b_j), and m(1) with L 1, as ints on
-    R's integer view (scale D), m's columns scaled to ints by one L (see
-    :meth:`Matrix.integer_columns`): the sides carry the scale D L^2, and
-    D L for the unit; over GF(p) they are compared mod p.
+    R's integer view (scale D), m's columns held as ints at one scale L by
+    :meth:`Field.to_ints`: the sides carry the scale D L^2, and D L for the
+    unit; over GF(p) they are compared mod p.
     """
     view = wb.integer_view
-    L, cols = m.integer_columns()
+    L, cols = wb.field.to_ints(m.column_dicts())
     image = cols.__getitem__
     lift = (lambda v: {k: L * c for k, c in v.items()}) if L != 1 else (lambda v: v)
     if not view.agree(view.apply(image, view.unit), lift(view.unit), (0, 0)):

@@ -9,26 +9,26 @@ which must not modify them.  Every other vector an operation returns is a
 new dict without zeros, for callers to keep.
 
 Elimination (:func:`_rref`) is exact Gauss-Jordan on plain Python ints.
-Its rows are dicts column -> nonzero int: over QQ a nonzero multiple of the
-field row, over GF(p) its residues.  :func:`constraint_matrix` compiles a
-linear residual straight into such rows, every row at the one scale S the
-residual works at (see there), and keeps each distinct row once;
-:func:`residual_kernel` eliminates them and re-checks every kernel vector
-with the residual on ints.  The :class:`Matrix` entry points (rank,
-kernel_basis, solve and column_space_basis) convert each row once, at
-entry, by :func:`integer_vector`.  Only what a caller reads goes back to
-field scalars: the entries of the kernel vectors, or the solution column of
-:func:`solve`.  Pivoting is deterministic: columns in order, and for each
-column the lowest-index row that has not taken a pivot and is nonzero
-there.  The reduced row echelon form is unique, so kernel bases and
-solutions are exactly those of elimination in field arithmetic, and
-reproducible for a fixed input.
+Its rows are dicts column -> nonzero int, field rows as
+:meth:`Field.to_ints` holds them, at any nonzero scale.
+:func:`constraint_matrix` compiles a linear residual straight into such
+rows, every row at the one scale S the residual works at (see there), and
+keeps each distinct row once; :func:`residual_kernel` eliminates them and
+re-checks every kernel vector with the residual on ints.  The
+:class:`Matrix` entry points (rank, kernel_basis, solve and
+column_space_basis) convert the rows once, at entry, by
+:meth:`Field.to_ints`.  Only what a caller reads goes back to field
+scalars, as the field's quotient of two ints: the entries of the kernel
+vectors, or the solution column of :func:`solve`.  Pivoting is
+deterministic: columns in order, and for each column the lowest-index row
+that has not taken a pivot and is nonzero there.  The reduced row echelon
+form is unique, so kernel bases and solutions are exactly those of
+elimination in field arithmetic, and reproducible for a fixed input.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import DimensionMismatch, ValidationError
 
@@ -65,16 +65,6 @@ class Matrix:
             for (i, j), c in self.data.items():
                 self._columns[j][i] = c
         return self._columns
-
-    def integer_columns(self):
-        """(L, columns): column j as a dict of nonzero ints, for every j; over QQ
-        L times the column, L the lcm of all the denominators, over GF(p) its
-        residues, L = 1."""
-        L, ints = integer_vector(self.field, self.data)
-        cols = [{} for _ in range(self.cols)]
-        for (i, j), c in ints.items():
-            cols[j][i] = c
-        return L, cols
 
     def row_dicts(self):
         rows = [{} for _ in range(self.rows)]
@@ -124,33 +114,16 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}, {dict(sorted(self.data.items()))})"
 
 
-def integer_vector(field, v: dict):
-    """(L, w) for a dict v of scalars (Python ints allowed): over QQ, w = L v
-    as nonzero ints, L the lcm of v's denominators; over GF(p), L = 1 and w
-    holds the nonzero residues."""
-    if field.p is None:
-        L = math.lcm(*(c.denominator for c in v.values()))
-        return L, {k: c.numerator * (L // c.denominator) for k, c in v.items() if c}
-    return 1, {k: r for k, c in v.items() if (r := field.coerce(c).v)}
-
-
-def nonzero_ints(d: dict, p) -> dict:
-    """The nonzero entries of a dict of ints; reduced to residues mod p when p is set."""
-    if p is None:
-        return {k: c for k, c in d.items() if c}
-    return {k: r for k, c in d.items() if (r := c % p)}
-
-
 def _rref(rows, ncols, field, augmented_from=None):
     """Reduce a list of sparse int rows (dicts col -> nonzero int) to reduced row echelon form.
 
-    The rows are taken as they are: over QQ each is any nonzero multiple of
-    the field row it stands for (the rows of :func:`constraint_matrix` are
-    all S times theirs), over GF(p) its residues, reduced mod p.  Returns the
+    The rows are taken as they are, at any nonzero scale (the rows of
+    :func:`constraint_matrix` are all at S, those of a :class:`Matrix` at
+    the one scale :meth:`Field.to_ints` gives them).  Returns the
     pair (pivots, leftover).  ``pivots`` lists (row, col) pairs, in
     increasing col, where ``row`` is the reduced int row, a nonzero multiple
     of the field row with a 1 in column col; nothing is converted back, and
-    a caller reads a field entry as row[c] / row[col] (:func:`_quotient`).
+    a caller reads a field entry as field(row[c]) / field(row[col]).
     ``leftover`` holds the nonzero rows that took no pivot, likewise only
     multiples, so read it only for its support.  If ``augmented_from`` is
     given, columns >= augmented_from are never chosen as pivots
@@ -203,19 +176,9 @@ def _rref(rows, ncols, field, augmented_from=None):
     return [(work[ri], col) for ri, col in pivots], leftover
 
 
-def _quotient(field, c, a):
-    """The field element c / a of two ints (a nonzero, a unit mod p over GF(p))."""
-    return Fraction(c, a) if field.p is None else field(c * pow(a, -1, field.p))
-
-
-def _integer_rows(field, rows):
-    """Rows of field scalars as int rows for :func:`_rref`, each converted once."""
-    return [integer_vector(field, r)[1] for r in rows]
-
-
 def _pivots(m: Matrix):
     """The pivots of :func:`_rref` on the rows of m."""
-    return _rref(_integer_rows(m.field, m.row_dicts()), m.cols, m.field)[0]
+    return _rref(m.field.to_ints(m.row_dicts())[1], m.cols, m.field)[0]
 
 
 class IntegerSystem:
@@ -268,7 +231,7 @@ def _kernel(pivots, ncols, field):
         for row, col in pivots:
             c = row.get(free)
             if c:
-                data[col] = _quotient(field, -c, row[col])
+                data[col] = field(-c) / field(row[col])
         basis.append(data)
     return basis
 
@@ -284,13 +247,13 @@ def kernel_basis(m: Matrix):
 
 def residual_kernel(system: IntegerSystem, residual) -> list:
     """The null space of the system compiled from residual, in the convention of
-    :func:`kernel_basis`, each vector re-checked by residual: scaled to ints by
-    :func:`integer_vector`, it must give no nonzero entry, and a vector that
+    :func:`kernel_basis`, each vector re-checked by residual: held as ints by
+    :meth:`Field.to_ints`, it must give no nonzero entry, and a vector that
     does raises ValidationError naming its smallest key."""
     field = system.field
     basis = _kernel(_rref(system.equations, system.cols, field)[0], system.cols, field)
     for vec in basis:
-        if defect := residual(integer_vector(field, vec)[1]):
+        if defect := residual(field.to_ints([vec])[1][0]):
             raise ValidationError(f"kernel vector fails its residual at {min(defect)}")
     return basis
 
@@ -300,8 +263,8 @@ def solve(m: Matrix, b: dict) -> dict | None:
     rows = m.row_dicts()
     for i, c in b.items():
         rows[i][m.cols] = c
-    pivots, leftover = _rref(_integer_rows(m.field, rows), m.cols + 1, m.field,
-                              augmented_from=m.cols)
+    field = m.field
+    pivots, leftover = _rref(field.to_ints(rows)[1], m.cols + 1, field, augmented_from=m.cols)
     for row in leftover:
         if row.get(m.cols):
             return None
@@ -309,7 +272,7 @@ def solve(m: Matrix, b: dict) -> dict | None:
     for row, col in pivots:
         c = row.get(m.cols)
         if c:
-            data[col] = _quotient(m.field, c, row[col])
+            data[col] = field(c) / field(row[col])
     return data
 
 

@@ -19,8 +19,8 @@ the degree bound (:meth:`OreAlgebra.integer_view`).  One recursion builds
 the x-powers, products, skew powers, coproducts and antipodes: on field
 scalars for H itself, which the element API and the degree <= 1 generator
 clauses use, and on ints for the integer view, from R's integer view and
-sigma, delta, g and S(x) scaled by one integer E; no sweep table is
-computed in field scalars.
+sigma, delta, g and S(x) held as ints at one scale E by
+:meth:`Field.to_ints`; no sweep table is computed in field scalars.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import copy
 import math
 
 from .bialgebra import (BasisView, IntegerView, WeakBialgebra, WeakHopfAlgebra, _check,
-                        _nonzero, base_subalgebras, int_scalars, sweep_antipode,
+                        _nonzero, base_subalgebras, sweep_antipode,
                         sweep_coassociative, sweep_coproduct_multiplicative, sweep_counit_neutral,
                         sweep_counit_weak_multiplicative, sweep_unit_compatibility)
 from .coderivations import skew_derivation
@@ -77,7 +77,8 @@ class OreAlgebra(BasisView):
         with E = 1.  The columns of sigma and delta, g and S(x) hold scalars
         of the same kind.  Over ints, x^i b_u is E^i times its value, a
         product whose left factor has degree i is E^(i+1) times its value,
-        and every cached entry is reduced mod ``modulus`` when it is set;
+        and every cached entry is kept as :meth:`Field.reduce` keeps it when
+        ``modulus`` is set;
         :meth:`_weights` gives the power of E in each table.
         """
         super().__init__(r.field, self.monomials(0), self.embed(r.unit))
@@ -98,9 +99,9 @@ class OreAlgebra(BasisView):
         return p if E == 1 else {(b, n): c * E ** (top - n) for (b, n), c in p.items()}
 
     def _keep(self, d):
-        """d as the caches keep it: reduced mod ``modulus``, zeros dropped, when that is set."""
-        p = self.modulus
-        return {k: v for k, c in d.items() if (v := c % p)} if p else d
+        """d as the caches keep it: as :meth:`Field.reduce` keeps it on residue
+        tables (``modulus`` set), else as it is."""
+        return self.field.reduce(d) if self.modulus else d
 
     # -- basic structure ------------------------------------------------
 
@@ -264,20 +265,15 @@ class OreAlgebra(BasisView):
 
     def _integers(self):
         """H's recursion on ints, built once and kept: a copy of H whose tables
-        are R's integer view at scale E and sigma, delta, g and S(x) times E,
-        E the lcm of the view's D and of their denominators; over GF(p) the
-        residues, E = 1."""
+        are R's integer view and sigma, delta, g and S(x), all at one scale E
+        by :meth:`Field.to_ints`, which folds in the view's D."""
         if self._over_ints is None:
-            view, s_x = self.R.integer_view, self._s_x
-            cols = self.sigma.column_dicts(), self.delta.column_dicts()
-            E = view.scale
-            if view.modulus is None:
-                inputs = (*cols[0], *cols[1], self.g or {}, s_x or {})
-                E = math.lcm(E, *(c.denominator for t in inputs for c in t.values()))
-            ints = int_scalars(self.field, E)
+            view, g, s_x, n = self.R.integer_view, self.g, self._s_x, self.R.dim
+            E, ints = self.field.to_ints([*self.sigma.column_dicts(), *self.delta.column_dicts(),
+                                          g or {}, s_x or {}], view.scale)
             Z = self._over_ints = copy.copy(self)
-            Z._tabulate(view.rescaled(E), [ints(c) for c in cols[0]], [ints(c) for c in cols[1]],
-                        self.g and ints(self.g), s_x and ints(s_x))
+            Z._tabulate(view.rescaled(E), ints[:n], ints[n:2 * n], g and ints[-2],
+                        s_x and ints[-1])
         return self._over_ints
 
     def _weights(self, n):

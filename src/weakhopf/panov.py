@@ -23,7 +23,7 @@ from .coderivations import _coderivation_failure, is_sigma_derivation
 from .errors import InvalidGroupCharacter, NotCentral, NotGrouplike, ValidationError, ZeroScale
 from .groupoid import GroupoidAlgebra
 from .grouplike import Character, grouplike_inverse, is_weak_grouplike, winding
-from .linalg import Matrix, constraint_matrix, integer_vector, nonzero_ints, residual_kernel
+from .linalg import Matrix, constraint_matrix, residual_kernel
 from .report import _fmt_witness
 
 
@@ -326,15 +326,15 @@ def alpha_residual(ga: GroupoidAlgebra, chi: dict):
     """The linear map alpha -> alpha(b_i b_j) - alpha(b_i) eps(b_j) - chi(b_i) alpha(b_j)
     keyed (i, j), and alpha(E_ii) keyed (idx,), on ints, as a dict without zeros.
 
-    alpha is scaled to ints (see :func:`linalg.integer_vector`).  The
-    products and eps come from R's integer view (scale D) and chi is scaled
-    to ints by its L, so every term is brought to one scale S = D L: the
-    product and eps terms times L, the chi terms times D and alpha(E_ii)
-    times D L.  Over QQ the residual is S times its field value; over GF(p)
-    it holds the residues.  It visits only alpha's support, through the
-    products b_i b_j indexed once by the basis elements they reach."""
-    view, p = ga.integer_view, ga.field.p
-    (L, chi), D = integer_vector(ga.field, chi), view.scale
+    alpha, and chi at its scale L, are held as ints by :meth:`Field.to_ints`.
+    The products and eps come from R's integer view (scale D), so every
+    term is brought to one scale S = D L: the product and eps terms times L,
+    the chi terms times D and alpha(E_ii) times D L, and every entry is kept
+    as :meth:`Field.reduce` keeps it.  It visits only alpha's support,
+    through the products b_i b_j indexed once by the basis elements they
+    reach."""
+    view, field = ga.integer_view, ga.field
+    (L, (chi,)), D = field.to_ints([chi]), view.scale
     reach = {}
     for i in ga.keys:
         for j in ga.keys:
@@ -355,7 +355,7 @@ def alpha_residual(ga: GroupoidAlgebra, chi: dict):
                 out[i, k] = out.get((i, k), 0) + x * a
             if k in diagonal:
                 out[k,] = a * D * L
-        return nonzero_ints(out, p)
+        return field.reduce(out)
     return residual
 
 

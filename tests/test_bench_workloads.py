@@ -9,8 +9,10 @@ set-up or an answer fails in the suite.  The sha256 of each op's judged
 output text, the ``sha256`` field ``perfbench/run.py`` records, is compared
 with ``tests/golden/bench-op-digests-seed1.txt`` (one ``<sha256>  <workload>:
 <op name>`` line per op), so a change of any op's output bytes fails too.
-Nothing is written in the repository.  Regenerate the golden only for an
-intended change of output::
+Each workload also gets one traced set-up and pass, under the per-layer
+tracer ``perfbench/run.py --trace 1`` installs, so that a probe reading a
+name the package no longer has fails here too.  Nothing is written in the
+repository.  Regenerate the golden only for an intended change of output::
 
     PYTHONPATH=src:tests python tests/test_bench_workloads.py --write
 """
@@ -27,6 +29,8 @@ import weakhopf.cli
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
+import layertrace  # noqa: E402
+import run  # noqa: E402
 import workloads  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "golden" / "bench-op-digests-seed1.txt"
@@ -60,6 +64,23 @@ def test_workload_answers_right_at_seed_1(name, tmp_path):
     ops = judged_digests(name, tmp_path)
     assert [op for op, _, ok in ops if not ok] == []
     assert [(op, digest) for op, digest, _ in ops] == golden_digests()[name]
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_answers_right_under_the_tracer(name, tmp_path):
+    """The seed-1 set-up and one pass of every op with the layer tracer
+    installed: every probe runs on the calls it reads, every answer is right
+    and the per-layer metrics are computed."""
+    tracer = layertrace.Tracer()
+    tracer.install(weakhopf)
+    try:
+        plan = workloads.WORKLOADS[name](weakhopf, 1, str(tmp_path))
+        wrong = [op.name for op in plan.ops if not op.judge(op.run())[1]]
+    finally:
+        tracer.uninstall()
+    assert wrong == []
+    metrics = run.layer_metrics(tracer, 0.0, 1.0, 1.0)
+    assert metrics["report.checks"]["value"] > 0
 
 
 if __name__ == "__main__":

@@ -14,8 +14,10 @@ exits 0 with only ``WEAK-GROUPLIKE`` and ``COUNT`` lines, or 2.  ``panov
 --hopf`` and ``ore build`` get the section-5 spec (Z2, n = 1) with random
 rationals written into sigma, delta and g, and keep the same
 contract, where exit 1 follows a ``CLAUSE ... FAIL`` or ``VERDICT FAIL``
-line (or, for ``ore build``, an ``AXIOM ... FAIL`` line).  The profile is
-fixed (derandomized, no example database).
+line (or, for ``ore build``, an ``AXIOM ... FAIL`` line).  No argument is
+ignored: ``grouplikes --brute`` with ``--prime`` exits 2 whatever the
+prime, and ``example`` exits 2 when it gets more positional parameters than
+its kind takes.  The profile is fixed (derandomized, no example database).
 """
 
 import contextlib
@@ -66,15 +68,20 @@ def _mutate(doc, mutation):
         doc[section][r % doc["dim"]] = text
 
 
+def _main(argv):
+    """main(argv); (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
 def _run(doc, argv):
     """main(argv(path)) on doc written to a spec file; (exit code, stdout, stderr)."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "spec.json"
         path.write_text(json.dumps(doc))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(argv(str(path)))
-    return rc, out.getvalue(), err.getvalue()
+        return _main(argv(str(path)))
 
 
 def _assert_exit_contract(rc, out, err, line):
@@ -130,6 +137,37 @@ def test_mutated_gfp_spec_grouplikes_brute_exit_codes(wb, mutations):
     rc, out, err = _run(doc, lambda path: ["grouplikes", "--brute", path])
     assert rc in (0, 2)
     _assert_exit_contract(rc, out, err, GROUPLIKES_LINE)
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(SOURCES[1:]), st.integers(-1, 12))
+def test_grouplikes_brute_refuses_prime(source, prime):
+    """--prime sets the field of --matrix only; with --brute, on a QQ or a GF(p)
+    spec and whatever the prime, it is refused before the spec is read."""
+    rc, out, err = _run(json.loads(source.read_text()),
+                        lambda path: ["grouplikes", "--brute", path, "--prime", str(prime)])
+    assert rc == 2
+    _assert_exit_contract(rc, out, err, GROUPLIKES_LINE)
+
+
+# The most positional parameters each example kind takes.
+EXAMPLE_PARAMS = {"sweedler": 0, "matrix": 1, "groupoid": 2, "section5": 0}
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(sorted(EXAMPLE_PARAMS)),
+       st.lists(st.sampled_from(("1", "2", "Z2", "S3", "trivial", "x")), max_size=4))
+def test_example_parameter_exit_codes(kind, params):
+    """``example`` prints one spec document (exit 0) or one error line (exit 2),
+    and exits 2 whenever it gets more parameters than its kind takes."""
+    rc, out, err = _main(["example", kind, *params])
+    assert "Traceback" not in out + err
+    if rc == 2:
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+    else:
+        assert rc == 0 and err == "" and json.loads(out)["dim"] >= 1
+    if len(params) > EXAMPLE_PARAMS[kind]:
+        assert rc == 2
 
 
 # clause witnesses name elements, so they may hold spaces

@@ -412,6 +412,13 @@ GF3 = {"kind": "prime", "p": 3}
                              ("functionals", ""), ("elements", None))),
     lambda tmp: ["example", "groupoid", "Z2"],
     lambda tmp: ["example", "groupoid", "Q8", "1"],
+    # --prime names the field of --matrix only; --brute scans the spec's own field
+    lambda tmp: ["grouplikes", "--brute", _spec_file(tmp, field=GF3), "--prime", "7"],
+    lambda tmp: ["grouplikes", "--brute", _spec_file(tmp), "--prime", "7"],
+    # positional parameters that the example kind does not take
+    lambda tmp: ["example", "sweedler", "3", "5"],
+    lambda tmp: ["example", "matrix", "2", "9"],
+    lambda tmp: ["example", "section5", "Z2"],
     *(lambda tmp, b=broken, c=command: _spec_commands(_nonassociative_m2q_file(tmp, b))[c]
       for broken in BROKEN_M2Q for command in range(4)),
 ], ids=["matrix-size-text", "groupoid-size-text", "prime-as-string", "prime-as-float",
@@ -429,6 +436,8 @@ GF3 = {"kind": "prime", "p": 3}
         "functionals-false", "elements-empty-list", "maps-zero", "functionals-empty-string",
         "elements-null",
         "groupoid-one-parameter", "groupoid-unknown-group",
+        "grouplikes-brute-gf3-with-prime", "grouplikes-brute-qq-with-prime",
+        "sweedler-two-parameters", "matrix-two-parameters", "section5-one-parameter",
         *(f"nonassociative-{broken}-{command}" for broken in BROKEN_M2Q
           for command in ("check", "panov", "characters", "ore-build"))])
 def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
