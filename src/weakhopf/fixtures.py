@@ -46,8 +46,6 @@ def sweedler_data() -> OreData:
 class TwistedDerivationData(OreData):
     """OreData built from a solved twisted functional alpha."""
 
-    rho: list
-    q: list
     alpha_basis: list
     alpha: dict | None
 
@@ -75,6 +73,4 @@ def twisted_derivation_data(group: GroupPresentation, n: int, rho, q,
     else:
         alpha = None
         delta = Matrix.zero(ga.field, ga.dim, ga.dim)
-    return TwistedDerivationData(ga, sigma, delta, g, chi,
-                                 rho=list(rho), q=list(q),
-                                 alpha_basis=alpha_basis, alpha=alpha)
+    return TwistedDerivationData(ga, sigma, delta, g, chi, alpha_basis=alpha_basis, alpha=alpha)

@@ -8,6 +8,7 @@ The pair (G, n) is taken as input directly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .bialgebra import DIM_LIMIT, WeakHopfAlgebra
@@ -115,6 +116,11 @@ def _cycle_label(perm):
     return "".join(cycles) if cycles else "e"
 
 
+def _groupoid_index(n, g, i, j):
+    """Index of g E_{i+1,j+1} in M_n(kG) (g a group index, i, j zero-based)."""
+    return (g * n + i) * n + j
+
+
 class GroupoidAlgebra(WeakHopfAlgebra):
     """The weak Hopf algebra M_n(kG), with basis bookkeeping for (g, i, j)."""
 
@@ -125,7 +131,7 @@ class GroupoidAlgebra(WeakHopfAlgebra):
 
     def basis_index(self, g, i, j):
         """Index of g E_{i+1,j+1} (g a group index, i, j zero-based)."""
-        return (g * self.n + i) * self.n + j
+        return _groupoid_index(self.n, g, i, j)
 
     def diagonal_unit_indices(self):
         """Indices of the idempotents E_ii (identity group element)."""
@@ -158,10 +164,7 @@ def build_groupoid_algebra(group: GroupPresentation, n: int,
     dim = m * n * n
     if dim > DIM_LIMIT:
         raise TooLarge(f"M_{n}(k{group.name}) has dimension {dim}, more than {DIM_LIMIT}")
-
-    def idx(g, i, j):
-        return (g * n + i) * n + j
-
+    idx = functools.partial(_groupoid_index, n)
     labels = [_groupoid_label(group, g, i, j, n)
               for g in range(m) for i in range(n) for j in range(n)]
     one = field.one()

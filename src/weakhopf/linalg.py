@@ -6,24 +6,28 @@ of bialgebra.py use for elements of R; a missing index reads as zero.
 passed through :meth:`Field.coerce`, and is immutable after construction;
 its column dicts are built once, on first use, and shared by every reader,
 which must not modify them.  Every other vector an operation returns is a
-new dict without zeros, for callers to keep.
+new dict without zeros, for callers to keep.  A product is built column by
+column with :meth:`Matrix.apply`, and the rows of a matrix are the columns
+of its transpose.
 
-Elimination (:func:`_rref`) is exact Gauss-Jordan on plain Python ints.
-Its rows are dicts column -> nonzero int, field rows as
-:meth:`Field.to_ints` holds them, at any nonzero scale.
+Elimination (:func:`_rref`) is exact Gauss-Jordan on plain Python ints and
+returns only its pivots.  Its rows are dicts column -> nonzero int, field
+rows as :meth:`Field.to_ints` holds them, at any nonzero scale.
 :func:`constraint_matrix` compiles a linear residual straight into such
 rows, every row at the one scale S the residual works at (see there), and
 keeps each distinct row once; :func:`residual_kernel` eliminates them and
 re-checks every kernel vector with the residual on ints.  The
 :class:`Matrix` entry points (rank, kernel_basis, solve and
-column_space_basis) convert the rows once, at entry, by
-:meth:`Field.to_ints`.  Only what a caller reads goes back to field
-scalars, as the field's quotient of two ints: the entries of the kernel
-vectors, or the solution column of :func:`solve`.  Pivoting is
-deterministic: columns in order, and for each column the lowest-index row
-that has not taken a pivot and is nonzero there.  The reduced row echelon
-form is unique, so kernel bases and solutions are exactly those of
-elimination in field arithmetic, and reproducible for a fixed input.
+column_space_basis) read the pivots of one matrix by :func:`_pivots`,
+which converts its rows once, at entry, by :meth:`Field.to_ints`; solve
+eliminates the augmented matrix [m | b].  Only what a caller reads goes
+back to field scalars, as the field's quotient of two ints: the entries
+of the kernel vectors, or the solution column of :func:`solve`.
+Pivoting is deterministic: columns in order, and for each column the
+lowest-index row that has not taken a pivot and is nonzero there.  The
+reduced row echelon form is unique, so kernel bases and solutions are
+exactly those of elimination in field arithmetic, and reproducible for a
+fixed input.
 """
 
 from __future__ import annotations
@@ -66,27 +70,18 @@ class Matrix:
                 self._columns[j][i] = c
         return self._columns
 
-    def row_dicts(self):
-        rows = [{} for _ in range(self.rows)]
-        for (i, j), c in self.data.items():
-            rows[i][j] = c
-        return rows
-
     def transpose(self):
         data = {(j, i): c for (i, j), c in self.data.items()}
         return Matrix(self.field, self.cols, self.rows, data)
 
     def __mul__(self, other):
-        """Matrix product self * other."""
+        """Matrix product self * other: column k is self applied to column k of other."""
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows or self.field != other.field:
             raise DimensionMismatch("matrix product shape/field mismatch")
-        zero, cols, data = self.field.zero(), self.column_dicts(), {}
-        for (j, k), b in other.data.items():
-            for i, a in cols[j].items():
-                data[i, k] = data.get((i, k), zero) + a * b
-        return Matrix(self.field, self.rows, other.cols, data)
+        return Matrix.from_columns(self.field, self.rows,
+                                   [self.apply(col) for col in other.column_dicts()])
 
     def apply(self, v: dict) -> dict:
         """Matrix-vector product self * v."""
@@ -114,21 +109,17 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}, {dict(sorted(self.data.items()))})"
 
 
-def _rref(rows, ncols, field, augmented_from=None):
+def _rref(rows, ncols, field):
     """Reduce a list of sparse int rows (dicts col -> nonzero int) to reduced row echelon form.
 
     The rows are taken as they are, at any nonzero scale (the rows of
     :func:`constraint_matrix` are all at S, those of a :class:`Matrix` at
-    the one scale :meth:`Field.to_ints` gives them).  Returns the
-    pair (pivots, leftover).  ``pivots`` lists (row, col) pairs, in
-    increasing col, where ``row`` is the reduced int row, a nonzero multiple
-    of the field row with a 1 in column col; nothing is converted back, and
-    a caller reads a field entry as field(row[c]) / field(row[col]).
-    ``leftover`` holds the nonzero rows that took no pivot, likewise only
-    multiples, so read it only for its support.  If ``augmented_from`` is
-    given, columns >= augmented_from are never chosen as pivots
-    (augmented-system solving).  The input rows are not modified, and the
-    returned rows must not be.
+    the one scale :meth:`Field.to_ints` gives them).  Returns the pivots,
+    a list of (row, col) pairs in increasing col, where ``row`` is the
+    reduced int row, a nonzero multiple of the field row with a 1 in column
+    col; nothing is converted back, and a caller reads a field entry as
+    field(row[c]) / field(row[col]).  The input rows are not modified, and
+    the returned rows must not be.
 
     Each update is row := a*row - f*pivot_row with a the pivot entry and f
     the row's entry in the pivot column, followed by dividing the row by the
@@ -145,7 +136,7 @@ def _rref(rows, ncols, field, augmented_from=None):
             holders[c].add(ri)
     used = set()
     pivots = []
-    for col in range(ncols if augmented_from is None else augmented_from):
+    for col in range(ncols):
         hold = holders[col]
         pr = min((ri for ri in hold if ri not in used), default=None)
         if pr is None:
@@ -172,13 +163,12 @@ def _rref(rows, ncols, field, augmented_from=None):
             work[ri] = new
         used.add(pr)
         pivots.append((pr, col))
-    leftover = [row for ri, row in enumerate(work) if row and ri not in used]
-    return [(work[ri], col) for ri, col in pivots], leftover
+    return [(work[ri], col) for ri, col in pivots]
 
 
 def _pivots(m: Matrix):
     """The pivots of :func:`_rref` on the rows of m."""
-    return _rref(m.field.to_ints(m.row_dicts())[1], m.cols, m.field)[0]
+    return _rref(m.field.to_ints(m.transpose().column_dicts())[1], m.cols, m.field)
 
 
 class IntegerSystem:
@@ -251,7 +241,7 @@ def residual_kernel(system: IntegerSystem, residual) -> list:
     :meth:`Field.to_ints`, it must give no nonzero entry, and a vector that
     does raises ValidationError naming its smallest key."""
     field = system.field
-    basis = _kernel(_rref(system.equations, system.cols, field)[0], system.cols, field)
+    basis = _kernel(_rref(system.equations, system.cols, field), system.cols, field)
     for vec in basis:
         if defect := residual(field.to_ints([vec])[1][0]):
             raise ValidationError(f"kernel vector fails its residual at {min(defect)}")
@@ -259,21 +249,18 @@ def residual_kernel(system: IntegerSystem, residual) -> list:
 
 
 def solve(m: Matrix, b: dict) -> dict | None:
-    """One solution of m*x = b with all free variables set to zero, or None."""
-    rows = m.row_dicts()
-    for i, c in b.items():
-        rows[i][m.cols] = c
-    field = m.field
-    pivots, leftover = _rref(field.to_ints(rows)[1], m.cols + 1, field, augmented_from=m.cols)
-    for row in leftover:
-        if row.get(m.cols):
-            return None
-    data = {}
-    for row, col in pivots:
-        c = row.get(m.cols)
-        if c:
-            data[col] = field(c) / field(row[col])
-    return data
+    """One solution of m*x = b with all free variables set to zero, or None.
+
+    Reads the pivots of the augmented matrix [m | b].  Its last column, b,
+    is reduced last, so it takes a pivot exactly when the system is
+    inconsistent (then None), and every other pivot is one of m's.  Raises
+    DimensionMismatch if b has an index outside range(m.rows).
+    """
+    field, b_col = m.field, m.cols
+    pivots = _pivots(Matrix.from_columns(field, m.rows, [*m.column_dicts(), b]))
+    if pivots and pivots[-1][1] == b_col:
+        return None
+    return {col: field(c) / field(row[col]) for row, col in pivots if (c := row.get(b_col))}
 
 
 def column_space_basis(m: Matrix):

@@ -71,7 +71,7 @@ def _parse_triples(field, rows, dim, where):
 
 
 def parse_spec(source, validate=True) -> SpecBundle:
-    """Parse a spec file (path, JSON text, or dict) into validated objects.
+    """Parse a spec file (path or dict) into validated objects.
 
     Every table and named section is parsed before R is built, so a parse
     error is reported ahead of any axiom failure, with or without
@@ -82,15 +82,11 @@ def parse_spec(source, validate=True) -> SpecBundle:
     if isinstance(source, dict):
         doc = source
     else:
-        text = None
         try:
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError:
-            if isinstance(source, str) and source.lstrip().startswith("{"):
-                text = source
-            else:
-                raise ParseError(f"cannot read spec file {source!r}")
+            raise ParseError(f"cannot read spec file {source!r}") from None
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -128,9 +124,9 @@ def parse_spec(source, validate=True) -> SpecBundle:
         slot = comult.setdefault(k, {})
         slot[(i, j)] = slot.get((i, j), field.zero()) + c
     counit = _parse_vector(field, doc["counit"], dim, "counit")
-    antipode = doc.get("antipode")
-    if antipode is not None:
-        antipode = _parse_matrix(field, antipode, dim, "antipode")
+    antipode = None
+    if "antipode" in doc:
+        antipode = _parse_matrix(field, doc["antipode"], dim, "antipode")
 
     def named(section, parser):
         out = {}

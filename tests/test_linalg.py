@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from weakhopf.errors import ParseError, ValidationError
+from weakhopf.errors import DimensionMismatch, ParseError, ValidationError
 from weakhopf.fields import GF, Field, QQ
 from weakhopf.linalg import (Matrix, column_space_basis, constraint_matrix, kernel_basis, rank,
                              residual_kernel, solve)
@@ -242,6 +242,15 @@ def test_solve_and_inverse():
     assert m.apply(x) == b
     singular = from_rows_dense(QQ, [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]])
     assert solve(singular, {1: Fraction(1)}) is None
+
+
+def test_solve_refuses_a_right_hand_side_out_of_range():
+    """b is a column of [m | b], so an index outside range(m.rows) is refused
+    as any matrix entry is: -1 does not read as the last row."""
+    m = identity(QQ, 2)
+    for row in (-1, 2):
+        with pytest.raises(DimensionMismatch):
+            solve(m, {row: Fraction(1)})
 
 
 def test_column_space_basis_spans_columns():

@@ -419,6 +419,10 @@ GF3 = {"kind": "prime", "p": 3}
     lambda tmp: ["example", "sweedler", "3", "5"],
     lambda tmp: ["example", "matrix", "2", "9"],
     lambda tmp: ["example", "section5", "Z2"],
+    # a present antipode is parsed whatever its value; a null one is no table
+    lambda tmp: ["check", _spec_file(tmp, antipode=None)],
+    # a spec argument is always a path, never JSON text
+    lambda tmp: ["check", '{"dim": 1}'],
     *(lambda tmp, b=broken, c=command: _spec_commands(_nonassociative_m2q_file(tmp, b))[c]
       for broken in BROKEN_M2Q for command in range(4)),
 ], ids=["matrix-size-text", "groupoid-size-text", "prime-as-string", "prime-as-float",
@@ -438,6 +442,7 @@ GF3 = {"kind": "prime", "p": 3}
         "groupoid-one-parameter", "groupoid-unknown-group",
         "grouplikes-brute-gf3-with-prime", "grouplikes-brute-qq-with-prime",
         "sweedler-two-parameters", "matrix-two-parameters", "section5-one-parameter",
+        "antipode-null", "spec-path-is-json-text",
         *(f"nonassociative-{broken}-{command}" for broken in BROKEN_M2Q
           for command in ("check", "panov", "characters", "ore-build"))])
 def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
