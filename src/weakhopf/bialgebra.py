@@ -253,22 +253,29 @@ class BasisView:
             self._eps_rows[a] = hit
         return hit
 
-    def counital(self, r, leg, r_first):
-        """The counital maps: sum over Delta(1) = 1_(0) (x) 1_(1) of eps(.) 1_(1-leg).
+    def contract(self, t, f, leg):
+        """The 2-tensor t read through the functional f on one leg: the element
+        sum c f(pair[leg]) pair[1 - leg] over the terms c pair of t.  f maps a
+        key to a scalar (None reads as 0, so a functional's ``get`` serves)."""
+        zero, out = self.zero, {}
+        for pair, c in t.items():
+            e = f(pair[leg])
+            if e:
+                kept = pair[1 - leg]
+                out[kept] = out.get(kept, zero) + c * e
+        return _nonzero(out)
 
-        The argument of eps is r 1_(leg) if r_first, else 1_(leg) r:
+    def counital(self, r, leg, r_first):
+        """The counital maps: Delta(1) = 1_(0) (x) 1_(1) contracted on its leg
+        ``leg`` with a -> eps(r a) if r_first, else a -> eps(a r):
         eps_t = (0, False), eps_s = (1, True), eps_t' = (0, True),
         eps_s' = (1, False).
         """
-        zero, out = self.zero, {}
-        for pair, c in self.delta_one().items():
-            a, kept = pair[leg], pair[1 - leg]
-            e = zero
-            for b, x in r.items():
-                e = e + x * (self.eps_pair(b, a) if r_first else self.eps_pair(a, b))
-            if e:
-                out[kept] = out.get(kept, zero) + c * e
-        return _nonzero(out)
+        if r_first:
+            eps = lambda a: sum((x * self.eps_pair(b, a) for b, x in r.items()), self.zero)
+        else:
+            eps = lambda a: self.eps_mul(a, r)
+        return self.contract(self.delta_one(), eps, leg)
 
     def agree(self, lhs, rhs, weights):
         """Whether two sides of an axiom hold the same field value.
@@ -438,15 +445,10 @@ def sweep_coassociative(view, report, axiom):
 
 def sweep_counit_neutral(view, report, side):
     """(eps (x) id)Delta(k) = k for side "left", (id (x) eps)Delta(k) = k for "right"."""
-    zero, fmt = view.zero, view.formatter(1)
+    leg, fmt = 0 if side == "left" else 1, view.formatter(1)
     for k in view.keys:
-        out = {}
-        for pair, c in view.coproduct(k).items():
-            dropped, kept = pair if side == "left" else pair[::-1]
-            e = view.counit(dropped)
-            if e:
-                out[kept] = out.get(kept, zero) + c * e
-        _check(report, f"counit_{side}_neutral", out, {k: view.one}, view, (k,), (2, 0), fmt)
+        kept = view.contract(view.coproduct(k), view.counit, leg)
+        _check(report, f"counit_{side}_neutral", kept, {k: view.one}, view, (k,), (2, 0), fmt)
 
 
 def sweep_counit_weak_multiplicative(view, report):
@@ -765,16 +767,12 @@ def base_subalgebras(wb: WeakBialgebra):
 
 
 def convolution(f: dict, g: dict, wb: WeakBialgebra) -> dict:
-    """Convolution product of functionals: (f*g)(b) = f(b_1) g(b_2)."""
-    zero = wb.field.zero()
+    """Convolution product of functionals: (f*g)(b) = f(b_1) g(b_2), f summed
+    against Delta(b) contracted with g on its right leg."""
     out = {}
-    for k in range(wb.dim):
-        acc = zero
-        for (i, j), c in wb.coproduct(k).items():
-            fi = f.get(i)
-            gj = g.get(j)
-            if fi and gj:
-                acc = acc + c * fi * gj
+    for k in wb.keys:
+        half = wb.contract(wb.coproduct(k), g.get, 1)
+        acc = sum((c * f[i] for i, c in half.items() if i in f), wb.zero)
         if acc:
             out[k] = acc
     return out

@@ -70,26 +70,24 @@ def coderivation_residual(wb: WeakBialgebra, lambda_g: Matrix, lambda_h: Matrix)
     without zeros; it vanishes exactly on the (g,h)-coderivations when
     lambda_g and lambda_h (built by the caller) are the left multiplications
     by g and h.  It reads R's integer view (scale D) and the columns of
-    lambda_g and lambda_h as ints at their scales L_g and L_h, and brings
-    every term to one scale S = D L_g L_h: the Delta-terms times L_g L_h,
-    the lambda_g legs times L_h and the lambda_h legs times L_g.  Every
+    lambda_g and lambda_h held as ints at one scale L by one
+    :meth:`Field.to_ints` call, and brings every term to one scale S = D L:
+    the Delta-terms are multiplied by L, and the legs are not lifted.  Every
     entry is kept as :meth:`Field.reduce` keeps it.
     It visits only delta's nonzero columns, through the terms of every
     Delta(b_k) indexed once by leg.
     """
     view, dim, field = wb.integer_view, wb.dim, wb.field
-    L_g, gcols = field.to_ints(lambda_g.column_dicts())
-    L_h, hcols = field.to_ints(lambda_h.column_dicts())
-    coproducts = [{uv: c * L_g * L_h for uv, c in view.coproduct(r).items()} for r in wb.keys]
+    L, cols = field.to_ints([*lambda_g.column_dicts(), *lambda_h.column_dicts()])
+    gcols, hcols = cols[:dim], cols[dim:]
+    coproducts = [{uv: c * L for uv, c in view.coproduct(r).items()} for r in wb.keys]
     # c b_i (x) b_j in Delta(b_k) subtracts c lambda_g(b_i) (x) delta(b_j) and
     # c delta(b_i) (x) lambda_h(b_j) from the defect on b_k; None marks delta's leg
     legs = [[] for _ in wb.keys]
     for k in wb.keys:
         for (i, j), c in view.coproduct(k).items():
-            legs[j].append((k, field.reduce({u: -c * x * L_h for u, x in gcols[i].items()}),
-                            None))
-            legs[i].append((k, None,
-                            field.reduce({v: -c * x * L_g for v, x in hcols[j].items()})))
+            legs[j].append((k, field.reduce({u: -c * x for u, x in gcols[i].items()}), None))
+            legs[i].append((k, None, field.reduce({v: -c * x for v, x in hcols[j].items()})))
 
     def residual(x: dict) -> dict:
         columns, out = {}, {}

@@ -157,15 +157,9 @@ def winding(wb: WeakBialgebra, chi: dict, side: str) -> Matrix:
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    read = 0 if side == "left" else 1
-    data = {}
-    for k in wb.keys:
-        for pair, c in wb.coproduct(k).items():
-            x = chi.get(pair[read])
-            if x:
-                key = (pair[1 - read], k)
-                data[key] = data.get(key, wb.zero) + c * x
-    return Matrix(wb.field, wb.dim, wb.dim, data)
+    leg = 0 if side == "left" else 1
+    return Matrix.from_columns(wb.field, wb.dim,
+                               [wb.contract(wb.coproduct(k), chi.get, leg) for k in wb.keys])
 
 
 def is_unital_algebra_endo(wb: WeakBialgebra, m: Matrix):

@@ -54,8 +54,10 @@ class OreAlgebra(BasisView):
     the degree bound the sweeps run to.  Products, coproducts and antipodes
     of monomials are computed on first use and cached on the algebra.  The
     antipode is extended exactly when S(x), an element of H, is given as
-    ``s_x``.  Instances are immutable; extension steps return new objects.
-    Use :func:`make_ore` to validate the defining data.
+    ``s_x``; it must be homogeneous of degree 1 in x, as (-S(g)) x is, and
+    any other s_x raises ValidationError.  Instances are immutable;
+    extension steps return new objects.  Use :func:`make_ore` to validate
+    the defining data.
     """
 
     def __init__(self, R: WeakBialgebra, sigma: Matrix, delta: Matrix, g: dict | None = None,
@@ -65,7 +67,8 @@ class OreAlgebra(BasisView):
         self.delta = delta
         self.g = g
         self._coalgebra_extended = _coalgebra_extended
-        self._s_x = s_x
+        if s_x is not None and any(n != 1 for _, n in s_x):
+            raise ValidationError("S(x) must be homogeneous of degree 1 in x")
         self._over_ints = None
         self._tabulate(R, sigma.column_dicts(), delta.column_dicts(), g, s_x)
 
@@ -74,29 +77,22 @@ class OreAlgebra(BasisView):
 
         ``r`` is a basis view of R: R itself, or its integer view at scale
         E (``r.scale``), each table E times its value, over GF(p) residues
-        with E = 1.  The columns of sigma and delta, g and S(x) hold scalars
-        of the same kind.  Over ints, x^i b_u is E^i times its value, a
-        product whose left factor has degree i is E^(i+1) times its value,
-        and every cached entry is kept as :meth:`Field.reduce` keeps it when
-        ``modulus`` is set;
-        :meth:`_weights` gives the power of E in each table.
+        with E = 1.  The columns of sigma and delta, g and S(x) (kept as
+        ``_s_x``) hold scalars of the same kind.  Over ints, x^i b_u is E^i
+        times its value, a product whose left factor has degree i is
+        E^(i+1) times its value, and every cached entry is kept as
+        :meth:`Field.reduce` keeps it when ``modulus`` is set.  Each
+        recursive table grows by a left factor of degree 1 (x, the skew
+        element or S(x)), so each entry has one weight, the power of E
+        :meth:`_weights` gives.
         """
         super().__init__(r.field, self.monomials(0), self.embed(r.unit))
         self.zero, self.one, self.modulus, self._E = r.zero, r.one, r.modulus, r.scale
         self._r, self._sigma_cols, self._delta_cols, self._g = r, sigma_cols, delta_cols, g
-        # S(x) with each term lifted to its top degree, so S(x) p has one weight
-        self._s_x_degree = max((n for _, n in s_x or ()), default=0)
-        self._s_x_lifted = s_x and self._lift(s_x, self._s_x_degree)
+        self._s_x = s_x
         self._x_table = {}
         self._skew_powers = {}
         self._products, self._coproducts, self._antipodes = {}, {}, {}
-        self._s_x_powers = [self.unit]
-
-    def _lift(self, p, top):
-        """p with its term of degree n multiplied by E^(top - n): an element all of
-        whose products p q have one weight (see :meth:`_tabulate`)."""
-        E = self._E
-        return p if E == 1 else {(b, n): c * E ** (top - n) for (b, n), c in p.items()}
 
     def _keep(self, d):
         """d as the caches keep it: as :meth:`Field.reduce` keeps it on residue
@@ -206,22 +202,22 @@ class OreAlgebra(BasisView):
     # -- extended antipode ----------------------------------------------
 
     def antipode(self, k):
-        """S(b_b x^n) = S(x)^n S(b_b), cached; S is the unital anti-homomorphism.
+        """S(b_b x^n) = S(x) S(b_b x^(n-1)) for n >= 1 and S(b_b) for n = 0, cached;
+        S is the unital anti-homomorphism, so this is S(x)^n S(b_b).
 
-        S(x) is the left factor of each power, and S(x)^n is lifted to degree
-        n deg S(x) before S(b_b) multiplies it, so over ints each has one weight.
+        S(x), homogeneous of degree 1, is the left factor of each step, so
+        over ints each entry has one weight.
         """
         hit = self._antipodes.get(k)
         if hit is None:
             if self._s_x is None:
                 raise ValidationError("antipode not extended; call extend_antipode first")
             b, n = k
-            powers = self._s_x_powers
-            while len(powers) <= n:
-                powers.append(self._keep(self.multiply(self._s_x_lifted, powers[-1])))
-            s_b = self.embed(self._r.antipode(b))
-            lifted = self._lift(powers[n], n * self._s_x_degree)
-            hit = self._antipodes[k] = self._keep(self.multiply(lifted, s_b))
+            if n:
+                hit = self.multiply(self._s_x, self.antipode((b, n - 1)))
+            else:
+                hit = self.embed(self._r.antipode(b))
+            hit = self._antipodes[k] = self._keep(hit)
         return hit
 
     # -- labels and the integer view -------------------------------------
@@ -281,12 +277,12 @@ class OreAlgebra(BasisView):
 
         (g (x) x + x (x) 1)^n has weight 2 up to n = 1, and each further
         factor adds 2 for the skew element and 3 for its two products;
-        Delta(b) and the two products of its degree-0 legs add 3.  S(x)^n
-        has weight 1 + n (d + 2), d the degree of S(x), and is lifted by
-        E^(n d); S(b) and one product add 2.
+        Delta(b) and the two products of its degree-0 legs add 3.  S(b) has
+        weight 1, and each step by S(x) adds 1 for S(x) and 2 for the product
+        whose left factor has degree 1.
         """
         skew = 2 if n <= 1 else 5 * n - 3
-        return skew + 3, 3 + n * (2 * self._s_x_degree + 2)
+        return skew + 3, 1 + 3 * n
 
     def __repr__(self):
         tags = []

@@ -87,6 +87,9 @@ def parse_spec(source, validate=True) -> SpecBundle:
                 text = fh.read()
         except OSError:
             raise ParseError(f"cannot read spec file {source!r}") from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"spec file {source!r} is not UTF-8",
+                             f"byte {exc.start}") from None
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -195,9 +198,14 @@ def emit_spec(bundle: SpecBundle) -> dict:
 
 
 def write_spec(bundle: SpecBundle, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(emit_spec(bundle), fh, indent=2)
-        fh.write("\n")
+    """Write the bundle's spec to path; a path that cannot be opened for
+    writing raises ParseError, as an unreadable one does in parse_spec."""
+    text = spec_text(bundle) + "\n"
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError:
+        raise ParseError(f"cannot write spec file {str(path)!r}") from None
 
 
 def spec_text(bundle: SpecBundle) -> str:

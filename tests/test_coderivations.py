@@ -170,8 +170,8 @@ def _coderivation_case(request, case):
         return data.R, data.g, data.R.unit
     if case.startswith("m3qz2"):
         wb = _transported("m3qz2-transported")
-        return (wb, wb.basis_vector(10), wb.unit) if case.endswith("twisted") else \
-            (wb, wb.unit, wb.unit)
+        g = wb.basis_vector(10) if "twisted" in case else wb.unit
+        return wb, g, g if case.endswith("both") else wb.unit  # both: L_g = L_h = 6
     if case == "m2z2-gf5-transported":
         wb = _transported(case)
         return wb, wb.basis_vector(5), wb.basis_vector(1)
@@ -213,18 +213,20 @@ def test_residual_kernel_raises_on_a_planted_wrong_residual(s5_m2qz2):
 
 
 @pytest.mark.parametrize("case", ["s5-m2qz2", "m3qz2-transported", "m3qz2-transported-twisted",
-                                  "m2z2-gf5-transported", "f2z2", "s3-functions-gf3"])
+                                  "m3qz2-transported-twisted-both", "m2z2-gf5-transported",
+                                  "f2z2", "s3-functions-gf3"])
 def test_compiled_coderivation_system_has_the_reference_rows(request, case):
     """The coderivation residual, compiled, has exactly the distinct rows of the
     reference row builder, over QQ (denominators in m3qz2-transported) and
-    GF(p): each int row is S = D L_g L_h times its field row over QQ (D the
-    scale of R's integer view, L the lcm of a lambda's denominators), its
+    GF(p): each int row is S = D lcm(L_g, L_h) times its field row over QQ (D
+    the scale of R's integer view, L the lcm of a lambda's denominators), its
     residues over GF(p), and no row repeats."""
     wb, g, h = _coderivation_case(request, case)
     lambda_g, lambda_h = wb.left_mult_matrix(g), wb.left_mult_matrix(h)
     compiled = coderivation_constraint_matrix(wb, coderivation_residual(wb, lambda_g, lambda_h))
     reference = reference_coderivation_rows(wb, lambda_g, lambda_h)
-    S = wb.integer_view.scale * _lcm_of_denominators(lambda_g) * _lcm_of_denominators(lambda_h)
+    S = wb.integer_view.scale * math.lcm(_lcm_of_denominators(lambda_g),
+                                         _lcm_of_denominators(lambda_h))
     assert reference and field_rows(compiled, S) == reference
     assert compiled.rows == len(reference)
 

@@ -232,6 +232,23 @@ def test_integer_view_of_h_matches_converted_field_tables(name, degree):
     assert ints._antipodes == antipodes
 
 
+@pytest.mark.parametrize("name", [name for name in ORE_CASES
+                                  if not name.startswith("forced-section5")])
+def test_antipode_of_h_is_a_power_of_s_x_times_s_b(name):
+    """S(b x^n) = S(x)^n S(b) for n <= 4, the power built by repeated H.multiply
+    in field scalars from S(x) = -S(g) x, or +S(g) x on the sign-flipped Sweedler."""
+    H = ORE_CASES[name]()
+    R = H.R
+    assert H.antipode_extended
+    sign = 1 if "sign-flipped" in name else -1
+    s_x = H.monomial({k: c * sign for k, c in R.antipode_matrix.apply(H.g).items()}, 1)
+    power = H.unit
+    for n in range(5):
+        for b in R.keys:
+            assert H.antipode((b, n)) == H.multiply(power, H.embed(R.antipode(b)))
+        power = H.multiply(power, s_x)
+
+
 def test_integer_view_of_h_refuses_reads_outside_its_tables(monkeypatch):
     """At degree bound B: products on (<= max(2B, B + 1)) x (<= B), coproducts
     on <= 2B, the counit on <= max(2B, B + 1) + B, antipodes on <= B; nothing

@@ -315,6 +315,19 @@ def test_antipode_of_tx(sweedler_H, sweedler):
     assert sweedler_H.apply(sweedler_H.antipode, tx) == sweedler_H.x()
 
 
+@pytest.mark.parametrize("degrees", [(0,), (2,), (1, 2)])
+def test_s_x_not_homogeneous_of_degree_one_is_refused(sweedler, degrees):
+    """S(x) = -S(g) x is homogeneous of degree 1, which gives each antipode
+    table one weight over ints; an S(x) with a term of another degree is refused."""
+    R = sweedler.R
+    s_g = R.antipode_matrix.apply(sweedler.g)
+    build = lambda s_x: OreAlgebra(R, sweedler.sigma, sweedler.delta, sweedler.g,
+                                   _coalgebra_extended=True, s_x=s_x)
+    assert build({(b, 1): -c for b, c in s_g.items()}).antipode_extended
+    with pytest.raises(ValidationError, match="homogeneous of degree 1"):
+        build({(b, n): -c for n in degrees for b, c in s_g.items()})
+
+
 def test_generator_is_skew_primitive_in_H(sweedler_H, sweedler):
     assert is_skew_primitive(sweedler_H, sweedler_H.x(),
                              sweedler_H.embed(sweedler.g), sweedler_H.unit)

@@ -309,9 +309,9 @@ def _raw_spec_file(tmp_path, key, raw):
     return str(p)
 
 
-def _raw_file(tmp_path, text):
+def _raw_file(tmp_path, data):
     p = tmp_path / "spec.json"
-    p.write_text(text)
+    p.write_bytes(data)
     return str(p)
 
 
@@ -345,6 +345,9 @@ def _nonassociative_m2q_file(tmp_path, broken):
 def _spec_commands(spec):
     return (["check", spec], ["panov", spec], ["characters", spec, "--verify", "chi"],
             ["ore", "build", spec])
+
+
+SPEC_COMMANDS = ("check", "panov", "characters", "ore-build")  # the ids of _spec_commands
 
 
 BROKEN_M2Q = ("comult-index", "counit-short", "antipode-columns", "maps-list")
@@ -404,7 +407,7 @@ GF3 = {"kind": "prime", "p": 3}
     lambda tmp: ["check", _spec_file(tmp, antipode=[["1"], ["0"]])],
     lambda tmp: ["check", _spec_file(tmp, mult={"0": [0, 0, "1"]})],
     lambda tmp: ["check", _spec_file(tmp, mult=[[0, 0, 0]])],
-    lambda tmp: ["check", _raw_file(tmp, json.dumps([_sweedler_doc()]))],
+    lambda tmp: ["check", _raw_file(tmp, json.dumps([_sweedler_doc()]).encode())],
     lambda tmp: ["ore", "build", _spec_file(tmp, maps=["sigma", "delta"])],
     # a present section that is not an object is refused, however falsy
     *(lambda tmp, s=section, v=value: ["check", _spec_file(tmp, **{s: v})]
@@ -425,6 +428,12 @@ GF3 = {"kind": "prime", "p": 3}
     lambda tmp: ["check", '{"dim": 1}'],
     *(lambda tmp, b=broken, c=command: _spec_commands(_nonassociative_m2q_file(tmp, b))[c]
       for broken in BROKEN_M2Q for command in range(4)),
+    # -o names a path that cannot be opened for writing
+    lambda tmp: ["example", "sweedler", "-o", str(tmp / "missing" / "sweedler.json")],
+    lambda tmp: ["example", "sweedler", "-o", str(tmp)],
+    # a spec file whose bytes are not UTF-8
+    *(lambda tmp, c=command: _spec_commands(_raw_file(tmp, b"\xff\xfe{}"))[c]
+      for command in range(4)),
 ], ids=["matrix-size-text", "groupoid-size-text", "prime-as-string", "prime-as-float",
         "dim-as-bool", "index-as-bool", "negative-degree-bound", "degree-bound-too-large",
         "grouplikes-prime-not-prime",
@@ -444,7 +453,9 @@ GF3 = {"kind": "prime", "p": 3}
         "sweedler-two-parameters", "matrix-two-parameters", "section5-one-parameter",
         "antipode-null", "spec-path-is-json-text",
         *(f"nonassociative-{broken}-{command}" for broken in BROKEN_M2Q
-          for command in ("check", "panov", "characters", "ore-build"))])
+          for command in SPEC_COMMANDS),
+        "example-output-missing-directory", "example-output-is-a-directory",
+        *(f"not-utf8-{command}" for command in SPEC_COMMANDS)])
 def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     code = main(argv(tmp_path))
     captured = capsys.readouterr()
