@@ -41,8 +41,9 @@ coproducts on degree <= 2B, the counit on degree <= L + B and antipodes on
 degree <= B, since the sweeps reach degree 2B through f m in ``eps_row``,
 through Delta(ab) and through the antipode sandwich S(a) b S(d), and degree
 B + 1 through the x-sandwich eps((a x) h); a read outside the tables
-raises.  ore.py builds those tables on ints, from R's integer view.  R
-itself keeps field scalars for every other caller.
+raises.  ore.py builds those tables on ints from R's integer view when
+every table it reads is integral, and otherwise converts H's own field
+tables once.  R itself keeps field scalars for every other caller.
 """
 
 from __future__ import annotations
@@ -339,17 +340,6 @@ class IntegerView(BasisView):
         self.zero, self.one = 0, 1
         self._products, self._coproducts = products, coproducts
         self._counit, self._antipodes = counit, antipodes
-
-    def rescaled(self, E):
-        """This view with every table multiplied by E // D, E a multiple of D."""
-        f = E // self.scale
-        if f == 1:
-            return self
-        lift = lambda t: {k: c * f for k, c in t.items()}
-        return IntegerView(self._source, self.keys, E, lift(self.unit),
-                           {ab: lift(v) for ab, v in self._products.items()},
-                           {k: lift(t) for k, t in self._coproducts.items()},
-                           lift(self._counit), {k: lift(v) for k, v in self._antipodes.items()})
 
     def product(self, a, b):
         return self._products[a, b]

@@ -161,7 +161,7 @@ def _int_param(text, what):
 
 
 def _scalar_list(field, text):
-    return [field.parse(part.strip()) for part in text.split(",") if part.strip()]
+    return [field.parse(part.strip()) for part in text.split(",")]
 
 
 def _ore_bundle(data: OreData, name, **functionals) -> SpecBundle:

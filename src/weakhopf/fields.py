@@ -183,19 +183,18 @@ class Field:
         """Serialize a scalar (inverse of :meth:`parse`)."""
         return x.v if self._elem is not None else str(x)
 
-    def to_ints(self, tables, base=1):
+    def to_ints(self, tables):
         """(D, ints): the dicts of scalars ``tables`` (a list) as dicts of ints at one
         scale D, in the same order, each without its zero entries.
 
-        Over QQ, D is the lcm of ``base`` and of every denominator, and a
-        scalar c becomes the int D c; over GF(p), D = 1 and c becomes its
-        residue (``base``, a scale that is 1 over GF(p), is not read).
-        Python ints are taken as field elements.  Reading back, the int n
-        stands for ``self(n) / self(D)``.
+        Over QQ, D is the lcm of every denominator (1 for integral tables),
+        and a scalar c becomes the int D c; over GF(p), D = 1 and c becomes
+        its residue.  Python ints are taken as field elements.  Reading
+        back, the int n stands for ``self(n) / self(D)``.
         """
         p = self.p
         if p is None:
-            D = math.lcm(base, *(c.denominator for t in tables for c in t.values()))
+            D = math.lcm(*(c.denominator for t in tables for c in t.values()))
             return D, [{k: n * (D // c.denominator) for k, c in t.items() if (n := c.numerator)}
                        for t in tables]
         return 1, [{k: r for k, c in t.items() if (r := c % p if type(c) is int else c.v)}

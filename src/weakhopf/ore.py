@@ -18,15 +18,15 @@ sweeps on H as bialgebra.py runs on R, on the integer view of H's tables at
 the degree bound (:meth:`OreAlgebra.integer_view`).  One recursion builds
 the x-powers, products, skew powers, coproducts and antipodes: on field
 scalars for H itself, which the element API and the degree <= 1 generator
-clauses use, and on ints for the integer view, from R's integer view and
-sigma, delta, g and S(x) held as ints at one scale E by
-:meth:`Field.to_ints`; no sweep table is computed in field scalars.
+clauses use, and, when every table it reads is integral (always over
+GF(p)), on ints for the integer view, from R's integer view and sigma,
+delta, g and S(x) as ints.  On any other datum the integer view converts
+H's own field tables once, by :meth:`Field.to_ints`.
 """
 
 from __future__ import annotations
 
 import copy
-import math
 
 from .bialgebra import (BasisView, IntegerView, WeakBialgebra, WeakHopfAlgebra, _check,
                         _nonzero, base_subalgebras, sweep_antipode,
@@ -55,7 +55,10 @@ class OreAlgebra(BasisView):
     of monomials are computed on first use and cached on the algebra.  The
     antipode is extended exactly when S(x), an element of H, is given as
     ``s_x``; it must be homogeneous of degree 1 in x, as (-S(g)) x is, and
-    any other s_x raises ValidationError.  Instances are immutable;
+    any other s_x raises ValidationError: a term of degree > 1 would make
+    the antipode sandwich S(a) b S(d) of the sweeps read products whose
+    right factor has degree up to 2B, outside the tables of
+    :meth:`integer_view`.  Instances are immutable;
     extension steps return new objects.  Use :func:`make_ore` to validate
     the defining data.
     """
@@ -75,19 +78,15 @@ class OreAlgebra(BasisView):
     def _tabulate(self, r, sigma_cols, delta_cols, g, s_x):
         """Point the recursion at its scalar tables, with empty caches.
 
-        ``r`` is a basis view of R: R itself, or its integer view at scale
-        E (``r.scale``), each table E times its value, over GF(p) residues
-        with E = 1.  The columns of sigma and delta, g and S(x) (kept as
-        ``_s_x``) hold scalars of the same kind.  Over ints, x^i b_u is E^i
-        times its value, a product whose left factor has degree i is
-        E^(i+1) times its value, and every cached entry is kept as
-        :meth:`Field.reduce` keeps it when ``modulus`` is set.  Each
-        recursive table grows by a left factor of degree 1 (x, the skew
-        element or S(x)), so each entry has one weight, the power of E
-        :meth:`_weights` gives.
+        ``r`` is a basis view of R: R itself, or its integer view at scale 1,
+        over GF(p) residues.  The columns of sigma and delta, g and S(x)
+        (kept as ``_s_x``) hold scalars of the same kind.  Over residues
+        every cached entry is kept as :meth:`Field.reduce` keeps it
+        (``modulus`` set).  Each recursive table grows by a left factor of
+        degree 1: x, the skew element or S(x).
         """
         super().__init__(r.field, self.monomials(0), self.embed(r.unit))
-        self.zero, self.one, self.modulus, self._E = r.zero, r.one, r.modulus, r.scale
+        self.zero, self.one, self.modulus = r.zero, r.one, r.modulus
         self._r, self._sigma_cols, self._delta_cols, self._g = r, sigma_cols, delta_cols, g
         self._s_x = s_x
         self._x_table = {}
@@ -164,11 +163,8 @@ class OreAlgebra(BasisView):
     # -- extended coalgebra ----------------------------------------------
 
     def skew_power_tensor(self, n: int) -> dict:
-        """(g (x) x + x (x) 1)^n in H (x) H; n = 1 is the skew element itself.
-
-        For n > 1 the skew element, of degree 1 in each term, is the left
-        factor, so over ints every term of the product has one weight.
-        """
+        """(g (x) x + x (x) 1)^n in H (x) H; n = 1 is the skew element itself,
+        and the left factor of each further power."""
         if self.g is None:
             raise ValidationError("no weak group-like g attached to this Ore algebra")
         hit = self._skew_powers.get(n)
@@ -203,11 +199,7 @@ class OreAlgebra(BasisView):
 
     def antipode(self, k):
         """S(b_b x^n) = S(x) S(b_b x^(n-1)) for n >= 1 and S(b_b) for n = 0, cached;
-        S is the unital anti-homomorphism, so this is S(x)^n S(b_b).
-
-        S(x), homogeneous of degree 1, is the left factor of each step, so
-        over ints each entry has one weight.
-        """
+        S is the unital anti-homomorphism, so this is S(x)^n S(b_b)."""
         hit = self._antipodes.get(k)
         if hit is None:
             if self._s_x is None:
@@ -239,9 +231,10 @@ class OreAlgebra(BasisView):
         degree <= B: the sweeps reach degree 2B through f m in eps_row,
         through Delta(ab) and through the antipode sandwich S(a) b S(d), and
         degree B + 1 through the x-sandwich eps((a x) h) of verify_extension.
-        The tables are built on ints by H's recursion over R's integer view
-        (:meth:`_integers`), each entry E^w times its value, and then
-        converted exactly to one scale D, the lcm of their denominators.
+        The tables come from :meth:`_integers`: the int copy's entries are
+        used as they are (D = 1); H's own field tables are converted by one
+        :meth:`Field.to_ints` call to one scale D, the lcm of their
+        denominators, every counit key kept (0 for a zero entry).
         """
         Z = self._integers()
         keys, top = self.monomials(B), _left_degree(B)
@@ -250,39 +243,31 @@ class OreAlgebra(BasisView):
         products = {(a, b): Z.product(a, b) for a in self.monomials(top) for b in keys}
         antipodes = {k: Z.antipode(k) for k in keys} if self.antipode_extended else {}
         counit = {k: Z.counit(k) for k in self.monomials(top + B)}
-        E, D, ends = Z._E, 1, {"unit": Z.unit, "counit": counit}
-        if E > 1:
-            w = Z._weights
-            D = _to_one_scale(E, [(products, lambda ab: ab[0][1] + 1),
-                                  (coproducts, lambda k: w(k[1])[0]),
-                                  (antipodes, lambda k: w(k[1])[1]), (ends, lambda k: 1)])
-        return IntegerView(self, keys, D, ends["unit"], products, coproducts, ends["counit"],
-                           antipodes)
+        D, unit = 1, Z.unit
+        if Z is self:  # field tables, converted once
+            tables = (products, coproducts, antipodes)
+            D, (unit, eps, *ints) = self.field.to_ints(
+                [unit, counit, *(t for table in tables for t in table.values())])
+            counit = {k: eps.get(k, 0) for k in counit}
+            ints = iter(ints)
+            products, coproducts, antipodes = ({k: next(ints) for k in table} for table in tables)
+        return IntegerView(self, keys, D, unit, products, coproducts, counit, antipodes)
 
     def _integers(self):
-        """H's recursion on ints, built once and kept: a copy of H whose tables
-        are R's integer view and sigma, delta, g and S(x), all at one scale E
-        by :meth:`Field.to_ints`, which folds in the view's D."""
+        """The source of the integer view's tables, chosen once and kept: when
+        R's integer view has scale 1 and sigma, delta, g and S(x) have no
+        denominator (always over GF(p)), a copy of H whose recursion runs on
+        those tables as ints, each entry its own value; otherwise H itself."""
         if self._over_ints is None:
             view, g, s_x, n = self.R.integer_view, self.g, self._s_x, self.R.dim
             E, ints = self.field.to_ints([*self.sigma.column_dicts(), *self.delta.column_dicts(),
-                                          g or {}, s_x or {}], view.scale)
-            Z = self._over_ints = copy.copy(self)
-            Z._tabulate(view.rescaled(E), ints[:n], ints[n:2 * n], g and ints[-2],
-                        s_x and ints[-1])
+                                          g or {}, s_x or {}])
+            Z = self
+            if view.scale == E == 1:
+                Z = copy.copy(self)
+                Z._tabulate(view, ints[:n], ints[n:2 * n], g and ints[-2], s_x and ints[-1])
+            self._over_ints = Z
         return self._over_ints
-
-    def _weights(self, n):
-        """The powers of E in the coproduct and in the antipode of b x^n over ints.
-
-        (g (x) x + x (x) 1)^n has weight 2 up to n = 1, and each further
-        factor adds 2 for the skew element and 3 for its two products;
-        Delta(b) and the two products of its degree-0 legs add 3.  S(b) has
-        weight 1, and each step by S(x) adds 1 for S(x) and 2 for the product
-        whose left factor has degree 1.
-        """
-        skew = 2 if n <= 1 else 5 * n - 3
-        return skew + 3, 1 + 3 * n
 
     def __repr__(self):
         tags = []
@@ -292,19 +277,6 @@ class OreAlgebra(BasisView):
             tags.append("antipode")
         suffix = f" [{', '.join(tags)} extended]" if tags else ""
         return f"OreAlgebra(R dim={self.R.dim}{suffix})"
-
-
-def _to_one_scale(E, weighted):
-    """Bring tables of ints to one scale D, the lcm of their denominators, in
-    place, and return D.  ``weighted`` lists pairs (table, weight): the entry
-    k of a table, a dict of ints, is E^weight(k) times its value."""
-    D = math.lcm(*((Ew := E ** weight(k)) // math.gcd(Ew, *t.values())
-                   for table, weight in weighted for k, t in table.items()))
-    for table, weight in weighted:
-        for k, t in table.items():
-            Ew = E ** weight(k)
-            table[k] = {key: c * D // Ew for key, c in t.items()}
-    return D
 
 
 def make_ore(R: WeakBialgebra, sigma: Matrix, delta: Matrix, g: dict | None = None) -> OreAlgebra:

@@ -74,6 +74,12 @@ def test_zero_dimensional_rejected():
         WeakBialgebra(QQ, 0, {}, {}, {}, {})
 
 
+def test_label_count_must_match_dimension():
+    mult, unit, comult, counit = _sweedler_parts()
+    with pytest.raises(ValidationError, match="label count does not match dimension"):
+        WeakBialgebra(QQ, 2, mult, unit, comult, counit, labels=["1"])
+
+
 # -- element dicts at the constructors -----------------------------------------
 
 

@@ -5,8 +5,10 @@ denominators over QQ, residues mod p over GF(p)); R itself and
 H = R[x; sigma, delta], each its own basis view, hold field scalars.  Every sweep
 of R, and every shared sweep of H at degree bounds 0 to 3, runs on both,
 and the failures (axiom, witness, lhs and rhs text) and the pass counts per
-axiom must agree.  H's tables, built on ints, must also equal its field
-tables converted to one D (``oracles.reference_ore_integer_tables``).
+axiom must agree.  H's integer-view tables, built on ints by H's int copy
+when every table it reads is integral and converted from H's own field
+tables otherwise, must also equal those field tables converted to one D
+(``oracles.reference_ore_integer_tables``).
 """
 
 import random
@@ -32,7 +34,7 @@ from weakhopf.fields import Field
 from weakhopf.fixtures import sweedler_data, twisted_derivation_data
 from weakhopf.groupoid import GroupPresentation, build_groupoid_algebra
 from weakhopf.linalg import Matrix
-from weakhopf.ore import extend_antipode, make_ore
+from weakhopf.ore import extend_antipode, make_ore, verify_extension
 from weakhopf.report import AxiomReport
 from weakhopf.specfile import parse_spec
 
@@ -177,6 +179,14 @@ def _section5(group, n, rho, q, field=None):
                                                      rho=rho, q=q, field=field))
 
 
+def _transported_unit_g():
+    """R = m3qz2-transported (dim 18, integer-view scale 36), sigma = id, delta = 0, g = 1."""
+    R = parse_spec(str(DATA / "m3qz2-transported.json")).wb
+    one, dim = R.field.one(), R.dim
+    identity = Matrix(R.field, dim, dim, {(k, k): one for k in R.keys})
+    return extend_antipode(make_ore(R, identity, Matrix.zero(R.field, dim, dim), R.unit))
+
+
 F3 = Field.prime(3)
 ORE_CASES = {
     "sweedler": lambda: _extended(sweedler_data()),
@@ -184,6 +194,7 @@ ORE_CASES = {
     "section5-Z2-n2": _section5(2, 2, [1, -1], [Fraction(3, 5), Fraction(-7, 2)]),
     "section5-Z4-n1": _section5(4, 1, [1, -1, 1, -1], [Fraction(5, 3)]),
     "section5-Z2-n1-GF3": _section5(2, 1, [F3(1), F3(-1)], [F3(1)], F3),
+    "m3qz2-transported-unit-g": _transported_unit_g,
     "forced-sweedler-sign-flipped-S(x)": sign_flipped_sweedler,
     **{f"forced-section5-{which}": (lambda w=which: forced_section5(w))
        for which in FORCED_SECTION5},
@@ -230,6 +241,31 @@ def test_integer_view_of_h_matches_converted_field_tables(name, degree):
     assert ints._products == products
     assert ints._coproducts == coproducts
     assert ints._antipodes == antipodes
+
+
+@pytest.mark.parametrize("name", ORE_CASES)
+def test_int_copy_of_h_exists_exactly_on_integral_data(name):
+    """H keeps an int copy for its integer view exactly when R's integer view has
+    scale 1 and sigma, delta, g and S(x) have no denominator; every entry the
+    copy caches is then an int, and verify_extension leaves nothing above
+    degree 1 in H's own caches.  Otherwise H is the source of the tables."""
+    H = ORE_CASES[name]()
+    scalars = [*H.sigma.data.values(), *H.delta.data.values(), *(H.g or {}).values(),
+               *(H._s_x or {}).values()]
+    integral = H.R.integer_view.scale == 1 and (
+        H.field.p is not None or all(c.denominator == 1 for c in scalars))
+    Z = H._integers()
+    assert (Z is not H) == integral
+    if not integral:
+        return
+    verify_extension(H, 2)
+    tables = ("_x_table", "_products", "_skew_powers", "_coproducts", "_antipodes")
+    assert all(type(c) is int for table in tables for t in getattr(Z, table).values()
+               for c in t.values())
+    assert len(Z._x_table) > 2 * H.R.dim and Z._coproducts and Z._antipodes
+    degrees = [*(i for i, _ in H._x_table), *(n for a, b in H._products for _, n in (a, b)),
+               *H._skew_powers, *(n for _, n in H._coproducts), *(n for _, n in H._antipodes)]
+    assert max(degrees) <= 1
 
 
 @pytest.mark.parametrize("name", [name for name in ORE_CASES

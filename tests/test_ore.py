@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from weakhopf.bialgebra import base_subalgebras
+from weakhopf.bialgebra import WeakBialgebra, base_subalgebras
 from weakhopf.cli import main
 from weakhopf.errors import ConditionsFailed, NotAutomorphism, NotDerivation, ValidationError
 from weakhopf.fields import QQ
@@ -109,14 +109,16 @@ def test_products_match_reference_oracle(request, name, delta_scale):
 
 @pytest.mark.parametrize("name, degree", [("sweedler", 1), ("sweedler", 3), ("s5_m2qz2_q", 2)])
 def test_verify_extension_builds_each_x_power_once(monkeypatch, request, name, degree):
-    """x_times runs once per int row x^i b_u with 2 <= i <= 2D, and never again;
-    H's own field-scalar tables hold nothing above degree 1.
+    """x_times runs once per row x^i b_u with 2 <= i <= 2D, and never again.
 
     The sweeps reach x^i b_u for i up to 2D: weak multiplicativity of the
     counit evaluates eps(k h) for the terms k of f m, of degree up to 2D.
-    Row 1 comes from sigma and delta without x_times.  The rows are built on
-    ints for the integer view; only the generator clauses read H itself, on
-    monomials of degree <= 1, so no sweep table is built in field scalars.
+    Row 1 comes from sigma and delta without x_times.  Sweedler's data are
+    integral, so the rows are built on ints by H's int copy, and H's own
+    field-scalar tables hold nothing above degree 1: only the generator
+    clauses read H itself, on monomials of degree <= 1.  The sigma of
+    s5_m2qz2_q has denominators, so H is the source of its integer view's
+    tables and the rows are H's own Fraction rows.
     """
     data = request.getfixturevalue(name)
     calls = []
@@ -125,17 +127,20 @@ def test_verify_extension_builds_each_x_power_once(monkeypatch, request, name, d
                         lambda self, p: calls.append((self, p)) or x_times(self, p))
     H = extend_antipode(make_ore(data.R, data.sigma, data.delta, data.g))
     assert verify_extension(H, degree).passed
+    integral = name == "sweedler"
+    assert (H._integers() is not H) == integral
     assert all(owner is H._integers() for owner, _ in calls)
     rows = [p for _, p in calls]
-    assert all(type(c) is int for p in rows for c in p.values())
+    assert all(type(c) is (int if integral else Fraction) for p in rows for c in p.values())
     assert 0 < len(rows) <= H.R.dim * (2 * degree - 1)
     assert len({tuple(sorted(p.items())) for p in rows}) == len(rows)
     before = len(calls)
     assert verify_extension(H, degree).passed
     assert len(calls) == before
-    assert max(i for i, _ in H._x_table) <= 1
-    assert max(n for (_, i), (_, j) in H._products for n in (i, j)) <= 1
-    assert max(n for _, n in H._coproducts) <= 1
+    if integral:
+        assert max(i for i, _ in H._x_table) <= 1
+        assert max(n for (_, i), (_, j) in H._products for n in (i, j)) <= 1
+        assert max(n for _, n in H._coproducts) <= 1
 
 
 def test_multiplication_associative(sweedler_H, s5_H, s5_m2qz2):
@@ -227,6 +232,18 @@ def test_extension_requires_conditions(M2):
         extend_coalgebra(H)
     failing = {c.clause for c in exc.value.verdict.clauses if not c.passed}
     assert failing == {"sigma_is_left_winding"}
+
+
+def test_extensions_need_g_and_an_antipode_on_r(sweedler):
+    R, sigma, delta = sweedler.R, sweedler.sigma, sweedler.delta
+    H = make_ore(R, sigma, delta)
+    with pytest.raises(ValidationError, match="extend_coalgebra needs the weak group-like g"):
+        extend_coalgebra(H)
+    with pytest.raises(ValidationError, match="extend_antipode needs the group-like g"):
+        extend_antipode(H)
+    bialgebra = WeakBialgebra(R.field, R.dim, R.mult, R.unit, R.comult, R.counit_vector)
+    with pytest.raises(ValidationError, match="antipode extension needs an antipode on R"):
+        extend_antipode(make_ore(bialgebra, sigma, delta, sweedler.g))
 
 
 def test_coproduct_of_x_sweedler(sweedler_H, sweedler):

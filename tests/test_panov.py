@@ -6,7 +6,8 @@ import pytest
 from weakhopf.bialgebra import WeakBialgebra, check_antipode, check_weak_bialgebra
 from weakhopf.cli import main
 from weakhopf.coderivations import is_sigma_derivation
-from weakhopf.errors import InvalidGroupCharacter, NotCentral, NotGrouplike, ZeroScale
+from weakhopf.errors import (InvalidGroupCharacter, NotCentral, NotGrouplike, ValidationError,
+                             ZeroScale)
 from weakhopf.fields import QQ, Field
 from weakhopf.fixtures import twisted_derivation_data
 from weakhopf.groupoid import GroupPresentation, build_groupoid_algebra, matrix_algebra
@@ -275,6 +276,25 @@ def test_group_and_groupoid_guards_refuse_before_building(count_calls, monkeypat
         with pytest.raises(TooLarge):
             build()
     assert calls == {"GroupPresentation.__init__": 1}  # the table of Z7, refused at once
+
+
+@pytest.mark.parametrize("table, message", [
+    ([[0, 1], [1]], "group table must be square and nonempty"),
+    ([[1, 0], [0, 1]], "index 0 must be the group identity"),
+    ([[0, 1, 2], [1, 0, 0], [2, 0, 0]], r"group table not associative at \(1,1,2\)"),
+    ([[0, 1], [1, 1]], "element 1 has no two-sided inverse"),
+], ids=["not-square", "identity-not-at-0", "not-associative", "no-inverse"])
+def test_group_presentation_refuses_bad_tables(table, message):
+    with pytest.raises(ValidationError, match=message):
+        GroupPresentation(table)
+
+
+def test_hopf_conditions_need_an_antipode(sweedler):
+    R = sweedler.R
+    bialgebra = WeakBialgebra(R.field, R.dim, R.mult, R.unit, R.comult, R.counit_vector)
+    with pytest.raises(ValidationError,
+                       match="hopf conditions require an antipode on the coefficients"):
+        hopf_conditions(bialgebra, sweedler.sigma, sweedler.delta, sweedler.g)
 
 
 # -- groupoid characters ------------------------------------------------------------------

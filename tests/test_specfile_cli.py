@@ -13,6 +13,7 @@ from weakhopf.errors import NotAssociative, ParseError, TooLarge
 from weakhopf.fields import PRIME_LIMIT, Field, is_prime
 from weakhopf.fixtures import sweedler_data
 from weakhopf.groupoid import GroupPresentation, build_groupoid_algebra, group_algebra
+from weakhopf.linalg import Matrix
 from weakhopf.specfile import SpecBundle, emit_spec, parse_spec, write_spec
 
 from lemmas import ad_map, basis_element
@@ -363,6 +364,68 @@ def _kz19_gf2_spec_file(tmp_path):
 GF3 = {"kind": "prime", "p": 3}
 
 
+def _kz2_collapsing_sigma_file(tmp_path):
+    """kZ_2 with sigma: 1 -> 1, t -> 1, a unital algebra map of rank 1, delta = 0 and g = 1."""
+    wb = group_algebra(GroupPresentation.cyclic(2))
+    one = Fraction(1)
+    sigma = Matrix(wb.field, 2, 2, {(0, 0): one, (0, 1): one})
+    p = tmp_path / "kz2.json"
+    write_spec(SpecBundle(field=wb.field, wb=wb, elements={"g": {0: one}},
+                          maps={"sigma": sigma, "delta": Matrix.zero(wb.field, 2, 2)}), p)
+    return str(p)
+
+
+def _sweedler_spec():
+    return str(_data_path("sweedler-data.json"))
+
+
+# Input checks with the one error line each prints: (id, argv, message).
+INPUT_CHECKS = [
+    # an empty entry reaches Field.parse; it is not dropped
+    ("section5-rho-empty-middle", lambda tmp: ["example", "section5", "--rho", "1,,-1"],
+     "bad rational scalar ''"),
+    ("section5-rho-empty-first", lambda tmp: ["example", "section5", "--rho", ",1,-1"],
+     "bad rational scalar ''"),
+    ("section5-q-empty-last", lambda tmp: ["example", "section5", "--q", "3/5,"],
+     "bad rational scalar ''"),
+    ("section5-rho-empty", lambda tmp: ["example", "section5", "--rho", ""],
+     "bad rational scalar ''"),
+    ("section5-rho-short", lambda tmp: ["example", "section5", "--rho", "1"],
+     "rho must list 2 values"),
+    ("section5-rho-identity-2", lambda tmp: ["example", "section5", "--rho", "2,2"],
+     "rho(identity) must be 1"),
+    ("section5-rho-zero", lambda tmp: ["example", "section5", "--rho", "1,0"], "rho(t) = 0"),
+    ("section5-q-short", lambda tmp: ["example", "section5", "--n", "2", "--q", "1"],
+     "q must list 2 values"),
+    ("section5-s3-not-central",
+     lambda tmp: ["example", "section5", "--group", "S3", "--rho", "1,1,1,1,1,1"],
+     "group element (23) is not central"),
+    ("section5-trivial-group",
+     lambda tmp: ["example", "section5", "--group", "trivial", "--rho", "1"],
+     "group has no element of index 1"),
+    ("section5-n-zero", lambda tmp: ["example", "section5", "--n", "0"],
+     "matrix size must be at least 1"),
+    ("matrix-zero", lambda tmp: ["example", "matrix", "0"], "matrix size must be at least 1"),
+    ("grouplikes-matrix-zero", lambda tmp: ["grouplikes", "--matrix", "0"],
+     "matrix size must be at least 1"),
+    ("groupoid-z0", lambda tmp: ["example", "groupoid", "Z0", "2"],
+     "cyclic group order must be positive"),
+    ("panov-no-such-sigma", lambda tmp: ["panov", _sweedler_spec(), "--sigma", "nosuch"],
+     "no map named 'nosuch' in the spec file"),
+    ("ore-build-no-such-delta", lambda tmp: ["ore", "build", _sweedler_spec(), "--delta", "nosuch"],
+     "no map named 'nosuch' in the spec file"),
+    ("panov-no-such-g", lambda tmp: ["panov", _sweedler_spec(), "--g", "nosuch"],
+     "no element named 'nosuch' in the spec file"),
+    ("panov-sigma-not-bijective", lambda tmp: ["panov", _kz2_collapsing_sigma_file(tmp)],
+     "sigma is not bijective"),
+    ("field-kind-complex", lambda tmp: ["check", _spec_file(tmp, field={"kind": "complex"})],
+     "unknown field kind 'complex'"),
+    ("field-not-an-object", lambda tmp: ["check", _spec_file(tmp, field=5)],
+     "bad field descriptor 5"),
+]
+INPUT_CHECK_MESSAGES = {argv: message for _, argv, message in INPUT_CHECKS}
+
+
 @pytest.mark.parametrize("argv", [
     lambda tmp: ["example", "matrix", "abc"],
     lambda tmp: ["example", "groupoid", "Z2", "two"],
@@ -434,6 +497,7 @@ GF3 = {"kind": "prime", "p": 3}
     # a spec file whose bytes are not UTF-8
     *(lambda tmp, c=command: _spec_commands(_raw_file(tmp, b"\xff\xfe{}"))[c]
       for command in range(4)),
+    *(argv for _, argv, _ in INPUT_CHECKS),
 ], ids=["matrix-size-text", "groupoid-size-text", "prime-as-string", "prime-as-float",
         "dim-as-bool", "index-as-bool", "negative-degree-bound", "degree-bound-too-large",
         "grouplikes-prime-not-prime",
@@ -455,7 +519,8 @@ GF3 = {"kind": "prime", "p": 3}
         *(f"nonassociative-{broken}-{command}" for broken in BROKEN_M2Q
           for command in SPEC_COMMANDS),
         "example-output-missing-directory", "example-output-is-a-directory",
-        *(f"not-utf8-{command}" for command in SPEC_COMMANDS)])
+        *(f"not-utf8-{command}" for command in SPEC_COMMANDS),
+        *(name for name, _, _ in INPUT_CHECKS)])
 def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     code = main(argv(tmp_path))
     captured = capsys.readouterr()
@@ -464,6 +529,8 @@ def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+    if argv in INPUT_CHECK_MESSAGES:
+        assert captured.err == f"error: {INPUT_CHECK_MESSAGES[argv]}\n"
 
 
 @pytest.mark.parametrize("broken, error", [
