@@ -10,9 +10,11 @@ new dict without zeros, for callers to keep.  A product is built column by
 column with :meth:`Matrix.apply`, and the rows of a matrix are the columns
 of its transpose.
 
-Elimination (:func:`_rref`) is exact Gauss-Jordan on plain Python ints and
-returns only its pivots.  Its rows are dicts column -> nonzero int, field
-rows as :meth:`Field.to_ints` holds them, at any nonzero scale.
+Elimination (:func:`_rref`) is exact, on plain Python ints, a row at a
+time: each row is reduced against the pivot rows found so far, and the
+pivot rows are back-substituted once every row is in; it returns only its
+pivots.  Its rows are dicts column -> nonzero int, field rows as
+:meth:`Field.to_ints` holds them, at any nonzero scale.
 :func:`constraint_matrix` compiles a linear residual straight into such
 rows, every row at the one scale S the residual works at (see there), and
 keeps each distinct row once; :func:`residual_kernel` eliminates them and
@@ -23,16 +25,15 @@ which converts its rows once, at entry, by :meth:`Field.to_ints`; solve
 eliminates the augmented matrix [m | b].  Only what a caller reads goes
 back to field scalars, as the field's quotient of two ints: the entries
 of the kernel vectors, or the solution column of :func:`solve`.
-Pivoting is deterministic: columns in order, and for each column the
-lowest-index row that has not taken a pivot and is nonzero there.  The
-reduced row echelon form is unique, so kernel bases and solutions are
-exactly those of elimination in field arithmetic, and reproducible for a
-fixed input.
+The reduced row echelon form is unique, whatever the order of the
+elimination, so kernel bases and solutions are exactly those of
+elimination in field arithmetic, and reproducible for a fixed input.
 """
 
 from __future__ import annotations
 
 import math
+from heapq import heapify, heappop, heappush
 
 from .errors import DimensionMismatch, ValidationError
 
@@ -114,56 +115,101 @@ def _rref(rows, ncols, field):
 
     The rows are taken as they are, at any nonzero scale (the rows of
     :func:`constraint_matrix` are all at S, those of a :class:`Matrix` at
-    the one scale :meth:`Field.to_ints` gives them).  Returns the pivots,
-    a list of (row, col) pairs in increasing col, where ``row`` is the
-    reduced int row, a nonzero multiple of the field row with a 1 in column
-    col; nothing is converted back, and a caller reads a field entry as
-    field(row[c]) / field(row[col]).  The input rows are not modified, and
-    the returned rows must not be.
+    the one scale :meth:`Field.to_ints` gives them), with their columns in
+    range(ncols).  Returns the pivots, a list of (row, col) pairs in
+    increasing col, where ``row`` is the reduced int row, a nonzero multiple
+    of the field row with a 1 in column col and a 0 in every other pivot
+    column; nothing is converted back, and a caller reads a field entry as
+    field(row[c]) / field(row[col]).  Over QQ each returned row is
+    primitive (its entries have gcd 1), over GF(p) each entry is a residue
+    in 1..p-1.  The input rows are not modified, and the returned rows must
+    not be.
 
-    Each update is row := a*row - f*pivot_row with a the pivot entry and f
-    the row's entry in the pivot column, followed by dividing the row by the
-    gcd of its entries over QQ, or reducing it mod p over GF(p).  Every
-    working row stays a nonzero multiple of the row that field arithmetic
-    with a normalised pivot would hold, so pivots and supports agree with it
-    step by step.
+    The rows are eliminated one at a time, in order: :func:`_reduce` clears
+    a copy of each of the pivot columns found so far, and a nonzero
+    remainder becomes a new pivot at its smallest column, scaled to a
+    positive pivot entry with gcd 1 over QQ and to pivot entry 1 over GF(p).
+    Once every column holds a pivot, the rows still to come reduce to zero
+    and are not read.  Then each pivot row is cleared of the pivot columns
+    above its own, from the highest pivot column down, so it only meets
+    rows that are already reduced, and divided by its content again.
     """
     prime = field.p
-    work = list(rows)
-    holders = [set() for _ in range(ncols)]  # col -> indices of the rows nonzero there
-    for ri, row in enumerate(work):
-        for c in row:
-            holders[c].add(ri)
-    used = set()
-    pivots = []
-    for col in range(ncols):
-        hold = holders[col]
-        pr = min((ri for ri in hold if ri not in used), default=None)
-        if pr is None:
-            continue
-        prow = work[pr]
-        a = prow[col]
-        for ri in [ri for ri in hold if ri != pr]:
-            row = work[ri]
-            f = row[col]
-            new = dict(row) if a == 1 else {c: a * v for c, v in row.items()}
-            for c, v in prow.items():
-                new[c] = new.get(c, 0) - f * v
+    pivots = {}  # pivot column -> its row, which holds no smaller column
+    for row in rows:
+        if len(pivots) == ncols:
+            break
+        work = dict(row)
+        _reduce(work, [c for c in work if c in pivots], pivots, prime)
+        if work:
+            col = min(work)
             if prime is None:
-                new = {c: v for c, v in new.items() if v}
-                g = math.gcd(*new.values())
-                if g > 1:
-                    new = {c: v // g for c, v in new.items()}
+                _divide_content(work, work[col] < 0)
             else:
-                new = {c: r for c, v in new.items() if (r := v % prime)}
-            for c in row.keys() - new.keys():
-                holders[c].discard(ri)
-            for c in new.keys() - row.keys():
-                holders[c].add(ri)
-            work[ri] = new
-        used.add(pr)
-        pivots.append((pr, col))
-    return [(work[ri], col) for ri, col in pivots]
+                inverse = pow(work[col], -1, prime)
+                for c in work:
+                    work[c] = work[c] * inverse % prime
+            pivots[col] = work
+    for col in sorted(pivots, reverse=True):
+        work = pivots[col]
+        held = [c for c in work if c != col and c in pivots]
+        if held:
+            _reduce(work, held, pivots, prime)
+            if prime is None:
+                _divide_content(work)
+    return [(pivots[col], col) for col in sorted(pivots)]
+
+
+def _reduce(work, heap, pivots, prime):
+    """Clear the int row work, in place, of the pivot columns listed in heap
+    and of those the clearing brings in, in increasing column order.
+
+    Each step is work := a*work - f*prow, where prow is the pivot row at the
+    column col popped from the heap and f/a the ratio of the entries in col
+    of work and prow in lowest terms; it brings in only columns above col.
+    Over GF(p) a pivot entry is 1, so a = 1, and every entry is kept mod p.
+    Over QQ a pivot entry is positive, and the row is divided by its content
+    after a step with a > 1, the only steps that grow it.
+    """
+    heapify(heap)
+    while heap:
+        col = heappop(heap)
+        f = work.get(col)
+        if f is None:
+            continue
+        prow = pivots[col]
+        a = prow[col]
+        if a != 1:
+            g = math.gcd(a, f)
+            a, f = a // g, f // g
+            if a != 1:
+                for c in work:
+                    work[c] *= a
+        for c, v in prow.items():
+            if c in work:
+                new = work[c] - f * v
+                if prime is not None:
+                    new %= prime
+                if new:
+                    work[c] = new
+                else:
+                    del work[c]
+            else:
+                work[c] = -f * v if prime is None else -f * v % prime
+                if c in pivots:
+                    heappush(heap, c)
+        if a != 1:
+            _divide_content(work)
+
+
+def _divide_content(work, negate=False):
+    """Divide an int row in place by the gcd of its entries, or by minus it."""
+    g = math.gcd(*work.values())
+    if negate:
+        g = -g
+    if g != 1:
+        for c in work:
+            work[c] //= g
 
 
 def _pivots(m: Matrix):
@@ -252,8 +298,9 @@ def solve(m: Matrix, b: dict) -> dict | None:
     """One solution of m*x = b with all free variables set to zero, or None.
 
     Reads the pivots of the augmented matrix [m | b].  Its last column, b,
-    is reduced last, so it takes a pivot exactly when the system is
-    inconsistent (then None), and every other pivot is one of m's.  Raises
+    takes a pivot exactly when b is not in the column space of m (then
+    None): a pivot row there is zero on m's columns, as a pivot column holds
+    a 1 only in its own row.  Every other pivot is then one of m's.  Raises
     DimensionMismatch if b has an index outside range(m.rows).
     """
     field, b_col = m.field, m.cols

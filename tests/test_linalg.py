@@ -1,3 +1,5 @@
+import copy
+import math
 import random
 from fractions import Fraction
 
@@ -5,8 +7,8 @@ import pytest
 
 from weakhopf.errors import DimensionMismatch, ParseError, ValidationError
 from weakhopf.fields import GF, Field, QQ
-from weakhopf.linalg import (Matrix, column_space_basis, constraint_matrix, kernel_basis, rank,
-                             residual_kernel, solve)
+from weakhopf.linalg import (Matrix, _pivots, _rref, column_space_basis, constraint_matrix,
+                             kernel_basis, rank, residual_kernel, solve)
 
 from lemmas import from_rows_dense, identity, kron
 from oracles import (dense_matmul, dense_nullspace, dense_rank, dense_rref, dense_solve,
@@ -143,13 +145,15 @@ _HARD_RATIONALS = (Fraction(3, 5), Fraction(-7, 2), Fraction(35, 6), Fraction(10
 _ORACLE_FIELDS = [QQ, Field.prime(2), Field.prime(3), Field.prime(7)]
 
 
+def _hard_scalar(rng, field):
+    if field.order is None:
+        return rng.choice(_HARD_RATIONALS)
+    return field(rng.randrange(1, field.order))
+
+
 def _hard_matrix(rng, field, rows, cols, density):
     """A random matrix, sometimes with a zero, a duplicated or a proportional row."""
-    def scalar():
-        if field.order is None:
-            return rng.choice(_HARD_RATIONALS)
-        return field(rng.randrange(1, field.order))
-    dense = [[scalar() if rng.random() < density else field.zero() for _ in range(cols)]
+    dense = [[_hard_scalar(rng, field) if rng.random() < density else field.zero() for _ in range(cols)]
              for _ in range(rows)]
     if rows > 1:
         kind, src, dst = rng.randrange(4), rng.randrange(rows), rng.randrange(rows)
@@ -158,7 +162,7 @@ def _hard_matrix(rng, field, rows, cols, density):
         elif kind == 2:
             dense[dst] = list(dense[src])
         elif kind == 3:
-            c = scalar()
+            c = _hard_scalar(rng, field)
             dense[dst] = [c * x for x in dense[src]]
     return from_rows_dense(field, dense)
 
@@ -209,6 +213,87 @@ def test_solve_against_dense_augmented_rref():
                 assert (None if ours is None else dense_vector(ours, m.cols, field)) == expected
                 seen.add(expected is None)
         assert seen == {True, False}  # both consistent and inconsistent systems were met
+
+
+def _tall_matrix(rng, field, rows, cols, rank):
+    """rows x cols of rank at most rank: int combinations of rank base rows
+    with hard scalars, mixed with zero rows and repeats of earlier rows."""
+    zero = field.zero()
+    base = [[_hard_scalar(rng, field) if rng.random() < 0.5 else zero for _ in range(cols)]
+            for _ in range(rank)]
+    dense = []
+    for _ in range(rows):
+        kind = rng.randrange(5)
+        if kind == 0:
+            dense.append([zero] * cols)
+        elif kind == 1 and dense:
+            dense.append(list(rng.choice(dense)))
+        else:
+            coeffs = [field(rng.randint(-3, 3)) for _ in base]
+            dense.append([sum((k * b[j] for k, b in zip(coeffs, base)), zero)
+                          for j in range(cols)])
+    return from_rows_dense(field, dense)
+
+
+def _tall_cases(field, seed):
+    one = field.one()
+    # The last row reduces at column 0 to -e_2, which brings in the pivot
+    # column 2 of the second row, and then to e_3, a new pivot that
+    # back-substitution clears from the second row.
+    chained = Matrix(field, 4, 5, {(0, 0): one, (0, 2): one, (1, 2): one, (1, 3): one,
+                                   (2, 1): one, (2, 4): one, (3, 0): one})
+    rng = random.Random(seed)
+    return [chained] + [_tall_matrix(rng, field, rng.randint(20, 60), rng.randint(3, 9),
+                                     rng.randint(1, 4)) for _ in range(12)]
+
+
+def test_tall_systems_against_dense_rref():
+    """Every pivot row, not only the pivot columns, is the oracle's row of the
+    reduced row echelon form, on systems with many more rows than rank."""
+    for field in _ORACLE_FIELDS:
+        for m in _tall_cases(field, 47):
+            reduced, pivot_cols = dense_rref(to_dense(m), m.cols, field)
+            pivots = _pivots(m)
+            assert [col for _, col in pivots] == pivot_cols
+            for (row, col), expected in zip(pivots, reduced):
+                assert [field(row.get(c, 0)) / field(row[col]) for c in range(m.cols)] == expected
+
+
+def test_rref_contract():
+    """_rref leaves its input rows as they were, and each returned row has
+    its pivot column as its smallest key, no entry in another pivot column,
+    and, over QQ, int entries with gcd 1, over GF(p), entries in 1..p-1."""
+    for field in _ORACLE_FIELDS:
+        for m in _tall_cases(field, 53) + _oracle_cases(field, 59):
+            rows = field.to_ints(m.transpose().column_dicts())[1]
+            before = copy.deepcopy(rows)
+            pivots = _rref(rows, m.cols, field)
+            assert rows == before
+            pivot_cols = {col for _, col in pivots}
+            for row, col in pivots:
+                assert min(row) == col
+                assert not (row.keys() & pivot_cols) - {col}
+                if field.p is None:
+                    assert all(type(v) is int for v in row.values())
+                    assert math.gcd(*row.values()) == 1
+                else:
+                    assert all(0 < v < field.p for v in row.values())
+
+
+def test_residual_kernel_leaves_the_system_equations_unmodified():
+    for field in _ORACLE_FIELDS:
+        for m in _tall_cases(field, 61):
+            rows = field.to_ints(m.transpose().column_dicts())[1]
+
+            def residual(x, rows=rows):
+                return field.reduce({i: sum(v * x.get(c, 0) for c, v in row.items())
+                                     for i, row in enumerate(rows)})
+
+            system = constraint_matrix(field, m.cols, residual)
+            before = copy.deepcopy(system.equations)
+            basis = residual_kernel(system, residual)
+            assert system.equations == before
+            assert len(basis) == m.cols - rank(m)
 
 
 def test_kernel_deterministic():
