@@ -18,7 +18,8 @@ from __future__ import annotations
 from .bialgebra import WeakBialgebra
 from .errors import NotAutomorphism, NotDerivation
 from .grouplike import is_unital_algebra_endo
-from .linalg import IntegerSystem, Matrix, constraint_matrix, rank, residual_kernel
+from .linalg import (IntegerSystem, Matrix, constraint_matrix, linear_residual, rank,
+                     residual_kernel)
 
 
 def validate_automorphism(wb: WeakBialgebra, sigma: Matrix):
@@ -71,39 +72,29 @@ def coderivation_residual(wb: WeakBialgebra, lambda_g: Matrix, lambda_h: Matrix)
     lambda_g and lambda_h (built by the caller) are the left multiplications
     by g and h.  It reads R's integer view (scale D) and the columns of
     lambda_g and lambda_h held as ints at one scale L by one
-    :meth:`Field.to_ints` call, and brings every term to one scale S = D L:
-    the Delta-terms are multiplied by L, and the legs are not lifted.  Every
-    entry is kept as :meth:`Field.reduce` keeps it.
-    It visits only delta's nonzero columns, through the terms of every
-    Delta(b_k) indexed once by leg.
+    :meth:`Field.to_ints` call.  It is the :func:`linalg.linear_residual`
+    at the one scale S = D L whose column r*dim + k, delta(b_k) = b_r, holds
+    L Delta(b_r) at the keys (k, u, v); for each term c b_i (x) b_k of a
+    Delta(b_kk), -c lambda_g(b_i) at the keys (kk, u, r); and for each term
+    c b_k (x) b_j of a Delta(b_kk), -c lambda_h(b_j) at the keys (kk, r, v).
     """
     view, dim, field = wb.integer_view, wb.dim, wb.field
     L, cols = field.to_ints([*lambda_g.column_dicts(), *lambda_h.column_dicts()])
     gcols, hcols = cols[:dim], cols[dim:]
-    coproducts = [{uv: c * L for uv, c in view.coproduct(r).items()} for r in wb.keys]
-    # c b_i (x) b_j in Delta(b_k) subtracts c lambda_g(b_i) (x) delta(b_j) and
-    # c delta(b_i) (x) lambda_h(b_j) from the defect on b_k; None marks delta's leg
-    legs = [[] for _ in wb.keys]
-    for k in wb.keys:
-        for (i, j), c in view.coproduct(k).items():
-            legs[j].append((k, field.reduce({u: -c * x for u, x in gcols[i].items()}), None))
-            legs[i].append((k, None, field.reduce({v: -c * x for v, x in hcols[j].items()})))
+    coproducts = [[(uv, c * L) for uv, c in view.coproduct(r).items()] for r in wb.keys]
+    # the terms of every Delta(b_kk) indexed by the leg b_k that delta meets
+    left, right = [[] for _ in wb.keys], [[] for _ in wb.keys]
+    for kk in wb.keys:
+        for (i, j), c in view.coproduct(kk).items():
+            left[j] += [(kk, u, -c * x) for u, x in gcols[i].items()]
+            right[i] += [(kk, v, -c * x) for v, x in hcols[j].items()]
 
-    def residual(x: dict) -> dict:
-        columns, out = {}, {}
-        for rk, a in x.items():
-            r, k = divmod(rk, dim)
-            columns.setdefault(k, {})[r] = a
-        for k, col in columns.items():
-            for r, a in col.items():
-                for (u, v), c in coproducts[r].items():
-                    out[k, u, v] = out.get((k, u, v), 0) + c * a
-            for kk, left, right in legs[k]:
-                for u, a in (col if left is None else left).items():
-                    for v, b in (col if right is None else right).items():
-                        out[kk, u, v] = out.get((kk, u, v), 0) + a * b
-        return field.reduce(out)
-    return residual
+    def column(rk):
+        r, k = divmod(rk, dim)
+        return [*(((k, u, v), c) for (u, v), c in coproducts[r]),
+                *(((kk, u, r), c) for kk, u, c in left[k]),
+                *(((kk, r, v), c) for kk, v, c in right[k])]
+    return linear_residual(field, column)
 
 
 def _coderivation_failure(wb: WeakBialgebra, delta: Matrix, lam_g: Matrix, lam_h: Matrix):

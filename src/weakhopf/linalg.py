@@ -15,11 +15,13 @@ time: each row is reduced against the pivot rows found so far, and the
 pivot rows are back-substituted once every row is in; it returns only its
 pivots.  Its rows are dicts column -> nonzero int, field rows as
 :meth:`Field.to_ints` holds them, at any nonzero scale.
-:func:`constraint_matrix` compiles a linear residual straight into such
-rows, every row at the one scale S the residual works at (see there), and
-keeps each distinct row once; :func:`residual_kernel` eliminates them and
-re-checks every kernel vector with the residual on ints.  The
-:class:`Matrix` entry points (rank, kernel_basis, solve and
+A linear residual is an int linear map given column by column, the one
+closure :func:`linear_residual` makes from its column function.
+:func:`constraint_matrix` compiles it straight into such rows, every row at
+the one scale S the residual works at (see there), and keeps each distinct
+row once, in the order its key first appears; :func:`residual_kernel`
+eliminates them and re-checks every kernel vector with the residual on
+ints.  The :class:`Matrix` entry points (rank, kernel_basis, solve and
 column_space_basis) read the pivots of one matrix by :func:`_pivots`,
 which converts its rows once, at entry, by :meth:`Field.to_ints`; solve
 eliminates the augmented matrix [m | b].  Only what a caller reads goes
@@ -91,15 +93,6 @@ class Matrix:
             for i, c in cols[j].items():
                 out[i] = out.get(i, zero) + c * cv
         return {i: c for i, c in out.items() if c}
-
-    def apply_functional(self, f: dict) -> dict:
-        """Row-functional composition f o self, i.e. f^T * self."""
-        zero = self.field.zero()
-        out = {}
-        for (i, j), c in self.data.items():
-            if i in f:
-                out[j] = out.get(j, zero) + f[i] * c
-        return {j: c for j, c in out.items() if c}
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -229,24 +222,40 @@ class IntegerSystem:
         self.rows = len(equations)
 
 
+def linear_residual(field, column):
+    """The linear map X -> sum of X[c] column(c), on int vectors, as a dict without zeros.
+
+    column(c) lists the (key, int) terms the unit vector e_c = {c: 1} maps
+    to; terms under one key add up.  X is a dict index -> int, which is not
+    modified, and every entry of the result is kept as :meth:`Field.reduce`
+    keeps it: nonzero, and a residue mod p over GF(p).
+    """
+    def residual(x: dict) -> dict:
+        out = {}
+        for c, a in x.items():
+            for key, v in column(c):
+                out[key] = out.get(key, 0) + a * v
+        return field.reduce(out)
+    return residual
+
+
 def constraint_matrix(field, n: int, residual) -> IntegerSystem:
     """The equations residual(X) = 0 in n unknowns, as distinct int rows.
 
     residual is a linear map from int vectors (dicts index -> int) to dicts
-    key -> nonzero int, reduced mod p over GF(p); over QQ it is S times a
-    field-valued linear residual for one integer S.  Column c of the system
-    is residual(e_c) for the unit vector e_c = {c: 1}, and each key it
-    reaches is a row, S times the field row.  Each distinct row is kept
-    once, and the rows are sorted by their support, the columns in
-    increasing order (ties keep the order their keys first appear in):
-    neither changes the kernel.
+    key -> nonzero int, reduced mod p over GF(p), such as a
+    :func:`linear_residual`; over QQ it is S times a field-valued linear
+    residual for one integer S.  Column c of the system is residual(e_c),
+    and each key it reaches is a row, S times the field row.  Each distinct
+    row is kept once, in the order its key first appears: neither the
+    repeats nor the order changes the kernel.
     """
     rows = {}
     for c in range(n):
         for key, v in residual({c: 1}).items():
             rows.setdefault(key, {})[c] = v
     distinct = {tuple(row.items()): row for row in rows.values()}
-    return IntegerSystem(field, n, sorted(distinct.values(), key=list))
+    return IntegerSystem(field, n, list(distinct.values()))
 
 
 def rank(m: Matrix) -> int:

@@ -23,7 +23,7 @@ from .coderivations import _coderivation_failure, is_sigma_derivation
 from .errors import InvalidGroupCharacter, NotCentral, NotGrouplike, ValidationError, ZeroScale
 from .groupoid import GroupoidAlgebra
 from .grouplike import Character, grouplike_inverse, is_weak_grouplike, winding
-from .linalg import Matrix, constraint_matrix, residual_kernel
+from .linalg import Matrix, constraint_matrix, linear_residual, residual_kernel
 from .report import _fmt_witness
 
 
@@ -105,7 +105,7 @@ class PanovClauses:
 
     def __init__(self, wb: WeakBialgebra, sigma: Matrix, delta: Matrix, g: dict):
         self.wb, self.sigma, self.delta, self.g = wb, sigma, delta, g
-        self.character = Character(wb, sigma.apply_functional(wb.counit_vector))  # eps o sigma
+        self.character = Character(wb, sigma.transpose().apply(wb.counit_vector))  # eps o sigma
         self._results = {}
 
     def result(self, name) -> ClauseResult:
@@ -315,7 +315,7 @@ def groupoid_character(ga: GroupoidAlgebra, rho, q) -> Character:
     character = Character(ga, chi)
     if character.left_failure is not None or character.right_failure is not None:
         raise ValidationError("groupoid character failed the winding check")
-    chi_s = ga.antipode_matrix.apply_functional(chi)
+    chi_s = ga.antipode_matrix.transpose().apply(chi)
     eps = ga.counit_vector
     if convolution(chi_s, chi, ga) != eps or convolution(chi, chi_s, ga) != eps:
         raise ValidationError("chi o S is not the convolution inverse of chi")
@@ -327,36 +327,29 @@ def alpha_residual(ga: GroupoidAlgebra, chi: dict):
     keyed (i, j), and alpha(E_ii) keyed (idx,), on ints, as a dict without zeros.
 
     alpha, and chi at its scale L, are held as ints by :meth:`Field.to_ints`.
-    The products and eps come from R's integer view (scale D), so every
-    term is brought to one scale S = D L: the product and eps terms times L,
-    the chi terms times D and alpha(E_ii) times D L, and every entry is kept
-    as :meth:`Field.reduce` keeps it.  It visits only alpha's support,
-    through the products b_i b_j indexed once by the basis elements they
-    reach."""
+    The products and eps come from R's integer view (scale D), and the
+    residual is the :func:`linalg.linear_residual` at the one scale S = D L
+    whose column k, the value alpha(b_k), holds L c at (i, j) for each term
+    c b_k of b_i b_j, -L eps(b_j) at (k, j) and -D chi(b_i) at (i, k) for
+    every j and i, and D L at (k,) when b_k is an E_ii."""
     view, field = ga.integer_view, ga.field
     (L, (chi,)), D = field.to_ints([chi]), view.scale
     reach = {}
     for i in ga.keys:
         for j in ga.keys:
             for k, c in view.product(i, j).items():
-                reach.setdefault(k, []).append((i, j, c * L))
-    eps = {j: -e * L for j in ga.keys if (e := view.counit(j))}
-    chi = {i: -x * D for i, x in chi.items()}
+                reach.setdefault(k, []).append(((i, j), c * L))
+    eps = [(j, -e * L) for j in ga.keys if (e := view.counit(j))]
+    chi = [(i, -x * D) for i, x in chi.items()]
     diagonal = set(ga.diagonal_unit_indices())
 
-    def residual(alpha: dict) -> dict:
-        out = {}
-        for k, a in alpha.items():
-            for i, j, c in reach.get(k, ()):
-                out[i, j] = out.get((i, j), 0) + c * a
-            for j, e in eps.items():
-                out[k, j] = out.get((k, j), 0) + a * e
-            for i, x in chi.items():
-                out[i, k] = out.get((i, k), 0) + x * a
-            if k in diagonal:
-                out[k,] = a * D * L
-        return field.reduce(out)
-    return residual
+    def column(k):
+        terms = [*reach.get(k, ()), *(((k, j), e) for j, e in eps),
+                 *(((i, k), x) for i, x in chi)]
+        if k in diagonal:
+            terms.append(((k,), D * L))
+        return terms
+    return linear_residual(field, column)
 
 
 def solve_alpha(ga: GroupoidAlgebra, chi: dict) -> list:

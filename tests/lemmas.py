@@ -101,6 +101,29 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.field, a.rows * b.rows, a.cols * b.cols, data)
 
 
+def transport(R: WeakBialgebra, maps, elements, a: int, b: int, c):
+    """(R', maps', elements'): R, the maps and the elements in the basis
+    b_a -> b_a + c b_b.
+
+    With P = I + c E_ba and P^-1 = I - c E_ba, the mult becomes
+    P^-1 m(P., P.), the comult (P^-1 (x) P^-1) Delta P, the unit P^-1 1 and
+    the counit eps P; the antipode and each map m become P^-1 m P, and each
+    element x becomes P^-1 x.  R' is validated as any R is built.
+    """
+    field, dim, one = R.field, R.dim, R.field.one()
+    P = Matrix(field, dim, dim, {**{(k, k): one for k in R.keys}, (b, a): c})
+    P_inv = Matrix(field, dim, dim, {**{(k, k): one for k in R.keys}, (b, a): -c})
+    cols, inv = P.column_dicts(), P_inv.column_dicts().__getitem__
+    mult = {(i, j): P_inv.apply(R.multiply(cols[i], cols[j])) for i in R.keys for j in R.keys}
+    comult = {k: R.map_legs(R.comultiply(cols[k]), inv, inv) for k in R.keys}
+    tables = (field, dim, mult, P_inv.apply(R.unit), comult, P.transpose().apply(R.counit_vector))
+    if isinstance(R, WeakHopfAlgebra):
+        moved = WeakHopfAlgebra(*tables, P_inv * R.antipode_matrix * P, R.labels)
+    else:
+        moved = WeakBialgebra(*tables, R.labels)
+    return moved, [P_inv * m * P for m in maps], [P_inv.apply(x) for x in elements]
+
+
 def tensor_product(a: WeakBialgebra, b: WeakBialgebra):
     """Tensor product of weak bialgebras (weak Hopf algebras when both have antipodes).
 
@@ -320,7 +343,7 @@ def character_from_endo(wb: WeakBialgebra, sigma: Matrix) -> dict | None:
     left = intertwines(cols.__getitem__, None)
     if not (left or right):
         return None
-    chi = sigma.apply_functional(wb.counit_vector)
+    chi = sigma.transpose().apply(wb.counit_vector)
     if right and winding(wb, chi, "right") != sigma:
         return None
     if left and not right and winding(wb, chi, "left") != sigma:
@@ -346,7 +369,7 @@ def char_antipode_report(wha: WeakHopfAlgebra, chi: dict) -> AxiomReport:
     report.check("antipode_conv_right_winding", map_convolution(S, tau_r, wha), m_s * tau_r)
     report.check("antipode_conv_left_winding", map_convolution(tau_l, S, wha), m_t * tau_l)
 
-    chi_s = S.apply_functional(chi)
+    chi_s = S.transpose().apply(chi)
     eps = wha.counit_vector
     inverse_hyp = (convolution(chi_s, chi, wha) == eps and convolution(chi, chi_s, wha) == eps)
     report.record("chi_S_is_convolution_inverse", inverse_hyp)
@@ -440,7 +463,7 @@ def centrality_report(wb: WeakBialgebra, sigma: Matrix, delta: Matrix,
                         for t in wb.comult.values())
     report.record("hypothesis_cocommutative", cocommutative)
     if isinstance(wb, WeakHopfAlgebra):
-        chi_s = wb.antipode_matrix.apply_functional(chi)
+        chi_s = wb.antipode_matrix.transpose().apply(chi)
         eps = wb.counit_vector
         report.record("hypothesis_chi_S_inverse",
                       convolution(chi_s, chi, wb) == eps and convolution(chi, chi_s, wb) == eps)

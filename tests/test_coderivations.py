@@ -401,7 +401,9 @@ def test_eps_delta_report_hypothesis_flag(M2):
 
 
 def test_eps_delta_report_reads_delta_columns(s5_m2qz2, monkeypatch):
-    """The report makes no Matrix.apply call and records, in order, one entry
+    """The report reads no column of delta through Matrix.apply (its one
+    apply call is the clause table's eps o sigma pull-back, as the
+    transpose of sigma applied to eps) and records, in order, one entry
     per basis element and per basis pair, with the verdicts of the formulas
     eps(delta(b_k)) = 0 and eps(b_i delta(b_j)) = 0 evaluated through
     Matrix.apply.  delta(b_5) gets 3/5 b_1; b_5 is outside R_s, so both loops
@@ -426,7 +428,7 @@ def test_eps_delta_report_reads_delta_columns(s5_m2qz2, monkeypatch):
                         or record(self, axiom, passed, witness, *rest))
     monkeypatch.setattr(Matrix, "apply", lambda self, v: applies.append(v) or apply(self, v))
     eps_delta_report(R, delta, g, R.unit, sigma=sigma)
-    assert applies == []
+    assert applies == [R.counit_vector]
     axioms = [axiom for axiom, _, _ in records]
     assert axioms == ["delta_is_coderivation", "hypothesis_eps_s_g_is_unit",
                       "hypothesis_eps_s_h_is_unit", *["counit_kills_delta"] * R.dim,

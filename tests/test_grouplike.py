@@ -306,7 +306,7 @@ def test_convolution_inverse_two_sided(M2):
     chi = groupoid_character(M2, [Fraction(1)], [Fraction(1), Fraction(2)]).chi
     inv = convolution_inverse(M2, chi)
     assert inv.two_sided is not None
-    chi_s = M2.antipode_matrix.apply_functional(chi)
+    chi_s = M2.antipode_matrix.transpose().apply(chi)
     assert inv.two_sided == chi_s
     eps = M2.counit_vector
     assert convolution(inv.two_sided, chi, M2) == eps

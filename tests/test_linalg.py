@@ -8,7 +8,7 @@ import pytest
 from weakhopf.errors import DimensionMismatch, ParseError, ValidationError
 from weakhopf.fields import GF, Field, QQ
 from weakhopf.linalg import (Matrix, _pivots, _rref, column_space_basis, constraint_matrix,
-                             kernel_basis, rank, residual_kernel, solve)
+                             kernel_basis, linear_residual, rank, residual_kernel, solve)
 
 from lemmas import from_rows_dense, identity, kron
 from oracles import (dense_matmul, dense_nullspace, dense_rank, dense_rref, dense_solve,
@@ -346,6 +346,50 @@ def test_column_space_basis_spans_columns():
     for col in m.column_dicts():
         assert solve(span, col) is not None
     assert len(basis) == rank(m)
+
+
+def test_linear_residual_adds_reduces_and_compiles_to_the_dense_rows():
+    """Terms under one key add up, a key whose sum is 0 (mod p over GF(p)) is
+    dropped, a value over GF(p) is a residue in 1..p-1, and the input is not
+    modified; constraint_matrix compiles the residual to exactly the distinct
+    nonzero rows of the dense matrix whose column c is column(c), in the
+    order their keys first appear."""
+    cancel = [("a", 2), ("b", 3), ("a", -2), ("b", 4), ("c", -1)]
+    assert linear_residual(QQ, lambda c: cancel)({0: 1}) == {"b": 7, "c": -1}
+    assert linear_residual(Field.prime(7), lambda c: cancel)({0: 1}) == {"c": 6}
+    assert linear_residual(Field.prime(2), lambda c: cancel)({0: 3}) == {"b": 1, "c": 1}
+    rng = random.Random(29)
+    for field in (QQ, Field.prime(2), Field.prime(7)):
+        p = field.p
+        for _ in range(25):
+            n, nkeys = rng.randint(1, 6), rng.randint(1, 5)
+            terms = [[(rng.randrange(nkeys), rng.randint(-9, 9))
+                      for _ in range(rng.randint(0, 5))] for _ in range(n)]
+            residual = linear_residual(field, terms.__getitem__)
+            x = {c: rng.randint(-9, 9) for c in range(n) if rng.random() < 0.7}
+            before = dict(x)
+            sums = {}
+            for c, a in x.items():
+                for key, v in terms[c]:
+                    sums[key] = sums.get(key, 0) + a * v
+            got = residual(x)
+            assert x == before
+            assert got == {key: v for key, s in sums.items() if (v := s if p is None else s % p)}
+            assert p is None or all(0 < v < p for v in got.values())
+
+            dense, order = [[0] * n for _ in range(nkeys)], []
+            for c in range(n):
+                for key, v in terms[c]:
+                    dense[key][c] += v
+            for c in range(n):
+                for key, _ in terms[c]:
+                    if key not in order and (dense[key][c] if p is None else dense[key][c] % p):
+                        order.append(key)
+            rows = [{c: v for c, s in enumerate(dense[key]) if (v := s if p is None else s % p)}
+                    for key in order]
+            distinct = [row for i, row in enumerate(rows) if row not in rows[:i]]
+            system = constraint_matrix(field, n, residual)
+            assert (system.rows, system.equations) == (len(distinct), distinct)
 
 
 def test_residual_kernel_rechecks_every_vector_with_its_residual():

@@ -1,11 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from weakhopf.bialgebra import WeakBialgebra, check_antipode, check_weak_bialgebra
 from weakhopf.cli import main
-from weakhopf.coderivations import is_sigma_derivation
+from weakhopf.coderivations import coderivation_space, is_sigma_derivation
 from weakhopf.errors import (InvalidGroupCharacter, NotCentral, NotGrouplike, ValidationError,
                              ZeroScale)
 from weakhopf.fields import QQ, Field
@@ -14,13 +15,13 @@ from weakhopf.groupoid import GroupPresentation, build_groupoid_algebra, matrix_
 from weakhopf.grouplike import winding
 from weakhopf.linalg import Matrix, constraint_matrix
 from weakhopf.ore import extend_antipode, extend_coalgebra, make_ore, verify_extension
-from weakhopf.panov import (NECESSARY, SUFFICIENT, PanovClauses, alpha_residual,
+from weakhopf.panov import (HOPF, NECESSARY, SUFFICIENT, PanovClauses, alpha_residual,
                             build_twisted_derivation, groupoid_character, hopf_conditions,
                             panov_necessary, panov_sufficient, solve_alpha)
 from weakhopf.specfile import parse_spec
 
 from lemmas import (ad_map, axiom_passed, basis_element, centrality_report, char_antipode_report,
-                    identity, is_coderivation, matches_tensor_factors)
+                    identity, is_coderivation, matches_tensor_factors, transport)
 from oracles import dense_nullspace, dense_rows, field_rows, pure_tensor, reference_alpha_rows
 
 
@@ -546,3 +547,38 @@ def test_twisted_derivation_pipeline_over_prime_field():
     assert data.delta.apply(t) == {0: f3(-1), 1: f3(1)}  # t - 1
     H = extend_antipode(make_ore(data.R, data.sigma, data.delta, data.g))
     assert verify_extension(H, 3).passed
+
+
+def test_panov_verdicts_survive_a_basis_change_with_denominators():
+    """Section-5 M_2(QZ_2) with q = (3/5, -7/2), moved to the basis
+    b_a -> b_a + c b_b for four seeded draws of a != b and c = n/d: every
+    clause of the three procedures passes or fails as before, on the valid
+    datum (delta = 0) and with delta(b_5) = 3/5 b_1, and the
+    (g,1)-coderivations still span 8 dimensions.  Some draw gives R an
+    integer-view scale above 1."""
+    data = twisted_derivation_data(GroupPresentation.cyclic(2), 2, rho=[1, -1],
+                                   q=[Fraction(3, 5), Fraction(-7, 2)])
+    R, sigma, delta, g = data.R, data.sigma, data.delta, data.g
+    assert not delta.data
+    bad = Matrix(QQ, R.dim, R.dim, {(1, 5): Fraction(3, 5)})
+    names = dict.fromkeys(NECESSARY + SUFFICIENT + HOPF)
+
+    def failing(R, sigma, delta, g):
+        clauses = PanovClauses(R, sigma, delta, g)
+        return {name for name in names if not clauses.result(name).passed}
+
+    assert failing(R, sigma, delta, g) == set()
+    assert failing(R, sigma, bad, g) == {
+        "antipode_delta_compat", "coproduct_delta_twisted_leibniz", "counit_delta_orthogonal",
+        "delta_is_skew_coderivation"}
+    rng, scales = random.Random(0), []
+    for _ in range(4):
+        a, b = rng.sample(range(R.dim), 2)
+        n, d = rng.sample(range(2, 10), 2)
+        R2, (sigma2, delta2, bad2), (g2,) = transport(R, [sigma, delta, bad], [g], a, b,
+                                                      Fraction(n, d))
+        assert failing(R2, sigma2, delta2, g2) == failing(R, sigma, delta, g)
+        assert failing(R2, sigma2, bad2, g2) == failing(R, sigma, bad, g)
+        assert len(coderivation_space(R2, g2, R2.unit)) == 8
+        scales.append(R2.integer_view.scale)
+    assert max(scales) > 1
