@@ -90,20 +90,22 @@ def enumerate_weak_grouplikes_matrix(n: int, field=None) -> GrouplikeEnumeration
 def brute_force_weak_grouplikes(wb: WeakBialgebra):
     """Exhaustive scan for weak group-likes over a prime field GF(p) (includes 0).
 
-    Visits all p^dim coefficient vectors in ``itertools.product`` order.
-    Before the loop it takes, as integer residues mod p over the slots
-    a*dim + b of R (x) R, every Delta(b_k) and, for every basis pair (i, j),
-    Delta(1)(b_i (x) b_j) and (b_i (x) b_j)Delta(1), all computed on the
-    residue tables of ``wb.integer_view`` and kept as :meth:`Field.reduce`
-    keeps them.
-    A candidate g = sum_i g_i b_i is then a tuple of ints: Delta(g) is
-    sum_k g_k Delta(b_k) and each quadratic side sum_{i,j} g_i g_j times the
-    pair's entry, summed as dense int lists and compared mod p, the second
-    side only when the first agrees.  Every hit is rebuilt as a dict of
-    field elements and returned only if :func:`is_weak_grouplike` holds.
-    Raises TooLarge, before the first candidate, when p^dim exceeds
-    SCAN_LIMIT or p^dim times (dim^2 + the number of residues in the
-    tables) exceeds SCAN_WORK_LIMIT.
+    Decides all p^dim coefficient vectors and returns the hits in
+    ``itertools.product`` order.  Before the scan it takes, as integer residues
+    mod p over the slots a*dim + b of R (x) R, every Delta(b_k) and, for every
+    basis pair (i, j), Delta(1)(b_i (x) b_j) and (b_i (x) b_j)Delta(1), all
+    computed on the residue tables of ``wb.integer_view`` and kept as
+    :meth:`Field.reduce` keeps them.  Each slot of Delta(g) - Delta(1)(g (x) g),
+    and of Delta(g) - (g (x) g)Delta(1), is then one residue equation
+    sum_k g_k Delta(b_k)[s] - sum_{i,j} g_i g_j T[i][j][s] = 0 mod p in the
+    coefficients of g = sum_i g_i b_i.  The scan sets g_0, g_1, ... in turn,
+    each to 0 .. p-1, checks each equation once the highest-index coefficient
+    it involves is set, and drops a failing prefix with all its completions.
+    Every hit is rebuilt as a dict of field elements and returned only if
+    :func:`is_weak_grouplike` holds.  Raises TooLarge, before the first
+    candidate, when p^dim exceeds SCAN_LIMIT or p^dim times (dim^2 + the
+    number of residues in the tables) exceeds SCAN_WORK_LIMIT: an instance
+    whose every equation involves the last coefficient prunes nothing.
     """
     field, p = wb.field, wb.field.p
     if p is None:
@@ -125,28 +127,37 @@ def brute_force_weak_grouplikes(wb: WeakBialgebra):
         raise TooLarge(f"{p}^{dim} candidates times {dim * dim + terms} table terms "
                        f"exceed the scan work limit")
 
-    def agrees(dg, coeffs, support, table):
-        side = [0] * (dim * dim)
-        for i in support:
-            row, gi = table[i], coeffs[i]
-            for j in support:
-                c = gi * coeffs[j]
-                for slot, r in row[j]:
-                    side[slot] += c * r
-        return all((x - y) % p == 0 for x, y in zip(dg, side))
+    equations = {}  # (side, slot) -> (linear terms (k, r), quadratic terms (i, j, r))
+    for side, table in enumerate((left, right)):
+        for i in wb.keys:
+            for slot, r in coproducts[i]:
+                equations.setdefault((side, slot), ([], []))[0].append((i, r))
+            for j in wb.keys:
+                for slot, r in table[i][j]:
+                    equations.setdefault((side, slot), ([], []))[1].append((i, j, r))
+    checks = [[] for _ in wb.keys]  # checks[d]: the equations whose highest index is d
+    for linear, quadratic in equations.values():
+        last = max([k for k, _ in linear] + [max(i, j) for i, j, _ in quadratic])
+        checks[last].append((linear, quadratic))
 
-    found = []
-    for coeffs in itertools.product(range(p), repeat=dim):
-        support = [i for i, c in enumerate(coeffs) if c]
-        dg = [0] * (dim * dim)
-        for k in support:
-            c = coeffs[k]
-            for slot, r in coproducts[k]:
-                dg[slot] += c * r
-        if agrees(dg, coeffs, support, left) and agrees(dg, coeffs, support, right):
-            g = {i: field(coeffs[i]) for i in support}
+    found, coeffs = [], [0] * dim
+
+    def holds(linear, quadratic):
+        return (sum(r * coeffs[k] for k, r in linear)
+                - sum(r * coeffs[i] * coeffs[j] for i, j, r in quadratic)) % p == 0
+
+    def scan(d):  # coeffs[:d] satisfies every equation whose highest index is below d
+        if d == dim:
+            g = {i: field(c) for i, c in enumerate(coeffs) if c}
             if is_weak_grouplike(wb, g):
                 found.append(g)
+            return
+        for c in range(p):
+            coeffs[d] = c
+            if all(holds(*eq) for eq in checks[d]):
+                scan(d + 1)
+
+    scan(0)
     return found
 
 

@@ -328,6 +328,52 @@ def definition_weak_grouplikes(wb):
     return found
 
 
+def dense_residue_scan(wb):
+    """Every coefficient vector over GF(p), in ``itertools.product`` order, whose
+    Delta(g), Delta(1)(g (x) g) and (g (x) g)Delta(1) agree mod p as dense int
+    lists over the slots a*dim + b of R (x) R, and that ``is_weak_grouplike``
+    then confirms: the unpruned scan, with no limit on p^dim.
+
+    The int lists are built from residue tables of every Delta(b_k) and, for
+    every basis pair (i, j), Delta(1)(b_i (x) b_j) and (b_i (x) b_j)Delta(1),
+    computed on ``wb.integer_view``; the second side is compared only when the
+    first agrees."""
+    from weakhopf.grouplike import is_weak_grouplike
+    field, p, dim, ints = wb.field, wb.field.p, wb.dim, wb.integer_view
+    d1 = ints.delta_one()
+
+    def residues(t):  # an int 2-tensor as ((slot, residue), ...), zeros mod p dropped
+        return tuple((a * dim + b, r) for (a, b), r in field.reduce(t).items())
+
+    coproducts = [residues(ints.coproduct(k)) for k in wb.keys]
+    left = [[residues(ints.tensor_mul(d1, {(i, j): 1})) for j in wb.keys] for i in wb.keys]
+    right = [[residues(ints.tensor_mul({(i, j): 1}, d1)) for j in wb.keys] for i in wb.keys]
+
+    def agrees(dg, coeffs, support, table):
+        side = [0] * (dim * dim)
+        for i in support:
+            row, gi = table[i], coeffs[i]
+            for j in support:
+                c = gi * coeffs[j]
+                for slot, r in row[j]:
+                    side[slot] += c * r
+        return all((x - y) % p == 0 for x, y in zip(dg, side))
+
+    found = []
+    for coeffs in itertools.product(range(p), repeat=dim):
+        support = [i for i, c in enumerate(coeffs) if c]
+        dg = [0] * (dim * dim)
+        for k in support:
+            c = coeffs[k]
+            for slot, r in coproducts[k]:
+                dg[slot] += c * r
+        if agrees(dg, coeffs, support, left) and agrees(dg, coeffs, support, right):
+            g = {i: field(coeffs[i]) for i in support}
+            if is_weak_grouplike(wb, g):
+                found.append(g)
+    return found
+
+
 def reference_ore_integer_tables(H, B):
     """The tables of ``H.integer_view(B)`` computed in field scalars on H itself and
     converted afterwards: (scale, unit, products, coproducts, antipodes, counit).

@@ -13,7 +13,8 @@ from weakhopf.bialgebra import WeakBialgebra, convolution
 from weakhopf.cli import main
 from weakhopf.errors import TooLarge, ValidationError
 from weakhopf.fields import Field, QQ
-from weakhopf.groupoid import GroupPresentation, group_algebra, matrix_algebra
+from weakhopf.groupoid import (GroupPresentation, build_groupoid_algebra, group_algebra,
+                               matrix_algebra)
 from weakhopf.grouplike import (SCAN_LIMIT, brute_force_weak_grouplikes,
                                 enumerate_weak_grouplikes_matrix, is_weak_grouplike, winding)
 from weakhopf.linalg import Matrix, rank
@@ -23,7 +24,7 @@ from weakhopf.specfile import parse_spec
 from lemmas import (ad_map, axiom_passed, basis_element, char_antipode_report, character_from_endo,
                     convolution_inverse, counit_value, function_algebra, grouplike_identity_report,
                     grouplike_monoid_closed, identity, is_grouplike, is_weak_character)
-from oracles import definition_weak_grouplikes
+from oracles import definition_weak_grouplikes, dense_residue_scan
 
 
 def _partial_injection_count(n):
@@ -156,10 +157,47 @@ def _m2_gf3_rescaled():
     lambda: function_algebra(GroupPresentation.cyclic(3), Field.prime(5)),  # dense Delta(1)
     lambda: group_algebra(GroupPresentation.cyclic(4), Field.prime(3)),
     _m2_gf3_rescaled,
-], ids=["F2Z2", "M2-GF2", "kZ3-dual-GF5", "M1-kZ4-GF3", "M2-GF3-rescaled"])
+    lambda: group_algebra(GroupPresentation.cyclic(4), Field.prime(5)),
+    lambda: function_algebra(GroupPresentation.cyclic(4), Field.prime(5)),
+    lambda: matrix_algebra(2, Field.prime(5)),
+    lambda: build_groupoid_algebra(GroupPresentation.cyclic(2), 2, Field.prime(2)),
+], ids=["F2Z2", "M2-GF2", "kZ3-dual-GF5", "M1-kZ4-GF3", "M2-GF3-rescaled",
+        "kZ4-GF5", "kZ4-dual-GF5", "M2-GF5", "M2-kZ2-GF2"])
 def test_brute_force_matches_definition(build):
     wb = build()
     assert brute_force_weak_grouplikes(wb) == definition_weak_grouplikes(wb)
+
+
+@pytest.mark.parametrize("build,candidates,hits", [
+    (lambda: group_algebra(GroupPresentation.cyclic(6), Field.prime(5)), 15625, 6 + 1),
+    (lambda: function_algebra(GroupPresentation.cyclic(6), Field.prime(5)), 15625,
+     math.gcd(6, 5 - 1) + 1),
+    (lambda: build_groupoid_algebra(GroupPresentation.cyclic(2), 2, Field.prime(3)), 6561, 17),
+], ids=["kZ6-GF5", "kZ6-dual-GF5", "M2-kZ2-GF3"])
+def test_pruned_scan_matches_dense_residue_scan(build, candidates, hits):
+    """The group-likes of kG are G, and those of k^G its characters G -> GF(p)^*,
+    gcd(|G|, p - 1) of them for cyclic G; the zero element is a hit too."""
+    wb = build()
+    assert wb.field.p ** wb.dim == candidates
+    found = brute_force_weak_grouplikes(wb)
+    assert found == dense_residue_scan(wb)
+    assert len(found) == hits
+
+
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("build", [
+    lambda: matrix_algebra(2, Field.prime(3)),
+    lambda: group_algebra(GroupPresentation.cyclic(4), Field.prime(3)),
+], ids=["M2-GF3", "kZ4-GF3"])
+def test_brute_force_assumes_no_axiom(build, k):
+    """Delta(b_k) with 1 added at b_k (x) b_0 breaks the coalgebra; the scan
+    must still return exactly the candidates that satisfy the definition."""
+    wb = build()
+    comult = {i: dict(t) for i, t in wb.comult.items()}
+    comult[k][(k, 0)] = comult[k].get((k, 0), wb.field.zero()) + wb.field.one()
+    broken = WeakBialgebra(wb.field, wb.dim, wb.mult, wb.unit, comult, wb.counit_vector,
+                           wb.labels, validate=False)
+    assert brute_force_weak_grouplikes(broken) == definition_weak_grouplikes(broken)
 
 
 def test_rescaled_scan_reduces_products_of_residues():
