@@ -38,10 +38,13 @@ constants on every basis key and key pair, read once into
 reads H = R[x; sigma, delta] at a degree bound B over the monomials:
 products on (degree <= L) x (degree <= B) with L = max(2B, B + 1),
 coproducts on degree <= 2B, the counit on degree <= L + B and antipodes on
-degree <= B, since the sweeps reach degree 2B through f m in ``eps_row``,
-through Delta(ab) and through the antipode sandwich S(a) b S(d), and degree
-B + 1 through the x-sandwich eps((a x) h); a read outside the tables
-raises.  ore.py builds those tables on ints from R's integer view when
+degree <= B, since the sweeps reach degree 2B through f m in ``eps_row``
+and through the antipode sandwich S(a) b S(d), and degree B + 1 through the
+x-sandwich eps((a x) h); the coproducts above degree B are read, through
+Delta(ab), only when the sweep of Delta(ab) = Delta(a) Delta(b) over H's
+monomial pairs runs, that is when ``verify_extension`` cannot decide it in
+every degree from R and the degree <= 1 clauses.  A read outside the
+tables raises.  ore.py builds those tables on ints from R's integer view when
 every table it reads is integral, and otherwise converts H's own field
 tables once.  R itself keeps field scalars for every other caller.
 """

@@ -29,11 +29,11 @@ from __future__ import annotations
 import copy
 
 from .bialgebra import (BasisView, IntegerView, WeakBialgebra, WeakHopfAlgebra, _check,
-                        _nonzero, base_subalgebras, sweep_antipode,
+                        _nonzero, algebra_report, base_subalgebras, sweep_antipode,
                         sweep_coassociative, sweep_coproduct_multiplicative, sweep_counit_neutral,
                         sweep_counit_weak_multiplicative, sweep_unit_compatibility)
 from .coderivations import skew_derivation
-from .errors import ConditionsFailed, TooLarge, ValidationError
+from .errors import ConditionsFailed, NotAutomorphism, NotDerivation, TooLarge, ValidationError
 from .linalg import Matrix
 from .panov import HOPF, SUFFICIENT, PanovClauses, panov_sufficient
 from .report import AxiomReport
@@ -230,7 +230,9 @@ class OreAlgebra(BasisView):
         monomial those products reach) and antipodes, when extended, on
         degree <= B: the sweeps reach degree 2B through f m in eps_row,
         through Delta(ab) and through the antipode sandwich S(a) b S(d), and
-        degree B + 1 through the x-sandwich eps((a x) h) of verify_extension.
+        degree B + 1 through the x-sandwich eps((a x) h) of verify_extension;
+        the coproducts above degree B are read only by the sweep of Delta(ab),
+        which verify_extension skips when it decides that axiom in every degree.
         The tables come from :meth:`_integers`: the int copy's entries are
         used as they are (D = 1); H's own field tables are converted by one
         :meth:`Field.to_ints` call to one scale D, the lcm of their
@@ -361,36 +363,72 @@ def verify_extension(H: OreAlgebra, degree_bound: int = 3) -> AxiomReport:
     not extended raises ValidationError when the integer view reads its
     first coproduct, before any monomial product.  Serialize with
     ``report.lines()``: one `AXIOM name PASS|FAIL` line each.
+
+    Coproduct multiplicativity is decided in every degree, with no sweep of
+    H's monomial pairs, when four premises hold; each is re-checked on every
+    call, whatever built H and R:
+
+    (P1) ``algebra_report(R)`` passes: R is associative and unital;
+    (P2) ``sweep_coproduct_multiplicative`` passes on ``R.integer_view``:
+         Delta(ab) = Delta(a) Delta(b) for a, b in R;
+    (P3) ``skew_derivation(R, sigma, delta)`` passes: sigma is a unital
+         algebra automorphism and delta a sigma-derivation, so H is the Ore
+         extension R[x; sigma, delta], associative and unital (Goodearl and
+         Warfield, ch. 2), and so is H (x) H;
+    (P4) the three generator clauses pass, with X = g (x) x + x (x) 1:
+         (C1) X Delta(1) = Delta(1) X (generator_coproduct_delta_one_commute);
+         (C2) Delta(x) = Delta(1) X and Delta(x) = X Delta(1)
+         (generator_skew_primitive, left and right);
+         (C3) Delta(x) Delta(b) = Delta(sigma b) Delta(x) + Delta(delta b) on
+         the basis of R, so on all of R (coproduct_commutation_rule).
+
+    Lemma.  Under (P1)-(P4), the coproduct Delta(b x^n) = Delta(b) X^n of
+    H's tables satisfies Delta(u v) = Delta(u) Delta(v) for all u, v in H.
+
+    Proof.  (1) For r, b in R, r (b x^n) = (rb) x^n, so
+    Delta(r b x^n) = Delta(rb) X^n = Delta(r) Delta(b) X^n = Delta(r) Delta(b x^n)
+    by (P2) and associativity (P3); by linearity Delta(r h) = Delta(r) Delta(h)
+    for every h in H.  (2) For b in R,
+    X Delta(b) = X Delta(1) Delta(b) = Delta(x) Delta(b)
+    = Delta(sigma b) Delta(x) + Delta(delta b) = Delta(sigma b) Delta(1) X + Delta(delta b)
+    = Delta(sigma b) X + Delta(delta b),
+    using Delta(1) Delta(b) = Delta(b) = Delta(b) Delta(1) (unitality (P1) and
+    (P2)), C2 right, C3, C2 left; C1 follows from C2 and is kept as reported.
+    (3) For w = b x^j, x w = sigma(b) x^(j+1) + delta(b) x^j in H (P3), so
+    Delta(x w) = Delta(sigma b) X^(j+1) + Delta(delta b) X^j
+    = (Delta(sigma b) X + Delta(delta b)) X^j = X Delta(b) X^j = X Delta(w)
+    by (2) and associativity; by linearity Delta(x h) = X Delta(h) for every
+    h in H.  (4) By induction on the x-degree i, using (3) and x^i h =
+    x (x^(i-1) h), Delta(x^i h) = X^i Delta(h); with (1),
+    Delta((b x^i) h) = Delta(b (x^i h)) = Delta(b) X^i Delta(h) = Delta(b x^i) Delta(h),
+    and Delta(u v) = Delta(u) Delta(v) follows by linearity in u.  QED
+
+    When the premises hold, the report records R's pair checks of (P2) as
+    those of coproduct_multiplicative and marks the axiom decided in all
+    degrees (:meth:`AxiomReport.scope`); otherwise the sweep of H's monomial
+    pairs of degree <= B runs, and its witnesses and sides are reported.
+    Every other axiom is decided to degree <= B only.
     """
     if degree_bound < 0:
         raise ValidationError(f"degree bound must be nonnegative, got {degree_bound}")
     refuse_large_degree(H.R, degree_bound)
-    report = AxiomReport()
+    report = AxiomReport(degree_bound)
     R = H.R
     ints = H.integer_view(degree_bound)
+    clauses = _generator_clauses(H)
 
-    sweep_coproduct_multiplicative(ints, report)
+    base = _multiplicative_in_every_degree(H, clauses)
+    if base is None:
+        sweep_coproduct_multiplicative(ints, report)
+    else:
+        report.merge(base)
+        report.mark_all_degrees("coproduct_multiplicative")
     sweep_coassociative(ints, report, "coproduct_coassociative")
     sweep_counit_neutral(ints, report, "right")
     sweep_counit_neutral(ints, report, "left")
     sweep_counit_weak_multiplicative(ints, report)
     sweep_unit_compatibility(ints, report)
-
-    tmul, fmt = H.tensor_mul, H.formatter(2)
-    d1, skew = H.delta_one(), H.skew_power_tensor(1)
-    left, right = tmul(d1, skew), tmul(skew, d1)
-    report.check("generator_coproduct_delta_one_commute", right, left, fmt=fmt)
-
-    x = H.x()
-    dx = H.comultiply(x)
-    for side, rhs in (("left", left), ("right", right)):
-        report.check("generator_skew_primitive", dx, rhs, witness=(side,), fmt=fmt)
-
-    scols, dcols = H.sigma.column_dicts(), H.delta.column_dicts()
-    for k in range(R.dim):
-        lhs = tmul(dx, H.coproduct((k, 0)))
-        rhs = H.add(tmul(H.comultiply(H.embed(scols[k])), dx), H.comultiply(H.embed(dcols[k])))
-        report.check("coproduct_commutation_rule", lhs, rhs, witness=(R.labels[k],), fmt=fmt)
+    report.merge(clauses)
 
     for a in ints.keys:
         ax = (a[0], a[1] + 1)  # (b x^n) x = b x^(n+1)
@@ -398,6 +436,7 @@ def verify_extension(H: OreAlgebra, degree_bound: int = 3) -> AxiomReport:
             _check(report, "counit_kills_x_sandwich", ints.eps_pair(ax, h), 0, ints, (a, h),
                    (2, 0))
 
+    x = H.x()
     _, basis_s = base_subalgebras(R)
     for idx, a in enumerate(basis_s):
         report.check("source_base_commutes_with_x",
@@ -407,3 +446,43 @@ def verify_extension(H: OreAlgebra, degree_bound: int = 3) -> AxiomReport:
     if H.antipode_extended:
         sweep_antipode(ints, report)
     return report
+
+
+def _generator_clauses(H: OreAlgebra) -> AxiomReport:
+    """The clauses of :func:`verify_extension` on Delta(x), in their report order,
+    on H itself in field scalars: generator_coproduct_delta_one_commute,
+    generator_skew_primitive (left, right) and coproduct_commutation_rule."""
+    report, R = AxiomReport(), H.R
+    tmul, fmt = H.tensor_mul, H.formatter(2)
+    d1, skew = H.delta_one(), H.skew_power_tensor(1)
+    left, right = tmul(d1, skew), tmul(skew, d1)
+    report.check("generator_coproduct_delta_one_commute", right, left, fmt=fmt)
+
+    dx = H.comultiply(H.x())
+    for side, rhs in (("left", left), ("right", right)):
+        report.check("generator_skew_primitive", dx, rhs, witness=(side,), fmt=fmt)
+
+    scols, dcols = H.sigma.column_dicts(), H.delta.column_dicts()
+    for k in range(R.dim):
+        lhs = tmul(dx, H.coproduct((k, 0)))
+        rhs = H.add(tmul(H.comultiply(H.embed(scols[k])), dx), H.comultiply(H.embed(dcols[k])))
+        report.check("coproduct_commutation_rule", lhs, rhs, witness=(R.labels[k],), fmt=fmt)
+    return report
+
+
+def _multiplicative_in_every_degree(H: OreAlgebra, clauses: AxiomReport) -> AxiomReport | None:
+    """R's own coproduct_multiplicative sweep when every premise of the lemma of
+    :func:`verify_extension` holds, the generator clauses read from ``clauses``;
+    None when one fails."""
+    R = H.R
+    if not clauses.passed or not algebra_report(R).passed:
+        return None
+    base = AxiomReport()
+    sweep_coproduct_multiplicative(R.integer_view, base)
+    if not base.passed:
+        return None
+    try:
+        skew_derivation(R, H.sigma, H.delta)
+    except (NotAutomorphism, NotDerivation):
+        return None
+    return base

@@ -24,11 +24,18 @@ def _fmt_witness(w):
 
 
 class AxiomReport:
-    """Collects results of axiom sweeps, keyed by axiom name."""
+    """Collects results of axiom sweeps, keyed by axiom name.
 
-    def __init__(self):
+    A report of a sweep to a degree bound (``degree_bound``, as
+    ``ore.verify_extension`` makes one) also keeps the axioms it decided in
+    every degree (:meth:`mark_all_degrees`); :meth:`scope` says which.
+    """
+
+    def __init__(self, degree_bound=None):
+        self.degree_bound = degree_bound
         self._pass_counts = {}
         self._failures = {}
+        self._all_degrees = set()
 
     def record(self, axiom, passed, witness=None, lhs=None, rhs=None):
         self.record_passes(axiom, 1 if passed else 0)
@@ -48,6 +55,17 @@ class AxiomReport:
         self.record(axiom, ok, witness, None if ok else fmt(lhs), None if ok else fmt(rhs))
         return ok
 
+    def mark_all_degrees(self, axiom):
+        """Record that the verdict on axiom holds in every degree, not only up to the bound."""
+        self._all_degrees.add(axiom)
+
+    def scope(self, axiom):
+        """"all degrees" for an axiom marked by :meth:`mark_all_degrees`, else
+        "degree <= D" at the report's degree bound D; None on a report without one."""
+        if axiom in self._all_degrees:
+            return "all degrees"
+        return None if self.degree_bound is None else f"degree <= {self.degree_bound}"
+
     @property
     def passed(self):
         return all(not f for f in self._failures.values())
@@ -64,6 +82,7 @@ class AxiomReport:
         for name, n in other._pass_counts.items():
             self._pass_counts[name] = self._pass_counts.get(name, 0) + n
             self._failures.setdefault(name, []).extend(other._failures[name])
+        self._all_degrees |= other._all_degrees
         return self
 
     def lines(self):

@@ -401,6 +401,21 @@ def test_report_lines_format_and_witness_order():
     assert [f.witness for f in report.failures("beta")] == [(0, 3), (2, 1)]
 
 
+def test_report_scope_reads_the_degree_bound_until_marked():
+    """Each axiom of a report to a degree bound D reads "degree <= D" until it is marked
+    decided in every degree; a merge carries the marks, and the lines never show them."""
+    report = AxiomReport(3)
+    report.record("x", True)
+    report.record("y", True)
+    marked = AxiomReport()
+    marked.record("x", True)
+    marked.mark_all_degrees("x")
+    report.merge(marked)
+    assert (report.scope("x"), report.scope("y")) == ("all degrees", "degree <= 3")
+    assert AxiomReport().scope("x") is None
+    assert report.lines() == ["AXIOM x PASS", "AXIOM y PASS"]
+
+
 def test_report_merge_is_order_independent():
     a = AxiomReport()
     a.record("x", False, witness=(5,))
