@@ -242,13 +242,6 @@ class BasisView:
             self._eps[(a, b)] = hit
         return hit
 
-    def eps_mul(self, a, v):
-        """eps(b_a v) for a basis key a and an element v, from the cached eps_pair."""
-        e = self.zero
-        for k, c in v.items():
-            e = e + c * self.eps_pair(a, k)
-        return e
-
     def eps_row(self, a):
         """{h: eps(a h)} over the sweep keys h, zeros dropped (cached)."""
         hit = self._eps_rows.get(a)
@@ -275,10 +268,8 @@ class BasisView:
         eps_t = (0, False), eps_s = (1, True), eps_t' = (0, True),
         eps_s' = (1, False).
         """
-        if r_first:
-            eps = lambda a: sum((x * self.eps_pair(b, a) for b, x in r.items()), self.zero)
-        else:
-            eps = lambda a: self.eps_mul(a, r)
+        pair = self.eps_pair if r_first else lambda b, a: self.eps_pair(a, b)
+        eps = lambda a: sum((x * pair(b, a) for b, x in r.items()), self.zero)
         return self.contract(self.delta_one(), eps, leg)
 
     def agree(self, lhs, rhs, weights):

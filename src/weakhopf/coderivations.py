@@ -8,9 +8,9 @@ dim^2 unknowns that works on ints: it reads R's integer view and lambda_g
 and lambda_h held as ints by :meth:`Field.to_ints`, so its rows enter
 :func:`linalg.constraint_matrix` as ints at one scale and are solved exactly
 by :func:`linalg.residual_kernel`; only the kernel vectors come back to
-field scalars.  Elsewhere elements are dicts index -> scalar, and both sides
-of the Leibniz rule are summed on R, its own basis view, where 2-tensors are
-dicts (i, j) -> scalar.
+field scalars.  The sigma-Leibniz rule is another such residual,
+:func:`leibniz_residual`, and :func:`first_failure` reads the witness of
+either at a given delta.  Elsewhere elements are dicts index -> scalar.
 """
 
 from __future__ import annotations
@@ -31,52 +31,71 @@ def validate_automorphism(wb: WeakBialgebra, sigma: Matrix):
         raise NotAutomorphism("sigma is not bijective")
 
 
-def _leibniz_failure(wb: WeakBialgebra, sigma: Matrix, delta: Matrix):
-    """The first basis pair (i, j, lhs, rhs) where delta(b_i b_j) = lhs differs
-    from delta(b_i) b_j + sigma(b_i) delta(b_j) = rhs, or None."""
-    one = wb.one
-    dcols, scols = delta.column_dicts(), sigma.column_dicts()
-    for i in wb.keys:
-        for j in wb.keys:
-            lhs = wb.apply(dcols.__getitem__, wb.product(i, j))
-            rhs = wb.add(wb.multiply(dcols[i], {j: one}), wb.multiply(scols[i], dcols[j]))
-            if lhs != rhs:
-                return i, j, lhs, rhs
-    return None
+def leibniz_residual(wb: WeakBialgebra, sigma: Matrix):
+    """The map delta -> delta(b_i b_j) - delta(b_i) b_j - sigma(b_i) delta(b_j) on ints, keyed
+    (i, j, u) for the coefficient of b_u, zero exactly on the sigma-derivations.
+
+    On R's integer view (scale D) and sigma as ints at one scale L, it is the
+    :func:`linalg.linear_residual` at S = D L whose column r*dim + k (delta(b_k) = b_r)
+    holds L c at (i, j, r) for each term c b_k of b_i b_j, -L b_r b_j at (k, j, .)
+    and -sigma(b_i) b_r at (i, k, .)."""
+    view, keys = wb.integer_view, wb.keys
+    L, scols = wb.field.to_ints(sigma.column_dicts())
+    reach = [[] for _ in keys]  # the (i, j, L c) for each term c b_k of b_i b_j
+    for i in keys:
+        for j in keys:
+            for k, c in view.product(i, j).items():
+                reach[k].append((i, j, c * L))
+
+    def column(rk):
+        r, k = divmod(rk, wb.dim)
+        return [*(((i, j, r), c) for i, j, c in reach[k]),
+                *(((k, j, u), -c * L) for j in keys for u, c in view.product(r, j).items()),
+                *(((i, k, u), -x * c) for i in keys for s, x in scols[i].items()
+                  for u, c in view.product(s, r).items())]
+    return linear_residual(wb.field, column)
+
+
+def first_failure(residual, delta: Matrix):
+    """The smallest key where a linear residual is nonzero at delta, or None; its
+    unknowns are delta held as ints by :meth:`Field.to_ints` and flattened as
+    X[r*dim + k], the coefficient of b_r in delta(b_k)."""
+    dim = delta.cols
+    _, (x,) = delta.field.to_ints([{r * dim + k: c for (r, k), c in delta.data.items()}])
+    return min(residual(x), default=None)
 
 
 def is_sigma_derivation(wb: WeakBialgebra, sigma: Matrix, delta: Matrix) -> bool:
-    """Leibniz rule delta(ab) = delta(a) b + sigma(a) delta(b) on all basis pairs.
-
-    Also checks delta(1) = 0, which the rule forces.
-    """
-    return not delta.apply(wb.unit) and _leibniz_failure(wb, sigma, delta) is None
+    """Leibniz rule delta(ab) = delta(a) b + sigma(a) delta(b) on all basis pairs, and
+    delta(1) = 0, which the rule forces."""
+    return not delta.apply(wb.unit) and first_failure(leibniz_residual(wb, sigma), delta) is None
 
 
 def skew_derivation(wb: WeakBialgebra, sigma: Matrix, delta: Matrix):
-    """Validate Ore data; raises NotAutomorphism / NotDerivation."""
+    """Validate Ore data; raises NotAutomorphism / NotDerivation, whose two sides
+    are summed in field scalars at the first pair (i, j) of :func:`leibniz_residual`."""
     validate_automorphism(wb, sigma)
-    failure = _leibniz_failure(wb, sigma, delta)
+    failure = first_failure(leibniz_residual(wb, sigma), delta)
     if failure is not None:
-        i, j, lhs, rhs = failure
+        i, j, _ = failure
+        dcols, scols = delta.column_dicts(), sigma.column_dicts()
+        lhs = wb.apply(dcols.__getitem__, wb.product(i, j))
+        rhs = wb.add(wb.multiply(dcols[i], {j: wb.one}), wb.multiply(scols[i], dcols[j]))
         raise NotDerivation(i, j, wb.format_element(lhs), wb.format_element(rhs))
 
 
 def coderivation_residual(wb: WeakBialgebra, lambda_g: Matrix, lambda_h: Matrix):
     """The linear map X -> Delta delta - (lambda_g (x) delta + delta (x) lambda_h) Delta, on ints.
 
-    X is delta flattened and held as ints by :meth:`Field.to_ints`:
-    X[r*dim + k] is the coefficient of b_r in delta(b_k).  The residual is
-    the dict (k, u, v) -> coefficient of b_u (x) b_v in the defect on b_k,
-    without zeros; it vanishes exactly on the (g,h)-coderivations when
-    lambda_g and lambda_h (built by the caller) are the left multiplications
-    by g and h.  It reads R's integer view (scale D) and the columns of
-    lambda_g and lambda_h held as ints at one scale L by one
-    :meth:`Field.to_ints` call.  It is the :func:`linalg.linear_residual`
-    at the one scale S = D L whose column r*dim + k, delta(b_k) = b_r, holds
-    L Delta(b_r) at the keys (k, u, v); for each term c b_i (x) b_k of a
-    Delta(b_kk), -c lambda_g(b_i) at the keys (kk, u, r); and for each term
-    c b_k (x) b_j of a Delta(b_kk), -c lambda_h(b_j) at the keys (kk, r, v).
+    X is delta as :func:`first_failure` holds it; the residual, keyed (k, u, v)
+    for the coefficient of b_u (x) b_v on b_k, vanishes exactly on the
+    (g,h)-coderivations when lambda_g and lambda_h, built by the caller, are
+    the left multiplications by g and h.  On R's integer view (scale D) and
+    their columns held as ints at one scale L by one :meth:`Field.to_ints`
+    call, it is the :func:`linalg.linear_residual` at S = D L whose column
+    r*dim + k, delta(b_k) = b_r, holds L Delta(b_r) at the keys (k, u, v); for
+    each term c b_i (x) b_k of a Delta(b_kk), -c lambda_g(b_i) at (kk, u, r);
+    and for each term c b_k (x) b_j of a Delta(b_kk), -c lambda_h(b_j) at (kk, r, v).
     """
     view, dim, field = wb.integer_view, wb.dim, wb.field
     L, cols = field.to_ints([*lambda_g.column_dicts(), *lambda_h.column_dicts()])
@@ -95,16 +114,6 @@ def coderivation_residual(wb: WeakBialgebra, lambda_g: Matrix, lambda_h: Matrix)
                 *(((kk, u, r), c) for kk, u, c in left[k]),
                 *(((kk, r, v), c) for kk, v, c in right[k])]
     return linear_residual(field, column)
-
-
-def _coderivation_failure(wb: WeakBialgebra, delta: Matrix, lam_g: Matrix, lam_h: Matrix):
-    """The smallest k where Delta(delta(b_k)) differs from
-    (lambda_g (x) delta + delta (x) lambda_h) Delta(b_k), or None: read from
-    :func:`coderivation_residual` on the lam_g and lam_h the caller built,
-    with delta held as ints."""
-    dim = wb.dim
-    _, (x,) = wb.field.to_ints([{r * dim + k: c for (r, k), c in delta.data.items()}])
-    return min((k for k, _, _ in coderivation_residual(wb, lam_g, lam_h)(x)), default=None)
 
 
 def coderivation_constraint_matrix(wb: WeakBialgebra, residual) -> IntegerSystem:

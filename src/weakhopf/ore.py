@@ -414,6 +414,7 @@ def verify_extension(H: OreAlgebra, degree_bound: int = 3) -> AxiomReport:
     refuse_large_degree(H.R, degree_bound)
     report = AxiomReport(degree_bound)
     R = H.R
+    _, basis_s = base_subalgebras(R)  # raises on a broken R before any sweep
     ints = H.integer_view(degree_bound)
     clauses = _generator_clauses(H)
 
@@ -437,7 +438,6 @@ def verify_extension(H: OreAlgebra, degree_bound: int = 3) -> AxiomReport:
                    (2, 0))
 
     x = H.x()
-    _, basis_s = base_subalgebras(R)
     for idx, a in enumerate(basis_s):
         report.check("source_base_commutes_with_x",
                      H.multiply(x, H.embed(a)), H.multiply(H.embed(a), x),

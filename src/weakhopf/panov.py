@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 from .bialgebra import WeakBialgebra, WeakHopfAlgebra, base_subalgebras, convolution
-from .coderivations import _coderivation_failure, is_sigma_derivation
+from .coderivations import coderivation_residual, first_failure, is_sigma_derivation
 from .errors import InvalidGroupCharacter, NotCentral, NotGrouplike, ValidationError, ZeroScale
 from .groupoid import GroupoidAlgebra
 from .grouplike import Character, grouplike_inverse, is_weak_grouplike, winding
@@ -60,20 +60,6 @@ def _columns_agree(wb, lhs, rhs):
     pairs = zip(wb.labels, lhs.column_dicts(), rhs.column_dicts())
     witness = next(((label,) for label, a, b in pairs if a != b), None)
     return witness is None, witness
-
-
-def eps_a_delta_b_zero(wb: WeakBialgebra, delta: Matrix):
-    """Witness (i, j) with eps(b_i delta(b_j)) != 0, or None.
-
-    eps(b_i delta(b_j)) is summed from the cached eps(b_i b_k) over the
-    column j of delta, each column read once.
-    """
-    dcols = delta.column_dicts()
-    for i in wb.keys:
-        for j in wb.keys:
-            if wb.eps_mul(i, dcols[j]):
-                return (i, j)
-    return None
 
 
 NECESSARY = ("g_weak_grouplike", "eps_t_g_is_unit", "delta_is_skew_coderivation",
@@ -156,13 +142,6 @@ class PanovClauses:
                 return False, (wb.labels[k],)
         return True, None
 
-    @cached_property
-    def _skew_coderivation_failure(self):
-        """The first k where Delta(delta(b_k)) differs from
-        g b_k1 (x) delta(b_k2) + delta(b_k1) (x) b_k2, or None."""
-        lambda_1 = self.wb.left_mult_matrix(self.wb.unit)
-        return _coderivation_failure(self.wb, self.delta, self._lambda_g, lambda_1)
-
     # -- the clauses: each returns (passed, witness) ------------------------
 
     def _g_weak_grouplike(self):
@@ -176,7 +155,7 @@ class PanovClauses:
         return eps_t_g == self.wb.unit, (self.wb.format_element(eps_t_g),)
 
     def _delta_is_skew_coderivation(self):
-        return self._skew_coderivation_failure is None, None
+        return self.result("coproduct_delta_twisted_leibniz").passed, None
 
     def _sigma_is_left_winding(self):
         return _columns_agree(self.wb, self.character.left, self.sigma)
@@ -198,7 +177,13 @@ class PanovClauses:
         return self._adg * self.character.right == self.sigma, None
 
     def _counit_delta_orthogonal(self):
-        witness = eps_a_delta_b_zero(self.wb, self.delta)
+        # keyed (i, j): delta(b_k) = b_r gives eps(b_i b_r) at (i, k), at scale D^2
+        view = self.wb.integer_view
+
+        def column(rk):
+            r, k = divmod(rk, self.wb.dim)
+            return [((i, k), e) for i in view.keys if (e := view.eps_pair(i, r))]
+        witness = first_failure(linear_residual(self.wb.field, column), self.delta)
         return witness is None, witness
 
     def _coproduct_sigma_g_twist(self):
@@ -213,14 +198,21 @@ class PanovClauses:
                    for k in wb.keys), None
 
     def _coproduct_delta_twisted_leibniz(self):
-        k = self._skew_coderivation_failure
-        return k is None, None if k is None else (self.wb.labels[k],)
+        # Delta(delta(b_k)) = g b_k1 (x) delta(b_k2) + delta(b_k1) (x) b_k2; witness b_k
+        lambda_1 = self.wb.left_mult_matrix(self.wb.unit)
+        key = first_failure(coderivation_residual(self.wb, self._lambda_g, lambda_1), self.delta)
+        return key is None, None if key is None else (self.wb.labels[key[0]],)
 
     def _delta_kills_source_base(self):
-        _, basis_s = base_subalgebras(self.wb)
-        dlt = self.delta.column_dicts().__getitem__
-        bad = next((a for a in basis_s if self.wb.apply(dlt, a)), None)
-        return bad is None, None if bad is None else (self.wb.format_element(bad),)
+        # keyed (s, u), R_s's basis a_s as ints: delta(b_k) = b_r gives c b_r for c b_k in a_s
+        wb, (_, basis_s) = self.wb, base_subalgebras(self.wb)
+        ints = wb.field.to_ints(basis_s)[1]
+
+        def column(rk):
+            r, k = divmod(rk, wb.dim)
+            return [((s, r), c) for s, a in enumerate(ints) if (c := a.get(k))]
+        key = first_failure(linear_residual(wb.field, column), self.delta)
+        return key is None, None if key is None else (wb.format_element(basis_s[key[0]]),)
 
     def _antipode_conjugation_compat(self):
         if self._adg is None:
@@ -229,9 +221,17 @@ class PanovClauses:
         return _columns_agree(self.wb, self._adg * S, self.sigma * S * self.sigma)
 
     def _antipode_delta_compat(self):
-        S = self.wb.antipode_matrix
-        return _columns_agree(self.wb, self.delta * S * self.sigma,
-                              self._lambda_g * S * self.delta)
+        # keyed (m, u): delta(b_k) = b_r gives (S sigma)[k, m] b_r at m, -lambda_g S(b_r) at k
+        wb, S = self.wb, self.wb.antipode_matrix
+        _, cols = wb.field.to_ints([*(S * self.sigma).transpose().column_dicts(),
+                                    *(self._lambda_g * S).column_dicts()])
+
+        def column(rk):
+            r, k = divmod(rk, wb.dim)
+            return [*(((m, r), c) for m, c in cols[k].items()),
+                    *(((k, u), -c) for u, c in cols[wb.dim + r].items())]
+        key = first_failure(linear_residual(wb.field, column), self.delta)
+        return key is None, None if key is None else (wb.labels[key[0]],)
 
 
 def panov_necessary(wb: WeakBialgebra, sigma: Matrix, delta: Matrix, g: dict) -> PanovVerdict:

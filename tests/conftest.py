@@ -4,11 +4,16 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from weakhopf.fields import Field
 from weakhopf.fixtures import sweedler_data, twisted_derivation_data
 from weakhopf.groupoid import (GroupPresentation, build_groupoid_algebra, group_algebra,
                                matrix_algebra)
+
+# Every property test draws the same examples on every run, and keeps no example database.
+settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(autouse=True)

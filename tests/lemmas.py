@@ -10,7 +10,7 @@ import math
 from types import SimpleNamespace
 
 from weakhopf.bialgebra import WeakBialgebra, WeakHopfAlgebra, convolution
-from weakhopf.coderivations import _coderivation_failure
+from weakhopf.coderivations import coderivation_residual, first_failure
 from weakhopf.errors import ValidationError, WeakHopfError
 from weakhopf.fields import Field
 from weakhopf.groupoid import GroupPresentation, group_algebra, matrix_algebra
@@ -63,8 +63,8 @@ def is_weak_character(wb, chi, side) -> bool:
 
 def is_coderivation(wb, delta, g, h) -> bool:
     """Delta(delta(b_k)) = (lambda_g (x) delta + delta (x) lambda_h) Delta(b_k) for every k."""
-    left_mult = wb.left_mult_matrix
-    return _coderivation_failure(wb, delta, left_mult(g), left_mult(h)) is None
+    residual = coderivation_residual(wb, wb.left_mult_matrix(g), wb.left_mult_matrix(h))
+    return first_failure(residual, delta) is None
 
 
 def is_grouplike(wb, g) -> dict | None:
@@ -445,8 +445,8 @@ def eps_delta_report(wb: WeakBialgebra, delta: Matrix, g: dict, h: dict,
         if hyp_rs and hyp_sigma:
             for i in wb.keys:
                 for j in wb.keys:
-                    report.check("counit_kills_a_delta_b", wb.eps_mul(i, dcols[j]), wb.zero,
-                                 witness=(i, j))
+                    eps = sum((c * wb.eps_pair(i, k) for k, c in dcols[j].items()), wb.zero)
+                    report.check("counit_kills_a_delta_b", eps, wb.zero, witness=(i, j))
     return report
 
 

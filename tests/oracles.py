@@ -1,6 +1,10 @@
 """Independent oracles: dense textbook implementations used to cross-check
 the package's sparse linear algebra.  Deliberately share no code with
-weakhopf.linalg."""
+weakhopf.linalg.  The reference evaluators of the delta-linear conditions
+(the sigma-Leibniz rule and four Panov clauses) decide them in field
+scalars on R itself, as the package did before it wrote them as int
+residuals, and the reference row builders write their systems in field
+scalars, slot by slot."""
 
 import itertools
 import math
@@ -414,3 +418,138 @@ def reference_endo_witness(wb, m):
             if image(wb.product(i, j)) != wb.multiply(cols[i], cols[j]):
                 return (i, j)
     return None
+
+
+# -- the delta-linear conditions, in field scalars ---------------------------------------
+# Unknowns X[r*dim + k]: the coefficient of b_r in delta(b_k).
+
+
+def reference_leibniz_failure(wb, sigma, delta):
+    """The first basis pair (i, j, lhs, rhs) where delta(b_i b_j) = lhs differs
+    from delta(b_i) b_j + sigma(b_i) delta(b_j) = rhs, or None."""
+    one = wb.one
+    dcols, scols = delta.column_dicts(), sigma.column_dicts()
+    for i in wb.keys:
+        for j in wb.keys:
+            lhs = wb.apply(dcols.__getitem__, wb.product(i, j))
+            rhs = wb.add(wb.multiply(dcols[i], {j: one}), wb.multiply(scols[i], dcols[j]))
+            if lhs != rhs:
+                return i, j, lhs, rhs
+    return None
+
+
+def reference_coderivation_failure(wb, delta, lambda_g, lambda_h):
+    """The first k where Delta(delta(b_k)) differs from
+    (lambda_g (x) delta + delta (x) lambda_h) Delta(b_k), both sides summed on R
+    in field scalars, or None."""
+    d = delta.column_dicts().__getitem__
+    lg, lh = lambda_g.column_dicts().__getitem__, lambda_h.column_dicts().__getitem__
+    for k in wb.keys:
+        t = wb.coproduct(k)
+        if wb.comultiply(d(k)) != wb.add(wb.map_legs(t, lg, d), wb.map_legs(t, d, lh)):
+            return k
+    return None
+
+
+def reference_eps_a_delta_b_zero(wb, delta):
+    """Witness (i, j) with eps(b_i delta(b_j)) != 0, or None, in the loop order
+    i, then j; eps(b_i delta(b_j)) is summed from eps(b_i b_k) over the column j
+    of delta."""
+    dcols = delta.column_dicts()
+    for i in wb.keys:
+        for j in wb.keys:
+            if sum((c * wb.eps_pair(i, k) for k, c in dcols[j].items()), wb.zero):
+                return (i, j)
+    return None
+
+
+def reference_delta_kills_source_base(wb, delta):
+    """(passed, witness) of delta(R_s) = 0: the witness is the first basis element
+    of R_s that delta does not kill, formatted."""
+    from weakhopf.bialgebra import base_subalgebras
+    _, basis_s = base_subalgebras(wb)
+    dlt = delta.column_dicts().__getitem__
+    bad = next((a for a in basis_s if wb.apply(dlt, a)), None)
+    return bad is None, None if bad is None else (wb.format_element(bad),)
+
+
+def reference_antipode_delta_compat(wb, sigma, delta, lambda_g):
+    """(passed, witness) of delta S sigma = lambda_g S delta, from the four matrix
+    products compared column by column: the witness is (label,) of the first
+    basis element on which they differ."""
+    S = wb.antipode_matrix
+    lhs, rhs = delta * S * sigma, lambda_g * S * delta
+    pairs = zip(wb.labels, lhs.column_dicts(), rhs.column_dicts())
+    witness = next(((label,) for label, a, b in pairs if a != b), None)
+    return witness is None, witness
+
+
+def _distinct_rows(rows):
+    """The distinct nonzero rows of a dict key -> {column: scalar}, each a tuple of
+    (column, scalar) pairs in column order."""
+    cleaned = (tuple((c, v) for c, v in sorted(row.items()) if v) for row in rows.values())
+    return {row for row in cleaned if row}
+
+
+def _add(rows, key, col, c):
+    """rows[key][col] += c, a missing entry reading as zero."""
+    row = rows.setdefault(key, {})
+    row[col] = row[col] + c if col in row else c
+
+
+def reference_leibniz_rows(wb, sigma):
+    """The rows of delta(b_i b_j) - delta(b_i) b_j - sigma(b_i) delta(b_j) = 0, one per
+    coefficient b_u and basis pair (i, j), from the structure constants of R."""
+    dim, S = wb.dim, to_dense(sigma)
+    rows = {}
+    for i in range(dim):
+        for j in range(dim):
+            for k, c in wb.product(i, j).items():  # sum_k m_ij^k delta(b_k)
+                for u in range(dim):
+                    _add(rows, (i, j, u), u * dim + k, c)
+            for r in range(dim):  # delta(b_i) b_j = sum_r X[r, i] b_r b_j
+                for u, c in wb.product(r, j).items():
+                    _add(rows, (i, j, u), r * dim + i, -c)
+            for s in range(dim):  # sigma(b_i) delta(b_j) = sum_{s,r} S[s][i] X[r, j] b_s b_r
+                if S[s][i]:
+                    for r in range(dim):
+                        for u, c in wb.product(s, r).items():
+                            _add(rows, (i, j, u), r * dim + j, -S[s][i] * c)
+    return _distinct_rows(rows)
+
+
+def reference_counit_delta_rows(wb):
+    """The rows of eps(b_i delta(b_j)) = 0, eps(b_i b_r) summed from the counit."""
+    dim, rows = wb.dim, {}
+    for i in range(dim):
+        for r in range(dim):
+            e = sum((c * wb.counit(k) for k, c in wb.product(i, r).items()), wb.zero)
+            for j in range(dim):
+                _add(rows, (i, j), r * dim + j, e)
+    return _distinct_rows(rows)
+
+
+def reference_source_base_rows(wb, basis_s):
+    """The rows of delta(a) = 0 for each a in basis_s, one per coefficient b_u."""
+    dim, rows = wb.dim, {}
+    for s, a in enumerate(basis_s):
+        for k, c in a.items():
+            for u in range(dim):
+                _add(rows, (s, u), u * dim + k, c)
+    return _distinct_rows(rows)
+
+
+def reference_antipode_delta_rows(wb, sigma, lambda_g):
+    """The rows of delta S sigma - lambda_g S delta = 0, one per basis element b_m
+    and coefficient b_u, on dense products of S, sigma and lambda_g."""
+    dim, field, S = wb.dim, wb.field, to_dense(wb.antipode_matrix)
+    s_sigma = dense_matmul(S, to_dense(sigma), field)
+    g_s = dense_matmul(to_dense(lambda_g), S, field)
+    rows = {}
+    for m in range(dim):
+        for u in range(dim):
+            for k in range(dim):  # delta S sigma(b_m) = sum_k (S sigma)[k][m] delta(b_k)
+                _add(rows, (m, u), u * dim + k, s_sigma[k][m])
+            for r in range(dim):  # lambda_g S delta(b_m) = sum_r X[r, m] lambda_g S(b_r)
+                _add(rows, (m, u), r * dim + m, -g_s[u][r])
+    return _distinct_rows(rows)

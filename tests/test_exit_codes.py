@@ -98,7 +98,7 @@ def _assert_exit_contract(rc, out, err, line):
     assert any("FAIL" in text.split()[1:3] for text in lines) == (rc == 1)
 
 
-@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@settings(max_examples=40)
 @given(st.sampled_from(SOURCES), st.lists(st.one_of(swap, scalar), min_size=1, max_size=3))
 def test_mutated_spec_exit_codes(source, mutations):
     doc = json.loads(source.read_text())
@@ -112,7 +112,7 @@ CHARACTER_LINE = re.compile(r"CHARACTER (left|right) (PASS|FAIL)$|CHI( \S+)+$"
                             r"|INVERSE (two-sided( \S+)+|left=(yes|no) right=(yes|no))$")
 
 
-@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@settings(max_examples=40)
 @given(st.sampled_from(SOURCES), st.lists(st.one_of(swap, scalar), max_size=2))
 def test_mutated_spec_characters_exit_codes(source, mutations):
     doc = json.loads(source.read_text())
@@ -128,7 +128,7 @@ SMALL_GFP = (matrix_algebra(2, Field.prime(3)),
              group_algebra(GroupPresentation.cyclic(3), Field.prime(5)))
 
 
-@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@settings(max_examples=40)
 @given(st.sampled_from(SMALL_GFP), st.lists(st.one_of(swap, scalar), min_size=1, max_size=2))
 def test_mutated_gfp_spec_grouplikes_brute_exit_codes(wb, mutations):
     doc = emit_spec(SpecBundle(field=wb.field, wb=wb))
@@ -139,7 +139,7 @@ def test_mutated_gfp_spec_grouplikes_brute_exit_codes(wb, mutations):
     _assert_exit_contract(rc, out, err, GROUPLIKES_LINE)
 
 
-@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@settings(max_examples=20)
 @given(st.sampled_from(SOURCES[1:]), st.integers(-1, 12))
 def test_grouplikes_brute_refuses_prime(source, prime):
     """--prime sets the field of --matrix only; with --brute, on a QQ or a GF(p)
@@ -154,7 +154,7 @@ def test_grouplikes_brute_refuses_prime(source, prime):
 EXAMPLE_PARAMS = {"sweedler": 0, "matrix": 1, "groupoid": 2, "section5": 0}
 
 
-@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@settings(max_examples=40)
 @given(st.sampled_from(sorted(EXAMPLE_PARAMS)),
        st.lists(st.sampled_from(("1", "2", "Z2", "S3", "trivial", "x")), max_size=4))
 def test_example_parameter_exit_codes(kind, params):
@@ -199,7 +199,7 @@ def _mutated_section5(mutations):
     return doc
 
 
-@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@settings(max_examples=40)
 @given(st.lists(ore_scalar, max_size=2))
 def test_mutated_ore_data_exit_codes(mutations):
     rc, out, err = _run(_mutated_section5(mutations),
@@ -207,7 +207,7 @@ def test_mutated_ore_data_exit_codes(mutations):
     _assert_exit_contract(rc, out, err, ORE_LINE)
 
 
-@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@settings(max_examples=40)
 @given(st.lists(ore_scalar, max_size=2))
 def test_mutated_panov_data_exit_codes(mutations):
     rc, out, err = _run(_mutated_section5(mutations), lambda path: ["panov", path, "--hopf"])

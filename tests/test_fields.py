@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from weakhopf.fields import Field
 
-FIXED = settings(max_examples=60, derandomize=True, database=None, deadline=None)
+FIXED = settings(max_examples=60)
 PRIMES = (2, 3, 5, 7, 101, 2 ** 31 - 1)
 
 keys = st.integers(0, 12)

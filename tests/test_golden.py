@@ -35,7 +35,8 @@ Ore-layer products of H (x) H.
 moved onto the basis view.  It adds 3/5 to one entry of sigma or of delta
 in the Sweedler data and in the section-5 M_2(QZ_2) data with
 q = 3/5, -7/2, so that each coproduct clause of ``panov_necessary`` fails
-on some input, and it records the first witness of ``eps_a_delta_b_zero``.
+on some input, and it records the witness of the clause table's
+``counit_delta_orthogonal``.
 ``tests/data/sweedler-cancelling-comult.json`` is the bundled Sweedler spec
 with two more comult rows for Delta(b_0) at (0, 1), 3/5 and -3/5, which sum
 to zero: the parsed coalgebra must hold no zero coefficient.
@@ -109,7 +110,7 @@ from weakhopf.fixtures import sweedler_data, twisted_derivation_data
 from weakhopf.groupoid import GroupPresentation, matrix_algebra
 from weakhopf.linalg import Matrix
 from weakhopf.ore import OreAlgebra, verify_extension
-from weakhopf.panov import eps_a_delta_b_zero, panov_necessary
+from weakhopf.panov import PanovClauses, panov_necessary
 from weakhopf.report import _fmt_witness
 from weakhopf.specfile import SpecBundle, emit_spec, parse_spec, write_spec
 
@@ -346,7 +347,7 @@ def test_panov_necessary_perturbed_golden():
         lines.append("CHI none" if chi is None else
                      "CHI " + " ".join(f"{R.labels[i]}={R.field.format(chi.get(i))}"
                                        for i in range(R.dim)))
-        witness = eps_a_delta_b_zero(R, delta)
-        lines.append("EPS_A_DELTA_B " + ("PASS" if witness is None else
-                                         f"FAIL witness={_fmt_witness(witness)}"))
+        orthogonal = PanovClauses(R, sigma, delta, data.g).result("counit_delta_orthogonal")
+        lines.append("EPS_A_DELTA_B " + ("PASS" if orthogonal.passed else
+                                         f"FAIL witness={_fmt_witness(orthogonal.witness)}"))
     assert "\n".join(lines) + "\n" == _expected("panov-necessary-perturbed")

@@ -11,6 +11,7 @@ line for line and failure for failure, sides included.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from test_integer_view import ORE_CASES
 from weakhopf import ore
 from weakhopf.bialgebra import WeakHopfAlgebra, algebra_report, sweep_coproduct_multiplicative
 from weakhopf.coderivations import skew_derivation
-from weakhopf.errors import NotAutomorphism, NotDerivation, TooLarge
+from weakhopf.errors import NotAutomorphism, NotDerivation, TooLarge, ValidationError
 from weakhopf.fields import QQ
 from weakhopf.fixtures import sweedler_data, twisted_derivation_data
 from weakhopf.groupoid import GroupPresentation, group_algebra, matrix_algebra
@@ -90,11 +91,11 @@ def _sigma_not_an_algebra_map():
     return OreAlgebra(d.R, sigma, d.delta, d.g, _coalgebra_extended=True)
 
 
-def _group_algebra_base(mult=(), comult=()):
-    """R = QZ_3 (basis 1, t, t^2) with some entries of mult and comult replaced, not
-    validated; sigma = id, delta = 0, g = 1."""
+def _group_algebra_base(mult=(), comult=(), unit=None):
+    """R = QZ_3 (basis 1, t, t^2) with some entries of mult and comult, or the unit,
+    replaced, not validated; sigma = id, delta = 0, g = 1."""
     R = group_algebra(GroupPresentation.cyclic(3))
-    broken = WeakHopfAlgebra(QQ, 3, {**R.mult, **dict(mult)}, R.unit,
+    broken = WeakHopfAlgebra(QQ, 3, {**R.mult, **dict(mult)}, unit or R.unit,
                              {**R.comult, **dict(comult)}, R.counit_vector, R.antipode_matrix,
                              R.labels, validate=False)
     return OreAlgebra(broken, identity(QQ, 3), Matrix.zero(QQ, 3, 3), broken.unit,
@@ -149,6 +150,23 @@ def test_a_failing_premise_leaves_the_full_sweep(monkeypatch, name, degree):
     assert report.failures() == full.failures()
 
 
+SWEEPS = ("sweep_unital", "sweep_associative", "sweep_coproduct_multiplicative",
+          "sweep_coassociative", "sweep_counit_neutral", "sweep_counit_weak_multiplicative",
+          "sweep_unit_compatibility", "sweep_antipode")
+
+
+def test_a_unit_that_is_not_a_unit_raises_before_any_sweep(count_calls):
+    """QZ_3 with unit 2*1, not validated: verify_extension raises from base_subalgebras
+    (2*1 fails the R_t characterization) before it builds H's integer view or runs
+    any sweep of R or of H."""
+    H = _group_algebra_base(unit={0: Fraction(2)})
+    calls = count_calls("OreAlgebra.integer_view", *SWEEPS)
+    with pytest.raises(ValidationError,
+                       match=re.escape("R_t member fails coproduct characterization: 2*1")):
+        verify_extension(H, 2)
+    assert not calls
+
+
 # -- a property test over perturbed section-5 data --------------------------------------
 
 RHOS = {2: ([1, 1], [1, -1]), 3: ([1, 1, 1],), 4: ([1, 1, 1, 1], [1, -1, 1, -1])}
@@ -173,7 +191,7 @@ def _perturbed(data, target, seed):
     return OreAlgebra(data.R, sigma, delta, g, _coalgebra_extended=True)
 
 
-@settings(max_examples=30, derandomize=True, database=None, deadline=None,
+@settings(max_examples=30,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(order=st.sampled_from(sorted(RHOS)), n=st.integers(1, 2), data=st.data())
 def test_certified_verdict_equals_the_sweep_on_perturbed_section5_data(order, n, data):

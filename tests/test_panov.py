@@ -127,11 +127,11 @@ def test_panov_hopf_evaluates_each_clause_once(count_calls, tmp_path):
     spec = str(tmp_path / "s5.json")
     assert main(["example", "section5", "--group", "Z2", "--n", "3", "--q", "1,2,3",
                  "-o", spec]) == 0
-    calls = count_calls("winding", "is_unital_algebra_endo", "_coderivation_failure",
+    calls = count_calls("winding", "is_unital_algebra_endo", "coderivation_residual",
                         "Character._inverse")
     assert main(["panov", spec, "--hopf"]) == 0
     assert 0 < calls["winding"] <= 2
-    assert calls["_coderivation_failure"] == 1
+    assert calls["coderivation_residual"] == 1
     assert calls["Character._inverse"] == 2
     assert 0 < calls["is_unital_algebra_endo"] <= 3
 
