@@ -35,18 +35,21 @@ The sweeps of R (:func:`algebra_report`, :func:`coalgebra_report`,
 :func:`check_weak_bialgebra`, :func:`check_antipode`) read R's structure
 constants on every basis key and key pair, read once into
 :attr:`WeakBialgebra.integer_view`.  The Ore layer's ``verify_extension``
-reads H = R[x; sigma, delta] at a degree bound B over the monomials:
-products on (degree <= L) x (degree <= B) with L = max(2B, B + 1),
-coproducts on degree <= 2B, the counit on degree <= L + B and antipodes on
-degree <= B, since the sweeps reach degree 2B through f m in ``eps_row``
-and through the antipode sandwich S(a) b S(d), and degree B + 1 through the
-x-sandwich eps((a x) h); the coproducts above degree B are read, through
-Delta(ab), only when the sweep of Delta(ab) = Delta(a) Delta(b) over H's
-monomial pairs runs, that is when ``verify_extension`` cannot decide it in
-every degree from R and the degree <= 1 clauses.  A read outside the
-tables raises.  ore.py builds those tables on ints from R's integer view when
-every table it reads is integral, and otherwise converts H's own field
-tables once.  R itself keeps field scalars for every other caller.
+reads H = R[x; sigma, delta] at a degree bound B over the monomials, and
+``OreAlgebra.integer_view`` builds only what the sweeps that run on H
+read: products on (degree <= L) x (degree <= B), coproducts on degree
+<= B, or <= 2B, the counit on degree <= L + B and antipodes on degree
+<= B.  L is 2B when H has an antipode (the sandwich S(a) b S(d)) or when
+the weak counit sweep runs on H (f m in ``eps_row``), else B + 1 when the
+x-sandwich eps((a x) h) is swept, else B; the coproducts of degrees B + 1
+to 2B are read, through Delta(ab), only by the sweep of
+Delta(ab) = Delta(a) Delta(b).  ``verify_extension`` decides Delta(ab),
+the weak counit axiom, the x-sandwich and the unit-coproduct
+compatibility in every degree from checks on R when their premises hold,
+and then runs none of those sweeps on H.  A read outside the tables raises.
+ore.py builds those tables on ints from R's integer view when every table
+it reads is integral, and otherwise converts H's own field tables once.
+R itself keeps field scalars for every other caller.
 """
 
 from __future__ import annotations

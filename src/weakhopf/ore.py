@@ -15,7 +15,9 @@ Delta(a x^n) = Delta(a) * (g (x) x + x (x) 1)^n, the counit reads the
 degree-0 coefficient, and the antipode is the anti-homomorphism with
 S(x) = -S(g) x.  :func:`verify_extension` runs the same weak-bialgebra axiom
 sweeps on H as bialgebra.py runs on R, on the integer view of H's tables at
-the degree bound (:meth:`OreAlgebra.integer_view`).  One recursion builds
+the degree bound (:meth:`OreAlgebra.integer_view`), except for the axioms it
+decides in every degree from checks on R; the view holds only the tables
+the sweeps that run read.  One recursion builds
 the x-powers, products, skew powers, coproducts and antipodes: on field
 scalars for H itself, which the element API and the degree <= 1 generator
 clauses use, and, when every table it reads is integral (always over
@@ -32,10 +34,10 @@ from .bialgebra import (BasisView, IntegerView, WeakBialgebra, WeakHopfAlgebra, 
                         _nonzero, algebra_report, base_subalgebras, sweep_antipode,
                         sweep_coassociative, sweep_coproduct_multiplicative, sweep_counit_neutral,
                         sweep_counit_weak_multiplicative, sweep_unit_compatibility)
-from .coderivations import skew_derivation
+from .coderivations import first_failure, skew_derivation
 from .errors import ConditionsFailed, NotAutomorphism, NotDerivation, TooLarge, ValidationError
 from .linalg import Matrix
-from .panov import HOPF, SUFFICIENT, PanovClauses, panov_sufficient
+from .panov import HOPF, SUFFICIENT, PanovClauses, counit_delta_residual, panov_sufficient
 from .report import AxiomReport
 
 # The most monomial products verify_extension may tabulate at a degree bound
@@ -60,16 +62,19 @@ class OreAlgebra(BasisView):
     right factor has degree up to 2B, outside the tables of
     :meth:`integer_view`.  Instances are immutable;
     extension steps return new objects.  Use :func:`make_ore` to validate
-    the defining data.
+    the defining data: it marks H as validated (``_validated``), the
+    extension steps keep the mark, and :func:`verify_extension` then takes
+    (P3) from it; an H built directly is validated there.
     """
 
     def __init__(self, R: WeakBialgebra, sigma: Matrix, delta: Matrix, g: dict | None = None,
-                 _coalgebra_extended=False, s_x: dict | None = None):
+                 _coalgebra_extended=False, s_x: dict | None = None, _validated=False):
         self.R = R
         self.sigma = sigma
         self.delta = delta
         self.g = g
         self._coalgebra_extended = _coalgebra_extended
+        self._validated = _validated
         if s_x is not None and any(n != 1 for _, n in s_x):
             raise ValidationError("S(x) must be homogeneous of degree 1 in x")
         self._over_ints = None
@@ -221,30 +226,40 @@ class OreAlgebra(BasisView):
     def witness(self, keys):
         return tuple(i for k in keys for i in k)
 
-    def integer_view(self, B: int) -> IntegerView:
+    def integer_view(self, B: int, certified=frozenset()) -> IntegerView:
         """The tables the shared sweeps read at degree bound B, as ints.
 
         Its sweep keys are the monomials of degree <= B, degree-major.
-        Products on (degree <= L) x (degree <= B), L = max(2B, B + 1),
-        coproducts on degree <= 2B, the counit on degree <= L + B (every
-        monomial those products reach) and antipodes, when extended, on
-        degree <= B: the sweeps reach degree 2B through f m in eps_row,
-        through Delta(ab) and through the antipode sandwich S(a) b S(d), and
-        degree B + 1 through the x-sandwich eps((a x) h) of verify_extension;
-        the coproducts above degree B are read only by the sweep of Delta(ab),
-        which verify_extension skips when it decides that axiom in every degree.
-        The tables come from :meth:`_integers`: the int copy's entries are
+        ``certified`` names the axioms :func:`verify_extension` decided in
+        every degree from R, whose sweeps on H do not run; the tables only
+        those sweeps read are left out.  Who reads what:
+
+        * products on (degree <= L) x (degree <= B), where L is the highest
+          left degree a running sweep reads (:func:`_left_degree`): 2B for
+          the antipode sandwich S(a) b S(d) and for f m in eps(f m h) of the
+          weak counit sweep, B + 1 for the x-sandwich eps((a x) h), B for the
+          sweep of Delta(ab); none when no sweep of H reads a product;
+        * coproducts on degree <= B: every coalgebra sweep; on degree
+          <= 2B, through Delta(ab), only while coproduct_multiplicative is
+          not certified;
+        * the counit on degree <= max(L, 0) + B, every monomial those
+          products and the coproducts reach, and antipodes, when extended,
+          on degree <= B.
+
+        With nothing certified these are the tables :func:`refuse_large_degree`
+        counts.  They come from :meth:`_integers`: the int copy's entries are
         used as they are (D = 1); H's own field tables are converted by one
         :meth:`Field.to_ints` call to one scale D, the lcm of their
         denominators, every counit key kept (0 for a zero entry).
         """
         Z = self._integers()
-        keys, top = self.monomials(B), _left_degree(B)
+        keys, top = self.monomials(B), _left_degree(B, certified, self.antipode_extended)
+        reach = B if "coproduct_multiplicative" in certified else 2 * B
         # coproducts first: an H whose coalgebra is not extended raises before a product
-        coproducts = {k: Z.coproduct(k) for k in self.monomials(2 * B)}
+        coproducts = {k: Z.coproduct(k) for k in self.monomials(reach)}
         products = {(a, b): Z.product(a, b) for a in self.monomials(top) for b in keys}
         antipodes = {k: Z.antipode(k) for k in keys} if self.antipode_extended else {}
-        counit = {k: Z.counit(k) for k in self.monomials(top + B)}
+        counit = {k: Z.counit(k) for k in self.monomials(max(top, 0) + B)}
         D, unit = 1, Z.unit
         if Z is self:  # field tables, converted once
             tables = (products, coproducts, antipodes)
@@ -287,7 +302,7 @@ def make_ore(R: WeakBialgebra, sigma: Matrix, delta: Matrix, g: dict | None = No
     Raises NotAutomorphism / NotDerivation with witnesses.
     """
     skew_derivation(R, sigma, delta)
-    return OreAlgebra(R, sigma, delta, g)
+    return OreAlgebra(R, sigma, delta, g, _validated=True)
 
 
 def _degree_zero(t: dict) -> dict:
@@ -302,7 +317,8 @@ def extend_coalgebra(H: OreAlgebra) -> OreAlgebra:
     verdict = panov_sufficient(H.R, H.sigma, H.delta, H.g)
     if not verdict.passed:
         raise ConditionsFailed(verdict)
-    out = OreAlgebra(H.R, H.sigma, H.delta, H.g, _coalgebra_extended=True)
+    out = OreAlgebra(H.R, H.sigma, H.delta, H.g, _coalgebra_extended=True,
+                     _validated=H._validated)
     for k in range(H.R.dim):
         if out.coproduct((k, 0)) != _degree_zero(H.R.coproduct(k)):
             raise ValidationError("extended coproduct does not restrict to R in degree 0")
@@ -322,13 +338,23 @@ def extend_antipode(H: OreAlgebra) -> OreAlgebra:
             raise ConditionsFailed(verdict)
     minus_s_g = {k: -c for k, c in H.R.antipode_matrix.apply(H.g).items()}
     s_x = H.monomial(H.R.multiply(minus_s_g, H.R.unit), 1)  # (-S(g)) x
-    return OreAlgebra(H.R, H.sigma, H.delta, H.g, _coalgebra_extended=True, s_x=s_x)
+    return OreAlgebra(H.R, H.sigma, H.delta, H.g, _coalgebra_extended=True, s_x=s_x,
+                      _validated=H._validated)
 
 
-def _left_degree(B):
-    """The highest degree of a left factor in the product table at degree bound B:
-    2B for the terms of f m in eps(f m h), B + 1 for the x-sandwich eps((a x) h)."""
-    return max(2 * B, B + 1)
+def _left_degree(B, certified=frozenset(), antipode=True):
+    """The highest degree of a left factor in the product table at degree bound B,
+    over the sweeps that read products: 2B for the antipode sandwich S(a) b S(d),
+    when H has an antipode, and for the terms of f m in eps(f m h) of the weak
+    counit sweep, B + 1 for the x-sandwich eps((a x) h), B for the sweep of
+    Delta(ab); the sweep of an axiom in ``certified`` does not run, and -1 (no
+    product) when none of them does.  With the defaults it is max(2B, B + 1)."""
+    reads = [2 * B] if antipode or "counit_weak_multiplicative" not in certified else []
+    if "counit_kills_x_sandwich" not in certified:
+        reads.append(B + 1)
+    if "coproduct_multiplicative" not in certified:
+        reads.append(B)
+    return max(reads, default=-1)
 
 
 def refuse_large_degree(R: WeakBialgebra, degree_bound: int):
@@ -360,13 +386,15 @@ def verify_extension(H: OreAlgebra, degree_bound: int = 3) -> AxiomReport:
     centrality of R_s against x.  A negative degree bound would sweep
     nothing and raises ValidationError; one whose tables would be too large
     raises TooLarge (:func:`refuse_large_degree`); an H whose coalgebra is
-    not extended raises ValidationError when the integer view reads its
+    not extended raises ValidationError when the generator clauses read its
     first coproduct, before any monomial product.  Serialize with
     ``report.lines()``: one `AXIOM name PASS|FAIL` line each.
 
-    Coproduct multiplicativity is decided in every degree, with no sweep of
-    H's monomial pairs, when four premises hold; each is re-checked on every
-    call, whatever built H and R:
+    Four axioms are decided in every degree, with no sweep of H, when the
+    premises of their lemma below hold (:func:`_certificates`).  Each premise
+    is re-checked on every call, whatever built H and R; only (P3) is taken
+    from the mark that :func:`make_ore` leaves on H after running the same
+    check on the same R, sigma and delta:
 
     (P1) ``algebra_report(R)`` passes: R is associative and unital;
     (P2) ``sweep_coproduct_multiplicative`` passes on ``R.integer_view``:
@@ -380,9 +408,14 @@ def verify_extension(H: OreAlgebra, degree_bound: int = 3) -> AxiomReport:
          (C2) Delta(x) = Delta(1) X and Delta(x) = X Delta(1)
          (generator_skew_primitive, left and right);
          (C3) Delta(x) Delta(b) = Delta(sigma b) Delta(x) + Delta(delta b) on
-         the basis of R, so on all of R (coproduct_commutation_rule).
+         the basis of R, so on all of R (coproduct_commutation_rule);
+    (P5) ``sweep_counit_weak_multiplicative`` passes on ``R.integer_view``:
+         eps(fmh) = eps(f m_1) eps(m_2 h) = eps(f m_2) eps(m_1 h) for f, m, h in R;
+    (P6) eps(b_i delta(b_k)) = 0 for all basis elements b_i, b_k of R, read
+         from :func:`panov.counit_delta_residual` by :func:`first_failure`
+         (the Panov clause counit_delta_orthogonal).
 
-    Lemma.  Under (P1)-(P4), the coproduct Delta(b x^n) = Delta(b) X^n of
+    Lemma A.  Under (P1)-(P4), the coproduct Delta(b x^n) = Delta(b) X^n of
     H's tables satisfies Delta(u v) = Delta(u) Delta(v) for all u, v in H.
 
     Proof.  (1) For r, b in R, r (b x^n) = (rb) x^n, so
@@ -403,39 +436,75 @@ def verify_extension(H: OreAlgebra, degree_bound: int = 3) -> AxiomReport:
     Delta((b x^i) h) = Delta(b (x^i h)) = Delta(b) X^i Delta(h) = Delta(b x^i) Delta(h),
     and Delta(u v) = Delta(u) Delta(v) follows by linearity in u.  QED
 
-    When the premises hold, the report records R's pair checks of (P2) as
-    those of coproduct_multiplicative and marks the axiom decided in all
-    degrees (:meth:`AxiomReport.scope`); otherwise the sweep of H's monomial
-    pairs of degree <= B runs, and its witnesses and sides are reported.
-    Every other axiom is decided to degree <= B only.
+    Lemma B.  Under (P6), eps(u x v) = 0 for all u, v in H.
+
+    Proof.  H's tables build x c for c in R as sigma(c) x + delta(c) and
+    x^(k+1) c as x (x^k c), and x (sum a_n x^n) has degree-0 coefficient
+    delta(a_0); so the degree-0 coefficient of x^(k+1) c is delta^(k+1)(c).
+    Hence (b x^(k+1))(c x^j) = b (x^(k+1) c) x^j has degree-0 coefficient 0
+    when j > 0 and b delta(delta^k c) when j = 0.  The counit reads the
+    degree-0 coefficient, so eps((b x^(k+1))(c x^j)) is 0 or
+    eps(b delta(delta^k c)), which is 0 by (P6), bilinear in b and in the
+    element delta^k c of R.  By linearity eps(u x v) = 0.  QED
+    (P6) is the x-sandwich sweep restricted to a and h of degree 0, since
+    eps((b_i x) b_k) = eps(b_i delta(b_k)); so its verdict in every degree
+    is its degree-0 verdict.
+
+    Lemma C.  Under (P1)-(P6), eps(fmh) = eps(f m_1) eps(m_2 h)
+    = eps(f m_2) eps(m_1 h) for all f, m, h in H.
+
+    Proof.  By linearity f, m and h are monomials; H is associative (P3).
+    (1) m = m' x.  By Lemma A and C2, Delta(m) = Delta(m') Delta(x)
+    = Delta(m') Delta(1) X = Delta(m') X = sum m'_1 g (x) m'_2 x + m'_1 x (x) m'_2.
+    So every term of eps(f m_1) eps(m_2 h) has a factor eps(m'_2 x h) or
+    eps(f m'_1 x), every term of eps(f m_2) eps(m_1 h) a factor eps(f m'_2 x)
+    or eps(m'_1 x h), and eps(fmh) = eps((f m') x h): all are x-sandwiches,
+    0 by Lemma B.  (2) m in R, f = f' x.  Delta(m) lies in R (x) R, so
+    eps(f m_1), eps(f m_2) and eps(fmh) = eps(f' x (m h)) are x-sandwiches,
+    and both sides are 0.  (3) f, m in R, h = h' x.  eps(m_1 h' x),
+    eps(m_2 h' x) and eps(fmh' x) are x-sandwiches: both sides are 0.
+    (4) f, m, h in R.  H multiplies degree-0 monomials, comultiplies them and
+    takes their counit as R does, so this is (P5).  QED
+
+    The unit-coproduct compatibility needs no premise: its sweep reads only
+    Delta(1) and products of the legs of Delta(1) with 1, and H's unit is R's
+    in degree 0, as are its coproduct and products on degree-0 monomials.  So
+    on H it is R's own sweep, with the same witnesses and, under H's labels,
+    the same sides; it runs on ``R.integer_view``, in every degree.
+
+    Where the premises hold, the report records R's checks for the axiom:
+    those of (P2) for coproduct_multiplicative (Lemma A), the dim^2 checks of
+    (P6) for counit_kills_x_sandwich (Lemma B) and those of (P5) for
+    counit_weak_multiplicative (Lemma C), and marks it decided in all degrees
+    (:meth:`AxiomReport.scope`).  Where one fails, the axiom's sweep over H's
+    monomials of degree <= B runs, as do the sweeps of every other axiom,
+    decided to degree <= B only, and their witnesses and sides are reported.
+    H's integer view holds only the tables of the sweeps that run.
     """
     if degree_bound < 0:
         raise ValidationError(f"degree bound must be nonnegative, got {degree_bound}")
     refuse_large_degree(H.R, degree_bound)
     report = AxiomReport(degree_bound)
-    R = H.R
-    _, basis_s = base_subalgebras(R)  # raises on a broken R before any sweep
-    ints = H.integer_view(degree_bound)
-    clauses = _generator_clauses(H)
+    _, basis_s = base_subalgebras(H.R)  # raises on a broken R before any sweep
+    clauses = _generator_clauses(H)  # raises on an unextended H before any product
+    decided = _certificates(H, clauses)
+    ints = H.integer_view(degree_bound, frozenset(decided))
 
-    base = _multiplicative_in_every_degree(H, clauses)
-    if base is None:
-        sweep_coproduct_multiplicative(ints, report)
-    else:
-        report.merge(base)
-        report.mark_all_degrees("coproduct_multiplicative")
+    def sweep(axiom, run):
+        """R's checks of an axiom decided in every degree, else its sweep on H."""
+        if axiom in decided:
+            report.merge(decided[axiom])
+        else:
+            run(ints, report)
+
+    sweep("coproduct_multiplicative", sweep_coproduct_multiplicative)
     sweep_coassociative(ints, report, "coproduct_coassociative")
     sweep_counit_neutral(ints, report, "right")
     sweep_counit_neutral(ints, report, "left")
-    sweep_counit_weak_multiplicative(ints, report)
-    sweep_unit_compatibility(ints, report)
+    sweep("counit_weak_multiplicative", sweep_counit_weak_multiplicative)
+    sweep("coproduct_unit_compatibility", sweep_unit_compatibility)
     report.merge(clauses)
-
-    for a in ints.keys:
-        ax = (a[0], a[1] + 1)  # (b x^n) x = b x^(n+1)
-        for h in ints.keys:
-            _check(report, "counit_kills_x_sandwich", ints.eps_pair(ax, h), 0, ints, (a, h),
-                   (2, 0))
+    sweep("counit_kills_x_sandwich", _sweep_x_sandwich)
 
     x = H.x()
     for idx, a in enumerate(basis_s):
@@ -446,6 +515,16 @@ def verify_extension(H: OreAlgebra, degree_bound: int = 3) -> AxiomReport:
     if H.antipode_extended:
         sweep_antipode(ints, report)
     return report
+
+
+def _sweep_x_sandwich(view, report):
+    """eps((a x) h) = 0 for the sweep keys a, h of H's integer view, (b x^n) x being
+    b x^(n+1); witnesses (a, h) flattened."""
+    for a in view.keys:
+        ax = (a[0], a[1] + 1)
+        for h in view.keys:
+            _check(report, "counit_kills_x_sandwich", view.eps_pair(ax, h), 0, view, (a, h),
+                   (2, 0))
 
 
 def _generator_clauses(H: OreAlgebra) -> AxiomReport:
@@ -470,19 +549,46 @@ def _generator_clauses(H: OreAlgebra) -> AxiomReport:
     return report
 
 
-def _multiplicative_in_every_degree(H: OreAlgebra, clauses: AxiomReport) -> AxiomReport | None:
-    """R's own coproduct_multiplicative sweep when every premise of the lemma of
-    :func:`verify_extension` holds, the generator clauses read from ``clauses``;
-    None when one fails."""
-    R = H.R
-    if not clauses.passed or not algebra_report(R).passed:
-        return None
-    base = AxiomReport()
-    sweep_coproduct_multiplicative(R.integer_view, base)
-    if not base.passed:
-        return None
+def _certificates(H: OreAlgebra, clauses: AxiomReport) -> dict:
+    """The axioms :func:`verify_extension` decides in every degree, each mapped to
+    the report of R's checks recorded for it, marked decided in all degrees:
+    coproduct_unit_compatibility always, counit_kills_x_sandwich under (P6),
+    coproduct_multiplicative under (P1)-(P4) and counit_weak_multiplicative
+    under (P1)-(P6), the generator clauses (P4) read from ``clauses``."""
+    R, decided = H.R, {}
+
+    def swept(sweep, axiom):
+        report = AxiomReport()
+        sweep(R.integer_view, report)
+        report.mark_all_degrees(axiom)
+        return report
+
+    decided["coproduct_unit_compatibility"] = swept(sweep_unit_compatibility,
+                                                    "coproduct_unit_compatibility")
+    orthogonal = first_failure(counit_delta_residual(R), H.delta) is None  # (P6)
+    if orthogonal:
+        sandwich = decided["counit_kills_x_sandwich"] = AxiomReport()
+        sandwich.record_passes("counit_kills_x_sandwich", R.dim ** 2)
+        sandwich.mark_all_degrees("counit_kills_x_sandwich")
+    if not clauses.passed or not algebra_report(R).passed:  # (P4), (P1)
+        return decided
+    multiplicative = swept(sweep_coproduct_multiplicative, "coproduct_multiplicative")
+    if not multiplicative.passed or not _ore_data_valid(H):  # (P2), (P3)
+        return decided
+    decided["coproduct_multiplicative"] = multiplicative
+    if orthogonal:
+        counit = swept(sweep_counit_weak_multiplicative, "counit_weak_multiplicative")
+        if counit.passed:  # (P5)
+            decided["counit_weak_multiplicative"] = counit
+    return decided
+
+
+def _ore_data_valid(H: OreAlgebra) -> bool:
+    """(P3): H's mark from :func:`make_ore`, else ``skew_derivation`` run here."""
+    if H._validated:
+        return True
     try:
-        skew_derivation(R, H.sigma, H.delta)
+        skew_derivation(H.R, H.sigma, H.delta)
     except (NotAutomorphism, NotDerivation):
-        return None
-    return base
+        return False
+    return True

@@ -62,6 +62,20 @@ def _columns_agree(wb, lhs, rhs):
     return witness is None, witness
 
 
+def counit_delta_residual(wb: WeakBialgebra):
+    """The linear map delta -> (eps(b_i delta(b_k)))_(i, k) on ints, zero exactly when
+    eps(a delta(b)) = 0 for all a, b in R; read at delta by :func:`first_failure`.
+
+    Column r*dim + k (delta(b_k) = b_r) holds eps(b_i b_r) at (i, k), from R's
+    integer view at scale D^2."""
+    view, dim = wb.integer_view, wb.dim
+
+    def column(rk):
+        r, k = divmod(rk, dim)
+        return [((i, k), e) for i in view.keys if (e := view.eps_pair(i, r))]
+    return linear_residual(wb.field, column)
+
+
 NECESSARY = ("g_weak_grouplike", "eps_t_g_is_unit", "delta_is_skew_coderivation",
              "sigma_is_left_winding", "chi_weak_left_character", "chi_has_right_inverse",
              "coproduct_sigma_g_twist", "coproduct_sigma_g_twist_expanded",
@@ -177,13 +191,7 @@ class PanovClauses:
         return self._adg * self.character.right == self.sigma, None
 
     def _counit_delta_orthogonal(self):
-        # keyed (i, j): delta(b_k) = b_r gives eps(b_i b_r) at (i, k), at scale D^2
-        view = self.wb.integer_view
-
-        def column(rk):
-            r, k = divmod(rk, self.wb.dim)
-            return [((i, k), e) for i in view.keys if (e := view.eps_pair(i, r))]
-        witness = first_failure(linear_residual(self.wb.field, column), self.delta)
+        witness = first_failure(counit_delta_residual(self.wb), self.delta)
         return witness is None, witness
 
     def _coproduct_sigma_g_twist(self):

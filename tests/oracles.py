@@ -378,21 +378,22 @@ def dense_residue_scan(wb):
     return found
 
 
-def reference_ore_integer_tables(H, B):
-    """The tables of ``H.integer_view(B)`` computed in field scalars on H itself and
-    converted afterwards: (scale, unit, products, coproducts, antipodes, counit).
+def reference_ore_integer_tables(H, B, top, reach):
+    """The tables of an integer view of H at degree bound B computed in field scalars
+    on H itself and converted afterwards: (scale, unit, products, coproducts,
+    antipodes, counit).
 
-    The domain is the view's: products on (degree <= L) x (degree <= B) with
-    L = max(2B, B + 1), coproducts on degree <= 2B, the counit on degree
-    <= L + B and antipodes, when extended, on degree <= B.  Over QQ every
-    table is multiplied by D, the lcm of all their denominators; over GF(p)
-    the tables hold the residues and D = 1.
+    The domain is given: products on (degree <= top) x (degree <= B), none
+    when top is -1, coproducts on degree <= reach, the counit on degree
+    <= max(top, 0) + B and antipodes, when extended, on degree <= B.  Over QQ every table is
+    multiplied by D, the lcm of all their denominators; over GF(p) the tables
+    hold the residues and D = 1.
     """
-    keys, top = H.monomials(B), max(2 * B, B + 1)
+    keys = H.monomials(B)
     products = {(a, b): H.product(a, b) for a in H.monomials(top) for b in keys}
-    coproducts = {k: H.coproduct(k) for k in H.monomials(2 * B)}
+    coproducts = {k: H.coproduct(k) for k in H.monomials(reach)}
     antipodes = {k: H.antipode(k) for k in keys} if H.antipode_extended else {}
-    counit = {k: H.counit(k) for k in H.monomials(top + B)}
+    counit = {k: H.counit(k) for k in H.monomials(max(top, 0) + B)}
     tables = [*products.values(), *coproducts.values(), *antipodes.values(), counit, H.unit]
     if H.field.order is None:
         D = math.lcm(*(c.denominator for t in tables for c in t.values()))

@@ -230,17 +230,41 @@ def test_integer_view_of_h_matches_monomial_view(name, degree):
         assert ints.scale > 1  # sigma's -35/6 and -6/35 enter from degree 1
 
 
+MULTIPLICATIVE, WEAK, SANDWICH = ("coproduct_multiplicative", "counit_weak_multiplicative",
+                                  "counit_kills_x_sandwich")
+# the axioms verify_extension may decide in every degree -> the domain of H's tables at
+# degree bound B without them: (top degree of a left factor in the products, top degree
+# of a coproduct), given whether H has an antipode
+TABLE_CONFIGURATIONS = [
+    (frozenset(), lambda B, antipode: (max(2 * B, B + 1), 2 * B)),
+    ({MULTIPLICATIVE}, lambda B, antipode: (max(2 * B, B + 1), B)),
+    ({SANDWICH}, lambda B, antipode: (2 * B, 2 * B)),
+    ({MULTIPLICATIVE, SANDWICH}, lambda B, antipode: (2 * B, B)),
+    ({MULTIPLICATIVE, WEAK}, lambda B, antipode: (max(2 * B, B + 1) if antipode else B + 1, B)),
+    ({WEAK, SANDWICH}, lambda B, antipode: (2 * B if antipode else B, 2 * B)),
+    ({MULTIPLICATIVE, WEAK, SANDWICH}, lambda B, antipode: (2 * B if antipode else -1, B)),
+]
+
+
 @pytest.mark.parametrize("degree", range(4))
 @pytest.mark.parametrize("name", ORE_CASES)
 def test_integer_view_of_h_matches_converted_field_tables(name, degree):
-    """The int-built tables of H equal H's field tables converted to one D."""
-    ints = ORE_CASES[name]().integer_view(degree)
-    scale, unit, products, coproducts, antipodes, counit = reference_ore_integer_tables(
-        ORE_CASES[name](), degree)
-    assert ints.scale == scale and ints.unit == unit and ints._counit == counit
-    assert ints._products == products
-    assert ints._coproducts == coproducts
-    assert ints._antipodes == antipodes
+    """For every set of axioms decided without a sweep of H, the int-built tables of H
+    are H's field tables converted to one D, on exactly the domain the sweeps that
+    still run read: products whose left factor reaches degree 2B only for the
+    antipode sandwich or the weak counit sweep, B + 1 for the x-sandwich, B for
+    the sweep of Delta(ab) and none for the rest; coproducts above degree B only
+    for the sweep of Delta(ab)."""
+    for certified, domain in TABLE_CONFIGURATIONS:
+        H = ORE_CASES[name]()
+        ints = H.integer_view(degree, certified)
+        top, reach = domain(degree, H.antipode_extended)
+        scale, unit, products, coproducts, antipodes, counit = reference_ore_integer_tables(
+            ORE_CASES[name](), degree, top, reach)
+        assert ints.scale == scale and ints.unit == unit and ints._counit == counit
+        assert ints._products == products
+        assert ints._coproducts == coproducts
+        assert ints._antipodes == antipodes
 
 
 @pytest.mark.parametrize("name", ORE_CASES)

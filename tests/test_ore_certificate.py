@@ -1,13 +1,17 @@
-"""The certificate that decides Delta(ab) = Delta(a) Delta(b) on H in every degree.
+"""The certificates that decide axioms of H = R[x; sigma, delta] in every degree from R.
 
-``verify_extension`` records ``coproduct_multiplicative`` from R's own pair
-sweep, with no sweep of H's monomial pairs, when its four premises hold:
-R is associative and unital, R's coproduct is multiplicative, (sigma, delta)
-passes ``skew_derivation`` and the three generator clauses pass (the lemma
-in its docstring).  Otherwise it runs the sweep of H's pairs of degree
-<= D.  The certified verdict must equal that sweep's on every datum, and
-where a premise fails the report must be the one the full sweep gives,
-line for line and failure for failure, sides included.
+``verify_extension`` decides four axioms with no sweep of H's monomials
+when the premises of their lemma (in its docstring) hold, and records R's
+checks for them: coproduct_unit_compatibility always; counit_kills_x_sandwich
+when eps(a delta(b)) = 0 on R (P6); coproduct_multiplicative when R is
+associative and unital (P1), R's coproduct is multiplicative (P2), (sigma,
+delta) passes ``skew_derivation`` (P3) and the three generator clauses pass
+(P4); counit_weak_multiplicative when besides R's own counit sweep passes
+(P5) and (P6) holds.  Otherwise the sweep of H's monomials of degree <= D
+runs.  The certified report must equal the one with every sweep run on H
+(``_all_sweeps``, every certificate held off through the one seam
+``ore._certificates``), line for line and failure for failure, sides
+included, on every datum and wherever a premise fails.
 """
 
 import random
@@ -18,54 +22,95 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from forced_ore import forced_section5
+from forced_ore import forced_section5, sign_flipped_sweedler
 from lemmas import axiom_passed, basis_element, identity
 from test_integer_view import ORE_CASES
 from weakhopf import ore
-from weakhopf.bialgebra import WeakHopfAlgebra, algebra_report, sweep_coproduct_multiplicative
+from weakhopf.bialgebra import (WeakHopfAlgebra, algebra_report, sweep_coproduct_multiplicative,
+                                sweep_counit_weak_multiplicative)
+from weakhopf.cli import main
 from weakhopf.coderivations import skew_derivation
 from weakhopf.errors import NotAutomorphism, NotDerivation, TooLarge, ValidationError
 from weakhopf.fields import QQ
 from weakhopf.fixtures import sweedler_data, twisted_derivation_data
 from weakhopf.groupoid import GroupPresentation, group_algebra, matrix_algebra
 from weakhopf.linalg import Matrix
-from weakhopf.ore import OreAlgebra, refuse_large_degree, verify_extension
+from weakhopf.ore import (OreAlgebra, extend_coalgebra, make_ore, refuse_large_degree,
+                          verify_extension)
 from weakhopf.report import AxiomReport
 
-AXIOM = "coproduct_multiplicative"
+MULTIPLICATIVE, WEAK, SANDWICH = ("coproduct_multiplicative", "counit_weak_multiplicative",
+                                  "counit_kills_x_sandwich")
+CERTIFIED = (MULTIPLICATIVE, WEAK, SANDWICH)
 CLAUSES = ("generator_coproduct_delta_one_commute", "generator_skew_primitive",
            "coproduct_commutation_rule")
 
 
-def _swept(view):
-    """coproduct_multiplicative swept over the pairs of the view's keys: R's basis, or
-    H's monomials of degree <= D on ``H.integer_view(D)``."""
+def _swept(view, sweep=sweep_coproduct_multiplicative):
+    """One shared sweep over the view's keys: R's basis, or H's monomials of degree
+    <= D on ``H.integer_view(D)``."""
     report = AxiomReport()
-    sweep_coproduct_multiplicative(view, report)
+    sweep(view, report)
     return report
 
 
-def _premises_hold(H, report):
-    """The four premises, each read here from its own check; the generator clauses,
-    which read monomials of degree <= 1 only, from a report of verify_extension."""
+def _all_sweeps(H, degree):
+    """verify_extension with every certificate held off, so that every axiom is swept
+    over H's monomials of degree <= degree."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ore, "_certificates", lambda H, clauses: {})
+        return verify_extension(H, degree)
+
+
+def _counit_kills_delta(H):
+    """(P6) in field scalars on R itself: eps(b_i delta(b_k)) = 0 for all i, k."""
+    R = H.R
+    return not any(sum((c * R.counit(r) for r, c in R.multiply({i: R.one}, col).items()), R.zero)
+                   for i in R.keys for col in H.delta.column_dicts())
+
+
+def _premises(H, report):
+    """{axiom: whether the premises of its lemma hold}, each premise read here from its
+    own check; the generator clauses (P4), which read monomials of degree <= 1 only,
+    from a report of verify_extension."""
     R = H.R
     try:
         skew_derivation(R, H.sigma, H.delta)
     except (NotAutomorphism, NotDerivation):
-        return False
-    return (algebra_report(R).passed and _swept(H.R.integer_view).passed
-            and not any(report.failures(name) for name in CLAUSES))
+        ore_data = False
+    else:
+        ore_data = True
+    lemma_a = (ore_data and algebra_report(R).passed and _swept(R.integer_view).passed
+               and not any(report.failures(name) for name in CLAUSES))
+    orthogonal = _counit_kills_delta(H)
+    weak = _swept(R.integer_view, sweep_counit_weak_multiplicative).passed
+    return {MULTIPLICATIVE: lemma_a, SANDWICH: orthogonal, WEAK: lemma_a and orthogonal and weak}
+
+
+def _assert_full_report(report, full, premises, degree):
+    """The report equals the all-sweeps report, and each certified axiom's scope reads
+    "all degrees" exactly where its premises hold."""
+    assert report.lines() == full.lines()
+    assert report.failures() == full.failures()
+    for axiom in CERTIFIED:
+        assert report.scope(axiom) == ("all degrees" if premises[axiom] else f"degree <= {degree}")
+        assert full.scope(axiom) == f"degree <= {degree}"
+        assert axiom_passed(full, axiom) or not premises[axiom]
+    assert report.scope("coproduct_unit_compatibility") == "all degrees"
 
 
 @pytest.mark.parametrize("name", ORE_CASES)
 def test_certified_verdict_agrees_with_the_pair_sweep(name):
-    """At every degree bound D <= 6 the guard admits, verify_extension's verdict and
-    failures on coproduct_multiplicative equal those of the sweep of H's monomial
-    pairs, and the scope reads "all degrees" exactly where the premises hold: on
-    every case but the two forced section-5 data, whose sweep fails from D = 1."""
+    """At every degree bound D <= 6 the guard admits, verify_extension's report equals
+    the one with every axiom swept on H's monomials, and a certified axiom's scope reads
+    "all degrees" exactly where its premises hold: on every case but the two forced
+    section-5 data, whose sweep of Delta(ab) fails from D = 1, except the x-sandwich
+    of the one with g perturbed, whose delta still has eps(a delta(b)) = 0."""
     H = ORE_CASES[name]()
-    certified = _premises_hold(H, verify_extension(H, 0))
-    assert certified != name.startswith("forced-section5")
+    premises = _premises(H, verify_extension(H, 0))
+    forced = name.startswith("forced-section5")
+    assert premises == {MULTIPLICATIVE: not forced, WEAK: not forced,
+                        SANDWICH: name != "forced-section5-delta"}
     degrees = []
     for degree in range(7):
         try:
@@ -73,11 +118,9 @@ def test_certified_verdict_agrees_with_the_pair_sweep(name):
         except TooLarge:
             break
         degrees.append(degree)
-        report, swept = verify_extension(H, degree), _swept(H.integer_view(degree))
-        assert report.failures(AXIOM) == swept.failures(AXIOM)
-        assert axiom_passed(report, AXIOM) == swept.passed
-        assert report.scope(AXIOM) == ("all degrees" if certified else f"degree <= {degree}")
-        assert swept.passed == (certified or degree == 0)
+        report, full = verify_extension(H, degree), _all_sweeps(ORE_CASES[name](), degree)
+        _assert_full_report(report, full, premises, degree)
+        assert axiom_passed(full, MULTIPLICATIVE) == (not forced or degree == 0)
     assert degrees[-1] >= 4
 
 
@@ -91,13 +134,13 @@ def _sigma_not_an_algebra_map():
     return OreAlgebra(d.R, sigma, d.delta, d.g, _coalgebra_extended=True)
 
 
-def _group_algebra_base(mult=(), comult=(), unit=None):
-    """R = QZ_3 (basis 1, t, t^2) with some entries of mult and comult, or the unit,
-    replaced, not validated; sigma = id, delta = 0, g = 1."""
+def _group_algebra_base(mult=(), comult=(), unit=None, counit=()):
+    """R = QZ_3 (basis 1, t, t^2) with some entries of mult, comult or the counit, or
+    the unit, replaced, not validated; sigma = id, delta = 0, g = 1."""
     R = group_algebra(GroupPresentation.cyclic(3))
     broken = WeakHopfAlgebra(QQ, 3, {**R.mult, **dict(mult)}, unit or R.unit,
-                             {**R.comult, **dict(comult)}, R.counit_vector, R.antipode_matrix,
-                             R.labels, validate=False)
+                             {**R.comult, **dict(comult)}, {**R.counit_vector, **dict(counit)},
+                             R.antipode_matrix, R.labels, validate=False)
     return OreAlgebra(broken, identity(QQ, 3), Matrix.zero(QQ, 3, 3), broken.unit,
                       _coalgebra_extended=True)
 
@@ -109,45 +152,61 @@ def _noncentral_g():
                       _coalgebra_extended=True)
 
 
+def _inner_delta_on_sweedler():
+    """Sweedler's data with delta(a) = a - sigma(a), the inner sigma-derivation of 1:
+    delta(t) = 2t, so eps(1 delta(t)) = 2."""
+    d = sweedler_data()
+    delta = Matrix(QQ, 2, 2, {(1, 1): Fraction(2)})
+    return OreAlgebra(d.R, d.sigma, delta, d.g, _coalgebra_extended=True)
+
+
 one = Fraction(1)
-# name: (build, the premise it breaks, read off its own check)
+LEMMA_A = (MULTIPLICATIVE, WEAK)
+# name: (build, the premise it breaks read off its own check, the axioms it leaves swept)
 CONTROLS = {
-    "sigma-not-an-algebra-map": (
+    "sigma-not-an-algebra-map": (  # (P3)
         _sigma_not_an_algebra_map,
-        lambda H: pytest.raises(NotAutomorphism, skew_derivation, H.R, H.sigma, H.delta)),
-    "delta-not-a-derivation": (
+        lambda H: pytest.raises(NotAutomorphism, skew_derivation, H.R, H.sigma, H.delta),
+        LEMMA_A),
+    "delta-not-a-derivation": (  # (P3)
         lambda: forced_section5("delta"),
-        lambda H: pytest.raises(NotDerivation, skew_derivation, H.R, H.sigma, H.delta)),
-    "R-not-unital": (  # 1 t = 2t
+        lambda H: pytest.raises(NotDerivation, skew_derivation, H.R, H.sigma, H.delta),
+        LEMMA_A),
+    "R-not-unital": (  # (P1): 1 t = 2t
         lambda: _group_algebra_base(mult={(0, 1): {1: Fraction(2)}}),
-        lambda H: algebra_report(H.R).failures("unital")),
-    "R-not-associative": (  # t t^2 = 1 + t while t^2 t = 1
+        lambda H: algebra_report(H.R).failures("unital"), LEMMA_A),
+    "R-not-associative": (  # (P1): t t^2 = 1 + t while t^2 t = 1
         lambda: _group_algebra_base(mult={(1, 2): {0: one, 1: one}}),
-        lambda H: algebra_report(H.R).failures("associative")),
-    "R-coproduct-not-multiplicative": (  # Delta(t^2) = t^2 (x) 1
+        lambda H: algebra_report(H.R).failures("associative"), LEMMA_A),
+    "R-coproduct-not-multiplicative": (  # (P2): Delta(t^2) = t^2 (x) 1
         lambda: _group_algebra_base(comult={2: {(2, 0): one}}),
-        lambda H: not _swept(H.R.integer_view).passed),
-    "g-not-central": (
+        lambda H: not _swept(H.R.integer_view).passed, LEMMA_A),
+    "g-not-central": (  # (P4)
         _noncentral_g,
-        lambda H: verify_extension(H, 0).failures("generator_skew_primitive")),
+        lambda H: verify_extension(H, 0).failures("generator_skew_primitive"), LEMMA_A),
+    "R-counit-not-weakly-multiplicative": (  # (P5): eps(t) = 2
+        lambda: _group_algebra_base(counit={1: Fraction(2)}),
+        lambda H: not _swept(H.R.integer_view, sweep_counit_weak_multiplicative).passed,
+        (WEAK,)),
+    "eps-delta-not-zero": (  # (P6)
+        _inner_delta_on_sweedler,
+        lambda H: not _counit_kills_delta(H), (SANDWICH, WEAK)),
 }
 
 
 @pytest.mark.parametrize("degree", [0, 2])
 @pytest.mark.parametrize("name", CONTROLS)
-def test_a_failing_premise_leaves_the_full_sweep(monkeypatch, name, degree):
+def test_a_failing_premise_leaves_the_full_sweep(name, degree):
     """Each control breaks one premise, built directly past every validation: the
-    report is not certified and equals, lines and failures alike, the report of
-    verify_extension with the certificate held off, so that the sweep always runs."""
-    build, premise_fails = CONTROLS[name]
+    axioms whose lemma needs it are not certified, and the report equals, lines and
+    failures alike, the report of verify_extension with every certificate held off."""
+    build, premise_fails, swept = CONTROLS[name]
     H = build()
     assert premise_fails(H)
     report = verify_extension(H, degree)
-    assert report.scope(AXIOM) == f"degree <= {degree}"
-    monkeypatch.setattr(ore, "_multiplicative_in_every_degree", lambda H, clauses: None)
-    full = verify_extension(build(), degree)
-    assert report.lines() == full.lines()
-    assert report.failures() == full.failures()
+    premises = _premises(H, report)
+    assert not any(premises[axiom] for axiom in swept)
+    _assert_full_report(report, _all_sweeps(build(), degree), premises, degree)
 
 
 SWEEPS = ("sweep_unital", "sweep_associative", "sweep_coproduct_multiplicative",
@@ -197,18 +256,62 @@ def _perturbed(data, target, seed):
 def test_certified_verdict_equals_the_sweep_on_perturbed_section5_data(order, n, data):
     """Section-5 M_n(QZ_m) data, m in {2, 3, 4}, n <= 2, rational q, and one seeded
     perturbation of g, sigma or delta, or none; at D <= 3 (less on the larger dims)
-    the verdict on coproduct_multiplicative equals the sweep's, and the scope reads
-    "all degrees" exactly where the premises hold."""
+    the report equals the one with every axiom swept on H, and each certified axiom's
+    scope reads "all degrees" exactly where its premises hold."""
     rho = data.draw(st.sampled_from(RHOS[order]))
     q = data.draw(st.lists(nonzero, min_size=n, max_size=n))
     target = data.draw(st.sampled_from(["g", "sigma", "delta", None]))
     seed = data.draw(st.integers(0, 2 ** 16))
     section5 = twisted_derivation_data(GroupPresentation.cyclic(order), n, rho=rho, q=q)
     degree = data.draw(st.integers(0, TOP_DEGREE[section5.R.dim]))
+    report = verify_extension(_perturbed(section5, target, seed), degree)
     H = _perturbed(section5, target, seed)
-    report, swept = verify_extension(H, degree), _swept(H.integer_view(degree))
-    assert report.failures(AXIOM) == swept.failures(AXIOM)
-    assert axiom_passed(report, AXIOM) == swept.passed
-    certified = _premises_hold(H, report)
-    assert report.scope(AXIOM) == ("all degrees" if certified else f"degree <= {degree}")
-    assert swept.passed or not certified
+    _assert_full_report(report, _all_sweeps(H, degree), _premises(H, report), degree)
+
+
+# -- what a certified datum skips -------------------------------------------------------
+
+
+def _coalgebra_only():
+    """Section-5 M_1(QZ_2), q = 3/5, with its coalgebra extended and no antipode."""
+    d = twisted_derivation_data(GroupPresentation.cyclic(2), 1, rho=[1, -1], q=[Fraction(3, 5)])
+    return extend_coalgebra(make_ore(d.R, d.sigma, d.delta, d.g))
+
+
+@pytest.mark.parametrize("build", [*(ORE_CASES[name] for name in ORE_CASES
+                                     if not name.startswith("forced-section5")),
+                                   _coalgebra_only])
+def test_a_certified_datum_builds_and_sweeps_nothing_above_what_runs(monkeypatch, build):
+    """With all three certificates, no weak counit or x-sandwich sweep reads H's integer
+    view, which holds no coproduct above degree D, and products only when H has an
+    antipode, whose sandwich reads left factors up to degree 2D."""
+    degree, H = 3, build()
+    views, counit_views, sandwiches = [], [], []
+    integer_view, counit_sweep = OreAlgebra.integer_view, ore.sweep_counit_weak_multiplicative
+    monkeypatch.setattr(OreAlgebra, "integer_view",
+                        lambda self, *args: views.append(integer_view(self, *args)) or views[-1])
+    monkeypatch.setattr(ore, "sweep_counit_weak_multiplicative",
+                        lambda view, report: counit_views.append(view) or counit_sweep(view, report))
+    monkeypatch.setattr(ore, "_sweep_x_sandwich", lambda view, report: sandwiches.append(view))
+    report = verify_extension(H, degree)
+    assert all(report.scope(axiom) == "all degrees" for axiom in CERTIFIED)
+    (ints,) = views
+    assert counit_views == [H.R.integer_view] and not sandwiches
+    assert max(n for _, n in ints._coproducts) == degree
+    if H.antipode_extended:
+        assert max(a[1] for a, _ in ints._products) == 2 * degree
+    else:
+        assert not ints._products
+
+
+def test_ore_build_validates_the_ore_data_once(count_calls, tmp_path):
+    """`ore build` runs skew_derivation once, in make_ore, whose mark on H stands for
+    (P3) in verify_extension; an H built directly is validated there."""
+    spec = str(tmp_path / "section5.json")
+    assert main(["example", "section5", "--group", "Z2", "--n", "2", "--rho=1,-1",
+                 "--q=3/5,-7/2", "-o", spec]) == 0
+    calls = count_calls("skew_derivation")
+    assert main(["ore", "build", spec, "--verify-degree", "2"]) == 0
+    assert calls["skew_derivation"] == 1
+    verify_extension(sign_flipped_sweedler(), 1)
+    assert calls["skew_derivation"] == 2
