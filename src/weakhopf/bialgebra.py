@@ -34,17 +34,21 @@ witnesses and sides read as they do on field scalars.
 The sweeps of R (:func:`algebra_report`, :func:`coalgebra_report`,
 :func:`check_weak_bialgebra`, :func:`check_antipode`) read R's structure
 constants on every basis key and key pair, read once into
-:attr:`WeakBialgebra.integer_view`.  The Ore layer's ``verify_extension``
+:attr:`WeakBialgebra.integer_view`, and each sweep's report is kept on R
+(:meth:`WeakBialgebra.swept`), so validating R and every later reader
+share one run.  The Ore layer's ``verify_extension``
 reads H = R[x; sigma, delta] at a degree bound B over the monomials, and
 ``OreAlgebra.integer_view`` builds only what the sweeps that run on H
 read: products on (degree <= L) x (degree <= B), coproducts on degree
 <= B, or <= 2B, the counit on degree <= L + B and antipodes on degree
-<= B.  L is 2B when H has an antipode (the sandwich S(a) b S(d)) or when
-the weak counit sweep runs on H (f m in ``eps_row``), else B + 1 when the
-x-sandwich eps((a x) h) is swept, else B; the coproducts of degrees B + 1
-to 2B are read, through Delta(ab), only by the sweep of
-Delta(ab) = Delta(a) Delta(b).  ``verify_extension`` decides Delta(ab),
-the weak counit axiom, the x-sandwich and the unit-coproduct
+<= B.  L is 2B when the weak counit sweep runs on H (f m in ``eps_row``),
+else B + 1 when the x-sandwich eps((a x) h) is swept, else B when H has
+an antipode (every product the three antipode axioms read, the sandwich
+S(k_1) k_2 S(k_3) included, has a left factor of degree <= B: the
+grading lemma of ``ore._left_degree``) or Delta(ab) is swept; the
+coproducts of degrees B + 1 to 2B are read, through Delta(ab), only by
+the sweep of Delta(ab) = Delta(a) Delta(b).  ``verify_extension`` decides
+Delta(ab), the weak counit axiom, the x-sandwich and the unit-coproduct
 compatibility in every degree from checks on R when their premises hold,
 and then runs none of those sweeps on H.  A read outside the tables raises.
 ore.py builds those tables on ints from R's integer view when every table
@@ -471,39 +475,40 @@ def sweep_counit_weak_multiplicative(view, report):
 def sweep_unit_compatibility(view, report):
     """(Delta (x) id)Delta(1) = (Delta(1) (x) 1)(1 (x) Delta(1)), and in the other order.
 
-    The products run over pairs of terms of Delta(1), with 1 kept whole as
-    an element: exact by bilinearity, and nothing is assumed of the unit.
-    The terms are indexed by each leg, so only the pairs whose middle
-    product (b c on the left, a d on the right) is nonzero are visited.
+    With 1 kept whole as an element (exact by bilinearity, and nothing is
+    assumed of the unit), the left product is the sum over pairs of terms
+    x a (x) b and y c (x) d of Delta(1) of x y (a 1) (x) b c (x) (1 d), the
+    right one of x y (1 c) (x) a d (x) (b 1).  Each side sums its outer legs
+    once per middle key (sum x (a 1) per b and sum y (1 d) per c on the
+    left, sum x (b 1) per a and sum y (1 c) per d on the right), then adds
+    one pure tensor per nonzero middle product.
     """
     zero, one, unit, mul, product = view.zero, view.one, view.unit, view.multiply, view.product
     d1 = view.delta_one()
     lhs = view.comultiply_leg(d1, 0)
     times_unit = {k: mul({k: one}, unit) for pair in d1 for k in pair}
     unit_times = {k: mul(unit, {k: one}) for pair in d1 for k in pair}
-    by_leg = ({}, {})  # by_leg[i][k]: the (other leg, scalar) of the terms with leg i = k
-    for (a, b), x in d1.items():
-        by_leg[0].setdefault(a, []).append((b, x))
-        by_leg[1].setdefault(b, []).append((a, x))
+
+    def outer(leg, images):
+        """{m: sum x images[o]} over the terms x of Delta(1) whose leg ``leg`` is m,
+        o being the other leg; zero sums dropped."""
+        sums = {}
+        for pair, x in d1.items():
+            _axpy(sums.setdefault(pair[leg], {}), x, images[pair[1 - leg]], zero)
+        return {m: s for m, v in sums.items() if (s := _nonzero(v))}
+
     fmt = view.formatter(3)
-    for side in ("left", "right"):
+    # left: (a (x) b (x) 1)(1 (x) c (x) d), meeting at b c; right:
+    # (1 (x) a (x) b)(c (x) d (x) 1), meeting at a d
+    for side, first, second in (("left", outer(1, times_unit), outer(0, unit_times)),
+                                ("right", outer(0, times_unit), outer(1, unit_times))):
         out = {}
-        # left: (a (x) b (x) 1)(1 (x) c (x) d), meeting at b c; right:
-        # (1 (x) a (x) b)(c (x) d (x) 1), meeting at a d
-        first, second = (by_leg[1], by_leg[0]) if side == "left" else (by_leg[0], by_leg[1])
-        for m1, terms1 in first.items():
-            for m2, terms2 in second.items():
+        for m1, o1 in first.items():
+            for m2, o2 in second.items():
                 middle = product(m1, m2)
-                if not middle:
-                    continue
-                for o1, x in terms1:
-                    for o2, y in terms2:
-                        if side == "left":
-                            legs = (times_unit[o1], middle, unit_times[o2])
-                        else:
-                            legs = (unit_times[o2], middle, times_unit[o1])
-                        if legs[0] and legs[2]:
-                            _add_pure(out, x * y, legs, zero)
+                if middle:
+                    _add_pure(out, one, (o1, middle, o2) if side == "left" else (o2, middle, o1),
+                              zero)
         ok = view.agree(lhs, out, (3, 9))
         report.record("coproduct_unit_compatibility", ok, (side,),
                       None if ok else fmt(view.field_side(lhs, 3)),
@@ -511,20 +516,31 @@ def sweep_unit_compatibility(view, report):
 
 
 def sweep_antipode(view, report):
-    """k_1 S(k_2) = eps_t(k), S(k_1) k_2 = eps_s(k), S(k_1) k_2 S(k_3) = S(k)."""
+    """k_1 S(k_2) = eps_t(k), S(k_1) k_2 = eps_s(k), S(k_1) k_2 S(k_3) = S(k).
+
+    The sandwich reads k_1 (x) k_2 (x) k_3 as (Delta (x) id)Delta(k), which
+    the tables define as the sum of c Delta(i) (x) j over the terms c i (x) j
+    of Delta(k); so it is the sum of c right(i) S(j), where right(i) =
+    S(i_1) i_2 is the side of the source counital axiom at i, by
+    distributivity the same ints as the sum over triples.  The right sides
+    are built once per key, before the checks.
+    """
     zero, one, S, mul = view.zero, view.one, view.antipode, view.multiply
     fmt = view.formatter(1)
+    right = {}
     for k in view.keys:
-        dk = view.coproduct(k)
-        left, right, sandwich = {}, {}, {}
-        for (i, j), c in dk.items():
+        row = {}
+        for (i, j), c in view.coproduct(k).items():
+            _axpy(row, c, mul(S(i), {j: one}), zero)
+        right[k] = _nonzero(row)
+    for k in view.keys:
+        left, sandwich = {}, {}
+        for (i, j), c in view.coproduct(k).items():
             _axpy(left, c, mul({i: one}, S(j)), zero)
-            _axpy(right, c, mul(S(i), {j: one}), zero)
-        for (a, b, d), c in view.comultiply_leg(dk, 0).items():
-            _axpy(sandwich, c, mul(mul(S(a), {b: one}), S(d)), zero)
+            _axpy(sandwich, c, mul(right[i], S(j)), zero)
         _check(report, "antipode_vs_target_counital", left,
                view.counital({k: one}, 0, False), view, (k,), (3, 4), fmt)
-        _check(report, "antipode_vs_source_counital", right,
+        _check(report, "antipode_vs_source_counital", right[k],
                view.counital({k: one}, 1, True), view, (k,), (3, 4), fmt)
         _check(report, "antipode_composition", sandwich, S(k), view, (k,), (6, 1), fmt)
 
@@ -561,6 +577,7 @@ class WeakBialgebra(BasisView):
         self._counital_matrices = None
         self._base_subalgebras = None
         self._integer_view = None
+        self._sweeps = {}
         if not validate:
             return
         report = algebra_report(self)
@@ -620,6 +637,17 @@ class WeakBialgebra(BasisView):
                 self, keys, D, unit, dict(zip(pairs, tables)), dict(zip(keys, tables[n:])),
                 {k: counit.get(k, 0) for k in keys}, dict(zip(anti, tables[n + dim:])))
         return self._integer_view
+
+    def swept(self, sweep, *args) -> AxiomReport:
+        """The report of ``sweep(self.integer_view, report, *args)``, run on first use and
+        kept: R is immutable, so its validation and every later reader (the report
+        functions below, the certificates of ``ore.verify_extension``) share one run.
+        Callers merge it into their own report and never modify it."""
+        hit = self._sweeps.get((sweep, args))
+        if hit is None:
+            hit = self._sweeps[(sweep, args)] = AxiomReport()
+            sweep(self.integer_view, hit, *args)
+        return hit
 
     def basis_vector(self, i):
         return {i: self.one}
@@ -690,21 +718,24 @@ class WeakHopfAlgebra(WeakBialgebra):
         return self.antipode_matrix.column_dicts()[k]
 
 
+def _merged(wb, *sweeps):
+    """A new report holding R's kept reports (:meth:`WeakBialgebra.swept`) of the
+    sweeps, each given as (sweep, *args), in order."""
+    report = AxiomReport()
+    for sweep, *args in sweeps:
+        report.merge(wb.swept(sweep, *args))
+    return report
+
+
 def algebra_report(wb: WeakBialgebra) -> AxiomReport:
     """Exhaustive unit and associativity checks of R."""
-    report, view = AxiomReport(), wb.integer_view
-    sweep_unital(view, report)
-    sweep_associative(view, report)
-    return report
+    return _merged(wb, (sweep_unital,), (sweep_associative,))
 
 
 def coalgebra_report(wb: WeakBialgebra) -> AxiomReport:
     """Exhaustive coassociativity and counit checks of R."""
-    report, view = AxiomReport(), wb.integer_view
-    sweep_coassociative(view, report, "coassociative")
-    sweep_counit_neutral(view, report, "left")
-    sweep_counit_neutral(view, report, "right")
-    return report
+    return _merged(wb, (sweep_coassociative, "coassociative"), (sweep_counit_neutral, "left"),
+                   (sweep_counit_neutral, "right"))
 
 
 def check_weak_bialgebra(wb: WeakBialgebra) -> AxiomReport:
@@ -714,18 +745,13 @@ def check_weak_bialgebra(wb: WeakBialgebra) -> AxiomReport:
     coproduct compatibility identity, and weak multiplicativity of the
     counit on all basis triples (both bracketings).
     """
-    report, view = AxiomReport(), wb.integer_view
-    sweep_coproduct_multiplicative(view, report)
-    sweep_unit_compatibility(view, report)
-    sweep_counit_weak_multiplicative(view, report)
-    return report
+    return _merged(wb, (sweep_coproduct_multiplicative,), (sweep_unit_compatibility,),
+                   (sweep_counit_weak_multiplicative,))
 
 
 def check_antipode(wha: WeakHopfAlgebra) -> AxiomReport:
     """Check the three antipode axioms on every basis element."""
-    report = AxiomReport()
-    sweep_antipode(wha.integer_view, report)
-    return report
+    return _merged(wha, (sweep_antipode,))
 
 
 def base_subalgebras(wb: WeakBialgebra):

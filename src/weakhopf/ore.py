@@ -17,7 +17,9 @@ S(x) = -S(g) x.  :func:`verify_extension` runs the same weak-bialgebra axiom
 sweeps on H as bialgebra.py runs on R, on the integer view of H's tables at
 the degree bound (:meth:`OreAlgebra.integer_view`), except for the axioms it
 decides in every degree from checks on R; the view holds only the tables
-the sweeps that run read.  One recursion builds
+the sweeps that run read, and on a certified datum that is the antipode
+sweep alone, which reads products of degree <= B by <= B (the grading
+lemma of :func:`_left_degree`).  One recursion builds
 the x-powers, products, skew powers, coproducts and antipodes: on field
 scalars for H itself, which the element API and the degree <= 1 generator
 clauses use, and, when every table it reads is integral (always over
@@ -44,7 +46,9 @@ from .report import AxiomReport
 # B, (L + 1)(B + 1) dim^2 with L = max(2B, B + 1): Sweedler's algebra (dim 2)
 # is admitted up to B = 49, where B = 24 (4,900 products) takes 0.62 s (median
 # of 5, Python 3.11.7 on a shared 2-core Intel Xeon), and section-5 M_2(QZ_2)
-# (dim 8) up to B = 11; at B = 0 the table holds 2 dim^2 products.
+# (dim 8) up to B = 11; at B = 0 the table holds 2 dim^2 products.  The guard
+# counts this uncertified worst case; a certified datum with an antipode builds
+# fewer, (B + 1)^2 dim^2 (L = B, :func:`_left_degree`).
 PRODUCT_TABLE_LIMIT = 20_000
 
 
@@ -57,9 +61,10 @@ class OreAlgebra(BasisView):
     of monomials are computed on first use and cached on the algebra.  The
     antipode is extended exactly when S(x), an element of H, is given as
     ``s_x``; it must be homogeneous of degree 1 in x, as (-S(g)) x is, and
-    any other s_x raises ValidationError: a term of degree > 1 would make
-    the antipode sandwich S(a) b S(d) of the sweeps read products whose
-    right factor has degree up to 2B, outside the tables of
+    any other s_x raises ValidationError.  That is the premise of the
+    grading lemma of :func:`_left_degree`, S(b x^n) = S(x)^n S(b) of degree
+    <= n: a term of degree > 1 would make the antipode sweep read products
+    with a factor of degree above B, outside the tables of
     :meth:`integer_view`.  Instances are immutable;
     extension steps return new objects.  Use :func:`make_ore` to validate
     the defining data: it marks H as validated (``_validated``), the
@@ -236,9 +241,10 @@ class OreAlgebra(BasisView):
 
         * products on (degree <= L) x (degree <= B), where L is the highest
           left degree a running sweep reads (:func:`_left_degree`): 2B for
-          the antipode sandwich S(a) b S(d) and for f m in eps(f m h) of the
-          weak counit sweep, B + 1 for the x-sandwich eps((a x) h), B for the
-          sweep of Delta(ab); none when no sweep of H reads a product;
+          f m in eps(f m h) of the weak counit sweep, B + 1 for the
+          x-sandwich eps((a x) h), B for the sweep of Delta(ab) and for the
+          antipode axioms, the sandwich S(k_1) k_2 S(k_3) included (the
+          grading lemma); none when no sweep of H reads a product;
         * coproducts on degree <= B: every coalgebra sweep; on degree
           <= 2B, through Delta(ab), only while coproduct_multiplicative is
           not certified;
@@ -247,7 +253,8 @@ class OreAlgebra(BasisView):
           on degree <= B.
 
         With nothing certified these are the tables :func:`refuse_large_degree`
-        counts.  They come from :meth:`_integers`: the int copy's entries are
+        counts; with all three certificates and an antipode, (B + 1)^2 dim^2
+        products.  They come from :meth:`_integers`: the int copy's entries are
         used as they are (D = 1); H's own field tables are converted by one
         :meth:`Field.to_ints` call to one scale D, the lcm of their
         denominators, every counit key kept (0 for a zero entry).
@@ -344,12 +351,29 @@ def extend_antipode(H: OreAlgebra) -> OreAlgebra:
 
 def _left_degree(B, certified=frozenset(), antipode=True):
     """The highest degree of a left factor in the product table at degree bound B,
-    over the sweeps that read products: 2B for the antipode sandwich S(a) b S(d),
-    when H has an antipode, and for the terms of f m in eps(f m h) of the weak
-    counit sweep, B + 1 for the x-sandwich eps((a x) h), B for the sweep of
-    Delta(ab); the sweep of an axiom in ``certified`` does not run, and -1 (no
-    product) when none of them does.  With the defaults it is max(2B, B + 1)."""
-    reads = [2 * B] if antipode or "counit_weak_multiplicative" not in certified else []
+    over the sweeps that read products: 2B for the terms of f m in eps(f m h) of
+    the weak counit sweep, B + 1 for the x-sandwich eps((a x) h), B for the sweep
+    of Delta(ab) and B for the antipode axioms, when H has an antipode; the sweep
+    of an axiom in ``certified`` does not run, and -1 (no product) when none of
+    them does.  With the defaults it is max(2B, B + 1).
+
+    Grading lemma.  For a key k of degree <= B, every product the antipode
+    sweep reads in k_1 S(k_2), S(k_1) k_2 and (S(k_1) k_2) S(k_3) has a left
+    factor of degree <= B.  (1) A product (b_r x^i)(b_u x^j) = b_r (x^i b_u) x^j
+    has degree <= i + j, since x c = sigma(c) x + delta(c) has degree <= 1 for
+    c in R.  (2) Delta(b x^n) = Delta(b) X^n has total degree <= n, since
+    X = g (x) x + x (x) 1 has total degree 1 and Delta(b) degree 0; so do
+    (Delta (x) id)Delta(b x^n) and (id (x) Delta)Delta(b x^n).  (3) S(b x^n) =
+    S(x)^n S(b) has degree <= n, since the constructor requires S(x) to be
+    homogeneous of degree 1.  So the left factors, k_1, the terms of S(k_1) and
+    those of S(k_1) k_2, have degree <= deg k_1 + deg k_2 <= B, the right
+    factors, S(k_2), k_2 and the terms of S(k_3), degree <= B, and the counital
+    maps of the first two axioms multiply k by the degree-0 legs of Delta(1).
+    This changes only which products are built; the antipode axioms are still
+    swept on every monomial of degree <= B."""
+    reads = [B] if antipode else []
+    if "counit_weak_multiplicative" not in certified:
+        reads.append(2 * B)
     if "counit_kills_x_sandwich" not in certified:
         reads.append(B + 1)
     if "coproduct_multiplicative" not in certified:
@@ -558,8 +582,7 @@ def _certificates(H: OreAlgebra, clauses: AxiomReport) -> dict:
     R, decided = H.R, {}
 
     def swept(sweep, axiom):
-        report = AxiomReport()
-        sweep(R.integer_view, report)
+        report = AxiomReport().merge(R.swept(sweep))
         report.mark_all_degrees(axiom)
         return report
 

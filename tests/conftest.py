@@ -28,8 +28,10 @@ def no_float(monkeypatch):
 def count_calls(monkeypatch):
     """count_calls(*names) wraps the weakhopf functions of those names in every weakhopf
     module that binds them, or for "Class.method" that method of each weakhopf class of
-    that name; the returned Counter of calls per name fills as they run.  A name that
-    wraps nothing raises, so no count can stay 0 because its name went away."""
+    that name; the returned Counter of calls per name fills as they run.  A function
+    bound in several modules gets one wrapper, so it stays one object to a cache keyed
+    by it.  A name that wraps nothing raises, so no count can stay 0 because its name
+    went away."""
     counts = collections.Counter()
 
     def counted(fn, name):
@@ -49,8 +51,12 @@ def count_calls(monkeypatch):
                 targets = [(m, name) for m in modules if callable(vars(m).get(name))]
             if not targets:
                 raise LookupError(f"count_calls: {name} names nothing in any weakhopf module")
+            wrappers = {}
             for target, attr in targets:
-                monkeypatch.setattr(target, attr, counted(vars(target)[attr], name))
+                fn = vars(target)[attr]
+                if id(fn) not in wrappers:
+                    wrappers[id(fn)] = counted(fn, name)
+                monkeypatch.setattr(target, attr, wrappers[id(fn)])
         return counts
     return install
 

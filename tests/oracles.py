@@ -4,7 +4,9 @@ weakhopf.linalg.  The reference evaluators of the delta-linear conditions
 (the sigma-Leibniz rule and four Panov clauses) decide them in field
 scalars on R itself, as the package did before it wrote them as int
 residuals, and the reference row builders write their systems in field
-scalars, slot by slot."""
+scalars, slot by slot.  The reference sides of the antipode sandwich and
+of the unit-coproduct compatibility are the sweeps' sums before they were
+factored, term by term on any basis view."""
 
 import itertools
 import math
@@ -376,6 +378,44 @@ def dense_residue_scan(wb):
             if is_weak_grouplike(wb, g):
                 found.append(g)
     return found
+
+
+def _nonzero_sum(terms, zero):
+    """The sum of the (key, scalar) pairs, as a dict without zero entries."""
+    out = {}
+    for key, x in terms:
+        out[key] = out.get(key, zero) + x
+    return {key: x for key, x in out.items() if x}
+
+
+def reference_antipode_sandwiches(view):
+    """{k: S(k_1) k_2 S(k_3)} over a basis view's sweep keys, without zero entries:
+    one term (S(a) b) S(d) per triple (a, b, d) of (Delta (x) id)Delta(k), the
+    coefficient of a triple summed over the terms of Delta(k) that reach it."""
+    one, S, mul, out = view.one, view.antipode, view.multiply, {}
+    for k in view.keys:
+        triples = view.comultiply_leg(view.coproduct(k), 0)
+        terms = ((key, c * x) for (a, b, d), c in triples.items()
+                 for key, x in mul(mul(S(a), {b: one}), S(d)).items())
+        out[k] = _nonzero_sum(terms, view.zero)
+    return out
+
+
+def reference_unit_compatibility(view):
+    """{"left": (Delta(1) (x) 1)(1 (x) Delta(1)), "right": (1 (x) Delta(1))(Delta(1) (x) 1)}
+    on a basis view, without zero entries: one pure tensor per pair of terms
+    x a (x) b, y c (x) d of Delta(1), x y (a 1) (x) b c (x) (1 d) on the left and
+    x y (1 c) (x) a d (x) (b 1) on the right."""
+    one, unit, mul, d1 = view.one, view.unit, view.multiply, view.delta_one()
+    times_unit = lambda k: mul({k: one}, unit)
+    unit_times = lambda k: mul(unit, {k: one})
+    sides = {"left": [], "right": []}
+    for ((a, b), x), ((c, d), y) in itertools.product(d1.items(), repeat=2):
+        for side, legs in (("left", (times_unit(a), mul({b: one}, {c: one}), unit_times(d))),
+                           ("right", (unit_times(c), mul({a: one}, {d: one}), times_unit(b)))):
+            sides[side].extend(((k, l, m), x * y * u * v * w) for k, u in legs[0].items()
+                               for l, v in legs[1].items() for m, w in legs[2].items())
+    return {side: _nonzero_sum(terms, view.zero) for side, terms in sides.items()}
 
 
 def reference_ore_integer_tables(H, B, top, reach):

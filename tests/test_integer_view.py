@@ -20,7 +20,8 @@ import pytest
 
 from forced_ore import FORCED_SECTION5, forced_section5, sign_flipped_sweedler
 from lemmas import axiom_names, dihedral, function_algebra
-from oracles import dense_associativity_failures, reference_ore_integer_tables
+from oracles import (dense_associativity_failures, reference_antipode_sandwiches,
+                     reference_ore_integer_tables, reference_unit_compatibility)
 from weakhopf import ore
 from weakhopf.bialgebra import (IntegerView, WeakHopfAlgebra,
                                 algebra_report, check_weak_bialgebra, sweep_antipode,
@@ -157,6 +158,62 @@ def test_integer_associativity_failures_match_dense_oracle(build):
     assert [f.witness for f in algebra_report(wb).failures("associative")] == expected
 
 
+def _compared_sides(view, sweep, weights):
+    """The (lhs, rhs) pairs the sweep compares through view.agree at those weights,
+    in order, zero entries dropped."""
+    seen, agree = [], IntegerView.agree
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(IntegerView, "agree",
+                      lambda self, lhs, rhs, w: seen.append((lhs, rhs, w)) or agree(self, lhs, rhs, w))
+        sweep(view, AxiomReport())
+    nonzero = lambda side: {k: c for k, c in side.items() if c}
+    return [(nonzero(lhs), nonzero(rhs)) for lhs, rhs, w in seen if w == weights]
+
+
+def _assert_factored_sums_match_oracles(view):
+    """The sandwich of sweep_antipode (sides of weight 6/1) and the product side of
+    sweep_unit_compatibility (3/9) equal the former term-by-term sums exactly."""
+    sandwiches = reference_antipode_sandwiches(view)
+    assert sandwiches and any(sandwiches.values())
+    compared = _compared_sides(view, sweep_antipode, (6, 1))
+    assert [lhs for lhs, _ in compared] == [sandwiches[k] for k in view.keys]
+    sides = reference_unit_compatibility(view)
+    assert sides["left"] and sides["right"]
+    compared = _compared_sides(view, sweep_unit_compatibility, (3, 9))
+    assert [rhs for _, rhs in compared] == [sides["left"], sides["right"]]
+
+
+QQ_TRANSPORT = str(DATA / "m3qz2-transported.json")
+GF5 = Field.prime(5)
+FACTORED_SUM_CASES = {
+    **{f"m3qz2-QQ-{tables}-{seed}": (lambda tables=tables, seed=seed: _perturbed(
+        parse_spec(QQ_TRANSPORT, validate=False).wb, random.Random(seed), 3,
+        lambda r: Fraction(r.randrange(1, 50), r.randrange(2, 50)), tables).integer_view)
+       for seed in range(2)
+       for tables in (("mult", "comult", "counit", "antipode"), ("antipode",), ("mult",))},
+    **{f"kD4-GF5-{tables}-{seed}": (lambda tables=tables, seed=seed: _perturbed(
+        function_algebra(dihedral(4), GF5), random.Random(seed), 4,
+        lambda r: GF5(r.randrange(1, 5)), tables).integer_view)
+       for seed in range(2)
+       for tables in (("mult", "comult", "counit", "antipode"), ("antipode",), ("mult",))},
+    **{f"sign-flipped-S(x)-D{B}": (lambda B=B: sign_flipped_sweedler().integer_view(
+        B, frozenset({"coproduct_multiplicative", "counit_weak_multiplicative",
+                      "counit_kills_x_sandwich"})))
+       for B in range(4)},
+}
+
+
+@pytest.mark.parametrize("name", FACTORED_SUM_CASES)
+def test_factored_sums_match_the_term_by_term_oracles(name):
+    """The antipode sandwich, summed as c right(i) S(j) over Delta(k), and the
+    unit-coproduct sides, summed per middle key, are the same ints as the sums
+    over triples and over pairs of terms of Delta(1) in tests/oracles.py: on
+    perturbed QQ and GF(5) algebras, antipode- and mult-perturbed among them,
+    and on the forced H with S(x) = +S(g) x, read from the product table of a
+    certified datum, left factors of degree <= B."""
+    _assert_factored_sums_match_oracles(FACTORED_SUM_CASES[name]())
+
+
 @pytest.mark.parametrize("name", ["m3qz2-transported.json", "m3qz2-bad-counit.json"])
 def test_pass_counts_add_up_to_tuples_swept(name):
     """Rows that agree are counted in bulk; each axiom still counts every tuple once."""
@@ -234,15 +291,16 @@ MULTIPLICATIVE, WEAK, SANDWICH = ("coproduct_multiplicative", "counit_weak_multi
                                   "counit_kills_x_sandwich")
 # the axioms verify_extension may decide in every degree -> the domain of H's tables at
 # degree bound B without them: (top degree of a left factor in the products, top degree
-# of a coproduct), given whether H has an antipode
+# of a coproduct), given whether H has an antipode; the antipode axioms read left
+# factors of degree <= B (the grading lemma of ore._left_degree)
 TABLE_CONFIGURATIONS = [
     (frozenset(), lambda B, antipode: (max(2 * B, B + 1), 2 * B)),
     ({MULTIPLICATIVE}, lambda B, antipode: (max(2 * B, B + 1), B)),
     ({SANDWICH}, lambda B, antipode: (2 * B, 2 * B)),
     ({MULTIPLICATIVE, SANDWICH}, lambda B, antipode: (2 * B, B)),
-    ({MULTIPLICATIVE, WEAK}, lambda B, antipode: (max(2 * B, B + 1) if antipode else B + 1, B)),
-    ({WEAK, SANDWICH}, lambda B, antipode: (2 * B if antipode else B, 2 * B)),
-    ({MULTIPLICATIVE, WEAK, SANDWICH}, lambda B, antipode: (2 * B if antipode else -1, B)),
+    ({MULTIPLICATIVE, WEAK}, lambda B, antipode: (B + 1, B)),
+    ({WEAK, SANDWICH}, lambda B, antipode: (B, 2 * B)),
+    ({MULTIPLICATIVE, WEAK, SANDWICH}, lambda B, antipode: (B if antipode else -1, B)),
 ]
 
 
@@ -251,10 +309,10 @@ TABLE_CONFIGURATIONS = [
 def test_integer_view_of_h_matches_converted_field_tables(name, degree):
     """For every set of axioms decided without a sweep of H, the int-built tables of H
     are H's field tables converted to one D, on exactly the domain the sweeps that
-    still run read: products whose left factor reaches degree 2B only for the
-    antipode sandwich or the weak counit sweep, B + 1 for the x-sandwich, B for
-    the sweep of Delta(ab) and none for the rest; coproducts above degree B only
-    for the sweep of Delta(ab)."""
+    still run read: products whose left factor reaches degree 2B only for the weak
+    counit sweep, B + 1 for the x-sandwich, B for the sweep of Delta(ab) and for the
+    antipode axioms, and none for the rest; coproducts above degree B only for the
+    sweep of Delta(ab)."""
     for certified, domain in TABLE_CONFIGURATIONS:
         H = ORE_CASES[name]()
         ints = H.integer_view(degree, certified)
@@ -310,17 +368,23 @@ def test_antipode_of_h_is_a_power_of_s_x_times_s_b(name):
 
 
 def test_integer_view_of_h_refuses_reads_outside_its_tables(monkeypatch):
-    """At degree bound B: products on (<= max(2B, B + 1)) x (<= B), coproducts
-    on <= 2B, the counit on <= max(2B, B + 1) + B, antipodes on <= B; nothing
-    outside is computed on demand, H's own caches stay empty, and the degree
-    guard counts exactly the products tabulated."""
-    for degree, reads, outside in [
-            (0, (((1, 1), (1, 0)), (1, 0), 1, (0, 0)),
+    """At degree bound B with nothing certified: products on (<= max(2B, B + 1)) x
+    (<= B), coproducts on <= 2B, the counit on <= max(2B, B + 1) + B, antipodes on
+    <= B, and the degree guard counts exactly the products tabulated.  With all three
+    certificates: products on (<= B) x (<= B), (B + 1)^2 dim^2 of them, fewer than the
+    guard counts, coproducts and antipodes on <= B and the counit on <= 2B.  Nothing
+    outside is computed on demand, and H's own caches stay empty."""
+    certified = frozenset({"coproduct_multiplicative", "counit_weak_multiplicative",
+                           "counit_kills_x_sandwich"})
+    for degree, decided, reads, outside in [
+            (0, frozenset(), (((1, 1), (1, 0)), (1, 0), 1, (0, 0)),
              (((1, 2), (0, 0)), ((0, 0), (1, 1)), ((1, 1),), ((0, 2),), ((1, 1),))),
-            (2, (((1, 4), (1, 2)), (1, 4), 6, (1, 2)),
-             (((1, 5), (0, 0)), ((0, 0), (1, 3)), ((1, 5),), ((0, 7),), ((1, 3),)))]:
+            (2, frozenset(), (((1, 4), (1, 2)), (1, 4), 6, (1, 2)),
+             (((1, 5), (0, 0)), ((0, 0), (1, 3)), ((1, 5),), ((0, 7),), ((1, 3),))),
+            (2, certified, (((1, 2), (1, 2)), (1, 2), 4, (1, 2)),
+             (((1, 3), (0, 0)), ((0, 0), (1, 3)), ((1, 3),), ((0, 5),), ((1, 3),)))]:
         H = ORE_CASES["sweedler"]()
-        ints = H.integer_view(degree)
+        ints = H.integer_view(degree, decided)
         product, coproduct, counit_degree, antipode = reads
         assert ints.product(*product) and ints.coproduct(coproduct) and ints.antipode(antipode)
         assert ints.counit((0, counit_degree)) == 0
@@ -332,6 +396,12 @@ def test_integer_view_of_h_refuses_reads_outside_its_tables(monkeypatch):
                 read(*key)
         assert (len(Z._products), len(Z._antipodes), len(Z._coproducts)) == cached
         assert not (H._products or H._antipodes or H._coproducts or H._x_table)
+        if decided:
+            assert len(ints._products) == (degree + 1) ** 2 * H.R.dim ** 2
+            monkeypatch.setattr(ore, "PRODUCT_TABLE_LIMIT", len(ints._products))
+            with pytest.raises(TooLarge):
+                ore.refuse_large_degree(H.R, degree)
+            continue
         monkeypatch.setattr(ore, "PRODUCT_TABLE_LIMIT", len(ints._products))
         ore.refuse_large_degree(H.R, degree)
         monkeypatch.setattr(ore, "PRODUCT_TABLE_LIMIT", len(ints._products) - 1)

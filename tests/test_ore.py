@@ -109,11 +109,13 @@ def test_products_match_reference_oracle(request, name, delta_scale):
 
 @pytest.mark.parametrize("name, degree", [("sweedler", 1), ("sweedler", 3), ("s5_m2qz2_q", 2)])
 def test_verify_extension_builds_each_x_power_once(monkeypatch, request, name, degree):
-    """x_times runs once per row x^i b_u with 2 <= i <= 2D, and never again.
+    """x_times runs at most once per row x^i b_u with 2 <= i <= D, and never again.
 
-    The sweeps reach x^i b_u for i up to 2D: weak multiplicativity of the
-    counit evaluates eps(k h) for the terms k of f m, of degree up to 2D.
-    Row 1 comes from sigma and delta without x_times.  Sweedler's data are
+    The data pass every premise, so verify_extension decides the weak counit
+    axiom, the x-sandwich and Delta(ab) from R, and only the antipode sweep reads
+    H's products, whose left factors have degree <= D (the grading lemma of
+    ore._left_degree): the rows reach x^i b_u for i up to D, none past x^1 at
+    D = 1.  Row 1 comes from sigma and delta without x_times.  Sweedler's data are
     integral, so the rows are built on ints by H's int copy, and H's own
     field-scalar tables hold nothing above degree 1: only the generator
     clauses read H itself, on monomials of degree <= 1.  The sigma of
@@ -132,7 +134,7 @@ def test_verify_extension_builds_each_x_power_once(monkeypatch, request, name, d
     assert all(owner is H._integers() for owner, _ in calls)
     rows = [p for _, p in calls]
     assert all(type(c) is (int if integral else Fraction) for p in rows for c in p.values())
-    assert 0 < len(rows) <= H.R.dim * (2 * degree - 1)
+    assert (0 < len(rows) <= H.R.dim * (degree - 1)) if degree > 1 else not rows
     assert len({tuple(sorted(p.items())) for p in rows}) == len(rows)
     before = len(calls)
     assert verify_extension(H, degree).passed

@@ -62,6 +62,14 @@ def _all_sweeps(H, degree):
         return verify_extension(H, degree)
 
 
+def _integer_views(monkeypatch):
+    """The list of every H.integer_view built from now on, in order."""
+    views, integer_view = [], OreAlgebra.integer_view
+    monkeypatch.setattr(OreAlgebra, "integer_view",
+                        lambda self, *args: views.append(integer_view(self, *args)) or views[-1])
+    return views
+
+
 def _counit_kills_delta(H):
     """(P6) in field scalars on R itself: eps(b_i delta(b_k)) = 0 for all i, k."""
     R = H.R
@@ -100,12 +108,16 @@ def _assert_full_report(report, full, premises, degree):
 
 
 @pytest.mark.parametrize("name", ORE_CASES)
-def test_certified_verdict_agrees_with_the_pair_sweep(name):
+def test_certified_verdict_agrees_with_the_pair_sweep(monkeypatch, name):
     """At every degree bound D <= 6 the guard admits, verify_extension's report equals
     the one with every axiom swept on H's monomials, and a certified axiom's scope reads
     "all degrees" exactly where its premises hold: on every case but the two forced
     section-5 data, whose sweep of Delta(ab) fails from D = 1, except the x-sandwich
-    of the one with g perturbed, whose delta still has eps(a delta(b)) = 0."""
+    of the one with g perturbed, whose delta still has eps(a delta(b)) = 0.  Every
+    case has an antipode; where all three are certified, H's integer view holds
+    exactly the (D + 1)^2 dim^2 products of left and right degree <= D, and the
+    antipode sweep reads nothing outside them (a read outside raises KeyError)."""
+    views = _integer_views(monkeypatch)
     H = ORE_CASES[name]()
     premises = _premises(H, verify_extension(H, 0))
     forced = name.startswith("forced-section5")
@@ -118,7 +130,11 @@ def test_certified_verdict_agrees_with_the_pair_sweep(name):
         except TooLarge:
             break
         degrees.append(degree)
-        report, full = verify_extension(H, degree), _all_sweeps(ORE_CASES[name](), degree)
+        views.clear()
+        report = verify_extension(H, degree)
+        if all(premises.values()):
+            assert len(views[0]._products) == (degree + 1) ** 2 * H.R.dim ** 2
+        full = _all_sweeps(ORE_CASES[name](), degree)
         _assert_full_report(report, full, premises, degree)
         assert axiom_passed(full, MULTIPLICATIVE) == (not forced or degree == 0)
     assert degrees[-1] >= 4
@@ -284,12 +300,11 @@ def _coalgebra_only():
 def test_a_certified_datum_builds_and_sweeps_nothing_above_what_runs(monkeypatch, build):
     """With all three certificates, no weak counit or x-sandwich sweep reads H's integer
     view, which holds no coproduct above degree D, and products only when H has an
-    antipode, whose sandwich reads left factors up to degree 2D."""
+    antipode, whose axioms read left factors up to degree D (the grading lemma of
+    ore._left_degree): (D + 1)^2 dim^2 products."""
     degree, H = 3, build()
-    views, counit_views, sandwiches = [], [], []
-    integer_view, counit_sweep = OreAlgebra.integer_view, ore.sweep_counit_weak_multiplicative
-    monkeypatch.setattr(OreAlgebra, "integer_view",
-                        lambda self, *args: views.append(integer_view(self, *args)) or views[-1])
+    views, counit_views, sandwiches = _integer_views(monkeypatch), [], []
+    counit_sweep = ore.sweep_counit_weak_multiplicative
     monkeypatch.setattr(ore, "sweep_counit_weak_multiplicative",
                         lambda view, report: counit_views.append(view) or counit_sweep(view, report))
     monkeypatch.setattr(ore, "_sweep_x_sandwich", lambda view, report: sandwiches.append(view))
@@ -299,9 +314,43 @@ def test_a_certified_datum_builds_and_sweeps_nothing_above_what_runs(monkeypatch
     assert counit_views == [H.R.integer_view] and not sandwiches
     assert max(n for _, n in ints._coproducts) == degree
     if H.antipode_extended:
-        assert max(a[1] for a, _ in ints._products) == 2 * degree
+        assert max(a[1] for a, _ in ints._products) == degree
+        assert len(ints._products) == (degree + 1) ** 2 * H.R.dim ** 2
     else:
         assert not ints._products
+
+
+@pytest.mark.parametrize("degree", [0, 2])
+def test_a_failing_p6_keeps_the_counit_sweeps_on_h(monkeypatch, degree):
+    """Sweedler's data pass every premise; with (P6) read as failed through its seam,
+    the residual ``ore.counit_delta_residual``, neither the x-sandwich nor weak counit
+    multiplicativity is certified, whatever (P1)-(P5) say: both are swept on H to
+    degree <= D, H's product table grows back to left degree 2D (max(2D, D + 1) at
+    D = 0), and the report equals the all-sweeps report."""
+    views = _integer_views(monkeypatch)
+    monkeypatch.setattr(ore, "counit_delta_residual", lambda R: lambda x: [(0, 0)])
+    report = verify_extension(ORE_CASES["sweedler"](), degree)
+    for axiom in (WEAK, SANDWICH):
+        assert report.scope(axiom) == f"degree <= {degree}"
+    assert report.scope(MULTIPLICATIVE) == "all degrees"
+    (ints,) = views
+    assert max(a[1] for a, _ in ints._products) == max(2 * degree, degree + 1)
+    full = _all_sweeps(ORE_CASES["sweedler"](), degree)
+    assert report.lines() == full.lines() and report.failures() == full.failures()
+
+
+def test_ore_build_sweeps_r_once(count_calls, tmp_path):
+    """`ore build` validates R in parse_spec, and the certificates read the reports of
+    those sweeps that R keeps (WeakBialgebra.swept): each sweep of R that a premise
+    reads runs once, on R's integer view, and none of them runs on H."""
+    spec = str(tmp_path / "section5.json")
+    assert main(["example", "section5", "--group", "Z2", "--n", "2", "--rho=1,-1",
+                 "--q=3/5,-7/2", "-o", spec]) == 0
+    names = ("sweep_unital", "sweep_associative", "sweep_coproduct_multiplicative",
+             "sweep_unit_compatibility", "sweep_counit_weak_multiplicative")
+    calls = count_calls(*names)
+    assert main(["ore", "build", spec, "--verify-degree", "2"]) == 0
+    assert calls == {name: 1 for name in names}
 
 
 def test_ore_build_validates_the_ore_data_once(count_calls, tmp_path):
