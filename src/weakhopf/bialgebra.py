@@ -18,9 +18,9 @@ are collected in an :class:`~weakhopf.report.AxiomReport`.  All instances
 are immutable after construction.
 
 The sweeps run on an :class:`IntegerView`: the tables of a field-valued
-basis view on the keys the sweeps reach (products, unit, coproducts,
-counit, antipode), held as ints at one scale D by :meth:`Field.to_ints`
-and compared mod p over GF(p).  A value a sweep sums is
+basis view, read on demand, held as ints at one scale D by
+:meth:`Field.to_ints` (an H that is not integral: its own exact scalars at
+D = 1) and compared mod p over GF(p).  A value a sweep sums is
 then D^w times its field value, where the weight w is the number of table
 entries in each of its terms, and the side of lower weight is lifted by
 D^(difference) before two sides are compared.  The weights (lhs/rhs) are:
@@ -36,23 +36,10 @@ The sweeps of R (:func:`algebra_report`, :func:`coalgebra_report`,
 constants on every basis key and key pair, read once into
 :attr:`WeakBialgebra.integer_view`, and each sweep's report is kept on R
 (:meth:`WeakBialgebra.swept`), so validating R and every later reader
-share one run.  The Ore layer's ``verify_extension``
-reads H = R[x; sigma, delta] at a degree bound B over the monomials, and
-``OreAlgebra.integer_view`` builds only what the sweeps that run on H
-read: products on (degree <= L) x (degree <= B), coproducts on degree
-<= B, or <= 2B, the counit on degree <= L + B and antipodes on degree
-<= B.  L is 2B when the weak counit sweep runs on H (f m in ``eps_row``),
-else B + 1 when the x-sandwich eps((a x) h) is swept, else B when H has
-an antipode (every product the three antipode axioms read, the sandwich
-S(k_1) k_2 S(k_3) included, has a left factor of degree <= B: the
-grading lemma of ``ore._left_degree``) or Delta(ab) is swept; the
-coproducts of degrees B + 1 to 2B are read, through Delta(ab), only by
-the sweep of Delta(ab) = Delta(a) Delta(b).  ``verify_extension`` decides
-Delta(ab), the weak counit axiom, the x-sandwich and the unit-coproduct
-compatibility in every degree from checks on R when their premises hold,
-and then runs none of those sweeps on H.  A read outside the tables raises.
-ore.py builds those tables on ints from R's integer view when every table
-it reads is integral, and otherwise converts H's own field tables once.
+share one run.  The Ore layer's ``verify_extension`` reads
+H = R[x; sigma, delta] over the monomials of degree <= B through
+``OreAlgebra.integer_view``, whose every read goes to H's cached tables,
+so only the entries the sweeps that run read are computed.
 R itself keeps field scalars for every other caller.
 """
 
@@ -321,38 +308,27 @@ class IntegerView(BasisView):
     """The tables of a field-valued basis view as Python ints, for the axiom sweeps.
 
     The sweeps run over ``keys``, and ``source`` labels keys and witnesses.
-    The tables are given as ints, on the keys the sweeps read: ``products``
-    keyed by key pairs, ``coproducts``, ``counit`` and ``antipodes`` keyed by
-    keys; a read outside them raises KeyError.  Every entry, and the unit, is
-    held at one ``scale`` D as :meth:`Field.to_ints` holds it, and over
+    The tables are read on demand through the readers ``product(a, b)``,
+    ``coproduct(k)``, ``counit(k)`` and ``antipode(k)``: R's view reads its
+    tables converted once, and H's view the cached tables of H's int copy, or
+    of H itself when H is not integral.  Every entry, and the unit, is held at
+    one ``scale`` D as :meth:`Field.to_ints` holds it (D = 1 for H), and over
     GF(p) sides are compared mod p.  A basis vector {k: 1} is not scaled.
     A value a sweep computes is D^w times its field value, w (its weight)
     being the number of table entries in each of its terms, and
     :meth:`agree` compares two sides of an axiom through their weights.
     Only a failing side goes back to field scalars, to be formatted with the
     source's labels and witnesses.  :attr:`WeakBialgebra.integer_view` and
-    ``OreAlgebra.integer_view`` build the tables.
+    ``OreAlgebra.integer_view`` pass the readers.
     """
 
-    def __init__(self, source, keys, scale, unit, products, coproducts, counit, antipodes):
+    def __init__(self, source, keys, scale, unit, product, coproduct, counit, antipode):
         super().__init__(source.field, keys, unit)
         self._source = source
         self.scale, self.modulus = scale, self.field.p
         self.zero, self.one = 0, 1
-        self._products, self._coproducts = products, coproducts
-        self._counit, self._antipodes = counit, antipodes
-
-    def product(self, a, b):
-        return self._products[a, b]
-
-    def coproduct(self, k):
-        return self._coproducts[k]
-
-    def counit(self, k):
-        return self._counit[k]
-
-    def antipode(self, k):
-        return self._antipodes[k]
+        self.product, self.coproduct = product, coproduct
+        self.counit, self.antipode = counit, antipode
 
     def label(self, k):
         return self._source.label(k)
@@ -633,9 +609,12 @@ class WeakBialgebra(BasisView):
                 [self.unit, self.counit_vector, *(self.product(a, b) for a, b in pairs),
                  *map(self.coproduct, keys), *(self.antipode(k) for k in anti)])
             n, dim = len(pairs), len(keys)
+            products = dict(zip(pairs, tables))
             self._integer_view = IntegerView(
-                self, keys, D, unit, dict(zip(pairs, tables)), dict(zip(keys, tables[n:])),
-                {k: counit.get(k, 0) for k in keys}, dict(zip(anti, tables[n + dim:])))
+                self, keys, D, unit, lambda a, b: products[a, b],
+                dict(zip(keys, tables[n:])).__getitem__,
+                {k: counit.get(k, 0) for k in keys}.__getitem__,
+                dict(zip(anti, tables[n + dim:])).__getitem__)
         return self._integer_view
 
     def swept(self, sweep, *args) -> AxiomReport:

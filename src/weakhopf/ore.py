@@ -14,18 +14,16 @@ Once the extension conditions hold, the coproduct is
 Delta(a x^n) = Delta(a) * (g (x) x + x (x) 1)^n, the counit reads the
 degree-0 coefficient, and the antipode is the anti-homomorphism with
 S(x) = -S(g) x.  :func:`verify_extension` runs the same weak-bialgebra axiom
-sweeps on H as bialgebra.py runs on R, on the integer view of H's tables at
-the degree bound (:meth:`OreAlgebra.integer_view`), except for the axioms it
-decides in every degree from checks on R; the view holds only the tables
-the sweeps that run read, and on a certified datum that is the antipode
-sweep alone, which reads products of degree <= B by <= B (the grading
-lemma of :func:`_left_degree`).  One recursion builds
-the x-powers, products, skew powers, coproducts and antipodes: on field
-scalars for H itself, which the element API and the degree <= 1 generator
-clauses use, and, when every table it reads is integral (always over
-GF(p)), on ints for the integer view, from R's integer view and sigma,
-delta, g and S(x) as ints.  On any other datum the integer view converts
-H's own field tables once, by :meth:`Field.to_ints`.
+sweeps on H as bialgebra.py runs on R, on the integer view of H at the
+degree bound (:meth:`OreAlgebra.integer_view`), except for the axioms it
+decides in every degree from checks on R; the view reads each table entry
+on demand, so only what the sweeps that run read is ever computed.  One
+recursion builds the x-powers, products, skew powers, coproducts and
+antipodes: on field scalars for H itself, which the element API and the
+degree <= 1 generator clauses use, and, when every table it reads is
+integral (always over GF(p)), on ints for the integer view, from R's
+integer view and sigma, delta, g and S(x) as ints.  On any other datum the
+integer view reads H's own exact field tables.
 """
 
 from __future__ import annotations
@@ -42,13 +40,13 @@ from .linalg import Matrix
 from .panov import HOPF, SUFFICIENT, PanovClauses, counit_delta_residual, panov_sufficient
 from .report import AxiomReport
 
-# The most monomial products verify_extension may tabulate at a degree bound
-# B, (L + 1)(B + 1) dim^2 with L = max(2B, B + 1): Sweedler's algebra (dim 2)
-# is admitted up to B = 49, where B = 24 (4,900 products) takes 0.62 s (median
-# of 5, Python 3.11.7 on a shared 2-core Intel Xeon), and section-5 M_2(QZ_2)
-# (dim 8) up to B = 11; at B = 0 the table holds 2 dim^2 products.  The guard
-# counts this uncertified worst case; a certified datum with an antipode builds
-# fewer, (B + 1)^2 dim^2 (L = B, :func:`_left_degree`).
+# The most monomial products the sweeps of H may read at a degree bound B,
+# (L + 1)(B + 1) dim^2 with L = max(2B, B + 1): left factors of degree <= 2B
+# for f m in eps(f m h) and B + 1 for eps((a x) h), right factors of degree
+# <= B; S(x) of degree 1 keeps the antipode sweep inside them.  Sweedler's
+# algebra (dim 2) is admitted up to B = 49, where B = 24 (4,900 products) took
+# 0.62 s (median of 5, Python 3.11.7 on a shared 2-core Intel Xeon), and
+# section-5 M_2(QZ_2) (dim 8) up to B = 11.
 PRODUCT_TABLE_LIMIT = 20_000
 
 
@@ -61,11 +59,9 @@ class OreAlgebra(BasisView):
     of monomials are computed on first use and cached on the algebra.  The
     antipode is extended exactly when S(x), an element of H, is given as
     ``s_x``; it must be homogeneous of degree 1 in x, as (-S(g)) x is, and
-    any other s_x raises ValidationError.  That is the premise of the
-    grading lemma of :func:`_left_degree`, S(b x^n) = S(x)^n S(b) of degree
-    <= n: a term of degree > 1 would make the antipode sweep read products
-    with a factor of degree above B, outside the tables of
-    :meth:`integer_view`.  Instances are immutable;
+    any other s_x raises ValidationError, since S(b x^n) = S(x)^n S(b) then
+    has degree <= n and the antipode sweep reads no product outside what
+    :data:`PRODUCT_TABLE_LIMIT` counts.  Instances are immutable;
     extension steps return new objects.  Use :func:`make_ore` to validate
     the defining data: it marks H as validated (``_validated``), the
     extension steps keep the mark, and :func:`verify_extension` then takes
@@ -231,57 +227,21 @@ class OreAlgebra(BasisView):
     def witness(self, keys):
         return tuple(i for k in keys for i in k)
 
-    def integer_view(self, B: int, certified=frozenset()) -> IntegerView:
-        """The tables the shared sweeps read at degree bound B, as ints.
-
-        Its sweep keys are the monomials of degree <= B, degree-major.
-        ``certified`` names the axioms :func:`verify_extension` decided in
-        every degree from R, whose sweeps on H do not run; the tables only
-        those sweeps read are left out.  Who reads what:
-
-        * products on (degree <= L) x (degree <= B), where L is the highest
-          left degree a running sweep reads (:func:`_left_degree`): 2B for
-          f m in eps(f m h) of the weak counit sweep, B + 1 for the
-          x-sandwich eps((a x) h), B for the sweep of Delta(ab) and for the
-          antipode axioms, the sandwich S(k_1) k_2 S(k_3) included (the
-          grading lemma); none when no sweep of H reads a product;
-        * coproducts on degree <= B: every coalgebra sweep; on degree
-          <= 2B, through Delta(ab), only while coproduct_multiplicative is
-          not certified;
-        * the counit on degree <= max(L, 0) + B, every monomial those
-          products and the coproducts reach, and antipodes, when extended,
-          on degree <= B.
-
-        With nothing certified these are the tables :func:`refuse_large_degree`
-        counts; with all three certificates and an antipode, (B + 1)^2 dim^2
-        products.  They come from :meth:`_integers`: the int copy's entries are
-        used as they are (D = 1); H's own field tables are converted by one
-        :meth:`Field.to_ints` call to one scale D, the lcm of their
-        denominators, every counit key kept (0 for a zero entry).
-        """
+    def integer_view(self, B: int) -> IntegerView:
+        """H at degree bound B for the shared sweeps: its sweep keys are the
+        monomials of degree <= B, degree-major, and every read goes to the cached
+        tables of :meth:`_integers`, each entry computed on first use, at scale 1:
+        ints on the int copy, H's own exact field scalars otherwise."""
         Z = self._integers()
-        keys, top = self.monomials(B), _left_degree(B, certified, self.antipode_extended)
-        reach = B if "coproduct_multiplicative" in certified else 2 * B
-        # coproducts first: an H whose coalgebra is not extended raises before a product
-        coproducts = {k: Z.coproduct(k) for k in self.monomials(reach)}
-        products = {(a, b): Z.product(a, b) for a in self.monomials(top) for b in keys}
-        antipodes = {k: Z.antipode(k) for k in keys} if self.antipode_extended else {}
-        counit = {k: Z.counit(k) for k in self.monomials(max(top, 0) + B)}
-        D, unit = 1, Z.unit
-        if Z is self:  # field tables, converted once
-            tables = (products, coproducts, antipodes)
-            D, (unit, eps, *ints) = self.field.to_ints(
-                [unit, counit, *(t for table in tables for t in table.values())])
-            counit = {k: eps.get(k, 0) for k in counit}
-            ints = iter(ints)
-            products, coproducts, antipodes = ({k: next(ints) for k in table} for table in tables)
-        return IntegerView(self, keys, D, unit, products, coproducts, counit, antipodes)
+        return IntegerView(self, self.monomials(B), 1, Z.unit, Z.product, Z.coproduct,
+                           Z.counit, Z.antipode)
 
     def _integers(self):
-        """The source of the integer view's tables, chosen once and kept: when
-        R's integer view has scale 1 and sigma, delta, g and S(x) have no
+        """The source the integer view reads, chosen once and kept: when R's
+        integer view has scale 1 and sigma, delta, g and S(x) have no
         denominator (always over GF(p)), a copy of H whose recursion runs on
-        those tables as ints, each entry its own value; otherwise H itself."""
+        those tables as ints, each entry its own value; otherwise H itself,
+        whose field tables are exact."""
         if self._over_ints is None:
             view, g, s_x, n = self.R.integer_view, self.g, self._s_x, self.R.dim
             E, ints = self.field.to_ints([*self.sigma.column_dicts(), *self.delta.column_dicts(),
@@ -349,47 +309,17 @@ def extend_antipode(H: OreAlgebra) -> OreAlgebra:
                       _validated=H._validated)
 
 
-def _left_degree(B, certified=frozenset(), antipode=True):
-    """The highest degree of a left factor in the product table at degree bound B,
-    over the sweeps that read products: 2B for the terms of f m in eps(f m h) of
-    the weak counit sweep, B + 1 for the x-sandwich eps((a x) h), B for the sweep
-    of Delta(ab) and B for the antipode axioms, when H has an antipode; the sweep
-    of an axiom in ``certified`` does not run, and -1 (no product) when none of
-    them does.  With the defaults it is max(2B, B + 1).
-
-    Grading lemma.  For a key k of degree <= B, every product the antipode
-    sweep reads in k_1 S(k_2), S(k_1) k_2 and (S(k_1) k_2) S(k_3) has a left
-    factor of degree <= B.  (1) A product (b_r x^i)(b_u x^j) = b_r (x^i b_u) x^j
-    has degree <= i + j, since x c = sigma(c) x + delta(c) has degree <= 1 for
-    c in R.  (2) Delta(b x^n) = Delta(b) X^n has total degree <= n, since
-    X = g (x) x + x (x) 1 has total degree 1 and Delta(b) degree 0; so do
-    (Delta (x) id)Delta(b x^n) and (id (x) Delta)Delta(b x^n).  (3) S(b x^n) =
-    S(x)^n S(b) has degree <= n, since the constructor requires S(x) to be
-    homogeneous of degree 1.  So the left factors, k_1, the terms of S(k_1) and
-    those of S(k_1) k_2, have degree <= deg k_1 + deg k_2 <= B, the right
-    factors, S(k_2), k_2 and the terms of S(k_3), degree <= B, and the counital
-    maps of the first two axioms multiply k by the degree-0 legs of Delta(1).
-    This changes only which products are built; the antipode axioms are still
-    swept on every monomial of degree <= B."""
-    reads = [B] if antipode else []
-    if "counit_weak_multiplicative" not in certified:
-        reads.append(2 * B)
-    if "counit_kills_x_sandwich" not in certified:
-        reads.append(B + 1)
-    if "coproduct_multiplicative" not in certified:
-        reads.append(B)
-    return max(reads, default=-1)
-
-
 def refuse_large_degree(R: WeakBialgebra, degree_bound: int):
-    """Raise TooLarge when the product table of verify_extension at this
-    degree bound over R, (L + 1)(B + 1) dim^2 monomial products with
-    L = max(2B, B + 1), would hold more than PRODUCT_TABLE_LIMIT; a negative
-    bound counts as 0."""
-    B = max(degree_bound, 0)
-    products = (_left_degree(B) + 1) * (B + 1) * R.dim ** 2
+    """Raise ValidationError on a negative degree bound, which would sweep
+    nothing, and TooLarge when the sweeps of verify_extension at this degree
+    bound over R may read more than PRODUCT_TABLE_LIMIT monomial products,
+    (L + 1)(B + 1) dim^2 with L = max(2B, B + 1)."""
+    B = degree_bound
+    if B < 0:
+        raise ValidationError(f"degree bound must be nonnegative, got {B}")
+    products = (max(2 * B, B + 1) + 1) * (B + 1) * R.dim ** 2
     if products > PRODUCT_TABLE_LIMIT:
-        raise TooLarge(f"degree bound {degree_bound} over dim {R.dim} needs {products} "
+        raise TooLarge(f"degree bound {B} over dim {R.dim} needs {products} "
                        f"monomial products, more than {PRODUCT_TABLE_LIMIT}")
 
 
@@ -407,9 +337,9 @@ def verify_extension(H: OreAlgebra, degree_bound: int = 3) -> AxiomReport:
     clauses specific to the extension involve monomials of degree <= 1 only
     and are checked on H itself, in field scalars: skew primitivity of the
     generator, commutation of Delta(x) with Delta(1) and with Delta(a), and
-    centrality of R_s against x.  A negative degree bound would sweep
-    nothing and raises ValidationError; one whose tables would be too large
-    raises TooLarge (:func:`refuse_large_degree`); an H whose coalgebra is
+    centrality of R_s against x.  A negative degree bound raises
+    ValidationError and one whose sweeps may read too many products raises
+    TooLarge (:func:`refuse_large_degree`); an H whose coalgebra is
     not extended raises ValidationError when the generator clauses read its
     first coproduct, before any monomial product.  Serialize with
     ``report.lines()``: one `AXIOM name PASS|FAIL` line each.
@@ -503,16 +433,14 @@ def verify_extension(H: OreAlgebra, degree_bound: int = 3) -> AxiomReport:
     (:meth:`AxiomReport.scope`).  Where one fails, the axiom's sweep over H's
     monomials of degree <= B runs, as do the sweeps of every other axiom,
     decided to degree <= B only, and their witnesses and sides are reported.
-    H's integer view holds only the tables of the sweeps that run.
+    H's integer view computes only the table entries the sweeps that run read.
     """
-    if degree_bound < 0:
-        raise ValidationError(f"degree bound must be nonnegative, got {degree_bound}")
     refuse_large_degree(H.R, degree_bound)
     report = AxiomReport(degree_bound)
     _, basis_s = base_subalgebras(H.R)  # raises on a broken R before any sweep
     clauses = _generator_clauses(H)  # raises on an unextended H before any product
     decided = _certificates(H, clauses)
-    ints = H.integer_view(degree_bound, frozenset(decided))
+    ints = H.integer_view(degree_bound)
 
     def sweep(axiom, run):
         """R's checks of an axiom decided in every degree, else its sweep on H."""

@@ -1,8 +1,8 @@
 """Axiom reports: per-check pass/fail with concrete counterexamples.
 
 A report never aborts at the first failure; sweeps record every failing
-tuple.  Witness ordering is canonical (sorted by index tuple) so merged or
-parallel sweeps produce identical output.
+tuple.  Witness ordering is canonical (sorted by index tuple) so merged
+reports produce identical output.
 """
 
 from __future__ import annotations

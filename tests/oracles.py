@@ -9,7 +9,6 @@ of the unit-coproduct compatibility are the sweeps' sums before they were
 factored, term by term on any basis view."""
 
 import itertools
-import math
 from fractions import Fraction
 
 
@@ -416,34 +415,6 @@ def reference_unit_compatibility(view):
             sides[side].extend(((k, l, m), x * y * u * v * w) for k, u in legs[0].items()
                                for l, v in legs[1].items() for m, w in legs[2].items())
     return {side: _nonzero_sum(terms, view.zero) for side, terms in sides.items()}
-
-
-def reference_ore_integer_tables(H, B, top, reach):
-    """The tables of an integer view of H at degree bound B computed in field scalars
-    on H itself and converted afterwards: (scale, unit, products, coproducts,
-    antipodes, counit).
-
-    The domain is given: products on (degree <= top) x (degree <= B), none
-    when top is -1, coproducts on degree <= reach, the counit on degree
-    <= max(top, 0) + B and antipodes, when extended, on degree <= B.  Over QQ every table is
-    multiplied by D, the lcm of all their denominators; over GF(p) the tables
-    hold the residues and D = 1.
-    """
-    keys = H.monomials(B)
-    products = {(a, b): H.product(a, b) for a in H.monomials(top) for b in keys}
-    coproducts = {k: H.coproduct(k) for k in H.monomials(reach)}
-    antipodes = {k: H.antipode(k) for k in keys} if H.antipode_extended else {}
-    counit = {k: H.counit(k) for k in H.monomials(max(top, 0) + B)}
-    tables = [*products.values(), *coproducts.values(), *antipodes.values(), counit, H.unit]
-    if H.field.order is None:
-        D = math.lcm(*(c.denominator for t in tables for c in t.values()))
-        ints = lambda t: {k: c.numerator * (D // c.denominator) for k, c in t.items()}
-    else:
-        D = 1
-        ints = lambda t: {k: c.v for k, c in t.items()}
-    return (D, ints(H.unit), {ab: ints(v) for ab, v in products.items()},
-            {k: ints(t) for k, t in coproducts.items()},
-            {k: ints(v) for k, v in antipodes.items()}, ints(counit))
 
 
 def reference_endo_witness(wb, m):

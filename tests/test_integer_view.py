@@ -5,10 +5,9 @@ denominators over QQ, residues mod p over GF(p)); R itself and
 H = R[x; sigma, delta], each its own basis view, hold field scalars.  Every sweep
 of R, and every shared sweep of H at degree bounds 0 to 3, runs on both,
 and the failures (axiom, witness, lhs and rhs text) and the pass counts per
-axiom must agree.  H's integer-view tables, built on ints by H's int copy
-when every table it reads is integral and converted from H's own field
-tables otherwise, must also equal those field tables converted to one D
-(``oracles.reference_ore_integer_tables``).
+axiom must agree.  H's integer view reads its entries on demand, from H's
+int copy when every table it reads is integral and from H's own field
+tables otherwise; every entry it reads must be H's own field entry.
 """
 
 import random
@@ -21,8 +20,7 @@ import pytest
 from forced_ore import FORCED_SECTION5, forced_section5, sign_flipped_sweedler
 from lemmas import axiom_names, dihedral, function_algebra
 from oracles import (dense_associativity_failures, reference_antipode_sandwiches,
-                     reference_ore_integer_tables, reference_unit_compatibility)
-from weakhopf import ore
+                     reference_unit_compatibility)
 from weakhopf.bialgebra import (IntegerView, WeakHopfAlgebra,
                                 algebra_report, check_weak_bialgebra, sweep_antipode,
                                 sweep_associative, sweep_coassociative,
@@ -30,7 +28,6 @@ from weakhopf.bialgebra import (IntegerView, WeakHopfAlgebra,
                                 sweep_counit_weak_multiplicative, sweep_unit_compatibility,
                                 sweep_unital)
 from weakhopf.cli import main
-from weakhopf.errors import TooLarge
 from weakhopf.fields import Field
 from weakhopf.fixtures import sweedler_data, twisted_derivation_data
 from weakhopf.groupoid import GroupPresentation, build_groupoid_algebra
@@ -121,7 +118,8 @@ def test_integer_view_matches_field_view_on_spec_files(name):
 def test_transported_m3qz2_has_d_36():
     wb = parse_spec(str(DATA / "m3qz2-transported.json"), validate=False).wb
     assert wb.integer_view.scale == 36 and wb.integer_view.modulus is None
-    assert all(type(c) is int for v in wb.integer_view._products.values() for c in v.values())
+    ints = wb.integer_view
+    assert all(type(c) is int for a in wb.keys for b in wb.keys for c in ints.product(a, b).values())
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -196,9 +194,7 @@ FACTORED_SUM_CASES = {
         lambda r: GF5(r.randrange(1, 5)), tables).integer_view)
        for seed in range(2)
        for tables in (("mult", "comult", "counit", "antipode"), ("antipode",), ("mult",))},
-    **{f"sign-flipped-S(x)-D{B}": (lambda B=B: sign_flipped_sweedler().integer_view(
-        B, frozenset({"coproduct_multiplicative", "counit_weak_multiplicative",
-                      "counit_kills_x_sandwich"})))
+    **{f"sign-flipped-S(x)-D{B}": (lambda B=B: sign_flipped_sweedler().integer_view(B))
        for B in range(4)},
 }
 
@@ -209,8 +205,7 @@ def test_factored_sums_match_the_term_by_term_oracles(name):
     unit-coproduct sides, summed per middle key, are the same ints as the sums
     over triples and over pairs of terms of Delta(1) in tests/oracles.py: on
     perturbed QQ and GF(5) algebras, antipode- and mult-perturbed among them,
-    and on the forced H with S(x) = +S(g) x, read from the product table of a
-    certified datum, left factors of degree <= B."""
+    and on the forced H with S(x) = +S(g) x at degree bounds 0 to 3."""
     _assert_factored_sums_match_oracles(FACTORED_SUM_CASES[name]())
 
 
@@ -284,45 +279,29 @@ def test_integer_view_of_h_matches_monomial_view(name, degree):
     assert (failures, counts) == _summary(_sweep_shared(H, view))
     assert bool(failures) == (name.startswith("forced") and degree > 0)
     if degree and name in ("section5-Z2-n2", "forced-section5-delta"):
-        assert ints.scale > 1  # sigma's -35/6 and -6/35 enter from degree 1
-
-
-MULTIPLICATIVE, WEAK, SANDWICH = ("coproduct_multiplicative", "counit_weak_multiplicative",
-                                  "counit_kills_x_sandwich")
-# the axioms verify_extension may decide in every degree -> the domain of H's tables at
-# degree bound B without them: (top degree of a left factor in the products, top degree
-# of a coproduct), given whether H has an antipode; the antipode axioms read left
-# factors of degree <= B (the grading lemma of ore._left_degree)
-TABLE_CONFIGURATIONS = [
-    (frozenset(), lambda B, antipode: (max(2 * B, B + 1), 2 * B)),
-    ({MULTIPLICATIVE}, lambda B, antipode: (max(2 * B, B + 1), B)),
-    ({SANDWICH}, lambda B, antipode: (2 * B, 2 * B)),
-    ({MULTIPLICATIVE, SANDWICH}, lambda B, antipode: (2 * B, B)),
-    ({MULTIPLICATIVE, WEAK}, lambda B, antipode: (B + 1, B)),
-    ({WEAK, SANDWICH}, lambda B, antipode: (B, 2 * B)),
-    ({MULTIPLICATIVE, WEAK, SANDWICH}, lambda B, antipode: (B if antipode else -1, B)),
-]
+        assert ints.scale == 1  # sigma's -35/6 and -6/35 are read as H's own Fractions
 
 
 @pytest.mark.parametrize("degree", range(4))
 @pytest.mark.parametrize("name", ORE_CASES)
-def test_integer_view_of_h_matches_converted_field_tables(name, degree):
-    """For every set of axioms decided without a sweep of H, the int-built tables of H
-    are H's field tables converted to one D, on exactly the domain the sweeps that
-    still run read: products whose left factor reaches degree 2B only for the weak
-    counit sweep, B + 1 for the x-sandwich, B for the sweep of Delta(ab) and for the
-    antipode axioms, and none for the rest; coproducts above degree B only for the
-    sweep of Delta(ab)."""
-    for certified, domain in TABLE_CONFIGURATIONS:
-        H = ORE_CASES[name]()
-        ints = H.integer_view(degree, certified)
-        top, reach = domain(degree, H.antipode_extended)
-        scale, unit, products, coproducts, antipodes, counit = reference_ore_integer_tables(
-            ORE_CASES[name](), degree, top, reach)
-        assert ints.scale == scale and ints.unit == unit and ints._counit == counit
-        assert ints._products == products
-        assert ints._coproducts == coproducts
-        assert ints._antipodes == antipodes
+def test_integer_view_of_h_matches_field_tables(name, degree):
+    """Every entry H's integer view reads at degree bound D, on every monomial the
+    sweeps reach with nothing certified, is H's own field entry: equal to it at
+    scale 1 where H has an int copy (integral data), and that very entry otherwise.
+    The sweeps reach products on (degree <= L) x (degree <= D), L = max(2D, D + 1),
+    coproducts on degree <= 2D, the counit on degree <= L + D and antipodes, when
+    extended, on degree <= D."""
+    H = ORE_CASES[name]()
+    ints, integral = H.integer_view(degree), H._integers() is not H
+    top, keys = max(2 * degree, degree + 1), H.monomials(degree)
+    assert ints.scale == 1 and ints.field_side(ints.unit, 0) == H.unit
+    reads = [*((ints.product, H.product, (a, b)) for a in H.monomials(top) for b in keys),
+             *((ints.coproduct, H.coproduct, (k,)) for k in H.monomials(2 * degree)),
+             *((ints.counit, H.counit, (k,)) for k in H.monomials(top + degree)),
+             *((ints.antipode, H.antipode, (k,)) for k in keys if H.antipode_extended)]
+    for read, field_read, key in reads:
+        entry, expected = read(*key), field_read(*key)
+        assert ints.field_side(entry, 1) == expected if integral else entry is expected
 
 
 @pytest.mark.parametrize("name", ORE_CASES)
@@ -365,45 +344,3 @@ def test_antipode_of_h_is_a_power_of_s_x_times_s_b(name):
         for b in R.keys:
             assert H.antipode((b, n)) == H.multiply(power, H.embed(R.antipode(b)))
         power = H.multiply(power, s_x)
-
-
-def test_integer_view_of_h_refuses_reads_outside_its_tables(monkeypatch):
-    """At degree bound B with nothing certified: products on (<= max(2B, B + 1)) x
-    (<= B), coproducts on <= 2B, the counit on <= max(2B, B + 1) + B, antipodes on
-    <= B, and the degree guard counts exactly the products tabulated.  With all three
-    certificates: products on (<= B) x (<= B), (B + 1)^2 dim^2 of them, fewer than the
-    guard counts, coproducts and antipodes on <= B and the counit on <= 2B.  Nothing
-    outside is computed on demand, and H's own caches stay empty."""
-    certified = frozenset({"coproduct_multiplicative", "counit_weak_multiplicative",
-                           "counit_kills_x_sandwich"})
-    for degree, decided, reads, outside in [
-            (0, frozenset(), (((1, 1), (1, 0)), (1, 0), 1, (0, 0)),
-             (((1, 2), (0, 0)), ((0, 0), (1, 1)), ((1, 1),), ((0, 2),), ((1, 1),))),
-            (2, frozenset(), (((1, 4), (1, 2)), (1, 4), 6, (1, 2)),
-             (((1, 5), (0, 0)), ((0, 0), (1, 3)), ((1, 5),), ((0, 7),), ((1, 3),))),
-            (2, certified, (((1, 2), (1, 2)), (1, 2), 4, (1, 2)),
-             (((1, 3), (0, 0)), ((0, 0), (1, 3)), ((1, 3),), ((0, 5),), ((1, 3),)))]:
-        H = ORE_CASES["sweedler"]()
-        ints = H.integer_view(degree, decided)
-        product, coproduct, counit_degree, antipode = reads
-        assert ints.product(*product) and ints.coproduct(coproduct) and ints.antipode(antipode)
-        assert ints.counit((0, counit_degree)) == 0
-        Z = H._integers()
-        cached = len(Z._products), len(Z._antipodes), len(Z._coproducts)
-        for read, key in zip((ints.product, ints.product, ints.coproduct, ints.counit,
-                              ints.antipode), outside):
-            with pytest.raises(KeyError):
-                read(*key)
-        assert (len(Z._products), len(Z._antipodes), len(Z._coproducts)) == cached
-        assert not (H._products or H._antipodes or H._coproducts or H._x_table)
-        if decided:
-            assert len(ints._products) == (degree + 1) ** 2 * H.R.dim ** 2
-            monkeypatch.setattr(ore, "PRODUCT_TABLE_LIMIT", len(ints._products))
-            with pytest.raises(TooLarge):
-                ore.refuse_large_degree(H.R, degree)
-            continue
-        monkeypatch.setattr(ore, "PRODUCT_TABLE_LIMIT", len(ints._products))
-        ore.refuse_large_degree(H.R, degree)
-        monkeypatch.setattr(ore, "PRODUCT_TABLE_LIMIT", len(ints._products) - 1)
-        with pytest.raises(TooLarge):
-            ore.refuse_large_degree(H.R, degree)

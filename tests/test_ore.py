@@ -113,9 +113,9 @@ def test_verify_extension_builds_each_x_power_once(monkeypatch, request, name, d
 
     The data pass every premise, so verify_extension decides the weak counit
     axiom, the x-sandwich and Delta(ab) from R, and only the antipode sweep reads
-    H's products, whose left factors have degree <= D (the grading lemma of
-    ore._left_degree): the rows reach x^i b_u for i up to D, none past x^1 at
-    D = 1.  Row 1 comes from sigma and delta without x_times.  Sweedler's data are
+    H's products, whose left factors have degree <= D: the rows reach x^i b_u
+    for i up to D, none past x^1 at D = 1.  Row 1 comes from sigma and delta
+    without x_times.  Sweedler's data are
     integral, so the rows are built on ints by H's int copy, and H's own
     field-scalar tables hold nothing above degree 1: only the generator
     clauses read H itself, on monomials of degree <= 1.  The sigma of

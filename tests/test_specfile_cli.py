@@ -437,6 +437,9 @@ INPUT_CHECK_MESSAGES = {argv: message for _, argv, message in INPUT_CHECKS}
                                      antipode=[["1"]], elements={}, functionals={}, maps={})],
     lambda tmp: ["check", _spec_file(tmp, mult=_bool_index_mult(_sweedler_doc()))],
     lambda tmp: ["ore", "build", str(_data_path("sweedler-data.json")), "--verify-degree", "-1"],
+    # delta(t) = 2t fails the Panov conditions; the bound is refused before they are read
+    lambda tmp: ["ore", "build", _spec_file(tmp, maps=_sweedler_doc()["maps"] | {
+        "delta": [["0", "0"], ["0", "2"]]}), "--verify-degree", "-1"],
     # refused before any monomial table is built; never built here
     lambda tmp: ["ore", "build", str(_data_path("sweedler-data.json")), "--verify-degree", "50"],
     lambda tmp: ["grouplikes", "--matrix", "2", "--prime", "4"],
@@ -499,7 +502,8 @@ INPUT_CHECK_MESSAGES = {argv: message for _, argv, message in INPUT_CHECKS}
       for command in range(4)),
     *(argv for _, argv, _ in INPUT_CHECKS),
 ], ids=["matrix-size-text", "groupoid-size-text", "prime-as-string", "prime-as-float",
-        "dim-as-bool", "index-as-bool", "negative-degree-bound", "degree-bound-too-large",
+        "dim-as-bool", "index-as-bool", "negative-degree-bound",
+        "negative-degree-bound-failing-conditions", "degree-bound-too-large",
         "grouplikes-prime-not-prime",
         "grouplikes-prime-zero", "grouplikes-matrix-8", "grouplikes-matrix-10",
         "grouplikes-brute-kz19-gf2",
