@@ -18,9 +18,9 @@ are collected in an :class:`~weakhopf.report.AxiomReport`.  All instances
 are immutable after construction.
 
 The sweeps run on an :class:`IntegerView`: the tables of a field-valued
-basis view, read on demand, held as ints at one scale D by
-:meth:`Field.to_ints` (an H that is not integral: its own exact scalars at
-D = 1) and compared mod p over GF(p).  A value a sweep sums is
+basis view, R's converted once and H's read on demand, held as ints at one
+scale D by :meth:`Field.to_ints` (an H that is not integral: its own exact
+scalars at D = 1) and compared mod p over GF(p).  A value a sweep sums is
 then D^w times its field value, where the weight w is the number of table
 entries in each of its terms, and the side of lower weight is lifted by
 D^(difference) before two sides are compared.  The weights (lhs/rhs) are:
@@ -305,30 +305,44 @@ class BasisView:
 
 
 class IntegerView(BasisView):
-    """The tables of a field-valued basis view as Python ints, for the axiom sweeps.
+    """The tables of a field-valued basis view at one scale, for the axiom sweeps.
 
     The sweeps run over ``keys``, and ``source`` labels keys and witnesses.
-    The tables are read on demand through the readers ``product(a, b)``,
-    ``coproduct(k)``, ``counit(k)`` and ``antipode(k)``: R's view reads its
-    tables converted once, and H's view the cached tables of H's int copy, or
-    of H itself when H is not integral.  Every entry, and the unit, is held at
-    one ``scale`` D as :meth:`Field.to_ints` holds it (D = 1 for H), and over
-    GF(p) sides are compared mod p.  A basis vector {k: 1} is not scaled.
-    A value a sweep computes is D^w times its field value, w (its weight)
-    being the number of table entries in each of its terms, and
+    The tables are mappings: ``products`` keyed by key pairs, ``coproducts``,
+    ``counit`` and ``antipodes`` keyed by keys.  R's view passes dicts
+    converted once on every key, and H's view tables that read each entry on
+    first use from the cached tables of H's int copy, or of H itself when H
+    is not integral.  Every entry, and the unit, is held at one ``scale`` D
+    as :meth:`Field.to_ints` holds it (D = 1 for H), except on an H that is
+    not integral, whose entries are H's own exact Fractions at scale 1, not
+    ints; over GF(p) sides are compared mod p.  A basis vector {k: 1} is not
+    scaled.  A value a sweep computes is D^w times its field value, w (its
+    weight) being the number of table entries in each of its terms, and
     :meth:`agree` compares two sides of an axiom through their weights.
     Only a failing side goes back to field scalars, to be formatted with the
     source's labels and witnesses.  :attr:`WeakBialgebra.integer_view` and
-    ``OreAlgebra.integer_view`` pass the readers.
+    ``OreAlgebra.integer_view`` pass the tables.
     """
 
-    def __init__(self, source, keys, scale, unit, product, coproduct, counit, antipode):
+    def __init__(self, source, keys, scale, unit, products, coproducts, counit, antipodes):
         super().__init__(source.field, keys, unit)
         self._source = source
         self.scale, self.modulus = scale, self.field.p
         self.zero, self.one = 0, 1
-        self.product, self.coproduct = product, coproduct
-        self.counit, self.antipode = counit, antipode
+        self._products, self._coproducts = products, coproducts
+        self._counit, self._antipodes = counit, antipodes
+
+    def product(self, a, b):
+        return self._products[a, b]
+
+    def coproduct(self, k):
+        return self._coproducts[k]
+
+    def counit(self, k):
+        return self._counit[k]
+
+    def antipode(self, k):
+        return self._antipodes[k]
 
     def label(self, k):
         return self._source.label(k)
@@ -609,12 +623,9 @@ class WeakBialgebra(BasisView):
                 [self.unit, self.counit_vector, *(self.product(a, b) for a, b in pairs),
                  *map(self.coproduct, keys), *(self.antipode(k) for k in anti)])
             n, dim = len(pairs), len(keys)
-            products = dict(zip(pairs, tables))
             self._integer_view = IntegerView(
-                self, keys, D, unit, lambda a, b: products[a, b],
-                dict(zip(keys, tables[n:])).__getitem__,
-                {k: counit.get(k, 0) for k in keys}.__getitem__,
-                dict(zip(anti, tables[n + dim:])).__getitem__)
+                self, keys, D, unit, dict(zip(pairs, tables)), dict(zip(keys, tables[n:])),
+                {k: counit.get(k, 0) for k in keys}, dict(zip(anti, tables[n + dim:])))
         return self._integer_view
 
     def swept(self, sweep, *args) -> AxiomReport:

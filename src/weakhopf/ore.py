@@ -50,6 +50,19 @@ from .report import AxiomReport
 PRODUCT_TABLE_LIMIT = 20_000
 
 
+class _OnDemand(dict):
+    """A table of H's integer view: each missing entry is read once from
+    ``read(key)`` and kept, so every later read is a plain dict lookup."""
+
+    def __init__(self, read):
+        super().__init__()
+        self._read = read
+
+    def __missing__(self, key):
+        value = self[key] = self._read(key)
+        return value
+
+
 class OreAlgebra(BasisView):
     """R[x; sigma, delta] over the monomial keys (b, n), meaning b_b x^n,
     optionally carrying the extended coproduct/antipode.
@@ -229,12 +242,13 @@ class OreAlgebra(BasisView):
 
     def integer_view(self, B: int) -> IntegerView:
         """H at degree bound B for the shared sweeps: its sweep keys are the
-        monomials of degree <= B, degree-major, and every read goes to the cached
-        tables of :meth:`_integers`, each entry computed on first use, at scale 1:
-        ints on the int copy, H's own exact field scalars otherwise."""
+        monomials of degree <= B, degree-major, and each entry it reads is read
+        once, on first use, from the cached tables of :meth:`_integers`, at
+        scale 1: ints on the int copy, H's own exact field scalars otherwise."""
         Z = self._integers()
-        return IntegerView(self, self.monomials(B), 1, Z.unit, Z.product, Z.coproduct,
-                           Z.counit, Z.antipode)
+        return IntegerView(self, self.monomials(B), 1, Z.unit,
+                           _OnDemand(lambda ab: Z.product(*ab)), _OnDemand(Z.coproduct),
+                           _OnDemand(Z.counit), _OnDemand(Z.antipode))
 
     def _integers(self):
         """The source the integer view reads, chosen once and kept: when R's

@@ -270,14 +270,24 @@ def _sweep_shared(H, view):
 @pytest.mark.parametrize("degree", range(4))
 @pytest.mark.parametrize("name", ORE_CASES)
 def test_integer_view_of_h_matches_monomial_view(name, degree):
+    """Every shared sweep agrees on H's integer view and on H's own monomial view, and
+    reads only products that ore.refuse_large_degree counts: left factors of degree
+    <= max(2D, D + 1), right factors of degree <= D.  Beyond them the source computes
+    only the products of left degree <= 1 that build the antipodes S(x) S(b x^(n-1))
+    and the coproducts Delta(b) X^n, n <= 2D, whose right factors reach degree 2D."""
     H = ORE_CASES[name]()
     ints = H.integer_view(degree)
+    reads, product = set(), ints.product
+    ints.product = lambda a, b: reads.add((a, b)) or product(a, b)
     view = ORE_CASES[name]()  # a fresh H, no cache shared, swept over the same monomials
     view.keys = ints.keys
     assert type(ints) is IntegerView
     failures, counts = _summary(_sweep_shared(H, ints))
     assert (failures, counts) == _summary(_sweep_shared(H, view))
     assert bool(failures) == (name.startswith("forced") and degree > 0)
+    top = max(2 * degree, degree + 1)
+    assert reads and all(a[1] <= top and b[1] <= degree for a, b in reads)
+    assert all(a[1] <= 1 and b[1] <= 2 * degree for a, b in H._integers()._products.keys() - reads)
     if degree and name in ("section5-Z2-n2", "forced-section5-delta"):
         assert ints.scale == 1  # sigma's -35/6 and -6/35 are read as H's own Fractions
 

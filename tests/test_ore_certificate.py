@@ -63,16 +63,26 @@ def _all_sweeps(H, degree):
 
 
 def _integer_views(monkeypatch):
-    """The list of every H.integer_view built from now on, in order."""
+    """The list of every H.integer_view built from now on, in order; each view's
+    ``reads`` is the set of monomial pairs (a, b) the sweeps read through its
+    ``product(a, b)``."""
     views, integer_view = [], OreAlgebra.integer_view
-    monkeypatch.setattr(OreAlgebra, "integer_view",
-                        lambda self, *args: views.append(integer_view(self, *args)) or views[-1])
+
+    def recording(self, *args):
+        view = integer_view(self, *args)
+        view.reads, product = set(), view.product
+        view.product = lambda a, b: view.reads.add((a, b)) or product(a, b)
+        views.append(view)
+        return view
+    monkeypatch.setattr(OreAlgebra, "integer_view", recording)
     return views
 
 
-def _cached_products(H):
-    """The products cached by the source of H's integer view (``H._integers()``)."""
-    return H._integers()._products
+def _assert_reads_within(view, left, right, dim):
+    """The sweeps read products only with a left factor of degree <= left and a right
+    factor of degree <= right, at most (left + 1)(right + 1) dim^2 of them."""
+    assert all(a[1] <= left and b[1] <= right for a, b in view.reads)
+    assert len(view.reads) <= (left + 1) * (right + 1) * dim ** 2
 
 
 def _counit_kills_delta(H):
@@ -113,16 +123,16 @@ def _assert_full_report(report, full, premises, degree):
 
 
 @pytest.mark.parametrize("name", ORE_CASES)
-def test_certified_verdict_agrees_with_the_pair_sweep(name):
+def test_certified_verdict_agrees_with_the_pair_sweep(monkeypatch, name):
     """At every degree bound D <= 6 the guard admits, verify_extension's report equals
     the one with every axiom swept on H's monomials, and a certified axiom's scope reads
     "all degrees" exactly where its premises hold: on every case but the two forced
     section-5 data, whose sweep of Delta(ab) fails from D = 1, except the x-sandwich
-    of the one with g perturbed, whose delta still has eps(a delta(b)) = 0.  Every
-    other case has an antipode; where all three are certified, the source of H's integer
-    view computes only products with left factors of degree <= D (the antipode
-    axioms), at most (D + 1)^2 dim^2 of them.  Where that source is H itself, its
-    cache also holds the products of the generator clauses, of degree <= 1."""
+    of the one with g perturbed, whose delta still has eps(a delta(b)) = 0.  Every case
+    has an antipode; where all three are certified, the sweeps read from H's integer
+    view only products of left and right degree <= D (the antipode axioms), at most
+    (D + 1)^2 dim^2 of them."""
+    views = _integer_views(monkeypatch)
     H = ORE_CASES[name]()
     premises = _premises(H, verify_extension(H, 0))
     forced = name.startswith("forced-section5")
@@ -135,11 +145,12 @@ def test_certified_verdict_agrees_with_the_pair_sweep(name):
         except TooLarge:
             break
         degrees.append(degree)
+        views.clear()
         report = verify_extension(H, degree)
         if all(premises.values()):
-            top = degree if H._integers() is not H else max(degree, 1)
-            assert max(a[1] for a, _ in _cached_products(H)) <= top
-            assert len(_cached_products(H)) <= (top + 1) ** 2 * H.R.dim ** 2
+            (ints,) = views
+            assert H.antipode_extended and ints.reads
+            _assert_reads_within(ints, degree, degree, H.R.dim)
         full = _all_sweeps(ORE_CASES[name](), degree)
         _assert_full_report(report, full, premises, degree)
         assert axiom_passed(full, MULTIPLICATIVE) == (not forced or degree == 0)
@@ -306,9 +317,10 @@ def _coalgebra_only():
 def test_a_certified_datum_builds_and_sweeps_nothing_above_what_runs(monkeypatch, build):
     """With all three certificates, no weak counit or x-sandwich sweep reads H's integer
     view, and its source computes no coproduct above degree D.  With an antipode, whose
-    axioms read left factors up to degree D, it computes products of left degree
-    reaching D, at most (D + 1)^2 dim^2 of them; without one, only the products of
-    left degree <= 1 that build the skew powers X^n = X X^(n-1) of the coproducts."""
+    axioms read left factors up to degree D, the sweeps read products of left degree
+    reaching D, at most (D + 1)^2 dim^2 of them; without one they read no product,
+    and the source computes only the products of left degree <= 1 that build the skew
+    powers X^n = X X^(n-1) of the coproducts."""
     degree, H = 3, build()
     views, counit_views, sandwiches = _integer_views(monkeypatch), [], []
     counit_sweep = ore.sweep_counit_weak_multiplicative
@@ -317,15 +329,15 @@ def test_a_certified_datum_builds_and_sweeps_nothing_above_what_runs(monkeypatch
     monkeypatch.setattr(ore, "_sweep_x_sandwich", lambda view, report: sandwiches.append(view))
     report = verify_extension(H, degree)
     assert all(report.scope(axiom) == "all degrees" for axiom in CERTIFIED)
-    assert len(views) == 1
+    (ints,) = views
     assert counit_views == [H.R.integer_view] and not sandwiches
     assert max(n for _, n in H._integers()._coproducts) == degree
-    left = max(a[1] for a, _ in _cached_products(H))
     if H.antipode_extended:
-        assert left == degree
-        assert len(_cached_products(H)) <= (degree + 1) ** 2 * H.R.dim ** 2
+        assert max(a[1] for a, _ in ints.reads) == degree
+        _assert_reads_within(ints, degree, degree, H.R.dim)
     else:
-        assert left == 1
+        assert not ints.reads
+        assert max(a[1] for a, _ in H._integers()._products) == 1
 
 
 @pytest.mark.parametrize("degree", [0, 2])
@@ -333,15 +345,16 @@ def test_a_failing_p6_keeps_the_counit_sweeps_on_h(monkeypatch, degree):
     """Sweedler's data pass every premise; with (P6) read as failed through its seam,
     the residual ``ore.counit_delta_residual``, neither the x-sandwich nor weak counit
     multiplicativity is certified, whatever (P1)-(P5) say: both are swept on H to
-    degree <= D, they reach products of left degree 2D (max(2D, D + 1) at D = 0), and
+    degree <= D, they read products of left degree 2D (max(2D, D + 1) at D = 0), and
     the report equals the all-sweeps report."""
+    views = _integer_views(monkeypatch)
     monkeypatch.setattr(ore, "counit_delta_residual", lambda R: lambda x: [(0, 0)])
-    H = ORE_CASES["sweedler"]()
-    report = verify_extension(H, degree)
+    report = verify_extension(ORE_CASES["sweedler"](), degree)
     for axiom in (WEAK, SANDWICH):
         assert report.scope(axiom) == f"degree <= {degree}"
     assert report.scope(MULTIPLICATIVE) == "all degrees"
-    assert max(a[1] for a, _ in _cached_products(H)) == max(2 * degree, degree + 1)
+    (ints,) = views
+    assert max(a[1] for a, _ in ints.reads) == max(2 * degree, degree + 1)
     full = _all_sweeps(ORE_CASES["sweedler"](), degree)
     assert report.lines() == full.lines() and report.failures() == full.failures()
 
