@@ -16,14 +16,14 @@ degree-0 coefficient, and the antipode is the anti-homomorphism with
 S(x) = -S(g) x.  :func:`verify_extension` runs the same weak-bialgebra axiom
 sweeps on H as bialgebra.py runs on R, on the integer view of H at the
 degree bound (:meth:`OreAlgebra.integer_view`), except for the axioms it
-decides in every degree from checks on R; the view reads each table entry
-on demand, so only what the sweeps that run read is ever computed.  One
-recursion builds the x-powers, products, skew powers, coproducts and
-antipodes: on field scalars for H itself, which the element API and the
-degree <= 1 generator clauses use, and, when every table it reads is
-integral (always over GF(p)), on ints for the integer view, from R's
-integer view and sigma, delta, g and S(x) as ints.  On any other datum the
-integer view reads H's own exact field tables.
+decides in every degree from checks on R.  H keeps its x-powers, products,
+skew powers, coproducts and antipodes in one table each, which builds an
+entry on its first read; the view reads those very tables, so each entry is
+computed once, and only if a sweep that runs reads it.  The tables hold
+field scalars on H itself, which the element API and the degree <= 1
+generator clauses use, and, when every table they read is integral (always
+over GF(p)), ints on H's int copy, built from R's integer view and sigma,
+delta, g and S(x) as ints; the view reads the int copy's tables then.
 """
 
 from __future__ import annotations
@@ -40,26 +40,27 @@ from .linalg import Matrix
 from .panov import HOPF, SUFFICIENT, PanovClauses, counit_delta_residual, panov_sufficient
 from .report import AxiomReport
 
-# The most monomial products the sweeps of H may read at a degree bound B,
-# (L + 1)(B + 1) dim^2 with L = max(2B, B + 1): left factors of degree <= 2B
-# for f m in eps(f m h) and B + 1 for eps((a x) h), right factors of degree
-# <= B; S(x) of degree 1 keeps the antipode sweep inside them.  Sweedler's
-# algebra (dim 2) is admitted up to B = 49, where B = 24 (4,900 products) took
-# 0.62 s (median of 5, Python 3.11.7 on a shared 2-core Intel Xeon), and
-# section-5 M_2(QZ_2) (dim 8) up to B = 11.
+# The most monomial products H's tables hold after the sweeps at degree bound B,
+# ((L + 1)(B + 1) + 2 max(B, 1)) dim^2 with L = max(2B, B + 1): left factors of
+# degree <= L (f m in eps(f m h), eps((a x) h)) times right ones of degree <= B,
+# where S(x) of degree 1 keeps the antipode sweep, and left degree <= 1 times
+# right degree <= max(2B, 1) for the coproducts Delta(b) X^n and the generator
+# clauses.  Sweedler's algebra (dim 2) is admitted up to B = 48, where sweeping
+# every axiom took 4.5 s (0.34 s at B = 24; medians of 3 and 5, Python 3.11.7 on
+# a shared 2-core Intel Xeon), and section-5 M_2(QZ_2) (dim 8) up to B = 11.
 PRODUCT_TABLE_LIMIT = 20_000
 
 
 class _OnDemand(dict):
-    """A table of H's integer view: each missing entry is read once from
-    ``read(key)`` and kept, so every later read is a plain dict lookup."""
+    """A table of H, read by its methods, its recursion and its integer view: each
+    missing entry is built once by ``build(key)`` and kept, then a dict lookup."""
 
-    def __init__(self, read):
+    def __init__(self, build):
         super().__init__()
-        self._read = read
+        self._build = build
 
     def __missing__(self, key):
-        value = self[key] = self._read(key)
+        value = self[key] = self._build(key)
         return value
 
 
@@ -68,8 +69,8 @@ class OreAlgebra(BasisView):
     optionally carrying the extended coproduct/antipode.
 
     Its own ``keys`` are the degree-0 monomials; :meth:`integer_view` takes
-    the degree bound the sweeps run to.  Products, coproducts and antipodes
-    of monomials are computed on first use and cached on the algebra.  The
+    the degree bound the sweeps run to.  Each table of monomial entries is
+    one :class:`_OnDemand`, which its integer view reads too.  The
     antipode is extended exactly when S(x), an element of H, is given as
     ``s_x``; it must be homogeneous of degree 1 in x, as (-S(g)) x is, and
     any other s_x raises ValidationError, since S(b x^n) = S(x)^n S(b) then
@@ -95,26 +96,25 @@ class OreAlgebra(BasisView):
         self._tabulate(R, sigma.column_dicts(), delta.column_dicts(), g, s_x)
 
     def _tabulate(self, r, sigma_cols, delta_cols, g, s_x):
-        """Point the recursion at its scalar tables, with empty caches.
+        """Point the recursion at the basis view ``r`` of R and start H's tables empty.
 
-        ``r`` is a basis view of R: R itself, or its integer view at scale 1,
-        over GF(p) residues.  The columns of sigma and delta, g and S(x)
-        (kept as ``_s_x``) hold scalars of the same kind.  Over residues
-        every cached entry is kept as :meth:`Field.reduce` keeps it
-        (``modulus`` set).  Each recursive table grows by a left factor of
-        degree 1: x, the skew element or S(x).
+        ``r`` is R itself, or its integer view at scale 1, over GF(p)
+        residues; the columns of sigma and delta, g and S(x) (kept as
+        ``_s_x``) hold scalars of the same kind.  Each recursive table grows
+        by a left factor of degree 1: x, the skew element or S(x).
         """
         super().__init__(r.field, self.monomials(0), self.embed(r.unit))
         self.zero, self.one, self.modulus = r.zero, r.one, r.modulus
         self._r, self._sigma_cols, self._delta_cols, self._g = r, sigma_cols, delta_cols, g
         self._s_x = s_x
-        self._x_table = {}
-        self._skew_powers = {}
-        self._products, self._coproducts, self._antipodes = {}, {}, {}
+        self._x_table = _OnDemand(self._x_row)
+        self._products = _OnDemand(lambda ab: self._keep(self.mono_mul(*ab[0], *ab[1])))
+        self._skew_powers = _OnDemand(self._skew_power)
+        self._coproducts = _OnDemand(self._coproduct)
+        self._antipodes = _OnDemand(self._antipode)
 
     def _keep(self, d):
-        """d as the caches keep it: as :meth:`Field.reduce` keeps it on residue
-        tables (``modulus`` set), else as it is."""
+        """d as the tables keep it: reduced by :meth:`Field.reduce` if ``modulus`` is set."""
         return self.field.reduce(d) if self.modulus else d
 
     # -- basic structure ------------------------------------------------
@@ -139,41 +139,37 @@ class OreAlgebra(BasisView):
         return {(b, n): c for b, c in a.items()}
 
     def x_power_times(self, i: int, u: int) -> dict:
-        """x^i b_u, from a table kept for the algebra's lifetime.
+        """x^i b_u, row i of the x-power table."""
+        return self._x_table[i, u]
 
-        Row 0 is b_u and row 1 is delta(b_u) + sigma(b_u) x; row i > 1 is
-        x_times(row i-1), so x_times runs once per entry (i, u).
-        """
-        hit = self._x_table.get((i, u))
-        if hit is None:
-            if i > 1:
-                hit = self.x_times(self.x_power_times(i - 1, u))
-            elif i:
-                hit = self.embed(self._delta_cols[u]) | self.monomial(self._sigma_cols[u], 1)
-            else:
-                hit = {(u, 0): self.one}
-            hit = self._x_table[(i, u)] = self._keep(hit)
-        return hit
+    def _x_row(self, key):
+        """Row 0 is b_u and row 1 is delta(b_u) + sigma(b_u) x; row i > 1 is
+        x_times(row i-1), so x_times runs once per entry (i, u)."""
+        i, u = key
+        if i > 1:
+            row = self.x_times(self._x_table[i - 1, u])
+        elif i:
+            row = self.embed(self._delta_cols[u]) | self.monomial(self._sigma_cols[u], 1)
+        else:
+            row = {(u, 0): self.one}
+        return self._keep(row)
 
     def x_times(self, p: dict) -> dict:
         """Left multiplication by x in normal form, term by term from row 1 of the table."""
-        zero, out = self.zero, {}
+        zero, rows, out = self.zero, self._x_table, {}
         for (b, n), c in p.items():
-            for (r, m), x in self.x_power_times(1, b).items():
+            for (r, m), x in rows[1, b].items():
                 key = (r, m + n)
                 out[key] = out.get(key, zero) + c * x
         return _nonzero(out)
 
     def product(self, a, b):
-        hit = self._products.get((a, b))
-        if hit is None:
-            hit = self._products[(a, b)] = self._keep(self.mono_mul(*a, *b))
-        return hit
+        return self._products[a, b]
 
     def mono_mul(self, r: int, i: int, u: int, j: int) -> dict:
-        """(b_r x^i)(b_u x^j) = b_r (x^i b_u) x^j; :meth:`product` caches it."""
+        """(b_r x^i)(b_u x^j) = b_r (x^i b_u) x^j, built once into the product table."""
         zero, product, out = self.zero, self._r.product, {}
-        for (b, n), c in self.x_power_times(i, u).items():
+        for (b, n), c in self._x_table[i, u].items():
             for k, x in product(r, b).items():
                 key = (k, n + j)
                 out[key] = out.get(key, zero) + c * x
@@ -184,31 +180,29 @@ class OreAlgebra(BasisView):
     def skew_power_tensor(self, n: int) -> dict:
         """(g (x) x + x (x) 1)^n in H (x) H; n = 1 is the skew element itself,
         and the left factor of each further power."""
+        return self._skew_powers[n]
+
+    def _skew_power(self, n):
         if self.g is None:
             raise ValidationError("no weak group-like g attached to this Ore algebra")
-        hit = self._skew_powers.get(n)
-        if hit is None:
-            if n == 0:
-                hit = self.pure(self.unit, self.unit)
-            elif n == 1:
-                g, x = self.embed(self._g), self.x()
-                hit = self.add(self.pure(g, x), self.pure(x, self.unit))
-            else:
-                hit = self.tensor_mul(self.skew_power_tensor(1), self.skew_power_tensor(n - 1))
-            hit = self._skew_powers[n] = self._keep(hit)
-        return hit
+        if n == 0:
+            power = self.pure(self.unit, self.unit)
+        elif n == 1:
+            g, x = self.embed(self._g), self.x()
+            power = self.add(self.pure(g, x), self.pure(x, self.unit))
+        else:
+            power = self.tensor_mul(self._skew_powers[1], self._skew_powers[n - 1])
+        return self._keep(power)
 
     def coproduct(self, k):
-        """Delta(b_b x^n) = Delta(b_b) (g (x) x + x (x) 1)^n in H (x) H, cached."""
-        hit = self._coproducts.get(k)
-        if hit is None:
-            if not self._coalgebra_extended:
-                raise ValidationError("coalgebra structure not extended; "
-                                      "call extend_coalgebra first")
-            b, n = k
-            d = _degree_zero(self._r.coproduct(b))
-            hit = self._coproducts[k] = self._keep(self.tensor_mul(d, self.skew_power_tensor(n)))
-        return hit
+        """Delta(b_b x^n) = Delta(b_b) (g (x) x + x (x) 1)^n in H (x) H."""
+        return self._coproducts[k]
+
+    def _coproduct(self, k):
+        if not self._coalgebra_extended:
+            raise ValidationError("coalgebra structure not extended; call extend_coalgebra first")
+        b, n = k
+        return self._keep(self.tensor_mul(_degree_zero(self._r.coproduct(b)), self._skew_powers[n]))
 
     def counit(self, k):
         b, n = k
@@ -217,19 +211,17 @@ class OreAlgebra(BasisView):
     # -- extended antipode ----------------------------------------------
 
     def antipode(self, k):
-        """S(b_b x^n) = S(x) S(b_b x^(n-1)) for n >= 1 and S(b_b) for n = 0, cached;
+        """S(b_b x^n) = S(x) S(b_b x^(n-1)) for n >= 1 and S(b_b) for n = 0;
         S is the unital anti-homomorphism, so this is S(x)^n S(b_b)."""
-        hit = self._antipodes.get(k)
-        if hit is None:
-            if self._s_x is None:
-                raise ValidationError("antipode not extended; call extend_antipode first")
-            b, n = k
-            if n:
-                hit = self.multiply(self._s_x, self.antipode((b, n - 1)))
-            else:
-                hit = self.embed(self._r.antipode(b))
-            hit = self._antipodes[k] = self._keep(hit)
-        return hit
+        return self._antipodes[k]
+
+    def _antipode(self, k):
+        if self._s_x is None:
+            raise ValidationError("antipode not extended; call extend_antipode first")
+        b, n = k
+        if n:
+            return self._keep(self.multiply(self._s_x, self._antipodes[b, n - 1]))
+        return self._keep(self.embed(self._r.antipode(b)))
 
     # -- labels and the integer view -------------------------------------
 
@@ -241,14 +233,12 @@ class OreAlgebra(BasisView):
         return tuple(i for k in keys for i in k)
 
     def integer_view(self, B: int) -> IntegerView:
-        """H at degree bound B for the shared sweeps: its sweep keys are the
-        monomials of degree <= B, degree-major, and each entry it reads is read
-        once, on first use, from the cached tables of :meth:`_integers`, at
-        scale 1: ints on the int copy, H's own exact field scalars otherwise."""
+        """H at degree bound B for the shared sweeps, over the monomials of degree
+        <= B, degree-major: it reads the very product, coproduct and antipode tables
+        of :meth:`_integers` at scale 1, ints on the int copy, else H's Fractions."""
         Z = self._integers()
-        return IntegerView(self, self.monomials(B), 1, Z.unit,
-                           _OnDemand(lambda ab: Z.product(*ab)), _OnDemand(Z.coproduct),
-                           _OnDemand(Z.counit), _OnDemand(Z.antipode))
+        return IntegerView(self, self.monomials(B), 1, Z.unit, Z._products, Z._coproducts,
+                           _OnDemand(Z.counit), Z._antipodes)
 
     def _integers(self):
         """The source the integer view reads, chosen once and kept: when R's
@@ -326,12 +316,12 @@ def extend_antipode(H: OreAlgebra) -> OreAlgebra:
 def refuse_large_degree(R: WeakBialgebra, degree_bound: int):
     """Raise ValidationError on a negative degree bound, which would sweep
     nothing, and TooLarge when the sweeps of verify_extension at this degree
-    bound over R may read more than PRODUCT_TABLE_LIMIT monomial products,
-    (L + 1)(B + 1) dim^2 with L = max(2B, B + 1)."""
+    bound over R may leave more than PRODUCT_TABLE_LIMIT monomial products in
+    H's tables, ((L + 1)(B + 1) + 2 max(B, 1)) dim^2 with L = max(2B, B + 1)."""
     B = degree_bound
     if B < 0:
         raise ValidationError(f"degree bound must be nonnegative, got {B}")
-    products = (max(2 * B, B + 1) + 1) * (B + 1) * R.dim ** 2
+    products = ((max(2 * B, B + 1) + 1) * (B + 1) + 2 * max(B, 1)) * R.dim ** 2
     if products > PRODUCT_TABLE_LIMIT:
         raise TooLarge(f"degree bound {B} over dim {R.dim} needs {products} "
                        f"monomial products, more than {PRODUCT_TABLE_LIMIT}")

@@ -32,7 +32,9 @@ from weakhopf.fields import Field
 from weakhopf.fixtures import sweedler_data, twisted_derivation_data
 from weakhopf.groupoid import GroupPresentation, build_groupoid_algebra
 from weakhopf.linalg import Matrix
-from weakhopf.ore import extend_antipode, make_ore, verify_extension
+from weakhopf import ore
+from weakhopf.errors import TooLarge
+from weakhopf.ore import extend_antipode, make_ore, refuse_large_degree, verify_extension
 from weakhopf.report import AxiomReport
 from weakhopf.specfile import parse_spec
 
@@ -312,6 +314,32 @@ def test_integer_view_of_h_matches_field_tables(name, degree):
     for read, field_read, key in reads:
         entry, expected = read(*key), field_read(*key)
         assert ints.field_side(entry, 1) == expected if integral else entry is expected
+
+
+@pytest.mark.parametrize("degree", range(5))
+@pytest.mark.parametrize("name", ORE_CASES)
+def test_verify_extension_leaves_only_the_products_the_guard_counts(monkeypatch, name, degree):
+    """After verify_extension at degree bound D, the product tables of H and of its
+    int copy hold only products refuse_large_degree counts: left degree <= L =
+    max(2D, D + 1) times right degree <= D, or left degree <= 1 times right degree
+    <= max(2D, 1) (the coproducts Delta(b) X^n, and the generator clauses on H), and
+    no more than the guard's count ((L + 1)(D + 1) + 2 max(D, 1)) dim^2, which is
+    pinned by the guard admitting it and refusing one less.  The integer view reads
+    the int copy's own table, not a second cache of it."""
+    H = ORE_CASES[name]()
+    verify_extension(H, degree)
+    top, right = max(2 * degree, degree + 1), max(2 * degree, 1)
+    count = ((top + 1) * (degree + 1) + 2 * max(degree, 1)) * H.R.dim ** 2
+    monkeypatch.setattr(ore, "PRODUCT_TABLE_LIMIT", count)
+    refuse_large_degree(H.R, degree)
+    monkeypatch.setattr(ore, "PRODUCT_TABLE_LIMIT", count - 1)
+    with pytest.raises(TooLarge):
+        refuse_large_degree(H.R, degree)
+    for table in (H._products, H._integers()._products):
+        assert all(a[1] <= top and (b[1] <= degree or a[1] <= 1 and b[1] <= right)
+                   for a, b in table)
+        assert len(table) <= count
+    assert H.integer_view(degree)._products is H._integers()._products
 
 
 @pytest.mark.parametrize("name", ORE_CASES)

@@ -1,17 +1,20 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from weakhopf.bialgebra import WeakBialgebra, base_subalgebras
 from weakhopf.cli import main
-from weakhopf.errors import ConditionsFailed, NotAutomorphism, NotDerivation, ValidationError
+from weakhopf.errors import (ConditionsFailed, NotAutomorphism, NotDerivation, TooLarge,
+                             ValidationError)
 from weakhopf.fields import QQ
 from weakhopf.fixtures import twisted_derivation_data
 from weakhopf.groupoid import GroupPresentation
 from weakhopf.linalg import Matrix, solve
-from weakhopf.ore import OreAlgebra, extend_antipode, extend_coalgebra, make_ore, verify_extension
+from weakhopf.ore import (OreAlgebra, extend_antipode, extend_coalgebra, make_ore,
+                          refuse_large_degree, verify_extension)
 
 from lemmas import (ad_map, axiom_names, axiom_passed, basis_element, expand_skew_power, identity,
                     is_skew_primitive, skew_primitive_identity_report)
@@ -143,6 +146,29 @@ def test_verify_extension_builds_each_x_power_once(monkeypatch, request, name, d
         assert max(i for i, _ in H._x_table) <= 1
         assert max(n for (_, i), (_, j) in H._products for n in (i, j)) <= 1
         assert max(n for _, n in H._coproducts) <= 1
+
+
+def test_deepest_tables_build_at_the_guards_edge(sweedler):
+    """Every missing table entry adds a __missing__ and a builder frame per degree.
+    At B = 48, the largest degree bound the guard admits on Sweedler's algebra, the
+    deepest chains the sweeps can reach, x^(2B) b_1, S(b_1 x^B) and
+    Delta(b_1 x^(2B)), build on H and on its int copy, each from empty tables,
+    under the default recursion limit of 1000."""
+    B = 48
+    refuse_large_degree(sweedler.R, B)
+    with pytest.raises(TooLarge):
+        refuse_large_degree(sweedler.R, B + 1)
+    H = extend_antipode(make_ore(sweedler.R, sweedler.sigma, sweedler.delta, sweedler.g))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for source in (H, H._integers()):
+            assert source.x_power_times(2 * B, 1)
+            assert source.antipode((1, B))
+            assert source.coproduct((1, 2 * B))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert H._integers() is not H
 
 
 def test_multiplication_associative(sweedler_H, s5_H, s5_m2qz2):

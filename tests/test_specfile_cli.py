@@ -581,20 +581,21 @@ def test_prime_guard_refuses_before_the_primality_test():
 
 
 def test_degree_guard_refuses_before_any_monomial_table(count_calls):
-    """Sweedler and M_2(QZ_2) are admitted up to B = 49 and 11, past the 8 and 6 the
-    tests and the benchmark use; past them `ore build` exits 2 before x^i b_u is built."""
+    """Sweedler and M_2(QZ_2) are admitted up to B = 48 and 11, past the 8 and 6 the
+    tests and the benchmark use; past them `ore build` exits 2 before the builders of
+    H's tables compute one row x^i b_u or one monomial product."""
     from weakhopf.errors import TooLarge
     from weakhopf.ore import refuse_large_degree
     m2qz2 = build_groupoid_algebra(GroupPresentation.cyclic(2), 2)
-    for R, degree in ((sweedler_data().R, 49), (m2qz2, 11)):
+    for R, degree in ((sweedler_data().R, 48), (m2qz2, 11)):
         refuse_large_degree(R, degree)
         with pytest.raises(TooLarge):
             refuse_large_degree(R, degree + 1)
-    calls = count_calls("OreAlgebra.x_power_times")
+    calls = count_calls("OreAlgebra.mono_mul", "OreAlgebra._x_row")
     with contextlib.redirect_stderr(io.StringIO()):
         assert main(["ore", "build", str(_data_path("sweedler-data.json")), "--verify-degree",
                      "50"]) == 2
-    assert calls["OreAlgebra.x_power_times"] == 0
+    assert calls["OreAlgebra.mono_mul"] == calls["OreAlgebra._x_row"] == 0
 
 
 def test_verify_extension_refuses_negative_degree_bound():
