@@ -36,7 +36,10 @@ The sweeps of R (:func:`algebra_report`, :func:`coalgebra_report`,
 constants on every basis key and key pair, read once into
 :attr:`WeakBialgebra.integer_view`, and each sweep's report is kept on R
 (:meth:`WeakBialgebra.swept`), so validating R and every later reader
-share one run.  The Ore layer's ``verify_extension`` reads
+share one run.  Associativity, and Delta(ab) = Delta(a) Delta(b) on an
+associative R, are decided on the left factors of a generating set of R
+(:func:`_decided`) and swept over the others only where that sweep fails.
+The Ore layer's ``verify_extension`` reads
 H = R[x; sigma, delta] over the monomials of degree <= B through
 ``OreAlgebra.integer_view``, whose every read goes to H's cached tables,
 so only the entries the sweeps that run read are computed.
@@ -47,7 +50,7 @@ from __future__ import annotations
 
 from .errors import (AxiomFailure, CounitFails, DimensionMismatch, NotAssociative,
                      NotCoassociative, UnitFails, ValidationError)
-from .linalg import Matrix, column_space_basis
+from .linalg import Matrix, column_space_basis, generating_keys, pivot_columns
 from .report import AxiomReport
 
 DIM_LIMIT = 128  # the largest dim of a spec file or M_n(kG): R is validated on dim^3 triples
@@ -374,8 +377,9 @@ def sweep_unital(view, report):
         _check(report, "unital", mul(bk, unit), bk, view, (k, "right"), (2, 0), fmt)
 
 
-def sweep_associative(view, report):
-    """(ab)c = a(bc) on all key triples, both sides summed from the structure constants.
+def sweep_associative(view, report, lefts=None):
+    """(ab)c = a(bc) on the key triples with a in ``lefts`` (default every sweep key),
+    both sides summed from the structure constants.
 
     Both sides of a row (a, b, .) are one dict keyed (c, r), summed from the
     nonzero products b_a b_c tabled once per sweep, and compared at once; a
@@ -383,7 +387,7 @@ def sweep_associative(view, report):
     """
     zero, keys, agree, fmt = view.zero, view.keys, view.agree, view.formatter(1)
     rows = {a: {c: p.items() for c in keys if (p := view.product(a, c))} for a in keys}
-    for a in keys:
+    for a in keys if lefts is None else lefts:
         row_a = rows[a]
         for b in keys:
             lhs, rhs = {}, {}
@@ -404,10 +408,11 @@ def sweep_associative(view, report):
                        (a, b, c), (2, 2), fmt)
 
 
-def sweep_coproduct_multiplicative(view, report):
-    """Delta(ab) = Delta(a) Delta(b) on all pairs of sweep keys."""
+def sweep_coproduct_multiplicative(view, report, lefts=None):
+    """Delta(ab) = Delta(a) Delta(b) on the key pairs with a in ``lefts`` (default every
+    sweep key)."""
     fmt = view.formatter(2)
-    for a in view.keys:
+    for a in view.keys if lefts is None else lefts:
         da = view.coproduct(a)
         for b in view.keys:
             lhs = view.comultiply(view.product(a, b))
@@ -436,30 +441,47 @@ def sweep_counit_weak_multiplicative(view, report):
     """eps(fmh) = eps(f m_1) eps(m_2 h) = eps(f m_2) eps(m_1 h) on all key triples.
 
     For fixed (f, m) all three sides are rows over h, summed from the cached
-    rows eps(a .) instead of one scalar sum per triple, and compared at once;
-    a row that differs is checked again h by h.
+    rows eps(a .) instead of one scalar sum per triple.  Each side is a
+    combination of the rows eps(k .) of the keys k in the products f m and in
+    the legs of Delta(m), so it lies in their span V, as does its difference
+    to another side, the lighter one lifted by a power of D; and the projection
+    of V onto its pivot columns J (:func:`linalg.pivot_columns`) is injective.
+    So two sides agree exactly where their entries on J do: they are summed and
+    compared on J only, and a row that differs there is summed again in full
+    and checked h by h.
     """
-    zero, keys, row, eps, agree = view.zero, view.keys, view.eps_row, view.eps_pair, view.agree
-    axiom, weights = "counit_weak_multiplicative", (3, 5)
+    zero, keys, row, agree = view.zero, view.keys, view.eps_row, view.agree
+    axiom, weights, passes = "counit_weak_multiplicative", (3, 5), 0
+
+    def sides(f, m, rows):
+        lhs, rhs1, rhs2 = {}, {}, {}
+        for k, c in view.product(f, m).items():
+            _axpy(lhs, c, rows(k), zero)
+        eps_f = row(f)  # eps(f i), zeros dropped
+        for (i, j), c in view.coproduct(m).items():
+            if e := eps_f.get(i):
+                _axpy(rhs1, c * e, rows(j), zero)
+            if e := eps_f.get(j):
+                _axpy(rhs2, c * e, rows(i), zero)
+        return lhs, rhs1, rhs2
+
+    read = {k for f in keys for m in keys for k in view.product(f, m)}
+    read.update(k for m in keys for pair in view.coproduct(m) for k in pair)
+    J = pivot_columns(map(row, read), keys, view.field)
+    projected = {k: {h: x for h, x in row(k).items() if h in J} for k in read}
     for f in keys:
         for m in keys:
-            lhs, rhs1, rhs2 = {}, {}, {}
-            for k, c in view.product(f, m).items():
-                _axpy(lhs, c, row(k), zero)
-            for (i, j), c in view.coproduct(m).items():
-                e = eps(f, i)
-                if e:
-                    _axpy(rhs1, c * e, row(j), zero)
-                e = eps(f, j)
-                if e:
-                    _axpy(rhs2, c * e, row(i), zero)
+            lhs, rhs1, rhs2 = sides(f, m, projected.__getitem__)
             if agree(lhs, rhs1, weights) and (rhs2 == rhs1 or agree(lhs, rhs2, weights)):
-                report.record_passes(axiom, 2 * len(keys))
+                passes += 2 * len(keys)
                 continue
+            lhs, rhs1, rhs2 = sides(f, m, row)
             for h in keys:
                 value = lhs.get(h, zero)
                 _check(report, axiom, value, rhs1.get(h, zero), view, (f, m, h), weights)
                 _check(report, axiom, value, rhs2.get(h, zero), view, (f, m, h), weights)
+    if passes:
+        report.record_passes(axiom, passes)
 
 
 def sweep_unit_compatibility(view, report):
@@ -476,8 +498,9 @@ def sweep_unit_compatibility(view, report):
     zero, one, unit, mul, product = view.zero, view.one, view.unit, view.multiply, view.product
     d1 = view.delta_one()
     lhs = view.comultiply_leg(d1, 0)
-    times_unit = {k: mul({k: one}, unit) for pair in d1 for k in pair}
-    unit_times = {k: mul(unit, {k: one}) for pair in d1 for k in pair}
+    legs = {k for pair in d1 for k in pair}
+    times_unit = {k: mul({k: one}, unit) for k in legs}
+    unit_times = {k: mul(unit, {k: one}) for k in legs}
 
     def outer(leg, images):
         """{m: sum x images[o]} over the terms x of Delta(1) whose leg ``leg`` is m,
@@ -567,6 +590,7 @@ class WeakBialgebra(BasisView):
         self._counital_matrices = None
         self._base_subalgebras = None
         self._integer_view = None
+        self._generators = None
         self._sweeps = {}
         if not validate:
             return
@@ -627,6 +651,14 @@ class WeakBialgebra(BasisView):
                 self, keys, D, unit, dict(zip(pairs, tables)), dict(zip(keys, tables[n:])),
                 {k: counit.get(k, 0) for k in keys}, dict(zip(anti, tables[n + dim:])))
         return self._integer_view
+
+    @property
+    def generators(self) -> tuple:
+        """The greedy generating keys S of R (:func:`linalg.generating_keys`), found
+        once on :attr:`integer_view`."""
+        if self._generators is None:
+            self._generators = generating_keys(self.dim, self.integer_view.product, self.field)
+        return self._generators
 
     def swept(self, sweep, *args) -> AxiomReport:
         """The report of ``sweep(self.integer_view, report, *args)``, run on first use and
@@ -708,40 +740,83 @@ class WeakHopfAlgebra(WeakBialgebra):
         return self.antipode_matrix.column_dicts()[k]
 
 
-def _merged(wb, *sweeps):
-    """A new report holding R's kept reports (:meth:`WeakBialgebra.swept`) of the
-    sweeps, each given as (sweep, *args), in order."""
+def _merged(*reports):
+    """A new report holding the reports, in order."""
     report = AxiomReport()
-    for sweep, *args in sweeps:
-        report.merge(wb.swept(sweep, *args))
+    for other in reports:
+        report.merge(other)
+    return report
+
+
+def _decided(wb, sweep, axiom, checks):
+    """R's report of ``sweep`` over every left key, as a new report of its ``checks``
+    checks of ``axiom``, decided on the left keys S = :attr:`WeakBialgebra.generators`
+    when S is not every key.
+
+    ``sweep(view, report, lefts)`` checks the axiom at the tuples whose first key is
+    in ``lefts``.  Where it passes on S, the lemma below says the axiom holds at
+    every tuple, and the report records its ``checks`` passes; otherwise the sweep
+    over the other keys runs too, and the report holds both runs, as the sweep over
+    every key would.  Each lemma shows that the left factors at which the axiom
+    holds for all other arguments form a subspace closed under products, so one
+    that holds S holds every right-nested word s_1 (s_2 (... s_k)) over S, and
+    these span R (:func:`linalg.generating_keys`).
+
+    L1 (associativity).  If s and t are in N = {a : (ab)c = a(bc) for all b, c},
+    then (st)b = s(tb), so ((st)b)c = (s(tb))c = s((tb)c) = s(t(bc)) = (st)(bc).
+
+    L2 (Delta(ab) = Delta(a) Delta(b), on an associative R).  If s and t are in
+    M = {a : Delta(ab) = Delta(a) Delta(b) for all b}, then
+    Delta((st)b) = Delta(s(tb)) = Delta(s) Delta(t) Delta(b) = Delta(st) Delta(b),
+    R (x) R being associative with R.
+    """
+    S = wb.generators
+    if len(S) == wb.dim:
+        return _merged(wb.swept(sweep))
+    head = wb.swept(sweep, S)
+    if not head.passed:
+        return _merged(head, wb.swept(sweep, tuple(k for k in wb.keys if k not in S)))
+    report = AxiomReport()
+    report.record_passes(axiom, checks)
     return report
 
 
 def algebra_report(wb: WeakBialgebra) -> AxiomReport:
-    """Exhaustive unit and associativity checks of R."""
-    return _merged(wb, (sweep_unital,), (sweep_associative,))
+    """Exhaustive unit and associativity checks of R, associativity decided on S (L1)."""
+    return _merged(wb.swept(sweep_unital),
+                   _decided(wb, sweep_associative, "associative", wb.dim ** 3))
 
 
 def coalgebra_report(wb: WeakBialgebra) -> AxiomReport:
     """Exhaustive coassociativity and counit checks of R."""
-    return _merged(wb, (sweep_coassociative, "coassociative"), (sweep_counit_neutral, "left"),
-                   (sweep_counit_neutral, "right"))
+    return _merged(wb.swept(sweep_coassociative, "coassociative"),
+                   wb.swept(sweep_counit_neutral, "left"), wb.swept(sweep_counit_neutral, "right"))
+
+
+def coproduct_multiplicative_report(wb: WeakBialgebra) -> AxiomReport:
+    """Delta(ab) = Delta(a) Delta(b) on all basis pairs of R, as a new report: decided on
+    S (L2 of :func:`_decided`) when R is associative, else swept over every pair."""
+    if _decided(wb, sweep_associative, "associative", wb.dim ** 3).passed:
+        return _decided(wb, sweep_coproduct_multiplicative, "coproduct_multiplicative",
+                        wb.dim ** 2)
+    return _merged(wb.swept(sweep_coproduct_multiplicative))
 
 
 def check_weak_bialgebra(wb: WeakBialgebra) -> AxiomReport:
     """Exhaustive weak-bialgebra axiom sweep.
 
-    Checks comultiplication multiplicativity on all basis pairs, the unit
-    coproduct compatibility identity, and weak multiplicativity of the
-    counit on all basis triples (both bracketings).
+    Checks comultiplication multiplicativity on all basis pairs
+    (:func:`coproduct_multiplicative_report`), the unit coproduct
+    compatibility identity, and weak multiplicativity of the counit on all
+    basis triples (both bracketings).
     """
-    return _merged(wb, (sweep_coproduct_multiplicative,), (sweep_unit_compatibility,),
-                   (sweep_counit_weak_multiplicative,))
+    return _merged(coproduct_multiplicative_report(wb), wb.swept(sweep_unit_compatibility),
+                   wb.swept(sweep_counit_weak_multiplicative))
 
 
 def check_antipode(wha: WeakHopfAlgebra) -> AxiomReport:
     """Check the three antipode axioms on every basis element."""
-    return _merged(wha, (sweep_antipode,))
+    return _merged(wha.swept(sweep_antipode))
 
 
 def base_subalgebras(wb: WeakBialgebra):

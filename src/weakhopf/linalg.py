@@ -30,6 +30,9 @@ of the kernel vectors, or the solution column of :func:`solve`.
 The reduced row echelon form is unique, whatever the order of the
 elimination, so kernel bases and solutions are exactly those of
 elimination in field arithmetic, and reproducible for a fixed input.
+The same row-at-a-time step (:func:`_insert`) finds the pivot columns of a
+row space (:func:`pivot_columns`) and a greedy generating set of an algebra
+(:func:`generating_keys`), the two certificates of R's sweeps.
 """
 
 from __future__ import annotations
@@ -118,20 +121,40 @@ def _rref(rows, ncols, field):
     in 1..p-1.  The input rows are not modified, and the returned rows must
     not be.
 
-    The rows are eliminated one at a time, in order: :func:`_reduce` clears
-    a copy of each of the pivot columns found so far, and a nonzero
-    remainder becomes a new pivot at its smallest column, scaled to a
-    positive pivot entry with gcd 1 over QQ and to pivot entry 1 over GF(p).
-    Once every column holds a pivot, the rows still to come reduce to zero
-    and are not read.  Then each pivot row is cleared of the pivot columns
-    above its own, from the highest pivot column down, so it only meets
-    rows that are already reduced, and divided by its content again.
+    The rows are eliminated one at a time, in order, by :func:`_insert`:
+    :func:`_reduce` clears a copy of each of the pivot columns found so far,
+    and a nonzero remainder becomes a new pivot at its smallest column,
+    scaled to a positive pivot entry with gcd 1 over QQ and to pivot entry 1
+    over GF(p).  Once every column holds a pivot, the rows still to come
+    reduce to zero and are not read.  Then each pivot row is cleared of the
+    pivot columns above its own, from the highest pivot column down, so it
+    only meets rows that are already reduced, and divided by its content
+    again.
     """
     prime = field.p
     pivots = {}  # pivot column -> its row, which holds no smaller column
+    _insert(rows, pivots, prime, ncols)
+    for col in sorted(pivots, reverse=True):
+        work = pivots[col]
+        held = [c for c in work if c != col and c in pivots]
+        if held:
+            _reduce(work, held, pivots, prime)
+            if prime is None:
+                _divide_content(work)
+    return [(pivots[col], col) for col in sorted(pivots)]
+
+
+def _insert(rows, pivots, prime, ncols):
+    """Reduce a copy of each int row of rows, in order, against pivots (column ->
+    row, as in :func:`_rref` before back-substitution), and keep a nonzero
+    remainder as the pivot at its smallest column, scaled as there; once pivots
+    holds ncols columns, the rows still to come are not read.  Returns the
+    remainder of the last row read: empty when it lies in the span of the
+    pivot rows."""
+    work = {}
     for row in rows:
         if len(pivots) == ncols:
-            break
+            return {}
         work = dict(row)
         _reduce(work, [c for c in work if c in pivots], pivots, prime)
         if work:
@@ -143,14 +166,7 @@ def _rref(rows, ncols, field):
                 for c in work:
                     work[c] = work[c] * inverse % prime
             pivots[col] = work
-    for col in sorted(pivots, reverse=True):
-        work = pivots[col]
-        held = [c for c in work if c != col and c in pivots]
-        if held:
-            _reduce(work, held, pivots, prime)
-            if prime is None:
-                _divide_content(work)
-    return [(pivots[col], col) for col in sorted(pivots)]
+    return work
 
 
 def _reduce(work, heap, pivots, prime):
@@ -323,3 +339,57 @@ def column_space_basis(m: Matrix):
     """The pivot columns of m, as vectors (deterministic image basis)."""
     cols = m.column_dicts()
     return [dict(cols[col]) for _, col in _pivots(m)]
+
+
+def pivot_columns(rows, columns, field) -> set:
+    """The pivot columns of the row space V of rows, as a set of column keys.
+
+    rows are dicts column -> scalar, as :meth:`Field.to_ints` takes them (field
+    scalars or ints at one scale), and columns lists every column they use, in
+    the order that ranks them.  A vector of V is determined by its entries at
+    these columns: V has an echelon basis whose rows lead at the distinct pivot
+    columns, and in a combination of them the row of smallest pivot column with
+    a nonzero coefficient is the only one nonzero at that column.  So the
+    projection of V onto its pivot columns is injective.
+    """
+    index, pivots = {c: i for i, c in enumerate(columns)}, {}
+    _insert(({index[c]: x for c, x in row.items()} for row in field.to_ints(list(rows))[1]),
+            pivots, field.p, len(columns))
+    return {columns[col] for col in pivots}
+
+
+def generating_keys(n, product, field) -> tuple:
+    """A greedy generating set S of an algebra on the basis keys range(n), in order.
+
+    product(a, b) is b_a b_b as a dict key -> int, every entry at one nonzero
+    scale (residues mod p over GF(p)).  The keys are walked in order, and a key
+    joins S when its basis vector is not in the span W of the nonempty
+    right-nested words s_1 (s_2 (... s_k)) over S; W is then closed again under
+    left multiplication by S: the new key times every vector of W, and every
+    key of S times every vector the closure adds.  So W is always the smallest
+    subspace that holds S and is closed under left multiplication by S, and as
+    every key's basis vector lies in W when the walk has passed it, W is the
+    whole algebra at the end.  The walk stops as soon as it is.
+    """
+    prime, pivots, basis, S = field.p, {}, [], []
+
+    def times(s, v):  # b_s v
+        out = {}
+        for j, c in v.items():
+            for r, x in product(s, j).items():
+                out[r] = out.get(r, 0) + c * x
+        return field.reduce(out)
+
+    for k in range(n):
+        row = _insert([{k: 1}], pivots, prime, n)
+        if not row:
+            continue
+        S.append(k)
+        todo = [times(k, w) for w in basis]
+        basis.append(row)
+        todo += [times(s, row) for s in S]
+        while todo:
+            if v := _insert([todo.pop()], pivots, prime, n):
+                basis.append(v)
+                todo += [times(s, v) for s in S]
+    return tuple(S)

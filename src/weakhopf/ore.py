@@ -31,9 +31,10 @@ from __future__ import annotations
 import copy
 
 from .bialgebra import (BasisView, IntegerView, WeakBialgebra, WeakHopfAlgebra, _check,
-                        _nonzero, algebra_report, base_subalgebras, sweep_antipode,
-                        sweep_coassociative, sweep_coproduct_multiplicative, sweep_counit_neutral,
-                        sweep_counit_weak_multiplicative, sweep_unit_compatibility)
+                        _nonzero, algebra_report, base_subalgebras, coproduct_multiplicative_report,
+                        sweep_antipode, sweep_coassociative, sweep_coproduct_multiplicative,
+                        sweep_counit_neutral, sweep_counit_weak_multiplicative,
+                        sweep_unit_compatibility)
 from .coderivations import first_failure, skew_derivation
 from .errors import ConditionsFailed, NotAutomorphism, NotDerivation, TooLarge, ValidationError
 from .linalg import Matrix
@@ -355,7 +356,8 @@ def verify_extension(H: OreAlgebra, degree_bound: int = 3) -> AxiomReport:
     check on the same R, sigma and delta:
 
     (P1) ``algebra_report(R)`` passes: R is associative and unital;
-    (P2) ``sweep_coproduct_multiplicative`` passes on ``R.integer_view``:
+    (P2) ``coproduct_multiplicative_report(R)`` passes, R's sweep of
+         ``sweep_coproduct_multiplicative`` as ``check_weak_bialgebra`` decides it:
          Delta(ab) = Delta(a) Delta(b) for a, b in R;
     (P3) ``skew_derivation(R, sigma, delta)`` passes: sigma is a unital
          algebra automorphism and delta a sigma-derivation, so H is the Ore
@@ -513,13 +515,13 @@ def _certificates(H: OreAlgebra, clauses: AxiomReport) -> dict:
     under (P1)-(P6), the generator clauses (P4) read from ``clauses``."""
     R, decided = H.R, {}
 
-    def swept(sweep, axiom):
-        report = AxiomReport().merge(R.swept(sweep))
+    def certified(checks, axiom):
+        report = AxiomReport().merge(checks)
         report.mark_all_degrees(axiom)
         return report
 
-    decided["coproduct_unit_compatibility"] = swept(sweep_unit_compatibility,
-                                                    "coproduct_unit_compatibility")
+    decided["coproduct_unit_compatibility"] = certified(R.swept(sweep_unit_compatibility),
+                                                        "coproduct_unit_compatibility")
     orthogonal = first_failure(counit_delta_residual(R), H.delta) is None  # (P6)
     if orthogonal:
         sandwich = decided["counit_kills_x_sandwich"] = AxiomReport()
@@ -527,12 +529,12 @@ def _certificates(H: OreAlgebra, clauses: AxiomReport) -> dict:
         sandwich.mark_all_degrees("counit_kills_x_sandwich")
     if not clauses.passed or not algebra_report(R).passed:  # (P4), (P1)
         return decided
-    multiplicative = swept(sweep_coproduct_multiplicative, "coproduct_multiplicative")
+    multiplicative = certified(coproduct_multiplicative_report(R), "coproduct_multiplicative")
     if not multiplicative.passed or not _ore_data_valid(H):  # (P2), (P3)
         return decided
     decided["coproduct_multiplicative"] = multiplicative
     if orthogonal:
-        counit = swept(sweep_counit_weak_multiplicative, "counit_weak_multiplicative")
+        counit = certified(R.swept(sweep_counit_weak_multiplicative), "counit_weak_multiplicative")
         if counit.passed:  # (P5)
             decided["counit_weak_multiplicative"] = counit
     return decided

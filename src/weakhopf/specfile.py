@@ -34,28 +34,48 @@ class SpecBundle:
         return isinstance(self.wb, WeakHopfAlgebra)
 
 
-def _parse_scalar(field, value, where):
-    try:
-        return field.parse(value)
-    except ParseError as exc:
-        raise ParseError(str(exc), where) from exc
+class _Scalars:
+    """The scalar reader of one :func:`parse_spec` call over ``field``.
+
+    Each distinct string scalar is parsed once and kept for the rest of the call;
+    the memo is keyed by str values only, so a JSON true, which is no str (and
+    equal to 1), still reaches :meth:`Field.parse` and is refused.  The location
+    of an error, ``where`` or ``where[pos]``, is formatted only when one is raised.
+    """
+
+    def __init__(self, field):
+        self.field, self._memo = field, {}
+
+    def read(self, value, where, pos=None):
+        hit = self._memo.get(value) if type(value) is str else None
+        if hit is None:
+            try:
+                hit = self.field.parse(value)
+            except ParseError as exc:
+                raise ParseError(str(exc), where if pos is None else f"{where}[{pos}]") from exc
+            if type(value) is str:
+                self._memo[value] = hit
+        return hit
 
 
-def _parse_vector(field, values, dim, where):
+def _parse_vector(scalars, values, dim, where):
     if not isinstance(values, list) or len(values) != dim:
         raise ParseError(f"expected a dense list of {dim} scalars", where)
-    scalars = [_parse_scalar(field, v, f"{where}[{i}]") for i, v in enumerate(values)]
-    return {i: c for i, c in enumerate(scalars) if c}
+    read, out = scalars.read, {}
+    for i, v in enumerate(values):
+        if c := read(v, where, i):
+            out[i] = c
+    return out
 
 
-def _parse_matrix(field, columns, dim, where):
+def _parse_matrix(scalars, columns, dim, where):
     if not isinstance(columns, list) or len(columns) != dim:
         raise ParseError(f"expected {dim} columns", where)
-    cols = [_parse_vector(field, col, dim, f"{where}[{j}]") for j, col in enumerate(columns)]
-    return Matrix.from_columns(field, dim, cols)
+    cols = [_parse_vector(scalars, col, dim, f"{where}[{j}]") for j, col in enumerate(columns)]
+    return Matrix.from_columns(scalars.field, dim, cols)
 
 
-def _parse_triples(field, rows, dim, where):
+def _parse_triples(scalars, rows, dim, where):
     out = []
     if not isinstance(rows, list):
         raise ParseError("expected a list of [i, j, k, scalar] rows", where)
@@ -66,7 +86,7 @@ def _parse_triples(field, rows, dim, where):
         for idx in (i, j, k):
             if type(idx) is not int or not 0 <= idx < dim:
                 raise ParseError(f"index {idx} out of range", f"{where}[{pos}]")
-        out.append((i, j, k, _parse_scalar(field, c, f"{where}[{pos}]")))
+        out.append((i, j, k, scalars.read(c, where, pos)))
     return out
 
 
@@ -117,19 +137,20 @@ def parse_spec(source, validate=True) -> SpecBundle:
     if len(set(basis)) != dim:
         raise ParseError("basis labels must be distinct", "basis")
 
+    scalars = _Scalars(field)
     mult = {}
-    for (i, j, k, c) in _parse_triples(field, doc["mult"], dim, "mult"):
+    for (i, j, k, c) in _parse_triples(scalars, doc["mult"], dim, "mult"):
         vec = mult.setdefault((i, j), {})
-        vec[k] = vec.get(k, field.zero()) + c
-    unit = _parse_vector(field, doc["unit"], dim, "unit")
+        vec[k] = vec[k] + c if k in vec else c
+    unit = _parse_vector(scalars, doc["unit"], dim, "unit")
     comult = {}
-    for (i, j, k, c) in _parse_triples(field, doc["comult"], dim, "comult"):
+    for (i, j, k, c) in _parse_triples(scalars, doc["comult"], dim, "comult"):
         slot = comult.setdefault(k, {})
-        slot[(i, j)] = slot.get((i, j), field.zero()) + c
-    counit = _parse_vector(field, doc["counit"], dim, "counit")
+        slot[i, j] = slot[i, j] + c if (i, j) in slot else c
+    counit = _parse_vector(scalars, doc["counit"], dim, "counit")
     antipode = None
     if "antipode" in doc:
-        antipode = _parse_matrix(field, doc["antipode"], dim, "antipode")
+        antipode = _parse_matrix(scalars, doc["antipode"], dim, "antipode")
 
     def named(section, parser):
         out = {}
@@ -137,7 +158,7 @@ def parse_spec(source, validate=True) -> SpecBundle:
         if not isinstance(d, dict):
             raise ParseError("expected a name -> value object", section)
         for name, value in d.items():
-            out[name] = parser(field, value, dim, f"{section}.{name}")
+            out[name] = parser(scalars, value, dim, f"{section}.{name}")
         return out
 
     sections = {"elements": named("elements", _parse_vector),

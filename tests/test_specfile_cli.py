@@ -10,7 +10,7 @@ import pytest
 from weakhopf.cli import main
 from weakhopf.bialgebra import DIM_LIMIT
 from weakhopf.errors import NotAssociative, ParseError, TooLarge
-from weakhopf.fields import PRIME_LIMIT, Field, is_prime
+from weakhopf.fields import GF, PRIME_LIMIT, Field, is_prime
 from weakhopf.fixtures import sweedler_data
 from weakhopf.groupoid import GroupPresentation, build_groupoid_algebra, group_algebra
 from weakhopf.linalg import Matrix
@@ -557,6 +557,30 @@ def test_parse_error_precedes_axiom_failure_in_every_command(tmp_path, capsys, b
 def test_example_groupoid_takes_symmetric_and_trivial_groups(capsys, group, n, dim):
     assert main(["example", "groupoid", group, n]) == 0
     assert json.loads(capsys.readouterr().out)["dim"] == dim
+
+
+@pytest.mark.parametrize("change, error", [
+    ({"unit": [1, True]}, "bad rational scalar True (at unit[1])"),
+    ({"counit": ["x", "x"]}, "bad rational scalar 'x' (at counit[0])"),
+    ({"mult": [[0, 0, 0, "1"], [0, 1, 1, "1/0"]]}, "bad rational scalar '1/0' (at mult[1])"),
+])
+def test_a_scalar_read_before_keeps_its_error_and_location(change, error):
+    """parse_spec reads each distinct string scalar once per call, and every error keeps
+    its message and location: a JSON true after 1 (equal to it, and of equal hash) is
+    refused at its own slot, and a bad string at its first slot."""
+    with pytest.raises(ParseError) as raised:
+        parse_spec(_sweedler_doc() | change)
+    assert str(raised.value) == error
+
+
+def test_scalars_are_read_afresh_by_each_parse():
+    """The same strings parse to QQ scalars in one call and to GF(3) ones in the next."""
+    doc = _sweedler_doc()
+    qq, gf3 = parse_spec(doc), parse_spec(doc | {"field": {"kind": "prime", "p": 3}},
+                                          validate=False)
+    assert {type(c) for c in qq.maps["sigma"].data.values()} == {Fraction}
+    assert {type(c) for c in gf3.maps["sigma"].data.values()} == {GF(3)}
+    assert gf3.maps["sigma"] == Matrix(Field.prime(3), 2, 2, {(0, 0): 1, (1, 1): -1})
 
 
 def test_spec_dim_guard_refuses_before_any_row(count_calls):
