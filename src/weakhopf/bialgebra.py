@@ -140,11 +140,12 @@ class BasisView:
 
     Every table entry is ``scale`` (D) times its field value, and values are
     compared mod ``modulus`` when it is set; both are trivial here and are
-    set by :class:`IntegerView`.
+    set by :class:`IntegerView`, as is ``ints``, true when the entries are ints.
     """
 
     scale = 1
     modulus = None
+    ints = False
 
     def __init__(self, field, keys, unit):
         self.field = field
@@ -221,6 +222,12 @@ class BasisView:
                 key = (i, a, b) if leg else (a, b, j)
                 out[key] = out.get(key, zero) + c * e
         return _nonzero(out)
+
+    def product_rows(self):
+        """{a: {c: the items of b_a b_c}} for every sweep key a, over the sweep keys c
+        with a nonzero product."""
+        keys = self.keys
+        return {a: {c: p.items() for c in keys if (p := self.product(a, c))} for a in keys}
 
     def delta_one(self):
         if self._delta_one is None:
@@ -318,22 +325,31 @@ class IntegerView(BasisView):
     is not integral.  Every entry, and the unit, is held at one ``scale`` D
     as :meth:`Field.to_ints` holds it (D = 1 for H), except on an H that is
     not integral, whose entries are H's own exact Fractions at scale 1, not
-    ints; over GF(p) sides are compared mod p.  A basis vector {k: 1} is not
-    scaled.  A value a sweep computes is D^w times its field value, w (its
-    weight) being the number of table entries in each of its terms, and
+    ints (``ints`` is then false); over GF(p) sides are compared mod p.  A
+    basis vector {k: 1} is not scaled.  A value a sweep computes is D^w times
+    its field value, w (its weight) being the number of table entries in each
+    of its terms, and
     :meth:`agree` compares two sides of an axiom through their weights.
     Only a failing side goes back to field scalars, to be formatted with the
     source's labels and witnesses.  :attr:`WeakBialgebra.integer_view` and
-    ``OreAlgebra.integer_view`` pass the tables.
+    ``OreAlgebra.integer_view`` pass the tables.  :meth:`product_rows` is
+    tabled once per view, for every sweep that reads it.
     """
 
-    def __init__(self, source, keys, scale, unit, products, coproducts, counit, antipodes):
+    def __init__(self, source, keys, scale, unit, products, coproducts, counit, antipodes,
+                 ints=True):
         super().__init__(source.field, keys, unit)
         self._source = source
-        self.scale, self.modulus = scale, self.field.p
+        self.scale, self.modulus, self.ints = scale, self.field.p, ints
         self.zero, self.one = 0, 1
         self._products, self._coproducts = products, coproducts
         self._counit, self._antipodes = counit, antipodes
+        self._product_rows = None
+
+    def product_rows(self):
+        if self._product_rows is None:
+            self._product_rows = super().product_rows()
+        return self._product_rows
 
     def product(self, a, b):
         return self._products[a, b]
@@ -382,11 +398,12 @@ def sweep_associative(view, report, lefts=None):
     both sides summed from the structure constants.
 
     Both sides of a row (a, b, .) are one dict keyed (c, r), summed from the
-    nonzero products b_a b_c tabled once per sweep, and compared at once; a
-    row that differs is checked again c by c.
+    nonzero products b_a b_c (:meth:`BasisView.product_rows`, tabled once per
+    integer view, so the sweeps over S and over the other keys share it), and
+    compared at once; a row that differs is checked again c by c.
     """
     zero, keys, agree, fmt = view.zero, view.keys, view.agree, view.formatter(1)
-    rows = {a: {c: p.items() for c in keys if (p := view.product(a, c))} for a in keys}
+    rows = view.product_rows()
     for a in keys if lefts is None else lefts:
         row_a = rows[a]
         for b in keys:
@@ -448,7 +465,8 @@ def sweep_counit_weak_multiplicative(view, report):
     of V onto its pivot columns J (:func:`linalg.pivot_columns`) is injective.
     So two sides agree exactly where their entries on J do: they are summed and
     compared on J only, and a row that differs there is summed again in full
-    and checked h by h.
+    and checked h by h.  The rows go to :func:`linalg.pivot_columns` as they
+    are on a view of ints, and through :meth:`Field.to_ints` otherwise.
     """
     zero, keys, row, agree = view.zero, view.keys, view.eps_row, view.agree
     axiom, weights, passes = "counit_weak_multiplicative", (3, 5), 0
@@ -467,7 +485,10 @@ def sweep_counit_weak_multiplicative(view, report):
 
     read = {k for f in keys for m in keys for k in view.product(f, m)}
     read.update(k for m in keys for pair in view.coproduct(m) for k in pair)
-    J = pivot_columns(map(row, read), keys, view.field)
+    rows = [row(k) for k in read]
+    if not view.ints:
+        rows = view.field.to_ints(rows)[1]
+    J = pivot_columns(rows, keys, view.field)
     projected = {k: {h: x for h, x in row(k).items() if h in J} for k in read}
     for f in keys:
         for m in keys:
@@ -591,6 +612,7 @@ class WeakBialgebra(BasisView):
         self._base_subalgebras = None
         self._integer_view = None
         self._generators = None
+        self._cogenerators = None
         self._sweeps = {}
         if not validate:
             return
@@ -659,6 +681,21 @@ class WeakBialgebra(BasisView):
         if self._generators is None:
             self._generators = generating_keys(self.dim, self.integer_view.product, self.field)
         return self._generators
+
+    @property
+    def cogenerators(self) -> tuple:
+        """The greedy generating keys S* of the dual algebra R*, found once by
+        :func:`linalg.generating_keys` on the coproducts of :attr:`integer_view`
+        transposed: in the dual basis, phi_a phi_b is the sum of c phi_k over the
+        terms c b_a (x) b_b of every Delta(b_k)."""
+        if self._cogenerators is None:
+            products = {}
+            for k in self.keys:
+                for ab, c in self.integer_view.coproduct(k).items():
+                    products.setdefault(ab, {})[k] = c
+            self._cogenerators = generating_keys(
+                self.dim, lambda a, b: products.get((a, b), _EMPTY), self.field)
+        return self._cogenerators
 
     def swept(self, sweep, *args) -> AxiomReport:
         """The report of ``sweep(self.integer_view, report, *args)``, run on first use and

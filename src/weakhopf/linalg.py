@@ -21,7 +21,9 @@ closure :func:`linear_residual` makes from its column function.
 the one scale S the residual works at (see there), and keeps each distinct
 row once, in the order its key first appears; :func:`residual_kernel`
 eliminates them and re-checks every kernel vector with the residual on
-ints.  The :class:`Matrix` entry points (rank, kernel_basis, solve and
+ints, and :func:`certified_kernel` solves a system of only some of a
+residual's equations, its kernel kept only when every vector passes the
+whole residual.  The :class:`Matrix` entry points (rank, kernel_basis, solve and
 column_space_basis) read the pivots of one matrix by :func:`_pivots`,
 which converts its rows once, at entry, by :meth:`Field.to_ints`; solve
 eliminates the augmented matrix [m | b].  Only what a caller reads goes
@@ -32,7 +34,8 @@ elimination, so kernel bases and solutions are exactly those of
 elimination in field arithmetic, and reproducible for a fixed input.
 The same row-at-a-time step (:func:`_insert`) finds the pivot columns of a
 row space (:func:`pivot_columns`) and a greedy generating set of an algebra
-(:func:`generating_keys`), the two certificates of R's sweeps.
+(:func:`generating_keys`), the certificates of R's sweeps and, on the dual
+algebra R*, of the coderivation solve.
 """
 
 from __future__ import annotations
@@ -306,17 +309,41 @@ def kernel_basis(m: Matrix):
     return _kernel(_pivots(m), m.cols, m.field)
 
 
+def _checked_kernel(system: IntegerSystem, residual):
+    """(basis, defect): the null space of the system, in the convention of
+    :func:`kernel_basis`, and the smallest key at which residual is nonzero on
+    the first of its vectors, held as ints by :meth:`Field.to_ints`, that fails
+    residual, or None when every vector passes."""
+    field = system.field
+    basis = _kernel(_rref(system.equations, system.cols, field), system.cols, field)
+    for vec in basis:
+        if defect := residual(field.to_ints([vec])[1][0]):
+            return basis, min(defect)
+    return basis, None
+
+
 def residual_kernel(system: IntegerSystem, residual) -> list:
     """The null space of the system compiled from residual, in the convention of
     :func:`kernel_basis`, each vector re-checked by residual: held as ints by
     :meth:`Field.to_ints`, it must give no nonzero entry, and a vector that
     does raises ValidationError naming its smallest key."""
-    field = system.field
-    basis = _kernel(_rref(system.equations, system.cols, field), system.cols, field)
-    for vec in basis:
-        if defect := residual(field.to_ints([vec])[1][0]):
-            raise ValidationError(f"kernel vector fails its residual at {min(defect)}")
+    basis, defect = _checked_kernel(system, residual)
+    if defect is not None:
+        raise ValidationError(f"kernel vector fails its residual at {defect}")
     return basis
+
+
+def certified_kernel(system: IntegerSystem, residual) -> list | None:
+    """The null space of a system compiled from some of the equations
+    residual(X) = 0, when every vector of its basis passes residual, else None.
+
+    A system of fewer equations has a null space K' that holds the null space K
+    of all of them.  A basis of K' that passes residual lies in K, so K' = K:
+    the two systems have one reduced row echelon form, and the basis is the one
+    :func:`residual_kernel` gives for the system of every equation, vector for
+    vector."""
+    basis, defect = _checked_kernel(system, residual)
+    return basis if defect is None else None
 
 
 def solve(m: Matrix, b: dict) -> dict | None:
@@ -344,17 +371,22 @@ def column_space_basis(m: Matrix):
 def pivot_columns(rows, columns, field) -> set:
     """The pivot columns of the row space V of rows, as a set of column keys.
 
-    rows are dicts column -> scalar, as :meth:`Field.to_ints` takes them (field
-    scalars or ints at one scale), and columns lists every column they use, in
-    the order that ranks them.  A vector of V is determined by its entries at
+    rows are dicts column -> int, as the sweeps of an integer view sum them:
+    nonzero ints at one scale over QQ, read as they are, and ints read mod p
+    over GF(p), a multiple of p as 0; field rows go through
+    :meth:`Field.to_ints` first.  columns lists every column they use, in the
+    order that ranks them.  A vector of V is determined by its entries at
     these columns: V has an echelon basis whose rows lead at the distinct pivot
     columns, and in a combination of them the row of smallest pivot column with
     a nonzero coefficient is the only one nonzero at that column.  So the
     projection of V onto its pivot columns is injective.
     """
-    index, pivots = {c: i for i, c in enumerate(columns)}, {}
-    _insert(({index[c]: x for c, x in row.items()} for row in field.to_ints(list(rows))[1]),
-            pivots, field.p, len(columns))
+    index, pivots, p = {c: i for i, c in enumerate(columns)}, {}, field.p
+    if p is None:
+        rows = ({index[c]: x for c, x in row.items()} for row in rows)
+    else:
+        rows = ({index[c]: r for c, x in row.items() if (r := x % p)} for row in rows)
+    _insert(rows, pivots, p, len(columns))
     return {columns[col] for col in pivots}
 
 

@@ -239,7 +239,7 @@ class OreAlgebra(BasisView):
         of :meth:`_integers` at scale 1, ints on the int copy, else H's Fractions."""
         Z = self._integers()
         return IntegerView(self, self.monomials(B), 1, Z.unit, Z._products, Z._coproducts,
-                           _OnDemand(Z.counit), Z._antipodes)
+                           _OnDemand(Z.counit), Z._antipodes, ints=Z is not self)
 
     def _integers(self):
         """The source the integer view reads, chosen once and kept: when R's

@@ -13,8 +13,8 @@ from weakhopf.fields import Field, QQ
 from weakhopf.fixtures import twisted_derivation_data
 from weakhopf.groupoid import GroupPresentation, matrix_algebra
 from weakhopf.grouplike import is_unital_algebra_endo
-from weakhopf.linalg import Matrix, residual_kernel, solve
-from weakhopf.specfile import parse_spec
+from weakhopf.linalg import Matrix, certified_kernel, residual_kernel, solve
+from weakhopf.specfile import SpecBundle, emit_spec, parse_spec
 
 from lemmas import (axiom_names, axiom_passed, basis_element, counit_value, dihedral,
                     eps_delta_report, function_algebra, identity, inner_coderivation,
@@ -198,6 +198,82 @@ def test_constraint_kernel_against_dense_oracle(request, case):
     oracle = dense_nullspace(dense_rows(rows, n, wb.field), n, wb.field)
     space = coderivation_space(wb, g, h)
     assert space and [dense_unknowns(m) for m in space] == oracle
+
+
+def _compiled_rows(monkeypatch):
+    """The row count of every system coderivation_space compiles, in order."""
+    import weakhopf.coderivations
+    compile_system, rows = weakhopf.coderivations.coderivation_constraint_matrix, []
+
+    def counted(wb, residual):
+        system = compile_system(wb, residual)
+        rows.append(system.rows)
+        return system
+    monkeypatch.setattr(weakhopf.coderivations, "coderivation_constraint_matrix", counted)
+    return rows
+
+
+def _oracle_space(wb, g, h):
+    """The dense elimination of the reference rows in field scalars."""
+    rows = reference_coderivation_rows(wb, wb.left_mult_matrix(g), wb.left_mult_matrix(h))
+    n = wb.dim ** 2
+    return dense_nullspace(dense_rows(rows, n, wb.field), n, wb.field)
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(2), Field.prime(3)], ids=["QQ", "GF2", "GF3"])
+@pytest.mark.parametrize("group", [GroupPresentation.symmetric(3), dihedral(6)],
+                         ids=["S3", "D6"])
+def test_certified_space_on_functions_on_a_group_equals_the_dense_oracle(monkeypatch, group,
+                                                                         field):
+    """On k^G the (1,1)-coderivations are solved on the rows whose left leg is in S*,
+    3 of |G| keys: one system is compiled, smaller than the full one, its kernel
+    passes the full residual with no fallback, and its basis is the dense oracle's,
+    basis vector for basis vector, over QQ and over GF(2) and GF(3), p dividing |G|."""
+    wb = function_algebra(group, field)
+    lambda_1 = wb.left_mult_matrix(wb.unit)
+    full = coderivation_constraint_matrix(wb, coderivation_residual(wb, lambda_1, lambda_1))
+    rows = _compiled_rows(monkeypatch)
+    space = coderivation_space(wb, wb.unit, wb.unit)
+    assert len(wb.cogenerators) == 3 and len(rows) == 1 and rows[0] < full.rows
+    assert space and [dense_unknowns(m) for m in space] == _oracle_space(wb, wb.unit, wb.unit)
+
+
+def _falls_back(monkeypatch, wb, g, h):
+    """coderivation_space(wb, g, h), asserting that the kernel of the rows on S* is
+    strictly larger than the space, so the full system is compiled after them."""
+    lambda_g, lambda_h = wb.left_mult_matrix(g), wb.left_mult_matrix(h)
+    restricted = coderivation_residual(wb, lambda_g, lambda_h, wb.cogenerators)
+    wider = certified_kernel(coderivation_constraint_matrix(wb, restricted), restricted)
+    rows = _compiled_rows(monkeypatch)
+    space = coderivation_space(wb, g, h)
+    assert len(wb.cogenerators) < wb.dim and len(wider) > len(space)
+    assert len(rows) == 2 and rows[0] < rows[1]
+    return space
+
+
+def test_a_g_that_is_not_group_like_falls_back_to_the_full_system(monkeypatch):
+    """k^{Z_4} over GF(2) with g = e_0 + e_1 and h = 1: Delta(g a) is not
+    (g (x) g) Delta(a), L4 does not apply, and the rows on S* leave vectors the full
+    residual rejects; the full system is solved, and its basis is the oracle's."""
+    F2 = Field.prime(2)
+    wb = function_algebra(GroupPresentation.cyclic(4), F2)
+    g = {0: F2.one(), 1: F2.one()}
+    space = _falls_back(monkeypatch, wb, g, wb.unit)
+    assert [dense_unknowns(m) for m in space] == _oracle_space(wb, g, wb.unit)
+
+
+def test_a_perturbed_coproduct_falls_back_to_the_full_system(monkeypatch):
+    """k^{S_3} with the b_5 (x) b_0 coefficient of Delta(b_5) set to 2, parsed without
+    validation: R is not coassociative, the rows on S* leave a kernel one larger, and
+    the full system gives the oracle's basis."""
+    base = function_algebra(GroupPresentation.symmetric(3))
+    doc = emit_spec(SpecBundle(field=QQ, wb=base, name="kS3"))
+    doc["comult"] = [[i, j, k, "2" if (i, j, k) == (5, 0, 5) else c]
+                     for i, j, k, c in doc["comult"]]
+    wb = parse_spec(doc, validate=False).wb
+    assert wb.coproduct(5)[5, 0] == 2
+    space = _falls_back(monkeypatch, wb, wb.unit, wb.unit)
+    assert space and [dense_unknowns(m) for m in space] == _oracle_space(wb, wb.unit, wb.unit)
 
 
 def test_residual_kernel_raises_on_a_planted_wrong_residual(s5_m2qz2):

@@ -9,7 +9,9 @@ compares the rows of each (f, m) on the pivot columns J of the rows eps(k .) it
 reads (L3).  The lemmas are in the docstrings of ``bialgebra._decided`` and of
 the sweep.  Every decided report must equal the sweep over every key, failure
 for failure (axiom, witness, lhs, rhs) and count for count, and both
-certificates are checked against dense oracles in field scalars.
+certificates are checked against dense oracles in field scalars, as is the
+greedy generating set S* of the dual algebra R* (``WeakBialgebra.cogenerators``)
+that ``coderivations.coderivation_space`` solves on.
 """
 
 import random
@@ -25,7 +27,7 @@ from weakhopf.bialgebra import (WeakHopfAlgebra, algebra_report, coproduct_multi
                                 sweep_associative, sweep_coproduct_multiplicative,
                                 sweep_counit_weak_multiplicative, sweep_unital)
 from weakhopf.fields import Field
-from weakhopf.fixtures import sweedler_data
+from weakhopf.fixtures import sweedler_data, twisted_derivation_data
 from weakhopf.groupoid import GroupPresentation, build_groupoid_algebra, matrix_algebra
 from weakhopf.linalg import pivot_columns
 from weakhopf.report import AxiomReport
@@ -132,6 +134,20 @@ def test_a_product_moved_outside_s_fails_the_sweep_on_s(field):
     assert controls >= 6
 
 
+@pytest.mark.parametrize("field", [None, GF5], ids=["QQ", "GF5"])
+def test_both_associativity_sweeps_read_one_table_of_products(count_calls, field):
+    """On an R that is not associative the sweeps over S and over the other keys both
+    run, on one table of R's nonzero products, tabled once per integer view."""
+    base = build_groupoid_algebra(Z2, 3, field)
+    a = next(k for k in base.keys if k not in base.generators)
+    bad = _mult_moved(base, a, 0, 0, base.field.one())
+    calls = count_calls("BasisView.product_rows")
+    assert not algebra_report(bad).passed
+    assert [args for s, args in bad._sweeps if s is sweep_associative] == [
+        (bad.generators,), (tuple(k for k in bad.keys if k not in bad.generators),)]
+    assert calls["BasisView.product_rows"] == 1
+
+
 CLOSURE_CASES = {
     "M2(QZ2)": lambda: build_groupoid_algebra(Z2, 2),
     "M3(QZ2)": lambda: build_groupoid_algebra(Z2, 3),
@@ -159,6 +175,63 @@ def test_the_words_over_s_span_r_and_s_is_greedy(name):
         span = spans.get(before) or spans.setdefault(before, dense_word_span(wb, before))
         unit = [field.one() if i == k else field.zero() for i in range(dim)]
         assert (dense_rank([*span, unit], dim, field) > len(span)) == (k in S)
+
+
+class _Dual:
+    """R* in the dual basis phi_k, for the dense oracles: phi_a phi_b is the sum of
+    c phi_k over the terms c b_a (x) b_b of every Delta(b_k), in field scalars."""
+
+    def __init__(self, wb):
+        self.field, self.dim, self._wb = wb.field, wb.dim, wb
+
+    def multiply(self, u, v):
+        zero, out = self.field.zero(), {}
+        for k in self._wb.keys:
+            c = zero
+            for (a, b), x in self._wb.coproduct(k).items():
+                if a in u and b in v:
+                    c = c + u[a] * v[b] * x
+            if c:
+                out[k] = c
+        return out
+
+
+COGENERATOR_CASES = {
+    **CLOSURE_CASES,
+    "kD6": lambda: function_algebra(dihedral(6)),
+    "kD8-GF5": lambda: function_algebra(dihedral(8), GF5),
+    "kS3-GF3": lambda: function_algebra(S3, Field.prime(3)),
+    "kD4-GF5-0": lambda: _gf5_perturbed(function_algebra(dihedral(4), GF5), 0),
+}
+
+
+@pytest.mark.parametrize("name", COGENERATOR_CASES)
+def test_the_words_over_s_star_span_r_star_and_s_star_is_greedy(name):
+    """The right-nested words over S* span R*, whose product is R's coproduct
+    transposed (dense rank dim), and S* is the greedy set of R*, key by key."""
+    wb = COGENERATOR_CASES[name]()
+    dual, S, dim, field = _Dual(wb), wb.cogenerators, wb.dim, wb.field
+    assert len(dense_word_span(dual, S)) == dim
+    for k in wb.keys:
+        span = dense_word_span(dual, tuple(s for s in S if s < k))
+        unit = [field.one() if i == k else field.zero() for i in range(dim)]
+        assert (dense_rank([*span, unit], dim, field) > len(span)) == (k in S)
+
+
+@pytest.mark.parametrize("field", [None, GF5], ids=["QQ", "GF5"])
+@pytest.mark.parametrize("group", [dihedral(6), dihedral(8)], ids=["D6", "D8"])
+def test_s_star_has_three_keys_on_functions_on_a_dihedral_group(group, field):
+    """On k^G, R* is the group algebra kG, and on the dihedral groups of orders 12 and
+    16 S* is the first key, the identity, then r and s, which generate the group."""
+    assert function_algebra(group, field).cogenerators == (0, 1, group.order // 2)
+
+
+def test_s_star_is_every_key_on_a_groupoid_algebra():
+    """On section-5 M_2(kZ_4) every basis element is group-like, so R* is functions
+    on the arrows, spanned by orthogonal idempotents: S* is every key."""
+    data = twisted_derivation_data(GroupPresentation.cyclic(4), 2, rho=[1, 1, 1, 1],
+                                   q=[Fraction(3, 5), Fraction(-7, 2)])
+    assert data.R.cogenerators == tuple(data.R.keys)
 
 
 def _eps_rows(view):
@@ -193,11 +266,12 @@ PROJECTION_CASES = {
 def test_projection_onto_j_is_injective_on_the_rows_read(name):
     """The pivot columns J of the rows the weak counit sweep reads keep their dense
     rank: |J| = rank of the rows = rank of the rows cut to J, so a vector of their
-    span is zero when its entries on J are; on R and on H's monomials (forced data)."""
+    span is zero when its entries on J are; on R and on H's monomials (forced data).
+    The field rows go to pivot_columns held as ints by Field.to_ints."""
     view = PROJECTION_CASES[name]()
     rows, keys, field = _eps_rows(view), list(view.keys), view.field
-    J = pivot_columns([{h: x for h, x in zip(keys, row) if x} for row in rows.values()],
-                      keys, field)
+    J = pivot_columns(field.to_ints([{h: x for h, x in zip(keys, row) if x}
+                                     for row in rows.values()])[1], keys, field)
     full = list(rows.values())
     cut = [[x for h, x in zip(keys, row) if h in J] for row in full]
     assert len(J) == dense_rank(full, len(keys), field) == dense_rank(cut, len(J), field)
