@@ -235,7 +235,7 @@ class BasisView:
         return self._delta_one
 
     def eps_pair(self, a, b):
-        """eps(ab) for basis keys a, b (cached)."""
+        """eps(ab) for basis keys a, b (cached), a residue on a view with a ``modulus``."""
         hit = self._eps.get((a, b))
         if hit is None:
             hit = self.zero
@@ -243,11 +243,13 @@ class BasisView:
                 e = self.counit(k)
                 if e:
                     hit = hit + c * e
+            if self.modulus:
+                hit %= self.modulus
             self._eps[(a, b)] = hit
         return hit
 
     def eps_row(self, a):
-        """{h: eps(a h)} over the sweep keys h, zeros dropped (cached)."""
+        """{h: eps(a h)} over the sweep keys h, zeros (mod p over GF(p)) dropped (cached)."""
         hit = self._eps_rows.get(a)
         if hit is None:
             hit = {h: e for h in self.keys if (e := self.eps_pair(a, h))}
@@ -777,14 +779,6 @@ class WeakHopfAlgebra(WeakBialgebra):
         return self.antipode_matrix.column_dicts()[k]
 
 
-def _merged(*reports):
-    """A new report holding the reports, in order."""
-    report = AxiomReport()
-    for other in reports:
-        report.merge(other)
-    return report
-
-
 def _decided(wb, sweep, axiom, checks):
     """R's report of ``sweep`` over every left key, as a new report of its ``checks``
     checks of ``axiom``, decided on the left keys S = :attr:`WeakBialgebra.generators`
@@ -809,25 +803,24 @@ def _decided(wb, sweep, axiom, checks):
     """
     S = wb.generators
     if len(S) == wb.dim:
-        return _merged(wb.swept(sweep))
+        return AxiomReport().merge(wb.swept(sweep))
     head = wb.swept(sweep, S)
     if not head.passed:
-        return _merged(head, wb.swept(sweep, tuple(k for k in wb.keys if k not in S)))
-    report = AxiomReport()
-    report.record_passes(axiom, checks)
-    return report
+        return AxiomReport().merge(head, wb.swept(sweep, tuple(k for k in wb.keys if k not in S)))
+    return AxiomReport().record_passes(axiom, checks)
 
 
 def algebra_report(wb: WeakBialgebra) -> AxiomReport:
     """Exhaustive unit and associativity checks of R, associativity decided on S (L1)."""
-    return _merged(wb.swept(sweep_unital),
-                   _decided(wb, sweep_associative, "associative", wb.dim ** 3))
+    return AxiomReport().merge(wb.swept(sweep_unital),
+                               _decided(wb, sweep_associative, "associative", wb.dim ** 3))
 
 
 def coalgebra_report(wb: WeakBialgebra) -> AxiomReport:
     """Exhaustive coassociativity and counit checks of R."""
-    return _merged(wb.swept(sweep_coassociative, "coassociative"),
-                   wb.swept(sweep_counit_neutral, "left"), wb.swept(sweep_counit_neutral, "right"))
+    return AxiomReport().merge(wb.swept(sweep_coassociative, "coassociative"),
+                               wb.swept(sweep_counit_neutral, "left"),
+                               wb.swept(sweep_counit_neutral, "right"))
 
 
 def coproduct_multiplicative_report(wb: WeakBialgebra) -> AxiomReport:
@@ -836,7 +829,7 @@ def coproduct_multiplicative_report(wb: WeakBialgebra) -> AxiomReport:
     if _decided(wb, sweep_associative, "associative", wb.dim ** 3).passed:
         return _decided(wb, sweep_coproduct_multiplicative, "coproduct_multiplicative",
                         wb.dim ** 2)
-    return _merged(wb.swept(sweep_coproduct_multiplicative))
+    return AxiomReport().merge(wb.swept(sweep_coproduct_multiplicative))
 
 
 def check_weak_bialgebra(wb: WeakBialgebra) -> AxiomReport:
@@ -847,13 +840,14 @@ def check_weak_bialgebra(wb: WeakBialgebra) -> AxiomReport:
     compatibility identity, and weak multiplicativity of the counit on all
     basis triples (both bracketings).
     """
-    return _merged(coproduct_multiplicative_report(wb), wb.swept(sweep_unit_compatibility),
-                   wb.swept(sweep_counit_weak_multiplicative))
+    return AxiomReport().merge(coproduct_multiplicative_report(wb),
+                               wb.swept(sweep_unit_compatibility),
+                               wb.swept(sweep_counit_weak_multiplicative))
 
 
 def check_antipode(wha: WeakHopfAlgebra) -> AxiomReport:
     """Check the three antipode axioms on every basis element."""
-    return _merged(wha.swept(sweep_antipode))
+    return AxiomReport().merge(wha.swept(sweep_antipode))
 
 
 def base_subalgebras(wb: WeakBialgebra):

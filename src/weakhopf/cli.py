@@ -22,6 +22,7 @@ from .grouplike import Character, brute_force_weak_grouplikes, enumerate_weak_gr
 from .ore import (extend_antipode, extend_coalgebra, make_ore, refuse_large_degree,
                   verify_extension)
 from .panov import HOPF, NECESSARY, SUFFICIENT, PanovClauses, groupoid_character
+from .report import AxiomReport
 from .specfile import SpecBundle, parse_spec, spec_text, write_spec
 
 
@@ -41,12 +42,9 @@ def _print_chi(wb, chi):
 
 def cmd_check(args):
     bundle = parse_spec(args.spec, validate=False)
-    report = algebra_report(bundle.wb)
-    report.merge(coalgebra_report(bundle.wb))
-    report.merge(check_weak_bialgebra(bundle.wb))
-    if bundle.has_antipode:
-        report.merge(check_antipode(bundle.wb))
-    return _print_report(report)
+    checks = (algebra_report, coalgebra_report, check_weak_bialgebra)
+    checks += (check_antipode,) if bundle.has_antipode else ()
+    return _print_report(AxiomReport().merge(*(check(bundle.wb) for check in checks)))
 
 
 def cmd_grouplikes(args):

@@ -371,22 +371,18 @@ def column_space_basis(m: Matrix):
 def pivot_columns(rows, columns, field) -> set:
     """The pivot columns of the row space V of rows, as a set of column keys.
 
-    rows are dicts column -> int, as the sweeps of an integer view sum them:
-    nonzero ints at one scale over QQ, read as they are, and ints read mod p
-    over GF(p), a multiple of p as 0; field rows go through
-    :meth:`Field.to_ints` first.  columns lists every column they use, in the
-    order that ranks them.  A vector of V is determined by its entries at
-    these columns: V has an echelon basis whose rows lead at the distinct pivot
-    columns, and in a combination of them the row of smallest pivot column with
-    a nonzero coefficient is the only one nonzero at that column.  So the
-    projection of V onto its pivot columns is injective.
+    rows are dicts column -> nonzero int, read as they are: ints at one scale
+    over QQ, residues mod p over GF(p), as an integer view's eps rows hold
+    them; field rows go through :meth:`Field.to_ints` first.  columns lists
+    every column they use, in the order that ranks them.  A vector of V is
+    determined by its entries at these columns: V has an echelon basis whose
+    rows lead at the distinct pivot columns, and in a combination of them the
+    row of smallest pivot column with a nonzero coefficient is the only one
+    nonzero at that column.  So the projection of V onto its pivot columns is
+    injective.
     """
-    index, pivots, p = {c: i for i, c in enumerate(columns)}, {}, field.p
-    if p is None:
-        rows = ({index[c]: x for c, x in row.items()} for row in rows)
-    else:
-        rows = ({index[c]: r for c, x in row.items() if (r := x % p)} for row in rows)
-    _insert(rows, pivots, p, len(columns))
+    index, pivots = {c: i for i, c in enumerate(columns)}, {}
+    _insert(({index[c]: x for c, x in row.items()} for row in rows), pivots, field.p, len(columns))
     return {columns[col] for col in pivots}
 
 

@@ -432,11 +432,11 @@ def verify_extension(H: OreAlgebra, degree_bound: int = 3) -> AxiomReport:
     on H it is R's own sweep, with the same witnesses and, under H's labels,
     the same sides; it runs on ``R.integer_view``, in every degree.
 
-    Where the premises hold, the report records R's checks for the axiom:
-    those of (P2) for coproduct_multiplicative (Lemma A), the dim^2 checks of
-    (P6) for counit_kills_x_sandwich (Lemma B) and those of (P5) for
-    counit_weak_multiplicative (Lemma C), and marks it decided in all degrees
-    (:meth:`AxiomReport.scope`).  Where one fails, the axiom's sweep over H's
+    Where the premises hold, the closure ``sweep`` records R's checks for the
+    axiom, the one place that does: those of (P2) for coproduct_multiplicative
+    (Lemma A), the dim^2 checks of (P6) for counit_kills_x_sandwich (Lemma B)
+    and those of (P5) for counit_weak_multiplicative (Lemma C), and marks it
+    decided in all degrees (:meth:`AxiomReport.scope`).  Where one fails, the axiom's sweep over H's
     monomials of degree <= B runs, as do the sweeps of every other axiom,
     decided to degree <= B only, and their witnesses and sides are reported.
     H's integer view computes only the table entries the sweeps that run read.
@@ -449,9 +449,9 @@ def verify_extension(H: OreAlgebra, degree_bound: int = 3) -> AxiomReport:
     ints = H.integer_view(degree_bound)
 
     def sweep(axiom, run):
-        """R's checks of an axiom decided in every degree, else its sweep on H."""
+        """R's checks of an axiom decided in every degree, marked so, else its sweep on H."""
         if axiom in decided:
-            report.merge(decided[axiom])
+            report.merge(decided[axiom]).mark_all_degrees(axiom)
         else:
             run(ints, report)
 
@@ -509,32 +509,24 @@ def _generator_clauses(H: OreAlgebra) -> AxiomReport:
 
 def _certificates(H: OreAlgebra, clauses: AxiomReport) -> dict:
     """The axioms :func:`verify_extension` decides in every degree, each mapped to
-    the report of R's checks recorded for it, marked decided in all degrees:
-    coproduct_unit_compatibility always, counit_kills_x_sandwich under (P6),
-    coproduct_multiplicative under (P1)-(P4) and counit_weak_multiplicative
-    under (P1)-(P6), the generator clauses (P4) read from ``clauses``."""
-    R, decided = H.R, {}
-
-    def certified(checks, axiom):
-        report = AxiomReport().merge(checks)
-        report.mark_all_degrees(axiom)
-        return report
-
-    decided["coproduct_unit_compatibility"] = certified(R.swept(sweep_unit_compatibility),
-                                                        "coproduct_unit_compatibility")
+    the unmarked report of R's checks that decides it, which callers merge, never
+    change: coproduct_unit_compatibility always, counit_kills_x_sandwich under (P6),
+    coproduct_multiplicative under (P1)-(P4) and counit_weak_multiplicative under
+    (P1)-(P6), the generator clauses (P4) read from ``clauses``."""
+    R = H.R
+    decided = {"coproduct_unit_compatibility": R.swept(sweep_unit_compatibility)}
     orthogonal = first_failure(counit_delta_residual(R), H.delta) is None  # (P6)
     if orthogonal:
-        sandwich = decided["counit_kills_x_sandwich"] = AxiomReport()
-        sandwich.record_passes("counit_kills_x_sandwich", R.dim ** 2)
-        sandwich.mark_all_degrees("counit_kills_x_sandwich")
+        decided["counit_kills_x_sandwich"] = AxiomReport().record_passes(
+            "counit_kills_x_sandwich", R.dim ** 2)
     if not clauses.passed or not algebra_report(R).passed:  # (P4), (P1)
         return decided
-    multiplicative = certified(coproduct_multiplicative_report(R), "coproduct_multiplicative")
+    multiplicative = coproduct_multiplicative_report(R)
     if not multiplicative.passed or not _ore_data_valid(H):  # (P2), (P3)
         return decided
     decided["coproduct_multiplicative"] = multiplicative
     if orthogonal:
-        counit = certified(R.swept(sweep_counit_weak_multiplicative), "counit_weak_multiplicative")
+        counit = R.swept(sweep_counit_weak_multiplicative)
         if counit.passed:  # (P5)
             decided["counit_weak_multiplicative"] = counit
     return decided

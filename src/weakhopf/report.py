@@ -2,7 +2,8 @@
 
 A report never aborts at the first failure; sweeps record every failing
 tuple.  Witness ordering is canonical (sorted by index tuple) so merged
-reports produce identical output.
+reports produce identical output.  ``record_passes``, ``mark_all_degrees`` and
+``merge`` return the report, so they chain: ``AxiomReport().merge(a, b)``.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ class AxiomReport:
             self._pass_counts[axiom] = 0
             self._failures[axiom] = []
         self._pass_counts[axiom] += n
+        return self
 
     def check(self, axiom, lhs, rhs, witness=None, fmt=str):
         """Record equality of two evaluated sides."""
@@ -58,6 +60,7 @@ class AxiomReport:
     def mark_all_degrees(self, axiom):
         """Record that the verdict on axiom holds in every degree, not only up to the bound."""
         self._all_degrees.add(axiom)
+        return self
 
     def scope(self, axiom):
         """"all degrees" for an axiom marked by :meth:`mark_all_degrees`, else
@@ -78,11 +81,13 @@ class AxiomReport:
             out.extend(self.failures(name))
         return out
 
-    def merge(self, other):
-        for name, n in other._pass_counts.items():
-            self._pass_counts[name] = self._pass_counts.get(name, 0) + n
-            self._failures.setdefault(name, []).extend(other._failures[name])
-        self._all_degrees |= other._all_degrees
+    def merge(self, *others):
+        """Add the checks, failures and marks of the others, in order; they are not changed."""
+        for other in others:
+            for name, n in other._pass_counts.items():
+                self._pass_counts[name] = self._pass_counts.get(name, 0) + n
+                self._failures.setdefault(name, []).extend(other._failures[name])
+            self._all_degrees |= other._all_degrees
         return self
 
     def lines(self):

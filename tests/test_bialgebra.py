@@ -403,17 +403,21 @@ def test_report_lines_format_and_witness_order():
 
 def test_report_scope_reads_the_degree_bound_until_marked():
     """Each axiom of a report to a degree bound D reads "degree <= D" until it is marked
-    decided in every degree; a merge carries the marks, and the lines never show them."""
+    decided in every degree; a merge carries the marks, and the lines never show them.
+    record_passes, mark_all_degrees and merge return the report, so they chain."""
     report = AxiomReport(3)
     report.record("x", True)
     report.record("y", True)
     marked = AxiomReport()
-    marked.record("x", True)
-    marked.mark_all_degrees("x")
-    report.merge(marked)
+    assert marked.record_passes("x", 1) is marked
+    assert marked.mark_all_degrees("x") is marked
+    assert report.merge(marked) is report
     assert (report.scope("x"), report.scope("y")) == ("all degrees", "degree <= 3")
     assert AxiomReport().scope("x") is None
     assert report.lines() == ["AXIOM x PASS", "AXIOM y PASS"]
+    chained = AxiomReport(3).merge(marked).record_passes("y", 2).mark_all_degrees("y")
+    assert (chained.scope("x"), chained.scope("y")) == ("all degrees", "all degrees")
+    assert (marked.scope("y"), report.scope("y")) == (None, "degree <= 3")
 
 
 def test_report_merge_is_order_independent():
@@ -424,3 +428,12 @@ def test_report_merge_is_order_independent():
     merged1 = AxiomReport().merge(a).merge(b)
     merged2 = AxiomReport().merge(b).merge(a)
     assert merged1.lines() == merged2.lines()
+    c = AxiomReport().record_passes("y", 2).mark_all_degrees("y")
+    at_once = AxiomReport(2).merge(a, b, c)
+    one_by_one = AxiomReport(2).merge(a).merge(b).merge(c)
+    assert at_once.lines() == one_by_one.lines() == ["AXIOM x FAIL witness=(1)", "AXIOM y PASS"]
+    assert at_once.failures() == one_by_one.failures()
+    scopes = ["degree <= 2", "all degrees"]
+    assert [at_once.scope(n) for n in "xy"] == [one_by_one.scope(n) for n in "xy"] == scopes
+    assert AxiomReport().merge().lines() == []
+    assert [f.witness for r in (a, b) for f in r.failures()] == [(5,), (1,)]  # read, not changed

@@ -10,6 +10,7 @@ int copy when every table it reads is integral and from H's own field
 tables otherwise; every entry it reads must be H's own field entry.
 """
 
+import json
 import random
 from fractions import Fraction
 from importlib import resources
@@ -382,3 +383,26 @@ def test_antipode_of_h_is_a_power_of_s_x_times_s_b(name):
         for b in R.keys:
             assert H.antipode((b, n)) == H.multiply(power, H.embed(R.antipode(b)))
         power = H.multiply(power, s_x)
+
+
+GFP_SPECS = [path.name for path in sorted(DATA.glob("*.json"))
+             if json.loads(path.read_text())["field"]["kind"] == "prime"]
+
+
+def _assert_eps_values_are_residues(view):
+    """Over GF(p) every eps(ab) the view caches lies in 0..p-1, and every entry of an
+    eps row, which the weak counit sweep hands to linalg.pivot_columns, is nonzero mod p."""
+    p, keys = view.modulus, view.keys
+    assert p is not None
+    assert all(0 <= view.eps_pair(a, b) < p for a in keys for b in keys)
+    assert all(e % p for a in keys for e in view.eps_row(a).values())
+
+
+@pytest.mark.parametrize("name", GFP_SPECS)
+def test_eps_values_of_r_are_residues_over_gfp(name):
+    _assert_eps_values_are_residues(parse_spec(str(DATA / name), validate=False).wb.integer_view)
+
+
+@pytest.mark.parametrize("degree", range(3))
+def test_eps_values_of_h_are_residues_over_gfp(degree):
+    _assert_eps_values_are_residues(ORE_CASES["section5-Z2-n1-GF3"]().integer_view(degree))

@@ -23,11 +23,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from forced_ore import forced_section5, sign_flipped_sweedler
-from lemmas import axiom_passed, basis_element, identity
+from lemmas import axiom_names, axiom_passed, basis_element, identity
 from test_integer_view import ORE_CASES
 from weakhopf import ore
-from weakhopf.bialgebra import (WeakHopfAlgebra, algebra_report, sweep_coproduct_multiplicative,
-                                sweep_counit_weak_multiplicative)
+from weakhopf.bialgebra import (WeakHopfAlgebra, algebra_report, check_weak_bialgebra,
+                                sweep_coproduct_multiplicative, sweep_counit_weak_multiplicative)
 from weakhopf.cli import main
 from weakhopf.coderivations import skew_derivation
 from weakhopf.errors import NotAutomorphism, NotDerivation, TooLarge, ValidationError
@@ -384,3 +384,29 @@ def test_ore_build_validates_the_ore_data_once(count_calls, tmp_path):
     assert calls["skew_derivation"] == 1
     verify_extension(sign_flipped_sweedler(), 1)
     assert calls["skew_derivation"] == 2
+
+
+def _held(report):
+    """A report's lines, failures, pass counts and all-degrees marks, as copies."""
+    return (report.lines(), report.failures(), dict(report._pass_counts),
+            set(report._all_degrees))
+
+
+@pytest.mark.parametrize("degree", range(3))
+@pytest.mark.parametrize("name", ORE_CASES)
+def test_certificates_leave_r_s_cached_reports_unchanged(name, degree):
+    """verify_extension merges R's cached sweep reports (WeakBialgebra.swept) into H's
+    report and marks the copy: after two runs and check_weak_bialgebra(R) each of them
+    holds what it held before and no all-degrees mark, and both runs report alike."""
+    H = ORE_CASES[name]()
+    R = H.R
+    before = {key: _held(report) for key, report in R._sweeps.items()}
+    first, second = verify_extension(H, degree), verify_extension(H, degree)
+    check_weak_bialgebra(R)
+    assert before and before.keys() <= R._sweeps.keys()
+    assert all(_held(R._sweeps[key]) == held for key, held in before.items())
+    assert not any(report._all_degrees for report in R._sweeps.values())
+    assert first.scope("coproduct_unit_compatibility") == "all degrees"
+    assert _held(first) == _held(second)
+    assert ([first.scope(axiom) for axiom in axiom_names(first)]
+            == [second.scope(axiom) for axiom in axiom_names(second)])
