@@ -13,7 +13,6 @@ import sys
 
 from .bialgebra import (algebra_report, check_antipode, check_weak_bialgebra,
                         coalgebra_report)
-from .coderivations import skew_derivation
 from .errors import ConditionsFailed, ValidationError, WeakHopfError
 from .fields import Field, is_prime
 from .fixtures import OreData, twisted_derivation_data, sweedler_data
@@ -21,7 +20,7 @@ from .groupoid import GroupPresentation, build_groupoid_algebra, matrix_algebra
 from .grouplike import Character, brute_force_weak_grouplikes, enumerate_weak_grouplikes_matrix
 from .ore import (extend_antipode, extend_coalgebra, make_ore, refuse_large_degree,
                   verify_extension)
-from .panov import HOPF, NECESSARY, SUFFICIENT, PanovClauses, groupoid_character
+from .panov import HOPF, NECESSARY, SUFFICIENT, groupoid_character
 from .report import AxiomReport
 from .specfile import SpecBundle, parse_spec, spec_text, write_spec
 
@@ -104,8 +103,7 @@ def cmd_panov(args):
     if args.hopf and not bundle.has_antipode:
         raise ValidationError("spec file has no antipode; --hopf needs a weak Hopf algebra")
     wb = bundle.wb
-    skew_derivation(wb, sigma, delta)  # the Ore data `ore build` accepts, or exit 2
-    clauses = PanovClauses(wb, sigma, delta, g)
+    clauses = make_ore(wb, sigma, delta, g).clauses  # the Ore data `ore build` accepts, or exit 2
     sections = [("necessary", NECESSARY), ("sufficient", SUFFICIENT)]
     if args.hopf:
         sections.append(("antipode", HOPF))

@@ -35,10 +35,9 @@ from .bialgebra import (BasisView, IntegerView, WeakBialgebra, WeakHopfAlgebra, 
                         sweep_antipode, sweep_coassociative, sweep_coproduct_multiplicative,
                         sweep_counit_neutral, sweep_counit_weak_multiplicative,
                         sweep_unit_compatibility)
-from .coderivations import first_failure, skew_derivation
-from .errors import ConditionsFailed, NotAutomorphism, NotDerivation, TooLarge, ValidationError
+from .errors import ConditionsFailed, TooLarge, ValidationError
 from .linalg import Matrix
-from .panov import HOPF, SUFFICIENT, PanovClauses, counit_delta_residual, panov_sufficient
+from .panov import HOPF, SUFFICIENT, PanovClauses
 from .report import AxiomReport
 
 # The most monomial products H's tables hold after the sweeps at degree bound B,
@@ -77,20 +76,20 @@ class OreAlgebra(BasisView):
     any other s_x raises ValidationError, since S(b x^n) = S(x)^n S(b) then
     has degree <= n and the antipode sweep reads no product outside what
     :data:`PRODUCT_TABLE_LIMIT` counts.  Instances are immutable;
-    extension steps return new objects.  Use :func:`make_ore` to validate
-    the defining data: it marks H as validated (``_validated``), the
-    extension steps keep the mark, and :func:`verify_extension` then takes
-    (P3) from it; an H built directly is validated there.
+    extension steps return new objects.  ``clauses`` is the datum's
+    :class:`panov.PanovClauses` table, new or the ``_clauses`` an extension step
+    hands on: :func:`make_ore` raises its Ore-data failure, and the extension
+    steps and :func:`verify_extension` ((P3), (P6)) read their verdicts from it.
     """
 
     def __init__(self, R: WeakBialgebra, sigma: Matrix, delta: Matrix, g: dict | None = None,
-                 _coalgebra_extended=False, s_x: dict | None = None, _validated=False):
+                 _coalgebra_extended=False, s_x: dict | None = None, _clauses=None):
         self.R = R
         self.sigma = sigma
         self.delta = delta
         self.g = g
         self._coalgebra_extended = _coalgebra_extended
-        self._validated = _validated
+        self.clauses = _clauses or PanovClauses(R, sigma, delta, g)
         if s_x is not None and any(n != 1 for _, n in s_x):
             raise ValidationError("S(x) must be homogeneous of degree 1 in x")
         self._over_ints = None
@@ -269,12 +268,12 @@ class OreAlgebra(BasisView):
 
 
 def make_ore(R: WeakBialgebra, sigma: Matrix, delta: Matrix, g: dict | None = None) -> OreAlgebra:
-    """Validate (sigma, delta) as Ore data over R and wrap them.
-
-    Raises NotAutomorphism / NotDerivation with witnesses.
-    """
-    skew_derivation(R, sigma, delta)
-    return OreAlgebra(R, sigma, delta, g, _validated=True)
+    """H = R[x; sigma, delta] with g; raises the NotAutomorphism / NotDerivation, with
+    witnesses, of its table (``H.clauses.ore_data_failure``) unless it is Ore data."""
+    H = OreAlgebra(R, sigma, delta, g)
+    if H.clauses.ore_data_failure:
+        raise H.clauses.ore_data_failure
+    return H
 
 
 def _degree_zero(t: dict) -> dict:
@@ -286,15 +285,7 @@ def extend_coalgebra(H: OreAlgebra) -> OreAlgebra:
     """Extend R's coproduct and counit to H; refuses unless the conditions hold."""
     if H.g is None:
         raise ValidationError("extend_coalgebra needs the weak group-like g")
-    verdict = panov_sufficient(H.R, H.sigma, H.delta, H.g)
-    if not verdict.passed:
-        raise ConditionsFailed(verdict)
-    out = OreAlgebra(H.R, H.sigma, H.delta, H.g, _coalgebra_extended=True,
-                     _validated=H._validated)
-    for k in range(H.R.dim):
-        if out.coproduct((k, 0)) != _degree_zero(H.R.coproduct(k)):
-            raise ValidationError("extended coproduct does not restrict to R in degree 0")
-    return out
+    return _extended(H, (SUFFICIENT,))
 
 
 def extend_antipode(H: OreAlgebra) -> OreAlgebra:
@@ -303,15 +294,25 @@ def extend_antipode(H: OreAlgebra) -> OreAlgebra:
         raise ValidationError("antipode extension needs an antipode on R")
     if H.g is None:
         raise ValidationError("extend_antipode needs the group-like g")
-    clauses = PanovClauses(H.R, H.sigma, H.delta, H.g)
-    for names in (SUFFICIENT, HOPF):
-        verdict = clauses.verdict(names)
-        if not verdict.passed:
-            raise ConditionsFailed(verdict)
     minus_s_g = {k: -c for k, c in H.R.antipode_matrix.apply(H.g).items()}
     s_x = H.monomial(H.R.multiply(minus_s_g, H.R.unit), 1)  # (-S(g)) x
-    return OreAlgebra(H.R, H.sigma, H.delta, H.g, _coalgebra_extended=True, s_x=s_x,
-                      _validated=H._validated)
+    return _extended(H, (SUFFICIENT, HOPF), s_x)
+
+
+def _extended(H: OreAlgebra, procedures, s_x=None) -> OreAlgebra:
+    """The body of both extension steps: ConditionsFailed on the first of ``procedures``
+    whose verdict on ``H.clauses`` fails, else H with its coalgebra extended, and its
+    antipode by ``s_x`` if given, on the same table, once it restricts to R in degree 0."""
+    for names in procedures:
+        verdict = H.clauses.verdict(names)
+        if not verdict.passed:
+            raise ConditionsFailed(verdict)
+    out = OreAlgebra(H.R, H.sigma, H.delta, H.g, _coalgebra_extended=True, s_x=s_x,
+                     _clauses=H.clauses)
+    for k in range(H.R.dim):
+        if out.coproduct((k, 0)) != _degree_zero(H.R.coproduct(k)):
+            raise ValidationError("extended coproduct does not restrict to R in degree 0")
+    return out
 
 
 def refuse_large_degree(R: WeakBialgebra, degree_bound: int):
@@ -350,19 +351,18 @@ def verify_extension(H: OreAlgebra, degree_bound: int = 3) -> AxiomReport:
     ``report.lines()``: one `AXIOM name PASS|FAIL` line each.
 
     Four axioms are decided in every degree, with no sweep of H, when the
-    premises of their lemma below hold (:func:`_certificates`).  Each premise
-    is re-checked on every call, whatever built H and R; only (P3) is taken
-    from the mark that :func:`make_ore` leaves on H after running the same
-    check on the same R, sigma and delta:
+    premises of their lemma below hold (:func:`_certificates`), checked whatever
+    built H and R: those on R from the reports R keeps, (P3) and (P6) from H's
+    clause table ``H.clauses``, which decides each once per datum:
 
     (P1) ``algebra_report(R)`` passes: R is associative and unital;
     (P2) ``coproduct_multiplicative_report(R)`` passes, R's sweep of
          ``sweep_coproduct_multiplicative`` as ``check_weak_bialgebra`` decides it:
          Delta(ab) = Delta(a) Delta(b) for a, b in R;
-    (P3) ``skew_derivation(R, sigma, delta)`` passes: sigma is a unital
-         algebra automorphism and delta a sigma-derivation, so H is the Ore
-         extension R[x; sigma, delta], associative and unital (Goodearl and
-         Warfield, ch. 2), and so is H (x) H;
+    (P3) ``H.clauses.ore_data_failure`` is None: ``skew_derivation(R, sigma, delta)``
+         passes, so sigma is a unital algebra automorphism and delta a
+         sigma-derivation, and H is the Ore extension R[x; sigma, delta],
+         associative and unital (Goodearl and Warfield, ch. 2), and so is H (x) H;
     (P4) the three generator clauses pass, with X = g (x) x + x (x) 1:
          (C1) X Delta(1) = Delta(1) X (generator_coproduct_delta_one_commute);
          (C2) Delta(x) = Delta(1) X and Delta(x) = X Delta(1)
@@ -371,9 +371,8 @@ def verify_extension(H: OreAlgebra, degree_bound: int = 3) -> AxiomReport:
          the basis of R, so on all of R (coproduct_commutation_rule);
     (P5) ``sweep_counit_weak_multiplicative`` passes on ``R.integer_view``:
          eps(fmh) = eps(f m_1) eps(m_2 h) = eps(f m_2) eps(m_1 h) for f, m, h in R;
-    (P6) eps(b_i delta(b_k)) = 0 for all basis elements b_i, b_k of R, read
-         from :func:`panov.counit_delta_residual` by :func:`first_failure`
-         (the Panov clause counit_delta_orthogonal).
+    (P6) eps(b_i delta(b_k)) = 0 for all basis elements b_i, b_k of R: the
+         Panov clause counit_delta_orthogonal of ``H.clauses``.
 
     Lemma A.  Under (P1)-(P4), the coproduct Delta(b x^n) = Delta(b) X^n of
     H's tables satisfies Delta(u v) = Delta(u) Delta(v) for all u, v in H.
@@ -444,8 +443,8 @@ def verify_extension(H: OreAlgebra, degree_bound: int = 3) -> AxiomReport:
     refuse_large_degree(H.R, degree_bound)
     report = AxiomReport(degree_bound)
     _, basis_s = base_subalgebras(H.R)  # raises on a broken R before any sweep
-    clauses = _generator_clauses(H)  # raises on an unextended H before any product
-    decided = _certificates(H, clauses)
+    generator = _generator_clauses(H)  # raises on an unextended H before any product
+    decided = _certificates(H, generator)
     ints = H.integer_view(degree_bound)
 
     def sweep(axiom, run):
@@ -461,7 +460,7 @@ def verify_extension(H: OreAlgebra, degree_bound: int = 3) -> AxiomReport:
     sweep_counit_neutral(ints, report, "left")
     sweep("counit_weak_multiplicative", sweep_counit_weak_multiplicative)
     sweep("coproduct_unit_compatibility", sweep_unit_compatibility)
-    report.merge(clauses)
+    report.merge(generator)
     sweep("counit_kills_x_sandwich", _sweep_x_sandwich)
 
     x = H.x()
@@ -507,22 +506,23 @@ def _generator_clauses(H: OreAlgebra) -> AxiomReport:
     return report
 
 
-def _certificates(H: OreAlgebra, clauses: AxiomReport) -> dict:
+def _certificates(H: OreAlgebra, generator: AxiomReport) -> dict:
     """The axioms :func:`verify_extension` decides in every degree, each mapped to
     the unmarked report of R's checks that decides it, which callers merge, never
     change: coproduct_unit_compatibility always, counit_kills_x_sandwich under (P6),
     coproduct_multiplicative under (P1)-(P4) and counit_weak_multiplicative under
-    (P1)-(P6), the generator clauses (P4) read from ``clauses``."""
+    (P1)-(P6), the generator clauses (P4) read from ``generator`` and (P3) and (P6)
+    from ``H.clauses``."""
     R = H.R
     decided = {"coproduct_unit_compatibility": R.swept(sweep_unit_compatibility)}
-    orthogonal = first_failure(counit_delta_residual(R), H.delta) is None  # (P6)
+    orthogonal = H.clauses.result("counit_delta_orthogonal").passed  # (P6)
     if orthogonal:
         decided["counit_kills_x_sandwich"] = AxiomReport().record_passes(
             "counit_kills_x_sandwich", R.dim ** 2)
-    if not clauses.passed or not algebra_report(R).passed:  # (P4), (P1)
+    if not generator.passed or not algebra_report(R).passed:  # (P4), (P1)
         return decided
     multiplicative = coproduct_multiplicative_report(R)
-    if not multiplicative.passed or not _ore_data_valid(H):  # (P2), (P3)
+    if not multiplicative.passed or H.clauses.ore_data_failure:  # (P2), (P3)
         return decided
     decided["coproduct_multiplicative"] = multiplicative
     if orthogonal:
@@ -530,14 +530,3 @@ def _certificates(H: OreAlgebra, clauses: AxiomReport) -> dict:
         if counit.passed:  # (P5)
             decided["counit_weak_multiplicative"] = counit
     return decided
-
-
-def _ore_data_valid(H: OreAlgebra) -> bool:
-    """(P3): H's mark from :func:`make_ore`, else ``skew_derivation`` run here."""
-    if H._validated:
-        return True
-    try:
-        skew_derivation(H.R, H.sigma, H.delta)
-    except (NotAutomorphism, NotDerivation):
-        return False
-    return True

@@ -19,8 +19,10 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 from .bialgebra import WeakBialgebra, WeakHopfAlgebra, base_subalgebras, convolution
-from .coderivations import coderivation_residual, first_failure, is_sigma_derivation
-from .errors import InvalidGroupCharacter, NotCentral, NotGrouplike, ValidationError, ZeroScale
+from .coderivations import (coderivation_residual, first_failure, is_sigma_derivation,
+                            skew_derivation)
+from .errors import (InvalidGroupCharacter, NotAutomorphism, NotCentral, NotDerivation,
+                     NotGrouplike, ValidationError, ZeroScale)
 from .groupoid import GroupoidAlgebra
 from .grouplike import Character, grouplike_inverse, is_weak_grouplike, winding
 from .linalg import Matrix, constraint_matrix, linear_residual, residual_kernel
@@ -100,10 +102,11 @@ class PanovClauses:
     Two pairs of clause names state one identity each and read one result:
     the sigma twist (coproduct_sigma_g_twist and its expanded form) and the
     skew-coderivation identity (delta_is_skew_coderivation and
-    coproduct_delta_twisted_leibniz).
+    coproduct_delta_twisted_leibniz).  Whether (sigma, delta) is Ore data, read with
+    no g, is :attr:`ore_data_failure`; H = R[x; sigma, delta] carries the table.
     """
 
-    def __init__(self, wb: WeakBialgebra, sigma: Matrix, delta: Matrix, g: dict):
+    def __init__(self, wb: WeakBialgebra, sigma: Matrix, delta: Matrix, g: dict | None):
         self.wb, self.sigma, self.delta, self.g = wb, sigma, delta, g
         self.character = Character(wb, sigma.transpose().apply(wb.counit_vector))  # eps o sigma
         self._results = {}
@@ -120,6 +123,14 @@ class PanovClauses:
         if "sigma_is_left_winding" in names and self.result("sigma_is_left_winding").passed:
             verdict.chi = self.character.chi
         return verdict
+
+    @cached_property
+    def ore_data_failure(self) -> NotAutomorphism | NotDerivation | None:
+        """What :func:`skew_derivation` raises on (sigma, delta), or None on Ore data."""
+        try:
+            skew_derivation(self.wb, self.sigma, self.delta)
+        except (NotAutomorphism, NotDerivation) as failure:
+            return failure
 
     # -- shared quantities --------------------------------------------------
 

@@ -4,11 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from lemmas import (FieldMismatch, axiom_passed, basis_element, counit_value, function_algebra,
-                    identity, tensor_product, weak_counit_identities)
+from lemmas import (FieldMismatch, axiom_passed, basis_element, counit_value, dihedral,
+                    function_algebra, identity, tensor_product, weak_counit_identities)
 from oracles import dense_associativity_failures, dense_tensor_mul
+from test_integer_view import GF5, QQ_TRANSPORT, SPECS, _perturbed, _spec_path
 from weakhopf.bialgebra import (WeakBialgebra, WeakHopfAlgebra, algebra_report, base_subalgebras,
-                                check_antipode, check_weak_bialgebra, convolution)
+                                check_antipode, check_weak_bialgebra, coalgebra_report,
+                                convolution)
 from weakhopf.errors import (AxiomFailure, CounitFails, DimensionMismatch, NotAssociative,
                              UnitFails, ValidationError)
 from weakhopf.fields import Field, QQ
@@ -237,6 +239,51 @@ def test_counital_projections_idempotent(M2, QZ3, M2Z2):
     for wb in (M2, QZ3, M2Z2):
         for m in wb.counital_matrices():
             assert m * m == m
+
+
+def _qq_transport(seed, count=3, tables=("mult", "comult", "counit", "antipode")):
+    wb = parse_spec(QQ_TRANSPORT, validate=False).wb
+    return _perturbed(wb, random.Random(seed), count,
+                      lambda r: Fraction(r.randrange(1, 50), r.randrange(2, 50)), tables)
+
+
+def _gf5_kd4(seed, count=4, tables=("mult", "comult", "counit", "antipode")):
+    return _perturbed(function_algebra(dihedral(4), GF5), random.Random(seed), count,
+                      lambda r: GF5(r.randrange(1, 5)), tables)
+
+
+TABLES = (("mult", "comult", "counit", "antipode"), ("antipode",), ("mult",))
+# Unvalidated instances: every spec file, and the QQ-transported and GF(5) instances
+# that test_integer_view perturbs, perturbed as there.
+COUNITAL_CASES = {
+    **{name: lambda name=name: parse_spec(_spec_path(name), validate=False).wb
+       for name in SPECS},
+    **{f"m3qz2-QQ-{seed}": lambda seed=seed: _qq_transport(seed) for seed in range(6)},
+    **{f"kD4-GF5-{seed}": lambda seed=seed: _gf5_kd4(seed) for seed in range(4)},
+    **{f"m3qz2-QQ-{'-'.join(tables)}-{seed}": lambda t=tables, s=seed: _qq_transport(s, 3, t)
+       for seed in range(2) for tables in TABLES},
+    **{f"kD4-GF5-{'-'.join(tables)}-{seed}": lambda t=tables, s=seed: _gf5_kd4(s, 4, t)
+       for seed in range(2) for tables in TABLES},
+    "kD4-GF5": lambda: function_algebra(dihedral(4), GF5),
+}
+NOT_IDEMPOTENT = ("m2qz2-bad-comult.json", "m3qz2-bad-counit.json")
+
+
+@pytest.mark.parametrize("name", COUNITAL_CASES)
+def test_r_s_sweeps_imply_idempotent_counital_maps(name):
+    """The lemma in the WeakBialgebra docstring, which spares the constructor a check:
+    wherever the algebra, coalgebra and weak-bialgebra sweeps that validate R pass, all
+    four counital maps are idempotent.  Both controls fail those sweeps and have a
+    counital map that is not idempotent, so the sweeps are what the lemma needs."""
+    wb = COUNITAL_CASES[name]()
+    swept = all(check(wb).passed
+                for check in (algebra_report, coalgebra_report, check_weak_bialgebra))
+    idempotent = all(m * m == m for m in wb.counital_matrices())
+    assert idempotent or not swept
+    if name in NOT_IDEMPOTENT:
+        assert not swept and not idempotent
+    elif name in SPECS and "bad" not in name or name == "kD4-GF5":
+        assert swept  # the implication is not vacuous
 
 
 def test_base_subalgebras_matrix(M2):

@@ -17,6 +17,7 @@ included, on every datum and wherever a premise fails.
 import random
 import re
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -35,8 +36,9 @@ from weakhopf.fields import QQ
 from weakhopf.fixtures import sweedler_data, twisted_derivation_data
 from weakhopf.groupoid import GroupPresentation, group_algebra, matrix_algebra
 from weakhopf.linalg import Matrix
-from weakhopf.ore import (OreAlgebra, extend_coalgebra, make_ore, refuse_large_degree,
-                          verify_extension)
+from weakhopf.ore import (OreAlgebra, extend_antipode, extend_coalgebra, make_ore,
+                          refuse_large_degree, verify_extension)
+from weakhopf.panov import ClauseResult
 from weakhopf.report import AxiomReport
 
 MULTIPLICATIVE, WEAK, SANDWICH = ("coproduct_multiplicative", "counit_weak_multiplicative",
@@ -342,14 +344,16 @@ def test_a_certified_datum_builds_and_sweeps_nothing_above_what_runs(monkeypatch
 
 @pytest.mark.parametrize("degree", [0, 2])
 def test_a_failing_p6_keeps_the_counit_sweeps_on_h(monkeypatch, degree):
-    """Sweedler's data pass every premise; with (P6) read as failed through its seam,
-    the residual ``ore.counit_delta_residual``, neither the x-sandwich nor weak counit
-    multiplicativity is certified, whatever (P1)-(P5) say: both are swept on H to
-    degree <= D, they read products of left degree 2D (max(2D, D + 1) at D = 0), and
-    the report equals the all-sweeps report."""
+    """Sweedler's data pass every premise; with (P6) recorded as failed in the built
+    H's clause table, the clause counit_delta_orthogonal of ``H.clauses``, neither the
+    x-sandwich nor weak counit multiplicativity is certified, whatever (P1)-(P5) say:
+    both are swept on H to degree <= D, they read products of left degree 2D
+    (max(2D, D + 1) at D = 0), and the report equals the all-sweeps report."""
     views = _integer_views(monkeypatch)
-    monkeypatch.setattr(ore, "counit_delta_residual", lambda R: lambda x: [(0, 0)])
-    report = verify_extension(ORE_CASES["sweedler"](), degree)
+    H = ORE_CASES["sweedler"]()
+    H.clauses._results["counit_delta_orthogonal"] = ClauseResult(
+        "counit_delta_orthogonal", False, (0, 0))
+    report = verify_extension(H, degree)
     for axiom in (WEAK, SANDWICH):
         assert report.scope(axiom) == f"degree <= {degree}"
     assert report.scope(MULTIPLICATIVE) == "all degrees"
@@ -384,6 +388,56 @@ def test_ore_build_validates_the_ore_data_once(count_calls, tmp_path):
     assert calls["skew_derivation"] == 1
     verify_extension(sign_flipped_sweedler(), 1)
     assert calls["skew_derivation"] == 2
+
+
+@pytest.mark.parametrize("spec", ["sweedler", "section5"])
+def test_each_fact_of_the_ore_datum_is_decided_once(count_calls, tmp_path, spec):
+    """`ore build` and `panov --hopf` each build one clause table, H.clauses, and
+    decide on it (P3), the Ore data, by one skew_derivation and, in `ore build`, (P6)
+    by one counit_delta_residual, which the extension step's verdict and
+    verify_extension's certificates share."""
+    if spec == "sweedler":
+        path = str(resources.files("weakhopf") / "data" / "sweedler-data.json")
+    else:
+        path = str(tmp_path / "section5.json")
+        assert main(["example", "section5", "--group", "Z2", "--n", "2", "--rho=1,-1",
+                     "--q=3/5,-7/2", "-o", path]) == 0
+    names = ("PanovClauses.__init__", "skew_derivation", "counit_delta_residual")
+    calls = count_calls(*names)
+    assert main(["ore", "build", path, "--verify-degree", "2"]) == 0
+    assert calls == {name: 1 for name in names}
+    calls.clear()
+    assert main(["panov", path, "--hopf"]) == 0
+    assert calls["PanovClauses.__init__"] == calls["skew_derivation"] == 1
+
+
+def test_a_direct_h_decides_p3_and_p6_once_across_verifications(count_calls):
+    """An H built directly, past make_ore and the extension steps, decides (P3) and
+    (P6) on its own clause table on the first verify_extension and reads them there
+    on the second."""
+    H = sign_flipped_sweedler()
+    calls = count_calls("skew_derivation", "counit_delta_residual")
+    verify_extension(H, 1)
+    verify_extension(H, 2)
+    assert calls == {"skew_derivation": 1, "counit_delta_residual": 1}
+
+
+def test_both_extension_steps_check_the_degree_0_restriction(monkeypatch):
+    """With Delta(b_1 x^0) moved off R's Delta(b_1) by 1 in one coefficient, both
+    extension steps refuse the extended coproduct."""
+    coproduct = OreAlgebra._coproduct
+
+    def moved(self, k):
+        out = dict(coproduct(self, k))
+        if k == (1, 0):
+            out[min(out)] += 1
+        return out
+    monkeypatch.setattr(OreAlgebra, "_coproduct", moved)
+    d = sweedler_data()
+    for step in (extend_coalgebra, extend_antipode):
+        with pytest.raises(ValidationError,
+                           match="extended coproduct does not restrict to R in degree 0"):
+            step(make_ore(d.R, d.sigma, d.delta, d.g))
 
 
 def _held(report):

@@ -163,6 +163,7 @@ def test_necessary_then_sufficient_compute_each_identity_once(count_calls):
     data = twisted_derivation_data(GroupPresentation.cyclic(2), 2, rho=[1, -1], q=[1, 1])
     dim = data.R.dim
     clauses = PanovClauses(data.R, data.sigma, data.delta, data.g)
+    data.R.delta_one()  # R's own Delta(1), cached on R before the count starts
     calls = count_calls("BasisView.comultiply", "BasisView.tensor_mul", "BasisView.map_legs")
     assert clauses.verdict(NECESSARY).passed and clauses.verdict(SUFFICIENT).passed
     assert not data.delta.data
