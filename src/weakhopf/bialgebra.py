@@ -128,6 +128,19 @@ def _add_pure(out, c, legs, zero):
         out[key] = out.get(key, zero) + x
 
 
+class _OnDemand(dict):
+    """A table of what its owner derives (H's tables, R's sweep reports, clause results):
+    each missing entry is built once by ``build(key)`` and kept, then a dict lookup."""
+
+    def __init__(self, build):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, key):
+        value = self[key] = self._build(key)
+        return value
+
+
 class BasisView:
     """A structure seen basis element by basis element, as the axiom sweeps see it.
 
@@ -593,6 +606,8 @@ class WeakBialgebra(BasisView):
     bialgebra axioms and the antipode, if any, in that order, raising on the
     first failure; every sweep runs on one :attr:`integer_view`.  Pass
     ``validate=False`` only to build deliberately broken instances for diagnosis.
+    R's own derived values are ``cached_property`` members and its sweep reports one
+    :class:`_OnDemand` table, each built on first use and kept.
 
     The four counital maps of a validated R are then idempotent (Boehm, Nill and
     Szlachanyi, Weak Hopf algebras I, 1999): id (x) eps (x) id applied to the two
@@ -618,9 +633,7 @@ class WeakBialgebra(BasisView):
                        if (d := _element(field, dim, t, (k,), "comult", pairs=True))}
         self.counit_vector = _element(field, dim, counit, (), "counit")
         super().__init__(field, range(dim), unit)
-        self._counital_matrices = None
-        self._base_subalgebras = None
-        self._sweeps = {}
+        self._sweeps = _OnDemand(self._sweep)
         if not validate:
             return
         report = algebra_report(self)
@@ -695,14 +708,37 @@ class WeakBialgebra(BasisView):
 
     def swept(self, sweep, *args) -> AxiomReport:
         """The report of ``sweep(self.integer_view, report, *args)``, run on first use and
-        kept: R is immutable, so its validation and every later reader (the report
-        functions below, the certificates of ``ore.verify_extension``) share one run.
+        kept in ``_sweeps`` (an :class:`_OnDemand` keyed by (sweep, args)): R is
+        immutable, so its validation and every later reader (the report functions
+        below, the certificates of ``ore.verify_extension``) share one run.
         Callers merge it into their own report and never modify it."""
-        hit = self._sweeps.get((sweep, args))
-        if hit is None:
-            hit = self._sweeps[(sweep, args)] = AxiomReport()
-            sweep(self.integer_view, hit, *args)
-        return hit
+        return self._sweeps[(sweep, args)]
+
+    def _sweep(self, key):
+        sweep, args = key
+        report = AxiomReport()
+        sweep(self.integer_view, report, *args)
+        return report
+
+    @cached_property
+    def base_subalgebras(self) -> tuple:
+        """Bases of R_t = Im(eps_t) and R_s = Im(eps_s), the column spaces of the
+        matrices of eps_t and eps_s; each element a is checked, R_t first, against its
+        coproduct characterization (Delta(a) = 1_1 a (x) 1_2 for R_t, Delta(a) =
+        1_1 (x) a 1_2 for R_s), and a violation, a broken instance, raises."""
+        basis_t, basis_s = (column_space_basis(Matrix.from_columns(
+            self.field, self.dim, [f(self.basis_vector(k)) for k in self.keys]))
+            for f in (self.eps_t, self.eps_s))
+        d1, one = self.delta_one(), self.unit
+        for a in basis_t:
+            if self.comultiply(a) != self.tensor_mul(d1, self.pure(a, one)):
+                raise ValidationError(
+                    f"R_t member fails coproduct characterization: {self.format_element(a)}")
+        for a in basis_s:
+            if self.comultiply(a) != self.tensor_mul(self.pure(one, a), d1):
+                raise ValidationError(
+                    f"R_s member fails coproduct characterization: {self.format_element(a)}")
+        return basis_t, basis_s
 
     def basis_vector(self, i):
         return {i: self.one}
@@ -743,16 +779,6 @@ class WeakBialgebra(BasisView):
     def eps_s_prime(self, r: dict) -> dict:
         """eps_s'(r) = eps(1_2 r) 1_1."""
         return self.counital(r, 1, False)
-
-    def counital_matrices(self):
-        """Matrices of (eps_t, eps_s, eps_t', eps_s') on the basis."""
-        if self._counital_matrices is None:
-            maps = (self.eps_t, self.eps_s, self.eps_t_prime, self.eps_s_prime)
-            self._counital_matrices = tuple(
-                Matrix.from_columns(self.field, self.dim,
-                                    [f(self.basis_vector(k)) for k in range(self.dim)])
-                for f in maps)
-        return self._counital_matrices
 
 
 class WeakHopfAlgebra(WeakBialgebra):
@@ -845,28 +871,8 @@ def check_antipode(wha: WeakHopfAlgebra) -> AxiomReport:
 
 
 def base_subalgebras(wb: WeakBialgebra):
-    """Bases of R_t = Im(eps_t) and R_s = Im(eps_s), membership re-verified;
-    computed once per R and cached on it, like its counital matrices.
-
-    Each returned element a additionally satisfies the coproduct
-    characterization (Delta(a) = 1_1 a (x) 1_2 for R_t, Delta(a) = 1_1 (x) a 1_2
-    for R_s); a violation raises, since it would mean a broken instance.
-    """
-    if wb._base_subalgebras is None:
-        m_t, m_s = wb.counital_matrices()[:2]
-        basis_t = column_space_basis(m_t)
-        basis_s = column_space_basis(m_s)
-        d1, one = wb.delta_one(), wb.unit
-        for a in basis_t:
-            if wb.comultiply(a) != wb.tensor_mul(d1, wb.pure(a, one)):
-                raise ValidationError(
-                    f"R_t member fails coproduct characterization: {wb.format_element(a)}")
-        for a in basis_s:
-            if wb.comultiply(a) != wb.tensor_mul(wb.pure(one, a), d1):
-                raise ValidationError(
-                    f"R_s member fails coproduct characterization: {wb.format_element(a)}")
-        wb._base_subalgebras = basis_t, basis_s
-    return wb._base_subalgebras
+    """Bases of R_t and R_s, verified once per R: :attr:`WeakBialgebra.base_subalgebras`."""
+    return wb.base_subalgebras
 
 
 def convolution(f: dict, g: dict, wb: WeakBialgebra) -> dict:

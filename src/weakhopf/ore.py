@@ -29,12 +29,13 @@ delta, g and S(x) as ints; the view reads the int copy's tables then.
 from __future__ import annotations
 
 import copy
+from functools import cached_property
 
 from .bialgebra import (BasisView, IntegerView, WeakBialgebra, WeakHopfAlgebra, _check,
-                        _nonzero, algebra_report, base_subalgebras, coproduct_multiplicative_report,
-                        sweep_antipode, sweep_coassociative, sweep_coproduct_multiplicative,
-                        sweep_counit_neutral, sweep_counit_weak_multiplicative,
-                        sweep_unit_compatibility)
+                        _nonzero, _OnDemand, algebra_report, base_subalgebras,
+                        coproduct_multiplicative_report, sweep_antipode, sweep_coassociative,
+                        sweep_coproduct_multiplicative, sweep_counit_neutral,
+                        sweep_counit_weak_multiplicative, sweep_unit_compatibility)
 from .errors import ConditionsFailed, TooLarge, ValidationError
 from .linalg import Matrix
 from .panov import HOPF, SUFFICIENT, PanovClauses
@@ -49,19 +50,6 @@ from .report import AxiomReport
 # every axiom took 4.5 s (0.34 s at B = 24; medians of 3 and 5, Python 3.11.7 on
 # a shared 2-core Intel Xeon), and section-5 M_2(QZ_2) (dim 8) up to B = 11.
 PRODUCT_TABLE_LIMIT = 20_000
-
-
-class _OnDemand(dict):
-    """A table of H, read by its methods, its recursion and its integer view: each
-    missing entry is built once by ``build(key)`` and kept, then a dict lookup."""
-
-    def __init__(self, build):
-        super().__init__()
-        self._build = build
-
-    def __missing__(self, key):
-        value = self[key] = self._build(key)
-        return value
 
 
 class OreAlgebra(BasisView):
@@ -92,7 +80,6 @@ class OreAlgebra(BasisView):
         self.clauses = _clauses or PanovClauses(R, sigma, delta, g)
         if s_x is not None and any(n != 1 for _, n in s_x):
             raise ValidationError("S(x) must be homogeneous of degree 1 in x")
-        self._over_ints = None
         self._tabulate(R, sigma.column_dicts(), delta.column_dicts(), g, s_x)
 
     def _tabulate(self, r, sigma_cols, delta_cols, g, s_x):
@@ -235,27 +222,26 @@ class OreAlgebra(BasisView):
     def integer_view(self, B: int) -> IntegerView:
         """H at degree bound B for the shared sweeps, over the monomials of degree
         <= B, degree-major: it reads the very product, coproduct and antipode tables
-        of :meth:`_integers` at scale 1, ints on the int copy, else H's Fractions."""
-        Z = self._integers()
+        of :attr:`_integers` at scale 1, ints on the int copy, else H's Fractions."""
+        Z = self._integers
         return IntegerView(self, self.monomials(B), 1, Z.unit, Z._products, Z._coproducts,
                            _OnDemand(Z.counit), Z._antipodes, ints=Z is not self)
 
+    @cached_property
     def _integers(self):
-        """The source the integer view reads, chosen once and kept: when R's
-        integer view has scale 1 and sigma, delta, g and S(x) have no
-        denominator (always over GF(p)), a copy of H whose recursion runs on
-        those tables as ints, each entry its own value; otherwise H itself,
-        whose field tables are exact."""
-        if self._over_ints is None:
-            view, g, s_x, n = self.R.integer_view, self.g, self._s_x, self.R.dim
-            E, ints = self.field.to_ints([*self.sigma.column_dicts(), *self.delta.column_dicts(),
-                                          g or {}, s_x or {}])
-            Z = self
-            if view.scale == E == 1:
-                Z = copy.copy(self)
-                Z._tabulate(view, ints[:n], ints[n:2 * n], g and ints[-2], s_x and ints[-1])
-            self._over_ints = Z
-        return self._over_ints
+        """The source the integer view reads, chosen on first read and kept: when R's
+        integer view has scale 1 and sigma, delta, g and S(x) have no denominator
+        (always over GF(p)), a ``copy.copy`` of H that :meth:`_tabulate` points at
+        those tables as ints, each entry its own value, with tables of its own;
+        otherwise H itself, whose field tables are exact."""
+        view, g, s_x, n = self.R.integer_view, self.g, self._s_x, self.R.dim
+        E, ints = self.field.to_ints([*self.sigma.column_dicts(), *self.delta.column_dicts(),
+                                      g or {}, s_x or {}])
+        if view.scale != 1 or E != 1:
+            return self
+        Z = copy.copy(self)
+        Z._tabulate(view, ints[:n], ints[n:2 * n], g and ints[-2], s_x and ints[-1])
+        return Z
 
     def __repr__(self):
         tags = []

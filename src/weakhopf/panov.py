@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
-from .bialgebra import WeakBialgebra, WeakHopfAlgebra, base_subalgebras, convolution
+from .bialgebra import WeakBialgebra, WeakHopfAlgebra, _OnDemand, base_subalgebras, convolution
 from .coderivations import (coderivation_residual, first_failure, is_sigma_derivation,
                             skew_derivation)
 from .errors import (InvalidGroupCharacter, NotAutomorphism, NotCentral, NotDerivation,
@@ -94,11 +94,11 @@ class PanovClauses:
     """The Panov clauses of one Ore datum (sigma, delta, g) over wb.
 
     Clause ``name`` is evaluated by the method ``_name``, which returns
-    (passed, witness), at most once per object and only when asked for; a
-    clause may read another's result.  What several clauses read is computed
-    once, on first use: chi = eps o sigma as one :class:`Character` (its
-    windings, their endomorphism checks and its convolution inverses),
-    lambda_g, g^-1 solved on it, and Ad_g.
+    (passed, witness), at most once per object and only when asked for, and
+    kept in ``_results``, an :class:`_OnDemand` keyed by name; a clause may read
+    another's result.  What several clauses read is computed once, on first use:
+    chi = eps o sigma as one :class:`Character` (its windings, their endomorphism
+    checks and its convolution inverses), lambda_g, g^-1 solved on it, and Ad_g.
     Two pairs of clause names state one identity each and read one result:
     the sigma twist (coproduct_sigma_g_twist and its expanded form) and the
     skew-coderivation identity (delta_is_skew_coderivation and
@@ -109,13 +109,10 @@ class PanovClauses:
     def __init__(self, wb: WeakBialgebra, sigma: Matrix, delta: Matrix, g: dict | None):
         self.wb, self.sigma, self.delta, self.g = wb, sigma, delta, g
         self.character = Character(wb, sigma.transpose().apply(wb.counit_vector))  # eps o sigma
-        self._results = {}
+        self._results = _OnDemand(lambda name: ClauseResult(name, *getattr(self, "_" + name)()))
 
     def result(self, name) -> ClauseResult:
-        hit = self._results.get(name)
-        if hit is None:
-            hit = self._results[name] = ClauseResult(name, *getattr(self, "_" + name)())
-        return hit
+        return self._results[name]
 
     def verdict(self, names) -> PanovVerdict:
         """The clauses ``names`` in order, with chi when sigma is its left winding."""

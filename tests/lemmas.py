@@ -39,6 +39,12 @@ def from_rows_dense(field, rows) -> Matrix:
     return Matrix(field, len(rows), len(rows[0]) if rows else 0, data)
 
 
+def counital_matrices(wb) -> tuple:
+    """The matrices of (eps_t, eps_s, eps_t', eps_s') on the basis of R."""
+    return tuple(Matrix.from_columns(wb.field, wb.dim, [f(wb.basis_vector(k)) for k in wb.keys])
+                 for f in (wb.eps_t, wb.eps_s, wb.eps_t_prime, wb.eps_s_prime))
+
+
 def axiom_names(report) -> list:
     """The axioms a report recorded, in order."""
     return [line.split()[1] for line in report.lines()]
@@ -365,7 +371,7 @@ def char_antipode_report(wha: WeakHopfAlgebra, chi: dict) -> AxiomReport:
     report.record("chi_weak_character_right", character.right_failure is None)
     tau_r, tau_l = character.right, character.left
     S = wha.antipode_matrix
-    m_t, m_s = wha.counital_matrices()[:2]
+    m_t, m_s = counital_matrices(wha)[:2]
     report.check("antipode_conv_right_winding", map_convolution(S, tau_r, wha), m_s * tau_r)
     report.check("antipode_conv_left_winding", map_convolution(tau_l, S, wha), m_t * tau_l)
 

@@ -290,7 +290,7 @@ def test_integer_view_of_h_matches_monomial_view(name, degree):
     assert bool(failures) == (name.startswith("forced") and degree > 0)
     top = max(2 * degree, degree + 1)
     assert reads and all(a[1] <= top and b[1] <= degree for a, b in reads)
-    assert all(a[1] <= 1 and b[1] <= 2 * degree for a, b in H._integers()._products.keys() - reads)
+    assert all(a[1] <= 1 and b[1] <= 2 * degree for a, b in H._integers._products.keys() - reads)
     if degree and name in ("section5-Z2-n2", "forced-section5-delta"):
         assert ints.scale == 1  # sigma's -35/6 and -6/35 are read as H's own Fractions
 
@@ -305,7 +305,7 @@ def test_integer_view_of_h_matches_field_tables(name, degree):
     coproducts on degree <= 2D, the counit on degree <= L + D and antipodes, when
     extended, on degree <= D."""
     H = ORE_CASES[name]()
-    ints, integral = H.integer_view(degree), H._integers() is not H
+    ints, integral = H.integer_view(degree), H._integers is not H
     top, keys = max(2 * degree, degree + 1), H.monomials(degree)
     assert ints.scale == 1 and ints.field_side(ints.unit, 0) == H.unit
     reads = [*((ints.product, H.product, (a, b)) for a in H.monomials(top) for b in keys),
@@ -336,11 +336,11 @@ def test_verify_extension_leaves_only_the_products_the_guard_counts(monkeypatch,
     monkeypatch.setattr(ore, "PRODUCT_TABLE_LIMIT", count - 1)
     with pytest.raises(TooLarge):
         refuse_large_degree(H.R, degree)
-    for table in (H._products, H._integers()._products):
+    for table in (H._products, H._integers._products):
         assert all(a[1] <= top and (b[1] <= degree or a[1] <= 1 and b[1] <= right)
                    for a, b in table)
         assert len(table) <= count
-    assert H.integer_view(degree)._products is H._integers()._products
+    assert H.integer_view(degree)._products is H._integers._products
 
 
 @pytest.mark.parametrize("name", ORE_CASES)
@@ -354,7 +354,7 @@ def test_int_copy_of_h_exists_exactly_on_integral_data(name):
                *(H._s_x or {}).values()]
     integral = H.R.integer_view.scale == 1 and (
         H.field.p is not None or all(c.denominator == 1 for c in scalars))
-    Z = H._integers()
+    Z = H._integers
     assert (Z is not H) == integral
     if not integral:
         return
@@ -366,6 +366,27 @@ def test_int_copy_of_h_exists_exactly_on_integral_data(name):
     degrees = [*(i for i, _ in H._x_table), *(n for a, b in H._products for _, n in (a, b)),
                *H._skew_powers, *(n for _, n in H._coproducts), *(n for _, n in H._antipodes)]
     assert max(degrees) <= 1
+
+
+@pytest.mark.parametrize("name", ORE_CASES)
+def test_int_copy_of_h_is_built_once_and_shares_no_table(count_calls, name):
+    """H._integers builds H's int copy on its first read, a copy.copy of H that
+    _tabulate re-points at R's integer view, and every later read, verify_extension's
+    among them, returns that copy; the copy keeps no _integers of its own and none
+    of H's tables, so the int entries never reach H's field tables."""
+    H = ORE_CASES[name]()
+    calls = count_calls("OreAlgebra._tabulate")
+    Z = H._integers
+    if Z is H:
+        assert not calls
+        return
+    verify_extension(H, 2)
+    assert calls["OreAlgebra._tabulate"] == 1
+    assert all(H._integers is Z for _ in range(2)) and H.integer_view(2)._products is Z._products
+    assert "_integers" not in vars(Z)
+    tables = ("_x_table", "_products", "_skew_powers", "_coproducts", "_antipodes", "_eps",
+              "_eps_rows")
+    assert all(getattr(Z, table) is not getattr(H, table) for table in tables)
 
 
 @pytest.mark.parametrize("name", [name for name in ORE_CASES

@@ -2,6 +2,7 @@ import itertools
 import random
 import sys
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -133,8 +134,8 @@ def test_verify_extension_builds_each_x_power_once(monkeypatch, request, name, d
     H = extend_antipode(make_ore(data.R, data.sigma, data.delta, data.g))
     assert verify_extension(H, degree).passed
     integral = name == "sweedler"
-    assert (H._integers() is not H) == integral
-    assert all(owner is H._integers() for owner, _ in calls)
+    assert (H._integers is not H) == integral
+    assert all(owner is H._integers for owner, _ in calls)
     rows = [p for _, p in calls]
     assert all(type(c) is (int if integral else Fraction) for p in rows for c in p.values())
     assert (0 < len(rows) <= H.R.dim * (degree - 1)) if degree > 1 else not rows
@@ -162,13 +163,13 @@ def test_deepest_tables_build_at_the_guards_edge(sweedler):
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        for source in (H, H._integers()):
+        for source in (H, H._integers):
             assert source.x_power_times(2 * B, 1)
             assert source.antipode((1, B))
             assert source.coproduct((1, 2 * B))
     finally:
         sys.setrecursionlimit(limit)
-    assert H._integers() is not H
+    assert H._integers is not H
 
 
 def test_multiplication_associative(sweedler_H, s5_H, s5_m2qz2):
@@ -461,3 +462,25 @@ def test_ore_build_reads_the_base_subalgebras_of_r_once(count_calls, tmp_path):
     calls = count_calls("column_space_basis")
     assert main(["ore", "build", spec, "--verify-degree", "2"]) == 0
     assert calls["column_space_basis"] == 2
+
+
+COUNITAL = tuple(f"WeakBialgebra.{m}" for m in ("eps_t", "eps_s", "eps_t_prime", "eps_s_prime"))
+
+
+@pytest.mark.parametrize("spec", ["sweedler", "section5"])
+def test_each_command_reads_only_the_counital_maps_it_needs(count_calls, tmp_path, spec):
+    """R's base subalgebras read eps_t and eps_s once per basis vector, and nothing
+    reads the primed maps: `ore build` calls eps_t and eps_s dim times each, and
+    `panov --hopf` calls eps_t once more, for its clause eps_t_g_is_unit."""
+    if spec == "sweedler":
+        path, dim = str(resources.files("weakhopf") / "data" / "sweedler-data.json"), 2
+    else:
+        path, dim = str(tmp_path / "section5.json"), 8
+        assert main(["example", "section5", "--group", "Z2", "--n", "2", "--rho=1,-1",
+                     "--q=3/5,-7/2", "-o", path]) == 0
+    calls = count_calls(*COUNITAL)
+    for argv, extra in ((["ore", "build", path, "--verify-degree", "2"], 0),
+                        (["panov", path, "--hopf"], 1)):
+        calls.clear()
+        assert main(argv) == 0
+        assert [calls[name] for name in COUNITAL] == [dim + extra, dim, 0, 0]

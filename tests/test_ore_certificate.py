@@ -27,8 +27,9 @@ from forced_ore import forced_section5, sign_flipped_sweedler
 from lemmas import axiom_names, axiom_passed, basis_element, identity
 from test_integer_view import ORE_CASES
 from weakhopf import ore
-from weakhopf.bialgebra import (WeakHopfAlgebra, algebra_report, check_weak_bialgebra,
-                                sweep_coproduct_multiplicative, sweep_counit_weak_multiplicative)
+from weakhopf.bialgebra import (WeakHopfAlgebra, algebra_report, base_subalgebras,
+                                check_weak_bialgebra, sweep_coproduct_multiplicative,
+                                sweep_counit_weak_multiplicative)
 from weakhopf.cli import main
 from weakhopf.coderivations import skew_derivation
 from weakhopf.errors import NotAutomorphism, NotDerivation, TooLarge, ValidationError
@@ -261,6 +262,26 @@ def test_a_unit_that_is_not_a_unit_raises_before_any_sweep(count_calls):
     assert not calls
 
 
+def test_a_source_base_member_off_its_characterization_raises_before_any_sweep(count_calls):
+    """QZ_2 with Delta(1) = 1 (x) 1 + t (x) 1, not validated: R_t passes its coproduct
+    characterization and the R_s member 1 + t fails its own, so base_subalgebras
+    raises, and verify_extension raises the same on the coalgebra-extended H with
+    Sweedler's sigma and delta and g = t before it builds H's integer view or runs
+    any sweep of R or of H."""
+    R = group_algebra(GroupPresentation.cyclic(2))
+    bad = WeakHopfAlgebra(QQ, 2, R.mult, R.unit, {**R.comult, 0: {(0, 0): 1, (1, 0): 1}},
+                          R.counit_vector, R.antipode_matrix, R.labels, validate=False)
+    message = re.escape("R_s member fails coproduct characterization: 1 + t")
+    with pytest.raises(ValidationError, match=message):
+        base_subalgebras(bad)
+    d = sweedler_data()
+    H = OreAlgebra(bad, d.sigma, d.delta, bad.basis_vector(1), _coalgebra_extended=True)
+    calls = count_calls("OreAlgebra.integer_view", *SWEEPS)
+    with pytest.raises(ValidationError, match=message):
+        verify_extension(H, 2)
+    assert not calls
+
+
 # -- a property test over perturbed section-5 data --------------------------------------
 
 RHOS = {2: ([1, 1], [1, -1]), 3: ([1, 1, 1],), 4: ([1, 1, 1, 1], [1, -1, 1, -1])}
@@ -333,13 +354,13 @@ def test_a_certified_datum_builds_and_sweeps_nothing_above_what_runs(monkeypatch
     assert all(report.scope(axiom) == "all degrees" for axiom in CERTIFIED)
     (ints,) = views
     assert counit_views == [H.R.integer_view] and not sandwiches
-    assert max(n for _, n in H._integers()._coproducts) == degree
+    assert max(n for _, n in H._integers._coproducts) == degree
     if H.antipode_extended:
         assert max(a[1] for a, _ in ints.reads) == degree
         _assert_reads_within(ints, degree, degree, H.R.dim)
     else:
         assert not ints.reads
-        assert max(a[1] for a, _ in H._integers()._products) == 1
+        assert max(a[1] for a, _ in H._integers._products) == 1
 
 
 @pytest.mark.parametrize("degree", [0, 2])
@@ -378,8 +399,9 @@ def test_ore_build_sweeps_r_once(count_calls, tmp_path):
 
 
 def test_ore_build_validates_the_ore_data_once(count_calls, tmp_path):
-    """`ore build` runs skew_derivation once, in make_ore, whose mark on H stands for
-    (P3) in verify_extension; an H built directly is validated there."""
+    """`ore build` runs skew_derivation once, in make_ore; H carries the clause table
+    whose `ore_data_failure` is (P3) in verify_extension; an H built directly is
+    validated there."""
     spec = str(tmp_path / "section5.json")
     assert main(["example", "section5", "--group", "Z2", "--n", "2", "--rho=1,-1",
                  "--q=3/5,-7/2", "-o", spec]) == 0

@@ -18,7 +18,7 @@ from weakhopf.ore import extend_antipode, extend_coalgebra, make_ore, verify_ext
 from weakhopf.panov import (HOPF, NECESSARY, SUFFICIENT, PanovClauses, alpha_residual,
                             build_twisted_derivation, groupoid_character, hopf_conditions,
                             panov_necessary, panov_sufficient, solve_alpha)
-from weakhopf.specfile import parse_spec
+from weakhopf.specfile import SpecBundle, parse_spec, write_spec
 
 from lemmas import (ad_map, axiom_passed, basis_element, centrality_report, char_antipode_report,
                     identity, is_coderivation, matches_tensor_factors, transport)
@@ -134,6 +134,23 @@ def test_panov_hopf_evaluates_each_clause_once(count_calls, tmp_path):
     assert calls["coderivation_residual"] == 1
     assert calls["Character._inverse"] == 2
     assert 0 < calls["is_unital_algebra_endo"] <= 3
+
+
+def test_panov_prints_no_chi_when_sigma_is_not_the_left_winding(tmp_path, capsys):
+    """On M_2(QQ) with g = 1, delta = 0 and sigma(E_ij) = E_s(i)s(j) for the swap s,
+    chi = eps o sigma is eps, whose left winding is the identity, not sigma: the
+    necessary section fails sigma_is_left_winding at E11 and prints no CHI line."""
+    M2 = matrix_algebra(2)
+    swap = Matrix(QQ, 4, 4, {(3 - k, k): QQ.one() for k in range(4)})  # E11 <-> E22, E12 <-> E21
+    spec = str(tmp_path / "m2-swap.json")
+    write_spec(SpecBundle(QQ, M2, elements={"g": M2.unit},
+                          maps={"sigma": swap, "delta": Matrix.zero(QQ, 4, 4)}), spec)
+    assert main(["panov", spec]) == 1
+    out = capsys.readouterr().out.splitlines()
+    necessary = out[out.index("# necessary conditions") + 1:out.index("# sufficient conditions")]
+    assert "CLAUSE sigma_is_left_winding FAIL witness=(E11)" in necessary
+    assert necessary[-1] == "VERDICT FAIL"
+    assert not any(line.startswith("CHI ") for line in out)
 
 
 def test_panov_hopf_decides_g_and_builds_lambda_g_once(count_calls, monkeypatch, tmp_path):
