@@ -1,7 +1,7 @@
 """Exact-arithmetic engine for weak Hopf algebras and their Ore extensions."""
 
-from .bialgebra import (WeakBialgebra, WeakHopfAlgebra, base_subalgebras, check_antipode,
-                        check_weak_bialgebra, convolution)
+from .bialgebra import (WeakBialgebra, WeakHopfAlgebra, check_antipode, check_weak_bialgebra,
+                        convolution)
 from .coderivations import (coderivation_constraint_matrix, coderivation_space,
                             is_sigma_derivation, skew_derivation)
 from .fields import GF, Field, QQ

@@ -144,14 +144,17 @@ class _OnDemand(dict):
 class BasisView:
     """A structure seen basis element by basis element, as the axiom sweeps see it.
 
-    ``keys`` are the basis keys a sweep runs over, in order, and ``unit`` is
-    1 as a dict key -> scalar.  Subclasses supply ``product(a, b)``,
-    ``coproduct(k)`` (keyed by key pairs) and ``antipode(k)``, each a plain
-    dict without zero entries that callers must not modify, plus the scalar
-    ``counit(k)``, ``label(k)`` and ``witness(keys)``.  The methods here
-    derive from those; elements are dicts key -> scalar, 2-tensors dicts
-    (key, key) -> scalar, and the coassociativity sides dicts keyed by key
-    triples.
+    A view is its basis keys, its unit and four tables.  ``keys`` are the
+    basis keys a sweep runs over, in order, and ``unit`` is 1 as a dict
+    key -> scalar.  The tables are mappings: ``products`` keyed by key pairs,
+    and ``coproducts``, ``counit`` and ``antipodes`` keyed by keys.
+    :meth:`product`, :meth:`coproduct` (a dict keyed by key pairs),
+    :meth:`counit` (a scalar) and :meth:`antipode` read them, each entry a
+    plain dict without zero entries that callers must not modify.  Subclasses
+    pass the tables and supply ``label(k)`` and ``witness(keys)``.  The other
+    methods here derive from those; elements are dicts key -> scalar,
+    2-tensors dicts (key, key) -> scalar, and the coassociativity sides dicts
+    keyed by key triples.
 
     Every table entry is ``scale`` (D) times its field value, and values are
     compared mod ``modulus`` when it is set; both are trivial here and are
@@ -162,15 +165,29 @@ class BasisView:
     modulus = None
     ints = False
 
-    def __init__(self, field, keys, unit):
+    def __init__(self, field, keys, unit, products, coproducts, counit, antipodes):
         self.field = field
         self.zero = field.zero()
         self.one = field.one()
         self.keys = keys
         self.unit = unit
+        self._products, self._coproducts = products, coproducts
+        self._counit, self._antipodes = counit, antipodes
         self._delta_one = None
         self._eps = {}
         self._eps_rows = {}
+
+    def product(self, a, b):
+        return self._products[a, b]
+
+    def coproduct(self, k):
+        return self._coproducts[k]
+
+    def counit(self, k):
+        return self._counit[k]
+
+    def antipode(self, k):
+        return self._antipodes[k]
 
     def multiply(self, u, v):
         out = {}
@@ -335,50 +352,34 @@ class IntegerView(BasisView):
     """The tables of a field-valued basis view at one scale, for the axiom sweeps.
 
     The sweeps run over ``keys``, and ``source`` labels keys and witnesses.
-    The tables are mappings: ``products`` keyed by key pairs, ``coproducts``,
-    ``counit`` and ``antipodes`` keyed by keys.  R's view passes dicts
-    converted once on every key, and H's view tables that read each entry on
-    first use from the cached tables of H's int copy, or of H itself when H
-    is not integral.  Every entry, and the unit, is held at one ``scale`` D
-    as :meth:`Field.to_ints` holds it (D = 1 for H), except on an H that is
-    not integral, whose entries are H's own exact Fractions at scale 1, not
-    ints (``ints`` is then false); over GF(p) sides are compared mod p.  A
-    basis vector {k: 1} is not scaled.  A value a sweep computes is D^w times
-    its field value, w (its weight) being the number of table entries in each
-    of its terms, and
-    :meth:`agree` compares two sides of an axiom through their weights.
-    Only a failing side goes back to field scalars, to be formatted with the
-    source's labels and witnesses.  :attr:`WeakBialgebra.integer_view` and
-    ``OreAlgebra.integer_view`` pass the tables.  :meth:`product_rows` is
+    The four tables are a :class:`BasisView`'s: R's view passes R's tables
+    converted once, and H's view the very tables of H's int copy, or of H
+    itself when H is not integral, which build each entry on first use.
+    Every entry, and the unit, is held at one ``scale`` D as
+    :meth:`Field.to_ints` holds it (D = 1 for H), except on an H that is not
+    integral, whose entries are H's own exact Fractions at scale 1, not ints
+    (``ints`` is then false); over GF(p) sides are compared mod p.  A basis
+    vector {k: 1} is not scaled.  A value a sweep computes is D^w times its
+    field value, w (its weight) being the number of table entries in each of
+    its terms, and :meth:`agree` compares two sides of an axiom through their
+    weights.  Only a failing side goes back to field scalars, to be formatted
+    with the source's labels and witnesses.  :attr:`WeakBialgebra.integer_view`
+    and ``OreAlgebra.integer_view`` pass the tables.  :meth:`product_rows` is
     tabled once per view, for every sweep that reads it.
     """
 
     def __init__(self, source, keys, scale, unit, products, coproducts, counit, antipodes,
                  ints=True):
-        super().__init__(source.field, keys, unit)
+        super().__init__(source.field, keys, unit, products, coproducts, counit, antipodes)
         self._source = source
         self.scale, self.modulus, self.ints = scale, self.field.p, ints
         self.zero, self.one = 0, 1
-        self._products, self._coproducts = products, coproducts
-        self._counit, self._antipodes = counit, antipodes
         self._product_rows = None
 
     def product_rows(self):
         if self._product_rows is None:
             self._product_rows = super().product_rows()
         return self._product_rows
-
-    def product(self, a, b):
-        return self._products[a, b]
-
-    def coproduct(self, k):
-        return self._coproducts[k]
-
-    def counit(self, k):
-        return self._counit[k]
-
-    def antipode(self, k):
-        return self._antipodes[k]
 
     def label(self, k):
         return self._source.label(k)
@@ -600,9 +601,12 @@ class WeakBialgebra(BasisView):
     """R = (R, m, 1, Delta, eps) on the basis range(dim), as its own basis view.
 
     ``mult[(i, j)]`` is b_i b_j, ``unit`` is 1, ``comult[k]`` is Delta(b_k)
-    and ``counit_vector`` is eps, as element and 2-tensor dicts; the view's
-    ``counit(k)`` reads eps(b_k).  The constructor range-checks and coerces
-    every table, then validates the algebra, the coalgebra, the weak
+    and ``counit_vector`` is eps, as sparse element and 2-tensor dicts.  The
+    constructor range-checks and coerces every table, builds the view's four
+    tables from them once (every key pair's product, {} where ``mult`` has
+    none; every key's coproduct, {} where ``comult`` has none, and counit
+    value, 0 where ``counit_vector`` has none; the antipode's columns, or no
+    antipodes), then validates the algebra, the coalgebra, the weak
     bialgebra axioms and the antipode, if any, in that order, raising on the
     first failure; every sweep runs on one :attr:`integer_view`.  Pass
     ``validate=False`` only to build deliberately broken instances for diagnosis.
@@ -632,7 +636,12 @@ class WeakBialgebra(BasisView):
         self.comult = {k: d for k, t in comult.items()
                        if (d := _element(field, dim, t, (k,), "comult", pairs=True))}
         self.counit_vector = _element(field, dim, counit, (), "counit")
-        super().__init__(field, range(dim), unit)
+        keys, anti = range(dim), self.antipode_matrix
+        super().__init__(field, keys, unit,
+                         {(a, b): self.mult.get((a, b), _EMPTY) for a in keys for b in keys},
+                         [self.comult.get(k, _EMPTY) for k in keys],
+                         [self.counit_vector.get(k, field.zero()) for k in keys],
+                         anti.column_dicts() if anti is not None else ())
         self._sweeps = _OnDemand(self._sweep)
         if not validate:
             return
@@ -658,15 +667,6 @@ class WeakBialgebra(BasisView):
 
     # -- the basis view ------------------------------------------------
 
-    def product(self, a, b):
-        return self.mult.get((a, b), _EMPTY)
-
-    def coproduct(self, k):
-        return self.comult.get(k, _EMPTY)
-
-    def counit(self, k):
-        return self.counit_vector.get(k, self.zero)
-
     def label(self, k):
         return self.labels[k]
 
@@ -676,17 +676,14 @@ class WeakBialgebra(BasisView):
     @cached_property
     def integer_view(self) -> IntegerView:
         """R's tables as ints on every key and key pair, built once for every sweep of R,
-        all at one scale D by :meth:`Field.to_ints`."""
-        keys = self.keys
-        pairs = [(a, b) for a in keys for b in keys]
-        anti = keys if self.antipode_matrix is not None else ()
+        all at one scale D by :meth:`Field.to_ints`, converted in order."""
+        keys, products = self.keys, self._products
         D, (unit, counit, *tables) = self.field.to_ints(
-            [self.unit, self.counit_vector, *(self.product(a, b) for a, b in pairs),
-             *map(self.coproduct, keys), *(self.antipode(k) for k in anti)])
-        n, dim = len(pairs), len(keys)
-        return IntegerView(self, keys, D, unit, dict(zip(pairs, tables)),
-                           dict(zip(keys, tables[n:])), {k: counit.get(k, 0) for k in keys},
-                           dict(zip(anti, tables[n + dim:])))
+            [self.unit, dict(enumerate(self._counit)), *products.values(), *self._coproducts,
+             *self._antipodes])
+        n, dim = len(products), len(keys)
+        return IntegerView(self, keys, D, unit, dict(zip(products, tables)), tables[n:n + dim],
+                           [counit.get(k, 0) for k in keys], tables[n + dim:])
 
     @cached_property
     def generators(self) -> tuple:
@@ -758,7 +755,7 @@ class WeakBialgebra(BasisView):
         zero, data = self.zero, {}
         for i, c in a.items():
             for k in self.keys:
-                for r, x in self.mult.get(pair(i, k), _EMPTY).items():
+                for r, x in self._products[pair(i, k)].items():
                     data[(r, k)] = data.get((r, k), zero) + c * x
         return Matrix(self.field, self.dim, self.dim, data)
 
@@ -794,9 +791,6 @@ class WeakHopfAlgebra(WeakBialgebra):
             raise DimensionMismatch("antipode matrix has wrong shape")
         self.antipode_matrix = antipode
         super().__init__(field, dim, mult, unit, comult, counit, labels, validate)
-
-    def antipode(self, k):
-        return self.antipode_matrix.column_dicts()[k]
 
 
 def _decided(wb, sweep, axiom, checks):
@@ -868,11 +862,6 @@ def check_weak_bialgebra(wb: WeakBialgebra) -> AxiomReport:
 def check_antipode(wha: WeakHopfAlgebra) -> AxiomReport:
     """Check the three antipode axioms on every basis element."""
     return AxiomReport().merge(wha.swept(sweep_antipode))
-
-
-def base_subalgebras(wb: WeakBialgebra):
-    """Bases of R_t and R_s, verified once per R: :attr:`WeakBialgebra.base_subalgebras`."""
-    return wb.base_subalgebras
 
 
 def convolution(f: dict, g: dict, wb: WeakBialgebra) -> dict:

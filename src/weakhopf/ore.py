@@ -17,8 +17,8 @@ S(x) = -S(g) x.  :func:`verify_extension` runs the same weak-bialgebra axiom
 sweeps on H as bialgebra.py runs on R, on the integer view of H at the
 degree bound (:meth:`OreAlgebra.integer_view`), except for the axioms it
 decides in every degree from checks on R.  H keeps its x-powers, products,
-skew powers, coproducts and antipodes in one table each, which builds an
-entry on its first read; the view reads those very tables, so each entry is
+skew powers, coproducts, counit and antipodes in one table each, which builds
+an entry on its first read; the view reads those very tables, so each entry is
 computed once, and only if a sweep that runs reads it.  The tables hold
 field scalars on H itself, which the element API and the degree <= 1
 generator clauses use, and, when every table they read is integral (always
@@ -32,10 +32,10 @@ import copy
 from functools import cached_property
 
 from .bialgebra import (BasisView, IntegerView, WeakBialgebra, WeakHopfAlgebra, _check,
-                        _nonzero, _OnDemand, algebra_report, base_subalgebras,
-                        coproduct_multiplicative_report, sweep_antipode, sweep_coassociative,
-                        sweep_coproduct_multiplicative, sweep_counit_neutral,
-                        sweep_counit_weak_multiplicative, sweep_unit_compatibility)
+                        _nonzero, _OnDemand, algebra_report, coproduct_multiplicative_report,
+                        sweep_antipode, sweep_coassociative, sweep_coproduct_multiplicative,
+                        sweep_counit_neutral, sweep_counit_weak_multiplicative,
+                        sweep_unit_compatibility)
 from .errors import ConditionsFailed, TooLarge, ValidationError
 from .linalg import Matrix
 from .panov import HOPF, SUFFICIENT, PanovClauses
@@ -58,12 +58,13 @@ class OreAlgebra(BasisView):
 
     Its own ``keys`` are the degree-0 monomials; :meth:`integer_view` takes
     the degree bound the sweeps run to.  Each table of monomial entries is
-    one :class:`_OnDemand`, which its integer view reads too.  The
-    antipode is extended exactly when S(x), an element of H, is given as
-    ``s_x``; it must be homogeneous of degree 1 in x, as (-S(g)) x is, and
-    any other s_x raises ValidationError, since S(b x^n) = S(x)^n S(b) then
-    has degree <= n and the antipode sweep reads no product outside what
-    :data:`PRODUCT_TABLE_LIMIT` counts.  Instances are immutable;
+    one :class:`_OnDemand`: the x-powers, the skew powers and the four tables
+    of its basis view (products, coproducts, counit and antipodes), which its
+    integer view reads too.  The antipode is extended exactly when S(x), an
+    element of H, is given as ``s_x``; it must be homogeneous of degree 1 in
+    x, as (-S(g)) x is, and any other s_x raises ValidationError, since
+    S(b x^n) = S(x)^n S(b) then has degree <= n and the antipode sweep reads
+    no product outside what :data:`PRODUCT_TABLE_LIMIT` counts.  Instances are immutable;
     extension steps return new objects.  ``clauses`` is the datum's
     :class:`panov.PanovClauses` table, new or the ``_clauses`` an extension step
     hands on: :func:`make_ore` raises its Ore-data failure, and the extension
@@ -90,15 +91,15 @@ class OreAlgebra(BasisView):
         ``_s_x``) hold scalars of the same kind.  Each recursive table grows
         by a left factor of degree 1: x, the skew element or S(x).
         """
-        super().__init__(r.field, self.monomials(0), self.embed(r.unit))
+        super().__init__(r.field, self.monomials(0), self.embed(r.unit),
+                         _OnDemand(lambda ab: self._keep(self.mono_mul(*ab[0], *ab[1]))),
+                         _OnDemand(self._coproduct), _OnDemand(self._counit_value),
+                         _OnDemand(self._antipode))
         self.zero, self.one, self.modulus = r.zero, r.one, r.modulus
         self._r, self._sigma_cols, self._delta_cols, self._g = r, sigma_cols, delta_cols, g
         self._s_x = s_x
         self._x_table = _OnDemand(self._x_row)
-        self._products = _OnDemand(lambda ab: self._keep(self.mono_mul(*ab[0], *ab[1])))
         self._skew_powers = _OnDemand(self._skew_power)
-        self._coproducts = _OnDemand(self._coproduct)
-        self._antipodes = _OnDemand(self._antipode)
 
     def _keep(self, d):
         """d as the tables keep it: reduced by :meth:`Field.reduce` if ``modulus`` is set."""
@@ -150,9 +151,6 @@ class OreAlgebra(BasisView):
                 out[key] = out.get(key, zero) + c * x
         return _nonzero(out)
 
-    def product(self, a, b):
-        return self._products[a, b]
-
     def mono_mul(self, r: int, i: int, u: int, j: int) -> dict:
         """(b_r x^i)(b_u x^j) = b_r (x^i b_u) x^j, built once into the product table."""
         zero, product, out = self.zero, self._r.product, {}
@@ -181,28 +179,23 @@ class OreAlgebra(BasisView):
             power = self.tensor_mul(self._skew_powers[1], self._skew_powers[n - 1])
         return self._keep(power)
 
-    def coproduct(self, k):
-        """Delta(b_b x^n) = Delta(b_b) (g (x) x + x (x) 1)^n in H (x) H."""
-        return self._coproducts[k]
-
     def _coproduct(self, k):
+        """Delta(b_b x^n) = Delta(b_b) (g (x) x + x (x) 1)^n in H (x) H."""
         if not self._coalgebra_extended:
             raise ValidationError("coalgebra structure not extended; call extend_coalgebra first")
         b, n = k
         return self._keep(self.tensor_mul(_degree_zero(self._r.coproduct(b)), self._skew_powers[n]))
 
-    def counit(self, k):
+    def _counit_value(self, k):
+        """eps(b_b x^n): the counit reads the degree-0 coefficient."""
         b, n = k
         return self._r.counit(b) if n == 0 else self.zero
 
     # -- extended antipode ----------------------------------------------
 
-    def antipode(self, k):
+    def _antipode(self, k):
         """S(b_b x^n) = S(x) S(b_b x^(n-1)) for n >= 1 and S(b_b) for n = 0;
         S is the unital anti-homomorphism, so this is S(x)^n S(b_b)."""
-        return self._antipodes[k]
-
-    def _antipode(self, k):
         if self._s_x is None:
             raise ValidationError("antipode not extended; call extend_antipode first")
         b, n = k
@@ -221,11 +214,11 @@ class OreAlgebra(BasisView):
 
     def integer_view(self, B: int) -> IntegerView:
         """H at degree bound B for the shared sweeps, over the monomials of degree
-        <= B, degree-major: it reads the very product, coproduct and antipode tables
-        of :attr:`_integers` at scale 1, ints on the int copy, else H's Fractions."""
+        <= B, degree-major: it reads the very four tables of :attr:`_integers` at
+        scale 1, ints on the int copy, else H's Fractions."""
         Z = self._integers
         return IntegerView(self, self.monomials(B), 1, Z.unit, Z._products, Z._coproducts,
-                           _OnDemand(Z.counit), Z._antipodes, ints=Z is not self)
+                           Z._counit, Z._antipodes, ints=Z is not self)
 
     @cached_property
     def _integers(self):
@@ -428,7 +421,7 @@ def verify_extension(H: OreAlgebra, degree_bound: int = 3) -> AxiomReport:
     """
     refuse_large_degree(H.R, degree_bound)
     report = AxiomReport(degree_bound)
-    _, basis_s = base_subalgebras(H.R)  # raises on a broken R before any sweep
+    _, basis_s = H.R.base_subalgebras  # raises on a broken R before any sweep
     generator = _generator_clauses(H)  # raises on an unextended H before any product
     decided = _certificates(H, generator)
     ints = H.integer_view(degree_bound)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
-from .bialgebra import WeakBialgebra, WeakHopfAlgebra, _OnDemand, base_subalgebras, convolution
+from .bialgebra import WeakBialgebra, WeakHopfAlgebra, _OnDemand, convolution
 from .coderivations import (coderivation_residual, first_failure, is_sigma_derivation,
                             skew_derivation)
 from .errors import (InvalidGroupCharacter, NotAutomorphism, NotCentral, NotDerivation,
@@ -221,7 +221,7 @@ class PanovClauses:
 
     def _delta_kills_source_base(self):
         # keyed (s, u), R_s's basis a_s as ints: delta(b_k) = b_r gives c b_r for c b_k in a_s
-        wb, (_, basis_s) = self.wb, base_subalgebras(self.wb)
+        wb, (_, basis_s) = self.wb, self.wb.base_subalgebras
         ints = wb.field.to_ints(basis_s)[1]
 
         def column(rk):

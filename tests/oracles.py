@@ -498,8 +498,7 @@ def reference_eps_a_delta_b_zero(wb, delta):
 def reference_delta_kills_source_base(wb, delta):
     """(passed, witness) of delta(R_s) = 0: the witness is the first basis element
     of R_s that delta does not kill, formatted."""
-    from weakhopf.bialgebra import base_subalgebras
-    _, basis_s = base_subalgebras(wb)
+    _, basis_s = wb.base_subalgebras
     dlt = delta.column_dicts().__getitem__
     bad = next((a for a in basis_s if wb.apply(dlt, a)), None)
     return bad is None, None if bad is None else (wb.format_element(bad),)

@@ -109,6 +109,28 @@ def test_r_is_read_into_one_integer_view(count_calls, capsys, build):
     assert calls["IntegerView.__init__"] == 1
 
 
+@pytest.mark.parametrize("antipode", [True, False], ids=["hopf", "bialgebra"])
+@pytest.mark.parametrize("name", SPECS)
+def test_view_tables_read_the_public_entries_of_r(name, antipode):
+    """On every spec file, bundled or under tests/data (over QQ and over GF(5)), with
+    its antipode and without, R and R.integer_view read R's public entries on every
+    key and key pair, the integer view's read back at its scale: product(a, b) is
+    mult's entry or {}, coproduct(k) comult's or {}, counit(k) counit_vector's or 0,
+    and antipode(k) column k of antipode_matrix."""
+    doc = json.loads(Path(_spec_path(name)).read_text())
+    if not antipode:
+        del doc["antipode"]
+    wb = parse_spec(doc, validate=False).wb
+    for view in (wb, wb.integer_view):
+        read = lambda entry: view.field_side(entry, 1)
+        for k in wb.keys:
+            assert all(read(view.product(k, b)) == wb.mult.get((k, b), {}) for b in wb.keys)
+            assert read(view.coproduct(k)) == wb.comult.get(k, {})
+            assert read(view.counit(k)) == wb.counit_vector.get(k, 0)
+            if antipode:
+                assert read(view.antipode(k)) == wb.antipode_matrix.column_dicts()[k]
+
+
 @pytest.mark.parametrize("name", SPECS)
 def test_integer_view_matches_field_view_on_spec_files(name):
     wb = parse_spec(_spec_path(name), validate=False).wb
@@ -373,10 +395,13 @@ def test_int_copy_of_h_is_built_once_and_shares_no_table(count_calls, name):
     """H._integers builds H's int copy on its first read, a copy.copy of H that
     _tabulate re-points at R's integer view, and every later read, verify_extension's
     among them, returns that copy; the copy keeps no _integers of its own and none
-    of H's tables, so the int entries never reach H's field tables."""
+    of H's tables, so the int entries never reach H's field tables.  H's integer
+    view reads the very four tables of H._integers, H itself when H is not integral."""
     H = ORE_CASES[name]()
     calls = count_calls("OreAlgebra._tabulate")
-    Z = H._integers
+    Z, view = H._integers, H.integer_view(2)
+    assert all(getattr(view, table) is getattr(Z, table)
+               for table in ("_products", "_coproducts", "_counit", "_antipodes"))
     if Z is H:
         assert not calls
         return
@@ -384,8 +409,8 @@ def test_int_copy_of_h_is_built_once_and_shares_no_table(count_calls, name):
     assert calls["OreAlgebra._tabulate"] == 1
     assert all(H._integers is Z for _ in range(2)) and H.integer_view(2)._products is Z._products
     assert "_integers" not in vars(Z)
-    tables = ("_x_table", "_products", "_skew_powers", "_coproducts", "_antipodes", "_eps",
-              "_eps_rows")
+    tables = ("_x_table", "_products", "_skew_powers", "_coproducts", "_counit", "_antipodes",
+              "_eps", "_eps_rows")
     assert all(getattr(Z, table) is not getattr(H, table) for table in tables)
 
 

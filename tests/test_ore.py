@@ -6,7 +6,7 @@ from importlib import resources
 
 import pytest
 
-from weakhopf.bialgebra import WeakBialgebra, base_subalgebras
+from weakhopf.bialgebra import WeakBialgebra
 from weakhopf.cli import main
 from weakhopf.errors import (ConditionsFailed, NotAutomorphism, NotDerivation, TooLarge,
                              ValidationError)
@@ -419,7 +419,7 @@ def test_eps_t_and_eps_s_kill_x_monomials(sweedler_H, s5_H):
 
 def test_H_source_base_equals_R_source_base(sweedler_H, s5_H):
     for H in (sweedler_H, s5_H):
-        _, basis_s = base_subalgebras(H.R)
+        _, basis_s = H.R.base_subalgebras
         images = []
         for n in range(4):
             for b in range(H.R.dim):
